@@ -21,11 +21,13 @@ from types import CodeType
 
 from staircase.errors import RewriteUnsupported
 
-_POP_JUMP_IF_FALSE = dis.opmap["POP_JUMP_IF_FALSE"]
+# POP_JUMP_IF_FALSE and JUMP_ABSOLUTE are gone in 3.11, so they are looked
+# up with get (None there): only a supported host reaches the code using them.
+_POP_JUMP_IF_FALSE = dis.opmap.get("POP_JUMP_IF_FALSE")
 _POP_TOP = dis.opmap["POP_TOP"]
 _NOP = dis.opmap["NOP"]
 _EXTENDED_ARG = dis.opmap["EXTENDED_ARG"]
-_JUMPS_OVER_ELSE = {dis.opmap["JUMP_FORWARD"], dis.opmap["JUMP_ABSOLUTE"]}
+_JUMPS_OVER_ELSE = {dis.opmap["JUMP_FORWARD"], dis.opmap.get("JUMP_ABSOLUTE")}
 _OTHER_CONDITIONAL = {
     name: dis.opmap[name]
     for name in ("POP_JUMP_IF_TRUE", "JUMP_IF_TRUE_OR_POP",

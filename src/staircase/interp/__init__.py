@@ -1,4 +1,4 @@
-"""Reference interpreter: buffers, tapes, execution modes, cost metering."""
+"""Interpreter: buffers, generated-code execution, modes, cost metering."""
 from staircase.interp.buffer import Buffer, buffer_from_json, buffer_to_json
 from staircase.interp.stats import DEFAULT_WEIGHTS, ExecStats, cost
 

@@ -1,18 +1,26 @@
-"""Pure-Python tape evaluator.
+"""Reference tape evaluator: the semantics the generated code must match.
 
-The compiled twin (_evalcy) transliterates this file instruction for
-instruction; any semantic change here must land there too. Both expose
-run_tape and ExecContext with identical behavior, selected in machine.py.
+``run`` executes Python source generated per module (``codegen``); this
+module interprets the instruction tapes of ``tape.compile_tapes`` one
+instruction at a time. It is the oracle the generated code is tested
+against (``machine.run_reference``) and the engine the race checker
+records on, since it sees every memory access. The scalar helpers and
+error raisers below are shared with the generated code, so both report
+the same errors with the same messages.
+
+worksharing:N partitions the outermost parallel loop's points into N
+contiguous chunks and runs them one after another, each counting into a
+tally of its own; the tallies are summed. In order, the chunks visit the
+points as sequential mode does, so results and counts are the sequential
+ones. ``check_races`` is the guard a concurrent run of the chunks needs.
 """
 from __future__ import annotations
 
 import math
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, product
 
 from staircase.errors import InvalidBound, ModeUnsupported, OutOfBounds
-from staircase.interp.buffer import Buffer, wrap_int
+from staircase.interp.buffer import Buffer, fdiv, to_f32, wrap_int
 from staircase.interp.tape import (
     ALLOC,
     BINF,
@@ -40,22 +48,31 @@ from staircase.interp.tape import (
     STORE,
 )
 
-_F32 = struct.Struct("<f")
+
+def _where(location) -> str:
+    return f" at {location.file}:{location.line}" if location else ""
 
 
-def to_f32(x: float) -> float:
-    try:
-        return _F32.unpack(_F32.pack(x))[0]
-    except OverflowError:
-        return math.copysign(math.inf, x)
+def out_of_bounds(idx: int, extent: int, buf: Buffer, location) -> None:
+    raise OutOfBounds(
+        f"index {idx} out of bounds for extent {extent} of {buf!r}"
+        f"{_where(location)}"
+    )
 
 
-def _fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        if a != a or a == 0.0:
-            return math.nan
-        return math.copysign(math.inf, a) * math.copysign(1.0, b)
-    return a / b
+def bad_loop_step() -> None:
+    raise InvalidBound("loop step must be positive at runtime")
+
+
+def bad_parallel_step() -> None:
+    raise InvalidBound("scf.parallel steps must be positive at runtime")
+
+
+def launch_outside_gpu(mode: str, location) -> None:
+    raise ModeUnsupported(
+        f"gpu.launch_func needs gpu_emulated mode, not {mode!r}"
+        f"{_where(location)}"
+    )
 
 
 class ExecContext:
@@ -69,13 +86,6 @@ class ExecContext:
         self.recorder = recorder
         self.gpu_ids = None
         self.depth = 0
-
-
-def _oob(idx: int, extent: int, buf: Buffer, location) -> None:
-    where = f" at {location.file}:{location.line}" if location else ""
-    raise OutOfBounds(
-        f"index {idx} out of bounds for extent {extent} of {buf!r}{where}"
-    )
 
 
 def run_tape(program, code, regs, tally, ctx):
@@ -93,7 +103,7 @@ def run_tape(program, code, regs, tally, ctx):
             for r, extent, stride in zip(ins[3], buf.shape, buf.strides):
                 i = regs[r]
                 if i < 0 or i >= extent:
-                    _oob(i, extent, buf, ins[4])
+                    out_of_bounds(i, extent, buf, ins[4])
                 off += i * stride
             regs[ins[1]] = buf.data[off]
             if rec is not None:
@@ -104,7 +114,7 @@ def run_tape(program, code, regs, tally, ctx):
             for r, extent, stride in zip(ins[3], buf.shape, buf.strides):
                 i = regs[r]
                 if i < 0 or i >= extent:
-                    _oob(i, extent, buf, ins[4])
+                    out_of_bounds(i, extent, buf, ins[4])
                 off += i * stride
             v = regs[ins[1]]
             if buf.dtype[0] == "i":
@@ -123,7 +133,7 @@ def run_tape(program, code, regs, tally, ctx):
             elif f == 2:
                 r = a * b
             else:
-                r = _fdiv(a, b)
+                r = fdiv(a, b)
             regs[ins[1]] = to_f32(r) if ins[5] else r
         elif op == BINI:
             a = regs[ins[3]]
@@ -149,7 +159,7 @@ def run_tape(program, code, regs, tally, ctx):
         elif op == LOOP_NEXT_R:
             step = regs[ins[2]]
             if step <= 0:
-                raise InvalidBound("loop step must be positive at runtime")
+                bad_loop_step()
             regs[ins[1]] += step
             pc = ins[3]
             continue
@@ -237,7 +247,7 @@ def _spaces(ins, regs):
     ubs = [regs[r] for r in ins[3]]
     steps = [regs[r] for r in ins[4]]
     if any(s <= 0 for s in steps):
-        raise InvalidBound("scf.parallel steps must be positive at runtime")
+        bad_parallel_step()
     return [range(l, u, s) for l, u, s in zip(lbs, ubs, steps)]
 
 
@@ -248,13 +258,9 @@ def _run_parallel(program, ins, regs, tally, ctx):
     for outer, inner in sub.captures:
         base[inner] = regs[outer]
     index_regs = sub.index_regs
-    total = math.prod(len(s) for s in spaces)
-
-    if ctx.mode == "worksharing" and ctx.workers > 1 and ctx.depth == 0 \
-            and total > 1:
-        _run_parallel_shared(program, sub, spaces, base, tally, ctx, total)
+    if ctx.mode == "worksharing" and ctx.workers > 1 and ctx.depth == 0:
+        _run_chunks(program, sub, spaces, base, tally, ctx)
         return
-
     rec = ctx.recorder
     outermost = ctx.depth == 0
     ctx.depth += 1
@@ -273,41 +279,29 @@ def _run_parallel(program, ins, regs, tally, ctx):
             rec.end_parallel()
 
 
-def _run_parallel_shared(program, sub, spaces, base, tally, ctx, total):
-    """Partition the linearized index space into contiguous worker chunks."""
+def _run_chunks(program, sub, spaces, base, tally, ctx):
+    """The linearized points in contiguous chunks, each with its own tally."""
+    total = math.prod(len(s) for s in spaces)
     workers = min(ctx.workers, total)
-    bounds = [total * k // workers for k in range(workers + 1)]
-    index_regs = sub.index_regs
-    tallies = [[0] * len(tally) for _ in range(workers)]
-
-    def chunk(w):
-        sub_ctx = ExecContext(ctx.mode, ctx.workers, ctx.recorder)
-        sub_ctx.depth = 1
-        t = tallies[w]
+    points = product(*spaces)
+    sub_ctx = ExecContext(ctx.mode, ctx.workers, ctx.recorder)
+    sub_ctx.depth = 1
+    for w in range(workers):
+        part = [0] * len(tally)
         sub_regs = list(base)
-        for point in islice(product(*spaces), bounds[w], bounds[w + 1]):
-            for k, r in enumerate(index_regs):
+        size = total * (w + 1) // workers - total * w // workers
+        for point in islice(points, size):
+            for k, r in enumerate(sub.index_regs):
                 sub_regs[r] = point[k]
-            t[-1] += 1
-            run_tape(program, sub.code, sub_regs, t, sub_ctx)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(chunk, w) for w in range(workers)]
-        for f in futures:
-            f.result()
-    for t in tallies:
-        for i, v in enumerate(t):
+            part[-1] += 1
+            run_tape(program, sub.code, sub_regs, part, sub_ctx)
+        for i, v in enumerate(part):
             tally[i] += v
 
 
 def _run_launch(program, ins, regs, tally, ctx):
     if ctx.mode != "gpu_emulated":
-        loc = ins[5]
-        where = f" at {loc.file}:{loc.line}" if loc else ""
-        raise ModeUnsupported(
-            f"gpu.launch_func needs gpu_emulated mode, not "
-            f"{ctx.mode!r}{where}"
-        )
+        launch_outside_gpu(ctx.mode, ins[5])
     kernel = program.funcs[ins[1]]
     grid = [regs[r] for r in ins[2]]
     blocks = [regs[r] for r in ins[3]]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from array import array
 
 from staircase.errors import OutOfBounds, TypeMismatch
@@ -22,6 +23,26 @@ _WRAP = {"i32": (1 << 32, 1 << 31), "i64": (1 << 64, 1 << 63)}
 def wrap_int(value: int, dtype: str) -> int:
     span, half = _WRAP[dtype]
     return (int(value) + half) % span - half
+
+
+_F32 = struct.Struct("<f")
+
+
+def to_f32(x: float) -> float:
+    """Round to the nearest f32; values beyond its range become infinities."""
+    try:
+        return _F32.unpack(_F32.pack(x))[0]
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def fdiv(a: float, b: float) -> float:
+    """IEEE division: a zero divisor gives a signed infinity or NaN."""
+    if b == 0.0:
+        if a != a or a == 0.0:
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return a / b
 
 
 def row_major_strides(shape) -> tuple:

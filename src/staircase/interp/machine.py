@@ -1,12 +1,12 @@
-"""Run entry points: argument checking, engine selection, stats assembly.
+"""Run entry points: argument checking, execution, stats assembly.
 
-The compiled evaluator is used when its extension imported cleanly;
-setting STAIRCASE_PURE=1 forces the pure-Python one. Both implement the
-same tape semantics.
+``run`` compiles the module to Python source (``tape.compile_module``) and
+calls the entry function through ``_engine``; ``run_reference`` does the
+same run on the tape evaluator ``_evalpy``, the oracle the generated code
+is tested against. Both return identical results and ExecStats.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -16,22 +16,18 @@ from staircase.errors import (
     ModeUnsupported,
     TypeMismatch,
 )
-from staircase.interp import _evalpy
-from staircase.interp.buffer import Buffer, wrap_int
+from staircase.interp import _evalpy, codegen
+from staircase.interp.buffer import Buffer, to_f32, wrap_int
 from staircase.interp.stats import ExecStats, cost, fold_tally, new_tally
-from staircase.interp.tape import FuncTape, compile_module
+from staircase.interp.tape import Program, compile_module, compile_tapes
 from staircase.ir.core import Operation
 from staircase.ir.verify import verify_or_raise
 
-if os.environ.get("STAIRCASE_PURE", "") == "1":
-    _engine = _evalpy
-else:
-    try:
-        from staircase.interp import _evalcy as _engine
-    except ImportError:
-        _engine = _evalpy
+# The evaluator ``run`` calls, as a module global so it can be wrapped.
+_engine = codegen
 
-ENGINE_NAME = "compiled" if _engine is not _evalpy else "pure"
+# Generated code is plain Python: there is no compiled extension to select.
+ENGINE_NAME = "pure"
 
 _MODES = ("sequential", "worksharing", "gpu_emulated")
 
@@ -54,37 +50,43 @@ def _normalize_mode(mode, workers: int) -> tuple:
     return mode, workers
 
 
-def _check_args(tape: FuncTape, args) -> list:
-    if len(args) != len(tape.param_types):
+def _entry(program: Program, func_name: str):
+    if func_name not in program or program[func_name].is_kernel:
+        raise MissingMain(f"no function @{func_name} in this module")
+    return program[func_name]
+
+
+def _check_args(func, args) -> list:
+    if len(args) != len(func.param_types):
         raise ArityMismatch(
-            f"@{tape.name} takes {len(tape.param_types)} arguments, "
+            f"@{func.name} takes {len(func.param_types)} arguments, "
             f"got {len(args)}"
         )
     values = []
-    for i, (ty, arg) in enumerate(zip(tape.param_types, args)):
+    for i, (ty, arg) in enumerate(zip(func.param_types, args)):
         if ty.kind == "memref":
             if not isinstance(arg, Buffer):
                 raise TypeMismatch(
-                    f"argument {i} of @{tape.name} is {ty}, needs a Buffer"
+                    f"argument {i} of @{func.name} is {ty}, needs a Buffer"
                 )
             if arg.shape != ty.shape or arg.dtype != ty.element.kind:
                 raise TypeMismatch(
-                    f"argument {i} of @{tape.name} is {ty}, got {arg!r}"
+                    f"argument {i} of @{func.name} is {ty}, got {arg!r}"
                 )
             values.append(arg)
         elif ty.kind in ("f32", "f64"):
             if isinstance(arg, bool) or not isinstance(arg, (int, float)):
                 raise TypeMismatch(
-                    f"argument {i} of @{tape.name} is {ty}, needs a number"
+                    f"argument {i} of @{func.name} is {ty}, needs a number"
                 )
             v = float(arg)
-            values.append(_evalpy.to_f32(v) if ty.kind == "f32" else v)
+            values.append(to_f32(v) if ty.kind == "f32" else v)
         elif ty.kind == "i1":
             values.append(1 if arg else 0)
         else:  # i32/i64/index
             if isinstance(arg, bool) or not isinstance(arg, int):
                 raise TypeMismatch(
-                    f"argument {i} of @{tape.name} is {ty}, needs an integer"
+                    f"argument {i} of @{func.name} is {ty}, needs an integer"
                 )
             width = "i32" if ty.kind == "i32" else "i64"
             values.append(wrap_int(arg, width))
@@ -92,27 +94,37 @@ def _check_args(tape: FuncTape, args) -> list:
 
 
 def run(module: Operation, func_name: str, args, mode="sequential",
-        workers: int = 1, engine=None):
+        workers: int = 1):
     """Execute @func_name over args; returns (results, ExecStats)."""
     mode, workers = _normalize_mode(mode, workers)
     verify_or_raise(module)
     program = compile_module(module)
-    if func_name not in program or program[func_name].is_kernel:
-        raise MissingMain(f"no function @{func_name} in this module")
-    tape = program[func_name]
-    values = _check_args(tape, args)
+    func = _entry(program, func_name)
+    values = _check_args(func, args)
+    tally = new_tally()
+    ctx = _engine.ExecContext(mode, workers)
+    start = time.perf_counter()
+    rets = _engine.run_tape(program, func, values, tally, ctx)
+    wall = time.perf_counter() - start
+    return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 
-    eng = engine or _engine
+
+def run_reference(module: Operation, func_name: str, args,
+                  mode="sequential", workers: int = 1, recorder=None):
+    """``run`` on the tape evaluator; ``recorder`` sees every access."""
+    mode, workers = _normalize_mode(mode, workers)
+    verify_or_raise(module)
+    program = compile_tapes(module)
+    tape = _entry(program, func_name)
     regs = [None] * tape.n_regs
-    for reg, v in zip(tape.arg_regs, values):
+    for reg, v in zip(tape.arg_regs, _check_args(tape, args)):
         regs[reg] = v
     tally = new_tally()
-    ctx = eng.ExecContext(mode, workers)
+    ctx = _evalpy.ExecContext(mode, workers, recorder)
     start = time.perf_counter()
-    rets = eng.run_tape(program, tape.code, regs, tally, ctx)
+    rets = _evalpy.run_tape(program, tape.code, regs, tally, ctx)
     wall = time.perf_counter() - start
-    stats = fold_tally(tally, wall, mode, workers)
-    return tuple(rets or ()), stats
+    return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 
 
 def run_worksharing(module: Operation, func_name: str, args,
@@ -124,6 +136,7 @@ __all__ = [
     "ExecMode",
     "ENGINE_NAME",
     "run",
+    "run_reference",
     "run_worksharing",
     "cost",
     "ExecStats",

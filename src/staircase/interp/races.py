@@ -7,14 +7,9 @@ conflicts here are precisely what would break it.
 """
 from __future__ import annotations
 
-from staircase.errors import MissingMain
-from staircase.interp import _evalpy
 from staircase.interp.buffer import Buffer
-from staircase.interp.stats import new_tally
-from staircase.interp.tape import compile_module
+from staircase.interp.machine import run_reference
 from staircase.ir.core import Operation
-from staircase.ir.verify import verify_or_raise
-from staircase.interp.machine import _check_args
 
 
 class _Recorder:
@@ -77,21 +72,10 @@ class _Recorder:
 
 def check_races(module: Operation, func_name: str, args) -> list:
     """Returns conflicting (iteration, iteration, address) triples."""
-    verify_or_raise(module)
-    program = compile_module(module)
-    if func_name not in program or program[func_name].is_kernel:
-        raise MissingMain(f"no function @{func_name} in this module")
-    tape = program[func_name]
-    values = _check_args(tape, args)
-    values = [v.copy() if isinstance(v, Buffer) else v for v in values]
-
-    labels = {id(v): f"arg{i}" for i, v in enumerate(values)
-              if isinstance(v, Buffer)}
+    args = [a.copy() if isinstance(a, Buffer) else a for a in args]
+    labels = {id(a): f"arg{i}" for i, a in enumerate(args)
+              if isinstance(a, Buffer)}
     recorder = _Recorder(labels)
-    regs = [None] * tape.n_regs
-    for reg, v in zip(tape.arg_regs, values):
-        regs[reg] = v
     # gpu_emulated is the permissive mode: launches run, loops stay serial
-    ctx = _evalpy.ExecContext("gpu_emulated", 1, recorder)
-    _evalpy.run_tape(program, tape.code, regs, new_tally(), ctx)
+    run_reference(module, func_name, args, "gpu_emulated", 1, recorder)
     return recorder.conflicts

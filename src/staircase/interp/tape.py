@@ -1,18 +1,24 @@
-"""Compile a verified module into flat instruction tapes.
+"""Compile a verified module for execution.
 
-Loops and branches flatten into jump-based code over a dense register
-file (one slot per SSA value). Two constructs stay structured because
-execution needs to schedule them: scf.parallel bodies become sub-tapes
-with an explicit capture list, and gpu.launch_func references a kernel
-tape by symbol. Instructions are plain tuples with a small-int opcode
-first, which both evaluators dispatch on.
+``compile_module`` is what ``run`` executes: one generated Python function
+per func.func and gpu.func (see ``codegen``). ``compile_tapes`` builds the
+flat instruction tapes that the reference evaluator ``_evalpy`` and the
+race checker interpret.
+
+In a tape, loops and branches flatten into jump-based code over a dense
+register file (one slot per SSA value). Two constructs stay structured
+because execution needs to schedule them: scf.parallel bodies become
+sub-tapes with an explicit capture list, and gpu.launch_func references a
+kernel tape by symbol. Instructions are plain tuples with a small-int
+opcode first. The opcodes also index the per-run tally that both
+evaluators count into and ``stats.fold_tally`` reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from staircase.errors import UnknownOperation
-from staircase.interp.buffer import wrap_int
+from staircase.interp.buffer import to_f32, wrap_int
 from staircase.ir.core import Block, Operation
 
 # opcodes ---------------------------------------------------------------------
@@ -84,10 +90,12 @@ class FuncTape:
 
 
 @dataclass
-class TapeProgram:
+class Program:
+    """Compiled functions by symbol; kernels are keyed ``module::kernel``."""
+
     funcs: dict = field(default_factory=dict)
 
-    def __getitem__(self, name: str) -> FuncTape:
+    def __getitem__(self, name: str):
         return self.funcs[name]
 
     def __contains__(self, name: str) -> bool:
@@ -96,6 +104,20 @@ class TapeProgram:
 
 def _int_dtype(ty) -> str:
     return "i32" if ty.kind == "i32" else "i64"
+
+
+def constant_value(op: Operation):
+    """The runtime value of an arith.constant, rounded or wrapped to its type."""
+    value = op.attributes["value"].value
+    kind = op.results[0].type.kind
+    if kind == "f32":
+        return to_f32(float(value))
+    if kind == "f64":
+        return float(value)
+    if kind == "i1":
+        return 1 if value else 0
+    # i32/i64/index: keep register contents within the width
+    return wrap_int(int(value), "i32" if kind == "i32" else "i64")
 
 
 class _Compiler:
@@ -150,19 +172,7 @@ class _Compiler:
         if name == "scf.yield":
             return
         if name == "arith.constant":
-            value = op.attributes["value"].value
-            kind = op.results[0].type.kind
-            if kind == "f32":
-                from staircase.interp._evalpy import to_f32
-
-                value = to_f32(float(value))
-            elif kind == "f64":
-                value = float(value)
-            elif kind == "i1":
-                value = 1 if value else 0
-            else:  # i32/i64/index: keep register contents within the width
-                value = wrap_int(int(value), "i32" if kind == "i32" else "i64")
-            self.emit(CONST, self.define(op.results[0]), value)
+            self.emit(CONST, self.define(op.results[0]), constant_value(op))
         elif name in _FOPS:
             a, b = (self.reg_of(v) for v in op.operands)
             self.emit(BINF, self.define(op.results[0]), _FOPS[name], a, b,
@@ -292,16 +302,29 @@ def _compile_func(op: Operation, *, is_kernel: bool = False) -> FuncTape:
     )
 
 
-def compile_module(module: Operation) -> TapeProgram:
-    program = TapeProgram()
+def module_functions(module: Operation):
+    """(key, op, is_kernel) for each func.func and each gpu.func kernel."""
     for op in module.body().ops:
         if op.name == "func.func":
-            tape = _compile_func(op)
-            program.funcs[tape.name] = tape
+            yield op.attributes["sym_name"].value, op, False
         elif op.name == "gpu.module":
             mod_sym = op.attributes["sym_name"].value
             for kernel in op.body().ops:
                 if kernel.name == "gpu.func":
-                    tape = _compile_func(kernel, is_kernel=True)
-                    program.funcs[f"{mod_sym}::{tape.name}"] = tape
+                    name = kernel.attributes["sym_name"].value
+                    yield f"{mod_sym}::{name}", kernel, True
+
+
+def compile_module(module: Operation) -> Program:
+    """Generate and compile Python source for every function of the module."""
+    from staircase.interp.codegen import lower_module  # imports this module
+
+    return lower_module(module)
+
+
+def compile_tapes(module: Operation) -> Program:
+    """The instruction tapes of every function, for ``_evalpy``."""
+    program = Program()
+    for key, op, is_kernel in module_functions(module):
+        program.funcs[key] = _compile_func(op, is_kernel=is_kernel)
     return program

@@ -45,6 +45,29 @@ def _has_mapped_ancestor(op: Operation) -> bool:
     return False
 
 
+def _thread_loop(loop: Operation) -> Operation | None:
+    """The threads-mapped scf.parallel directly inside a blocks-mapped loop."""
+    return next((op for op in loop.body().ops
+                 if op.name == "scf.parallel" and _mapping(op) == "threads"),
+                None)
+
+
+def _reruns_effects(loop: Operation) -> bool:
+    """Whether outlining would re-run an op with effects once per thread.
+
+    In the kernel, the ops beside a nested thread loop run in every
+    thread; only arith ops (pure and cheap) may sit there.
+    """
+    if _mapping(loop) != "blocks":
+        return False
+    thread_loop = _thread_loop(loop)
+    if thread_loop is None:
+        return False
+    terminator = loop.body().terminator
+    return any(op.dialect != "arith" for op in loop.body().ops
+               if op is not thread_loop and op is not terminator)
+
+
 def _geometry(loop: Operation) -> list[tuple[int, int, int]]:
     """(lb, ub, step) integers per dimension; bounds must be constants."""
     n = len(loop.body().args)
@@ -150,12 +173,7 @@ def _outline_one(module: Operation, loop: Operation) -> None:
     func = enclosing_op(loop, "func.func")
     base = func.attributes["sym_name"].value if func is not None else "anonymous"
     if _mapping(loop) == "blocks":
-        grid_loop = loop
-        thread_loop = next(
-            (op for op in loop.body().ops
-             if op.name == "scf.parallel" and _mapping(op) == "threads"),
-            None,
-        )
+        grid_loop, thread_loop = loop, _thread_loop(loop)
     else:  # a bare "threads" loop launches on a single block
         grid_loop, thread_loop = None, loop
     grid_geo = _geometry(grid_loop) if grid_loop is not None else []
@@ -187,8 +205,8 @@ def _outline_one(module: Operation, loop: Operation) -> None:
         writer.mount_dims("thread_id", thread_geo, thread_loop.body().args,
                           loop.location)
     if grid_loop is not None:
-        # ops alongside a nested thread loop re-run once per thread; sound
-        # for the index arithmetic tiling leaves there
+        # ops alongside a nested thread loop re-run once per thread, which
+        # _reruns_effects restricts to arith (the index math tiling leaves)
         writer.move_body(grid_loop, skip=thread_loop)
     if thread_loop is not None:
         writer.move_body(thread_loop)
@@ -217,7 +235,9 @@ def gpu_kernel_outlining(root: Operation) -> PassOutcome:
     body captures are cloned into the kernel; other free values become
     kernel arguments. The original loop is replaced by gpu.launch_func
     with grid/block sizes from the loop extents. Loops mapped
-    "sequential" are left in place and counted as skipped.
+    "sequential", and blocks loops with non-arith ops beside their thread
+    loop (those would run once per thread), are left in place and counted
+    as skipped.
     """
     module = root if root.name == "builtin.module" else enclosing_op(root, "builtin.module")
     if module is None:
@@ -226,7 +246,7 @@ def gpu_kernel_outlining(root: Operation) -> PassOutcome:
     targets = [op for op in matching_ops(root, ("scf.parallel",))
                if _mapping(op) is not None and not _has_mapped_ancestor(op)]
     for loop in targets:
-        if _mapping(loop) == "sequential":
+        if _mapping(loop) == "sequential" or _reruns_effects(loop):
             out.skipped += 1
             continue
         _outline_one(module, loop)
