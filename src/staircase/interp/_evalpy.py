@@ -8,16 +8,14 @@ records on, since it sees every memory access. The scalar helpers and
 error raisers below are shared with the generated code, so both report
 the same errors with the same messages.
 
-worksharing:N partitions the outermost parallel loop's points into N
-contiguous chunks and runs them one after another, each counting into a
-tally of its own; the tallies are summed. In order, the chunks visit the
-points as sequential mode does, so results and counts are the sequential
-ones. ``check_races`` is the guard a concurrent run of the chunks needs.
+worksharing:N runs as sequential mode does; only its worker count is
+recorded. Running the points of a parallel loop concurrently would need
+``check_races`` as its guard, and a gain over sequential mode that threads
+under the GIL do not give.
 """
 from __future__ import annotations
 
-import math
-from itertools import islice, product
+from itertools import product
 
 from staircase.errors import InvalidBound, ModeUnsupported, OutOfBounds
 from staircase.interp.buffer import Buffer, fdiv, to_f32, wrap_int
@@ -258,9 +256,6 @@ def _run_parallel(program, ins, regs, tally, ctx):
     for outer, inner in sub.captures:
         base[inner] = regs[outer]
     index_regs = sub.index_regs
-    if ctx.mode == "worksharing" and ctx.workers > 1 and ctx.depth == 0:
-        _run_chunks(program, sub, spaces, base, tally, ctx)
-        return
     rec = ctx.recorder
     outermost = ctx.depth == 0
     ctx.depth += 1
@@ -277,26 +272,6 @@ def _run_parallel(program, ins, regs, tally, ctx):
         ctx.depth -= 1
         if rec is not None and outermost:
             rec.end_parallel()
-
-
-def _run_chunks(program, sub, spaces, base, tally, ctx):
-    """The linearized points in contiguous chunks, each with its own tally."""
-    total = math.prod(len(s) for s in spaces)
-    workers = min(ctx.workers, total)
-    points = product(*spaces)
-    sub_ctx = ExecContext(ctx.mode, ctx.workers, ctx.recorder)
-    sub_ctx.depth = 1
-    for w in range(workers):
-        part = [0] * len(tally)
-        sub_regs = list(base)
-        size = total * (w + 1) // workers - total * w // workers
-        for point in islice(points, size):
-            for k, r in enumerate(sub.index_regs):
-                sub_regs[r] = point[k]
-            part[-1] += 1
-            run_tape(program, sub.code, sub_regs, part, sub_ctx)
-        for i, v in enumerate(part):
-            tally[i] += v
 
 
 def _run_launch(program, ins, regs, tally, ctx):

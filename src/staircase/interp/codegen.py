@@ -5,10 +5,10 @@ function. SSA values become locals, integer constants become literals, and
 a result used once, later in the same straight-line run, is written into
 that use as an expression. Loops become ``for`` loops over ``range``, and a
 loop of one trip binds its induction variable instead. A parallel body's
-function takes the range of its first dimension and loops over its points
-in the order ``itertools.product`` would visit them; worksharing mode calls
-it once per chunk (``run_chunks``). Each buffer's ``array`` is bound to a
-local once. A kernel takes its grid and block sizes and runs every thread
+function loops over its points in the order ``itertools.product`` would
+visit them; worksharing mode runs it as sequential mode does and only
+records its worker count. Each buffer's ``array`` is bound to a local
+once. A kernel takes its grid and block sizes and runs every thread
 in nested loops of its own, so a launch is one call.
 
 Semantics are those of the tape evaluator ``_evalpy`` (results, buffer
@@ -106,11 +106,10 @@ class Function:
     param_types: tuple
     is_kernel: bool
     fn: object = None
-    source: str = ""
 
 
 class ExecContext:
-    """Per-run execution knobs: the mode, and the workers of worksharing."""
+    """Per-run execution knobs: the mode, and the worker count."""
 
     __slots__ = ("mode", "workers")
 
@@ -144,26 +143,6 @@ def bad_step(lb, ub):
     return _OnceThenRaise(lb) if lb < ub else range(0)
 
 
-def run_chunks(body, tally, ctx, points, *args):
-    """Run an outermost scf.parallel body over ``points``, its first dimension.
-
-    worksharing:N splits that dimension into N contiguous chunks and runs
-    them one after another, each counting into a tally of its own that is
-    then added to the run's. In order, the chunks visit the points as
-    sequential mode does, so results and counts are the sequential ones.
-    """
-    n = len(points)
-    workers = min(ctx.workers, n) if ctx.mode == "worksharing" else 1
-    if workers < 2:
-        body(points, *args, tally, ctx)
-        return
-    for k in range(workers):
-        part = [0] * len(tally)
-        body(points[n * k // workers:n * (k + 1) // workers], *args, part, ctx)
-        for i, v in enumerate(part):
-            tally[i] += v
-
-
 _RUNTIME = {
     "Buffer": Buffer,
     "to_f32": to_f32,
@@ -171,7 +150,6 @@ _RUNTIME = {
     "oob": out_of_bounds,
     "bad_step": bad_step,
     "bad_parallel_step": bad_parallel_step,
-    "run_chunks": run_chunks,
     "launch_outside_gpu": launch_outside_gpu,
 }
 
@@ -322,7 +300,6 @@ class _FuncGen:
         self.offsets: dict = {}     # address sum -> its local, in this run
         self.returned: tuple = ()
         self.scope: set = set()     # the locals this function can read
-        self.in_parallel = False    # within an scf.parallel body's function
 
     # -- names and values ---------------------------------------------------
 
@@ -463,21 +440,13 @@ class _FuncGen:
         child.returned = None
         return child
 
-    def call_nested(self, child: "_FuncGen", params: list, args: list,
-                    depth: int, via: str = "") -> None:
-        """Define ``child`` and call it, through ``via`` if given.
-
-        Its parameters are ``params``, given ``args``, and then the locals
-        of this function its lines read.
-        """
+    def call_nested(self, child: "_FuncGen", depth: int) -> None:
+        """Define ``child`` and call it; its parameters are the locals of
+        this function its lines read."""
         self.n = child.n
         free = sorted(set(_NAME.findall("\n".join(child.lines))) & self.scope)
-        child.unit(params + free, [])
-        if via:
-            self.emit(depth, f"{via}({child.pyname}, T, X, "
-                             f"{', '.join(args + free)})")
-        else:
-            self.emit(depth, f"{child.pyname}({', '.join(args + free + ['T', 'X'])})")
+        child.unit(free, [])
+        self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
 
     def fold(self) -> None:
         """Add every block's static counts, times its count, to the tally."""
@@ -521,11 +490,12 @@ class _FuncGen:
                     # CPython compiles at most 20 nested loops per function
                     child = self.nested("n")
                     getattr(child, _HANDLERS[name])(op, (1, None), 1)
-                    self.call_nested(child, [], [], depth)
+                    self.call_nested(child, depth)
                 else:
                     getattr(self, _HANDLERS[name])(op, count, depth)
                 self.offsets = {}
-            elif name == "func.return":
+            elif name == "func.return":   # read after the run, not in it
+                self.reads = set()
                 self.returned = tuple(self.val(v) for v in op.operands)
             elif name in _HANDLERS:
                 self.reads, self.binds = set(), set()
@@ -588,21 +558,20 @@ class _FuncGen:
             current.append(s)
             size += len(s.lines)
         segments.append(current)
-        # a segment returns what later segments read (folded expressions
-        # included) and what ops after the run use, or the local and
-        # constant they are read as
+        # a segment returns the locals it binds that later segments read
+        # (folded expressions included) or that ops after the run may read
+        # for a result of the run: its name, which an alias shares with an
+        # earlier result, its array, or the local it is split into
         in_run = {s.op for s in run}
         later, outs = set(), []
+        for s in run:
+            for r in s.op.results:
+                if any(user not in in_run for user, _ in r.uses):
+                    later.update((self.names[r], self.arrays.get(r),
+                                  self.splits.get(r, (None,))[0]))
         for seg in reversed(segments):
             bound = set().union(*(s.binds for s in seg))
-            out = bound & later
-            for s in seg:
-                for r in s.op.results:
-                    if any(user not in in_run for user, _ in r.uses):
-                        split = self.splits.get(r, (None,))[0]
-                        out.update({self.names[r], self.arrays.get(r),
-                                    split} & bound)
-            outs.append(sorted(out))
+            outs.append(sorted(bound & later))
             later |= set().union(*(s.reads for s in seg))
         for seg, out in zip(segments, reversed(outs)):
             self.segment(seg, out, depth)
@@ -851,60 +820,35 @@ class _FuncGen:
         self.body(op.body(), inner, depth)
 
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
-        """A call to the function its body becomes.
-
-        The function takes the range of the first dimension, and the
-        locals its body reads. The outermost parallel loop of a func.func
-        is called through ``run_chunks``, which splits that range in
-        worksharing mode.
-        """
-        ivs = op.body().args
-        n = len(ivs)
+        """A call to the function its body becomes, which takes the locals
+        its body reads."""
+        n = len(op.body().args)
         lbs, ubs, steps = (op.operands[k * n:(k + 1) * n] for k in range(3))
         unproven = [self.val(s) for s in steps if not self.step_proven(s)]
         if unproven:
             self.emit(depth, "if " + " or ".join(f"{s} <= 0" for s in unproven)
                       + ": bad_parallel_step()")
-        c = (self.const(lbs[0]), self.const(ubs[0]), self.const(steps[0]))
-        first = (_range(*c) if None not in c and c[2] > 0 else
-                 f"range({self.val(lbs[0])}, {self.val(ubs[0])}, "
-                 f"{self.val(steps[0])})")
         child = self.nested("p")
-        child.in_parallel = True
-        points = child.local("r")
-        child.parallel_body(op, lbs, ubs, steps, points)
-        outermost = not (self.is_kernel or self.in_parallel)
-        self.call_nested(child, [points], [first], depth,
-                         "run_chunks" if outermost else "")
+        child.parallel_body(op, lbs, ubs, steps)
+        self.call_nested(child, depth)
 
-    def parallel_body(self, op: Operation, lbs, ubs, steps,
-                      points: str) -> None:
-        """The loops over one call's points, and the body inside them.
+    def parallel_body(self, op: Operation, lbs, ubs, steps) -> None:
+        """The loops over the points, and the body inside them.
 
-        Dimensions after the first with literal bounds loop over literal
-        ranges; a first dimension of one literal trip binds its value.
+        Dimensions with literal bounds loop over literal ranges.
         """
         coef, sizes, loops = 1, [], []
-        for k, (iv, lb, ub, step) in enumerate(zip(op.body().args, lbs, ubs,
-                                                   steps)):
+        for iv, lb, ub, step in zip(op.body().args, lbs, ubs, steps):
             c = (self.const(lb), self.const(ub), self.const(step))
-            fixed = None not in c and c[2] > 0
-            if fixed and (k or len(range(*c)) == 1):
+            if None not in c and c[2] > 0:
                 coef *= len(range(*c))
                 loops.append((iv, c, None))
                 continue
-            rng = points
-            if k:
-                rng = self.local("r")
-                self.emit(1, f"{rng} = range({self.val(lb)}, {self.val(ub)}, "
-                             f"{self.val(step)})")
+            rng = self.local("r")
+            self.emit(1, f"{rng} = range({self.val(lb)}, {self.val(ub)}, "
+                         f"{self.val(step)})")
             sizes.append(f"len({rng})")
-            if fixed:
-                trips = range(*c)
-                interval = (trips[0], trips[-1]) if trips else None
-            else:
-                interval = self.iv_range(lb, ub)
-            loops.append((iv, rng, interval))
+            loops.append((iv, rng, self.iv_range(lb, ub)))
         count = (coef, None)
         if sizes:
             count = (coef, self.local("n"))
@@ -946,11 +890,10 @@ def lower_module(module: Operation) -> Program:
     extents = _launch_extents(module) if any(e[2] for e in entries) else {}
     constants: list = []
     namespace = dict(_RUNTIME, K=constants)
-    sources, batch, lines = {}, [], 0
+    batch, lines = [], 0
     for key, op, _ in entries:
         gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants)
         gen.generate()
-        sources[key] = "".join(reversed(gen.units))
         for text in gen.units:
             batch.append(text)
             lines += text.count("\n")
@@ -965,7 +908,6 @@ def lower_module(module: Operation) -> Program:
             param_types=tuple(a.type for a in op.body().args),
             is_kernel=is_kernel,
             fn=namespace[pynames[key]],
-            source=sources[key],
         )
     return program
 

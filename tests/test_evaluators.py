@@ -17,7 +17,7 @@ from conftest import golden_path
 from irgen import random_module
 from staircase.interp import Buffer, codegen
 from staircase.interp.machine import run, run_reference
-from staircase.interp.tape import compile_module
+from staircase.interp.tape import compile_module, module_functions
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module
@@ -70,6 +70,16 @@ def differ(module, func, args, mode="sequential", workers=1):
     return want, None
 
 
+def _source(module, func="f"):
+    """The generated source of @func and of the functions it defines."""
+    pynames = {key: f"f{i}" for i, (key, _, _)
+               in enumerate(module_functions(module))}
+    op = next(op for key, op, _ in module_functions(module) if key == func)
+    gen = codegen._FuncGen(op, pynames[func], pynames, None, [])
+    gen.generate()
+    return "".join(gen.units)
+
+
 def _entry_name(module):
     return next(op.attributes["sym_name"].value for op in module.body().ops
                 if op.name == "func.func")
@@ -111,8 +121,8 @@ def test_chained_segments_agree(monkeypatch):
     monkeypatch.setattr(codegen, "SEGMENT", 2)
     mismatches, _, _ = _irgen_runs(range(60))
     assert not mismatches, "\n".join(mismatches[:5])
-    sources = [compile_module(random_module(seed)).funcs.popitem()[1].source
-               for seed in range(60)]
+    modules = [random_module(seed) for seed in range(60)]
+    sources = [_source(m, _entry_name(m)) for m in modules]
     assert sum("_s" in source for source in sources) > 20
 
 
@@ -195,7 +205,7 @@ def test_parallel_with_runtime_step():
       memref.store %5, %arg0[%arg2, %arg3] : memref<3x3xf64>
     }
     return""", "%arg0: memref<3x3xf64>, %arg1: index")
-    assert "oob(" not in compile_module(module)["f"].source
+    assert "oob(" not in _source(module)
     for step in (1, 2, 5):
         assert _agree(module, [Buffer((3, 3), "f64"), step])[0] == "returned"
     want = _agree(module, [Buffer((3, 3), "f64"), 0])
@@ -213,7 +223,7 @@ def test_out_of_bounds_on_unproven_dimension():
       %4 = memref.load %arg0[%arg1, %3] : memref<4x3xf64>
     }
     return""", "%arg0: memref<4x3xf64>")
-    source = compile_module(module)["f"].source
+    source = _source(module)
     assert source.count("oob(") == 1
     want = _agree(module, [Buffer((4, 3), "f64")])
     assert want[1].__name__ == "OutOfBounds"
@@ -246,7 +256,7 @@ def test_loops_with_runtime_bounds():
       memref.store %4, %arg0[%arg5] : memref<5xf64>
     }
     return""", "%arg0: memref<5xf64>, %arg1: memref<4xf64>, %arg2: index")
-    assert compile_module(module)["f"].source.count("oob(") == 2
+    assert _source(module).count("oob(") == 2
     for limit in (0, 3, 4, 5):
         want = _agree(module, [Buffer((5,), "f64"), Buffer((4,), "f64"), limit])
         assert want[0] == ("raised" if limit == 5 else "returned")
@@ -270,7 +280,7 @@ def test_load_is_read_before_a_later_store():
     a = Buffer((2,), "f64", [1.0, 0.0])
     want = _agree(module, [a, Buffer((2,), "f64")])
     assert want[2][1].tolist() == [7.0, 0.0]
-    source = compile_module(module)["f"].source
+    source = _source(module)
     assert "= d2[0]\n" in source            # the first load stays in place
     assert "= ((d2[0]) + 2.0)" in source     # the second folds into its use
 
@@ -410,25 +420,6 @@ def test_deeply_nested_loops():
     assert _agree(module, [Buffer((4,), "f64"), 2, 0])[0] == "returned"
 
 
-def test_worksharing_runs_chunks_in_order():
-    calls = []
-
-    def body(points, scale, tally, ctx):
-        calls.append(list(points))
-        tally[0] += len(points) * scale
-        tally[-1] += 1
-
-    for mode, workers, chunks in (("sequential", 1, [[0, 1, 2, 3, 4]]),
-                                  ("worksharing", 2, [[0, 1], [2, 3, 4]]),
-                                  ("worksharing", 9, [[k] for k in range(5)])):
-        calls.clear()
-        tally = [0] * 3
-        codegen.run_chunks(body, tally, codegen.ExecContext(mode, workers),
-                           range(5), 10)
-        assert calls == chunks
-        assert tally == [50, 0, len(chunks)]
-
-
 def test_index_split_across_segments(monkeypatch):
     # %5 and %6 are read in the inner loop as v4 + 1 and v4 + 2, where v4
     # (%4) is bound in a chained segment that nothing later in its run reads
@@ -453,3 +444,22 @@ def test_index_split_across_segments(monkeypatch):
     return""", "%arg0: memref<8xf64>")
     a = Buffer((8,), "f64", [float(k) for k in range(8)])
     assert _agree(module, [a])[2][0].tolist() == [1, 1, 1, 3, 3, 5, 6, 7]
+
+
+def test_alias_across_segments(monkeypatch):
+    # %3 is %0 under another name, bound in the first chained segment and
+    # read only after the run, by the return after a loop
+    monkeypatch.setattr(codegen, "SEGMENT", 2)
+    module = _module("""\
+    %0 = arith.muli %arg0, %arg1 : index
+    %1 = arith.addi %0, %0 : index
+    %2 = arith.muli %arg1, %arg1 : index
+    %3 = arith.index_cast %0 : index to i64
+    %4 = arith.constant 0 : index
+    %5 = arith.constant 2 : index
+    %6 = arith.constant 1 : index
+    scf.for %arg2 = %4 to %5 step %6 {
+    }
+    return %3 : i64""", "%arg0: index, %arg1: index", " -> (i64)")
+    assert "_s" in _source(module)
+    assert _agree(module, [3, 4])[1] == (12,)
