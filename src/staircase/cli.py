@@ -17,18 +17,6 @@ import sys
 
 from staircase.errors import MissingMain, StaircaseError
 
-# Names a kernel file may use without importing anything: the capture
-# decorators, the loop/conditional markers, and the annotation types.
-_DSL_NAMES = (
-    "staged", "capture", "constant",
-    "F32", "F64", "I32", "I64", "Index", "MemRef",
-    "parallel", "scf_for", "affine_for",
-    "GPUModule", "spirv",
-    "block_id_x", "block_id_y", "block_id_z",
-    "thread_id_x", "thread_id_y", "thread_id_z",
-)
-
-
 class _CliError(StaircaseError):
     """User-level failure carrying a message for stderr."""
 
@@ -62,7 +50,10 @@ def _load_kernel_namespace(path: str) -> dict:
     source = _read_text(path)
     import staircase
 
-    namespace = {name: getattr(staircase, name) for name in _DSL_NAMES}
+    # every frontend name the package exports, so kernel files need no imports
+    namespace = {name: getattr(staircase, name)
+                 for name, (module, _) in staircase._FRONTEND.items()
+                 if module.startswith("staircase.frontend.")}
     namespace["__name__"] = "__staircase_kernel__"
     namespace["__file__"] = os.path.abspath(path)
     code = compile(source, os.path.abspath(path), "exec")
@@ -81,8 +72,7 @@ def _kernel_line(exc: BaseException, path: str):
     return line
 
 
-def _capture_from_file(path: str, func: str, range_ctor=None,
-                       exec_rewrite=True):
+def _capture_from_file(path: str, func: str, range_ctor=None):
     """Return the captured module for one function in a kernel file."""
     from staircase.frontend.capture import StagedFunction, capture
 
@@ -95,8 +85,6 @@ def _capture_from_file(path: str, func: str, range_ctor=None,
         overrides = {}
         if range_ctor is not None:
             overrides["range_ctor"] = range_ctor
-        if not exec_rewrite:
-            overrides["rewrite_executable"] = False
         if isinstance(target, StagedFunction):
             if not overrides:
                 return target.module
@@ -121,8 +109,7 @@ def _capture_from_file(path: str, func: str, range_ctor=None,
 def _cmd_emit(ns) -> int:
     from staircase.textio import print_module
 
-    module = _capture_from_file(ns.input, ns.func, range_ctor=ns.range_ctor,
-                                exec_rewrite=not ns.no_exec_rewrite)
+    module = _capture_from_file(ns.input, ns.func, range_ctor=ns.range_ctor)
     sys.stdout.write(print_module(module))
     return 0
 
@@ -325,8 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--func", required=True, help="function to capture")
     emit.add_argument("--range-ctor", choices=("scf", "affine"), default=None,
                       help="loop dialect for range() loops")
-    emit.add_argument("--no-exec-rewrite", action="store_true",
-                      help="do not rewrite conditionals to run both arms")
 
     opt = sub.add_parser("opt", help="parse IR, run a pass pipeline, print IR")
     opt.add_argument("--input", required=True, help=".sir file or - for stdin")

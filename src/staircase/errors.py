@@ -85,10 +85,6 @@ class UnbalancedMarkers(CaptureError):
     pass
 
 
-class RewriteUnsupported(CaptureError):
-    pass
-
-
 class VerificationFailed(StaircaseError):
     """Wraps verifier diagnostics for callers that need an exception."""
 

@@ -4,9 +4,9 @@ check_supported validates the original tree and reports offending source
 lines. insert_markers swaps range() for the staged range constructor,
 brackets loops and conditionals with end markers, wraps bare numeric
 literal assignments in constant(), and desugars augmented subscript
-assignment right-hand-side first. flatten_conditionals is the fallback
-for hosts whose executable form cannot be patched: it splices both arms
-into straight-line code guarded by the same markers.
+assignment right-hand-side first. flatten_conditionals then splices both
+arms of every conditional into straight-line code guarded by the same
+markers, so one run over proxies captures both, on every Python.
 """
 from __future__ import annotations
 

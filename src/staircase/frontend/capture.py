@@ -1,9 +1,9 @@
 """Capture an annotated host function into a verified func.func.
 
 The pipeline: read the source, validate the construct whitelist, insert
-region markers, compile, patch the conditional jumps out of the bytecode
-(or flatten arms at the source level when the host's bytecode cannot be
-edited), then run the result once over value proxies that emit IR.
+region markers, flatten both arms of every conditional into straight-line
+code between those markers, compile, then run the result once over value
+proxies that emit IR.
 """
 from __future__ import annotations
 
@@ -11,17 +11,17 @@ import ast
 import inspect
 import textwrap
 
+import staircase
 from staircase.dialects.builders import build_func
 from staircase.errors import (
     CaptureError,
-    RewriteUnsupported,
     UnannotatedParameter,
     UnbalancedMarkers,
     UnsupportedConstruct,
 )
-from staircase.frontend import astrewrite, bytecode, markers, state
-from staircase.frontend.proxy import ValueProxy, constant
-from staircase.frontend.types import MemRef, annotation_to_type
+from staircase.frontend import astrewrite, markers, state
+from staircase.frontend.proxy import ValueProxy
+from staircase.frontend.types import annotation_to_type
 from staircase.ir.core import (
     Context,
     IRType,
@@ -44,19 +44,12 @@ _RANGE_CTORS = {
     "affine_range": "affine_range",
 }
 
+# A rewritten body calls the markers insert_markers emits and constant(), and
+# names the annotation types; these bind over the function's own globals.
 _STAGED_BINDINGS = {
-    "scf_range": markers.scf_range,
-    "affine_range": markers.affine_range,
-    "scf_for": markers.scf_for,
-    "affine_for": markers.affine_for,
-    "parallel": markers.parallel,
-    "scf_endfor": markers.scf_endfor,
-    "scf_if": markers.scf_if,
-    "scf_else": markers.scf_else,
-    "scf_endif_branch": markers.scf_endif_branch,
-    "scf_endif": markers.scf_endif,
-    "constant": constant,
-    "MemRef": MemRef,
+    name: getattr(staircase, name)
+    for name, (module, _) in staircase._FRONTEND.items()
+    if module in (markers.__name__, "staircase.frontend.proxy", "staircase.frontend.types")
 }
 
 
@@ -108,18 +101,12 @@ def load_function_def(fn) -> tuple[ast.FunctionDef, str]:
     return fn_def, filename
 
 
-def build_executable(fn, *, range_name: str, rewrite_ast: bool = True,
-                     rewrite_executable: bool = True, extra_bindings=None):
+def build_executable(fn, *, range_name: str, extra_bindings=None):
     """Compile fn's rewritten form; returns the callable to trace with."""
-    if rewrite_executable and not rewrite_ast:
-        raise CaptureError(
-            "rewrite_executable needs rewrite_ast: jump elision is only "
-            "meaningful once markers exist"
-        )
     fn_def, filename = load_function_def(fn)
     astrewrite.check_supported(fn_def)
-    if rewrite_ast:
-        fn_def = astrewrite.insert_markers(fn_def, range_name)
+    fn_def = astrewrite.flatten_conditionals(
+        astrewrite.insert_markers(fn_def, range_name))
 
     namespace = dict(fn.__globals__)
     if fn.__closure__:
@@ -131,21 +118,10 @@ def build_executable(fn, *, range_name: str, rewrite_ast: bool = True,
     if extra_bindings:
         namespace.update(extra_bindings)
 
-    def compile_def(definition: ast.FunctionDef):
-        module = ast.Module(body=[definition], type_ignores=[])
-        ast.fix_missing_locations(module)
-        ns = dict(namespace)
-        exec(compile(module, filename, "exec"), ns)  # noqa: S102
-        return ns[fn.__name__]
-
-    staged_fn = compile_def(fn_def)
-    if rewrite_executable:
-        try:
-            patched = bytecode.rewrite_conditionals(staged_fn.__code__)
-            staged_fn.__code__ = patched
-        except RewriteUnsupported:
-            staged_fn = compile_def(astrewrite.flatten_conditionals(fn_def))
-    return staged_fn
+    module = ast.Module(body=[fn_def], type_ignores=[])
+    ast.fix_missing_locations(module)
+    exec(compile(module, filename, "exec"), namespace)  # noqa: S102
+    return namespace[fn.__name__]
 
 
 def _finish_return(func_op: Operation, result, capture: state.Capture) -> None:
@@ -168,16 +144,11 @@ def _finish_return(func_op: Operation, result, capture: state.Capture) -> None:
               operands=[r.value for r in rets], location=location)
 
 
-def capture(fn, *, range_ctor="scf_for", rewrite_ast: bool = True,
-            rewrite_executable: bool = True,
-            ctx: Context | None = None) -> Operation:
+def capture(fn, *, range_ctor="scf_for", ctx: Context | None = None) -> Operation:
     """Stage `fn` into a fresh builtin.module; returns its func.func."""
     range_name = _range_name(range_ctor)
     params = annotated_params(fn)
-    staged_fn = build_executable(
-        fn, range_name=range_name, rewrite_ast=rewrite_ast,
-        rewrite_executable=rewrite_executable,
-    )
+    staged_fn = build_executable(fn, range_name=range_name)
 
     ctx = ctx or create_context()
     module = create_module(ctx)
@@ -219,14 +190,11 @@ class StagedFunction:
         return f"<staged function {self.__name__}>"
 
 
-def staged(fn=None, *, range_ctor="scf_for", rewrite_ast: bool = True,
-           rewrite_executable: bool = True, ctx: Context | None = None):
+def staged(fn=None, *, range_ctor="scf_for", ctx: Context | None = None):
     """Decorator form of capture; usable bare or with configuration."""
 
     def wrap(f):
-        return StagedFunction(f, range_ctor=range_ctor,
-                              rewrite_ast=rewrite_ast,
-                              rewrite_executable=rewrite_executable, ctx=ctx)
+        return StagedFunction(f, range_ctor=range_ctor, ctx=ctx)
 
     if fn is None:
         return wrap

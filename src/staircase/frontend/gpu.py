@@ -128,8 +128,7 @@ class GPUModule:
             if callable(member) and not name.startswith("_"):
                 cls._kernel_fns[name] = member
 
-    def __init__(self, func_attributes=None, range_ctor="scf_for",
-                 rewrite_ast: bool = True, rewrite_executable: bool = True):
+    def __init__(self, func_attributes=None, range_ctor="scf_for"):
         if type(self) is GPUModule:
             raise TypeError("subclass GPUModule and define kernel methods")
         if not self._kernel_fns:
@@ -139,8 +138,7 @@ class GPUModule:
         self._func_attributes = {
             k: attr_from(v) for k, v in (func_attributes or {}).items()
         }
-        self._config = dict(range_ctor=range_ctor, rewrite_ast=rewrite_ast,
-                            rewrite_executable=rewrite_executable)
+        self._range_ctor = range_ctor
         self._bound_module = None
         for name, fn in self._kernel_fns.items():
             setattr(self, name, _KernelLauncher(self, name, fn))
@@ -157,7 +155,7 @@ class GPUModule:
             return
         from staircase.frontend.capture import _range_name
 
-        range_name = _range_name(self._config["range_ctor"])
+        range_name = _range_name(self._range_ctor)
         gpu_module = build_gpu_module(cap.module, type(self).__name__,
                                       location=cap.location())
         for name, fn in self._kernel_fns.items():
@@ -166,12 +164,8 @@ class GPUModule:
                                       [t for _, t in params],
                                       dict(self._func_attributes),
                                       location=cap.location())
-            staged_fn = build_executable(
-                fn, range_name=range_name,
-                rewrite_ast=self._config["rewrite_ast"],
-                rewrite_executable=self._config["rewrite_executable"],
-                extra_bindings=_KERNEL_BINDINGS,
-            )
+            staged_fn = build_executable(fn, range_name=range_name,
+                                         extra_bindings=_KERNEL_BINDINGS)
             base_depth = cap.depth
             cap.push(state.Frame("kernel", gpu_func, gpu_func.body(),
                                  filename=fn.__code__.co_filename))

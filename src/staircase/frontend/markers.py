@@ -112,7 +112,7 @@ def scf_endfor() -> None:
 
 
 class _IfToken:
-    """Opaque truthy token; keeps unpatched `if` statements executable."""
+    """Opaque truthy token that scf_if returns to the `if` it opens."""
 
     __slots__ = ()
 

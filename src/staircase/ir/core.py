@@ -555,6 +555,15 @@ def walk(root: Operation, visitor, order: str = "pre") -> None:
     go(root)
 
 
+def ancestors(op: Operation) -> Iterator[Operation]:
+    """The ops enclosing `op`, innermost first."""
+    block = op.parent
+    while block is not None:
+        owner = block.parent_op
+        yield owner
+        block = owner.parent
+
+
 def count_ops(root: Operation) -> int:
     n = 0
 

@@ -12,6 +12,7 @@ from staircase.ir.core import (
     Attribute,
     Location,
     Operation,
+    ancestors,
     value_dominates_op,
     walk,
 )
@@ -49,15 +50,6 @@ def _check_symbols(module: Operation, out: list[Diagnostic]) -> dict:
         else:
             table[sym] = op
     return table
-
-
-def _enclosing(op: Operation, name: str) -> Operation | None:
-    cur = op.parent.parent_op if op.parent else None
-    while cur is not None:
-        if cur.name == name:
-            return cur
-        cur = cur.parent.parent_op if cur.parent else None
-    return cur
 
 
 def _check_call(op: Operation, table: dict, out: list[Diagnostic]) -> None:
@@ -171,7 +163,7 @@ def verify(root: Operation) -> list[Diagnostic]:
         elif op.name == "gpu.launch_func":
             _check_launch(op, table, out)
         elif op.name in ("gpu.block_id", "gpu.thread_id"):
-            if _enclosing(op, "gpu.func") is None:
+            if not any(a.name == "gpu.func" for a in ancestors(op)):
                 out.append(Diagnostic(
                     "only valid inside a gpu.func body", op.name, op.location))
 

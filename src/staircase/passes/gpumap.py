@@ -1,22 +1,9 @@
 """Tag parallel loops with the GPU hierarchy level they should map to."""
 from __future__ import annotations
 
-from staircase.ir.core import Operation, str_attr
+from staircase.ir.core import Operation, ancestors, str_attr
 
 from .rewrite import PassOutcome, matching_ops
-
-
-def _parallel_depth(loop: Operation) -> int:
-    depth = 0
-    block = loop.parent
-    while block is not None:
-        owner = block.parent_op
-        if owner is None:
-            break
-        if owner.name == "scf.parallel":
-            depth += 1
-        block = owner.parent
-    return depth
 
 
 def gpu_map_parallel_loops(root: Operation) -> PassOutcome:
@@ -27,7 +14,7 @@ def gpu_map_parallel_loops(root: Operation) -> PassOutcome:
     """
     done = 0
     for loop in matching_ops(root, ("scf.parallel",)):
-        depth = _parallel_depth(loop)
+        depth = sum(a.name == "scf.parallel" for a in ancestors(loop))
         level = ("blocks", "threads")[depth] if depth < 2 else "sequential"
         loop.attributes["mapping"] = str_attr(level)
         done += 1

@@ -8,6 +8,7 @@ from staircase.ir.core import (
     Block,
     Operation,
     Value,
+    ancestors,
     clone_op,
     create_op,
     erase_op,
@@ -19,7 +20,6 @@ from staircase.ir.core import (
 from .rewrite import (
     PassOutcome,
     const_int,
-    enclosing_op,
     index_const,
     matching_ops,
     trip_count,
@@ -31,18 +31,6 @@ def _mapping(op: Operation) -> str | None:
     if attr is not None and attr.kind == "str":
         return attr.value
     return None
-
-
-def _has_mapped_ancestor(op: Operation) -> bool:
-    block = op.parent
-    while block is not None:
-        owner = block.parent_op
-        if owner is None:
-            return False
-        if owner.name == "scf.parallel" and _mapping(owner) is not None:
-            return True
-        block = owner.parent
-    return False
 
 
 def _thread_loop(loop: Operation) -> Operation | None:
@@ -170,7 +158,7 @@ class _KernelWriter:
 
 
 def _outline_one(module: Operation, loop: Operation) -> None:
-    func = enclosing_op(loop, "func.func")
+    func = next((a for a in ancestors(loop) if a.name == "func.func"), None)
     base = func.attributes["sym_name"].value if func is not None else "anonymous"
     if _mapping(loop) == "blocks":
         grid_loop, thread_loop = loop, _thread_loop(loop)
@@ -239,12 +227,14 @@ def gpu_kernel_outlining(root: Operation) -> PassOutcome:
     loop (those would run once per thread), are left in place and counted
     as skipped.
     """
-    module = root if root.name == "builtin.module" else enclosing_op(root, "builtin.module")
+    module = next((a for a in (root, *ancestors(root)) if a.name == "builtin.module"), None)
     if module is None:
         raise OutliningUnsupported("outlining needs an enclosing builtin.module")
     out = PassOutcome()
     targets = [op for op in matching_ops(root, ("scf.parallel",))
-               if _mapping(op) is not None and not _has_mapped_ancestor(op)]
+               if _mapping(op) is not None
+               and not any(a.name == "scf.parallel" and _mapping(a) is not None
+                           for a in ancestors(op))]
     for loop in targets:
         if _mapping(loop) == "sequential" or _reruns_effects(loop):
             out.skipped += 1

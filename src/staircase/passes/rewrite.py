@@ -64,16 +64,3 @@ def trip_count(lb: int, ub: int, step: int) -> int:
     if ub <= lb:
         return 0
     return -((lb - ub) // step)
-
-
-def enclosing_op(op: Operation, name: str) -> Operation | None:
-    """Nearest ancestor operation named `name`, or None."""
-    block = op.parent
-    while block is not None:
-        owner = block.parent_op
-        if owner is None:
-            return None
-        if owner.name == name:
-            return owner
-        block = owner.parent
-    return None

@@ -1,4 +1,4 @@
-from staircase.textio.printer import print_module, print_op
+from staircase.textio.printer import print_module
 from staircase.textio.parser import parse_module
 
-__all__ = ["print_module", "print_op", "parse_module"]
+__all__ = ["print_module", "parse_module"]

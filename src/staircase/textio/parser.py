@@ -1,12 +1,15 @@
 """Parser for the printed module subset.
 
-Grammar mirrors printer.py line for line. The parser is syntax-only: it
+Each op's syntax is its Form in forms.py, the same table the printer
+runs; the Reader here runs forms against tokens and owns the lexer,
+scopes, types and attribute literals. The parser is syntax-only: it
 reconstructs the always-elided scf.yield terminators of loop and branch
 bodies but will happily return a function with no return; verify() owns
 semantic judgments. Positions in errors are 1-based line:column.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -19,11 +22,11 @@ from staircase.ir.core import (
     I64,
     INDEX,
     Attribute,
+    Block,
     Context,
     IRType,
     Location,
     Operation,
-    Region,
     Value,
     array_attr,
     create_module,
@@ -37,10 +40,9 @@ from staircase.ir.core import (
     type_attr,
     unit_attr,
 )
+from staircase.textio.forms import FORMS, GENERIC
 
-_SCALARS = {
-    "f32": F32, "f64": F64, "i1": I1, "i32": I32, "i64": I64, "index": INDEX,
-}
+_SCALARS = {t.kind: t for t in (F32, F64, I1, I32, I64, INDEX)}
 
 _MEMREF_RE = re.compile(r"memref<((?:\d+x)*)(\w+)>")
 
@@ -62,6 +64,11 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# The word an op is printed with, to its op name and form.
+_MNEMONICS = {name: (name, form) for name, form in FORMS.items()}
+_MNEMONICS.update((form.mnemonic, (name, form))
+                  for name, form in FORMS.items() if form.mnemonic)
 
 
 def _lex(text: str):
@@ -89,32 +96,44 @@ def _lex(text: str):
     return tokens
 
 
-def _parse_type(lexeme: str, line: int, col: int) -> IRType:
-    if lexeme in _SCALARS:
-        return _SCALARS[lexeme]
-    m = _MEMREF_RE.fullmatch(lexeme)
-    if m:
-        dims, elem = m.groups()
-        if elem not in _SCALARS or elem == "index":
-            raise ParseError(f"bad memref element type {elem!r}", line, col)
-        shape = tuple(int(d) for d in dims.split("x") if d)
-        if not shape:
-            raise ParseError("memref needs at least one dimension", line, col)
-        return memref_type(shape, _SCALARS[elem])
-    raise ParseError(f"expected a type, got {lexeme!r}", line, col)
+@functools.lru_cache(maxsize=None)
+def _literal_tokens(text: str) -> tuple:
+    """(kind, lexeme) of each token in a form's literal text."""
+    return tuple(tok[:2] for tok in _lex(text)[:-1])
 
 
-class _Parser:
-    def __init__(self, tokens, ctx: Context):
-        self.tokens = tokens
+class _Pending:
+    """What the reader has gathered for one op, and the op once built."""
+
+    __slots__ = ("name", "form", "schema", "block", "loc", "operands",
+                 "attrs", "result_types", "args", "op")
+
+    def __init__(self, name, form, schema, block, loc):
+        self.name = name
+        self.form = form
+        self.schema = schema  # looked up for the generic form only
+        self.block = block  # None for the top-level module
+        self.loc = loc
+        self.operands: list[Value] = []
+        self.attrs: dict[str, Attribute] = {}
+        self.result_types: list[IRType] = []
+        self.args: list = []  # (name token, type) per block argument
+        self.op: Operation | None = None
+
+
+class Reader:
+    """Builds ops by running their forms over a token list."""
+
+    def __init__(self, text: str, ctx: Context):
+        self.tokens = _lex(text)
         self.pos = 0
         self.ctx = ctx
         self.values: dict[str, Value] = {}
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -122,8 +141,7 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, msg: str, tok=None):
-        tok = tok or self.peek()
+    def error(self, msg: str, tok):
         raise ParseError(msg, tok[2], tok[3])
 
     def expect(self, kind: str, text: str | None = None):
@@ -140,8 +158,19 @@ class _Parser:
             return tok
         return None
 
-    def loc(self, tok) -> Location:
-        return Location("<input>", tok[2], tok[3])
+    def literal(self, text: str) -> None:
+        for kind, lexeme in _literal_tokens(text):
+            self.expect(kind, lexeme)
+
+    def starts(self, lead: str) -> bool:
+        """Consume lead if it is next; a blank lead starts at a value."""
+        tokens = _literal_tokens(lead)
+        if not tokens:
+            return self.peek()[0] == "pct"
+        if self.peek()[:2] != tokens[0]:
+            return False
+        self.literal(lead)
+        return True
 
     # -- values and types ----------------------------------------------------
 
@@ -157,58 +186,67 @@ class _Parser:
             self.error(f"redefinition of value {name_tok[1]}", name_tok)
         self.values[name_tok[1]] = v
 
+    def comma_list(self, read_one) -> list:
+        """One or more items, comma-separated."""
+        out = [read_one()]
+        while self.accept(","):
+            out.append(read_one())
+        return out
+
     def type(self) -> IRType:
         tok = self.next()
-        if tok[0] not in ("id", "memref"):
+        if tok[1] in _SCALARS:
+            return _SCALARS[tok[1]]
+        m = _MEMREF_RE.fullmatch(tok[1]) if tok[0] == "memref" else None
+        if m is None:
             self.error(f"expected a type, got {tok[1]!r}", tok)
-        return _parse_type(tok[1], tok[2], tok[3])
+        dims, elem = m.groups()
+        if elem not in _SCALARS or elem == "index":
+            self.error(f"bad memref element type {elem!r}", tok)
+        shape = tuple(int(d) for d in dims.split("x") if d)
+        if not shape:
+            self.error("memref needs at least one dimension", tok)
+        return memref_type(shape, _SCALARS[elem])
 
-    def value_list(self, close: str = ")") -> list[Value]:
-        out = []
-        if self.peek()[1] != close:
-            out.append(self.value())
-            while self.accept(","):
-                out.append(self.value())
-        self.expect(close)
-        return out
+    def check_type(self, want: IRType) -> None:
+        tok = self.peek()
+        got = self.type()
+        if got != want:
+            self.error(f"expected type {want}, got {got}", tok)
+
+    def type_list(self) -> list[IRType]:
+        """Zero or more types, comma-separated."""
+        tok = self.peek()
+        if tok[0] == "memref" or tok[1] in _SCALARS:
+            return self.comma_list(self.type)
+        return []
 
     # -- attributes ------------------------------------------------------------
 
     def attr_value(self) -> Attribute:
         tok = self.peek()
         kind = tok[0]
-        if kind == "int":
-            self.next()
-            return int_attr(int(tok[1]))
-        if kind == "float":
-            self.next()
-            return float_attr(float(tok[1]))
-        if kind == "str":
-            self.next()
-            return str_attr(json.loads(tok[1]))
-        if kind == "at":
-            return self.symbol_attr()
-        if kind == "[":
-            self.next()
-            items = []
-            if self.peek()[1] != "]":
-                items.append(self.attr_value())
-                while self.accept(","):
-                    items.append(self.attr_value())
-            self.expect("]")
-            return array_attr(items)
         if kind == "{":
             return dict_attr(self.attr_dict())
-        if kind in ("memref",) or (kind == "id" and tok[1] in _SCALARS):
-            self.next()
-            return type_attr(_parse_type(tok[1], tok[2], tok[3]))
-        self.error(f"expected an attribute value, got {tok[1]!r}", tok)
-
-    def symbol_attr(self) -> Attribute:
-        parts = [self.expect("at")[1][1:]]
-        while self.accept("dcolon"):
-            parts.append(self.expect("at")[1][1:])
-        return symbol_attr(*parts)
+        if kind == "memref" or tok[1] in _SCALARS:
+            return type_attr(self.type())
+        self.next()
+        if kind == "int":
+            return int_attr(int(tok[1]))
+        if kind == "float":
+            return float_attr(float(tok[1]))
+        if kind == "str":
+            return str_attr(json.loads(tok[1]))
+        if kind == "at":
+            parts = [tok[1][1:]]
+            while self.accept("dcolon"):
+                parts.append(self.expect("at")[1][1:])
+            return symbol_attr(*parts)
+        if kind != "[":
+            self.error(f"expected an attribute value, got {tok[1]!r}", tok)
+        items = self.comma_list(self.attr_value) if self.peek()[1] != "]" else []
+        self.expect("]")
+        return array_attr(items)
 
     def attr_dict(self) -> dict:
         self.expect("{")
@@ -224,467 +262,71 @@ class _Parser:
         self.expect("}")
         return attrs
 
-    def opt_attributes(self) -> dict:
-        if self.peek()[0] == "id" and self.peek()[1] == "attributes":
-            self.next()
-            return self.attr_dict()
-        return {}
-
-    # -- regions ----------------------------------------------------------------
-
-    def region_body(self, op: Operation, region_index: int,
-                    ensure_yield: bool) -> None:
-        block = op.regions[region_index].blocks[0]
-        self.expect("{")
-        while self.peek()[1] != "}":
-            self.op(block)
-        self.expect("}")
-        if ensure_yield:
-            last = block.ops[-1] if block.ops else None
-            if last is None or last.name != "scf.yield":
-                create_op(block, len(block.ops), "scf.yield")
-
     # -- operations ----------------------------------------------------------
 
-    def op(self, block) -> Operation:
-        tok = self.peek()
+    def op(self, block: Block | None) -> Operation:
+        """One op, appended to block; the top-level module when block is None."""
         result_toks = []
-        if tok[0] == "pct":
-            result_toks.append(self.next())
-            while self.accept(","):
-                result_toks.append(self.expect("pct"))
+        if self.peek()[0] == "pct":
+            result_toks = self.comma_list(lambda: self.expect("pct"))
             self.expect("=")
         name_tok = self.expect("id")
-        name = name_tok[1]
-        handler = _PARSERS.get(name)
-        if handler is not None:
-            op = handler(self, block, name_tok)
+        entry = _MNEMONICS.get(name_tok[1])
+        if entry is not None:
+            (name, form), schema = entry, None
         else:
-            op = self.default_op(block, name_tok)
+            name, form = name_tok[1], GENERIC
+            schema = self.ctx.registry.lookup_op(name)
+            if schema is None:
+                raise UnknownOperation(
+                    f"line {name_tok[2]}: no registered schema for {name!r}")
+        p = _Pending(name, form, schema, block,
+                     Location("<input>", name_tok[2], name_tok[3]))
+        outer = self.values
+        if form.isolated:
+            self.values = {}
+        for read in form.readers:
+            read(self, p)
+        if p.op is None:
+            self.create(p, 0)
+        self.values = outer
+        op = p.op
         if len(result_toks) != len(op.results):
             self.error(
                 f"{name} produces {len(op.results)} result(s), "
                 f"{len(result_toks)} named", name_tok)
-        for rt, v in zip(result_toks, op.results):
-            self.define(rt, v)
+        for tok, v in zip(result_toks, op.results):
+            self.define(tok, v)
         return op
 
-    def default_op(self, block, name_tok) -> Operation:
-        name = name_tok[1]
-        schema = self.ctx.registry.lookup_op(name)
-        if schema is None:
-            self.error_unknown(name, name_tok)
-        self.expect("(")
-        operands = self.value_list(")")
-        regionless = schema.num_regions == 0 and not schema.variadic_regions
-        attrs = {}
-        if self.peek()[:2] == ("id", "attributes"):
-            self.next()
-            attrs = self.attr_dict()
-        elif self.peek()[1] == "{" and regionless:
-            attrs = self.attr_dict()
-        self.expect(":", ":")
-        self.expect("(")
-        in_types = self.type_list(")")
-        self.expect("arrow")
-        self.expect("(")
-        out_types = self.type_list(")")
-        got = [v.type for v in operands]
-        if got != in_types:
-            self.error(f"operand types {got} do not match signature", name_tok)
-        region_count = schema.num_regions if not schema.variadic_regions else 0
-        op = create_op(block, len(block.ops), name, operands=operands,
-                       attributes=attrs, result_types=out_types,
-                       region_count=region_count,
-                       location=self.loc(name_tok))
-        if schema.variadic_regions:
-            while self.peek()[1] == "{":
-                op.regions.append(Region(op))
-                self.region_body(op, len(op.regions) - 1, ensure_yield=False)
+    def create(self, p: _Pending, region_count: int) -> None:
+        """Build the op from what its form has read so far."""
+        if p.block is None:
+            op = create_module(self.ctx, location=p.loc)
+            op.attributes.update(p.attrs)
         else:
-            for i in range(region_count):
-                self.region_body(op, i, ensure_yield=False)
-        return op
+            op = create_op(p.block, len(p.block.ops), p.name,
+                           operands=p.operands, attributes=p.attrs,
+                           result_types=p.result_types,
+                           region_count=region_count, location=p.loc)
+        for tok, ty in p.args:
+            self.define(tok, op.body().add_arg(ty))
+        p.op = op
 
-    def error_unknown(self, name: str, tok) -> None:
-        raise UnknownOperation(
-            f"line {tok[2]}: no registered schema for {name!r}"
-        )
-
-    def type_list(self, close: str) -> list[IRType]:
-        out = []
-        if self.peek()[1] != close:
-            out.append(self.type())
-            while self.accept(","):
-                out.append(self.type())
-        self.expect(close)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# fixed per-op parsers (mirror printer._FORMS)
-
-
-def _p_func(p: _Parser, block, name_tok) -> Operation:
-    sym = p.expect("at")[1][1:]
-    p.expect("(")
-    params = []
-    saved_values = dict(p.values)
-    arg_toks = []
-    if p.peek()[1] != ")":
-        while True:
-            arg_toks.append(p.expect("pct"))
-            p.expect(":", ":")
-            params.append(p.type())
-            if not p.accept(","):
-                break
-    p.expect(")")
-    results = []
-    if p.accept("arrow"):
-        p.expect("(")
-        results = p.type_list(")")
-    attrs = p.opt_attributes()
-    attrs["sym_name"] = str_attr(sym)
-    attrs["results"] = array_attr(type_attr(t) for t in results)
-    op = create_op(block, len(block.ops), "func.func", attributes=attrs,
-                   region_count=1, location=p.loc(name_tok))
-    p.values = {}
-    for tok, ty in zip(arg_toks, params):
-        p.define(tok, op.body().add_arg(ty))
-    p.region_body(op, 0, ensure_yield=False)
-    p.values = saved_values
-    return op
-
-
-def _p_gpu_module(p: _Parser, block, name_tok) -> Operation:
-    sym = p.expect("at")[1][1:]
-    attrs = p.opt_attributes()
-    attrs["sym_name"] = str_attr(sym)
-    op = create_op(block, len(block.ops), "gpu.module", attributes=attrs,
-                   region_count=1, location=p.loc(name_tok))
-    p.region_body(op, 0, ensure_yield=False)
-    return op
-
-
-def _p_gpu_func(p: _Parser, block, name_tok) -> Operation:
-    sym = p.expect("at")[1][1:]
-    p.expect("(")
-    params = []
-    arg_toks = []
-    saved_values = dict(p.values)
-    if p.peek()[1] != ")":
-        while True:
-            arg_toks.append(p.expect("pct"))
-            p.expect(":", ":")
-            params.append(p.type())
-            if not p.accept(","):
-                break
-    p.expect(")")
-    p.expect("id", "kernel")
-    attrs = p.opt_attributes()
-    attrs["sym_name"] = str_attr(sym)
-    attrs["kernel"] = unit_attr()
-    op = create_op(block, len(block.ops), "gpu.func", attributes=attrs,
-                   region_count=1, location=p.loc(name_tok))
-    p.values = {}
-    for tok, ty in zip(arg_toks, params):
-        p.define(tok, op.body().add_arg(ty))
-    p.region_body(op, 0, ensure_yield=False)
-    p.values = saved_values
-    return op
-
-
-def _p_scf_for(p: _Parser, block, name_tok) -> Operation:
-    iv_tok = p.expect("pct")
-    p.expect("=")
-    lb = p.value()
-    p.expect("id", "to")
-    ub = p.value()
-    p.expect("id", "step")
-    step = p.value()
-    attrs = p.opt_attributes()
-    op = create_op(block, len(block.ops), "scf.for", operands=[lb, ub, step],
-                   attributes=attrs, region_count=1,
-                   location=p.loc(name_tok))
-    p.define(iv_tok, op.body().add_arg(INDEX))
-    p.region_body(op, 0, ensure_yield=True)
-    return op
-
-
-def _p_affine_for(p: _Parser, block, name_tok) -> Operation:
-    iv_tok = p.expect("pct")
-    p.expect("=")
-    lb = int(p.expect("int")[1])
-    p.expect("id", "to")
-    ub = int(p.expect("int")[1])
-    step = 1
-    if p.peek()[:2] == ("id", "step"):
-        p.next()
-        step = int(p.expect("int")[1])
-    attrs = p.opt_attributes()
-    attrs.update(lower_bound=int_attr(lb), upper_bound=int_attr(ub),
-                 step=int_attr(step))
-    op = create_op(block, len(block.ops), "affine.for", attributes=attrs,
-                   region_count=1, location=p.loc(name_tok))
-    p.define(iv_tok, op.body().add_arg(INDEX))
-    p.region_body(op, 0, ensure_yield=True)
-    return op
-
-
-def _p_scf_parallel(p: _Parser, block, name_tok) -> Operation:
-    p.expect("(")
-    iv_toks = [p.expect("pct")]
-    while p.accept(","):
-        iv_toks.append(p.expect("pct"))
-    p.expect(")")
-    p.expect("=")
-
-    def group():
-        p.expect("(")
-        return p.value_list(")")
-
-    lbs = group()
-    p.expect("id", "to")
-    ubs = group()
-    p.expect("id", "step")
-    steps = group()
-    attrs = p.opt_attributes()
-    op = create_op(block, len(block.ops), "scf.parallel",
-                   operands=lbs + ubs + steps, attributes=attrs,
-                   region_count=1, location=p.loc(name_tok))
-    for tok in iv_toks:
-        p.define(tok, op.body().add_arg(INDEX))
-    p.region_body(op, 0, ensure_yield=True)
-    return op
-
-
-def _p_scf_if(p: _Parser, block, name_tok) -> Operation:
-    cond = p.value()
-    attrs = p.opt_attributes()
-    op = create_op(block, len(block.ops), "scf.if", operands=[cond],
-                   attributes=attrs, region_count=1,
-                   location=p.loc(name_tok))
-    p.region_body(op, 0, ensure_yield=True)
-    if p.peek()[:2] == ("id", "else"):
-        p.next()
-        op.regions.append(Region(op))
-        p.region_body(op, 1, ensure_yield=True)
-    return op
-
-
-def _p_scf_yield(p: _Parser, block, name_tok) -> Operation:
-    return create_op(block, len(block.ops), "scf.yield",
-                     location=p.loc(name_tok))
-
-
-def _p_return(p: _Parser, block, name_tok) -> Operation:
-    operands = []
-    if p.peek()[0] == "pct":
-        operands.append(p.value())
-        while p.accept(","):
-            operands.append(p.value())
-        p.expect(":", ":")
-        types = [p.type()]
-        while p.accept(","):
-            types.append(p.type())
-        got = [v.type for v in operands]
-        if got != types:
-            p.error("return operand types do not match annotation", name_tok)
-    return create_op(block, len(block.ops), "func.return", operands=operands,
-                     location=p.loc(name_tok))
-
-
-def _p_gpu_return(p: _Parser, block, name_tok) -> Operation:
-    return create_op(block, len(block.ops), "gpu.return",
-                     location=p.loc(name_tok))
-
-
-def _p_constant(p: _Parser, block, name_tok) -> Operation:
-    tok = p.next()
-    if tok[0] == "float":
-        value = float_attr(float(tok[1]))
-    elif tok[0] == "int":
-        value = int_attr(int(tok[1]))
-    else:
-        p.error(f"expected a constant literal, got {tok[1]!r}", tok)
-    p.expect(":", ":")
-    ty = p.type()
-    return create_op(block, len(block.ops), "arith.constant",
-                     attributes={"value": value}, result_types=[ty],
-                     location=p.loc(name_tok))
-
-
-def _p_binop(p: _Parser, block, name_tok) -> Operation:
-    a = p.value()
-    p.expect(",")
-    b = p.value()
-    p.expect(":", ":")
-    ty = p.type()
-    return create_op(block, len(block.ops), name_tok[1], operands=[a, b],
-                     result_types=[ty], location=p.loc(name_tok))
-
-
-def _p_cmp(p: _Parser, block, name_tok) -> Operation:
-    pred = p.expect("id")[1]
-    p.expect(",")
-    a = p.value()
-    p.expect(",")
-    b = p.value()
-    p.expect(":", ":")
-    p.type()  # operand type annotation; operands carry it already
-    return create_op(block, len(block.ops), name_tok[1], operands=[a, b],
-                     attributes={"predicate": str_attr(pred)},
-                     result_types=[I1], location=p.loc(name_tok))
-
-
-def _p_index_cast(p: _Parser, block, name_tok) -> Operation:
-    v = p.value()
-    p.expect(":", ":")
-    p.type()
-    p.expect("id", "to")
-    to = p.type()
-    return create_op(block, len(block.ops), "arith.index_cast", operands=[v],
-                     result_types=[to], location=p.loc(name_tok))
-
-
-def _p_alloc(p: _Parser, block, name_tok) -> Operation:
-    p.expect("(")
-    p.expect(")")
-    p.expect(":", ":")
-    ty = p.type()
-    return create_op(block, len(block.ops), name_tok[1], result_types=[ty],
-                     location=p.loc(name_tok))
-
-
-def _p_dealloc(p: _Parser, block, name_tok) -> Operation:
-    v = p.value()
-    p.expect(":", ":")
-    p.type()
-    return create_op(block, len(block.ops), "memref.dealloc", operands=[v],
-                     location=p.loc(name_tok))
-
-
-def _p_load(p: _Parser, block, name_tok) -> Operation:
-    buf = p.value()
-    p.expect("[")
-    idx = p.value_list("]")
-    p.expect(":", ":")
-    ty = p.type()
-    if ty.kind != "memref":
-        p.error("memref.load annotation must be a memref type", name_tok)
-    return create_op(block, len(block.ops), "memref.load",
-                     operands=[buf, *idx], result_types=[ty.element],
-                     location=p.loc(name_tok))
-
-
-def _p_store(p: _Parser, block, name_tok) -> Operation:
-    value = p.value()
-    p.expect(",")
-    buf = p.value()
-    p.expect("[")
-    idx = p.value_list("]")
-    p.expect(":", ":")
-    p.type()
-    return create_op(block, len(block.ops), "memref.store",
-                     operands=[value, buf, *idx], location=p.loc(name_tok))
-
-
-def _p_call(p: _Parser, block, name_tok) -> Operation:
-    callee = p.expect("at")[1][1:]
-    p.expect("(")
-    args = p.value_list(")")
-    p.expect(":", ":")
-    p.expect("(")
-    p.type_list(")")
-    p.expect("arrow")
-    p.expect("(")
-    out_types = p.type_list(")")
-    return create_op(block, len(block.ops), "func.call", operands=args,
-                     attributes={"callee": symbol_attr(callee)},
-                     result_types=out_types, location=p.loc(name_tok))
-
-
-def _p_gpu_id(p: _Parser, block, name_tok) -> Operation:
-    dim = p.expect("id")[1]
-    return create_op(block, len(block.ops), name_tok[1],
-                     attributes={"dimension": str_attr(dim)},
-                     result_types=[INDEX], location=p.loc(name_tok))
-
-
-def _p_launch(p: _Parser, block, name_tok) -> Operation:
-    kernel = p.symbol_attr()
-    p.expect("id", "blocks")
-    p.expect("id", "in")
-    p.expect("(")
-    grid = p.value_list(")")
-    p.expect("id", "threads")
-    p.expect("id", "in")
-    p.expect("(")
-    blk = p.value_list(")")
-    p.expect("id", "args")
-    p.expect("(")
-    args = []
-    if p.peek()[1] != ")":
-        while True:
-            args.append(p.value())
-            p.expect(":", ":")
-            p.type()
-            if not p.accept(","):
-                break
-    p.expect(")")
-    return create_op(block, len(block.ops), "gpu.launch_func",
-                     operands=[*grid, *blk, *args],
-                     attributes={"kernel": kernel},
-                     location=p.loc(name_tok))
-
-
-_PARSERS = {
-    "func.func": _p_func,
-    "func.return": _p_return,
-    "return": _p_return,
-    "func.call": _p_call,
-    "gpu.module": _p_gpu_module,
-    "gpu.func": _p_gpu_func,
-    "gpu.return": _p_gpu_return,
-    "gpu.block_id": _p_gpu_id,
-    "gpu.thread_id": _p_gpu_id,
-    "gpu.launch_func": _p_launch,
-    "scf.for": _p_scf_for,
-    "scf.parallel": _p_scf_parallel,
-    "scf.if": _p_scf_if,
-    "scf.yield": _p_scf_yield,
-    "affine.for": _p_affine_for,
-    "arith.constant": _p_constant,
-    "arith.addf": _p_binop,
-    "arith.subf": _p_binop,
-    "arith.mulf": _p_binop,
-    "arith.divf": _p_binop,
-    "arith.addi": _p_binop,
-    "arith.subi": _p_binop,
-    "arith.muli": _p_binop,
-    "arith.cmpf": _p_cmp,
-    "arith.cmpi": _p_cmp,
-    "arith.index_cast": _p_index_cast,
-    "memref.alloc": _p_alloc,
-    "memref.alloca": _p_alloc,
-    "memref.load": _p_load,
-    "memref.store": _p_store,
-    "memref.dealloc": _p_dealloc,
-}
+    def region(self, block: Block, elide_yield: bool) -> None:
+        self.expect("{")
+        while self.peek()[1] != "}":
+            self.op(block)
+        self.expect("}")
+        if elide_yield and not (block.ops and block.ops[-1].name == "scf.yield"):
+            create_op(block, len(block.ops), "scf.yield")
 
 
 def parse_module(text: str, ctx: Context) -> Operation:
-    tokens = _lex(text)
-    p = _Parser(tokens, ctx)
-    head = p.expect("id")
-    if head[1] != "module":
-        p.error(f"modules start with 'module', got {head[1]!r}", head)
-    attrs = p.opt_attributes()
-    module = create_module(ctx, location=Location("<input>", head[2], head[3]))
-    module.attributes.update(attrs)
-    p.expect("{")
-    while p.peek()[1] != "}":
-        p.op(module.body())
-    p.expect("}")
-    p.expect("eof")
+    reader = Reader(text, ctx)
+    head = reader.peek()
+    if head[:2] != ("id", "module"):
+        reader.error(f"modules start with 'module', got {head[1]!r}", head)
+    module = reader.op(None)
+    reader.expect("eof")
     return module

@@ -1,8 +1,10 @@
 """Deterministic textual form for modules.
 
-Numbering is positional: results are %0, %1, ... and block arguments are
-%arg0, %arg1, ... in pre-order, with both counters reset at each function
-so nothing leaks from the Context's id counter. Attribute dictionaries are
+Each op's syntax is its Form in forms.py; the Writer here runs forms and
+owns numbering, indentation and attribute literals. Numbering is
+positional: results are %0, %1, ... and block arguments are %arg0,
+%arg1, ... in pre-order, with both counters reset at each function so
+nothing leaks from the Context's id counter. Attribute dictionaries are
 sorted by key. Loop and branch bodies never show their scf.yield (it is
 always empty in this dialect subset); return and gpu.return are explicit.
 """
@@ -11,368 +13,90 @@ from __future__ import annotations
 import json
 
 from staircase.ir.core import Attribute, Block, Operation, Value
+from staircase.textio.forms import FORMS, GENERIC
 
 
-def attr_value_text(attr: Attribute) -> str:
-    kind = attr.kind
-    if kind == "int":
-        return str(attr.value)
-    if kind == "float":
-        return repr(attr.value)
-    if kind == "str":
-        return json.dumps(attr.value)
-    if kind == "type":
-        return str(attr.value)
-    if kind == "array":
-        return "[" + ", ".join(attr_value_text(a) for a in attr.value) + "]"
-    if kind == "dict":
-        return "{" + _attr_entries(dict(attr.value)) + "}"
-    if kind == "symbol":
-        return "::".join("@" + part for part in attr.value)
-    raise ValueError(f"unit attributes print as bare keys, not values ({kind})")
+class Writer:
+    """Renders ops by running their forms; the text collects in out."""
 
-
-def _attr_entries(attrs: dict) -> str:
-    parts = []
-    for key in sorted(attrs):
-        value = attrs[key]
-        if value.kind == "unit":
-            parts.append(key)
-        else:
-            parts.append(f"{key} = {attr_value_text(value)}")
-    return ", ".join(parts)
-
-
-class _Printer:
     def __init__(self):
-        self.lines: list[str] = []
+        self.out: list[str] = []
         self.names: dict[int, str] = {}
         self.next_result = 0
         self.next_arg = 0
-
-    # -- naming ------------------------------------------------------------
-
-    def name(self, v: Value) -> str:
-        return self.names[v.id]
-
-    def def_results(self, op: Operation) -> str:
-        """Assign names to op results; returns the '%0 = ' prefix (or '')."""
-        if not op.results:
-            return ""
-        out = []
-        for r in op.results:
-            nm = f"%{self.next_result}"
-            self.next_result += 1
-            self.names[r.id] = nm
-            out.append(nm)
-        return ", ".join(out) + " = "
+        self.indent = ""
+        self.ops: tuple = ()  # operands of the op being written
+        self.k = 0  # how many of them are written
 
     def def_arg(self, v: Value) -> str:
-        nm = f"%arg{self.next_arg}"
+        name = f"%arg{self.next_arg}"
         self.next_arg += 1
-        self.names[v.id] = nm
-        return nm
+        self.names[v.id] = name
+        return name
 
-    # -- emission ----------------------------------------------------------
+    def attr_value(self, attr: Attribute) -> str:
+        kind = attr.kind
+        if kind in ("int", "type"):
+            return str(attr.value)
+        if kind == "float":
+            return repr(attr.value)
+        if kind == "str":
+            return json.dumps(attr.value)
+        if kind == "array":
+            return "[" + ", ".join(self.attr_value(a) for a in attr.value) + "]"
+        if kind == "dict":
+            return "{" + self.attr_entries(dict(attr.value)) + "}"
+        if kind == "symbol":
+            return "::".join("@" + part for part in attr.value)
+        raise ValueError(f"unit attributes print as bare keys, not values ({kind})")
 
-    def emit(self, depth: int, text: str) -> None:
-        self.lines.append("  " * depth + text)
+    def attr_entries(self, attrs: dict) -> str:
+        parts = []
+        for key in sorted(attrs):
+            value = attrs[key]
+            if value.kind == "unit":
+                parts.append(key)
+            else:
+                parts.append(f"{key} = {self.attr_value(value)}")
+        return ", ".join(parts)
 
-    def extra_attrs(self, op: Operation, consumed: tuple[str, ...]) -> str:
-        rest = {k: v for k, v in op.attributes.items() if k not in consumed}
-        if not rest:
-            return ""
-        return " attributes {" + _attr_entries(rest) + "}"
-
-    def block_body(self, block: Block, depth: int, elide_yield: bool) -> None:
+    def region(self, block: Block, elide_yield: bool) -> None:
+        indent = self.indent
+        self.out.append(" {\n")
+        self.indent = indent + "  "
         ops = block.ops
-        for i, op in enumerate(ops):
-            if elide_yield and i == len(ops) - 1 and op.name == "scf.yield":
-                continue
-            self.op(op, depth)
+        if elide_yield and ops and ops[-1].name == "scf.yield":
+            ops = ops[:-1]
+        for op in ops:
+            self.op(op)
+        self.indent = indent
+        self.out.append(indent + "}")
 
-    def op(self, op: Operation, depth: int) -> None:
-        handler = _FORMS.get(op.name)
-        if handler is not None:
-            handler(self, op, depth)
-        else:
-            self.default_form(op, depth)
-
-    # -- the fallback fixed form --------------------------------------------
-
-    def default_form(self, op: Operation, depth: int) -> None:
-        prefix = self.def_results(op)
-        operands = ", ".join(self.name(v) for v in op.operands)
-        attrs = ""
-        if op.attributes:
-            attrs = " {" + _attr_entries(op.attributes) + "}"
-            if op.regions:
-                attrs = " attributes" + attrs
-        in_types = ", ".join(str(v.type) for v in op.operands)
-        out_types = ", ".join(str(r.type) for r in op.results)
-        header = (f"{prefix}{op.name}({operands}){attrs} "
-                  f": ({in_types}) -> ({out_types})")
-        if not op.regions:
-            self.emit(depth, header)
-            return
-        if len(op.regions) > 1:
-            raise ValueError(f"{op.name}: no printed form for multiple regions")
-        block = op.regions[0].blocks[0]
-        if block.args:
-            raise ValueError(
-                f"{op.name}: no printed form for regions with arguments"
-            )
-        self.emit(depth, header + " {")
-        self.block_body(block, depth + 1, elide_yield=False)
-        self.emit(depth, "}")
-
-
-# ---------------------------------------------------------------------------
-# fixed per-op forms
-
-
-def _module(p: _Printer, op: Operation, depth: int) -> None:
-    p.emit(depth, "module" + _attr_suffix_inline(op, ()) + " {")
-    p.block_body(op.body(), depth + 1, elide_yield=False)
-    p.emit(depth, "}")
-
-
-def _attr_suffix_inline(op: Operation, consumed: tuple[str, ...]) -> str:
-    rest = {k: v for k, v in op.attributes.items() if k not in consumed}
-    if not rest:
-        return ""
-    return " attributes {" + _attr_entries(rest) + "}"
-
-
-def _func(p: _Printer, op: Operation, depth: int) -> None:
-    saved = (p.next_result, p.next_arg)
-    p.next_result = p.next_arg = 0
-    params = ", ".join(f"{p.def_arg(a)}: {a.type}" for a in op.body().args)
-    sym = op.attributes["sym_name"].value
-    results = [a.value for a in op.attributes["results"].value]
-    arrow = ""
-    if results:
-        arrow = " -> (" + ", ".join(str(t) for t in results) + ")"
-    attrs = _attr_suffix_inline(op, ("sym_name", "results"))
-    p.emit(depth, f"func.func @{sym}({params}){arrow}{attrs} {{")
-    p.block_body(op.body(), depth + 1, elide_yield=False)
-    p.emit(depth, "}")
-    p.next_result, p.next_arg = saved
-
-
-def _gpu_module(p: _Printer, op: Operation, depth: int) -> None:
-    sym = op.attributes["sym_name"].value
-    attrs = _attr_suffix_inline(op, ("sym_name",))
-    p.emit(depth, f"gpu.module @{sym}{attrs} {{")
-    p.block_body(op.body(), depth + 1, elide_yield=False)
-    p.emit(depth, "}")
-
-
-def _gpu_func(p: _Printer, op: Operation, depth: int) -> None:
-    saved = (p.next_result, p.next_arg)
-    p.next_result = p.next_arg = 0
-    params = ", ".join(f"{p.def_arg(a)}: {a.type}" for a in op.body().args)
-    sym = op.attributes["sym_name"].value
-    attrs = _attr_suffix_inline(op, ("sym_name", "kernel"))
-    p.emit(depth, f"gpu.func @{sym}({params}) kernel{attrs} {{")
-    p.block_body(op.body(), depth + 1, elide_yield=False)
-    p.emit(depth, "}")
-    p.next_result, p.next_arg = saved
-
-
-def _scf_for(p: _Printer, op: Operation, depth: int) -> None:
-    lb, ub, step = (p.name(v) for v in op.operands)
-    iv = p.def_arg(op.body().args[0])
-    attrs = _attr_suffix_inline(op, ())
-    p.emit(depth, f"scf.for {iv} = {lb} to {ub} step {step}{attrs} {{")
-    p.block_body(op.body(), depth + 1, elide_yield=True)
-    p.emit(depth, "}")
-
-
-def _affine_for(p: _Printer, op: Operation, depth: int) -> None:
-    lb = op.attributes["lower_bound"].value
-    ub = op.attributes["upper_bound"].value
-    step = op.attributes["step"].value
-    iv = p.def_arg(op.body().args[0])
-    text = f"affine.for {iv} = {lb} to {ub}"
-    if step != 1:
-        text += f" step {step}"
-    text += _attr_suffix_inline(op, ("lower_bound", "upper_bound", "step"))
-    p.emit(depth, text + " {")
-    p.block_body(op.body(), depth + 1, elide_yield=True)
-    p.emit(depth, "}")
-
-
-def _scf_parallel(p: _Printer, op: Operation, depth: int) -> None:
-    n = len(op.body().args)
-    lbs = op.operands[:n]
-    ubs = op.operands[n:2 * n]
-    steps = op.operands[2 * n:]
-    ivs = ", ".join(p.def_arg(a) for a in op.body().args)
-    fmt = lambda vs: "(" + ", ".join(p.name(v) for v in vs) + ")"
-    attrs = _attr_suffix_inline(op, ())
-    p.emit(depth, f"scf.parallel ({ivs}) = {fmt(lbs)} to {fmt(ubs)} "
-                  f"step {fmt(steps)}{attrs} {{")
-    p.block_body(op.body(), depth + 1, elide_yield=True)
-    p.emit(depth, "}")
-
-
-def _scf_if(p: _Printer, op: Operation, depth: int) -> None:
-    attrs = _attr_suffix_inline(op, ())
-    p.emit(depth, f"scf.if {p.name(op.operands[0])}{attrs} {{")
-    p.block_body(op.regions[0].blocks[0], depth + 1, elide_yield=True)
-    if len(op.regions) == 2:
-        p.emit(depth, "} else {")
-        p.block_body(op.regions[1].blocks[0], depth + 1, elide_yield=True)
-    p.emit(depth, "}")
-
-
-def _return(p: _Printer, op: Operation, depth: int) -> None:
-    if not op.operands:
-        p.emit(depth, "return")
-        return
-    names = ", ".join(p.name(v) for v in op.operands)
-    types = ", ".join(str(v.type) for v in op.operands)
-    p.emit(depth, f"return {names} : {types}")
-
-
-def _gpu_return(p: _Printer, op: Operation, depth: int) -> None:
-    p.emit(depth, "gpu.return")
-
-
-def _scf_yield(p: _Printer, op: Operation, depth: int) -> None:
-    # only reachable when a yield is not in terminator position; verify
-    # flags that, but print what is there
-    p.emit(depth, "scf.yield")
-
-
-def _constant(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    value = attr_value_text(op.attributes["value"])
-    p.emit(depth, f"{prefix}arith.constant {value} : {op.results[0].type}")
-
-
-def _binop(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    a, b = (p.name(v) for v in op.operands)
-    p.emit(depth, f"{prefix}{op.name} {a}, {b} : {op.results[0].type}")
-
-
-def _cmp(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    pred = op.attributes["predicate"].value
-    a, b = (p.name(v) for v in op.operands)
-    p.emit(depth, f"{prefix}{op.name} {pred}, {a}, {b} : {op.operands[0].type}")
-
-
-def _index_cast(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    src = op.operands[0]
-    p.emit(depth, f"{prefix}arith.index_cast {p.name(src)} "
-                  f": {src.type} to {op.results[0].type}")
-
-
-def _alloc(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    p.emit(depth, f"{prefix}{op.name}() : {op.results[0].type}")
-
-
-def _dealloc(p: _Printer, op: Operation, depth: int) -> None:
-    v = op.operands[0]
-    p.emit(depth, f"memref.dealloc {p.name(v)} : {v.type}")
-
-
-def _load(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    buf = op.operands[0]
-    idx = ", ".join(p.name(v) for v in op.operands[1:])
-    p.emit(depth, f"{prefix}memref.load {p.name(buf)}[{idx}] : {buf.type}")
-
-
-def _store(p: _Printer, op: Operation, depth: int) -> None:
-    value, buf = op.operands[0], op.operands[1]
-    idx = ", ".join(p.name(v) for v in op.operands[2:])
-    p.emit(depth, f"memref.store {p.name(value)}, {p.name(buf)}[{idx}] "
-                  f": {buf.type}")
-
-
-def _call(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    callee = op.attributes["callee"].value[0]
-    args = ", ".join(p.name(v) for v in op.operands)
-    in_types = ", ".join(str(v.type) for v in op.operands)
-    out_types = ", ".join(str(r.type) for r in op.results)
-    p.emit(depth, f"{prefix}func.call @{callee}({args}) "
-                  f": ({in_types}) -> ({out_types})")
-
-
-def _gpu_id(p: _Printer, op: Operation, depth: int) -> None:
-    prefix = p.def_results(op)
-    p.emit(depth, f"{prefix}{op.name} {op.attributes['dimension'].value}")
-
-
-def _launch(p: _Printer, op: Operation, depth: int) -> None:
-    sym = attr_value_text(op.attributes["kernel"])
-    grid = ", ".join(p.name(v) for v in op.operands[:3])
-    blk = ", ".join(p.name(v) for v in op.operands[3:6])
-    args = ", ".join(f"{p.name(v)} : {v.type}" for v in op.operands[6:])
-    p.emit(depth, f"gpu.launch_func {sym} blocks in ({grid}) "
-                  f"threads in ({blk}) args({args})")
-
-
-_FORMS = {
-    "builtin.module": _module,
-    "func.func": _func,
-    "func.return": _return,
-    "func.call": _call,
-    "gpu.module": _gpu_module,
-    "gpu.func": _gpu_func,
-    "gpu.return": _gpu_return,
-    "gpu.block_id": _gpu_id,
-    "gpu.thread_id": _gpu_id,
-    "gpu.launch_func": _launch,
-    "scf.for": _scf_for,
-    "scf.parallel": _scf_parallel,
-    "scf.if": _scf_if,
-    "scf.yield": _scf_yield,
-    "affine.for": _affine_for,
-    "arith.constant": _constant,
-    "arith.addf": _binop,
-    "arith.subf": _binop,
-    "arith.mulf": _binop,
-    "arith.divf": _binop,
-    "arith.addi": _binop,
-    "arith.subi": _binop,
-    "arith.muli": _binop,
-    "arith.cmpf": _cmp,
-    "arith.cmpi": _cmp,
-    "arith.index_cast": _index_cast,
-    "memref.alloc": _alloc,
-    "memref.alloca": _alloc,
-    "memref.load": _load,
-    "memref.store": _store,
-    "memref.dealloc": _dealloc,
-}
+    def op(self, op: Operation) -> None:
+        form = FORMS.get(op.name, GENERIC)
+        head = self.indent
+        if op.results:
+            labels = []
+            for r in op.results:
+                label = f"%{self.next_result}"
+                self.next_result += 1
+                self.names[r.id] = label
+                labels.append(label)
+            head += ", ".join(labels) + " = "
+        self.out.append(head + (form.mnemonic or op.name))
+        if form.isolated:
+            saved = self.next_result, self.next_arg
+            self.next_result = self.next_arg = 0
+        self.ops = op.operands
+        self.k = 0
+        for write in form.writers:
+            write(self, op)
+        if form.isolated:
+            self.next_result, self.next_arg = saved
+        self.out.append("\n")
 
 
 def print_module(module: Operation) -> str:
-    printer = _Printer()
-    printer.op(module, 0)
-    return "\n".join(printer.lines) + "\n"
-
-
-def print_op(op: Operation) -> str:
-    """Render a single op subtree; names of outside values are synthesized."""
-    printer = _Printer()
-
-    def seed(o: Operation) -> None:
-        for operand in o.operands:
-            if operand.id not in printer.names:
-                printer.names[operand.id] = f"%x{operand.id}"
-        for region in o.regions:
-            for inner in region.blocks[0].ops:
-                seed(inner)
-
-    seed(op)
-    printer.op(op, 0)
-    return "\n".join(printer.lines) + "\n"
+    writer = Writer()
+    writer.op(module)
+    return "".join(writer.out)
