@@ -13,7 +13,6 @@ from __future__ import annotations
 from staircase.ir.core import (
     I1,
     INDEX,
-    Region,
     array_attr,
     int_attr,
     str_attr,
@@ -231,8 +230,7 @@ class attrs:
             w.out.append(lead + w.attr_entries(rest) + "}")
 
     def read(self, r, p) -> None:
-        regionless = (self.bare and p.schema.num_regions == 0
-                      and not p.schema.variadic_regions)
+        regionless = self.bare and not (p.schema.num_regions or p.schema.variadic_regions)
         if r.accept("id", "attributes") or (regionless and r.peek()[0] == "{"):
             p.attrs.update(r.attr_dict())
 
@@ -252,9 +250,7 @@ class region:
     def read(self, r, p) -> None:
         if p.op is None:
             r.create(p, p.form.num_regions)
-        if self.i == len(p.op.regions):
-            p.op.regions.append(Region(p.op))
-        r.region(p.op.regions[self.i].blocks[0], self.elide_yield)
+        r.region(p.op, self.i, self.elide_yield)
 
 
 class regions:
@@ -272,11 +268,10 @@ class regions:
     def read(self, r, p) -> None:
         variadic = p.schema.variadic_regions
         r.create(p, 0 if variadic else p.schema.num_regions)
-        for each in p.op.regions:
-            r.region(each.blocks[0], False)
+        for i in range(len(p.op.regions)):
+            r.region(p.op, i, False)
         while variadic and r.peek()[0] == "{":
-            p.op.regions.append(Region(p.op))
-            r.region(p.op.regions[-1].blocks[0], False)
+            r.region(p.op, len(p.op.regions), False)
 
 
 def _directive(d):
@@ -301,8 +296,13 @@ _CMP = Form(" ", attr("predicate", "id"), ", ", operand, ", ", operand, " : ", t
             result(lambda values: [I1]))
 _ALLOC = Form("() : ", result_type)
 _GPU_ID = Form(" ", attr("dimension", "id"), result(lambda values: [INDEX]))
-_IVS = lambda op: len(op.body().args)  # noqa: E731 -- scf.parallel's group size
 _BODY = region(0, elide_yield=True)
+
+
+def _ivs(op) -> int:
+    """The size of each of scf.parallel's three operand groups."""
+    return len(op.body().args)
+
 
 FORMS = {
     "builtin.module": Form(attrs(), region(0), mnemonic="module"),
@@ -327,8 +327,8 @@ FORMS = {
                             operands(3), ") args(", operands(typed=True), ")"),
     "scf.for": Form(" ", args(), " = ", operand, " to ", operand, " step ", operand, attrs(),
                     _BODY),
-    "scf.parallel": Form(" (", args(), ") = (", operands(_IVS), ") to (", operands(_IVS),
-                         ") step (", operands(_IVS), ")", attrs(), _BODY),
+    "scf.parallel": Form(" (", args(), ") = (", operands(_ivs), ") to (", operands(_ivs),
+                         ") step (", operands(_ivs), ")", attrs(), _BODY),
     "scf.if": Form(" ", operand, attrs(), _BODY,
                    optional(" else", lambda op: len(op.regions) == 2,
                             region(1, elide_yield=True))),

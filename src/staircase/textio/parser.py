@@ -27,6 +27,7 @@ from staircase.ir.core import (
     IRType,
     Location,
     Operation,
+    Region,
     Value,
     array_attr,
     create_module,
@@ -104,9 +105,6 @@ def _literal_tokens(text: str) -> tuple:
 
 class _Pending:
     """What the reader has gathered for one op, and the op once built."""
-
-    __slots__ = ("name", "form", "schema", "block", "loc", "operands",
-                 "attrs", "result_types", "args", "op")
 
     def __init__(self, name, form, schema, block, loc):
         self.name = name
@@ -313,7 +311,11 @@ class Reader:
             self.define(tok, op.body().add_arg(ty))
         p.op = op
 
-    def region(self, block: Block, elide_yield: bool) -> None:
+    def region(self, op: Operation, i: int, elide_yield: bool) -> None:
+        """Region i of op, added when op has only i regions so far."""
+        if i == len(op.regions):
+            op.regions.append(Region(op))
+        block = op.regions[i].blocks[0]
         self.expect("{")
         while self.peek()[1] != "}":
             self.op(block)

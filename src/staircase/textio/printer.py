@@ -53,11 +53,8 @@ class Writer:
     def attr_entries(self, attrs: dict) -> str:
         parts = []
         for key in sorted(attrs):
-            value = attrs[key]
-            if value.kind == "unit":
-                parts.append(key)
-            else:
-                parts.append(f"{key} = {self.attr_value(value)}")
+            unit = attrs[key].kind == "unit"
+            parts.append(key if unit else f"{key} = {self.attr_value(attrs[key])}")
         return ", ".join(parts)
 
     def region(self, block: Block, elide_yield: bool) -> None:
