@@ -4,7 +4,17 @@ These live in a real module (not test bodies) because capture reads the
 function's source from disk. Shapes are desk scale: big enough to make
 transformations meaningful, small enough that the whole suite stays fast.
 """
-from staircase import F32, F64, MemRef, constant, parallel, staged
+from staircase import (
+    F32,
+    F64,
+    GPUModule,
+    MemRef,
+    block_id_x,
+    constant,
+    parallel,
+    staged,
+    thread_id_x,
+)
 
 M, N, K = 4, 16, 8
 
@@ -111,6 +121,19 @@ def conv_rows(
 def strided(buf: MemRef[(64,), F64]):
     for i in range(0, 42, 2):
         buf[i] = buf[i] * 3.0 + 1.0
+
+
+class AddOne(GPUModule):
+    """One thread per element of an 8-element buffer: two blocks of four."""
+
+    def add_one(self, a: MemRef[(8,), F64]):
+        i = block_id_x() * 4 + thread_id_x()
+        a[i] = a[i] + 1.0
+
+
+@staged
+def add_one(a: MemRef[(8,), F64]):
+    AddOne().add_one(a, grid_size=[2, 1, 1], block_size=[4, 1, 1])
 
 
 def conv_oracle(src, flt, dst_shape):
