@@ -433,8 +433,10 @@ class _FuncGen:
         lines and counts are its own, and it returns nothing. It may read
         this one's locals, which become its parameters (``call_nested``).
         """
+        # advance n before the copy: call_nested takes the child's n back
+        pyname = self.fresh(f"{self.pyname}_{tag}")
         child = copy.copy(self)
-        child.pyname = self.fresh(f"{self.pyname}_{tag}")
+        child.pyname = pyname
         child.lines, child.blocks, child.counters = [], [], []
         child.bookkeeping, child.scope = [], set(self.scope)
         child.returned = None

@@ -463,3 +463,21 @@ def test_alias_across_segments(monkeypatch):
     return %3 : i64""", "%arg0: index, %arg1: index", " -> (i64)")
     assert "_s" in _source(module)
     assert _agree(module, [3, 4])[1] == (12,)
+
+
+def test_nested_functions_get_distinct_names():
+    # neither parallel body binds a local of its own; each must still be
+    # a function of its own, not one definition replacing the other
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    scf.parallel (%arg2) = (%0) to (%1) step (%1) {
+      memref.store %arg1, %arg0[%0] : memref<4xf64>
+    }
+    scf.parallel (%arg3) = (%0) to (%1) step (%1) {
+      memref.store %arg1, %arg0[%2] : memref<4xf64>
+    }
+    return""", "%arg0: memref<4xf64>, %arg1: f64")
+    want = _agree(module, [Buffer((4,), "f64"), 5.0])
+    assert want[2][0].tolist() == [5.0, 0.0, 5.0, 0.0]
