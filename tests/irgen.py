@@ -8,6 +8,7 @@ returned, so a failure here is a generator bug, not test noise.
 import random
 
 from staircase.dialects.builders import build_func
+from staircase.interp import Buffer
 from staircase.ir.core import (
     F64,
     I64,
@@ -213,3 +214,22 @@ def random_module(seed: int, ctx=None):
     _fill_block(body, rng, scope, depth=rng.randrange(1, 4))
     verify_or_raise(module)
     return module
+
+
+def random_inputs(param_types, seed):
+    """Seeded arguments for param_types: buffers of values in [-2, 2]
+    (float) or [-50, 50) (integer), floats in [-2, 2], integers in [0, 8)."""
+    rng = random.Random(seed)
+    args = []
+    for ty in param_types:
+        if ty.kind == "memref":
+            buf = Buffer(ty.shape, ty.element.kind)
+            for i in range(len(buf.data)):
+                buf.data[i] = (rng.uniform(-2.0, 2.0) if buf.is_float
+                               else rng.randrange(-50, 50))
+            args.append(buf)
+        elif ty.is_float:
+            args.append(rng.uniform(-2.0, 2.0))
+        else:
+            args.append(rng.randrange(0, 8))
+    return args

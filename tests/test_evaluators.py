@@ -8,13 +8,12 @@ the same exception type with the same message.
 """
 import math
 import os
-import random
 from array import array
 
 import pytest
 
 from conftest import golden_path
-from irgen import random_module
+from irgen import random_inputs, random_module
 from staircase.interp import Buffer, codegen
 from staircase.interp.machine import run, run_reference
 from staircase.interp.tape import compile_module, module_functions
@@ -32,23 +31,6 @@ MODES = (("sequential", 1, CANON), ("worksharing", 2, CANON),
 STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
                "bookkeeping", "mode", "workers")
 IRGEN_SEEDS = range(240)
-
-
-def _inputs(param_types, seed):
-    rng = random.Random(seed)
-    args = []
-    for ty in param_types:
-        if ty.kind == "memref":
-            buf = Buffer(ty.shape, ty.element.kind)
-            for i in range(len(buf.data)):
-                buf.data[i] = (rng.uniform(-2.0, 2.0) if buf.is_float
-                               else rng.randrange(-50, 50))
-            args.append(buf)
-        elif ty.is_float:
-            args.append(rng.uniform(-2.0, 2.0))
-        else:
-            args.append(rng.randrange(0, 8))
-    return args
 
 
 def _outcome(runner, module, func, args, mode, workers):
@@ -98,7 +80,7 @@ def _irgen_runs(seeds):
             if mode == "gpu_emulated":
                 module, _ = run_pipeline(module, pipeline)
             func = _entry_name(module)
-            args = _inputs(_param_types(module, func), seed)
+            args = random_inputs(_param_types(module, func), seed)
             want, problem = differ(module, func, args, mode, workers)
             runs += 1
             raised += want[0] == "raised"
@@ -138,7 +120,7 @@ def test_bench_inputs_agree(path):
     for mode, workers, pipeline in MODES:
         module, _ = run_pipeline(parse_module(text, create_context()), pipeline)
         func = _entry_name(module)
-        args = _inputs(_param_types(module, func), 7)
+        args = random_inputs(_param_types(module, func), 7)
         want, problem = differ(module, func, args, mode, workers)
         assert problem is None, problem
         assert want[0] == "returned"
@@ -152,7 +134,7 @@ def test_captured_kernels_agree(name):
     staged = getattr(kernels, name)
     for mode, workers, pipeline in MODES:
         module, _ = run_pipeline(staged.module, pipeline)
-        args = _inputs(_param_types(module, name), 3)
+        args = random_inputs(_param_types(module, name), 3)
         want, problem = differ(module, name, args, mode, workers)
         assert problem is None, problem
         assert want[0] == "returned"
@@ -389,7 +371,7 @@ def test_launch_outside_gpu_mode():
     with open(os.path.join(INPUTS, "saxpy.sir"), encoding="utf-8") as fh:
         module = parse_module(fh.read(), create_context())
     module, _ = run_pipeline(module, GPU)
-    args = _inputs(_param_types(module, "saxpy"), 1)
+    args = random_inputs(_param_types(module, "saxpy"), 1)
     for mode in ("sequential", "worksharing"):
         want, problem = differ(module, "saxpy", args, mode, 2)
         assert problem is None, problem
