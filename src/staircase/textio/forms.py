@@ -217,7 +217,8 @@ class args:
 
 class attrs:
     """The attributes not consumed by other directives, as ``attributes
-    {...}``; bare (the generic form) prints ``{...}`` on a regionless op."""
+    {...}``; bare prints ``{...}`` on a regionless op, where MLIR's
+    attr-dict goes."""
 
     def __init__(self, *consumed: str, bare: bool = False):
         self.consumed = consumed
@@ -230,8 +231,7 @@ class attrs:
             w.out.append(lead + w.attr_entries(rest) + "}")
 
     def read(self, r, p) -> None:
-        regionless = self.bare and not (p.schema.num_regions or p.schema.variadic_regions)
-        if r.accept("id", "attributes") or (regionless and r.peek()[0] == "{"):
+        if r.accept("id", "attributes") or (self.bare and r.peek()[0] == "{"):
             p.attrs.update(r.attr_dict())
 
 
@@ -291,11 +291,13 @@ class Form:
         self.num_regions = sum(isinstance(d, region) for d in directives)
 
 
-_BINOP = Form(" ", operand, ", ", operand, " : ", result_type)
-_CMP = Form(" ", attr("predicate", "id"), ", ", operand, ", ", operand, " : ", type_of(0),
-            result(lambda values: [I1]))
-_ALLOC = Form("() : ", result_type)
-_GPU_ID = Form(" ", attr("dimension", "id"), result(lambda values: [INDEX]))
+_BINOP = Form(" ", operand, ", ", operand, attrs(bare=True), " : ", result_type)
+_CMP = Form(" ", attr("predicate", "id"), ", ", operand, ", ", operand,
+            attrs("predicate", bare=True), " : ", type_of(0), result(lambda values: [I1]))
+_ALLOC = Form("()", attrs(bare=True), " : ", result_type)
+_GPU_ID = Form(" ", attr("dimension", "id"), attrs("dimension", bare=True),
+               result(lambda values: [INDEX]))
+_BARE = Form(attrs(bare=True))
 _BODY = region(0, elide_yield=True)
 
 
@@ -312,19 +314,21 @@ FORMS = {
         optional(" -> (", lambda op: op.attributes["results"].value,
                  attr("results", "types"), ")"),
         attrs("sym_name", "results"), region(0)),
-    "func.return": Form(optional(" ", lambda op: op.operands, operands(), " : ", types()),
+    "func.return": Form(attrs(bare=True),
+                        optional(" ", lambda op: op.operands, operands(), " : ", types()),
                         mnemonic="return"),
-    "func.call": Form(" ", attr("callee"), "(", operands(), ") : (", types(), ") -> (",
-                      types(results=True), ")"),
+    "func.call": Form(" ", attr("callee"), "(", operands(), ")", attrs("callee", bare=True),
+                      " : (", types(), ") -> (", types(results=True), ")"),
     "gpu.module": Form(" ", attr("sym_name", "sym"), attrs("sym_name"), region(0)),
     "gpu.func": Form(
         " ", attr("sym_name", "sym"), "(", args(typed=True), ") kernel",
         default("kernel", unit_attr()), attrs("sym_name", "kernel"), region(0)),
-    "gpu.return": Form(),
+    "gpu.return": _BARE,
     "gpu.block_id": _GPU_ID,
     "gpu.thread_id": _GPU_ID,
     "gpu.launch_func": Form(" ", attr("kernel"), " blocks in (", operands(3), ") threads in (",
-                            operands(3), ") args(", operands(typed=True), ")"),
+                            operands(3), ") args(", operands(typed=True), ")",
+                            attrs("kernel", bare=True)),
     "scf.for": Form(" ", args(), " = ", operand, " to ", operand, " step ", operand, attrs(),
                     _BODY),
     "scf.parallel": Form(" (", args(), ") = (", operands(_ivs), ") to (", operands(_ivs),
@@ -332,13 +336,13 @@ FORMS = {
     "scf.if": Form(" ", operand, attrs(), _BODY,
                    optional(" else", lambda op: len(op.regions) == 2,
                             region(1, elide_yield=True))),
-    "scf.yield": Form(),
+    "scf.yield": _BARE,
     "affine.for": Form(
         " ", args(), " = ", attr("lower_bound"), " to ", attr("upper_bound"),
         default("step", int_attr(1)),
         optional(" step ", lambda op: op.attributes["step"].value != 1, attr("step")),
         attrs("lower_bound", "upper_bound", "step"), _BODY),
-    "arith.constant": Form(" ", attr("value"), " : ", result_type),
+    "arith.constant": Form(attrs("value", bare=True), " ", attr("value"), " : ", result_type),
     "arith.addf": _BINOP,
     "arith.subf": _BINOP,
     "arith.mulf": _BINOP,
@@ -348,13 +352,15 @@ FORMS = {
     "arith.muli": _BINOP,
     "arith.cmpf": _CMP,
     "arith.cmpi": _CMP,
-    "arith.index_cast": Form(" ", operand, " : ", type_of(0), " to ", result_type),
+    "arith.index_cast": Form(" ", operand, attrs(bare=True), " : ", type_of(0), " to ",
+                             result_type),
     "memref.alloc": _ALLOC,
     "memref.alloca": _ALLOC,
-    "memref.load": Form(" ", operand, "[", operands(), "] : ", type_of(0),
-                        result(lambda values: [values[0].type.element])),
-    "memref.store": Form(" ", operand, ", ", operand, "[", operands(), "] : ", type_of(1)),
-    "memref.dealloc": Form(" ", operand, " : ", type_of(0)),
+    "memref.load": Form(" ", operand, "[", operands(), "]", attrs(bare=True), " : ",
+                        type_of(0), result(lambda values: [values[0].type.element])),
+    "memref.store": Form(" ", operand, ", ", operand, "[", operands(), "]", attrs(bare=True),
+                         " : ", type_of(1)),
+    "memref.dealloc": Form(" ", operand, attrs(bare=True), " : ", type_of(0)),
 }
 
 GENERIC = Form("(", operands(), ")", attrs(bare=True), " : (", types(), ") -> (",

@@ -7,15 +7,19 @@ import pytest
 
 from conftest import GOLDEN_DIR, golden_text
 from irgen import random_module
+from staircase.dialects.builders import build_func
 from staircase.errors import ParseError, UnknownOperation
 from staircase.ir.core import (
     F64,
+    INDEX,
     DialectDef,
     OpSchema,
     create_context,
     create_module,
     create_op,
+    int_attr,
     register_dialect,
+    str_attr,
 )
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
@@ -67,6 +71,26 @@ def test_files_are_fixed_points(path):
 def test_golden_prints_byte_for_byte(name):
     text = golden_text(f"{name}.sir")
     assert print_module(parse_module(text, _context())) == text
+
+
+def test_attributes_a_form_does_not_print_are_kept():
+    ctx = _context()
+    module = create_module(ctx)
+    func = build_func(module, "f", [F64])
+    body = func.body()
+    create_op(body, 0, "arith.constant",
+              attributes={"value": int_attr(2), "note": str_attr("x")},
+              result_types=[INDEX])
+    x = func.body().args[0]
+    create_op(body, 1, "arith.addf", [x, x], {"fastmath": str_attr("fast")}, [F64])
+    text = print_module(module)
+    assert '%0 = arith.constant {note = "x"} 2 : index\n' in text
+    assert '%1 = arith.addf %arg0, %arg0 {fastmath = "fast"} : f64\n' in text
+    parsed = parse_module(text, _context())
+    assert print_module(parsed) == text
+    const, add = parsed.body().ops[0].body().ops[:2]
+    assert const.attributes["note"] == str_attr("x")
+    assert add.attributes["fastmath"] == str_attr("fast")
 
 
 def _func(body):
