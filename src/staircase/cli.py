@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from staircase.errors import MissingMain, StaircaseError
+from staircase.errors import StaircaseError
 
 class _CliError(StaircaseError):
     """User-level failure carrying a message for stderr."""

@@ -1,33 +1,33 @@
-"""Typed convenience builders over create_op for the built-in dialects.
+"""The construction layer for the built-in dialects, over create_op.
 
-Builders insert just before the block's trailing terminator (if any),
-auto-insert required terminators into fresh loop/branch bodies, and raise
-the specific error types their contracts name before the generic schema
-checks would.
+The capture frontend and kernel outlining build their ops through these
+functions. Builders insert just before the block's trailing terminator
+(if any), auto-insert required terminators into fresh loop/branch bodies,
+and raise the specific error types their contracts name before the
+generic schema checks would.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from staircase.dialects.schemas import PREDICATE_FOR_OPERATOR
 from staircase.errors import (
     ArityMismatch,
     DuplicateSymbol,
     InvalidBound,
     RankMismatch,
-    SignatureMismatch,
     TypeMismatch,
-    UnknownSymbol,
 )
 from staircase.ir.core import (
     F64,
     I1,
     I64,
     INDEX,
-    Attribute,
     Block,
     IRType,
     Location,
     Operation,
+    SymbolTable,
     Value,
     array_attr,
     create_op,
@@ -35,9 +35,11 @@ from staircase.ir.core import (
     int_attr,
     str_attr,
     symbol_attr,
+    top_module,
     type_attr,
     unit_attr,
 )
+from staircase.ir.verify import check_launch
 
 
 def _insert(block: Block, name: str, **kw) -> Operation:
@@ -49,24 +51,6 @@ def append_terminator(block: Block, name: str, operands=(), location=None) -> Op
                      location=location)
 
 
-def top_module(block: Block) -> Operation:
-    """The builtin.module transitively containing `block`."""
-    op = block.parent_op
-    while op.parent is not None:
-        op = op.parent.parent_op
-    return op
-
-
-def symbol_table(module: Operation) -> dict:
-    """Map of sym_name -> op for symbol-defining ops in the module body."""
-    table = {}
-    for op in module.body().ops:
-        sym = op.attributes.get("sym_name")
-        if isinstance(sym, Attribute) and sym.kind == "str":
-            table[sym.value] = op
-    return table
-
-
 # ---------------------------------------------------------------------------
 # arith
 
@@ -75,7 +59,12 @@ def build_constant(block: Block, value, ty: IRType | None = None,
                    location: Location | None = None) -> Value:
     if ty is None:
         ty = F64 if isinstance(value, float) else I64
-    attr = float_attr(value) if ty.is_float else int_attr(value)
+    if ty.is_float:
+        attr = float_attr(value)
+    elif isinstance(value, float) and not value.is_integer():
+        raise TypeMismatch(f"cannot use {value!r} where a {ty} value is expected")
+    else:
+        attr = int_attr(value)
     op = _insert(block, "arith.constant", attributes={"value": attr},
                  result_types=[ty], location=location)
     return op.results[0]
@@ -95,8 +84,6 @@ def build_arith_binop(block: Block, name: str, a: Value, b: Value,
 
 def build_cmp(block: Block, operator: str, a: Value, b: Value,
               location: Location | None = None) -> Value:
-    from staircase.dialects.schemas import PREDICATE_FOR_OPERATOR
-
     if operator not in PREDICATE_FOR_OPERATOR:
         raise TypeMismatch(f"unsupported comparison operator {operator!r}")
     fpred, ipred = PREDICATE_FOR_OPERATOR[operator]
@@ -107,13 +94,6 @@ def build_cmp(block: Block, operator: str, a: Value, b: Value,
     op = _insert(block, name, operands=[a, b],
                  attributes={"predicate": str_attr(pred)},
                  result_types=[I1], location=location)
-    return op.results[0]
-
-
-def build_index_cast(block: Block, v: Value, to: IRType,
-                     location: Location | None = None) -> Value:
-    op = _insert(block, "arith.index_cast", operands=[v], result_types=[to],
-                 location=location)
     return op.results[0]
 
 
@@ -132,8 +112,11 @@ def build_scf_for(block: Block, lb: Value, ub: Value, step: Value,
 
 def build_affine_for(block: Block, lb: int, ub: int, step: int = 1,
                      location: Location | None = None) -> Operation:
-    if not (isinstance(lb, int) and isinstance(ub, int) and isinstance(step, int)):
-        raise InvalidBound("affine loop bounds must be integer literals")
+    for bound in (lb, ub, step):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise InvalidBound(
+                f"affine loop bounds must be integer literals, got {bound!r}"
+            )
     if ub < lb:
         raise InvalidBound(f"upper bound {ub} is below lower bound {lb}")
     if step < 1:
@@ -187,11 +170,6 @@ def build_memref_alloc(block: Block, ty: IRType, stack: bool = False,
     return op.results[0]
 
 
-def build_memref_dealloc(block: Block, buffer: Value,
-                         location: Location | None = None) -> Operation:
-    return _insert(block, "memref.dealloc", operands=[buffer], location=location)
-
-
 def build_memref_access(block: Block, kind: str, buffer: Value,
                         indices: Sequence[Value], stored: Value | None = None,
                         location: Location | None = None):
@@ -200,7 +178,8 @@ def build_memref_access(block: Block, kind: str, buffer: Value,
         raise TypeMismatch(f"expected a memref, got {buffer.type}")
     if len(indices) != buffer.type.rank:
         raise RankMismatch(
-            f"{buffer.type} has rank {buffer.type.rank}, got {len(indices)} indices"
+            f"{buffer.type} has rank {buffer.type.rank}, got {len(indices)} "
+            f"index(es)"
         )
     if kind == "load":
         op = _insert(block, "memref.load", operands=[buffer, *indices],
@@ -225,7 +204,7 @@ def build_memref_access(block: Block, kind: str, buffer: Value,
 def build_func(module: Operation, name: str, param_types: Iterable[IRType],
                result_types: Iterable[IRType] = (),
                location: Location | None = None) -> Operation:
-    if name in symbol_table(module):
+    if SymbolTable(module).lookup(name) is not None:
         raise DuplicateSymbol(f"symbol @{name} already defined in this module")
     result_types = list(result_types)
     op = create_op(module.body(), len(module.body().ops), "func.func",
@@ -239,21 +218,13 @@ def build_func(module: Operation, name: str, param_types: Iterable[IRType],
     return op
 
 
-def build_call(block: Block, callee: Operation, args: Sequence[Value],
-               location: Location | None = None) -> Operation:
-    results = [a.value for a in callee.attributes["results"].value]
-    return _insert(block, "func.call", operands=list(args),
-                   attributes={"callee": symbol_attr(callee.attributes["sym_name"].value)},
-                   result_types=results, location=location)
-
-
 # ---------------------------------------------------------------------------
 # gpu
 
 
 def build_gpu_module(module: Operation, name: str,
                      location: Location | None = None) -> Operation:
-    if name in symbol_table(module):
+    if SymbolTable(module).lookup(name) is not None:
         raise DuplicateSymbol(f"symbol @{name} already defined in this module")
     op = create_op(module.body(), 0, "gpu.module",
                    attributes={"sym_name": str_attr(name)}, region_count=1,
@@ -266,8 +237,7 @@ def build_gpu_func(gpu_module: Operation, name: str,
                    param_types: Iterable[IRType],
                    func_attributes: dict | None = None,
                    location: Location | None = None) -> Operation:
-    if name in {o.attributes.get("sym_name") and o.attributes["sym_name"].value
-                for o in gpu_module.body().ops}:
+    if SymbolTable(gpu_module).lookup(name) is not None:
         raise DuplicateSymbol(f"kernel @{name} already defined in this gpu.module")
     attrs = {"sym_name": str_attr(name), "kernel": unit_attr()}
     if func_attributes:
@@ -287,29 +257,14 @@ def build_gpu_id(block: Block, which: str, dim: str,
     return op.results[0]
 
 
-def resolve_kernel(module: Operation, module_sym: str, kernel_sym: str) -> Operation:
-    gpu_mod = symbol_table(module).get(module_sym)
-    if gpu_mod is None or gpu_mod.name != "gpu.module":
-        raise UnknownSymbol(f"no gpu.module @{module_sym} in this module")
-    for op in gpu_mod.body().ops:
-        if op.name == "gpu.func" and op.attributes["sym_name"].value == kernel_sym:
-            return op
-    raise UnknownSymbol(f"no kernel @{kernel_sym} in gpu.module @{module_sym}")
-
-
 def build_gpu_launch(block: Block, module_sym: str, kernel_sym: str,
                      grid: Sequence[Value], blocks: Sequence[Value],
                      args: Sequence[Value],
                      location: Location | None = None) -> Operation:
-    kernel = resolve_kernel(top_module(block), module_sym, kernel_sym)
+    check_launch(SymbolTable(top_module(block.parent_op)), (module_sym, kernel_sym),
+                 [a.type for a in args])
     if len(grid) != 3 or len(blocks) != 3:
         raise ArityMismatch("grid and block sizes are three index values each")
-    expected = [a.type for a in kernel.body().args]
-    got = [a.type for a in args]
-    if expected != got:
-        raise SignatureMismatch(
-            f"kernel @{kernel_sym} takes {expected}, launch passes {got}"
-        )
     return _insert(block, "gpu.launch_func",
                    operands=[*grid, *blocks, *args],
                    attributes={"kernel": symbol_attr(module_sym, kernel_sym)},

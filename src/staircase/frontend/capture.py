@@ -12,7 +12,7 @@ import inspect
 import textwrap
 
 import staircase
-from staircase.dialects.builders import build_func
+from staircase.dialects.builders import append_terminator, build_func
 from staircase.errors import (
     CaptureError,
     UnannotatedParameter,
@@ -29,7 +29,6 @@ from staircase.ir.core import (
     array_attr,
     create_context,
     create_module,
-    create_op,
     erase_op,
     type_attr,
 )
@@ -124,7 +123,7 @@ def build_executable(fn, *, range_name: str, extra_bindings=None):
     return namespace[fn.__name__]
 
 
-def _finish_return(func_op: Operation, result, capture: state.Capture) -> None:
+def _finish_return(func_op: Operation, result) -> None:
     if result is None:
         return
     rets = result if isinstance(result, tuple) else (result,)
@@ -140,8 +139,7 @@ def _finish_return(func_op: Operation, result, capture: state.Capture) -> None:
     func_op.attributes["results"] = array_attr(
         type_attr(r.type) for r in rets
     )
-    create_op(body, len(body.ops), "func.return",
-              operands=[r.value for r in rets], location=location)
+    append_terminator(body, "func.return", [r.value for r in rets], location)
 
 
 def capture(fn, *, range_ctor="scf_for", ctx: Context | None = None) -> Operation:
@@ -163,7 +161,7 @@ def capture(fn, *, range_ctor="scf_for", ctx: Context | None = None) -> Operatio
             raise UnbalancedMarkers(
                 f"{cap.depth - 1} region(s) left open at the end of capture"
             )
-        _finish_return(func_op, result, cap)
+        _finish_return(func_op, result)
         verify_or_raise(module)
         return func_op
     except BaseException:

@@ -24,7 +24,7 @@ from staircase.errors import (
 from staircase.frontend import state
 from staircase.frontend.capture import annotated_params, build_executable
 from staircase.frontend.proxy import ValueProxy
-from staircase.ir.core import INDEX, attr_from
+from staircase.ir.core import attr_from
 
 
 class spirv:
@@ -41,10 +41,8 @@ def _id_value(which: str, dim: str) -> ValueProxy:
         raise UnsupportedConstruct(
             f"{which}_{dim}() is only valid inside a GPU kernel body"
         )
-    frame = cap.top()
-    return ValueProxy(
-        build_gpu_id(frame.block, which, dim, location=cap.location())
-    )
+    block, location = cap.insertion()
+    return ValueProxy(build_gpu_id(block, which, dim, location=location))
 
 
 def block_id_x() -> ValueProxy:
@@ -93,12 +91,11 @@ class _KernelLauncher:
     def __call__(self, *args, grid_size, block_size):
         cap = state.active()
         self._owner._materialize(cap)
-        location = cap.location()
         for label, sizes in (("grid_size", grid_size),
                              ("block_size", block_size)):
             if len(sizes) != 3 or not all(isinstance(s, int) for s in sizes):
                 raise ArityMismatch(f"{label} must be three host integers")
-        block = cap.top().block
+        block, location = cap.insertion()
         grid, blocks = [], []
         for out, sizes in ((grid, grid_size), (blocks, block_size)):
             for s in sizes:

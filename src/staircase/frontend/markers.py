@@ -1,21 +1,24 @@
 """Region-boundary markers the AST rewrite inserts (and users may call).
 
-scf_range/affine_range/parallel open a loop region and yield induction
-proxies exactly once; scf_endfor closes it. scf_if opens a branch region
-and returns an always-truthy token; scf_endif_branch / scf_else /
-scf_endif walk the arms. Misordered calls raise UnbalancedMarkers.
+scf_range/affine_range/parallel open a loop region, built by the dialect
+builders, and yield induction proxies exactly once; scf_endfor closes it.
+scf_if opens a branch region and returns an always-truthy token;
+scf_endif_branch / scf_else / scf_endif walk the arms. Misordered calls
+raise UnbalancedMarkers.
 """
 from __future__ import annotations
 
-from staircase.errors import (
-    InvalidBound,
-    TypeMismatch,
-    UnbalancedMarkers,
-    UnsupportedConstruct,
+from staircase.dialects.builders import (
+    append_terminator,
+    build_affine_for,
+    build_scf_for,
+    build_scf_if,
+    build_scf_parallel,
 )
+from staircase.errors import TypeMismatch, UnbalancedMarkers, UnsupportedConstruct
 from staircase.frontend import state
 from staircase.frontend.proxy import ValueProxy, constant, materialize_constant
-from staircase.ir.core import INDEX, I1, Region, Value, int_attr
+from staircase.ir.core import INDEX, I1, Region, Value
 
 __all__ = [
     "scf_range", "affine_range", "scf_for", "affine_for", "parallel",
@@ -45,39 +48,22 @@ def _as_index(v) -> Value:
 def scf_range(lb, ub=None, step=1):
     """range() stand-in that opens an scf.for around its body."""
     lb, ub, step = _normalize_range(lb, ub, step)
+    bounds = [_as_index(lb), _as_index(ub), _as_index(step)]
     cap = state.active()
-    loc = cap.location()
-    operands = [_as_index(lb), _as_index(ub), _as_index(step)]
-    op = cap.emit("scf.for", operands=operands, region_count=1, location=loc)
-    body = op.body()
-    body.add_arg(INDEX)
-    cap.emit_terminator(body, "scf.yield", loc)
-    cap.push(state.Frame("for", op, body))
-    yield ValueProxy(body.args[0])
+    block, location = cap.insertion(*bounds)
+    op = build_scf_for(block, *bounds, location=location)
+    cap.push(state.Frame("for", op, op.body()))
+    yield ValueProxy(op.body().args[0])
 
 
 def affine_range(lb, ub=None, step=1):
     """range() stand-in that opens an affine.for (literal bounds only)."""
     lb, ub, step = _normalize_range(lb, ub, step)
-    for bound in (lb, ub, step):
-        if not isinstance(bound, int) or isinstance(bound, bool):
-            raise InvalidBound(
-                f"affine loop bounds must be integer literals, got {bound!r}"
-            )
-    if ub < lb:
-        raise InvalidBound(f"upper bound {ub} is below lower bound {lb}")
     cap = state.active()
-    loc = cap.location()
-    op = cap.emit("affine.for",
-                  attributes={"lower_bound": int_attr(lb),
-                              "upper_bound": int_attr(ub),
-                              "step": int_attr(step)},
-                  region_count=1, location=loc)
-    body = op.body()
-    body.add_arg(INDEX)
-    cap.emit_terminator(body, "scf.yield", loc)
-    cap.push(state.Frame("for", op, body))
-    yield ValueProxy(body.args[0])
+    block, location = cap.insertion()
+    op = build_affine_for(block, lb, ub, step, location=location)
+    cap.push(state.Frame("for", op, op.body()))
+    yield ValueProxy(op.body().args[0])
 
 
 def parallel(lbs, ubs, steps=None):
@@ -89,17 +75,14 @@ def parallel(lbs, ubs, steps=None):
         raise UnbalancedMarkers(
             "parallel takes equal-length, non-empty bound tuples"
         )
+    n = len(lbs)
+    bounds = [_as_index(v) for v in (*lbs, *ubs, *steps)]
     cap = state.active()
-    loc = cap.location()
-    operands = [_as_index(v) for v in (*lbs, *ubs, *steps)]
-    op = cap.emit("scf.parallel", operands=operands, region_count=1,
-                  location=loc)
-    body = op.body()
-    for _ in lbs:
-        body.add_arg(INDEX)
-    cap.emit_terminator(body, "scf.yield", loc)
-    cap.push(state.Frame("parallel", op, body))
-    ivs = tuple(ValueProxy(a) for a in body.args)
+    block, location = cap.insertion(*bounds)
+    op = build_scf_parallel(block, bounds[:n], bounds[n:2 * n], bounds[2 * n:],
+                            location=location)
+    cap.push(state.Frame("parallel", op, op.body()))
+    ivs = tuple(ValueProxy(a) for a in op.body().args)
     yield ivs if len(ivs) > 1 else ivs[0]
 
 
@@ -128,12 +111,9 @@ def scf_if(cond) -> _IfToken:
         got = cond.type if isinstance(cond, ValueProxy) else type(cond).__name__
         raise TypeMismatch(f"if conditions must be staged i1 values, got {got}")
     cap = state.active()
-    loc = cap.location()
-    op = cap.emit("scf.if", operands=[cond.value], region_count=1,
-                  location=loc)
-    then_block = op.regions[0].blocks[0]
-    cap.emit_terminator(then_block, "scf.yield", loc)
-    cap.push(state.Frame("if", op, then_block))
+    block, location = cap.insertion(cond.value)
+    op = build_scf_if(block, cond.value, location=location)
+    cap.push(state.Frame("if", op, op.body()))
     return _TOKEN
 
 
@@ -151,8 +131,8 @@ def scf_else() -> None:
         raise UnbalancedMarkers("else marker without a finished then arm")
     op = frame.op
     op.regions.append(Region(op))
-    else_block = op.regions[1].blocks[0]
-    cap.emit_terminator(else_block, "scf.yield", cap.location())
+    else_block = op.body(1)
+    append_terminator(else_block, "scf.yield", location=cap.location())
     frame.block = else_block
     frame.arm = "else"
     frame.arm_ended = False

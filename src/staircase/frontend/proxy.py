@@ -1,51 +1,34 @@
 """Operator-overloaded handles on SSA values during capture.
 
-Arithmetic between proxies emits one arith op. Mixing a proxy with a host
+Arithmetic between proxies builds one arith op. Mixing a proxy with a host
 number materializes an arith.constant typed after the proxy operand.
-Subscripting a memref proxy emits loads and stores; integer subscripts
+Subscripting a memref proxy builds loads and stores; integer subscripts
 materialize index constants.
 """
 from __future__ import annotations
 
-from staircase.errors import RankMismatch, TypeMismatch, UnsupportedConstruct
-from staircase.frontend import state
-from staircase.ir.core import (
-    F64,
-    I1,
-    I64,
-    INDEX,
-    IRType,
-    Value,
-    float_attr,
-    int_attr,
-    str_attr,
+from staircase.dialects.builders import (
+    build_arith_binop,
+    build_cmp,
+    build_constant,
+    build_memref_access,
 )
-from staircase.dialects.schemas import PREDICATE_FOR_OPERATOR
+from staircase.errors import TypeMismatch, UnsupportedConstruct
+from staircase.frontend import state
+from staircase.ir.core import INDEX, IRType, Value
 
 _FLOAT_OPS = {"+": "arith.addf", "-": "arith.subf",
               "*": "arith.mulf", "/": "arith.divf"}
 _INT_OPS = {"+": "arith.addi", "-": "arith.subi", "*": "arith.muli"}
 
 
-def materialize_constant(value, ty: IRType) -> Value:
-    cap = state.active()
-    if ty.is_float:
-        attr = float_attr(float(value))
-    else:
-        if isinstance(value, float) and not value.is_integer():
-            raise TypeMismatch(
-                f"cannot use {value!r} where a {ty} value is expected"
-            )
-        attr = int_attr(int(value))
-    op = cap.emit("arith.constant", attributes={"value": attr},
-                  result_types=[ty])
-    return op.results[0]
+def materialize_constant(value, ty: IRType | None) -> Value:
+    block, location = state.active().insertion()
+    return build_constant(block, value, ty, location)
 
 
 def constant(value, ty: IRType | None = None) -> "ValueProxy":
     """Stage a host number as an arith.constant (f64/i64 by default)."""
-    if ty is None:
-        ty = F64 if isinstance(value, float) else I64
     return ValueProxy(materialize_constant(value, ty))
 
 
@@ -82,19 +65,11 @@ class ValueProxy:
         lhs = self.value
         if reflected:
             lhs, rhs = rhs, lhs
-        if lhs.type != rhs.type:
-            raise TypeMismatch(
-                f"operand types differ: {lhs.type} vs {rhs.type}"
-            )
-        if lhs.type.is_float:
-            name = _FLOAT_OPS[symbol]
-        elif symbol in _INT_OPS and lhs.type != I1:
-            name = _INT_OPS[symbol]
-        else:
+        name = (_FLOAT_OPS if lhs.type.is_float else _INT_OPS).get(symbol)
+        if name is None:
             raise TypeMismatch(f"no {symbol!r} operation on {lhs.type}")
-        op = state.active().emit(name, operands=[lhs, rhs],
-                                 result_types=[lhs.type])
-        return ValueProxy(op.results[0])
+        block, location = state.active().insertion(lhs, rhs)
+        return ValueProxy(build_arith_binop(block, name, lhs, rhs, location))
 
     def __add__(self, other):
         return self._binop(other, "+", False)
@@ -121,43 +96,30 @@ class ValueProxy:
         return self._binop(other, "/", True)
 
     # -- comparison -----------------------------------------------------------
+    # (Python reflects a comparison by swapping the operator: 1 < x is x > 1)
 
-    def _cmp(self, other, operator: str, reflected: bool) -> "ValueProxy":
+    def _cmp(self, other, operator: str) -> "ValueProxy":
         rhs = self._coerce(other)
-        lhs = self.value
-        if reflected:
-            lhs, rhs = rhs, lhs
-        if lhs.type != rhs.type:
-            raise TypeMismatch(
-                f"comparison operand types differ: {lhs.type} vs {rhs.type}"
-            )
-        fpred, ipred = PREDICATE_FOR_OPERATOR[operator]
-        if lhs.type.is_float:
-            name, pred = "arith.cmpf", fpred
-        else:
-            name, pred = "arith.cmpi", ipred
-        op = state.active().emit(name, operands=[lhs, rhs],
-                                 attributes={"predicate": str_attr(pred)},
-                                 result_types=[I1])
-        return ValueProxy(op.results[0])
+        block, location = state.active().insertion(self.value, rhs)
+        return ValueProxy(build_cmp(block, operator, self.value, rhs, location))
 
     def __lt__(self, other):
-        return self._cmp(other, "<", False)
+        return self._cmp(other, "<")
 
     def __le__(self, other):
-        return self._cmp(other, "<=", False)
+        return self._cmp(other, "<=")
 
     def __gt__(self, other):
-        return self._cmp(other, ">", False)
+        return self._cmp(other, ">")
 
     def __ge__(self, other):
-        return self._cmp(other, ">=", False)
+        return self._cmp(other, ">=")
 
     def __eq__(self, other):
-        return self._cmp(other, "==", False)
+        return self._cmp(other, "==")
 
     def __ne__(self, other):
-        return self._cmp(other, "!=", False)
+        return self._cmp(other, "!=")
 
     __hash__ = None
 
@@ -168,11 +130,6 @@ class ValueProxy:
             raise TypeMismatch(f"{self.type} values are not subscriptable")
         if not isinstance(key, tuple):
             key = (key,)
-        if len(key) != self.type.rank:
-            raise RankMismatch(
-                f"{self.type} has rank {self.type.rank}, got {len(key)} "
-                f"index(es)"
-            )
         out = []
         for k in key:
             if isinstance(k, ValueProxy):
@@ -189,10 +146,9 @@ class ValueProxy:
 
     def __getitem__(self, key) -> "ValueProxy":
         indices = self._indices(key)
-        op = state.active().emit("memref.load",
-                                 operands=[self.value, *indices],
-                                 result_types=[self.type.element])
-        return ValueProxy(op.results[0])
+        block, location = state.active().insertion(self.value, *indices)
+        return ValueProxy(build_memref_access(block, "load", self.value, indices,
+                                              location=location))
 
     def __setitem__(self, key, item) -> None:
         indices = self._indices(key)
@@ -202,9 +158,5 @@ class ValueProxy:
             stored = materialize_constant(item, self.type.element)
         else:
             raise TypeMismatch(f"cannot store {item!r} into {self.type}")
-        if stored.type != self.type.element:
-            raise TypeMismatch(
-                f"cannot store {stored.type} into {self.type}"
-            )
-        state.active().emit("memref.store",
-                            operands=[stored, self.value, *indices])
+        block, location = state.active().insertion(stored, self.value, *indices)
+        build_memref_access(block, "store", self.value, indices, stored, location)

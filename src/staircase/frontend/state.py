@@ -3,12 +3,13 @@
 One capture runs at a time (captures never nest; a GPU kernel materialized
 mid-capture shares the active capture's stack as an extra frame). Markers
 and proxy operators reach the active capture through module-level
-functions here.
+functions here, ask it where to insert (``Capture.insertion``) and build
+their ops with the dialect builders.
 """
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from staircase.errors import CaptureError, CaptureLeak, UnbalancedMarkers
 from staircase.ir.core import (
@@ -17,7 +18,6 @@ from staircase.ir.core import (
     Location,
     Operation,
     Value,
-    create_op,
     value_visible_at,
 )
 
@@ -69,7 +69,7 @@ class Capture:
     def in_kernel(self) -> bool:
         return any(f.kind == "kernel" for f in self.stack)
 
-    # -- emission -------------------------------------------------------------
+    # -- insertion point ------------------------------------------------------
 
     def location(self) -> Location:
         filename = self.stack[-1].filename if self.stack else self.filename
@@ -80,24 +80,22 @@ class Capture:
             frame = frame.f_back
         return Location(filename, 1)
 
-    def emit(self, name: str, operands=(), attributes=None, result_types=(),
-             region_count: int = 0, location: Location | None = None) -> Operation:
+    def insertion(self, *operands: Value) -> tuple[Block, Location]:
+        """The block the next op goes into and the caller's source line.
+
+        Raises CaptureLeak if an operand was defined in a region that has
+        already closed.
+        """
         block = self.top().block
         index = block.insertion_index()
+        location = self.location()
         for v in operands:
-            if isinstance(v, Value) and not value_visible_at(v, block, index):
+            if not value_visible_at(v, block, index):
                 raise CaptureLeak(
                     f"a value defined in an already-closed region is used "
-                    f"at {location or self.location()}"
+                    f"at {location}"
                 )
-        return create_op(block, index, name, operands=list(operands),
-                         attributes=attributes, result_types=list(result_types),
-                         region_count=region_count,
-                         location=location or self.location())
-
-    def emit_terminator(self, block: Block, name: str,
-                        location: Location | None = None) -> Operation:
-        return create_op(block, len(block.ops), name, location=location)
+        return block, location
 
 
 _ACTIVE: Capture | None = None

@@ -6,7 +6,10 @@ allocations inside a capture.
 """
 from __future__ import annotations
 
+from staircase.dialects.builders import build_memref_alloc
 from staircase.errors import TypeMismatch
+from staircase.frontend import state
+from staircase.frontend.proxy import ValueProxy
 from staircase.ir.core import (
     F32,
     F64,
@@ -40,21 +43,18 @@ class MemRef:
         return memref_type(tuple(int(d) for d in shape), elem)
 
     @classmethod
-    def _allocate(cls, name: str, shape, elem: IRType):
-        from staircase.frontend import state
-        from staircase.frontend.proxy import ValueProxy
-
+    def _allocate(cls, shape, elem: IRType, stack: bool):
         ty = cls[tuple(shape), elem]
-        op = state.active().emit(name, result_types=[ty])
-        return ValueProxy(op.results[0])
+        block, location = state.active().insertion()
+        return ValueProxy(build_memref_alloc(block, ty, stack, location))
 
     @classmethod
     def alloca(cls, shape, elem: IRType):
-        return cls._allocate("memref.alloca", shape, elem)
+        return cls._allocate(shape, elem, stack=True)
 
     @classmethod
     def alloc(cls, shape, elem: IRType):
-        return cls._allocate("memref.alloc", shape, elem)
+        return cls._allocate(shape, elem, stack=False)
 
 
 def annotation_to_type(ann) -> IRType | None:

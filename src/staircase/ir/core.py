@@ -7,7 +7,7 @@ holds exactly one block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Union
 
 from staircase.errors import (
@@ -553,6 +553,46 @@ def walk(root: Operation, visitor, order: str = "pre") -> None:
             dispatch(op)
 
     go(root)
+
+
+def top_module(op: Operation) -> Operation:
+    """The outermost op enclosing `op`, or `op` when nothing encloses it."""
+    while op.parent is not None:
+        op = op.parent.parent_op
+    return op
+
+
+class SymbolTable:
+    """The symbols defined directly in an op's body, by name.
+
+    A symbol is an op with a string sym_name. The first op to define a
+    name keeps it; later ops defining it again are listed in duplicates.
+    """
+
+    def __init__(self, scope: Operation):
+        self.symbols: dict[str, Operation] = {}
+        self.duplicates: list[Operation] = []
+        for op in scope.body().ops if scope.regions else ():
+            name = self.name_of(op)
+            if name in self.symbols:
+                self.duplicates.append(op)
+            elif name is not None:
+                self.symbols[name] = op
+
+    @staticmethod
+    def name_of(op: Operation) -> str | None:
+        """The symbol `op` defines, or None."""
+        attr = op.attributes.get("sym_name")
+        if isinstance(attr, Attribute) and attr.kind == "str":
+            return attr.value
+        return None
+
+    def lookup(self, *path: str) -> Operation | None:
+        """The op named by @a (path "a") or @a::@b ("a", "b"), or None."""
+        op = self.symbols.get(path[0])
+        if op is None or len(path) == 1:
+            return op
+        return SymbolTable(op).lookup(*path[1:])
 
 
 def ancestors(op: Operation) -> Iterator[Operation]:

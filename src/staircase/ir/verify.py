@@ -6,12 +6,14 @@ VerificationFailed themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from staircase.errors import SignatureMismatch, UnknownSymbol, VerificationFailed
 from staircase.ir.core import (
     Attribute,
     Location,
     Operation,
+    SymbolTable,
     ancestors,
     value_dominates_op,
     walk,
@@ -32,31 +34,29 @@ class Diagnostic:
         return f"{self.severity}: '{self.op_name}'{loc}: {self.message}"
 
 
-def _symbol_of(op: Operation) -> str | None:
-    attr = op.attributes.get("sym_name")
-    if isinstance(attr, Attribute) and attr.kind == "str":
-        return attr.value
-    return None
+def check_launch(table: SymbolTable, kernel: tuple, arg_types) -> None:
+    """Check that @module::@kernel names a gpu.func in table that takes
+    arg_types; raises UnknownSymbol or SignatureMismatch."""
+    mod_sym, kern_sym = kernel
+    gpu_mod = table.lookup(mod_sym)
+    if gpu_mod is None or gpu_mod.name != "gpu.module":
+        raise UnknownSymbol(f"no gpu.module @{mod_sym} in this module")
+    target = table.lookup(mod_sym, kern_sym)
+    if target is None or target.name != "gpu.func":
+        raise UnknownSymbol(f"no kernel @{kern_sym} in gpu.module @{mod_sym}")
+    expected = [a.type for a in target.body().args]
+    if expected != list(arg_types):
+        raise SignatureMismatch(
+            f"kernel @{kern_sym} takes ({', '.join(map(str, expected))}), "
+            f"launch passes ({', '.join(map(str, arg_types))})"
+        )
 
 
-def _check_symbols(module: Operation, out: list[Diagnostic]) -> dict:
-    table: dict[str, Operation] = {}
-    for op in module.body().ops:
-        sym = _symbol_of(op)
-        if sym is None:
-            continue
-        if sym in table:
-            out.append(Diagnostic(f"duplicate symbol @{sym}", op.name, op.location))
-        else:
-            table[sym] = op
-    return table
-
-
-def _check_call(op: Operation, table: dict, out: list[Diagnostic]) -> None:
+def _check_call(op: Operation, table: SymbolTable, out: list[Diagnostic]) -> None:
     callee = op.attributes.get("callee")
     if not isinstance(callee, Attribute) or callee.kind != "symbol":
         return  # creation check already flagged it
-    target = table.get(callee.value[0])
+    target = table.lookup(*callee.value)
     if target is None or target.name != "func.func":
         out.append(Diagnostic(f"call to unknown function @{callee.value[0]}",
                               op.name, op.location))
@@ -73,41 +73,25 @@ def _check_call(op: Operation, table: dict, out: list[Diagnostic]) -> None:
             op.name, op.location))
 
 
-def _check_launch(op: Operation, table: dict, out: list[Diagnostic]) -> None:
+def _check_launch(op: Operation, table: SymbolTable, out: list[Diagnostic]) -> None:
     kernel = op.attributes.get("kernel")
     if not isinstance(kernel, Attribute) or kernel.kind != "symbol" \
             or len(kernel.value) != 2:
         return
-    mod_sym, kern_sym = kernel.value
-    gpu_mod = table.get(mod_sym)
-    if gpu_mod is None or gpu_mod.name != "gpu.module":
-        out.append(Diagnostic(f"launch names unknown gpu.module @{mod_sym}",
-                              op.name, op.location))
-        return
-    target = None
-    for cand in gpu_mod.body().ops:
-        if cand.name == "gpu.func" and _symbol_of(cand) == kern_sym:
-            target = cand
-            break
-    if target is None:
-        out.append(Diagnostic(
-            f"launch names unknown kernel @{mod_sym}::@{kern_sym}",
-            op.name, op.location))
-        return
-    params = [a.type for a in target.body().args]
-    if params != [v.type for v in op.operands[6:]]:
-        out.append(Diagnostic(
-            f"launch argument types do not match kernel @{kern_sym}",
-            op.name, op.location))
+    try:
+        check_launch(table, kernel.value, [v.type for v in op.operands[6:]])
+    except (UnknownSymbol, SignatureMismatch) as exc:
+        out.append(Diagnostic(str(exc), op.name, op.location))
 
 
 def verify(root: Operation) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     registry = root.ctx.registry
 
-    table = {}
-    if root.name == "builtin.module":
-        table = _check_symbols(root, out)
+    table = SymbolTable(root)
+    for op in table.duplicates:
+        out.append(Diagnostic(f"duplicate symbol @{SymbolTable.name_of(op)}",
+                              op.name, op.location))
 
     def visit(op: Operation) -> None:
         schema = registry.lookup_op(op.name)
@@ -172,8 +156,6 @@ def verify(root: Operation) -> list[Diagnostic]:
 
 
 def verify_or_raise(root: Operation) -> None:
-    from staircase.errors import VerificationFailed
-
     diags = verify(root)
     if diags:
         raise VerificationFailed(diags)

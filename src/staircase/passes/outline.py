@@ -1,12 +1,13 @@
 """Extract mapped parallel loops into GPU kernels behind launch ops."""
 from __future__ import annotations
 
-from staircase.dialects.builders import build_gpu_func, build_gpu_module, symbol_table
+from staircase.dialects.builders import build_gpu_func, build_gpu_module
 from staircase.errors import OutliningUnsupported
 from staircase.ir.core import (
     INDEX,
     Block,
     Operation,
+    SymbolTable,
     Value,
     ancestors,
     clone_op,
@@ -68,25 +69,21 @@ def _geometry(loop: Operation) -> list[tuple[int, int, int]]:
     return [(vals[d], vals[n + d], vals[2 * n + d]) for d in range(n)]
 
 
-def _gpu_module_for(module: Operation, name: str) -> Operation:
-    existing = symbol_table(module).get(name)
-    if existing is not None and existing.name == "gpu.module":
-        return existing
-    n = 0
-    while name in symbol_table(module):
-        n += 1
-        name = f"{name}_{n}"
-    return build_gpu_module(module, name)
-
-
-def _kernel_name(gpu_module: Operation, base: str) -> str:
-    taken = {op.attributes["sym_name"].value
-             for op in gpu_module.body().ops if "sym_name" in op.attributes}
+def _unused_name(table: SymbolTable, base: str) -> str:
+    """base, or base_1, base_2, ... if it is taken."""
     name, n = base, 0
-    while name in taken:
+    while table.lookup(name) is not None:
         n += 1
         name = f"{base}_{n}"
     return name
+
+
+def _gpu_module_for(module: Operation, name: str) -> Operation:
+    table = SymbolTable(module)
+    existing = table.lookup(name)
+    if existing is not None and existing.name == "gpu.module":
+        return existing
+    return build_gpu_module(module, _unused_name(table, name))
 
 
 def _free_values(loop: Operation) -> list[Value]:
@@ -171,7 +168,7 @@ def _outline_one(module: Operation, loop: Operation) -> None:
 
     gpu_module = _gpu_module_for(module, f"{base}_gpu")
     gpu_module_name = gpu_module.attributes["sym_name"].value
-    kernel_name = _kernel_name(gpu_module, f"{base}_kernel")
+    kernel_name = _unused_name(SymbolTable(gpu_module), f"{base}_kernel")
 
     free = _free_values(loop)
     sunk = {v for v in free

@@ -13,7 +13,13 @@ import time
 from dataclasses import dataclass, field
 
 from staircase.errors import ParseError, PassFailure, StaircaseError, UnknownPass
-from staircase.ir.core import Operation, clone_module, count_ops
+from staircase.ir.core import (
+    Operation,
+    SymbolTable,
+    clone_module,
+    count_ops,
+    top_module,
+)
 from staircase.ir.verify import verify_or_raise
 
 from .canonicalize import canonicalize
@@ -255,10 +261,8 @@ def pipeline_parse(spec: str) -> Pipeline:
 
 
 def _describe(op: Operation) -> str:
-    sym = op.attributes.get("sym_name")
-    if sym is not None and sym.kind == "str":
-        return f"{op.name} @{sym.value}"
-    return op.name
+    sym = SymbolTable.name_of(op)
+    return op.name if sym is None else f"{op.name} @{sym}"
 
 
 def _apply(anchor: Operation, name: str, params: dict,
@@ -275,11 +279,8 @@ def _apply(anchor: Operation, name: str, params: dict,
         raise PassFailure(f"{name} on {where}: {exc}") from exc
     except TypeError as exc:
         raise PassFailure(f"{name}: {exc}") from exc
-    top = anchor
-    while top.parent is not None:
-        top = top.parent.parent_op
     try:
-        verify_or_raise(top)
+        verify_or_raise(top_module(anchor))
     except StaircaseError as exc:
         raise PassFailure(f"{name} on {where} broke verification: {exc}") from exc
     stats.append(PassStats(

@@ -5,6 +5,7 @@ from staircase.dialects.builders import (
     build_arith_binop,
     build_constant,
     build_func,
+    build_gpu_launch,
     build_index_constant,
     build_scf_for,
     build_scf_if,
@@ -14,8 +15,10 @@ from staircase.errors import (
     DuplicateDialect,
     DuplicateSymbol,
     HasUses,
+    SignatureMismatch,
     TypeMismatch,
     UnknownOperation,
+    UnknownSymbol,
     VerificationFailed,
 )
 from staircase.ir.core import (
@@ -48,7 +51,7 @@ from staircase.ir.core import (
     walk,
 )
 from staircase.ir.verify import verify, verify_or_raise
-from staircase.textio import print_module
+from staircase.textio import parse_module, print_module
 
 
 def _func(ctx, params=(), name="f"):
@@ -317,6 +320,49 @@ class TestVerifier:
         a = build_constant(body, 1.0)
         with pytest.raises(TypeMismatch):
             build_scf_if(body, a)
+
+    def test_fractional_integer_constant_rejected(self, ctx):
+        _, _, body = _func(ctx)
+        with pytest.raises(TypeMismatch, match="cannot use 2.5 where a index"):
+            build_constant(body, 2.5, INDEX)
+        assert build_constant(body, 2.0, INDEX).defining_op.attributes["value"] \
+            == int_attr(2)
+
+    def test_symbols_resolve_once_for_verify_and_builders(self, ctx):
+        module = parse_module("""\
+module attributes {gpu.container_module} {
+  gpu.module @M {
+    gpu.func @k(%arg0: f64) kernel {
+      gpu.return
+    }
+  }
+  func.func @f(%arg0: memref<4xf64>) {
+    %0 = arith.constant 1 : index
+    gpu.launch_func @M::@k blocks in (%0, %0, %0) threads in (%0, %0, %0) args(%arg0 : memref<4xf64>)
+    gpu.launch_func @M::@j blocks in (%0, %0, %0) threads in (%0, %0, %0) args()
+    gpu.launch_func @N::@k blocks in (%0, %0, %0) threads in (%0, %0, %0) args()
+    func.call @g() : () -> ()
+    return
+  }
+  func.func @f() {
+    return
+  }
+}
+""", ctx)
+        assert [d.message for d in verify(module)] == [
+            "duplicate symbol @f",
+            "kernel @k takes (f64), launch passes (memref<4xf64>)",
+            "no kernel @j in gpu.module @M",
+            "no gpu.module @N in this module",
+            "call to unknown function @g",
+        ]
+        func = module.body().ops[1]
+        one = func.body().ops[0].results[0]
+        with pytest.raises(SignatureMismatch, match="launch passes .memref<4xf64>"):
+            build_gpu_launch(func.body(), "M", "k", [one] * 3, [one] * 3,
+                             func.body().args)
+        with pytest.raises(UnknownSymbol, match="no kernel @j in gpu.module @M"):
+            build_gpu_launch(func.body(), "M", "j", [one] * 3, [one] * 3, [])
 
     def test_i1_condition_accepted(self, ctx):
         _, _, body = _func(ctx)
