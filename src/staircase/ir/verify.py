@@ -34,7 +34,7 @@ class Diagnostic:
         return f"{self.severity}: '{self.op_name}'{loc}: {self.message}"
 
 
-def check_launch(table: SymbolTable, kernel: tuple, arg_types) -> None:
+def check_launch(table: SymbolTable, kernel: tuple, arg_types: list) -> None:
     """Check that @module::@kernel names a gpu.func in table that takes
     arg_types; raises UnknownSymbol or SignatureMismatch."""
     mod_sym, kern_sym = kernel
@@ -45,7 +45,7 @@ def check_launch(table: SymbolTable, kernel: tuple, arg_types) -> None:
     if target is None or target.name != "gpu.func":
         raise UnknownSymbol(f"no kernel @{kern_sym} in gpu.module @{mod_sym}")
     expected = [a.type for a in target.body().args]
-    if expected != list(arg_types):
+    if expected != arg_types:
         raise SignatureMismatch(
             f"kernel @{kern_sym} takes ({', '.join(map(str, expected))}), "
             f"launch passes ({', '.join(map(str, arg_types))})"

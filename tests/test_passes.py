@@ -8,7 +8,7 @@ untransformed run raises, and pipelines that refuse a module with
 PassFailure, are left out and counted.
 """
 from irgen import random_inputs, random_module
-from staircase.errors import PassFailure
+from staircase.errors import PassFailure, StaircaseError
 from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.passes import run_pipeline
@@ -50,7 +50,7 @@ def _check(module, func, seed):
     args = random_inputs([a.type for a in entry.body().args], seed)
     try:
         want = _outcome(module, func, args)
-    except Exception:
+    except StaircaseError:  # such as OutOfBounds on a random index
         return None
     mismatches, refused = [], 0
     for pipeline in PIPELINES:
@@ -61,7 +61,7 @@ def _check(module, func, seed):
             continue
         try:
             got = _outcome(rewritten, func, args)
-        except Exception as exc:
+        except Exception as exc:  # reported with the pipeline that caused it
             got = f"{type(exc).__name__}: {exc}"
         if got != want:
             mismatches.append(f"{func} (seed {seed}) after {pipeline}: "
