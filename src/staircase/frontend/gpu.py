@@ -95,11 +95,6 @@ class _KernelLauncher:
                              ("block_size", block_size)):
             if len(sizes) != 3 or not all(isinstance(s, int) for s in sizes):
                 raise ArityMismatch(f"{label} must be three host integers")
-        block, location = cap.insertion()
-        grid, blocks = [], []
-        for out, sizes in ((grid, grid_size), (blocks, block_size)):
-            for s in sizes:
-                out.append(build_index_constant(block, s, location=location))
         values = []
         for a in args:
             if not isinstance(a, ValueProxy):
@@ -107,6 +102,11 @@ class _KernelLauncher:
                     "kernel launch arguments must be staged values"
                 )
             values.append(a.value)
+        block, location = cap.insertion(*values)
+        grid, blocks = [], []
+        for out, sizes in ((grid, grid_size), (blocks, block_size)):
+            for s in sizes:
+                out.append(build_index_constant(block, s, location=location))
         return build_gpu_launch(block, type(self._owner).__name__, self._name,
                                 grid, blocks, values, location=location)
 

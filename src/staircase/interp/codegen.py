@@ -528,7 +528,7 @@ class _FuncGen:
             uses = op.results[0].uses
             if len(uses) != 1:
                 continue
-            user = uses[0][0]
+            (user, _), = uses
             if user.parent is not block or user.regions \
                     or user.name in _TERMINATORS:
                 continue

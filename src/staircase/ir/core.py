@@ -7,7 +7,9 @@ holds exactly one block.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
 from staircase.errors import (
@@ -207,8 +209,10 @@ class Value:
         self.type = ty
         self.owner = owner
         self.index = index
-        # (user operation, operand slot) pairs, kept consistent by Operation
-        self.uses: list = []
+        # (user operation, operand slot) pairs in the order the uses were
+        # made, as dict keys (the values are None); kept consistent by
+        # Operation
+        self.uses: dict = {}
 
     @property
     def is_block_arg(self) -> bool:
@@ -234,6 +238,9 @@ class Value:
 class Operation:
     """A named operation with ordered operands, results, regions."""
 
+    __slots__ = ("ctx", "name", "_operands", "attributes", "location",
+                 "parent", "_order", "erased", "results", "regions")
+
     def __init__(
         self,
         ctx: "Context",
@@ -250,6 +257,8 @@ class Operation:
         self.attributes: dict[str, Attribute] = dict(attributes)
         self.location = location
         self.parent: Block | None = None
+        # position in the parent block, as Block numbers it
+        self._order = 0
         self.erased = False
         self.results = [
             Value(ctx.new_value_id(), t, self, i) for i, t in enumerate(result_types)
@@ -269,17 +278,17 @@ class Operation:
         if not isinstance(v, Value):
             raise TypeMismatch(f"operand of {self.name} is not a Value: {v!r}")
         self._operands.append(v)
-        v.uses.append((self, len(self._operands) - 1))
+        v.uses[self, len(self._operands) - 1] = None
 
     def set_operand(self, i: int, v: Value) -> None:
         old = self._operands[i]
-        old.uses.remove((self, i))
+        del old.uses[self, i]
         self._operands[i] = v
-        v.uses.append((self, i))
+        v.uses[self, i] = None
 
     def drop_operand_uses(self) -> None:
         for i, v in enumerate(self._operands):
-            v.uses.remove((self, i))
+            del v.uses[self, i]
         self._operands = []
 
     # -- structure helpers
@@ -293,7 +302,7 @@ class Operation:
 
     def block_index(self) -> int:
         assert self.parent is not None
-        return self.parent.ops.index(self)
+        return self.parent.position(self)
 
     def walk_nested(self) -> Iterator["Operation"]:
         """Pre-order over the ops nested inside this op (excludes self)."""
@@ -315,13 +324,83 @@ class Region:
         self.blocks: list[Block] = [Block(self)]
 
 
+_ORDER_STRIDE = 1 << 10
+_order_of = attrgetter("_order")
+
+
+def _list_position(index: int, n: int) -> int:
+    """Where `list.insert(index, x)` puts x in a list of length n."""
+    return max(index + n, 0) if index < 0 else min(index, n)
+
+
 class Block:
-    """Ordered argument values followed by ordered operations."""
+    """Ordered argument values followed by ordered operations.
+
+    Every op in `ops` carries an order number (`Operation._order`) that
+    increases along the block, as MLIR's order index behind
+    `Operation::isBeforeInBlock` does, so positions and dominance within
+    a block are number comparisons. Numbers are spaced `_ORDER_STRIDE`
+    apart, and an op inserted between two others takes a number in the
+    gap (before the last op, the last op's number moves up instead).
+    Only when no gap is left is the block marked for renumbering, which
+    happens at the next query. Removing an op keeps the numbering. Ops
+    must enter and leave `ops` through `insert` and `remove`.
+    """
 
     def __init__(self, parent_region: Region):
         self.parent_region = parent_region
         self.args: list[Value] = []
         self.ops: list[Operation] = []
+        self._order_valid = True
+        self.renumbers = 0  # times this block's numbering was rebuilt
+
+    def order_of(self, op: Operation) -> int:
+        """The order number of `op`, which must be in this block."""
+        if not self._order_valid:
+            self._renumber()
+        return op._order
+
+    def _renumber(self) -> None:
+        for i, op in enumerate(self.ops):
+            op._order = i * _ORDER_STRIDE
+        self._order_valid = True
+        self.renumbers += 1
+
+    def position(self, op: Operation) -> int:
+        """The index of `op` in this block."""
+        i = bisect_left(self.ops, self.order_of(op), key=_order_of)
+        if i == len(self.ops) or self.ops[i] is not op:
+            raise ValueError(f"{op!r} is not in this block")
+        return i
+
+    def insert(self, index: int, op: Operation) -> None:
+        """Put the detached `op` at `index` (read as `list.insert` does)."""
+        ops = self.ops
+        index = _list_position(index, len(ops))
+        ops.insert(index, op)
+        op.parent = self
+        if not self._order_valid:
+            return
+        prev = ops[index - 1]._order if index else None
+        nxt = ops[index + 1] if index + 1 < len(ops) else None
+        if nxt is None:
+            op._order = 0 if prev is None else prev + _ORDER_STRIDE
+        elif prev is None:
+            op._order = nxt._order - _ORDER_STRIDE
+        elif nxt is ops[-1]:
+            # nothing follows the last op (often the terminator), so it can
+            # move up alone and ops added before it stay a stride apart
+            op._order = prev + _ORDER_STRIDE
+            nxt._order = max(nxt._order, op._order + _ORDER_STRIDE)
+        elif nxt._order - prev > 1:
+            op._order = (prev + nxt._order) // 2
+        else:
+            self._order_valid = False
+
+    def remove(self, op: Operation) -> None:
+        """Take `op` out of this block; the numbering stays valid."""
+        del self.ops[self.position(op)]
+        op.parent = None
 
     @property
     def parent_op(self) -> Operation:
@@ -444,36 +523,48 @@ def create_module(ctx: Context, location: Location | None = None) -> Operation:
 # ---------------------------------------------------------------------------
 # Dominance
 
-def _enclosing_chain(block: Block, index: int):
-    """Yield (block, index) frames from the given insertion point outward."""
-    b, i = block, index
+def _enclosing_chain(block: Block, before: Operation | None):
+    """Yield (block, op) frames, each the point just before op in block
+    (None: the block's end): first `before` in `block`, then outward the
+    op that encloses the previous frame's block."""
+    b, at = block, before
     while True:
-        yield b, i
-        parent_op = b.parent_op
-        if parent_op.parent is None:
+        yield b, at
+        at = b.parent_op
+        b = at.parent
+        if b is None:
             return
-        b = parent_op.parent
-        i = b.ops.index(parent_op)
+
+
+def _visible_before(value: Value, block: Block, before: Operation | None) -> bool:
+    if value.is_block_arg:
+        target = value.owner
+        return any(b is target for b, _ in _enclosing_chain(block, before))
+    op = value.owner
+    if op.erased:
+        return False
+    for b, at in _enclosing_chain(block, before):
+        if op.parent is b:
+            return at is None or b.order_of(op) < at._order
+    return False
+
+
+def _op_at(block: Block, index: int) -> Operation | None:
+    """The op an insertion at `index` goes before; None at the end."""
+    ops = block.ops
+    index = _list_position(index, len(ops))
+    return ops[index] if index < len(ops) else None
 
 
 def value_visible_at(value: Value, block: Block, index: int) -> bool:
     """True if `value` dominates the insertion point (block, index)."""
-    if value.is_block_arg:
-        target = value.owner
-        return any(b is target for b, _ in _enclosing_chain(block, index))
-    op = value.owner
-    if op.erased:
-        return False
-    for b, i in _enclosing_chain(block, index):
-        if op.parent is b:
-            return b.ops.index(op) < i
-    return False
+    return _visible_before(value, block, _op_at(block, index))
 
 
 def value_dominates_op(value: Value, user: Operation) -> bool:
     if user.parent is None:
         return False
-    return value_visible_at(value, user.parent, user.block_index())
+    return _visible_before(value, user.parent, user)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +595,11 @@ def create_op(
             f"{name} takes {schema.num_regions} region(s), got {region_count}"
         )
     operands = list(operands)
+    before = _op_at(block, insert_index)
     for v in operands:
         if not isinstance(v, Value):
             raise TypeMismatch(f"operand of {name} is not a Value: {v!r}")
-        if not value_visible_at(v, block, insert_index):
+        if not _visible_before(v, block, before):
             raise DominanceViolation(
                 f"operand {v!r} of {name} does not dominate the insertion point"
             )
@@ -519,8 +611,7 @@ def create_op(
             op.drop_operand_uses()
             op.erased = True
             raise TypeMismatch(f"{name}: " + "; ".join(problems))
-    block.ops.insert(insert_index, op)
-    op.parent = block
+    block.insert(insert_index, op)
     return op
 
 
@@ -653,19 +744,16 @@ def erase_op(op: Operation) -> None:
             raise HasUses(
                 f"cannot erase {op.name}: result %{r.id} still has {len(r.uses)} use(s)"
             )
-    parent = op.parent
     _detach_tree(op)
-    if parent is not None:
-        parent.ops.remove(op)
-        op.parent = None
+    if op.parent is not None:
+        op.parent.remove(op)
 
 
 def move_op(op: Operation, block: Block, index: int) -> None:
     """Reparent `op` (with everything nested) to `block` at `index`."""
     if op.parent is not None:
-        op.parent.ops.remove(op)
-    block.ops.insert(index, op)
-    op.parent = block
+        op.parent.remove(op)
+    block.insert(index, op)
 
 
 def clone_op(

@@ -133,7 +133,7 @@ def verify(root: Operation) -> list[Diagnostic]:
                 out.append(Diagnostic(problem, op.name, op.location))
 
         for i, operand in enumerate(op.operands):
-            if op not in [use[0] for use in operand.uses]:
+            if (op, i) not in operand.uses:
                 out.append(Diagnostic(
                     f"operand {i} use-list does not record this use",
                     op.name, op.location))

@@ -237,8 +237,8 @@ class attrs:
 
 class region:
     """Region i as `` {``, one op per line, ``}``; elide_yield drops the
-    trailing scf.yield, which the reader adds back. The reader builds the
-    op at its first region."""
+    trailing scf.yield unless it carries attributes, and the reader adds
+    it back. The reader builds the op at its first region."""
 
     def __init__(self, i: int, elide_yield: bool = False):
         self.i = i

@@ -62,7 +62,8 @@ class Writer:
         self.out.append(" {\n")
         self.indent = indent + "  "
         ops = block.ops
-        if elide_yield and ops and ops[-1].name == "scf.yield":
+        if elide_yield and ops and ops[-1].name == "scf.yield" \
+                and not ops[-1].attributes:
             ops = ops[:-1]
         for op in ops:
             self.op(op)

@@ -8,7 +8,7 @@ import pytest
 
 import staircase
 from conftest import golden_text
-from staircase import F64, MemRef, parallel
+from staircase import F64, GPUModule, MemRef, parallel, thread_id_x
 from staircase.errors import (
     CaptureLeak,
     InvalidBound,
@@ -95,6 +95,17 @@ def parallel_arity(a: MemRef[(4,), F64]):
         a[i] = 1.0
 
 
+class Zero(GPUModule):
+    def zero(self, a: MemRef[(8,), F64]):
+        a[thread_id_x()] = 0.0
+
+
+def launch_leak(a: MemRef[(8,), F64]):
+    for i in range(2):
+        b = MemRef.alloca([8], F64)
+    Zero().zero(b, grid_size=[1, 1, 1], block_size=[8, 1, 1])
+
+
 @pytest.mark.parametrize("fn, range_ctor, error, message", [
     (leak, "scf_for", CaptureLeak,
      "a value defined in an already-closed region is used at {file}:{line3}"),
@@ -108,8 +119,10 @@ def parallel_arity(a: MemRef[(4,), F64]):
      "cannot store i1 into memref<4xf64>"),
     (parallel_arity, "scf_for", UnbalancedMarkers,
      "parallel takes equal-length, non-empty bound tuples"),
+    (launch_leak, "scf_for", CaptureLeak,
+     "a value defined in an already-closed region is used at {file}:{line3}"),
 ], ids=["leak", "rank", "affine-bound", "float-subscript", "store-i1",
-        "parallel-arity"])
+        "parallel-arity", "launch-leak"])
 def test_capture_errors_keep_type_and_message(fn, range_ctor, error, message):
     code = fn.__code__
     message = message.format(file=code.co_filename, line3=code.co_firstlineno + 3)

@@ -25,6 +25,7 @@ from staircase.ir.core import (
     F64,
     I1,
     INDEX,
+    Block,
     DialectDef,
     IRType,
     OpSchema,
@@ -51,6 +52,7 @@ from staircase.ir.core import (
     walk,
 )
 from staircase.ir.verify import verify, verify_or_raise
+from staircase.passes.canonicalize import canonicalize
 from staircase.textio import parse_module, print_module
 
 
@@ -230,6 +232,51 @@ class TestMutation:
         assert twin in ctx.modules
 
 
+class TestOrderIndex:
+    """Counts, not timings: how often a long block is renumbered."""
+
+    def _long_block(self, steps):
+        """A straight-line function of 5 ops a step; each step's mulf folds."""
+        lines = ["module {",
+                 "  func.func @f(%arg0: memref<64xf64>, %arg1: f64) {"]
+        for k in range(steps):
+            v = 4 * k
+            lines += [
+                f"    %{v} = arith.constant {k % 64} : index",
+                f"    %{v + 1} = arith.constant {k}.5 : f64",
+                f"    %{v + 2} = arith.mulf %{v + 1}, %{v + 1} : f64",
+                f"    %{v + 3} = arith.addf %arg1, %{v + 2} : f64",
+                f"    memref.store %{v + 3}, %arg0[%{v}] : memref<64xf64>",
+            ]
+        lines += ["    return", "  }", "}", ""]
+        return "\n".join(lines)
+
+    def test_long_block_is_renumbered_rarely(self, ctx, monkeypatch):
+        module = parse_module(self._long_block(800), ctx)
+        func = module.body().ops[0]
+        body = func.body()
+        assert len(body.ops) == 4001
+        assert module.body().renumbers == body.renumbers == 0
+        inserted = []
+        insert = Block.insert
+        monkeypatch.setattr(Block, "insert", lambda block, index, op: (
+            inserted.append(op), insert(block, index, op)))
+        canonicalize(func)
+        assert len(inserted) == 800
+        assert body.renumbers <= len(inserted) // 100
+        assert verify(module) == []
+
+    def test_ops_built_before_the_terminator_are_not_renumbered(self, ctx):
+        module, _, body = _func(ctx, [F64])
+        x = body.args[0]
+        for _ in range(2000):
+            x = build_arith_binop(body, "arith.addf", x,
+                                  build_constant(body, 1.0))
+        assert len(body.ops) == 4001
+        assert body.renumbers == 0
+        assert verify(module) == []
+
+
 class TestWalk:
     def _nested(self, ctx):
         module, func, body = _func(ctx)
@@ -314,6 +361,30 @@ class TestVerifier:
         diags = verify(module)
         assert diags and any("termin" in d.message or "func.return" in d.message
                              for d in diags)
+
+    def test_operand_defined_after_its_user_reported(self, ctx):
+        module, _, body = _func(ctx)
+        a = build_constant(body, 1.0)
+        add = build_arith_binop(body, "arith.addf", a, a).defining_op
+        move_op(a.defining_op, body, 1)    # after its user, before the return
+        assert [op.name for op in body.ops] == [
+            "arith.addf", "arith.constant", "func.return"]
+        assert [d.message for d in verify(module)] == [
+            "operand 0 is not visible at this point",
+            "operand 1 is not visible at this point",
+        ]
+        assert all(d.op_name == "arith.addf" for d in verify(module))
+        move_op(add, body, 1)
+        assert verify(module) == []
+
+    def test_missing_use_entry_reported(self, ctx):
+        module, _, body = _func(ctx)
+        a = build_constant(body, 1.0)
+        add = build_arith_binop(body, "arith.addf", a, a).defining_op
+        del a.uses[add, 1]
+        assert [d.message for d in verify(module)] == [
+            "operand 1 use-list does not record this use",
+        ]
 
     def test_condition_type_checked_in_if(self, ctx):
         _, _, body = _func(ctx)

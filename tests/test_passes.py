@@ -1,16 +1,27 @@
-"""Every pass preserves what a module computes.
+"""Every pass preserves what a module computes, and the blocks' order index.
 
 Each registered pass, and the tuner's default pipeline at a few tile and
 unroll points, runs on the irgen modules and the captured kernel corpus.
 Under gpu_emulated, the rewritten module must leave the same buffers and
 return the same results as the module it was given. Seeds whose
 untransformed run raises, and pipelines that refuse a module with
-PassFailure, are left out and counted.
+PassFailure, are left out and counted. Every rewritten block's order
+numbers must agree with the positions of its ops.
 """
 from irgen import random_inputs, random_module
+from staircase.dialects.builders import build_constant, build_func
 from staircase.errors import PassFailure, StaircaseError
 from staircase.interp import Buffer
 from staircase.interp.machine import run
+from staircase.ir.core import (
+    create_context,
+    create_module,
+    create_op,
+    erase_op,
+    move_op,
+    value_dominates_op,
+    walk,
+)
 from staircase.passes import run_pipeline
 from staircase.tuner import default_pipeline
 
@@ -30,6 +41,47 @@ PIPELINES = (
     default_pipeline([2, 2], 4),
     default_pipeline([4], 3),
 )
+
+
+def _dominates_by_index(value, user):
+    """value_dominates_op, from list positions alone."""
+    block = user.parent
+    index = block.ops.index(user)
+    while True:
+        if value.owner is block:
+            return True
+        op = value.defining_op
+        if op is not None and not op.erased and op.parent is block:
+            return block.ops.index(op) < index
+        outer = block.parent_op
+        if outer.parent is None:
+            return False
+        block = outer.parent
+        index = block.ops.index(outer)
+
+
+def _order_problems(module):
+    """Where a block's order index disagrees with its list of ops."""
+    problems = []
+
+    def check(op):
+        for region in op.regions:
+            for block in region.blocks:
+                orders = [block.order_of(o) for o in block.ops]
+                if any(a >= b for a, b in zip(orders, orders[1:])):
+                    problems.append(f"order numbers {orders} in {op.name}")
+                for i, inner in enumerate(block.ops):
+                    if inner.block_index() != i:
+                        problems.append(f"{inner.name} at {i} reports "
+                                        f"{inner.block_index()}")
+                    for v in inner.operands:
+                        if value_dominates_op(v, inner) \
+                                != _dominates_by_index(v, inner):
+                            problems.append(f"dominance of {v!r} at "
+                                            f"{inner.name} differs")
+
+    walk(module, check)
+    return problems
 
 
 def _outcome(module, func, args):
@@ -59,6 +111,8 @@ def _check(module, func, seed):
         except PassFailure:
             refused += 1
             continue
+        mismatches += [f"{func} (seed {seed}) after {pipeline}: {problem}"
+                       for problem in _order_problems(rewritten)]
         try:
             got = _outcome(rewritten, func, args)
         except Exception as exc:  # reported with the pipeline that caused it
@@ -103,3 +157,23 @@ def test_passes_preserve_captured_kernels():
           f"{refused} pipeline runs refused with PassFailure")
     assert not mismatches, "\n".join(mismatches[:5])
     assert excluded == 0
+
+
+def test_order_index_survives_inserts_at_one_spot():
+    """Enough inserts between the same two ops to use up the gap between
+    their numbers, mixed with erases and moves."""
+    module = create_module(create_context())
+    body = build_func(module, "f", []).body()
+    first = build_constant(body, 0.0)
+    build_constant(body, 1.0)
+    made = []
+    for k in range(64):
+        made.append(create_op(body, 1, "arith.addf", [first, first],
+                              result_types=[first.type]))
+        if k % 5 == 4:
+            erase_op(made.pop(len(made) // 2))
+        if k % 7 == 6:
+            move_op(made[0], body, 1)
+        assert not _order_problems(module)
+    assert body.renumbers > 0
+    assert [op.name for op in body.ops[1:-2]] == ["arith.addf"] * len(made)

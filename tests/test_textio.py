@@ -7,7 +7,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, golden_text
 from irgen import random_module
-from staircase.dialects.builders import build_func
+from staircase.dialects.builders import build_func, build_scf_for
 from staircase.errors import ParseError, UnknownOperation
 from staircase.ir.core import (
     F64,
@@ -83,14 +83,19 @@ def test_attributes_a_form_does_not_print_are_kept():
               result_types=[INDEX])
     x = func.body().args[0]
     create_op(body, 1, "arith.addf", [x, x], {"fastmath": str_attr("fast")}, [F64])
+    one = body.ops[0].results[0]
+    loop = build_scf_for(body, one, one, one)
+    loop.body().ops[-1].attributes["note"] = str_attr("y")
     text = print_module(module)
     assert '%0 = arith.constant {note = "x"} 2 : index\n' in text
     assert '%1 = arith.addf %arg0, %arg0 {fastmath = "fast"} : f64\n' in text
+    assert '      scf.yield {note = "y"}\n' in text
     parsed = parse_module(text, _context())
     assert print_module(parsed) == text
-    const, add = parsed.body().ops[0].body().ops[:2]
+    const, add, loop = parsed.body().ops[0].body().ops[:3]
     assert const.attributes["note"] == str_attr("x")
     assert add.attributes["fastmath"] == str_attr("fast")
+    assert loop.body().ops[-1].attributes["note"] == str_attr("y")
 
 
 def _func(body):
