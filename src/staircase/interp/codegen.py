@@ -51,31 +51,8 @@ from staircase.interp._evalpy import (
     to_f32,
 )
 from staircase.interp.buffer import Buffer, row_major_strides, wrap_int
-from staircase.interp.tape import (
-    ALLOC,
-    BINF,
-    BINI,
-    CALL,
-    CAST,
-    CMPF,
-    CMPI,
-    CONST,
-    DEALLOC,
-    GPUID,
-    IF_FALSE,
-    LAUNCH,
-    LOAD,
-    LOOP_INIT_A,
-    LOOP_INIT_S,
-    N_OPCODES,
-    PARALLEL,
-    RETURN,
-    RETURN_GPU,
-    STORE,
-    Program,
-    constant_value,
-    module_functions,
-)
+from staircase.interp.stats import BOOKKEEPING, OP_SLOT
+from staircase.interp.tape import Program, constant_value, module_functions
 from staircase.ir.core import Operation, Value
 
 SEGMENT = 300   # statements per compiled unit in a long straight-line run
@@ -236,19 +213,6 @@ class _Stmts:
         self.binds = binds
 
 
-# The tally slot each op counts into (None: counted by nothing).
-_OPCODE = {
-    "arith.constant": CONST, "arith.cmpf": CMPF, "arith.cmpi": CMPI,
-    "arith.index_cast": CAST, "memref.load": LOAD, "memref.store": STORE,
-    "memref.alloc": ALLOC, "memref.alloca": ALLOC, "memref.dealloc": DEALLOC,
-    "scf.for": LOOP_INIT_S, "affine.for": LOOP_INIT_A, "scf.if": IF_FALSE,
-    "scf.parallel": PARALLEL, "scf.yield": None, "func.call": CALL,
-    "func.return": RETURN, "gpu.launch_func": LAUNCH, "gpu.block_id": GPUID,
-    "gpu.thread_id": GPUID, "gpu.return": RETURN_GPU,
-    **{name: BINF for name in (*_FOPS, "arith.divf")},
-    **{name: BINI for name in _IOPS},
-}
-
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
                    "arith.index_cast"})
 _TERMINATORS = frozenset({"scf.yield", "func.return", "gpu.return"})
@@ -289,7 +253,7 @@ class _FuncGen:
         self.strides: dict = {}     # memref shape -> its row-major strides
         self.n = 0
         self.lines: list = []
-        self.blocks: list = []      # (count, static counts per opcode)
+        self.blocks: list = []      # (count, static counts per tally slot)
         self.counters: list = []
         self.bookkeeping: list = []  # counts of loop bodies and threads
         self.reads: set = set()     # locals the current flat op reads
@@ -452,37 +416,37 @@ class _FuncGen:
 
     def fold(self) -> None:
         """Add every block's static counts, times its count, to the tally."""
-        per_op: list = [{} for _ in range(N_OPCODES + 1)]
+        per_slot: list = [{} for _ in range(BOOKKEEPING + 1)]
         for (coef, var), stat in self.blocks:
-            for opcode, k in enumerate(stat):
+            for slot, k in enumerate(stat):
                 if k:
-                    per_op[opcode][var] = per_op[opcode].get(var, 0) + coef * k
+                    per_slot[slot][var] = per_slot[slot].get(var, 0) + coef * k
         for coef, var in self.bookkeeping:
-            per_op[N_OPCODES][var] = per_op[N_OPCODES].get(var, 0) + coef
-        for opcode, terms in enumerate(per_op):
+            per_slot[BOOKKEEPING][var] = per_slot[BOOKKEEPING].get(var, 0) + coef
+        for slot, terms in enumerate(per_slot):
             rendered = [_render((coef, var)) for var, coef in terms.items()
                         if coef and var is not None]
             if terms.get(None):
                 rendered.append(str(terms[None]))
             if rendered:
-                self.emit(1, f"T[{opcode}] += {' + '.join(rendered)}")
+                self.emit(1, f"T[{slot}] += {' + '.join(rendered)}")
 
     # -- blocks -------------------------------------------------------------
 
     def block(self, block, count: tuple, depth: int) -> None:
         """Write a block's ops; ``count`` is how many times the block runs."""
-        stat = [0] * N_OPCODES
+        stat = [0] * BOOKKEEPING
         self.blocks.append((count, stat))
         self.find_foldable(block)
         run: list = []
         self.offsets = {}
         for op in block.ops:
             name = op.name
-            if name not in _OPCODE:
+            if name not in OP_SLOT:
                 raise UnknownOperation(
                     f"the interpreter cannot execute {name!r}")
-            if _OPCODE[name] is not None:
-                stat[_OPCODE[name]] += 1
+            if OP_SLOT[name] is not None:
+                stat[OP_SLOT[name]] += 1
             if name == "arith.constant":    # a literal: no statement
                 self.constant_op(op)
             elif op.regions:

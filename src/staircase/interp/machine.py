@@ -18,8 +18,20 @@ from staircase.errors import (
 )
 from staircase.interp import _evalpy, codegen
 from staircase.interp.buffer import Buffer, to_f32, wrap_int
-from staircase.interp.stats import ExecStats, cost, fold_tally, new_tally
-from staircase.interp.tape import Program, compile_module, compile_tapes
+from staircase.interp.stats import (
+    BOOKKEEPING,
+    ExecStats,
+    cost,
+    fold_tally,
+    new_tally,
+)
+from staircase.interp.tape import (
+    N_OPCODES,
+    OPCODE_SLOT,
+    Program,
+    compile_module,
+    compile_tapes,
+)
 from staircase.ir.core import Operation
 from staircase.ir.verify import verify_or_raise
 
@@ -119,11 +131,16 @@ def run_reference(module: Operation, func_name: str, args,
     regs = [None] * tape.n_regs
     for reg, v in zip(tape.arg_regs, _check_args(tape, args)):
         regs[reg] = v
-    tally = new_tally()
+    counts = [0] * (N_OPCODES + 1)     # per opcode, then bookkeeping
     ctx = _evalpy.ExecContext(mode, workers, recorder)
     start = time.perf_counter()
-    rets = _evalpy.run_tape(program, tape.code, regs, tally, ctx)
+    rets = _evalpy.run_tape(program, tape.code, regs, counts, ctx)
     wall = time.perf_counter() - start
+    tally = new_tally()
+    for slot, n in zip(OPCODE_SLOT, counts):
+        if slot is not None:
+            tally[slot] += n
+    tally[BOOKKEEPING] = counts[N_OPCODES]
     return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 
 

@@ -3,20 +3,37 @@
 The weights make loop restructuring observable (memory traffic is worth
 a few arithmetic ops, loop bookkeeping is worth many); they are not
 calibrated to any hardware.
+
+A run counts into a tally: one slot per dialect, then loads, stores and
+bookkeeping. Each execution of an op adds one to the slot ``OP_SLOT``
+gives it; a load or store counts in its own slot, and ``fold_tally``
+charges it to memref as well. Bookkeeping is one per loop iteration, one
+per parallel point and one per GPU thread.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from staircase.interp.tape import (
-    ARITH_OPCODES,
-    LOAD,
-    N_OPCODES,
-    OPCODE_PREFIX,
-    STORE,
-)
-
 DEFAULT_WEIGHTS = {"arith": 1.0, "memory": 4.0, "bookkeeping": 50.0}
+
+DIALECTS = ("arith", "memref", "scf", "affine", "func", "gpu")
+ARITH, MEMREF, SCF, AFFINE, FUNC, GPU = range(len(DIALECTS))
+LOADS, STORES, BOOKKEEPING = range(len(DIALECTS), len(DIALECTS) + 3)
+
+_OPS = {
+    "arith": "constant addf subf mulf divf addi subi muli cmpf cmpi index_cast",
+    "memref": "alloc alloca dealloc",
+    "scf": "for if parallel",
+    "affine": "for",
+    "func": "call return",
+    "gpu": "launch_func block_id thread_id return",
+}
+
+# Every op the interpreter executes, and its slot; scf.yield counts in none.
+OP_SLOT = {f"{dialect}.{name}": DIALECTS.index(dialect)
+           for dialect, names in _OPS.items() for name in names.split()}
+OP_SLOT.update({"memref.load": LOADS, "memref.store": STORES,
+                "scf.yield": None})
 
 
 @dataclass
@@ -33,38 +50,25 @@ class ExecStats:
     mode: str = "sequential"
     workers: int = 1
 
-    def merge_counts(self, other: "ExecStats") -> None:
-        self.total += other.total
-        self.arith_ops += other.arith_ops
-        self.loads += other.loads
-        self.stores += other.stores
-        self.bookkeeping += other.bookkeeping
-        for k, v in other.per_prefix.items():
-            self.per_prefix[k] = self.per_prefix.get(k, 0) + v
-
 
 def new_tally() -> list:
-    """Per-opcode execution counters plus a bookkeeping slot at the end."""
-    return [0] * (N_OPCODES + 1)
+    return [0] * (BOOKKEEPING + 1)
 
 
 def fold_tally(tally, wall_time: float, mode: str, workers: int) -> ExecStats:
-    stats = ExecStats(wall_time=wall_time, mode=mode, workers=workers)
-    for opcode in range(N_OPCODES):
-        n = tally[opcode]
-        if n == 0:
-            continue
-        prefix = OPCODE_PREFIX[opcode]
-        if prefix is None:
-            continue
-        stats.total += n
-        stats.per_prefix[prefix] = stats.per_prefix.get(prefix, 0) + n
-        if opcode in ARITH_OPCODES:
-            stats.arith_ops += n
-    stats.loads = tally[LOAD]
-    stats.stores = tally[STORE]
-    stats.bookkeeping = tally[N_OPCODES]
-    return stats
+    per_dialect = tally[:len(DIALECTS)]
+    per_dialect[MEMREF] += tally[LOADS] + tally[STORES]
+    return ExecStats(
+        total=sum(per_dialect),
+        per_prefix={d: n for d, n in zip(DIALECTS, per_dialect) if n},
+        arith_ops=tally[ARITH],
+        loads=tally[LOADS],
+        stores=tally[STORES],
+        bookkeeping=tally[BOOKKEEPING],
+        wall_time=wall_time,
+        mode=mode,
+        workers=workers,
+    )
 
 
 def cost(stats: ExecStats, model: dict | None = None) -> float:

@@ -10,8 +10,7 @@ register file (one slot per SSA value). Two constructs stay structured
 because execution needs to schedule them: scf.parallel bodies become
 sub-tapes with an explicit capture list, and gpu.launch_func references a
 kernel tape by symbol. Instructions are plain tuples with a small-int
-opcode first. The opcodes also index the per-run tally that both
-evaluators count into and ``stats.fold_tally`` reads.
+opcode first; ``OPCODE_SLOT`` maps each to its slot of the stats tally.
 """
 from __future__ import annotations
 
@@ -19,6 +18,16 @@ from dataclasses import dataclass, field
 
 from staircase.errors import UnknownOperation
 from staircase.interp.buffer import to_f32, wrap_int
+from staircase.interp.stats import (
+    AFFINE,
+    ARITH,
+    FUNC,
+    GPU,
+    LOADS,
+    MEMREF,
+    SCF,
+    STORES,
+)
 from staircase.ir.core import Block, Operation
 
 # opcodes ---------------------------------------------------------------------
@@ -50,17 +59,15 @@ RETURN_GPU = 23  # (RETURN_GPU, ()) — gpu.return, charged to its own dialect
 
 N_OPCODES = 24
 
-# Which dialect each opcode's dynamic execution is charged to (None for
-# internal bookkeeping instructions that are not ops).
-OPCODE_PREFIX = (
-    "arith", "arith", "arith", "arith", "arith", "arith",   # CONST..CAST
-    "memref", "memref", "memref", "memref",                 # LOAD..DEALLOC
-    "scf", "affine",                                        # LOOP_INIT_*
+# The tally slot each opcode's execution counts in (None for internal
+# bookkeeping instructions that are not ops).
+OPCODE_SLOT = (
+    ARITH, ARITH, ARITH, ARITH, ARITH, ARITH,               # CONST..CAST
+    LOADS, STORES, MEMREF, MEMREF,                          # LOAD..DEALLOC
+    SCF, AFFINE,                                            # LOOP_INIT_*
     None, None, None, None, None,                           # tests/next/jump
-    "scf", "scf", "func", "func", "gpu", "gpu", "gpu",      # IF..RETURN_GPU
+    SCF, SCF, FUNC, FUNC, GPU, GPU, GPU,                    # IF..RETURN_GPU
 )
-
-ARITH_OPCODES = frozenset({CONST, BINF, BINI, CMPF, CMPI, CAST})
 
 _FOPS = {"arith.addf": 0, "arith.subf": 1, "arith.mulf": 2, "arith.divf": 3}
 _IOPS = {"arith.addi": 0, "arith.subi": 1, "arith.muli": 2}
