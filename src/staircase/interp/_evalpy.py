@@ -3,10 +3,9 @@
 ``run`` executes Python source generated per module (``codegen``); this
 module interprets the instruction tapes of ``tape.compile_tapes`` one
 instruction at a time. It is the oracle the generated code is tested
-against (``machine.run_reference``) and the engine the race checker
-records on, since it sees every memory access. The scalar helpers and
-error raisers below are shared with the generated code, so both report
-the same errors with the same messages.
+against (``machine.run_reference``). The scalar helpers and error raisers
+below are shared with the generated code, so both report the same errors
+with the same messages.
 
 worksharing:N runs as sequential mode does; only its worker count is
 recorded. Running the points of a parallel loop concurrently would need
@@ -76,19 +75,16 @@ def launch_outside_gpu(mode: str, location) -> None:
 class ExecContext:
     """Per-run execution knobs shared down the call tree."""
 
-    __slots__ = ("mode", "workers", "recorder", "gpu_ids", "depth")
+    __slots__ = ("mode", "workers", "gpu_ids")
 
-    def __init__(self, mode="sequential", workers=1, recorder=None):
+    def __init__(self, mode="sequential", workers=1):
         self.mode = mode
         self.workers = workers
-        self.recorder = recorder
         self.gpu_ids = None
-        self.depth = 0
 
 
 def run_tape(program, code, regs, tally, ctx):
     """Execute one tape; returns the RETURN operands (or None for bodies)."""
-    rec = ctx.recorder
     pc = 0
     n = len(code)
     while pc < n:
@@ -104,8 +100,6 @@ def run_tape(program, code, regs, tally, ctx):
                     out_of_bounds(i, extent, buf, ins[4])
                 off += i * stride
             regs[ins[1]] = buf.data[off]
-            if rec is not None:
-                rec.on_read(buf, off)
         elif op == STORE:
             buf = regs[ins[2]]
             off = 0
@@ -118,8 +112,6 @@ def run_tape(program, code, regs, tally, ctx):
             if buf.dtype[0] == "i":
                 v = wrap_int(v, buf.dtype)
             buf.data[off] = v
-            if rec is not None:
-                rec.on_write(buf, off)
         elif op == BINF:
             a = regs[ins[3]]
             b = regs[ins[4]]
@@ -256,22 +248,12 @@ def _run_parallel(program, ins, regs, tally, ctx):
     for outer, inner in sub.captures:
         base[inner] = regs[outer]
     index_regs = sub.index_regs
-    rec = ctx.recorder
-    outermost = ctx.depth == 0
-    ctx.depth += 1
-    try:
-        sub_regs = list(base)
-        for point in product(*spaces):
-            for k, r in enumerate(index_regs):
-                sub_regs[r] = point[k]
-            tally[-1] += 1
-            if rec is not None and outermost:
-                rec.begin_point(point)
-            run_tape(program, sub.code, sub_regs, tally, ctx)
-    finally:
-        ctx.depth -= 1
-        if rec is not None and outermost:
-            rec.end_parallel()
+    sub_regs = list(base)
+    for point in product(*spaces):
+        for k, r in enumerate(index_regs):
+            sub_regs[r] = point[k]
+        tally[-1] += 1
+        run_tape(program, sub.code, sub_regs, tally, ctx)
 
 
 def _run_launch(program, ins, regs, tally, ctx):

@@ -239,13 +239,14 @@ class _FuncGen:
     for its chained segments, parallel bodies and deep loops."""
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
-                 extents, constants: list):
+                 extents, constants: list, recording: bool = False):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
         self.is_kernel = op.name == "gpu.func"
         self.extents = extents      # a kernel's largest launch sizes, or None
         self.constants = constants  # the K table: objects without a literal
+        self.recording = recording  # call the race recorder R
         self.units: list = []       # source of every compiled unit
         self.names: dict = {}       # Value -> Python expression
         self.ranges: dict = {}      # integer Value -> (lo, hi)
@@ -363,6 +364,8 @@ class _FuncGen:
             params = sizes + params
             prologue.append("nt = " + " * ".join(f"len(range({s}))"
                                                   for s in sizes))
+            if self.recording:
+                self.emit(depth, "R.begin_parallel()")
             # a dimension every launch sizes 1 needs no loop, only nt > 0
             looped = [d for d in range(6)
                       if self.extents is None or self.extents[d] > 1]
@@ -373,9 +376,14 @@ class _FuncGen:
                 self.emit(depth, f"for {_GPU_IDS[d]} in range({sizes[d]}):")
                 self.scope.add(_GPU_IDS[d])
                 depth += 1
+            if self.recording:  # each thread is a point
+                ids = (_GPU_IDS[d] if d in looped else "0" for d in range(6))
+                self.emit(depth, f"R.begin_point(({', '.join(ids)}))")
             count = (1, "nt")
             self.bookkeeping.append(count)
         self.body(body, count, depth)
+        if self.is_kernel and self.recording:
+            self.emit(1, "R.end_parallel()")
         self.unit(params, prologue)
 
     def unit(self, params: list, prologue: list) -> None:
@@ -628,6 +636,8 @@ class _FuncGen:
         lines, off = self.address(op, buf, op.operands[1:])
         array = self.arrays[buf]
         self.reads.add(array)
+        if self.recording:
+            lines.append(f"R.on_read({self.val(buf)}, {off})")
         return lines + self.assign(op.results[0], f"{array}[{off}]")
 
     def store(self, op: Operation) -> list:
@@ -639,7 +649,10 @@ class _FuncGen:
             expr = _wrap_expr(expr, kind)
         array = self.arrays[buf]
         self.reads.add(array)
-        return lines + [f"{array}[{off}] = {expr}"]
+        lines.append(f"{array}[{off}] = {expr}")
+        if self.recording:
+            lines.append(f"R.on_write({self.val(buf)}, {off})")
+        return lines
 
     def address(self, op: Operation, buf: Value, indices) -> tuple:
         """Bounds checks for the unproven dimensions, and the flat offset."""
@@ -796,7 +809,11 @@ class _FuncGen:
                       + ": bad_parallel_step()")
         child = self.nested("p")
         child.parallel_body(op, lbs, ubs, steps)
+        if self.recording:
+            self.emit(depth, "R.begin_parallel()")
         self.call_nested(child, depth)
+        if self.recording:
+            self.emit(depth, "R.end_parallel()")
 
     def parallel_body(self, op: Operation, lbs, ubs, steps) -> None:
         """The loops over the points, and the body inside them.
@@ -829,6 +846,9 @@ class _FuncGen:
                 self.ranges[iv] = interval
             self.emit(depth, f"for {self.bind(iv, 'i')} in {rng}:")
             depth += 1
+        if self.recording:
+            point = "".join(self.val(iv) + ", " for iv in op.body().args)
+            self.emit(depth, f"R.begin_point(({point.rstrip()}))")
         self.body(op.body(), count, depth)
 
     def scf_if(self, op: Operation, count: tuple, depth: int) -> None:
@@ -845,20 +865,23 @@ class _FuncGen:
                 self.lines.pop()
 
 
-def lower_module(module: Operation) -> Program:
+def lower_module(module: Operation, recorder=None) -> Program:
     """Generate, compile and bind one Python function per func and kernel.
 
     Units are compiled in batches of about SEGMENT lines: few enough calls
     to keep compile()'s per-call cost small, and a bounded source each.
+    With a ``recorder`` (``races``), the code also reports every load and
+    store, and the points of each parallel loop and launch, to it.
     """
     entries = list(module_functions(module))
     pynames = {key: f"f{i}" for i, (key, _, _) in enumerate(entries)}
     extents = _launch_extents(module) if any(e[2] for e in entries) else {}
     constants: list = []
-    namespace = dict(_RUNTIME, K=constants)
+    namespace = dict(_RUNTIME, K=constants, R=recorder)
     batch, lines = [], 0
     for key, op, _ in entries:
-        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants)
+        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
+                       recorder is not None)
         gen.generate()
         for text in gen.units:
             batch.append(text)

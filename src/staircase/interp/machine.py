@@ -110,7 +110,11 @@ def run(module: Operation, func_name: str, args, mode="sequential",
     """Execute @func_name over args; returns (results, ExecStats)."""
     mode, workers = _normalize_mode(mode, workers)
     verify_or_raise(module)
-    program = compile_module(module)
+    return call(compile_module(module), func_name, args, mode, workers)
+
+
+def call(program: Program, func_name: str, args, mode: str, workers: int):
+    """Run @func_name of a compiled module; returns (results, ExecStats)."""
     func = _entry(program, func_name)
     values = _check_args(func, args)
     tally = new_tally()
@@ -122,8 +126,8 @@ def run(module: Operation, func_name: str, args, mode="sequential",
 
 
 def run_reference(module: Operation, func_name: str, args,
-                  mode="sequential", workers: int = 1, recorder=None):
-    """``run`` on the tape evaluator; ``recorder`` sees every access."""
+                  mode="sequential", workers: int = 1):
+    """``run`` on the tape evaluator."""
     mode, workers = _normalize_mode(mode, workers)
     verify_or_raise(module)
     program = compile_tapes(module)
@@ -132,7 +136,7 @@ def run_reference(module: Operation, func_name: str, args,
     for reg, v in zip(tape.arg_regs, _check_args(tape, args)):
         regs[reg] = v
     counts = [0] * (N_OPCODES + 1)     # per opcode, then bookkeeping
-    ctx = _evalpy.ExecContext(mode, workers, recorder)
+    ctx = _evalpy.ExecContext(mode, workers)
     start = time.perf_counter()
     rets = _evalpy.run_tape(program, tape.code, regs, counts, ctx)
     wall = time.perf_counter() - start

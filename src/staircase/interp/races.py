@@ -1,22 +1,27 @@
-"""Race detection for scf.parallel bodies.
+"""Race detection for scf.parallel bodies and GPU launches.
 
-Sequentially simulates the program on copies of the argument buffers,
-recording which outermost-parallel iteration reads and writes each
-buffer address. Worksharing partitions exactly that iteration space, so
-conflicts here are precisely what would break it.
+Runs the program on copies of the argument buffers, as code generated for
+a recorder: besides what ``run`` executes, it reports every load and
+store, and the points of each parallel loop and each launch's threads.
+The recorder notes which point of the outermost parallel loop or launch
+reads and writes each buffer address. Worksharing partitions exactly that
+iteration space, so conflicts here are precisely what would break it.
 """
 from __future__ import annotations
 
 from staircase.interp.buffer import Buffer
-from staircase.interp.machine import run_reference
+from staircase.interp.codegen import lower_module
+from staircase.interp.machine import call
 from staircase.ir.core import Operation
+from staircase.ir.verify import verify_or_raise
 
 
 class _Recorder:
-    """Tracks per-iteration touch sets inside the outermost parallel."""
+    """Tracks per-point touch sets inside the outermost parallel loop."""
 
     def __init__(self, labels: dict):
         self.labels = labels          # id(buffer) -> stable name
+        self.depth = 0                # parallel loops and launches entered
         self.point = None
         self.writes: dict = {}        # addr -> writing point
         self.reads: dict = {}         # addr -> up to two distinct points
@@ -35,13 +40,19 @@ class _Recorder:
             self._seen.add(entry)
             self.conflicts.append(entry)
 
+    def begin_parallel(self) -> None:
+        self.depth += 1
+
     def begin_point(self, point) -> None:
-        self.point = point
+        if self.depth == 1:
+            self.point = point
 
     def end_parallel(self) -> None:
-        self.point = None
-        self.writes.clear()
-        self.reads.clear()
+        self.depth -= 1
+        if self.depth == 0:
+            self.point = None
+            self.writes.clear()
+            self.reads.clear()
 
     def on_read(self, buf, off) -> None:
         if self.point is None:
@@ -71,11 +82,12 @@ class _Recorder:
 
 
 def check_races(module: Operation, func_name: str, args) -> list:
-    """Returns conflicting (iteration, iteration, address) triples."""
+    """Returns conflicting (point, point, address) triples."""
     args = [a.copy() if isinstance(a, Buffer) else a for a in args]
     labels = {id(a): f"arg{i}" for i, a in enumerate(args)
               if isinstance(a, Buffer)}
     recorder = _Recorder(labels)
+    verify_or_raise(module)
     # gpu_emulated is the permissive mode: launches run, loops stay serial
-    run_reference(module, func_name, args, "gpu_emulated", 1, recorder)
+    call(lower_module(module, recorder), func_name, args, "gpu_emulated", 1)
     return recorder.conflicts
