@@ -16,8 +16,16 @@ from __future__ import annotations
 
 from itertools import product
 
-from staircase.errors import InvalidBound, ModeUnsupported, OutOfBounds
-from staircase.interp.buffer import Buffer, fdiv, to_f32, wrap_int
+from staircase.interp.buffer import (
+    Buffer,
+    bad_loop_step,
+    bad_parallel_step,
+    fdiv,
+    launch_outside_gpu,
+    out_of_bounds,
+    to_f32,
+    wrap_int,
+)
 from staircase.interp.tape import (
     ALLOC,
     BINF,
@@ -44,32 +52,6 @@ from staircase.interp.tape import (
     RETURN_GPU,
     STORE,
 )
-
-
-def _where(location) -> str:
-    return f" at {location.file}:{location.line}" if location else ""
-
-
-def out_of_bounds(idx: int, extent: int, buf: Buffer, location) -> None:
-    raise OutOfBounds(
-        f"index {idx} out of bounds for extent {extent} of {buf!r}"
-        f"{_where(location)}"
-    )
-
-
-def bad_loop_step() -> None:
-    raise InvalidBound("loop step must be positive at runtime")
-
-
-def bad_parallel_step() -> None:
-    raise InvalidBound("scf.parallel steps must be positive at runtime")
-
-
-def launch_outside_gpu(mode: str, location) -> None:
-    raise ModeUnsupported(
-        f"gpu.launch_func needs gpu_emulated mode, not {mode!r}"
-        f"{_where(location)}"
-    )
 
 
 class ExecContext:

@@ -12,7 +12,12 @@ import math
 import struct
 from array import array
 
-from staircase.errors import OutOfBounds, TypeMismatch
+from staircase.errors import (
+    InvalidBound,
+    ModeUnsupported,
+    OutOfBounds,
+    TypeMismatch,
+)
 
 _TYPECODES = {"f32": "f", "f64": "d", "i32": "i", "i64": "q"}
 _FLOAT_DTYPES = frozenset({"f32", "f64"})
@@ -43,6 +48,34 @@ def fdiv(a: float, b: float) -> float:
             return math.nan
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
     return a / b
+
+
+# -- errors the evaluator raises, with the messages tests pin ----------------
+
+def _where(location) -> str:
+    return f" at {location.file}:{location.line}" if location else ""
+
+
+def out_of_bounds(idx: int, extent: int, buf: Buffer, location) -> None:
+    raise OutOfBounds(
+        f"index {idx} out of bounds for extent {extent} of {buf!r}"
+        f"{_where(location)}"
+    )
+
+
+def bad_loop_step() -> None:
+    raise InvalidBound("loop step must be positive at runtime")
+
+
+def bad_parallel_step() -> None:
+    raise InvalidBound("scf.parallel steps must be positive at runtime")
+
+
+def launch_outside_gpu(mode: str, location) -> None:
+    raise ModeUnsupported(
+        f"gpu.launch_func needs gpu_emulated mode, not {mode!r}"
+        f"{_where(location)}"
+    )
 
 
 def row_major_strides(shape) -> tuple:

@@ -42,15 +42,17 @@ import re
 from dataclasses import dataclass
 
 from staircase.errors import UnknownOperation
-from staircase.interp._evalpy import (
+from staircase.interp.buffer import (
+    Buffer,
     bad_loop_step,
     bad_parallel_step,
     fdiv,
     launch_outside_gpu,
     out_of_bounds,
+    row_major_strides,
     to_f32,
+    wrap_int,
 )
-from staircase.interp.buffer import Buffer, row_major_strides, wrap_int
 from staircase.interp.stats import BOOKKEEPING, OP_SLOT
 from staircase.interp.tape import Program, constant_value, module_functions
 from staircase.ir.core import Operation, Value

@@ -50,7 +50,7 @@ class ExecMode:
     workers: int = 1
 
 
-def _normalize_mode(mode, workers: int) -> tuple:
+def normalize_mode(mode, workers: int) -> tuple:
     if isinstance(mode, ExecMode):
         mode, workers = mode.kind, mode.workers
     if mode not in _MODES:
@@ -68,28 +68,28 @@ def _entry(program: Program, func_name: str):
     return program[func_name]
 
 
-def _check_args(func, args) -> list:
-    if len(args) != len(func.param_types):
+def check_args(name: str, param_types, args) -> list:
+    """The values @name runs on: args checked against its parameter types."""
+    if len(args) != len(param_types):
         raise ArityMismatch(
-            f"@{func.name} takes {len(func.param_types)} arguments, "
-            f"got {len(args)}"
+            f"@{name} takes {len(param_types)} arguments, got {len(args)}"
         )
     values = []
-    for i, (ty, arg) in enumerate(zip(func.param_types, args)):
+    for i, (ty, arg) in enumerate(zip(param_types, args)):
         if ty.kind == "memref":
             if not isinstance(arg, Buffer):
                 raise TypeMismatch(
-                    f"argument {i} of @{func.name} is {ty}, needs a Buffer"
+                    f"argument {i} of @{name} is {ty}, needs a Buffer"
                 )
             if arg.shape != ty.shape or arg.dtype != ty.element.kind:
                 raise TypeMismatch(
-                    f"argument {i} of @{func.name} is {ty}, got {arg!r}"
+                    f"argument {i} of @{name} is {ty}, got {arg!r}"
                 )
             values.append(arg)
         elif ty.kind in ("f32", "f64"):
             if isinstance(arg, bool) or not isinstance(arg, (int, float)):
                 raise TypeMismatch(
-                    f"argument {i} of @{func.name} is {ty}, needs a number"
+                    f"argument {i} of @{name} is {ty}, needs a number"
                 )
             v = float(arg)
             values.append(to_f32(v) if ty.kind == "f32" else v)
@@ -98,7 +98,7 @@ def _check_args(func, args) -> list:
         else:  # i32/i64/index
             if isinstance(arg, bool) or not isinstance(arg, int):
                 raise TypeMismatch(
-                    f"argument {i} of @{func.name} is {ty}, needs an integer"
+                    f"argument {i} of @{name} is {ty}, needs an integer"
                 )
             width = "i32" if ty.kind == "i32" else "i64"
             values.append(wrap_int(arg, width))
@@ -108,7 +108,7 @@ def _check_args(func, args) -> list:
 def run(module: Operation, func_name: str, args, mode="sequential",
         workers: int = 1):
     """Execute @func_name over args; returns (results, ExecStats)."""
-    mode, workers = _normalize_mode(mode, workers)
+    mode, workers = normalize_mode(mode, workers)
     verify_or_raise(module)
     return call(compile_module(module), func_name, args, mode, workers)
 
@@ -116,7 +116,7 @@ def run(module: Operation, func_name: str, args, mode="sequential",
 def call(program: Program, func_name: str, args, mode: str, workers: int):
     """Run @func_name of a compiled module; returns (results, ExecStats)."""
     func = _entry(program, func_name)
-    values = _check_args(func, args)
+    values = check_args(func.name, func.param_types, args)
     tally = new_tally()
     ctx = _engine.ExecContext(mode, workers)
     start = time.perf_counter()
@@ -128,12 +128,13 @@ def call(program: Program, func_name: str, args, mode: str, workers: int):
 def run_reference(module: Operation, func_name: str, args,
                   mode="sequential", workers: int = 1):
     """``run`` on the tape evaluator."""
-    mode, workers = _normalize_mode(mode, workers)
+    mode, workers = normalize_mode(mode, workers)
     verify_or_raise(module)
     program = compile_tapes(module)
     tape = _entry(program, func_name)
     regs = [None] * tape.n_regs
-    for reg, v in zip(tape.arg_regs, _check_args(tape, args)):
+    for reg, v in zip(tape.arg_regs,
+                      check_args(tape.name, tape.param_types, args)):
         regs[reg] = v
     counts = [0] * (N_OPCODES + 1)     # per opcode, then bookkeeping
     ctx = _evalpy.ExecContext(mode, workers)

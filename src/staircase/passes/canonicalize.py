@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import math
 
-from staircase.interp._evalpy import to_f32
-from staircase.interp.buffer import wrap_int
+from staircase.interp.buffer import to_f32, wrap_int
 from staircase.ir.core import (
     Block,
     Operation,

@@ -12,6 +12,7 @@ from array import array
 
 import pytest
 
+import definterp
 from conftest import golden_path
 from irgen import random_inputs, random_module
 from staircase.interp import Buffer, codegen
@@ -45,7 +46,10 @@ def _outcome(runner, module, func, args, mode, workers):
 
 def differ(module, func, args, mode="sequential", workers=1):
     """Run both evaluators; return the reference outcome and a mismatch or None."""
-    want = _outcome(run_reference, module, func, args, mode, workers)
+    want = _outcome(definterp.run, module, func, args, mode, workers)
+    tape = _outcome(run_reference, module, func, args, mode, workers)
+    if tape != want:
+        return want, f"{func} in {mode}: tape {tape!r}, definterp {want!r}"
     got = _outcome(run, module, func, args, mode, workers)
     if got != want:
         return want, f"{func} in {mode}: generated {got!r}, reference {want!r}"
