@@ -11,9 +11,10 @@ records its worker count. Each buffer's ``array`` is bound to a local
 once. A kernel takes its grid and block sizes and runs every thread
 in nested loops of its own, so a launch is one call.
 
-Semantics are those of the tape evaluator ``_evalpy`` (results, buffer
-contents, error types and messages, i32/i64 wrapping, f32 rounding): the
-scalar helpers and error raisers are its own. Two things are proved at
+Semantics are those of the definitional interpreter ``tests/definterp.py``
+(results, buffer contents, error types and messages, i32/i64 wrapping,
+f32 rounding), which shares the scalar helpers and error raisers of
+``buffer``. Two things are proved at
 generation time from integer intervals (constants, loop and parallel
 induction variables, gpu ids whose launch sizes are constant, and
 addi/subi/muli over those): an index that is always inside its extent
@@ -26,8 +27,11 @@ times it ran. A loop whose trip count is a literal multiplies its parent's
 count; any other loop adds its ``len(range(...))`` to a counter once on
 entry; a then-arm increments a counter and its else-arm runs the parent's
 count minus that (Ball & Larus' placement). The counts fold into the
-tally when the function returns. A run that raises discards its stats,
-as the tape evaluator's callers do.
+tally when the function returns. A run that raises discards its stats.
+
+Given a recorder (``races``), the generated code also reports each load
+and store, and the points of each parallel loop and each launch's
+threads; the code ``run`` executes has none of these calls.
 
 ``compile()`` holds about 2.4 KB per statement of the source it is given,
 so a straight-line run longer than SEGMENT statements is split into

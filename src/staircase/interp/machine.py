@@ -1,9 +1,10 @@
 """Run entry points: argument checking, execution, stats assembly.
 
 ``run`` compiles the module to Python source (``tape.compile_module``) and
-calls the entry function through ``_engine``; ``run_reference`` does the
-same run on the tape evaluator ``_evalpy``, the oracle the generated code
-is tested against. Both return identical results and ExecStats.
+calls the entry function through ``_engine``. What a run means is defined
+by the interpreter in ``tests/definterp.py``, a recursive walk over the
+ops: ``run`` is tested to return the same results, leave the same buffers,
+raise the same errors and count the same ExecStats.
 """
 from __future__ import annotations
 
@@ -16,22 +17,10 @@ from staircase.errors import (
     ModeUnsupported,
     TypeMismatch,
 )
-from staircase.interp import _evalpy, codegen
+from staircase.interp import codegen
 from staircase.interp.buffer import Buffer, to_f32, wrap_int
-from staircase.interp.stats import (
-    BOOKKEEPING,
-    ExecStats,
-    cost,
-    fold_tally,
-    new_tally,
-)
-from staircase.interp.tape import (
-    N_OPCODES,
-    OPCODE_SLOT,
-    Program,
-    compile_module,
-    compile_tapes,
-)
+from staircase.interp.stats import ExecStats, cost, fold_tally, new_tally
+from staircase.interp.tape import Program, compile_module
 from staircase.ir.core import Operation
 from staircase.ir.verify import verify_or_raise
 
@@ -125,30 +114,6 @@ def call(program: Program, func_name: str, args, mode: str, workers: int):
     return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 
 
-def run_reference(module: Operation, func_name: str, args,
-                  mode="sequential", workers: int = 1):
-    """``run`` on the tape evaluator."""
-    mode, workers = normalize_mode(mode, workers)
-    verify_or_raise(module)
-    program = compile_tapes(module)
-    tape = _entry(program, func_name)
-    regs = [None] * tape.n_regs
-    for reg, v in zip(tape.arg_regs,
-                      check_args(tape.name, tape.param_types, args)):
-        regs[reg] = v
-    counts = [0] * (N_OPCODES + 1)     # per opcode, then bookkeeping
-    ctx = _evalpy.ExecContext(mode, workers)
-    start = time.perf_counter()
-    rets = _evalpy.run_tape(program, tape.code, regs, counts, ctx)
-    wall = time.perf_counter() - start
-    tally = new_tally()
-    for slot, n in zip(OPCODE_SLOT, counts):
-        if slot is not None:
-            tally[slot] += n
-    tally[BOOKKEEPING] = counts[N_OPCODES]
-    return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
-
-
 def run_worksharing(module: Operation, func_name: str, args,
                     workers: int = 2):
     return run(module, func_name, args, mode="worksharing", workers=workers)
@@ -158,7 +123,6 @@ __all__ = [
     "ExecMode",
     "ENGINE_NAME",
     "run",
-    "run_reference",
     "run_worksharing",
     "cost",
     "ExecStats",

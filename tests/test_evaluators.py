@@ -1,10 +1,10 @@
-"""The generated-code evaluator against the tape evaluator it replaces.
+"""The generated-code evaluator against the definitional interpreter.
 
-``run`` executes Python source generated per module; ``run_reference``
-interprets instruction tapes with ``_evalpy``. On every input below, in
-sequential, worksharing:2 and gpu_emulated modes, both must leave the same
-buffers, return the same results and count the same ExecStats, or raise
-the same exception type with the same message.
+``run`` executes Python source generated per module; ``definterp.run``
+walks the ops recursively and defines what they mean. On every input
+below, in sequential, worksharing:2 and gpu_emulated modes, both must
+leave the same buffers, return the same results and count the same
+ExecStats, or raise the same exception type with the same message.
 """
 import math
 import os
@@ -16,7 +16,7 @@ import definterp
 from conftest import golden_path
 from irgen import random_inputs, random_module
 from staircase.interp import Buffer, codegen
-from staircase.interp.machine import run, run_reference
+from staircase.interp.machine import run
 from staircase.interp.tape import compile_module, module_functions
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
@@ -47,9 +47,6 @@ def _outcome(runner, module, func, args, mode, workers):
 def differ(module, func, args, mode="sequential", workers=1):
     """Run both evaluators; return the reference outcome and a mismatch or None."""
     want = _outcome(definterp.run, module, func, args, mode, workers)
-    tape = _outcome(run_reference, module, func, args, mode, workers)
-    if tape != want:
-        return want, f"{func} in {mode}: tape {tape!r}, definterp {want!r}"
     got = _outcome(run, module, func, args, mode, workers)
     if got != want:
         return want, f"{func} in {mode}: generated {got!r}, reference {want!r}"
