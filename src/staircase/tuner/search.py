@@ -24,7 +24,7 @@ from staircase.errors import (
 )
 from staircase.interp import Buffer, cost as model_cost
 from staircase.interp.machine import run
-from staircase.ir.core import Operation
+from staircase.ir.core import Operation, SymbolTable
 from staircase.ir.verify import verify_or_raise
 from staircase.passes import run_pipeline
 from staircase.tuner.space import ParamSpace, Trial
@@ -64,15 +64,16 @@ def _resolve_module(kernel) -> Operation:
 
 
 def _find_func(module: Operation, name: str | None) -> Operation:
-    funcs = [op for op in module.body().ops if op.name == "func.func"]
+    table = SymbolTable(module)
     if name is None:
+        funcs = [op for op in table.symbols.values() if op.name == "func.func"]
         if not funcs:
             raise MissingMain("module has no func.func to tune")
         return funcs[0]
-    for op in funcs:
-        if op.attributes["sym_name"].value == name:
-            return op
-    raise MissingMain(f"no function named @{name} in module")
+    op = table.lookup(name)
+    if op is None or op.name != "func.func":
+        raise MissingMain(f"no function named @{name} in module")
+    return op
 
 
 def _fresh_argument(ty, rng: random.Random):
@@ -159,7 +160,7 @@ class _Session:
         verify_or_raise(module)
         self.module = module
         self.func_op = _find_func(module, func)
-        self.func = self.func_op.attributes["sym_name"].value
+        self.func = SymbolTable.name_of(self.func_op)
         self.seed = seed
         self.objective = objective
         self.template = pipeline_template or default_pipeline
