@@ -27,19 +27,27 @@ from staircase.ir.verify import verify_or_raise
 _BINOPS_F = ("arith.addf", "arith.subf", "arith.mulf")
 _BINOPS_I = ("arith.addi", "arith.subi", "arith.muli")
 
+# The share of memref indices picked without regard to their extent, so
+# that a few seeds still run out of bounds.
+STRAY = 0.2
+
 
 class _Scope:
-    """Values visible at the current insertion point, grouped by kind."""
+    """Values visible at the current insertion point, grouped by kind, and
+    the largest value each index value can take."""
 
     def __init__(self, parent=None):
         self.parent = parent
         self.values = {"index": [], "f64": [], "i64": [], "i1": [],
                        "memref": []}
+        self.tops = parent.tops if parent else {}
 
-    def add(self, value):
+    def add(self, value, top=None):
         kind = value.type.kind
         if kind in self.values:
             self.values[kind].append(value)
+        if top is not None:
+            self.tops[value] = top
 
     def all_of(self, kind):
         out = []
@@ -50,17 +58,29 @@ class _Scope:
         return out
 
 
-def _const(block, rng, scope, kind):
+def _const(block, rng, scope, kind, below=8):
     if kind == "index":
-        attr, ty = int_attr(rng.randrange(0, 8)), INDEX
+        attr, ty = int_attr(rng.randrange(0, below)), INDEX
     elif kind == "i64":
         attr, ty = int_attr(rng.randrange(-30, 30)), I64
     else:
         attr, ty = float_attr(round(rng.uniform(-4.0, 4.0), 3)), F64
     op = create_op(block, block.insertion_index(), "arith.constant",
                    attributes={"value": attr}, result_types=[ty])
-    scope.add(op.results[0])
+    scope.add(op.results[0], attr.value if kind == "index" else None)
     return op.results[0]
+
+
+def _index(block, rng, scope, extent):
+    """An index value for a dimension of ``extent``: one that stays inside
+    it, but for a STRAY share, one of any value."""
+    values = _ensure(block, rng, scope, "index", 1)
+    if rng.random() < STRAY:
+        return rng.choice(values)
+    inside = [v for v in values if scope.tops[v] < extent]
+    if inside:
+        return rng.choice(inside)
+    return _const(block, rng, scope, "index", below=extent)
 
 
 def _ensure(block, rng, scope, kind, n=1):
@@ -109,8 +129,7 @@ def _emit_flat(block, rng, scope):
         scope.add(op.results[0])
         return
     buf = rng.choice(memrefs)
-    idx = _ensure(block, rng, scope, "index", 1)
-    indices = [rng.choice(idx) for _ in buf.type.shape]
+    indices = [_index(block, rng, scope, extent) for extent in buf.type.shape]
     if rng.random() < 0.5:
         op = create_op(block, block.insertion_index(), "memref.load",
                        operands=[buf, *indices],
@@ -130,28 +149,29 @@ def _emit_region_op(block, rng, scope, depth):
         step_op = create_op(block, block.insertion_index(), "arith.constant",
                             attributes={"value": int_attr(rng.randrange(1, 4))},
                             result_types=[INDEX])
-        scope.add(step_op.results[0])
+        scope.add(step_op.results[0], step_op.attributes["value"].value)
         loop = create_op(block, block.insertion_index(), "scf.for",
                          operands=[lb, ub, step_op.results[0]],
                          region_count=1)
         body = loop.body()
         body.add_arg(INDEX)
         inner = _Scope(scope)
-        inner.add(body.args[0])
+        inner.add(body.args[0], scope.tops[ub] - 1)
         _fill_block(body, rng, inner, depth - 1)
         create_op(body, len(body.ops), "scf.yield")
         return
     if roll < 0.55:
+        ub = rng.randrange(1, 9)
         loop = create_op(block, block.insertion_index(), "affine.for",
                          attributes={
                              "lower_bound": int_attr(0),
-                             "upper_bound": int_attr(rng.randrange(1, 9)),
+                             "upper_bound": int_attr(ub),
                              "step": int_attr(rng.randrange(1, 3)),
                          }, region_count=1)
         body = loop.body()
         body.add_arg(INDEX)
         inner = _Scope(scope)
-        inner.add(body.args[0])
+        inner.add(body.args[0], ub - 1)
         _fill_block(body, rng, inner, depth - 1)
         create_op(body, len(body.ops), "scf.yield")
         return
@@ -183,8 +203,8 @@ def _emit_region_op(block, rng, scope, depth):
                      operands=[*bounds, *ubs, *steps], region_count=1)
     body = loop.body()
     inner = _Scope(scope)
-    for _ in range(arity):
-        inner.add(body.add_arg(INDEX))
+    for ub in ubs:
+        inner.add(body.add_arg(INDEX), scope.tops[ub] - 1)
     _fill_block(body, rng, inner, depth - 1)
     create_op(body, len(body.ops), "scf.yield")
 
