@@ -25,20 +25,13 @@ class _Recorder:
         self.point = None
         self.writes: dict = {}        # addr -> writing point
         self.reads: dict = {}         # addr -> up to two distinct points
-        self.conflicts: list = []
-        self._seen: set = set()
+        self.conflicts: dict = {}     # (point, point, addr) -> None, in order
 
     def _label(self, buf) -> str:
         key = id(buf)
         if key not in self.labels:
-            self.labels[key] = f"tmp{sum(1 for k in self.labels)}"
+            self.labels[key] = f"tmp{len(self.labels)}"
         return self.labels[key]
-
-    def _conflict(self, a, b, addr) -> None:
-        entry = (a, b, addr)
-        if entry not in self._seen:
-            self._seen.add(entry)
-            self.conflicts.append(entry)
 
     def begin_parallel(self) -> None:
         self.depth += 1
@@ -60,7 +53,7 @@ class _Recorder:
         addr = (self._label(buf), off)
         writer = self.writes.get(addr)
         if writer is not None and writer != self.point:
-            self._conflict(writer, self.point, addr)
+            self.conflicts[writer, self.point, addr] = None
         readers = self.reads.get(addr)
         if readers is None:
             self.reads[addr] = (self.point,)
@@ -75,10 +68,10 @@ class _Recorder:
         if writer is None:
             self.writes[addr] = self.point
         elif writer != self.point:
-            self._conflict(writer, self.point, addr)
+            self.conflicts[writer, self.point, addr] = None
         for reader in self.reads.get(addr, ()):
             if reader != self.point:
-                self._conflict(reader, self.point, addr)
+                self.conflicts[reader, self.point, addr] = None
 
 
 def check_races(module: Operation, func_name: str, args) -> list:
@@ -90,4 +83,4 @@ def check_races(module: Operation, func_name: str, args) -> list:
     verify_or_raise(module)
     # gpu_emulated is the permissive mode: launches run, loops stay serial
     call(lower_module(module, recorder), func_name, args, "gpu_emulated", 1)
-    return recorder.conflicts
+    return list(recorder.conflicts)

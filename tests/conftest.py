@@ -1,6 +1,5 @@
-"""Shared fixtures plus a per-criterion summary for the acceptance tests."""
+"""Shared fixtures and paths for the test suite."""
 import os
-import re
 import sys
 
 import pytest
@@ -24,28 +23,3 @@ def golden_path(name: str) -> str:
 def golden_text(name: str) -> str:
     with open(golden_path(name), "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-_CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One PASS/FAIL line per acceptance criterion at the end of the run."""
-    lines = {}
-    for status, word in (("passed", "PASS"), ("failed", "FAIL"),
-                         ("error", "FAIL"), ("skipped", "SKIP")):
-        for report in terminalreporter.stats.get(status, []):
-            if getattr(report, "when", "call") != "call" and status != "error":
-                continue
-            match = _CRITERION.search(getattr(report, "nodeid", ""))
-            if match is None:
-                continue
-            number = int(match.group(1))
-            label = match.group(2).replace("_", " ")
-            lines[number] = f"{word} criterion {number}: {label}"
-    if not lines:
-        return
-    writer = terminalreporter
-    writer.section("acceptance criteria")
-    for number in sorted(lines):
-        writer.write_line(lines[number])

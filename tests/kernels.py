@@ -134,24 +134,3 @@ class AddOne(GPUModule):
 @staged
 def add_one(a: MemRef[(8,), F64]):
     AddOne().add_one(a, grid_size=[2, 1, 1], block_size=[4, 1, 1])
-
-
-def conv_oracle(src, flt, dst_shape):
-    """Direct convolution in plain Python over Buffer-likes."""
-    n_, ci_, hi, wi = src.shape
-    co_, _, k, _ = flt.shape
-    _, _, ho_, wo_ = dst_shape
-    out = [[[[0.0] * wo_ for _ in range(ho_)] for _ in range(co_)]
-           for _ in range(n_)]
-    for n in range(n_):
-        for co in range(co_):
-            for ho in range(ho_):
-                for wo in range(wo_):
-                    acc = 0.0
-                    for ci in range(ci_):
-                        for ki in range(k):
-                            for kj in range(k):
-                                acc += (src[n, ci, ho + ki, wo + kj]
-                                        * flt[co, ci, ki, kj])
-                    out[n][co][ho][wo] = acc
-    return out

@@ -8,6 +8,7 @@ ExecStats, or raise the same exception type with the same message.
 """
 import math
 import os
+import re
 from array import array
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 import definterp
 from conftest import golden_path
 from irgen import random_inputs, random_module
-from staircase.interp import Buffer, codegen
+from staircase.interp import Buffer, check_races, codegen
 from staircase.interp.machine import run
 from staircase.interp.tape import compile_module, module_functions
 from staircase.ir.core import create_context
@@ -125,6 +126,35 @@ def test_bench_inputs_agree(path):
         want, problem = differ(module, func, args, mode, workers)
         assert problem is None, problem
         assert want[0] == "returned"
+
+
+def _compiled(monkeypatch, runner, module, func, args):
+    """The source ``runner`` compiles for the module."""
+    units = []
+    define = codegen._define
+    monkeypatch.setattr(codegen, "_define", lambda batch, namespace: (
+        units.extend(batch), define(batch, namespace)))
+    runner(module, func, [a.copy() if isinstance(a, Buffer) else a
+                          for a in args])
+    monkeypatch.undo()
+    return "".join(units)
+
+
+@pytest.mark.parametrize("path", _sources(), ids=os.path.basename)
+def test_recorder_calls_stay_out_of_run(monkeypatch, path):
+    """The source run compiles calls no race recorder; check_races's does."""
+    with open(path, encoding="utf-8") as fh:
+        parsed = parse_module(fh.read(), create_context())
+    recorder_call = re.compile(r"\bR\.\w+\(")
+    for pipeline in (CANON, GPU):
+        module, _ = run_pipeline(parsed, pipeline)
+        func = _entry_name(module)
+        args = random_inputs(_param_types(module, func), 7)
+        plain = _compiled(monkeypatch, lambda *a: run(*a, "gpu_emulated"),
+                          module, func, args)
+        recording = _compiled(monkeypatch, check_races, module, func, args)
+        assert not recorder_call.search(plain)
+        assert recorder_call.search(recording)
 
 
 @pytest.mark.parametrize("name", ["ifs", "matmul", "conv2d", "conv_small",

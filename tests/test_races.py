@@ -4,21 +4,12 @@ A conflict is (earlier point, later point, (buffer label, flat offset)).
 Arguments are labelled arg0, arg1, ...; only the points of the outermost
 parallel loop are told apart.
 """
-import os
-import re
-
-import pytest
-
-from conftest import golden_path
 from irgen import random_inputs
-from staircase.interp import Buffer, check_races, codegen
-from staircase.interp.machine import run
+from staircase.interp import Buffer, check_races
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-INPUTS = os.path.join(ROOT, "perfbench", "inputs")
 GPU = "builtin.module(gpu-map-parallel-loops,gpu-kernel-outlining)"
 
 
@@ -104,36 +95,3 @@ def test_threads_of_a_launch_are_points():
     after = check_races(outlined, "f", [Buffer((4,), "f64")])
     assert after == [((0, 0, 0, 0, 0, 0), (k, 0, 0, 0, 0, 0), ("arg0", 0))
                      for k in (1, 2, 3)]
-
-
-def _generated(monkeypatch, runner, module, func, args):
-    """The source ``runner`` compiles for the module."""
-    units = []
-    define = codegen._define
-    monkeypatch.setattr(codegen, "_define", lambda batch, namespace: (
-        units.extend(batch), define(batch, namespace)))
-    runner(module, func, [a.copy() if isinstance(a, Buffer) else a
-                          for a in args])
-    monkeypatch.undo()
-    return "".join(units)
-
-
-def _race_inputs():
-    names = sorted(f for f in os.listdir(INPUTS) if f.endswith(".sir"))
-    return [os.path.join(INPUTS, f) for f in names] + [golden_path("conv2d.sir")]
-
-
-@pytest.mark.parametrize("path", _race_inputs(), ids=os.path.basename)
-def test_recorder_calls_stay_out_of_run(monkeypatch, path):
-    with open(path, encoding="utf-8") as fh:
-        parsed = parse_module(fh.read(), create_context())
-    recorder_call = re.compile(r"\bR\.\w+\(")
-    for module in (parsed, run_pipeline(parsed, GPU)[0]):
-        entry = next(op for op in module.body().ops if op.name == "func.func")
-        func = entry.attributes["sym_name"].value
-        args = random_inputs([a.type for a in entry.body().args], 7)
-        plain = _generated(monkeypatch, lambda *a: run(*a, "gpu_emulated"),
-                           module, func, args)
-        recording = _generated(monkeypatch, check_races, module, func, args)
-        assert not recorder_call.search(plain)
-        assert recorder_call.search(recording)
