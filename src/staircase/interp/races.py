@@ -21,6 +21,7 @@ class _Recorder:
 
     def __init__(self, labels: dict):
         self.labels = labels          # id(buffer) -> stable name
+        self.labelled: list = []      # kept alive, so no id names two buffers
         self.depth = 0                # parallel loops and launches entered
         self.point = None
         self.writes: dict = {}        # addr -> writing point
@@ -31,6 +32,7 @@ class _Recorder:
         key = id(buf)
         if key not in self.labels:
             self.labels[key] = f"tmp{len(self.labels)}"
+            self.labelled.append(buf)
         return self.labels[key]
 
     def begin_parallel(self) -> None:

@@ -95,3 +95,22 @@ def test_threads_of_a_launch_are_points():
     after = check_races(outlined, "f", [Buffer((4,), "f64")])
     assert after == [((0, 0, 0, 0, 0, 0), (k, 0, 0, 0, 0, 0), ("arg0", 0))
                      for k in (1, 2, 3)]
+
+
+def test_buffers_a_point_allocates_are_its_own():
+    # each point stores to and loads from a buffer it allocates; once the
+    # point ends, the buffer may be freed, but its id must not label the
+    # next point's buffer as the same address
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+    %3 = arith.constant 1.0 : f64
+    scf.parallel (%arg1) = (%0) to (%2) step (%1) {
+      %4 = memref.alloc() : memref<2xf64>
+      memref.store %3, %4[%0] : memref<2xf64>
+      %5 = memref.load %4[%0] : memref<2xf64>
+      memref.store %5, %arg0[%arg1] : memref<4xf64>
+    }
+    return""", "%arg0: memref<4xf64>")
+    assert check_races(module, "f", [Buffer((4,), "f64")]) == []
