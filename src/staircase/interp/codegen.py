@@ -898,7 +898,7 @@ def lower_module(module: Operation, recorder=None) -> Program:
     _define(batch, namespace)
     program = Program()
     for key, op, is_kernel in entries:
-        program.funcs[key] = Function(
+        program[key] = Function(
             name=key,
             param_types=tuple(a.type for a in op.body().args),
             is_kernel=is_kernel,

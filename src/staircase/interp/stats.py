@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 DEFAULT_WEIGHTS = {"arith": 1.0, "memory": 4.0, "bookkeeping": 50.0}
 
 DIALECTS = ("arith", "memref", "scf", "affine", "func", "gpu")
-ARITH, MEMREF, SCF, AFFINE, FUNC, GPU = range(len(DIALECTS))
+ARITH, MEMREF = 0, 1
 LOADS, STORES, BOOKKEEPING = range(len(DIALECTS), len(DIALECTS) + 3)
 
 _OPS = {

@@ -6,23 +6,12 @@ holds them by symbol.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from staircase.interp.buffer import to_f32, wrap_int
 from staircase.ir.core import Operation, SymbolTable
 
 
-@dataclass
-class Program:
+class Program(dict):
     """Compiled functions by symbol; kernels are keyed ``module::kernel``."""
-
-    funcs: dict = field(default_factory=dict)
-
-    def __getitem__(self, name: str):
-        return self.funcs[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.funcs
 
 
 def constant_value(op: Operation):

@@ -3,14 +3,14 @@
 A recursive walk over the ops of a verified module, with a dict from SSA
 values to what they hold: no registers, no jumps and no generated code
 (Reynolds, "Definitional interpreters for higher-order programming
-languages", 1972). Each op's meaning is written once, below, as plainly
-as Python allows. The generated code ``run`` executes must leave the same
-buffers, return the same results and count the same ExecStats, or raise
-the same exception type with the same message.
+languages", 1972). Each op's meaning is one method below, named after the
+op. The generated code ``run`` executes must leave the same buffers,
+return the same results and count the same ExecStats, or raise the same
+exception type with the same message.
 
 What is not an op's meaning is shared with the program: argument and mode
 checking, the stats tally, constants, scalar rounding and the error
-raisers, so a message is written in one place.
+raisers, so each message is written in one place.
 """
 import operator
 import time
@@ -89,13 +89,12 @@ class _Machine:
                 self.tally[OP_SLOT[name]] += 1
             if name in ("func.return", "gpu.return"):
                 return tuple(env[v] for v in op.operands)
-            if name in _EVAL:   # scf.yield and memref.dealloc do nothing
-                _EVAL[name](self, op, env)
+            _MEANING[name](self, op, env)
         return None
 
-    # -- one method per kind of op ---------------------------------------
+    # -- arith ---------------------------------------------------------------
 
-    def constant(self, op, env):
+    def arith_constant(self, op, env):
         env[op.results[0]] = constant_value(op)
 
     def binary(self, op, env):
@@ -108,28 +107,44 @@ class _Machine:
             value = wrap_int(value, "i32" if kind == "i32" else "i64")
         env[op.results[0]] = value
 
+    arith_addf = arith_subf = arith_mulf = arith_divf = binary
+    arith_addi = arith_subi = arith_muli = binary
+
     def compare(self, op, env):
         a, b = [env[v] for v in op.operands]
         env[op.results[0]] = _PREDICATES[op.attributes["predicate"].value](a, b)
 
-    def index_cast(self, op, env):
+    arith_cmpf = arith_cmpi = compare
+
+    def arith_index_cast(self, op, env):
         value, r = env[op.operands[0]], op.results[0]
         env[r] = wrap_int(value, "i32") if r.type.kind == "i32" else value
 
-    def load(self, op, env):
+    # -- memref --------------------------------------------------------------
+
+    def memref_load(self, op, env):
         buf, *indices = [env[v] for v in op.operands]
         env[op.results[0]] = buf.data[_offset(op, buf, indices)]
 
-    def store(self, op, env):
+    def memref_store(self, op, env):
         value, buf, *indices = [env[v] for v in op.operands]
         offset = _offset(op, buf, indices)
         if buf.dtype in ("i32", "i64"):
             value = wrap_int(value, buf.dtype)
         buf.data[offset] = value
 
-    def alloc(self, op, env):
+    def memref_alloc(self, op, env):
         ty = op.results[0].type
         env[op.results[0]] = Buffer(ty.shape, ty.element.kind)
+
+    memref_alloca = memref_alloc
+
+    def memref_dealloc(self, op, env):
+        pass    # a buffer lives as long as a value holds it
+
+    scf_yield = memref_dealloc
+
+    # -- scf and affine ------------------------------------------------------
 
     def scf_for(self, op, env):
         self.loop(op, env, *[env[v] for v in op.operands])
@@ -140,25 +155,8 @@ class _Machine:
                   wrap_int(attrs["upper_bound"].value, "i64"),
                   attrs["step"].value)
 
-    def scf_if(self, op, env):
-        if env[op.operands[0]]:
-            self.block(op.body(0), env)
-        elif len(op.regions) == 2:
-            self.block(op.body(1), env)
-
-    def call_op(self, op, env):
-        callee = self.symbols.lookup(*op.attributes["callee"].value)
-        results = self.call(callee, [env[v] for v in op.operands])
-        env.update(zip(op.results, results))
-
-    def gpu_id(self, op, env):
-        dim = "xyz".index(op.attributes["dimension"].value)
-        thread = op.name == "gpu.thread_id"
-        env[op.results[0]] = self.ids[dim + 3 * thread]
-
     def loop(self, op, env, lb, ub, step):
-        """scf.for and affine.for: a step that is not positive fails once
-        the first iteration has run."""
+        """A step that is not positive fails once the first iteration ran."""
         body = op.body()
         i = lb
         while i < ub:
@@ -169,7 +167,13 @@ class _Machine:
                 bad_loop_step()
             i += step
 
-    def parallel(self, op, env):
+    def scf_if(self, op, env):
+        if env[op.operands[0]]:
+            self.block(op.body(0), env)
+        elif len(op.regions) == 2:
+            self.block(op.body(1), env)
+
+    def scf_parallel(self, op, env):
         """The points in row-major order, as one loop nest would visit them."""
         body = op.body()
         n = len(body.args)
@@ -182,7 +186,14 @@ class _Machine:
             env.update(zip(body.args, point))
             self.block(body, env)
 
-    def launch(self, op, env):
+    # -- func and gpu --------------------------------------------------------
+
+    def func_call(self, op, env):
+        callee = self.symbols.lookup(*op.attributes["callee"].value)
+        results = self.call(callee, [env[v] for v in op.operands])
+        env.update(zip(op.results, results))
+
+    def gpu_launch_func(self, op, env):
         """Every thread of the grid, one after another."""
         if self.mode != "gpu_emulated":
             launch_outside_gpu(self.mode, op.location)
@@ -195,19 +206,17 @@ class _Machine:
             self.call(kernel, args[6:])
         self.ids = outer
 
+    def gpu_id(self, op, env):
+        dim = "xyz".index(op.attributes["dimension"].value)
+        thread = op.name == "gpu.thread_id"
+        env[op.results[0]] = self.ids[dim + 3 * thread]
 
-_EVAL = {
-    "arith.constant": _Machine.constant,
-    **dict.fromkeys(_BINARY, _Machine.binary),
-    "arith.cmpf": _Machine.compare, "arith.cmpi": _Machine.compare,
-    "arith.index_cast": _Machine.index_cast,
-    "memref.load": _Machine.load, "memref.store": _Machine.store,
-    "memref.alloc": _Machine.alloc, "memref.alloca": _Machine.alloc,
-    "scf.for": _Machine.scf_for, "affine.for": _Machine.affine_for,
-    "scf.if": _Machine.scf_if, "scf.parallel": _Machine.parallel,
-    "func.call": _Machine.call_op, "gpu.launch_func": _Machine.launch,
-    "gpu.block_id": _Machine.gpu_id, "gpu.thread_id": _Machine.gpu_id,
-}
+    gpu_block_id = gpu_thread_id = gpu_id
+
+
+# The method that gives each op its meaning, found by the op's name.
+_MEANING = {name: getattr(_Machine, name.replace(".", "_")) for name in OP_SLOT
+            if name not in ("func.return", "gpu.return")}
 
 
 def _offset(op, buf, indices) -> int:

@@ -10,15 +10,16 @@ import math
 import os
 import re
 from array import array
+from unittest import mock
 
 import pytest
 
 import definterp
 from conftest import golden_path
 from irgen import random_inputs, random_module
-from staircase.interp import Buffer, check_races, codegen
+from staircase.interp import Buffer, codegen
 from staircase.interp.machine import run
-from staircase.interp.tape import compile_module, module_functions
+from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module
@@ -54,14 +55,15 @@ def differ(module, func, args, mode="sequential", workers=1):
     return want, None
 
 
-def _source(module, func="f"):
-    """The generated source of @func and of the functions it defines."""
-    pynames = {key: f"f{i}" for i, (key, _, _)
-               in enumerate(module_functions(module))}
-    op = next(op for key, op, _ in module_functions(module) if key == func)
-    gen = codegen._FuncGen(op, pynames[func], pynames, None, [])
-    gen.generate()
-    return "".join(gen.units)
+def _source(module, recorder=None):
+    """The source ``lower_module`` compiles for the module: what ``run``
+    executes, or given a recorder, what ``check_races`` does."""
+    units = []
+    define = codegen._define
+    with mock.patch.object(codegen, "_define", lambda batch, namespace: (
+            units.extend(batch), define(batch, namespace))):
+        codegen.lower_module(module, recorder)
+    return "".join(units)
 
 
 def _entry_name(module):
@@ -106,7 +108,7 @@ def test_chained_segments_agree(monkeypatch):
     mismatches, _, _ = _irgen_runs(range(60))
     assert not mismatches, "\n".join(mismatches[:5])
     modules = [random_module(seed) for seed in range(60)]
-    sources = [_source(m, _entry_name(m)) for m in modules]
+    sources = [_source(m) for m in modules]
     assert sum("_s" in source for source in sources) > 20
 
 
@@ -128,33 +130,15 @@ def test_bench_inputs_agree(path):
         assert want[0] == "returned"
 
 
-def _compiled(monkeypatch, runner, module, func, args):
-    """The source ``runner`` compiles for the module."""
-    units = []
-    define = codegen._define
-    monkeypatch.setattr(codegen, "_define", lambda batch, namespace: (
-        units.extend(batch), define(batch, namespace)))
-    runner(module, func, [a.copy() if isinstance(a, Buffer) else a
-                          for a in args])
-    monkeypatch.undo()
-    return "".join(units)
-
-
 @pytest.mark.parametrize("path", _sources(), ids=os.path.basename)
-def test_recorder_calls_stay_out_of_run(monkeypatch, path):
-    """The source run compiles calls no race recorder; check_races's does."""
+def test_recorder_calls_stay_out_of_run(path):
     with open(path, encoding="utf-8") as fh:
         parsed = parse_module(fh.read(), create_context())
     recorder_call = re.compile(r"\bR\.\w+\(")
     for pipeline in (CANON, GPU):
         module, _ = run_pipeline(parsed, pipeline)
-        func = _entry_name(module)
-        args = random_inputs(_param_types(module, func), 7)
-        plain = _compiled(monkeypatch, lambda *a: run(*a, "gpu_emulated"),
-                          module, func, args)
-        recording = _compiled(monkeypatch, check_races, module, func, args)
-        assert not recorder_call.search(plain)
-        assert recorder_call.search(recording)
+        assert not recorder_call.search(_source(module))
+        assert recorder_call.search(_source(module, recorder=object()))
 
 
 @pytest.mark.parametrize("name", ["ifs", "matmul", "conv2d", "conv_small",

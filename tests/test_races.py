@@ -26,18 +26,22 @@ def test_conv_rows_has_no_conflict():
     assert check_races(module, "conv_rows", random_inputs(params, 3)) == []
 
 
-def test_points_storing_to_one_address():
-    module = _module("""\
+# Four points store to a[0].
+ONE_ADDRESS = ("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
-    %2 = arith.constant 2 : index
+    %2 = arith.constant 4 : index
     %3 = arith.constant 1.0 : f64
     scf.parallel (%arg1) = (%0) to (%2) step (%1) {
-      memref.store %3, %arg0[%1] : memref<4xf64>
+      memref.store %3, %arg0[%0] : memref<4xf64>
     }
     return""", "%arg0: memref<4xf64>")
+
+
+def test_points_storing_to_one_address():
+    module = _module(*ONE_ADDRESS)
     assert check_races(module, "f", [Buffer((4,), "f64")]) == [
-        ((0,), (1,), ("arg0", 1))]
+        ((0,), (k,), ("arg0", 0)) for k in (1, 2, 3)]
 
 
 def test_read_of_another_points_write():
@@ -79,22 +83,11 @@ def test_nested_parallel_loops_record_outer_points():
 
 def test_threads_of_a_launch_are_points():
     # outlining turns the four points into four blocks of one thread
-    # each; the stores to a[0] conflict as they did before outlining
-    module = _module("""\
-    %0 = arith.constant 0 : index
-    %1 = arith.constant 1 : index
-    %2 = arith.constant 4 : index
-    %3 = arith.constant 1.0 : f64
-    scf.parallel (%arg1) = (%0) to (%2) step (%1) {
-      memref.store %3, %arg0[%0] : memref<4xf64>
-    }
-    return""", "%arg0: memref<4xf64>")
-    before = check_races(module, "f", [Buffer((4,), "f64")])
-    assert before == [((0,), (k,), ("arg0", 0)) for k in (1, 2, 3)]
-    outlined, _ = run_pipeline(module, GPU)
-    after = check_races(outlined, "f", [Buffer((4,), "f64")])
-    assert after == [((0, 0, 0, 0, 0, 0), (k, 0, 0, 0, 0, 0), ("arg0", 0))
-                     for k in (1, 2, 3)]
+    # each; their stores to a[0] conflict as the points' stores do
+    outlined, _ = run_pipeline(_module(*ONE_ADDRESS), GPU)
+    assert check_races(outlined, "f", [Buffer((4,), "f64")]) == [
+        ((0, 0, 0, 0, 0, 0), (k, 0, 0, 0, 0, 0), ("arg0", 0))
+        for k in (1, 2, 3)]
 
 
 def test_buffers_a_point_allocates_are_its_own():
