@@ -2,7 +2,7 @@
 
 Capture numeric Python functions into an SSA, region-based IR with a
 handful of MLIR-flavored dialects, rewrite them with a small scoped pass
-pipeline, execute them on a metered reference interpreter, and search the
+pipeline, run them as metered Python generated per module, and search the
 tiling/unrolling space with a derivative-free tuner.
 """
 from staircase.ir.core import (
