@@ -21,6 +21,17 @@ addi/subi/muli over those): an index that is always inside its extent
 needs no bounds check, and a result that always fits its width needs no
 wrap. Everything else is checked at run time, in op order.
 
+The same values have a linear form, Σ coef·iv + constant over the loop,
+parallel and thread induction variables, and an address is computed from
+the forms of its indices, not from their locals. Its terms are grouped by
+the loop that binds each variable: the terms of each loop outside the
+innermost one go into a partial sum bound once, in that loop's header, as
+the partial sum of the loops outside it plus its own terms (loop-invariant
+code motion). The innermost loop's terms and the constant stay in the
+statement. A nested function's entry is its outermost level, so the terms
+of variables it receives are summed there. An index value used only in
+addresses, directly or through integer ops, is never bound at all.
+
 ExecStats stay exact without a counter per op. Every block of the IR runs
 as a whole, so its ops' counts are its static counts times the number of
 times it ran. A loop whose trip count is a literal multiplies its parent's
@@ -153,6 +164,33 @@ def _combine(sign: str, a: tuple, b: tuple) -> tuple:
     return min(ends), max(ends)
 
 
+def _linear(sign: str, a: tuple, b: tuple):
+    """The linear form of ``a sign b``, or None for a product of two
+    variable forms. A form is ({induction local: coefficient}, constant)."""
+    (ta, ka), (tb, kb) = a, b
+    if sign == "*":
+        if ta and tb:
+            return None
+        terms, k, scale = (ta, ka, kb) if not tb else (tb, kb, ka)
+        return {v: c * scale for v, c in terms.items()}, k * scale
+    s = 1 if sign == "+" else -1
+    terms = dict(ta)
+    for v, c in tb.items():
+        terms[v] = terms.get(v, 0) + s * c
+    return {v: c for v, c in terms.items() if c}, ka + s * kb
+
+
+def _sum(terms, const: int = 0) -> str:
+    """Σ name*coef + const as Python source; ``terms`` are (name, coef) pairs."""
+    text = ""
+    for name, coef in terms:
+        term = name if abs(coef) == 1 else f"{name}*{abs(coef)}"
+        text += (" - " if coef < 0 else " + ") + term
+    if const or not text:
+        text += f" - {-const}" if const < 0 else f" + {const}"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _wrap_expr(expr: str, kind: str) -> str:
     bits = _WIDTH[kind]
     half = 1 << (bits - 1)
@@ -223,6 +261,8 @@ _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
                    "arith.index_cast"})
 _TERMINATORS = frozenset({"scf.yield", "func.return", "gpu.return"})
 _WRITES = frozenset({"memref.store", "func.call", "gpu.launch_func"})
+_INDEX_FROM = {"memref.load": 1, "memref.store": 2}  # first index operand
+_LINEAR_OPS = frozenset({*_IOPS, "arith.index_cast"})
 
 # The _FuncGen method that writes each op; the others (constants, dealloc
 # and the terminators) write no statement of their own.
@@ -267,7 +307,14 @@ class _FuncGen:
         self.binds: set = set()     # and assigns
         self.foldable: set = set()  # results written into their one use
         self.folded: dict = {}      # folded Value -> locals its expression reads
-        self.splits: dict = {}      # integer Value -> (a local, a constant)
+        self.linear: dict = {}      # integer Value -> ({induction local: coef}, k)
+        self.indexing: dict = {}    # Value -> whether it is used only in addresses
+        # Loop levels: 0 is the function's entry, each ``for`` opens one.
+        self.levels: dict = {}      # induction local -> the level its loop opens
+        self.headers: list = [(0, 1, [])]  # per open level: the line and depth
+        #                             of its header, and the sums bound there
+        self.partials: dict = {}    # (outer partial sum, terms) -> its local
+        self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
         self.offsets: dict = {}     # address sum -> its local, in this run
         self.returned: tuple = ()
         self.scope: set = set()     # the locals this function can read
@@ -299,6 +346,10 @@ class _FuncGen:
         """``value`` always equals ``source``: reuse its name, no statement."""
         if source in self.ranges:
             self.ranges[value] = self.ranges[source]
+        if source in self.linear:
+            self.linear[value] = self.linear[source]
+            if self.fold_linear(value):
+                return []
         if source in self.folded:   # its uses may be anywhere: bind it
             return self.assign(value, self.val(source))
         self.names[value] = self.names[source]
@@ -311,6 +362,45 @@ class _FuncGen:
             self.folded[value] = set(self.reads)
             return []
         return [f"{self.bind(value)} = {expr}"]
+
+    def fold_linear(self, value: Value) -> bool:
+        """Name an index value used only in addresses by its linear form.
+
+        Addresses read the form itself, so nothing binds the value; the
+        expression serves a bounds check or a use that is not linear.
+        """
+        form = self.linear.get(value)
+        if form is None or not self.index_only(value):
+            return False
+        self.names[value] = f"({_sum(form[0].items(), form[1])})"
+        self.folded[value] = set(form[0])
+        return True
+
+    def index_only(self, value: Value) -> bool:
+        """Whether every use of ``value`` is a memref index, directly or
+        through integer ops whose results are used only so."""
+        memo, stack = self.indexing, [value]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            pending = [u.results[0] for u, _ in v.uses
+                       if u.name in _LINEAR_OPS and u.results[0] not in memo]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            memo[v] = bool(v.uses) and all(
+                slot >= _INDEX_FROM[u.name] if u.name in _INDEX_FROM
+                else u.name in _LINEAR_OPS and memo[u.results[0]]
+                for u, slot in v.uses)
+        return memo[value]
+
+    def form(self, value: Value):
+        """The linear form of an integer value, or None."""
+        c = self.const(value)
+        return ({}, c) if c is not None else self.linear.get(value)
 
     def val(self, value: Value) -> str:
         """The expression for a value, noting the locals it reads.
@@ -379,15 +469,15 @@ class _FuncGen:
                 self.emit(depth, "if nt:")
                 depth += 1
             for d in looped:
-                self.emit(depth, f"for {_GPU_IDS[d]} in range({sizes[d]}):")
                 self.scope.add(_GPU_IDS[d])
-                depth += 1
+                depth = self.loop(depth, _GPU_IDS[d], f"range({sizes[d]})")
             if self.recording:  # each thread is a point
                 ids = (_GPU_IDS[d] if d in looped else "0" for d in range(6))
                 self.emit(depth, f"R.begin_point(({', '.join(ids)}))")
             count = (1, "nt")
             self.bookkeeping.append(count)
         self.body(body, count, depth)
+        self.close_loops(0)
         if self.is_kernel and self.recording:
             self.emit(1, "R.end_parallel()")
         self.unit(params, prologue)
@@ -418,12 +508,16 @@ class _FuncGen:
         child.lines, child.blocks, child.counters = [], [], []
         child.bookkeeping, child.scope = [], set(self.scope)
         child.returned = None
+        # its entry is its level 0: every local it reads from here is there
+        child.levels, child.headers = {}, [(0, 1, [])]
+        child.partials, child.hoisted = {}, {}
         return child
 
     def call_nested(self, child: "_FuncGen", depth: int) -> None:
         """Define ``child`` and call it; its parameters are the locals of
         this function its lines read."""
         self.n = child.n
+        child.close_loops(0)
         free = sorted(set(_NAME.findall("\n".join(child.lines))) & self.scope)
         child.unit(free, [])
         self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
@@ -541,14 +635,13 @@ class _FuncGen:
         # a segment returns the locals it binds that later segments read
         # (folded expressions included) or that ops after the run may read
         # for a result of the run: its name, which an alias shares with an
-        # earlier result, its array, or the local it is split into
+        # earlier result, or its array
         in_run = {s.op for s in run}
         later, outs = set(), []
         for s in run:
             for r in s.op.results:
                 if any(user not in in_run for user, _ in r.uses):
-                    later.update((self.names[r], self.arrays.get(r),
-                                  self.splits.get(r, (None,))[0]))
+                    later.update((self.names[r], self.arrays.get(r)))
         for seg in reversed(segments):
             bound = set().union(*(s.binds for s in seg))
             outs.append(sorted(bound & later))
@@ -611,12 +704,12 @@ class _FuncGen:
                 return []
             if _fits(lo, hi, kind):
                 self.ranges[r] = (lo, hi)
-                if sign != "*" and (cb is not None or ca is not None
-                                    and sign == "+"):
-                    v, k = (a, cb) if cb is not None else (b, ca)
-                    local, c = self.splits.get(v) or (self.names[v], 0)
-                    if local.isidentifier():
-                        self.splits[r] = local, c + (k if sign == "+" else -k)
+                fa, fb = self.form(a), self.form(b)
+                form = fa and fb and _linear(sign, fa, fb)
+                if form:
+                    self.linear[r] = form
+                    if self.fold_linear(r):
+                        return []
                 return self.assign(r, f"{self.val(a)} {sign} {self.val(b)}")
         expr = _wrap_expr(f"{self.val(a)} {sign} {self.val(b)}", kind)
         return self.assign(r, expr)
@@ -661,44 +754,82 @@ class _FuncGen:
         return lines
 
     def address(self, op: Operation, buf: Value, indices) -> tuple:
-        """Bounds checks for the unproven dimensions, and the flat offset."""
+        """Bounds checks for the unproven dimensions, and the flat offset.
+
+        The offset is linearised: the terms of loops outside the innermost
+        one come from partial sums bound in their headers (``hoist``).
+        """
         lines = []
         where = None
         shape = buf.type.shape
         strides = self.strides.get(shape)
         if strides is None:
             strides = self.strides[shape] = row_major_strides(shape)
-        fixed, terms, scaled = 0, [], False
+        coefs, fixed, rest = {}, 0, []
         for v, extent, stride in zip(indices, shape, strides):
             r = self.ranges.get(v)
-            expr = self.val(v)
             if r is None or r[0] < 0 or r[1] >= extent:
+                expr = self.val(v)
                 where = where or self.constant(op.location)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
             if r is not None and r[0] == r[1]:
                 fixed += r[0] * stride
                 continue
-            split = self.splits.get(v)
-            if split is not None:   # a local, and a constant for ``fixed``
-                expr = split[0]
-                fixed += split[1] * stride
-                self.reads.add(expr)
-            terms.append(expr if stride == 1 else f"{expr}*{stride}")
-            scaled = scaled or stride != 1
-        if len(terms) > 1 or scaled:
-            key = " + ".join(terms)
+            form = self.linear.get(v)
+            if form is None:
+                rest.append((self.val(v), stride))
+                continue
+            for name, coef in form[0].items():
+                coefs[name] = coefs.get(name, 0) + coef * stride
+            fixed += form[1] * stride
+        hoisted = self.hoist(coefs)
+        terms = hoisted + rest
+        if len(terms) > 1 or any(coef != 1 for _, coef in terms):
+            key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
                 base = self.offsets.get(key)
                 if base is None:
                     base = self.offsets[key] = self.local("o")
                     self.binds.add(base)
                     lines.append(f"{base} = {key}")
-                self.reads.add(base)
-                terms = [base]
-        if fixed or not terms:
-            terms.append(str(fixed))
-        return lines, " + ".join(terms)
+                    self.reads.update(name for name, _ in hoisted)
+                hoisted = terms = [(base, 1)]
+        self.reads.update(name for name, _ in hoisted)
+        return lines, _sum(terms, fixed)
+
+    def hoist(self, coefs: dict) -> list:
+        """Σ coef·var as terms of the current loop level, led by the partial
+        sum of the outer levels' terms.
+
+        Each outer level's partial sum adds its terms to the one before it
+        and is bound once, in the header of the loop that binds its
+        variables; a bare name binds nothing.
+        """
+        current = len(self.headers) - 1
+        key = (current, tuple(coefs.items()))
+        if key in self.hoisted:
+            return self.hoisted[key]
+        by_level: dict = {}
+        for name, coef in coefs.items():
+            if coef:
+                by_level.setdefault(self.levels.get(name, 0), []).append(
+                    (name, coef))
+        inner = by_level.pop(current, [])
+        partial = None
+        for level in sorted(by_level):
+            terms = sorted(by_level[level])
+            if partial is None and len(terms) == 1 and terms[0][1] == 1:
+                partial = terms[0][0]
+                continue
+            name = self.partials.get((partial, tuple(terms)))
+            if name is None:
+                name = self.partials[partial, tuple(terms)] = self.local("h")
+                head = [(partial, 1)] if partial else []
+                self.headers[level][2].append(f"{name} = {_sum(head + terms)}")
+            partial = name
+        terms = self.hoisted[key] = ([(partial, 1)] if partial else []) + inner
+        return terms
 
     def alloc(self, op: Operation) -> list:
         r = op.results[0]
@@ -732,12 +863,36 @@ class _FuncGen:
         self.names[r] = _GPU_IDS[dim]
         if self.extents:
             top = max(self.extents[dim] - 1, 0)
-            self.ranges[r] = (0, top)
             if top == 0:    # its thread loop is left out
                 self.names[r] = "0"
+                self.ranges[r] = (0, 0)
+            else:
+                self.induction(r, (0, top))
         return []
 
     # -- region ops: each writes its statements ---------------------------------
+
+    def loop(self, depth: int, name: str, source: str) -> int:
+        """``for name in source:``, whose body is a new loop level; returns
+        the depth of the body."""
+        self.emit(depth, f"for {name} in {source}:")
+        self.levels[name] = len(self.headers)
+        self.headers.append((len(self.lines), depth + 1, []))
+        return depth + 1
+
+    def close_loops(self, level: int) -> None:
+        """Write the partial sums of each level from ``level`` on into the
+        header of its loop, and leave those levels."""
+        while len(self.headers) > level:
+            at, depth, sums = self.headers.pop()
+            self.lines[at:at] = ["    " * depth + line for line in sums]
+
+    def induction(self, iv: Value, interval) -> None:
+        """Note the interval of a bound induction variable, if known, and
+        with it its linear form."""
+        if interval is not None:
+            self.ranges[iv] = interval
+            self.linear[iv] = ({self.names[iv]: 1}, 0)
 
     def iv_range(self, lb: Value, ub: Value):
         """The interval a runtime-bounded induction variable stays in.
@@ -764,15 +919,15 @@ class _FuncGen:
             self.names[iv] = self.literal(trips[0])
             self.ranges[iv] = (trips[0], trips[0])
             return depth
-        if trips:
-            self.ranges[iv] = (trips[0], trips[-1])
-        self.emit(depth, f"for {self.bind(iv, 'i')} in {_range(*bounds)}:")
-        return depth + 1
+        depth = self.loop(depth, self.bind(iv, "i"), _range(*bounds))
+        self.induction(iv, (trips[0], trips[-1]) if trips else None)
+        return depth
 
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
         lb, ub, step = op.operands
         iv = op.body().args[0]
         bounds = (self.const(lb), self.const(ub), self.const(step))
+        level = len(self.headers)
         if None not in bounds and bounds[2] > 0:
             inner = _times(count, len(range(*bounds)))
             depth = self.loop_header(iv, bounds, depth)
@@ -786,13 +941,11 @@ class _FuncGen:
                 self.emit(depth, f"{rng} = range({l}, {u}, {s}) if {s} > 0 "
                                  f"else bad_step({l}, {u})")
             self.emit(depth, f"{inner[1]} += len({rng})")
-            self.emit(depth, f"for {self.bind(iv, 'i')} in {rng}:")
-            depth += 1
-            r = self.iv_range(lb, ub)
-            if r is not None:
-                self.ranges[iv] = r
+            depth = self.loop(depth, self.bind(iv, "i"), rng)
+            self.induction(iv, self.iv_range(lb, ub))
         self.bookkeeping.append(inner)
         self.body(op.body(), inner, depth)
+        self.close_loops(level)
 
     def affine_for(self, op: Operation, count: tuple, depth: int) -> None:
         attrs = op.attributes
@@ -801,8 +954,10 @@ class _FuncGen:
                   attrs["step"].value)
         inner = _times(count, len(range(*bounds)))
         self.bookkeeping.append(inner)
+        level = len(self.headers)
         depth = self.loop_header(op.body().args[0], bounds, depth)
         self.body(op.body(), inner, depth)
+        self.close_loops(level)
 
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
         """A call to the function its body becomes, which takes the locals
@@ -848,10 +1003,8 @@ class _FuncGen:
             if isinstance(rng, tuple):
                 depth = self.loop_header(iv, rng, depth)
                 continue
-            if interval is not None:
-                self.ranges[iv] = interval
-            self.emit(depth, f"for {self.bind(iv, 'i')} in {rng}:")
-            depth += 1
+            depth = self.loop(depth, self.bind(iv, "i"), rng)
+            self.induction(iv, interval)
         if self.recording:
             point = "".join(self.val(iv) + ", " for iv in op.body().args)
             self.emit(depth, f"R.begin_point(({point.rstrip()}))")

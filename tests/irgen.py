@@ -253,3 +253,188 @@ def random_inputs(param_types, seed):
         else:
             args.append(rng.randrange(0, 8))
     return args
+
+
+# -- index arithmetic ------------------------------------------------------------
+#
+# random_module's integer binops are i64 only, so none of its memref indices
+# is an addi, subi or muli. index_module builds loop nests whose indices are
+# such chains over the induction variables.
+
+_CHAIN = ("arith.addi", "arith.subi", "arith.muli")
+
+
+def _span(name, a, b):
+    """The interval of ``a name b`` for intervals a and b."""
+    if name == "arith.addi":
+        return a[0] + b[0], a[1] + b[1]
+    if name == "arith.subi":
+        return a[0] - b[1], a[1] - b[0]
+    ends = [x * y for x in a for y in b]
+    return min(ends), max(ends)
+
+
+class _Nest:
+    """Builds one index_module: the index values in scope at each point,
+    and the interval each value stays in."""
+
+    def __init__(self, rng, bufs):
+        self.rng = rng
+        self.bufs = bufs
+        self.spans = {}
+
+    def op(self, block, name, operands=(), attributes=None, result_types=(),
+           regions=0):
+        return create_op(block, block.insertion_index(), name,
+                         operands=list(operands), attributes=attributes,
+                         result_types=list(result_types), region_count=regions)
+
+    def const(self, block, k):
+        value = self.op(block, "arith.constant", attributes={"value": int_attr(k)},
+                        result_types=[INDEX]).results[0]
+        self.spans[value] = (k, k)
+        return value
+
+    def binop(self, block, name, a, b):
+        value = self.op(block, name, [a, b], result_types=[INDEX]).results[0]
+        self.spans[value] = _span(name, self.spans[a], self.spans[b])
+        return value
+
+    def variables(self, scope):
+        """The values in scope that are not constants, or failing that, all."""
+        return [v for v in scope if self.spans[v][0] < self.spans[v][1]] or scope
+
+    def chain(self, block, scope):
+        """addi, subi or muli by a constant over values in scope; now and
+        then a constant minus a value, or a product of two values."""
+        rng = self.rng
+        name = rng.choice(_CHAIN)
+        a, b = (rng.choice(self.variables(scope)) for _ in range(2))
+        if name == "arith.muli" and rng.random() < 0.9 or rng.random() < 0.4:
+            b = self.const(block, rng.randrange(-3, 6))
+        if name == "arith.subi" and rng.random() < 0.5:
+            a, b = b, a
+        scope.append(self.binop(block, name, a, b))
+
+    def index(self, block, scope, extent):
+        """An index for a dimension of ``extent``: inside it, but for a
+        share picked from all values in scope (a nest picks many indices,
+        so a quarter of random_module's share)."""
+        rng = self.rng
+        if rng.random() < STRAY / 4:
+            return rng.choice(scope)
+        variables = self.variables(scope)
+        inside = [v for v in variables
+                  if self.spans[v][0] >= 0 and self.spans[v][1] < extent]
+        if inside and rng.random() < 0.5:
+            return rng.choice(inside)
+        fits = [v for v in variables
+                if self.spans[v][1] - self.spans[v][0] < extent]
+        if not fits:
+            return self.const(block, rng.randrange(extent))
+        v = rng.choice(fits)
+        lo, hi = self.spans[v]
+        if rng.random() < 0.5:  # v + k
+            k = self.const(block, rng.randint(-lo, extent - 1 - hi))
+            value = self.binop(block, "arith.addi", v, k)
+        else:                   # k - v: a negative coefficient
+            k = self.const(block, rng.randint(hi, extent - 1 + lo))
+            value = self.binop(block, "arith.subi", k, v)
+        scope.append(value)
+        return value
+
+    def access(self, block, scope):
+        """Load from one buffer, store to another."""
+        rng = self.rng
+        src, dst = rng.choice(self.bufs), rng.choice(self.bufs)
+        indices = [self.index(block, scope, e) for e in src.type.shape]
+        value = self.op(block, "memref.load", [src, *indices],
+                        result_types=[F64]).results[0]
+        indices = [self.index(block, scope, e) for e in dst.type.shape]
+        self.op(block, "memref.store", [value, dst, *indices])
+        return value
+
+    def loop(self, block, scope):
+        """scf.for over constant or chain bounds, affine.for or scf.parallel;
+        returns its body and its induction variables."""
+        rng = self.rng
+        roll = rng.random()
+        trips = 0 if rng.random() < 0.05 else rng.randrange(2, 6)
+        if roll < 0.2:
+            lo, step = rng.randrange(0, 3), rng.randrange(1, 3)
+            loop = self.op(block, "affine.for", attributes={
+                "lower_bound": int_attr(lo),
+                "upper_bound": int_attr(lo + trips * step),
+                "step": int_attr(step)}, regions=1)
+            spans = [(lo, lo + max(trips - 1, 0) * step)]
+        elif roll < 0.4:
+            dims = rng.randrange(1, 3)
+            ubs = [rng.randrange(1, 4) for _ in range(dims)]
+            bounds = ([self.const(block, 0)] * dims
+                      + [self.const(block, u) for u in ubs]
+                      + [self.const(block, 1)] * dims)
+            loop = self.op(block, "scf.parallel", bounds, regions=1)
+            spans = [(0, u - 1) for u in ubs]
+        else:
+            lb = self.const(block, rng.randrange(0, 3))
+            step = rng.randrange(1, 3)
+            small = [v for v in self.variables(scope) if 0 <= self.spans[v][1] < 6]
+            if small and rng.random() < 0.3:   # bounded by a chain
+                ub = rng.choice(small)
+            else:
+                ub = self.const(block, self.spans[lb][0] + trips * step)
+            step = self.const(block, step)
+            loop = self.op(block, "scf.for", [lb, ub, step], regions=1)
+            first = self.spans[lb][0]
+            spans = [(first, max(self.spans[ub][1] - 1, first))]
+        body = loop.body()
+        for span in spans:
+            self.spans[body.add_arg(INDEX)] = span
+        return body, list(body.args)
+
+    def fill(self, block, scope, depth):
+        """A few chains, a loop holding the rest of the nest, accesses after
+        it, and now and then an scf.if whose arms access memory too."""
+        rng = self.rng
+        scope = list(scope)
+        for _ in range(rng.randrange(1, 3)):
+            self.chain(block, scope)
+        if depth:
+            body, ivs = self.loop(block, scope)
+            self.fill(body, scope + ivs, depth - 1)
+            create_op(body, len(body.ops), "scf.yield")
+        for _ in range(rng.randrange(1, 3)):
+            value = self.access(block, scope)
+        if rng.random() < 0.4:
+            zero = self.op(block, "arith.constant",
+                           attributes={"value": float_attr(0.0)},
+                           result_types=[F64]).results[0]
+            cond = self.op(block, "arith.cmpf", [value, zero],
+                           attributes={"predicate": str_attr("olt")},
+                           result_types=[IRType("i1")]).results[0]
+            branch = self.op(block, "scf.if", [cond], regions=2)
+            for region in branch.regions:
+                arm = region.blocks[0]
+                self.chain(arm, list(scope))
+                self.access(arm, list(scope))
+                create_op(arm, len(arm.ops), "scf.yield")
+
+
+def index_module(seed: int, ctx=None):
+    """A loop nest two to four deep over one or two f64 buffers, whose
+    memref indices are addi, subi and muli-by-a-constant chains over its
+    induction variables, some with negative coefficients. A few indices
+    are picked without regard to their extent, so some seeds run out of
+    bounds."""
+    rng = random.Random(seed)
+    ctx = ctx or create_context()
+    module = create_module(ctx)
+    shapes = [tuple(rng.randrange(2, 7) for _ in range(rng.randrange(1, 4)))
+              for _ in range(rng.randrange(1, 3))]
+    func = build_func(module, f"idx{seed % 1000}",
+                      [memref_type(s, F64) for s in shapes])
+    body = func.body()
+    nest = _Nest(rng, list(body.args))
+    nest.fill(body, [nest.const(body, 0)], rng.randrange(2, 5))
+    verify_or_raise(module)
+    return module

@@ -4,7 +4,8 @@
 walks the ops recursively and defines what they mean. On every input
 below, in sequential, worksharing:2 and gpu_emulated modes, both must
 leave the same buffers, return the same results and count the same
-ExecStats, or raise the same exception type with the same message.
+ExecStats, or raise the same exception type with the same message and
+leave the same buffers behind.
 """
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import definterp
 from conftest import golden_path
-from irgen import random_inputs, random_module
+from irgen import index_module, random_inputs, random_module
 from staircase.interp import Buffer, codegen
 from staircase.interp.machine import run
 from staircase.interp.tape import compile_module
@@ -40,8 +41,8 @@ def _outcome(runner, module, func, args, mode, workers):
     args = [a.copy() if isinstance(a, Buffer) else a for a in args]
     try:
         results, stats = runner(module, func, args, mode, workers)
-    except Exception as exc:  # compared by type and message
-        return ("raised", type(exc), str(exc))
+    except Exception as exc:  # compared by type, message and buffers
+        return ("raised", type(exc), str(exc), args)
     fields = tuple(getattr(stats, f) for f in STAT_FIELDS)
     return ("returned", results, args, fields)
 
@@ -75,12 +76,12 @@ def _param_types(module, func):
     return compile_module(module)[func].param_types
 
 
-def _irgen_runs(seeds):
+def _irgen_runs(seeds, build=random_module):
     """Compare every seed in every mode; returns (mismatches, raised, runs)."""
     mismatches, raised, runs = [], 0, 0
     for seed in seeds:
         for mode, workers, pipeline in MODES:
-            module = random_module(seed)
+            module = build(seed)
             if mode == "gpu_emulated":
                 module, _ = run_pipeline(module, pipeline)
             func = _entry_name(module)
@@ -100,6 +101,19 @@ def test_irgen_seeds_agree():
     assert not mismatches, "\n".join(mismatches[:5])
     # both paths must be exercised: runs that return and runs that raise
     assert 0.05 < share < 0.6
+
+
+def test_index_corpus_agrees():
+    """Loop nests indexed by addi/subi/muli chains, which random_module's
+    i64-only integer ops never build: their addresses use partial sums."""
+    seeds = range(80)
+    mismatches, raised, runs = _irgen_runs(seeds, index_module)
+    print(f"index corpus: {raised} of {runs} runs raise")
+    assert not mismatches, "\n".join(mismatches[:5])
+    assert 0.05 < raised / runs < 0.6
+    hoisted = [re.search(r"^ +h\d+ = ", _source(index_module(seed)), re.M)
+               for seed in seeds]
+    assert sum(map(bool, hoisted)) > len(seeds) // 2
 
 
 def test_chained_segments_agree(monkeypatch):
@@ -478,3 +492,231 @@ def test_nested_functions_get_distinct_names():
     return""", "%arg0: memref<4xf64>, %arg1: f64")
     want = _agree(module, [Buffer((4,), "f64"), 5.0])
     assert want[2][0].tolist() == [5.0, 0.0, 5.0, 0.0]
+
+
+# -- addresses from partial sums bound in loop headers --------------------------
+
+def _addresses(line):
+    """The flat-offset expressions a generated line computes."""
+    bound = re.match(r" *o\d+ = (.*)", line)
+    return ([bound.group(1)] if bound else []) + re.findall(r"\[([^\[\]]*)\]", line)
+
+
+@pytest.mark.parametrize("name", ["conv_rows", "matmul"])
+def test_innermost_addresses_multiply_nothing(name):
+    # every stride times an outer induction variable is in a partial sum
+    # bound outside the innermost loop (the float product stays)
+    import kernels
+
+    module, _ = run_pipeline(getattr(kernels, name).module, CANON)
+    lines = _source(module).splitlines()
+    indents = [len(line) - len(line.lstrip()) for line in lines]
+    at = max((i for i, line in enumerate(lines) if line.lstrip().startswith("for ")),
+             key=lambda i: indents[i])
+    body = []
+    for line, indent in zip(lines[at + 1:], indents[at + 1:]):
+        if indent <= indents[at]:
+            break
+        body.append(line)
+    assert body and not [a for line in body for a in _addresses(line) if "*" in a]
+
+
+def test_bounds_checks_over_irgen_seeds():
+    # linear forms prove nothing new and drop no check
+    assert sum(_source(random_module(seed)).count("oob(")
+               for seed in IRGEN_SEEDS) == 105
+
+
+def test_out_of_bounds_under_hoisted_terms():
+    # i and j are in partial sums; k + 1 (dimension 2) is not proven
+    # inside its extent: the store at k = 2 raises after two stores ran
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 3 : index
+    %4 = arith.constant 1.0 : f64
+    scf.for %arg1 = %0 to %2 step %1 {
+      scf.for %arg2 = %0 to %3 step %1 {
+        %5 = arith.muli %arg2, %2 : index
+        scf.for %arg3 = %0 to %3 step %1 {
+          %6 = arith.addi %arg3, %1 : index
+          %7 = memref.load %arg0[%arg1, %5, %arg3] : memref<2x5x3xf64>
+          %8 = arith.addf %7, %4 : f64
+          memref.store %8, %arg0[%arg1, %5, %6] : memref<2x5x3xf64>
+        }
+      }
+    }
+    return""", "%arg0: memref<2x5x3xf64>")
+    source = _source(module)
+    assert source.count("oob(") == 1
+    assert re.search(r"^ +h\d+ = i\d+\*15$", source, re.M)
+    want = _agree(module, [Buffer((2, 5, 3), "f64")])
+    assert want[1].__name__ == "OutOfBounds"
+    assert want[2].startswith(
+        "index 3 out of bounds for extent 3 of Buffer<2x5x3xf64> at ")
+    assert want[3][0].tolist()[:4] == [0.0, 1.0, 2.0, 0.0]
+
+
+def test_zero_trip_and_unbounded_loops():
+    # j's loop never runs, and k's bound is an argument: neither has an
+    # interval, so their indices are checked and summed in the statement
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 3 : index
+    %4 = arith.constant 1.0 : f64
+    scf.for %arg2 = %0 to %3 step %1 {
+      scf.for %arg3 = %2 to %2 step %1 {
+        %5 = arith.addi %arg2, %arg3 : index
+        memref.store %4, %arg0[%arg2, %5] : memref<3x8xf64>
+      }
+      affine.for %arg4 = 0 to 0 {
+        memref.store %4, %arg0[%arg2, %arg4] : memref<3x8xf64>
+      }
+      %6 = arith.muli %arg2, %2 : index
+      scf.for %arg5 = %0 to %arg1 step %1 {
+        %7 = arith.addi %arg5, %6 : index
+        %8 = memref.load %arg0[%arg2, %7] : memref<3x8xf64>
+        %9 = arith.addf %8, %4 : f64
+        memref.store %9, %arg0[%arg2, %arg5] : memref<3x8xf64>
+      }
+    }
+    return""", "%arg0: memref<3x8xf64>, %arg1: index")
+    for bound in (0, 3, 5):
+        want = _agree(module, [Buffer((3, 8), "f64"), bound])
+        assert want[0] == ("raised" if bound == 5 else "returned")
+
+
+def test_addresses_in_the_arms_of_an_if():
+    # the then-arm stores to B[3i + j], the else-arm to B[11 - 3i - j]:
+    # both from a partial sum of i bound outside j's loop
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 3 : index
+    %3 = arith.constant 4 : index
+    %4 = arith.constant 11 : index
+    %5 = arith.constant 0.0 : f64
+    scf.for %arg2 = %0 to %3 step %1 {
+      scf.for %arg3 = %0 to %2 step %1 {
+        %6 = memref.load %arg0[%arg2, %arg3] : memref<4x3xf64>
+        %7 = arith.cmpf olt, %6, %5 : f64
+        %8 = arith.muli %arg2, %2 : index
+        %9 = arith.addi %8, %arg3 : index
+        scf.if %7 {
+          memref.store %6, %arg1[%9] : memref<12xf64>
+        } else {
+          %10 = arith.subi %4, %9 : index
+          memref.store %6, %arg1[%10] : memref<12xf64>
+        }
+      }
+    }
+    return""", "%arg0: memref<4x3xf64>, %arg1: memref<12xf64>")
+    source = _source(module)
+    assert "oob(" not in source
+    assert re.search(r"^ +h\d+ = -i\d+\*3$", source, re.M)
+    for scale in (2, 3, 4):     # both arms run
+        data = [float(k * scale % 5 - 2) for k in range(12)]
+        want = _agree(module, [Buffer((4, 3), "f64", data), Buffer((12,), "f64")])
+        assert want[0] == "returned"
+
+
+def test_deep_nest_indexed_by_outer_variables():
+    # the loops past MAX_DEPTH run in a function of their own, whose entry
+    # binds the partial sum of i0 and i1; the loops between them have
+    # runtime bounds, so only i0, i1, i16 and i17 have intervals
+    depth = 18
+    lines = ["    %0 = arith.constant 0 : index",
+             "    %1 = arith.constant 1 : index",
+             "    %2 = arith.constant 2 : index",
+             "    %3 = arith.constant 1.0 : f64"]
+    for k in range(depth):
+        ub = "%2" if k in (0, 1, depth - 2, depth - 1) else "%arg1"
+        lines.append("  " * k + f"    scf.for %i{k} = %0 to {ub} step %1 {{")
+    inner = "  " * depth + "    "
+    lines += [inner + f"%4 = arith.addi %i{depth - 2}, %i{depth - 1} : index",
+              inner + "%5 = memref.load %arg0[%i0, %i1, %4] : memref<2x2x3xf64>",
+              inner + "%6 = arith.addf %5, %3 : f64",
+              inner + "memref.store %6, %arg0[%i0, %i1, %4] : memref<2x2x3xf64>"]
+    lines += ["  " * k + "    }" for k in reversed(range(depth))]
+    module = _module("\n".join(lines + ["    return"]),
+                     "%arg0: memref<2x2x3xf64>, %arg1: index")
+    source = _source(module)
+    assert "def f0_n" in source
+    assert re.search(r"^    h\d+ = i\d+\*6 \+ i\d+\*3$", source, re.M)
+    want = _agree(module, [Buffer((2, 2, 3), "f64"), 1])
+    assert want[2][0].tolist() == [1.0, 2.0, 1.0] * 4
+    assert _agree(module, [Buffer((2, 2, 3), "f64"), 0])[0] == "returned"
+
+
+def test_partial_sums_enter_chained_segments(monkeypatch):
+    # the inner run is split every two statements; its segments read the
+    # partial sums bound in the header of i's loop
+    monkeypatch.setattr(codegen, "SEGMENT", 2)
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 3 : index
+    %3 = arith.constant 4 : index
+    %4 = arith.constant 2.0 : f64
+    scf.for %arg2 = %0 to %2 step %1 {
+      scf.for %arg3 = %0 to %3 step %1 {
+        %5 = memref.load %arg0[%arg2, %arg3] : memref<3x4xf64>
+        %6 = arith.addf %5, %4 : f64
+        memref.store %6, %arg0[%arg2, %arg3] : memref<3x4xf64>
+        %7 = arith.subi %2, %arg2 : index
+        %8 = arith.subi %7, %1 : index
+        %9 = memref.load %arg1[%arg3, %8] : memref<4x3xf64>
+        %10 = arith.mulf %9, %6 : f64
+        memref.store %10, %arg1[%arg3, %8] : memref<4x3xf64>
+      }
+    }
+    return""", "%arg0: memref<3x4xf64>, %arg1: memref<4x3xf64>")
+    source = _source(module)
+    assert re.search(r"^def f0_s\d+\(.*\bh\d+\b", source, re.M)
+    args = [Buffer((3, 4), "f64", [float(k) for k in range(12)]),
+            Buffer((4, 3), "f64", [float(k) for k in range(12)])]
+    want = _agree(module, args)
+    assert want[2][1].tolist() == [float(k) * (k // 3 + 4 * (2 - k % 3) + 2)
+                                   for k in range(12)]
+
+
+def test_kernel_indices_linear_in_thread_ids():
+    # A[3 - bx, 3*ty + tx] is read and A[bx, 3*ty + tx] written: the bx
+    # terms are bound in the header of bx's thread loop
+    text = """\
+module attributes {gpu.container_module} {
+  gpu.module @g {
+    gpu.func @k(%arg0: memref<4x6xf64>) kernel {
+      %0 = gpu.block_id x
+      %1 = gpu.thread_id x
+      %2 = gpu.thread_id y
+      %3 = arith.constant 3 : index
+      %4 = arith.constant 1.0 : f64
+      %5 = arith.muli %2, %3 : index
+      %6 = arith.addi %5, %1 : index
+      %7 = arith.subi %3, %0 : index
+      %8 = memref.load %arg0[%7, %6] : memref<4x6xf64>
+      %9 = arith.addf %8, %4 : f64
+      memref.store %9, %arg0[%0, %6] : memref<4x6xf64>
+      gpu.return
+    }
+  }
+  func.func @f(%arg0: memref<4x6xf64>) {
+    %0 = arith.constant 1 : index
+    %1 = arith.constant 2 : index
+    %2 = arith.constant 3 : index
+    %3 = arith.constant 4 : index
+    gpu.launch_func @g::@k blocks in (%3, %0, %0) threads in (%2, %1, %0) args(%arg0 : memref<4x6xf64>)
+    return
+  }
+}
+"""
+    module = parse_module(text, create_context())
+    source = _source(module)
+    assert "oob(" not in source
+    assert re.search(r"^ +h\d+ = -bx\*6$", source, re.M)
+    args = [Buffer((4, 6), "f64", [float(k) for k in range(24)])]
+    assert _agree(module, args, "gpu_emulated")[0] == "returned"

@@ -4,8 +4,11 @@ A conflict is (earlier point, later point, (buffer label, flat offset)).
 Arguments are labelled arg0, arg1, ...; only the points of the outermost
 parallel loop are told apart.
 """
-from irgen import random_inputs
-from staircase.interp import Buffer, check_races
+from unittest import mock
+
+import definterp
+from irgen import index_module, random_inputs
+from staircase.interp import Buffer, check_races, races
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module
@@ -107,3 +110,74 @@ def test_buffers_a_point_allocates_are_its_own():
     }
     return""", "%arg0: memref<4xf64>")
     assert check_races(module, "f", [Buffer((4,), "f64")]) == []
+
+
+def _reference_races(module, func, args):
+    """What check_races should report, from the definitional interpreter:
+    the same recorder, told of each access in op order and of the points
+    of each parallel loop and launch."""
+    args = [a.copy() if isinstance(a, Buffer) else a for a in args]
+    recorder = races._Recorder({id(a): f"arg{i}" for i, a in enumerate(args)
+                                if isinstance(a, Buffer)})
+    meaning = dict(definterp._MEANING)
+
+    def access(first, report):
+        def run(machine, op, env):
+            meaning[op.name](machine, op, env)
+            buf, *indices = (env[v] for v in op.operands[first:])
+            report(buf, definterp._offset(op, buf, indices))
+        return run
+
+    def points(body_of, point_of):
+        def run(machine, op, env):
+            body, block = body_of(machine, op), machine.block
+
+            def enter(b, env):
+                if b is body:
+                    recorder.begin_point(point_of(machine, b, env))
+                return block(b, env)
+
+            recorder.begin_parallel()
+            machine.block = enter
+            try:
+                meaning[op.name](machine, op, env)
+            finally:
+                machine.block = block
+            recorder.end_parallel()
+        return run
+
+    patches = {
+        "memref.load": access(0, recorder.on_read),
+        "memref.store": access(1, recorder.on_write),
+        "scf.parallel": points(lambda m, op: op.body(),
+                               lambda m, b, env: tuple(env[a] for a in b.args)),
+        "gpu.launch_func": points(
+            lambda m, op: m.symbols.lookup(*op.attributes["kernel"].value).body(),
+            lambda m, b, env: m.ids),
+    }
+    with mock.patch.dict(definterp._MEANING, patches):
+        definterp.run(module, func, args, "gpu_emulated")
+    return list(recorder.conflicts)
+
+
+def _conflicts(check, module, func, args):
+    try:
+        return check(module, func, args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_index_corpus_matches_the_definitional_interpreter():
+    # generated code reports the addresses its partial sums compute
+    found = 0
+    for seed in range(60):
+        built = index_module(seed)
+        params = [a.type for a in built.body().ops[0].body().args]
+        for module in (built, run_pipeline(built, GPU)[0]):
+            args = random_inputs(params, seed)
+            want = _conflicts(_reference_races, module, f"idx{seed}", args)
+            got = _conflicts(check_races, module, f"idx{seed}", args)
+            assert got == want, f"seed {seed}: {got!r} != {want!r}"
+            found += isinstance(want, list) and bool(want)
+    print(f"{found} of 120 runs with conflicts")
+    assert found >= 5
