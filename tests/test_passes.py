@@ -8,6 +8,11 @@ untransformed run raises, and pipelines that refuse a module with
 PassFailure, are left out and counted. Every rewritten block's order
 numbers must agree with the positions of its ops.
 """
+import os
+
+import pytest
+
+from conftest import golden_text
 from irgen import random_inputs, random_module
 from staircase.dialects.builders import build_constant, build_func
 from staircase.errors import PassFailure, StaircaseError
@@ -23,6 +28,7 @@ from staircase.ir.core import (
     walk,
 )
 from staircase.passes import run_pipeline
+from staircase.textio import print_module
 from staircase.tuner import default_pipeline
 
 IRGEN_SEEDS = range(240)
@@ -41,6 +47,19 @@ PIPELINES = (
     default_pipeline([2, 2], 4),
     default_pipeline([4], 3),
 )
+
+# What each pipeline prints for one captured kernel, pinned in
+# tests/golden/passes/<kernel>.sir: outlining of a 4-D loop (three block
+# ids and an scf.for), tiling then outlining (block and thread ids), the
+# loop lowering and cleanup chain, and a tuner point.
+GOLDEN_PIPELINES = {
+    "conv2d": "builtin.module(gpu-map-parallel-loops,gpu-kernel-outlining)",
+    "conv_small": "builtin.module(func.func(scf-parallel-loop-tiling"
+                  "{sizes=[8,8]}),gpu-map-parallel-loops,gpu-kernel-outlining)",
+    "matmul": "builtin.module(func.func(lower-affine,loop-unroll{factor=2},"
+              "canonicalize))",
+    "conv_rows": default_pipeline([1, 2], 2),
+}
 
 
 def _dominates_by_index(value, user):
@@ -157,6 +176,16 @@ def test_passes_preserve_captured_kernels():
           f"{refused} pipeline runs refused with PassFailure")
     assert not mismatches, "\n".join(mismatches[:5])
     assert excluded == 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINES))
+def test_pass_outputs_print_byte_for_byte(name):
+    import kernels
+
+    module, _ = run_pipeline(getattr(kernels, name).module,
+                             GOLDEN_PIPELINES[name])
+    assert print_module(module) == golden_text(os.path.join("passes",
+                                                            f"{name}.sir"))
 
 
 def test_order_index_survives_inserts_at_one_spot():
