@@ -1,10 +1,14 @@
 """The construction layer for the built-in dialects, over create_op.
 
-The capture frontend and kernel outlining build their ops through these
-functions. Builders insert just before the block's trailing terminator
-(if any), auto-insert required terminators into fresh loop/branch bodies,
-and raise the specific error types their contracts name before the
-generic schema checks would.
+The capture frontend and the passes build their ops through these
+functions, as MLIR frontends and rewrite patterns build through one
+OpBuilder. A builder's `at` is its insertion point: a Block, meaning just
+before the block's trailing terminator (if any), or an Operation, meaning
+just before that op, as with MLIR's `setInsertionPoint(op)`; the
+symbol builders (func, gpu.module, gpu.func) take the op whose body holds
+the symbol instead. Loop and branch builders give their fresh bodies the block arguments and
+terminator they require, and every builder raises the specific error
+types its contract names before the generic schema checks would.
 """
 from __future__ import annotations
 
@@ -42,8 +46,10 @@ from staircase.ir.core import (
 from staircase.ir.verify import check_launch
 
 
-def _insert(block: Block, name: str, **kw) -> Operation:
-    return create_op(block, block.insertion_index(), name, **kw)
+def _insert(at: Block | Operation, name: str, **kw) -> Operation:
+    if isinstance(at, Operation):
+        return create_op(at.parent, at.block_index(), name, **kw)
+    return create_op(at, at.insertion_index(), name, **kw)
 
 
 def append_terminator(block: Block, name: str, operands=(), location=None) -> Operation:
@@ -55,7 +61,7 @@ def append_terminator(block: Block, name: str, operands=(), location=None) -> Op
 # arith
 
 
-def build_constant(block: Block, value, ty: IRType | None = None,
+def build_constant(at: Block | Operation, value, ty: IRType | None = None,
                    location: Location | None = None) -> Value:
     if ty is None:
         ty = F64 if isinstance(value, float) else I64
@@ -65,24 +71,24 @@ def build_constant(block: Block, value, ty: IRType | None = None,
         raise TypeMismatch(f"cannot use {value!r} where a {ty} value is expected")
     else:
         attr = int_attr(value)
-    op = _insert(block, "arith.constant", attributes={"value": attr},
+    op = _insert(at, "arith.constant", attributes={"value": attr},
                  result_types=[ty], location=location)
     return op.results[0]
 
 
-def build_index_constant(block: Block, value: int,
+def build_index_constant(at: Block | Operation, value: int,
                          location: Location | None = None) -> Value:
-    return build_constant(block, int(value), INDEX, location)
+    return build_constant(at, int(value), INDEX, location)
 
 
-def build_arith_binop(block: Block, name: str, a: Value, b: Value,
+def build_arith_binop(at: Block | Operation, name: str, a: Value, b: Value,
                       location: Location | None = None) -> Value:
-    op = _insert(block, name, operands=[a, b], result_types=[a.type],
+    op = _insert(at, name, operands=[a, b], result_types=[a.type],
                  location=location)
     return op.results[0]
 
 
-def build_cmp(block: Block, operator: str, a: Value, b: Value,
+def build_cmp(at: Block | Operation, operator: str, a: Value, b: Value,
               location: Location | None = None) -> Value:
     if operator not in PREDICATE_FOR_OPERATOR:
         raise TypeMismatch(f"unsupported comparison operator {operator!r}")
@@ -91,7 +97,7 @@ def build_cmp(block: Block, operator: str, a: Value, b: Value,
         name, pred = "arith.cmpf", fpred
     else:
         name, pred = "arith.cmpi", ipred
-    op = _insert(block, name, operands=[a, b],
+    op = _insert(at, name, operands=[a, b],
                  attributes={"predicate": str_attr(pred)},
                  result_types=[I1], location=location)
     return op.results[0]
@@ -101,16 +107,16 @@ def build_cmp(block: Block, operator: str, a: Value, b: Value,
 # scf / affine loops and branches
 
 
-def build_scf_for(block: Block, lb: Value, ub: Value, step: Value,
+def build_scf_for(at: Block | Operation, lb: Value, ub: Value, step: Value,
                   location: Location | None = None) -> Operation:
-    op = _insert(block, "scf.for", operands=[lb, ub, step], region_count=1,
+    op = _insert(at, "scf.for", operands=[lb, ub, step], region_count=1,
                  location=location)
     op.body().add_arg(INDEX)
     append_terminator(op.body(), "scf.yield", location=location)
     return op
 
 
-def build_affine_for(block: Block, lb: int, ub: int, step: int = 1,
+def build_affine_for(at: Block | Operation, lb: int, ub: int, step: int = 1,
                      location: Location | None = None) -> Operation:
     for bound in (lb, ub, step):
         if not isinstance(bound, int) or isinstance(bound, bool):
@@ -121,7 +127,7 @@ def build_affine_for(block: Block, lb: int, ub: int, step: int = 1,
         raise InvalidBound(f"upper bound {ub} is below lower bound {lb}")
     if step < 1:
         raise InvalidBound(f"step must be >= 1, got {step}")
-    op = _insert(block, "affine.for",
+    op = _insert(at, "affine.for",
                  attributes={"lower_bound": int_attr(lb),
                              "upper_bound": int_attr(ub),
                              "step": int_attr(step)},
@@ -131,17 +137,17 @@ def build_affine_for(block: Block, lb: int, ub: int, step: int = 1,
     return op
 
 
-def build_scf_if(block: Block, cond: Value, with_else: bool = False,
+def build_scf_if(at: Block | Operation, cond: Value, with_else: bool = False,
                  location: Location | None = None) -> Operation:
-    op = _insert(block, "scf.if", operands=[cond],
+    op = _insert(at, "scf.if", operands=[cond],
                  region_count=2 if with_else else 1, location=location)
     for region in op.regions:
         append_terminator(region.blocks[0], "scf.yield", location=location)
     return op
 
 
-def build_scf_parallel(block: Block, lbs: Sequence[Value], ubs: Sequence[Value],
-                       steps: Sequence[Value],
+def build_scf_parallel(at: Block | Operation, lbs: Sequence[Value],
+                       ubs: Sequence[Value], steps: Sequence[Value],
                        location: Location | None = None) -> Operation:
     if not (len(lbs) == len(ubs) == len(steps)):
         raise ArityMismatch(
@@ -150,7 +156,7 @@ def build_scf_parallel(block: Block, lbs: Sequence[Value], ubs: Sequence[Value],
         )
     if len(lbs) == 0:
         raise ArityMismatch("parallel loop needs at least one dimension")
-    op = _insert(block, "scf.parallel",
+    op = _insert(at, "scf.parallel",
                  operands=list(lbs) + list(ubs) + list(steps),
                  region_count=1, location=location)
     for _ in lbs:
@@ -163,14 +169,14 @@ def build_scf_parallel(block: Block, lbs: Sequence[Value], ubs: Sequence[Value],
 # memref
 
 
-def build_memref_alloc(block: Block, ty: IRType, stack: bool = False,
+def build_memref_alloc(at: Block | Operation, ty: IRType, stack: bool = False,
                        location: Location | None = None) -> Value:
     name = "memref.alloca" if stack else "memref.alloc"
-    op = _insert(block, name, result_types=[ty], location=location)
+    op = _insert(at, name, result_types=[ty], location=location)
     return op.results[0]
 
 
-def build_memref_access(block: Block, kind: str, buffer: Value,
+def build_memref_access(at: Block | Operation, kind: str, buffer: Value,
                         indices: Sequence[Value], stored: Value | None = None,
                         location: Location | None = None):
     """kind is 'load' or 'store'; returns the loaded Value or the store op."""
@@ -182,7 +188,7 @@ def build_memref_access(block: Block, kind: str, buffer: Value,
             f"index(es)"
         )
     if kind == "load":
-        op = _insert(block, "memref.load", operands=[buffer, *indices],
+        op = _insert(at, "memref.load", operands=[buffer, *indices],
                      result_types=[buffer.type.element], location=location)
         return op.results[0]
     if kind == "store":
@@ -192,7 +198,7 @@ def build_memref_access(block: Block, kind: str, buffer: Value,
             raise TypeMismatch(
                 f"cannot store {stored.type} into {buffer.type}"
             )
-        return _insert(block, "memref.store", operands=[stored, buffer, *indices],
+        return _insert(at, "memref.store", operands=[stored, buffer, *indices],
                        location=location)
     raise ValueError(f"kind must be 'load' or 'store', got {kind!r}")
 
@@ -250,22 +256,23 @@ def build_gpu_func(gpu_module: Operation, name: str,
     return op
 
 
-def build_gpu_id(block: Block, which: str, dim: str,
+def build_gpu_id(at: Block | Operation, which: str, dim: str,
                  location: Location | None = None) -> Value:
-    op = _insert(block, f"gpu.{which}", attributes={"dimension": str_attr(dim)},
+    op = _insert(at, f"gpu.{which}", attributes={"dimension": str_attr(dim)},
                  result_types=[INDEX], location=location)
     return op.results[0]
 
 
-def build_gpu_launch(block: Block, module_sym: str, kernel_sym: str,
+def build_gpu_launch(at: Block | Operation, module_sym: str, kernel_sym: str,
                      grid: Sequence[Value], blocks: Sequence[Value],
                      args: Sequence[Value],
                      location: Location | None = None) -> Operation:
-    check_launch(SymbolTable(top_module(block.parent_op)), (module_sym, kernel_sym),
+    scope = at if isinstance(at, Operation) else at.parent_op
+    check_launch(SymbolTable(top_module(scope)), (module_sym, kernel_sym),
                  [a.type for a in args])
     if len(grid) != 3 or len(blocks) != 3:
         raise ArityMismatch("grid and block sizes are three index values each")
-    return _insert(block, "gpu.launch_func",
+    return _insert(at, "gpu.launch_func",
                    operands=[*grid, *blocks, *args],
                    attributes={"kernel": symbol_attr(module_sym, kernel_sym)},
                    location=location)

@@ -113,23 +113,6 @@ class Buffer:
                     f"{shape} needs {size}"
                 )
 
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, shape, dtype: str) -> "Buffer":
-        return cls(shape, dtype)
-
-    @classmethod
-    def filled(cls, shape, dtype: str, value) -> "Buffer":
-        b = cls(shape, dtype)
-        for i in range(len(b.data)):
-            b.data[i] = value
-        return b
-
-    @classmethod
-    def ones(cls, shape, dtype: str) -> "Buffer":
-        return cls.filled(shape, dtype, 1 if dtype.startswith("i") else 1.0)
-
     def copy(self) -> "Buffer":
         return Buffer(self.shape, self.dtype, self.data)
 

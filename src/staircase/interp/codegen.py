@@ -246,14 +246,13 @@ def _range(lb: int, ub: int, step: int) -> str:
 # -- code generation ------------------------------------------------------------
 
 class _Stmts:
-    """The statements of one flat op, and the locals they read and bind."""
+    """The statements of one flat op, and the locals they bind."""
 
-    __slots__ = ("op", "lines", "reads", "binds")
+    __slots__ = ("op", "lines", "binds")
 
-    def __init__(self, op, lines, reads, binds):
+    def __init__(self, op, lines, binds):
         self.op = op
         self.lines = lines
-        self.reads = reads
         self.binds = binds
 
 
@@ -303,10 +302,9 @@ class _FuncGen:
         self.blocks: list = []      # (count, static counts per tally slot)
         self.counters: list = []
         self.bookkeeping: list = []  # counts of loop bodies and threads
-        self.reads: set = set()     # locals the current flat op reads
-        self.binds: set = set()     # and assigns
+        self.binds: set = set()     # locals the current flat op assigns
         self.foldable: set = set()  # results written into their one use
-        self.folded: dict = {}      # folded Value -> locals its expression reads
+        self.folded: set = set()    # Values written into their use
         self.linear: dict = {}      # integer Value -> ({induction local: coef}, k)
         self.indexing: dict = {}    # Value -> whether it is used only in addresses
         # Loop levels: 0 is the function's entry, each ``for`` opens one.
@@ -359,7 +357,7 @@ class _FuncGen:
         """Bind a pure op's result, or fold it into its one use."""
         if value in self.foldable:
             self.names[value] = f"({expr})"
-            self.folded[value] = set(self.reads)
+            self.folded.add(value)
             return []
         return [f"{self.bind(value)} = {expr}"]
 
@@ -373,7 +371,7 @@ class _FuncGen:
         if form is None or not self.index_only(value):
             return False
         self.names[value] = f"({_sum(form[0].items(), form[1])})"
-        self.folded[value] = set(form[0])
+        self.folded.add(value)
         return True
 
     def index_only(self, value: Value) -> bool:
@@ -403,17 +401,11 @@ class _FuncGen:
         return ({}, c) if c is not None else self.linear.get(value)
 
     def val(self, value: Value) -> str:
-        """The expression for a value, noting the locals it reads.
+        """The expression for a value.
 
         A value whose interval is one point is named by its literal.
         """
-        expr = self.names[value]
-        folded = self.folded.get(value)
-        if folded is not None:
-            self.reads |= folded
-        elif expr.isidentifier():
-            self.reads.add(expr)
-        return expr
+        return self.names[value]
 
     def const(self, value: Value):
         r = self.ranges.get(value)
@@ -518,7 +510,7 @@ class _FuncGen:
         this function its lines read."""
         self.n = child.n
         child.close_loops(0)
-        free = sorted(set(_NAME.findall("\n".join(child.lines))) & self.scope)
+        free = sorted(self.reads(child.lines))
         child.unit(free, [])
         self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
 
@@ -569,12 +561,11 @@ class _FuncGen:
                     getattr(self, _HANDLERS[name])(op, count, depth)
                 self.offsets = {}
             elif name == "func.return":   # read after the run, not in it
-                self.reads = set()
                 self.returned = tuple(self.val(v) for v in op.operands)
             elif name in _HANDLERS:
-                self.reads, self.binds = set(), set()
+                self.binds = set()
                 lines = getattr(self, _HANDLERS[name])(op)
-                run.append(_Stmts(op, lines, self.reads, self.binds))
+                run.append(_Stmts(op, lines, self.binds))
         self.flush(run, depth)
 
     def find_foldable(self, block) -> None:
@@ -645,15 +636,19 @@ class _FuncGen:
         for seg in reversed(segments):
             bound = set().union(*(s.binds for s in seg))
             outs.append(sorted(bound & later))
-            later |= set().union(*(s.reads for s in seg))
+            later |= self.reads(line for s in seg for line in s.lines)
         for seg, out in zip(segments, reversed(outs)):
             self.segment(seg, out, depth)
+
+    def reads(self, lines) -> set:
+        """The locals of this function that ``lines`` name."""
+        return set(_NAME.findall("\n".join(lines))) & self.scope
 
     def segment(self, seg: list, outs: list, depth: int) -> None:
         """One chained function: takes the locals it reads, returns
         ``outs``, the ones it binds that later code reads."""
         bound = set().union(*(s.binds for s in seg))
-        ins = sorted(set().union(*(s.reads for s in seg)) - bound)
+        ins = sorted(self.reads(line for s in seg for line in s.lines) - bound)
         name = self.fresh(f"{self.pyname}_s")
         params = ", ".join(ins + ["T", "X"])
         lines = [f"def {name}({params}):"]
@@ -734,7 +729,6 @@ class _FuncGen:
         buf = op.operands[0]
         lines, off = self.address(op, buf, op.operands[1:])
         array = self.arrays[buf]
-        self.reads.add(array)
         if self.recording:
             lines.append(f"R.on_read({self.val(buf)}, {off})")
         return lines + self.assign(op.results[0], f"{array}[{off}]")
@@ -747,7 +741,6 @@ class _FuncGen:
         if kind in ("i32", "i64") and not self.proven(value, kind):
             expr = _wrap_expr(expr, kind)
         array = self.arrays[buf]
-        self.reads.add(array)
         lines.append(f"{array}[{off}] = {expr}")
         if self.recording:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
@@ -783,8 +776,7 @@ class _FuncGen:
             for name, coef in form[0].items():
                 coefs[name] = coefs.get(name, 0) + coef * stride
             fixed += form[1] * stride
-        hoisted = self.hoist(coefs)
-        terms = hoisted + rest
+        terms = self.hoist(coefs) + rest
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
@@ -793,9 +785,7 @@ class _FuncGen:
                     base = self.offsets[key] = self.local("o")
                     self.binds.add(base)
                     lines.append(f"{base} = {key}")
-                    self.reads.update(name for name, _ in hoisted)
-                hoisted = terms = [(base, 1)]
-        self.reads.update(name for name, _ in hoisted)
+                terms = [(base, 1)]
         return lines, _sum(terms, fixed)
 
     def hoist(self, coefs: dict) -> list:

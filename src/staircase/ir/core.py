@@ -13,6 +13,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Union
 
 from staircase.errors import (
+    ArityMismatch,
     DominanceViolation,
     DuplicateDialect,
     HasUses,
@@ -24,8 +25,7 @@ from staircase.errors import (
 # Types
 
 
-_SCALAR_KINDS = ("index", "i1", "i32", "i64", "f32", "f64")
-_KINDS = _SCALAR_KINDS + ("memref",)
+_KINDS = ("index", "i1", "i32", "i64", "f32", "f64", "memref")
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,6 @@ def memref_type(shape: Iterable[int], element: IRType) -> IRType:
     return IRType("memref", tuple(shape), element)
 
 
-def scalar_type(kind: str) -> IRType:
-    if kind not in _SCALAR_KINDS:
-        raise TypeMismatch(f"not a scalar type kind: {kind!r}")
-    return IRType(kind)
-
-
 # ---------------------------------------------------------------------------
 # Attributes
 
@@ -115,10 +109,6 @@ class Attribute:
     def __post_init__(self):
         if self.kind not in _ATTR_KINDS:
             raise ValueError(f"unknown attribute kind {self.kind!r}")
-
-    def as_dict(self) -> dict:
-        assert self.kind == "dict"
-        return dict(self.value)
 
 
 def int_attr(v: int) -> Attribute:
@@ -221,10 +211,6 @@ class Value:
     @property
     def defining_op(self) -> "Operation | None":
         return self.owner if isinstance(self.owner, Operation) else None
-
-    @property
-    def num_uses(self) -> int:
-        return len(self.uses)
 
     def __repr__(self) -> str:
         where = "arg" if self.is_block_arg else "result"
@@ -344,7 +330,8 @@ class Block:
     gap (before the last op, the last op's number moves up instead).
     Only when no gap is left is the block marked for renumbering, which
     happens at the next query. Removing an op keeps the numbering. Ops
-    must enter and leave `ops` through `insert` and `remove`.
+    must enter and leave `ops` through `insert`, `remove` and
+    `merge_block`.
     """
 
     def __init__(self, parent_region: Region):
@@ -471,9 +458,6 @@ class DialectRegistry:
         if d.name in self.dialects:
             raise DuplicateDialect(f"dialect {d.name!r} is already registered")
         self.dialects[d.name] = d
-
-    def has_dialect(self, name: str) -> bool:
-        return name in self.dialects
 
     def lookup_op(self, op_name: str) -> OpSchema | None:
         dialect = op_name.split(".", 1)[0]
@@ -754,6 +738,25 @@ def move_op(op: Operation, block: Block, index: int) -> None:
     if op.parent is not None:
         op.parent.remove(op)
     block.insert(index, op)
+
+
+def merge_block(source: Block, dest: Block, values=()) -> None:
+    """Move every op of `source` but its terminator to just before `dest`'s
+    terminator, then redirect each use of `source.args[i]` to `values[i]`,
+    as MLIR's `RewriterBase::mergeBlocks` does. `source` keeps its
+    terminator; `dest` is renumbered at its next order query."""
+    if len(values) != len(source.args):
+        raise ArityMismatch(f"{len(values)} value(s) for a block with "
+                           f"{len(source.args)} argument(s)")
+    moved = source.ops[:source.insertion_index()]
+    del source.ops[:len(moved)]
+    at = dest.insertion_index()
+    dest.ops[at:at] = moved
+    for op in moved:
+        op.parent = dest
+    dest._order_valid = False
+    for arg, value in zip(source.args, values):
+        replace_all_uses_with(arg, value)
 
 
 def clone_op(

@@ -3,17 +3,9 @@ from __future__ import annotations
 
 import math
 
+from staircase.dialects.builders import build_constant
 from staircase.interp.buffer import to_f32, wrap_int
-from staircase.ir.core import (
-    Block,
-    Operation,
-    create_op,
-    erase_op,
-    float_attr,
-    int_attr,
-    replace_all_uses_with,
-    walk,
-)
+from staircase.ir.core import Block, Operation, erase_op, replace_all_uses_with, walk
 
 from .rewrite import PassOutcome, matching_ops
 
@@ -65,18 +57,15 @@ def _fold_constants(root: Operation) -> int:
                 value = to_f32(value)
             if not math.isfinite(value):
                 continue
-            attr = float_attr(value)
         else:
             if a.kind != "int" or b.kind != "int":
                 continue
             width = "i64" if ty.kind == "index" else ty.kind
             if width not in ("i32", "i64"):
                 continue
-            attr = int_attr(wrap_int(_INT_FOLD[op.name](a.value, b.value), width))
-        block = op.parent
-        folded = create_op(block, op.block_index(), "arith.constant", [],
-                           {"value": attr}, [ty], 0, op.location)
-        replace_all_uses_with(op.results[0], folded.results[0])
+            value = wrap_int(_INT_FOLD[op.name](a.value, b.value), width)
+        replace_all_uses_with(op.results[0],
+                              build_constant(op, value, ty, op.location))
         erase_op(op)
         changed += 1
     return changed

@@ -1,15 +1,10 @@
 """Rewrite affine.for loops into scf.for with explicit bound values."""
 from __future__ import annotations
 
-from staircase.ir.core import (
-    Operation,
-    create_op,
-    erase_op,
-    move_op,
-    replace_all_uses_with,
-)
+from staircase.dialects.builders import build_index_constant, build_scf_for
+from staircase.ir.core import Operation, erase_op, merge_block
 
-from .rewrite import PassOutcome, index_const, matching_ops
+from .rewrite import PassOutcome, matching_ops
 
 
 def lower_affine(root: Operation) -> PassOutcome:
@@ -22,19 +17,11 @@ def lower_affine(root: Operation) -> PassOutcome:
     """
     done = 0
     for loop in matching_ops(root, ("affine.for",)):
-        block = loop.parent
-        at = loop.block_index()
-        loc = loop.location
-        lb = index_const(block, at, loop.attributes["lower_bound"].value, loc)
-        ub = index_const(block, at + 1, loop.attributes["upper_bound"].value, loc)
-        step = index_const(block, at + 2, loop.attributes["step"].value, loc)
-        lowered = create_op(block, at + 3, "scf.for", [lb, ub, step], {}, [], 1, loc)
-        body = lowered.body()
-        induction = body.add_arg(lb.type)
-        old_body = loop.body()
-        for op in list(old_body.ops):
-            move_op(op, body, len(body.ops))
-        replace_all_uses_with(old_body.args[0], induction)
+        bounds = [build_index_constant(loop, loop.attributes[key].value,
+                                       loop.location)
+                  for key in ("lower_bound", "upper_bound", "step")]
+        body = build_scf_for(loop, *bounds, loop.location).body()
+        merge_block(loop.body(), body, body.args)
         erase_op(loop)
         done += 1
     return PassOutcome(rewrites=done)

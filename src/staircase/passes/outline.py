@@ -1,30 +1,28 @@
 """Extract mapped parallel loops into GPU kernels behind launch ops."""
 from __future__ import annotations
 
-from staircase.dialects.builders import build_gpu_func, build_gpu_module
+from staircase.dialects.builders import (
+    build_arith_binop,
+    build_gpu_func,
+    build_gpu_id,
+    build_gpu_launch,
+    build_gpu_module,
+    build_index_constant,
+    build_scf_for,
+)
 from staircase.errors import OutliningUnsupported
 from staircase.ir.core import (
-    INDEX,
     Block,
     Operation,
     SymbolTable,
     Value,
     ancestors,
     clone_op,
-    create_op,
     erase_op,
-    move_op,
-    str_attr,
-    symbol_attr,
+    merge_block,
 )
 
-from .rewrite import (
-    PassOutcome,
-    const_int,
-    index_const,
-    matching_ops,
-    trip_count,
-)
+from .rewrite import PassOutcome, const_int, matching_ops, trip_count
 
 
 def _mapping(op: Operation) -> str | None:
@@ -102,56 +100,31 @@ def _free_values(loop: Operation) -> list[Value]:
     return free
 
 
-class _KernelWriter:
-    """Tracks the insertion point while the kernel body is assembled; all
-    emission lands just before the current block's terminator."""
+def _mount_dims(at: Block, which: str, geometry, location) -> tuple:
+    """Map the first three dimensions onto gpu ids (index = lb + id*step)
+    and fold any remaining dimensions into sequential loops.
 
-    def __init__(self, block: Block, remap: dict):
-        self.block = block
-        self.remap = remap
-
-    def emit(self, name, operands=(), attributes=None, results=(),
-             regions=0, location=None) -> Operation:
-        return create_op(self.block, len(self.block.ops) - 1, name,
-                         operands, attributes or {}, results, regions, location)
-
-    def mount_dims(self, which: str, geometry, args, location) -> None:
-        """Map the first three dimensions onto gpu ids (index = lb + id*step)
-        and fold any remaining dimensions into sequential loops."""
-        for d, (lb, _ub, step) in enumerate(geometry):
-            if d < 3:
-                idv = self.emit(f"gpu.{which}", (),
-                                {"dimension": str_attr("xyz"[d])}, [INDEX],
-                                location=location).results[0]
-                value = idv
-                if step != 1:
-                    cs = index_const(self.block, len(self.block.ops) - 1,
-                                     step, location)
-                    value = self.emit("arith.muli", [value, cs], None, [INDEX],
-                                      location=location).results[0]
-                if lb != 0:
-                    cl = index_const(self.block, len(self.block.ops) - 1,
-                                     lb, location)
-                    value = self.emit("arith.addi", [value, cl], None, [INDEX],
-                                      location=location).results[0]
-                self.remap[args[d]] = value
-            else:
-                bounds = [index_const(self.block, len(self.block.ops) - 1,
-                                      v, location) for v in (lb, _ub, step)]
-                loop = self.emit("scf.for", bounds, None, [], 1,
-                                 location=location)
-                body = loop.body()
-                self.remap[args[d]] = body.add_arg(INDEX)
-                create_op(body, 0, "scf.yield", [], {}, [], 0, location)
-                self.block = body
-
-    def move_body(self, loop: Operation, skip: Operation | None = None) -> None:
-        body = loop.body()
-        terminator = body.terminator
-        for op in list(body.ops):
-            if op is terminator or op is skip:
-                continue
-            move_op(op, self.block, len(self.block.ops) - 1)
+    Returns the block the loop body goes in, and the value standing for
+    each dimension's induction variable.
+    """
+    values = []
+    for d, (lb, ub, step) in enumerate(geometry):
+        if d < 3:
+            value = build_gpu_id(at, which, "xyz"[d], location)
+            if step != 1:
+                value = build_arith_binop(
+                    at, "arith.muli", value,
+                    build_index_constant(at, step, location), location)
+            if lb != 0:
+                value = build_arith_binop(
+                    at, "arith.addi", value,
+                    build_index_constant(at, lb, location), location)
+            values.append(value)
+        else:
+            bounds = [build_index_constant(at, v, location) for v in (lb, ub, step)]
+            at = build_scf_for(at, *bounds, location).body()
+            values.append(at.args[0])
+    return at, values
 
 
 def _outline_one(module: Operation, loop: Operation) -> None:
@@ -177,36 +150,35 @@ def _outline_one(module: Operation, loop: Operation) -> None:
 
     kernel = build_gpu_func(gpu_module, kernel_name, [v.type for v in passed],
                             None, loop.location)
-    remap: dict = dict(zip(passed, kernel.body().args))
-    writer = _KernelWriter(kernel.body(), remap)
+    body = kernel.body()
+    remap: dict = dict(zip(passed, body.args))
     for value in free:
         if value in sunk:
-            clone_op(value.defining_op, writer.block,
-                     len(writer.block.ops) - 1, remap)
+            clone_op(value.defining_op, body, body.insertion_index(), remap)
     if grid_loop is not None:
-        writer.mount_dims("block_id", grid_geo, grid_loop.body().args,
-                          loop.location)
+        body, grid_ids = _mount_dims(body, "block_id", grid_geo, loop.location)
     if thread_loop is not None:
-        writer.mount_dims("thread_id", thread_geo, thread_loop.body().args,
-                          loop.location)
+        body, thread_ids = _mount_dims(body, "thread_id", thread_geo,
+                                       loop.location)
+    # the grid body, then the thread body after the emptied thread loop:
+    # ops alongside a nested thread loop re-run once per thread, which
+    # _reruns_effects restricts to arith (the index math tiling leaves)
     if grid_loop is not None:
-        # ops alongside a nested thread loop re-run once per thread, which
-        # _reruns_effects restricts to arith (the index math tiling leaves)
-        writer.move_body(grid_loop, skip=thread_loop)
+        merge_block(grid_loop.body(), body, grid_ids)
     if thread_loop is not None:
-        writer.move_body(thread_loop)
+        merge_block(thread_loop.body(), body, thread_ids)
+        if thread_loop is not loop:
+            erase_op(thread_loop)
     for op in kernel.walk_nested():
         for slot, value in enumerate(list(op.operands)):
             target = remap.get(value)
             if target is not None and target is not value:
                 op.set_operand(slot, target)
 
-    block, loc = loop.parent, loop.location
-    at = loop.block_index()
-    dims = [index_const(block, at + i, extent, loc)
-            for i, extent in enumerate(grid3 + block3)]
-    create_op(block, at + 6, "gpu.launch_func", [*dims, *passed],
-              {"kernel": symbol_attr(gpu_module_name, kernel_name)}, [], 0, loc)
+    dims = [build_index_constant(loop, extent, loop.location)
+            for extent in grid3 + block3]
+    build_gpu_launch(loop, gpu_module_name, kernel_name, dims[:3], dims[3:],
+                     passed, loop.location)
     erase_op(loop)
 
 

@@ -1,18 +1,14 @@
-"""Small shared helpers for the IR-rewriting passes."""
+"""Small shared helpers for the IR-rewriting passes: the outcome record,
+a snapshot walk, and reading constant bounds.
+
+The passes make ops through `dialects/builders.py` and splice bodies with
+`ir.core.merge_block`; nothing here creates IR.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from staircase.ir.core import (
-    INDEX,
-    Block,
-    Location,
-    Operation,
-    Value,
-    create_op,
-    int_attr,
-    walk,
-)
+from staircase.ir.core import Operation, Value, walk
 
 
 @dataclass
@@ -50,13 +46,6 @@ def const_int(value: Value) -> int | None:
     if attr is None or attr.kind != "int":
         return None
     return attr.value
-
-
-def index_const(block: Block, at: int, value: int,
-                location: Location | None) -> Value:
-    op = create_op(block, at, "arith.constant", [],
-                   {"value": int_attr(int(value))}, [INDEX], 0, location)
-    return op.results[0]
 
 
 def trip_count(lb: int, ub: int, step: int) -> int:

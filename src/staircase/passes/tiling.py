@@ -1,16 +1,15 @@
 """Tile parallel loops into tile-origin/intra-tile-offset nests."""
 from __future__ import annotations
 
-from staircase.errors import ArityMismatch, InvalidFactor
-from staircase.ir.core import (
-    Operation,
-    create_op,
-    erase_op,
-    move_op,
-    replace_all_uses_with,
+from staircase.dialects.builders import (
+    build_arith_binop,
+    build_index_constant,
+    build_scf_parallel,
 )
+from staircase.errors import ArityMismatch, InvalidFactor
+from staircase.ir.core import Operation, erase_op, merge_block
 
-from .rewrite import PassOutcome, const_int, index_const, matching_ops, trip_count
+from .rewrite import PassOutcome, const_int, matching_ops, trip_count
 
 
 def scf_parallel_loop_tiling(root: Operation, sizes) -> PassOutcome:
@@ -51,35 +50,17 @@ def scf_parallel_loop_tiling(root: Operation, sizes) -> PassOutcome:
         if any(t % z for t, z in zip(trips, tile)):
             out.skipped += 1
             continue
-        block, loc = loop.parent, loop.location
-        at = loop.block_index()
-        zero = index_const(block, at, 0, loc)
-        at += 1
-        spans = []  # tile size in index units; outer step and inner bound
-        for z, s in zip(tile, st):
-            spans.append(index_const(block, at, z * s, loc))
-            at += 1
-        outer = create_op(block, at, "scf.parallel",
-                          [*lbs, *ubs, *spans], dict(loop.attributes), [], 1, loc)
-        outer_body = outer.body()
-        origins = [outer_body.add_arg(zero.type) for _ in range(arity)]
-        inner = create_op(outer_body, 0, "scf.parallel",
-                          [*[zero] * arity, *spans, *steps], {}, [], 1, loc)
-        create_op(outer_body, 1, "scf.yield", [], {}, [], 0, loc)
-        inner_body = inner.body()
-        offsets = [inner_body.add_arg(zero.type) for _ in range(arity)]
-        combined = []
-        for d in range(arity):
-            add = create_op(inner_body, d, "arith.addi",
-                            [origins[d], offsets[d]], {}, [zero.type], 0, loc)
-            combined.append(add.results[0])
-        old_body = loop.body()
-        at_inner = arity
-        for op in list(old_body.ops):
-            move_op(op, inner_body, at_inner)
-            at_inner += 1
-        for d in range(arity):
-            replace_all_uses_with(old_body.args[d], combined[d])
+        loc = loop.location
+        zero = build_index_constant(loop, 0, loc)
+        # tile size in index units; outer step and inner bound
+        spans = [build_index_constant(loop, z * s, loc) for z, s in zip(tile, st)]
+        outer = build_scf_parallel(loop, lbs, ubs, spans, loc)
+        outer.attributes.update(loop.attributes)
+        inner = build_scf_parallel(outer.body(), [zero] * arity, spans, steps,
+                                   loc).body()
+        combined = [build_arith_binop(inner, "arith.addi", origin, offset, loc)
+                    for origin, offset in zip(outer.body().args, inner.args)]
+        merge_block(loop.body(), inner, combined)
         erase_op(loop)
         out.rewrites += 1
     return out

@@ -1,10 +1,11 @@
 """Unroll innermost counted loops by an integer factor."""
 from __future__ import annotations
 
+from staircase.dialects.builders import build_arith_binop, build_index_constant
 from staircase.errors import InvalidFactor
-from staircase.ir.core import Operation, clone_op, create_op
+from staircase.ir.core import Operation, clone_op
 
-from .rewrite import PassOutcome, const_int, index_const, matching_ops, trip_count
+from .rewrite import PassOutcome, const_int, matching_ops, trip_count
 
 _LOOPS = ("scf.for", "affine.for", "scf.parallel")
 
@@ -39,8 +40,7 @@ def loop_unroll(root: Operation, factor: int) -> PassOutcome:
             out.skipped += 1
             continue
         loc = loop.location
-        widened = index_const(loop.parent, loop.block_index(), step * factor, loc)
-        loop.set_operand(2, widened)
+        loop.set_operand(2, build_index_constant(loop, step * factor, loc))
         body = loop.body()
         induction = body.args[0]
         originals = list(body.ops)[:-1]  # everything but the terminator
@@ -48,10 +48,9 @@ def loop_unroll(root: Operation, factor: int) -> PassOutcome:
         for k in range(1, factor):
             remap: dict = {}
             if induction_used:
-                offset = index_const(body, len(body.ops) - 1, k * step, loc)
-                shifted = create_op(body, len(body.ops) - 1, "arith.addi",
-                                    [induction, offset], {}, [induction.type], 0, loc)
-                remap[induction] = shifted.results[0]
+                offset = build_index_constant(body, k * step, loc)
+                remap[induction] = build_arith_binop(body, "arith.addi",
+                                                     induction, offset, loc)
             for op in originals:
                 clone_op(op, body, len(body.ops) - 1, remap)
         out.rewrites += 1

@@ -683,6 +683,28 @@ def test_partial_sums_enter_chained_segments(monkeypatch):
                                    for k in range(12)]
 
 
+def test_segment_parameters_are_read(monkeypatch):
+    """Every parameter of a chained segment is named in its body."""
+    monkeypatch.setattr(codegen, "SEGMENT", 2)
+    modules = [random_module(seed) for seed in range(60)]
+    modules += [index_module(seed) for seed in range(20)]
+    for path in _sources():
+        with open(path, encoding="utf-8") as fh:
+            modules.append(run_pipeline(parse_module(fh.read(), create_context()),
+                                        CANON)[0])
+    unused, segments = [], 0
+    for module in modules:
+        source = _source(module)
+        for m in re.finditer(r"^def (\w+_s\d+)\((.*)\):\n((?:    .*\n)*)",
+                             source, re.M):
+            segments += 1
+            read = set(re.findall(r"[A-Za-z_]\w*", m[3]))
+            unused += [f"{m[1]}: {p}" for p in m[2].split(", ")
+                       if p not in read and p not in ("T", "X")]
+    assert not unused, unused[:5]
+    assert segments > 100
+
+
 def test_kernel_indices_linear_in_thread_ids():
     # A[3 - bx, 3*ty + tx] is read and A[bx, 3*ty + tx] written: the bx
     # terms are bound in the header of bx's thread loop

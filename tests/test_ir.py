@@ -11,6 +11,7 @@ from staircase.dialects.builders import (
     build_scf_if,
 )
 from staircase.errors import (
+    ArityMismatch,
     DominanceViolation,
     DuplicateDialect,
     DuplicateSymbol,
@@ -42,6 +43,7 @@ from staircase.ir.core import (
     float_attr,
     int_attr,
     memref_type,
+    merge_block,
     move_op,
     register_dialect,
     replace_all_uses_with,
@@ -150,6 +152,31 @@ class TestSSA:
                       operands=[inner, inner], result_types=[F64])
 
 
+    def test_builder_at_an_op_inserts_before_it(self, ctx):
+        _, _, body = _func(ctx)
+        a = build_constant(body, 1.0)
+        last = build_arith_binop(body, "arith.addf", a, a).defining_op
+        b = build_constant(last, 2.0)
+        mul = build_arith_binop(last, "arith.mulf", a, b).defining_op
+        for _ in range(40):  # enough to use up the gap before one op
+            build_arith_binop(mul, "arith.subf", a, b)
+        assert [op.name for op in body.ops] == (
+            ["arith.constant"] * 2 + ["arith.subf"] * 40
+            + ["arith.mulf", "arith.addf", "func.return"])
+        assert [op.block_index() for op in body.ops] == list(range(45))
+        orders = [body.order_of(op) for op in body.ops]
+        assert orders == sorted(set(orders))
+        assert body.renumbers > 0
+
+    def test_builder_at_an_op_checks_dominance(self, ctx):
+        _, _, body = _func(ctx)
+        first = build_constant(body, 1.0).defining_op
+        late = build_constant(body, 2.0)
+        with pytest.raises(DominanceViolation):
+            build_arith_binop(first, "arith.addf", late, late)
+        assert len(body.ops) == 3 and not late.uses
+
+
 class TestMutation:
     def test_erase_requires_no_uses(self, ctx):
         _, _, body = _func(ctx)
@@ -210,6 +237,33 @@ class TestMutation:
         assert c.parent is loop.body()
         assert loop.body().ops[0] is c
         assert c not in body.ops
+
+    def test_merge_block(self, ctx):
+        module, _, body = _func(ctx)
+        lb, ub, st = (build_index_constant(body, v) for v in (0, 4, 1))
+        source = build_scf_for(body, lb, ub, st)
+        dest = build_scf_for(body, lb, ub, st)
+        i, j = source.body().args[0], dest.body().args[0]
+        x = build_arith_binop(source.body(), "arith.addi", i, i)
+        y = build_arith_binop(source.body(), "arith.muli", x, i)
+        nested = build_scf_for(source.body(), lb, i, st)
+        kept = build_constant(dest.body(), 1.0).defining_op
+        with pytest.raises(ArityMismatch):
+            merge_block(source.body(), dest.body())
+        merge_block(source.body(), dest.body(), [j])
+        assert [op.name for op in source.body().ops] == ["scf.yield"]
+        moved = dest.body().ops
+        assert moved[0] is kept and moved[-1].name == "scf.yield"
+        assert [op.name for op in moved[1:-1]] == ["arith.addi", "arith.muli",
+                                                   "scf.for"]
+        assert not i.uses
+        assert x.defining_op.operands == (j, j)
+        assert y.defining_op.operands == (x, j)
+        assert nested.operands[1] is j
+        assert [op.block_index() for op in moved] == list(range(len(moved)))
+        assert all(op.parent is dest.body() for op in moved)
+        erase_op(source)
+        verify_or_raise(module)
 
     def test_clone_op_remaps_operands(self, ctx):
         _, _, body = _func(ctx)

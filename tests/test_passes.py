@@ -6,8 +6,12 @@ Under gpu_emulated, the rewritten module must leave the same buffers and
 return the same results as the module it was given. Seeds whose
 untransformed run raises, and pipelines that refuse a module with
 PassFailure, are left out and counted. Every rewritten block's order
-numbers must agree with the positions of its ops.
+numbers must agree with the positions of its ops. Four pass outputs are
+pinned as goldens, and the passes' source is checked to build only
+through the dialect builders.
 """
+import ast
+import glob
 import os
 
 import pytest
@@ -186,6 +190,31 @@ def test_pass_outputs_print_byte_for_byte(name):
                              GOLDEN_PIPELINES[name])
     assert print_module(module) == golden_text(os.path.join("passes",
                                                             f"{name}.sir"))
+
+
+def test_passes_build_through_the_builders():
+    """No pass makes an op, block argument or region by hand, or moves ops
+    one by one: they use dialects/builders.py and merge_block."""
+    import staircase.passes
+
+    banned_calls = {"create_op", "add_arg", "move_op", "Region"}
+    banned_defs = {"index_const", "_KernelWriter"}
+    found = []
+    for path in glob.glob(os.path.join(
+            os.path.dirname(staircase.passes.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name in banned_calls:
+                    found.append(f"{os.path.basename(path)}:{node.lineno} "
+                                 f"calls {name}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name in banned_defs:
+                found.append(f"{os.path.basename(path)} defines {node.name}")
+    assert not found, found
 
 
 def test_order_index_survives_inserts_at_one_spot():
