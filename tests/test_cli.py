@@ -2,7 +2,9 @@
 import json
 import os
 
-from conftest import golden_text
+import pytest
+
+from conftest import golden_path, golden_text
 from staircase import cli
 
 KERNELS = os.path.join(os.path.dirname(__file__), "kernels.py")
@@ -51,3 +53,53 @@ def test_emit_opt_run_computes_matmul(capsys, tmp_path):
     result = json.loads((out_dir / "matmul_arg2.json").read_text(encoding="utf-8"))
     assert result["shape"] == [m, k]
     assert result["data"] == [float(x) for row in want for x in row]
+
+
+# One buffer per dtype, then the scalars true, 2.5 and -7. The f32 data
+# rounds and overflows to Infinity; the integer data wraps.
+RUN_ARGS = (
+    '{"shape": [5], "dtype": "f32", "data": [0.1, 3, -2.5e-3, 1e39, 0]}',
+    '{"shape": [7], "dtype": "f64", '
+    '"data": [0.1, 3, -0.0, 5e-324, NaN, -Infinity, 1e308]}',
+    '{"shape": [4], "dtype": "i32", '
+    '"data": [2000000000, 2147483648, -2147483649, 0]}',
+    '{"shape": [4], "dtype": "i64", '
+    '"data": [3037000500, 9223372036854775808, -7, 0]}',
+    "true",
+    "2.5",
+    "-7",
+)
+
+
+def test_run_writes_every_buffer_byte_for_byte(capsys, tmp_path):
+    args = [_write(tmp_path / f"a{i}.json", text + "\n")
+            for i, text in enumerate(RUN_ARGS)]
+    out_dir = tmp_path / "out"
+    stats = json.loads(_main(capsys, "run", "--input",
+                             golden_path(os.path.join("run", "buffers.sir")),
+                             "--func", "f", "--args", *args,
+                             "--out", str(out_dir)))
+    names = [os.path.basename(p) for p in stats["outputs"]]
+    assert names == [f"f_arg{i}.json" for i in range(4)] + [
+        f"f_result{i}.json" for i in range(4)]
+    for name in names:
+        got = (out_dir / name).read_bytes()
+        with open(golden_path(os.path.join("run", name)), "rb") as fh:
+            assert got == fh.read(), name
+
+
+@pytest.mark.parametrize("text, value", [
+    ("true", 1), ("false", 0), ("2.5", 2.5), ("-7", -7), ("1e400", float("inf")),
+])
+def test_scalar_arguments(tmp_path, text, value):
+    got = cli._load_argument(_write(tmp_path / "s.json", text))
+    assert got == value and type(got) is type(value)
+
+
+def test_run_rejects_an_argument_that_is_not_json(capsys, tmp_path):
+    emitted = golden_path(os.path.join("run", "buffers.sir"))
+    bad = _write(tmp_path / "bad.json", '{"shape": [5], "dtype": ')
+    assert cli.main(["run", "--input", emitted, "--func", "f",
+                     "--args", bad, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not valid JSON (Expecting value)\n"

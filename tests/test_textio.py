@@ -113,13 +113,43 @@ def _func(body):
     (_func("    %0, %1 = arith.constant 1.0 : f64"), 3, 14,
      "arith.constant produces 1 result(s), 2 named"),
     ("func.func @f() {\n}\n", 1, 1, "modules start with 'module'"),
+    ("module {\n  // a comment\n  $x\n}\n", 3, 3, "unexpected character '$'"),
+    ("module {\n  // note: $\n  func.func @f() {\n    ?\n  }\n}\n", 4, 5,
+     "unexpected character '?'"),
+    ("module {\n\tfunc.func @f() {\t?\n", 2, 19, "unexpected character '?'"),
+    ('module attributes {note = "a // b"} {\n  %0 = $\n}', 2, 8,
+     "unexpected character '$'"),
+    ("module {\n  func.func @f() {\n    return\n  }\n}  $", 5, 4,
+     "unexpected character '$'"),
+    ("module {\n  func.func @f() {\n    return\n  }\n", 5, 1,
+     "expected 'id', got ''"),
+    ("module {\n  func.func @f() {\n    return\n  }", 4, 4,
+     "expected 'id', got ''"),
 ], ids=["undefined", "redefinition", "memref-element", "result-count",
-        "no-module"])
+        "no-module", "after-comment", "comment-then-line", "after-tab",
+        "after-string", "last-line", "eof", "eof-no-newline"])
 def test_parse_errors_keep_class_and_position(text, line, column, message):
     with pytest.raises(ParseError) as info:
         parse_module(text, _context())
     assert (info.value.line, info.value.column) == (line, column)
     assert message in str(info.value)
+
+
+def _parsed_locations():
+    """One line per op of every golden and bench file: file, op, line:column."""
+    lines = []
+    for path in FILES:
+        with open(path, encoding="utf-8") as fh:
+            module = parse_module(fh.read(), _context())
+        for op in [module, *module.walk_nested()]:
+            loc = op.location
+            where = f"{loc.line}:{loc.column}" if loc else "-"
+            lines.append(f"{os.path.basename(path)} {op.name} {where}\n")
+    return "".join(lines)
+
+
+def test_parsed_ops_keep_their_positions():
+    assert _parsed_locations() == golden_text("parse_locations.txt")
 
 
 def test_unknown_op_is_reported_with_its_line():
