@@ -158,18 +158,17 @@ def _parse_mode(text: str):
 
 
 def _load_argument(path: str):
-    from staircase.interp import buffer_from_json
+    from staircase.interp.buffer import buffer_from_value
 
-    text = _read_text(path)
     try:
-        value = json.loads(text)
+        value = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise _CliError(f"{path}: not valid JSON ({exc.msg})") from exc
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    if isinstance(value, bool):
+    if type(value) is bool:
         return int(value)
-    return buffer_from_json(text)
+    if type(value) in (int, float):
+        return value
+    return buffer_from_value(value)
 
 
 def _stats_json(stats, extra=None) -> str:
@@ -323,7 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--input", required=True, help=".sir file or - for stdin")
     runp.add_argument("--func", required=True, help="function to execute")
     runp.add_argument("--args", nargs="*", default=[],
-                      help="JSON buffer or scalar files, one per parameter")
+                      help="a JSON file per parameter: a number, or a "
+                      "buffer {shape, dtype, data} whose data are numbers for "
+                      "f32/f64 and integers for i32/i64, in row-major order")
     runp.add_argument("--mode", default="sequential",
                       help="sequential, worksharing:N or gpu")
     runp.add_argument("--out", default=".",

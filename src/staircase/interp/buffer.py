@@ -4,6 +4,12 @@ Storage uses array.array so f32 elements round to C float on every store,
 matching what a real 32-bit buffer would hold. Strides are row-major and
 measured in elements; they are recorded explicitly so the descriptor
 shape does not have to change if other layouts ever appear.
+
+In JSON a buffer is {"shape": [...], "dtype": "...", "data": [...]}: its
+positive extents, one of f32, f64, i32 or i64, and every element in
+row-major order. f32 and f64 take integers and floats (NaN and the
+infinities too) within the f64 range, and f32 rounds them; i32 and i64
+take integers only and wrap them. true and false are not numbers here.
 """
 from __future__ import annotations
 
@@ -177,35 +183,39 @@ def buffer_to_json(buf: Buffer) -> str:
     )
 
 
-def buffer_from_json(text: str) -> Buffer:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TypeMismatch(f"buffer JSON is malformed: {exc}")
+def buffer_from_value(obj) -> Buffer:
+    """The buffer a parsed JSON value describes."""
     if not isinstance(obj, dict) or not {"shape", "dtype", "data"} <= set(obj):
         raise TypeMismatch(
             'buffer JSON needs the keys "shape", "dtype" and "data"'
         )
     shape, dtype, data = obj["shape"], obj["dtype"], obj["data"]
-    if not isinstance(shape, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in shape
-    ):
+    if not isinstance(shape, list) or not set(map(type, shape)) <= {int}:
         raise TypeMismatch("buffer shape must be a list of integers")
-    if dtype not in _TYPECODES:
+    if type(dtype) is not str or dtype not in _TYPECODES:
         raise TypeMismatch(
             f"unknown buffer dtype {dtype!r}; expected one of "
             f"{sorted(_TYPECODES)}"
         )
     if not isinstance(data, list):
         raise TypeMismatch("buffer data must be a flat list of numbers")
-    if dtype in _FLOAT_DTYPES:
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   for v in data):
-            raise TypeMismatch("float buffer data must be numbers")
-        data = [float(v) for v in data]
-    else:
-        if not all(isinstance(v, int) and not isinstance(v, bool)
-                   for v in data):
-            raise TypeMismatch("integer buffer data must be integers")
-        data = [wrap_int(v, dtype) for v in data]
-    return Buffer(shape, dtype, data)
+    is_float = dtype in _FLOAT_DTYPES
+    if not set(map(type, data)) <= ({int, float} if is_float else {int}):
+        raise TypeMismatch("float buffer data must be numbers" if is_float
+                           else "integer buffer data must be integers")
+    try:
+        return Buffer(shape, dtype, data)
+    except OverflowError:  # an integer beyond the range of the C type
+        if is_float:
+            raise TypeMismatch("float buffer data must lie within the f64 "
+                               "range (magnitude at most "
+                               "1.7976931348623157e+308)") from None
+        return Buffer(shape, dtype, [wrap_int(v, dtype) for v in data])
+
+
+def buffer_from_json(text: str) -> Buffer:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TypeMismatch(f"buffer JSON is malformed: {exc}")
+    return buffer_from_value(obj)

@@ -5,10 +5,13 @@ runs; the Reader here runs forms against tokens and owns the lexer,
 scopes, types and attribute literals. The parser is syntax-only: it
 reconstructs the always-elided scf.yield terminators of loop and branch
 bodies but will happily return a function with no return; verify() owns
-semantic judgments. Positions in errors are 1-based line:column.
+semantic judgments. The lexer keeps each token's offset into the
+text; a 1-based line:column is worked out from the offsets of the
+newlines, once per op for its Location and when an error is raised.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import re
@@ -47,12 +50,15 @@ _SCALARS = {t.kind: t for t in (F32, F64, I1, I32, I64, INDEX)}
 
 _MEMREF_RE = re.compile(r"memref<((?:\d+x)*)(\w+)>")
 
+# Blanks and comments. A comment runs to the end of its line, so a run of
+# them matches in one way only and a failed token match backs off fast.
+_BLANKS = r"(?:[ \t\n]|//[^\n]*(?![^\n]))*"
+_BLANKS_RE = re.compile(_BLANKS)
+
+# One token and the blanks before it.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<memref>memref<[^>\n]*>)
+    _BLANKS + r"""(?:
+    (?P<memref>memref<[^>\n]*>)
   | (?P<float>-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))
   | (?P<int>-?\d+)
   | (?P<pct>%[A-Za-z0-9_]+)
@@ -62,7 +68,7 @@ _TOKEN_RE = re.compile(
   | (?P<arrow>->)
   | (?P<dcolon>::)
   | (?P<punct>[(){}\[\],=:])
-    """,
+    )""",
     re.VERBOSE,
 )
 
@@ -73,34 +79,36 @@ _MNEMONICS.update((form.mnemonic, (name, form))
 
 
 def _lex(text: str):
+    """(kind, lexeme, offset) per token, ending with an eof token, and the
+    offset of each newline."""
     tokens = []
-    line, col = 1, 1
+    match = _TOKEN_RE.match
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "punct":
-                kind = lexeme
-            tokens.append((kind, lexeme, line, col))
-            col += len(lexeme)
+    while m := match(text, pos):
         pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
+        kind = m.lastgroup
+        lexeme = m[kind]
+        tokens.append((lexeme if kind == "punct" else kind, lexeme,
+                       m.start(kind)))
+    pos = _BLANKS_RE.match(text, pos).end()
+    newlines = [m.start() for m in re.finditer("\n", text)]
+    if pos != len(text):
+        raise ParseError(f"unexpected character {text[pos]!r}",
+                         *_line_col(newlines, pos))
+    tokens.append(("eof", "", pos))
+    return tokens, newlines
+
+
+def _line_col(newlines: list, offset: int) -> tuple:
+    """1-based line and column of a text offset."""
+    line = bisect.bisect_left(newlines, offset)
+    return line + 1, offset - (newlines[line - 1] if line else -1)
 
 
 @functools.lru_cache(maxsize=None)
 def _literal_tokens(text: str) -> tuple:
     """(kind, lexeme) of each token in a form's literal text."""
-    return tuple(tok[:2] for tok in _lex(text)[:-1])
+    return tuple(tok[:2] for tok in _lex(text)[0][:-1])
 
 
 class _Pending:
@@ -123,7 +131,7 @@ class Reader:
     """Builds ops by running their forms over a token list."""
 
     def __init__(self, text: str, ctx: Context):
-        self.tokens = _lex(text)
+        self.tokens, self.newlines = _lex(text)
         self.pos = 0
         self.ctx = ctx
         self.values: dict[str, Value] = {}
@@ -140,7 +148,7 @@ class Reader:
         return tok
 
     def error(self, msg: str, tok):
-        raise ParseError(msg, tok[2], tok[3])
+        raise ParseError(msg, *_line_col(self.newlines, tok[2]))
 
     def expect(self, kind: str, text: str | None = None):
         tok = self.next()
@@ -269,6 +277,7 @@ class Reader:
             result_toks = self.comma_list(lambda: self.expect("pct"))
             self.expect("=")
         name_tok = self.expect("id")
+        loc = Location("<input>", *_line_col(self.newlines, name_tok[2]))
         entry = _MNEMONICS.get(name_tok[1])
         if entry is not None:
             (name, form), schema = entry, None
@@ -277,9 +286,8 @@ class Reader:
             schema = self.ctx.registry.lookup_op(name)
             if schema is None:
                 raise UnknownOperation(
-                    f"line {name_tok[2]}: no registered schema for {name!r}")
-        p = _Pending(name, form, schema, block,
-                     Location("<input>", name_tok[2], name_tok[3]))
+                    f"line {loc.line}: no registered schema for {name!r}")
+        p = _Pending(name, form, schema, block, loc)
         outer = self.values
         if form.isolated:
             self.values = {}

@@ -29,6 +29,8 @@ def _json(shape=(2,), dtype="f64", data=(1, 2)):
     (_json(shape=[2.0]), SHAPE),
     (_json(dtype="f16"),
      "unknown buffer dtype 'f16'; expected one of ['f32', 'f64', 'i32', 'i64']"),
+    (_json(dtype=["f64"]),
+     "unknown buffer dtype ['f64']; expected one of ['f32', 'f64', 'i32', 'i64']"),
     (_json(data=3), DATA),
     (_json(data={"a": 1}), DATA),
     (_json(data=[1.0, True]), FLOATS),
@@ -47,7 +49,7 @@ def _json(shape=(2,), dtype="f64", data=(1, 2)):
     ('{"shape": [1], "dtype": "f64", "data": [1,]}',
      "buffer JSON is malformed: Expecting value: line 1 column 43 (char 42)"),
 ], ids=["no-data", "list", "number", "shape-int", "shape-bool", "shape-float",
-        "dtype", "data-int", "data-dict", "f64-bool", "f64-str", "f64-null",
+        "dtype", "dtype-list", "data-int", "data-dict", "f64-bool", "f64-str", "f64-null",
         "f64-nested", "f32-bool", "i32-float", "i32-bool", "i64-float",
         "i64-str", "count", "count-2d", "extent", "malformed"])
 def test_malformed_buffers_are_rejected_with_their_message(text, message):
@@ -96,3 +98,12 @@ def test_json_round_trip():
     assert text == ('{"shape": [2, 3], "dtype": "f32", '
                     '"data": [0.5, -1.0, 2.0, 3.0, 4.0, Infinity]}')
     assert buffer_from_json(text) == buf
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_an_integer_beyond_the_f64_range_is_rejected(dtype):
+    with pytest.raises(TypeMismatch, match=r"within the f64 range \(magnitude"
+                       r" at most 1\.7976931348623157e\+308\)"):
+        buffer_from_json(_json(shape=[2], dtype=dtype, data=[1, 10**400]))
+    assert buffer_from_json(_json(shape=[1], data=[2**1023])).tolist() == [
+        float(2**1023)]

@@ -103,3 +103,12 @@ def test_run_rejects_an_argument_that_is_not_json(capsys, tmp_path):
                      "--args", bad, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {bad}: not valid JSON (Expecting value)\n"
+
+
+def test_run_rejects_a_float_buffer_beyond_the_f64_range(capsys, tmp_path):
+    emitted = golden_path(os.path.join("run", "buffers.sir"))
+    huge = _write(tmp_path / "huge.json",
+                  '{"shape": [1], "dtype": "f64", "data": [' + "9" * 400 + "]}")
+    assert cli.main(["run", "--input", emitted, "--func", "f",
+                     "--args", huge, "--out", str(tmp_path)]) == 1
+    assert "within the f64 range" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from staircase.ir.core import (
     str_attr,
 )
 from staircase.passes import run_pipeline
-from staircase.textio import parse_module, print_module
+from staircase.textio import parse_module, parser, print_module
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 PIPELINES = (
@@ -125,9 +125,12 @@ def _func(body):
      "expected 'id', got ''"),
     ("module {\n  func.func @f() {\n    return\n  }", 4, 4,
      "expected 'id', got ''"),
+    ("module {" + " //" * 40 + "\n" + " \t" * 40 + "?", 2, 81,
+     "unexpected character '?'"),
 ], ids=["undefined", "redefinition", "memref-element", "result-count",
         "no-module", "after-comment", "comment-then-line", "after-tab",
-        "after-string", "last-line", "eof", "eof-no-newline"])
+        "after-string", "last-line", "eof", "eof-no-newline",
+        "after-long-blanks"])
 def test_parse_errors_keep_class_and_position(text, line, column, message):
     with pytest.raises(ParseError) as info:
         parse_module(text, _context())
@@ -150,6 +153,33 @@ def _parsed_locations():
 
 def test_parsed_ops_keep_their_positions():
     assert _parsed_locations() == golden_text("parse_locations.txt")
+
+
+def _walked_positions(text):
+    """(line, column) of every offset of text and of its end, counted by
+    stepping through the characters."""
+    out, line, column = [], 1, 1
+    for ch in text:
+        out.append((line, column))
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    return out + [(line, column)]
+
+
+def test_token_offsets_point_into_the_text():
+    paths = glob.glob(os.path.join(GOLDEN_DIR, "**", "*.sir"), recursive=True)
+    texts = [print_module(random_module(seed)) for seed in range(60)]
+    for path in paths + FILES:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    texts.append("module {\n\t// a\tcomment\n  %0 = x  \n}")
+    for text in texts:
+        walked = _walked_positions(text)
+        tokens, newlines = parser._lex(text)
+        assert newlines == [i for i, ch in enumerate(text) if ch == "\n"]
+        assert tokens[-1] == ("eof", "", len(text))
+        for kind, lexeme, offset in tokens:
+            assert text[offset:offset + len(lexeme)] == lexeme
+            assert parser._line_col(newlines, offset) == walked[offset]
 
 
 def test_unknown_op_is_reported_with_its_line():
