@@ -133,11 +133,12 @@ def _sources():
 
 # Files that print byte for byte as a captured kernel: that kernel's test
 # runs them, with the file's input seed beside its own.
-PRINTED_KERNELS = {"conv_rows.sir": "conv_rows", "conv2d.sir": "conv2d"}
+PRINTED_KERNELS = {"conv_rows": os.path.join(INPUTS, "conv_rows.sir"),
+                   "conv2d": golden_path("conv2d.sir")}
 
 
 @pytest.mark.parametrize("path", [
-    p for p in _sources() if os.path.basename(p) not in PRINTED_KERNELS
+    p for p in _sources() if p not in PRINTED_KERNELS.values()
 ], ids=os.path.basename)
 def test_bench_inputs_agree(path):
     with open(path, encoding="utf-8") as fh:
@@ -169,11 +170,10 @@ def test_captured_kernels_agree(name):
 
     staged = getattr(kernels, name)
     seeds = [3]
-    for path in _sources():
-        if PRINTED_KERNELS.get(os.path.basename(path)) == name:
-            with open(path, encoding="utf-8") as fh:
-                assert print_module(staged.module) == fh.read()
-            seeds.append(7)
+    if name in PRINTED_KERNELS:
+        with open(PRINTED_KERNELS[name], encoding="utf-8") as fh:
+            assert print_module(staged.module) == fh.read()
+        seeds.append(7)
     for mode, workers, pipeline in MODES:
         module, _ = run_pipeline(staged.module, pipeline)
         for seed in seeds:
