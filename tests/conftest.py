@@ -23,3 +23,22 @@ def golden_path(name: str) -> str:
 def golden_text(name: str) -> str:
     with open(golden_path(name), "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def context_with_test_ops():
+    """A context with a dialect the text format has no custom form for."""
+    from staircase.ir.core import (
+        DialectDef,
+        OpSchema,
+        create_context,
+        register_dialect,
+    )
+
+    ctx = create_context()
+    register_dialect(ctx, DialectDef("test", [
+        OpSchema("test.op"),
+        OpSchema("test.nop"),
+        OpSchema("test.region", num_regions=1),
+        OpSchema("test.two", num_regions=2),
+    ]))
+    return ctx

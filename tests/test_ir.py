@@ -1,6 +1,11 @@
 """Core IR: types, SSA bookkeeping, mutation helpers, verifier."""
+import glob
+import os
+
 import pytest
 
+from conftest import GOLDEN_DIR, context_with_test_ops
+from irgen import random_module
 from staircase.dialects.builders import (
     build_arith_binop,
     build_constant,
@@ -51,12 +56,15 @@ from staircase.ir.core import (
     symbol_attr,
     type_attr,
     unit_attr,
+    value_dominates_op,
+    value_visible_at,
     walk,
 )
 from staircase.ir.verify import verify, verify_or_raise
 from staircase.passes.canonicalize import canonicalize
 from staircase.textio import parse_module, print_module
 
+INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 
 def _func(ctx, params=(), name="f"):
     module = create_module(ctx)
@@ -175,6 +183,132 @@ class TestSSA:
         with pytest.raises(DominanceViolation):
             build_arith_binop(first, "arith.addf", late, late)
         assert len(body.ops) == 3 and not late.uses
+
+
+def _layout(root):
+    """Where each op and block sits, from a walk of the regions alone:
+    op -> (block, index in block.ops) and block -> the op holding it."""
+    ops_at, holder = {}, {}
+
+    def go(op):
+        for region in op.regions:
+            for block in region.blocks:
+                holder[block] = op
+                for i, child in enumerate(block.ops):
+                    ops_at[child] = (block, i)
+                    go(child)
+
+    go(root)
+    return ops_at, holder
+
+
+def _visible(value, block, index, ops_at, holder):
+    """Dominance by its definition: `value` is an argument of `block` or of
+    a block enclosing it, or the result of an op before the point in one of
+    those blocks; the point is `index` in `block`, then each enclosing op."""
+    while True:
+        if value.owner is block:
+            return True
+        defined = ops_at.get(value.owner)
+        if defined is not None and defined[0] is block:
+            return defined[1] < index
+        outer = holder[block]
+        if outer not in ops_at:
+            return False
+        block, index = ops_at[outer]
+
+
+def _dominance_mismatches(root):
+    """(value, op) and (value, block, index) queries whose answer differs
+    from the definition, and how many queries came out True and False."""
+    ops_at, holder = _layout(root)
+    values = [v for block in holder for v in block.args]
+    values += [r for op in ops_at for r in op.results]
+    wrong, answers = [], {True: 0, False: 0}
+    for v in values:
+        for user, (block, index) in ops_at.items():
+            want = _visible(v, block, index, ops_at, holder)
+            answers[want] += 1
+            if value_dominates_op(v, user) != want:
+                wrong.append((v, user.name, index))
+        for block in holder:
+            want = _visible(v, block, len(block.ops), ops_at, holder)
+            if value_visible_at(v, block, len(block.ops)) != want:
+                wrong.append((v, "end of block", len(block.ops)))
+    return wrong, answers
+
+
+def _sir_modules():
+    paths = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.sir"))
+                   + glob.glob(os.path.join(INPUTS, "*.sir")))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), parse_module(
+                fh.read(), context_with_test_ops())
+
+
+class TestDominance:
+    def test_matches_the_definition_on_the_corpus(self):
+        modules = [(f"irgen {seed}", random_module(seed)) for seed in range(60)]
+        modules += list(_sir_modules())
+        totals = {True: 0, False: 0}
+        for name, module in modules:
+            wrong, answers = _dominance_mismatches(module)
+            assert wrong == [], name
+            totals[True] += answers[True]
+            totals[False] += answers[False]
+        assert min(totals.values()) > 10000
+
+    def test_matches_the_definition_while_a_renumber_is_pending(self, ctx):
+        module, _, body = _func(ctx, [F64])
+        a = body.args[0]
+        build_arith_binop(body, "arith.addf", a, a)
+        # operands that are block arguments make create_op query no order
+        # number, so nothing renumbers the block once its gaps are used up
+        for _ in range(12):
+            create_op(body, 1, "arith.mulf", operands=[a, a],
+                      result_types=[F64])
+        assert not body._order_valid
+        wrong, answers = _dominance_mismatches(module)
+        assert wrong == [] and answers[True] and answers[False]
+
+    def test_values_from_closed_regions_are_not_visible(self, ctx):
+        _, _, body = _func(ctx)
+        lb = build_index_constant(body, 0)
+        ub = build_index_constant(body, 4)
+        st = build_index_constant(body, 1)
+        loop = build_scf_for(body, lb, ub, st)
+        inner = build_constant(loop.body(), 1.0)
+        after = build_constant(body, 2.0).defining_op
+        iv = loop.body().args[0]
+        assert value_dominates_op(lb, inner.defining_op)
+        assert not value_dominates_op(inner, after)
+        assert not value_dominates_op(iv, after)
+        assert not value_visible_at(inner, body, len(body.ops))
+        assert value_visible_at(inner, loop.body(), len(loop.body().ops))
+
+    def test_erased_definitions_are_not_visible(self, ctx):
+        _, _, body = _func(ctx)
+        lb = build_index_constant(body, 0)
+        ub = build_index_constant(body, 4)
+        st = build_index_constant(body, 1)
+        loop = build_scf_for(body, lb, ub, st)
+        loop_body = loop.body()
+        inner = build_constant(loop_body, 1.0)
+        gone = build_constant(body, 2.0)
+        erase_op(gone.defining_op)
+        erase_op(loop)
+        # the inner op keeps its place in the erased loop's body
+        assert inner.defining_op.parent is loop_body
+        user = build_constant(body, 3.0).defining_op
+        for v in (gone, inner):
+            assert not value_dominates_op(v, user)
+            assert not value_visible_at(v, body, len(body.ops))
+        assert not value_visible_at(inner, loop_body, len(loop_body.ops))
+        assert not value_dominates_op(st, inner.defining_op)
+        with pytest.raises(DominanceViolation):
+            create_op(body, body.insertion_index(), "arith.addf",
+                      operands=[gone, gone], result_types=[F64])
 
 
 class TestMutation:

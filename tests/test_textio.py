@@ -5,20 +5,16 @@ import os
 
 import pytest
 
-from conftest import GOLDEN_DIR, golden_text
+from conftest import GOLDEN_DIR, context_with_test_ops, golden_text
 from irgen import random_module
 from staircase.dialects.builders import build_func, build_scf_for
 from staircase.errors import ParseError, UnknownOperation
 from staircase.ir.core import (
     F64,
     INDEX,
-    DialectDef,
-    OpSchema,
-    create_context,
     create_module,
     create_op,
     int_attr,
-    register_dialect,
     str_attr,
 )
 from staircase.passes import run_pipeline
@@ -33,21 +29,9 @@ FILES = sorted(glob.glob(os.path.join(GOLDEN_DIR, "*.sir"))
                + glob.glob(os.path.join(INPUTS, "*.sir")))
 
 
-def _context():
-    """A context with a dialect the text format has no custom form for."""
-    ctx = create_context()
-    register_dialect(ctx, DialectDef("test", [
-        OpSchema("test.op"),
-        OpSchema("test.nop"),
-        OpSchema("test.region", num_regions=1),
-        OpSchema("test.two", num_regions=2),
-    ]))
-    return ctx
-
-
 def _assert_fixed_point(module):
     text = print_module(module)
-    assert print_module(parse_module(text, _context())) == text
+    assert print_module(parse_module(text, context_with_test_ops())) == text
 
 
 def test_irgen_seeds_are_fixed_points():
@@ -59,22 +43,22 @@ def test_irgen_seeds_are_fixed_points():
 def test_files_are_fixed_points(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    _assert_fixed_point(parse_module(text, _context()))
+    _assert_fixed_point(parse_module(text, context_with_test_ops()))
     if os.path.basename(path) == "forms.sir":
         return  # its test-dialect ops are opaque to the passes
     for pipeline in PIPELINES:
-        module, _ = run_pipeline(parse_module(text, _context()), pipeline)
+        module, _ = run_pipeline(parse_module(text, context_with_test_ops()), pipeline)
         _assert_fixed_point(module)
 
 
 @pytest.mark.parametrize("name", ["forms", "ifs", "matmul", "conv2d"])
 def test_golden_prints_byte_for_byte(name):
     text = golden_text(f"{name}.sir")
-    assert print_module(parse_module(text, _context())) == text
+    assert print_module(parse_module(text, context_with_test_ops())) == text
 
 
 def test_attributes_a_form_does_not_print_are_kept():
-    ctx = _context()
+    ctx = context_with_test_ops()
     module = create_module(ctx)
     func = build_func(module, "f", [F64])
     body = func.body()
@@ -90,7 +74,7 @@ def test_attributes_a_form_does_not_print_are_kept():
     assert '%0 = arith.constant {note = "x"} 2 : index\n' in text
     assert '%1 = arith.addf %arg0, %arg0 {fastmath = "fast"} : f64\n' in text
     assert '      scf.yield {note = "y"}\n' in text
-    parsed = parse_module(text, _context())
+    parsed = parse_module(text, context_with_test_ops())
     assert print_module(parsed) == text
     const, add, loop = parsed.body().ops[0].body().ops[:3]
     assert const.attributes["note"] == str_attr("x")
@@ -133,7 +117,7 @@ def _func(body):
         "after-long-blanks"])
 def test_parse_errors_keep_class_and_position(text, line, column, message):
     with pytest.raises(ParseError) as info:
-        parse_module(text, _context())
+        parse_module(text, context_with_test_ops())
     assert (info.value.line, info.value.column) == (line, column)
     assert message in str(info.value)
 
@@ -143,7 +127,7 @@ def _parsed_locations():
     lines = []
     for path in FILES:
         with open(path, encoding="utf-8") as fh:
-            module = parse_module(fh.read(), _context())
+            module = parse_module(fh.read(), context_with_test_ops())
         for op in [module, *module.walk_nested()]:
             loc = op.location
             where = f"{loc.line}:{loc.column}" if loc else "-"
@@ -184,11 +168,11 @@ def test_token_offsets_point_into_the_text():
 
 def test_unknown_op_is_reported_with_its_line():
     with pytest.raises(UnknownOperation, match="line 3: .*'foo.bar'"):
-        parse_module(_func("    foo.bar() : () -> ()"), _context())
+        parse_module(_func("    foo.bar() : () -> ()"), context_with_test_ops())
 
 
 def test_generic_form_rejects_what_it_cannot_print():
-    ctx = _context()
+    ctx = context_with_test_ops()
     module = create_module(ctx)
     body = module.body()
     create_op(body, 0, "test.two", region_count=2)
