@@ -507,30 +507,27 @@ def create_module(ctx: Context, location: Location | None = None) -> Operation:
 # ---------------------------------------------------------------------------
 # Dominance
 
-def _enclosing_chain(block: Block, before: Operation | None):
-    """Yield (block, op) frames, each the point just before op in block
-    (None: the block's end): first `before` in `block`, then outward the
-    op that encloses the previous frame's block."""
-    b, at = block, before
-    while True:
-        yield b, at
-        at = b.parent_op
-        b = at.parent
-        if b is None:
-            return
-
-
 def _visible_before(value: Value, block: Block, before: Operation | None) -> bool:
-    if value.is_block_arg:
-        target = value.owner
-        return any(b is target for b, _ in _enclosing_chain(block, before))
-    op = value.owner
-    if op.erased:
+    """True if `value` is visible just before `before` in `block` (None:
+    at the block's end). Walk outward from `block`, each step to the block
+    holding the op that holds the last one, until reaching the value's own
+    block; there the definition must come before the point reached."""
+    owner = value.owner
+    if isinstance(owner, Block):
+        while block is not owner:
+            block = block.parent_region.parent_op.parent
+            if block is None:
+                return False
+        return True
+    if owner.erased:
         return False
-    for b, at in _enclosing_chain(block, before):
-        if op.parent is b:
-            return at is None or b.order_of(op) < at._order
-    return False
+    home = owner.parent
+    while block is not home:
+        before = block.parent_region.parent_op
+        block = before.parent
+        if block is None:
+            return False
+    return before is None or block.order_of(owner) < before._order
 
 
 def _op_at(block: Block, index: int) -> Operation | None:

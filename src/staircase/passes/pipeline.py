@@ -311,9 +311,10 @@ def run_pipeline(module: Operation, pipeline) -> tuple[Operation, list[PassStats
     """Apply `pipeline` (a Pipeline or its textual form) to a clone of
     `module` and return (rewritten module, stats per pass application).
 
-    The input module is never mutated. The clone is verified after every
-    pass; any pass error or verification break raises PassFailure and
-    discards the clone, so callers always hold a verified module.
+    The input module is never mutated. The input is verified, and the
+    clone after every pass; any pass error or verification break raises
+    PassFailure and discards the clone, so callers always hold a verified
+    module, which they may compile and call without verifying it again.
     """
     if isinstance(pipeline, str):
         pipeline = pipeline_parse(pipeline)

@@ -242,7 +242,10 @@ class Reader:
         if kind == "float":
             return float_attr(float(tok[1]))
         if kind == "str":
-            return str_attr(json.loads(tok[1]))
+            try:
+                return str_attr(json.loads(tok[1]))
+            except json.JSONDecodeError:  # a raw control character
+                self.error(f"bad character or escape in string {tok[1]}", tok)
         if kind == "at":
             parts = [tok[1][1:]]
             while self.accept("dcolon"):

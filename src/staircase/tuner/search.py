@@ -11,6 +11,9 @@ Two strategies are provided.  ``random`` samples each coordinate
 uniformly and independently.  ``one_plus_one_es`` keeps a parent point
 and mutates each coordinate with probability one half, moving only on
 strict improvement.  Both are pure functions of the seed.
+
+A trial verifies as ``run_pipeline`` takes the kernel and after each
+pass, then compiles and calls the verified result as it is.
 """
 import math
 import random
@@ -23,7 +26,8 @@ from staircase.errors import (
     VerificationFailed,
 )
 from staircase.interp import Buffer, cost as model_cost
-from staircase.interp.machine import run
+from staircase.interp.machine import call, normalize_mode
+from staircase.interp.tape import compile_module
 from staircase.ir.core import Operation, SymbolTable
 from staircase.ir.verify import verify_or_raise
 from staircase.passes import run_pipeline
@@ -131,12 +135,12 @@ def _state_matches(got_results, got_args, want_results, want_args) -> bool:
 def _buffers_close(got, want) -> bool:
     if not isinstance(got, Buffer) or got.shape != want.shape:
         return False
-    if want.dtype in ("f32", "f64"):
-        return all(
-            math.isclose(g, w, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-            for g, w in zip(got.data, want.data)
-        )
-    return list(got.data) == list(want.data)
+    if got.data == want.data:
+        return True
+    return want.dtype in ("f32", "f64") and all(
+        math.isclose(g, w, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+        for g, w in zip(got.data, want.data)
+    )
 
 
 def _digest(stats) -> dict:
@@ -164,11 +168,11 @@ class _Session:
         self.seed = seed
         self.objective = objective
         self.template = pipeline_template or default_pipeline
-        self.mode = mode
-        self.workers = workers
+        self.mode, self.workers = normalize_mode(mode, workers)
         self.inputs = make_inputs(module, self.func, seed)
         args = _copy_args(self.inputs)
-        results, stats = run(module, self.func, args, mode="sequential")
+        results, stats = call(compile_module(module), self.func, args,
+                              "sequential", 1)
         self.want_results = results
         self.want_args = args
         self.baseline_cost = self._score(stats)
@@ -188,8 +192,8 @@ class _Session:
             return Trial(idx, params, None, "skipped", self.seed)
         try:
             args = _copy_args(self.inputs)
-            results, stats = run(work, self.func, args,
-                                 mode=self.mode, workers=self.workers)
+            results, stats = call(compile_module(work), self.func, args,
+                                  self.mode, self.workers)
         finally:
             if work in self.module.ctx.modules:
                 self.module.ctx.modules.remove(work)

@@ -112,3 +112,14 @@ def test_run_rejects_a_float_buffer_beyond_the_f64_range(capsys, tmp_path):
     assert cli.main(["run", "--input", emitted, "--func", "f",
                      "--args", huge, "--out", str(tmp_path)]) == 1
     assert "within the f64 range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ['"a\tb"', '"a\\qb"'],
+                         ids=["control-character", "bad-escape"])
+def test_verify_reports_a_bad_string_with_its_position(capsys, tmp_path,
+                                                       literal):
+    path = _write(tmp_path / "bad.sir",
+                  f"module attributes {{note = {literal}}} {{\n}}\n")
+    assert cli.main(["verify", "--input", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 1:27: bad character or escape in string {literal}\n")

@@ -111,10 +111,14 @@ def _func(body):
      "expected 'id', got ''"),
     ("module {" + " //" * 40 + "\n" + " \t" * 40 + "?", 2, 81,
      "unexpected character '?'"),
+    ('module attributes {note = "a\tb"} {\n}\n', 1, 27,
+     'bad character or escape in string "a\tb"'),
+    ('module {\n  func.func @f() attributes {k = "a\\qb"} {\n', 2, 34,
+     'bad character or escape in string "a\\qb"'),
 ], ids=["undefined", "redefinition", "memref-element", "result-count",
         "no-module", "after-comment", "comment-then-line", "after-tab",
         "after-string", "last-line", "eof", "eof-no-newline",
-        "after-long-blanks"])
+        "after-long-blanks", "string-control-character", "string-bad-escape"])
 def test_parse_errors_keep_class_and_position(text, line, column, message):
     with pytest.raises(ParseError) as info:
         parse_module(text, context_with_test_ops())

@@ -8,11 +8,12 @@ import pytest
 from conftest import golden_text
 from staircase.errors import StaircaseError
 from staircase.interp import Buffer
+from staircase.ir import verify
 from staircase.ir.core import create_context, int_attr
 from staircase.passes import PASSES, PassOutcome
 from staircase.textio import parse_module
 from staircase.tuner import ParamSpace, evaluate, search
-from staircase.tuner.search import _buffers_close
+from staircase.tuner.search import _buffers_close, _Session
 
 CONV_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "inputs", "conv_rows.sir")
@@ -48,6 +49,21 @@ def test_a_point_the_pipeline_rejects_is_skipped():
     # three tile sizes for conv_rows' two-dimensional scf.parallel
     trial = evaluate(_conv_rows(), params={"tiles": [2, 2, 2], "unroll": 1})
     assert (trial.status, trial.cost, trial.stats) == ("skipped", None, None)
+
+
+@pytest.mark.parametrize("tiles, unroll, passes", [
+    ([1, 1], 1, 0), ([3, 2], 1, 1), ([1, 1], 2, 2), ([3, 2], 31, 3),
+])
+def test_a_trial_verifies_its_input_and_each_pass(monkeypatch, tiles, unroll,
+                                                  passes):
+    session = _Session(_conv_rows(), seed=3)
+    roots = []
+    whole = verify.verify
+    monkeypatch.setattr(verify, "verify",
+                        lambda root: roots.append(root) or whole(root))
+    trial = session.trial(1, tiles, unroll)
+    assert trial.status == "evaluated"
+    assert len(roots) == 1 + passes
 
 
 def _shorten_inner_loop(root, **_):
