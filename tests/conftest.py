@@ -42,3 +42,38 @@ def context_with_test_ops():
         OpSchema("test.two", num_regions=2),
     ]))
     return ctx
+
+
+def ir_layout(root):
+    """Where each op and block sits, from a walk of the regions alone:
+    op -> (block, index in block.ops) and block -> the op holding it."""
+    ops_at, holder = {}, {}
+
+    def go(op):
+        for region in op.regions:
+            for block in region.blocks:
+                holder[block] = op
+                for i, child in enumerate(block.ops):
+                    ops_at[child] = (block, i)
+                    go(child)
+
+    go(root)
+    return ops_at, holder
+
+
+def visible_by_definition(value, block, index, layout):
+    """Dominance by its definition: `value` is an argument of `block` or of
+    a block enclosing it, or the result of an op before the point in one of
+    those blocks; the point is `index` in `block`, then each enclosing op.
+    `layout` is what ir_layout returns for the module."""
+    ops_at, holder = layout
+    while True:
+        if value.owner is block:
+            return True
+        defined = ops_at.get(value.owner)
+        if defined is not None and defined[0] is block:
+            return defined[1] < index
+        outer = holder[block]
+        if outer not in ops_at:
+            return False
+        block, index = ops_at[outer]

@@ -4,7 +4,12 @@ import os
 
 import pytest
 
-from conftest import GOLDEN_DIR, context_with_test_ops
+from conftest import (
+    GOLDEN_DIR,
+    context_with_test_ops,
+    ir_layout,
+    visible_by_definition,
+)
 from irgen import random_module
 from staircase.dialects.builders import (
     build_arith_binop,
@@ -185,54 +190,21 @@ class TestSSA:
         assert len(body.ops) == 3 and not late.uses
 
 
-def _layout(root):
-    """Where each op and block sits, from a walk of the regions alone:
-    op -> (block, index in block.ops) and block -> the op holding it."""
-    ops_at, holder = {}, {}
-
-    def go(op):
-        for region in op.regions:
-            for block in region.blocks:
-                holder[block] = op
-                for i, child in enumerate(block.ops):
-                    ops_at[child] = (block, i)
-                    go(child)
-
-    go(root)
-    return ops_at, holder
-
-
-def _visible(value, block, index, ops_at, holder):
-    """Dominance by its definition: `value` is an argument of `block` or of
-    a block enclosing it, or the result of an op before the point in one of
-    those blocks; the point is `index` in `block`, then each enclosing op."""
-    while True:
-        if value.owner is block:
-            return True
-        defined = ops_at.get(value.owner)
-        if defined is not None and defined[0] is block:
-            return defined[1] < index
-        outer = holder[block]
-        if outer not in ops_at:
-            return False
-        block, index = ops_at[outer]
-
-
 def _dominance_mismatches(root):
     """(value, op) and (value, block, index) queries whose answer differs
     from the definition, and how many queries came out True and False."""
-    ops_at, holder = _layout(root)
+    layout = ops_at, holder = ir_layout(root)
     values = [v for block in holder for v in block.args]
     values += [r for op in ops_at for r in op.results]
     wrong, answers = [], {True: 0, False: 0}
     for v in values:
         for user, (block, index) in ops_at.items():
-            want = _visible(v, block, index, ops_at, holder)
+            want = visible_by_definition(v, block, index, layout)
             answers[want] += 1
             if value_dominates_op(v, user) != want:
                 wrong.append((v, user.name, index))
         for block in holder:
-            want = _visible(v, block, len(block.ops), ops_at, holder)
+            want = visible_by_definition(v, block, len(block.ops), layout)
             if value_visible_at(v, block, len(block.ops)) != want:
                 wrong.append((v, "end of block", len(block.ops)))
     return wrong, answers

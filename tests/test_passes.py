@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from conftest import golden_text
+from conftest import golden_text, ir_layout, visible_by_definition
 from irgen import random_inputs, random_module
 from staircase.dialects.builders import build_constant, build_func
 from staircase.errors import PassFailure, StaircaseError
@@ -66,26 +66,10 @@ GOLDEN_PIPELINES = {
 }
 
 
-def _dominates_by_index(value, user):
-    """value_dominates_op, from list positions alone."""
-    block = user.parent
-    index = block.ops.index(user)
-    while True:
-        if value.owner is block:
-            return True
-        op = value.defining_op
-        if op is not None and not op.erased and op.parent is block:
-            return block.ops.index(op) < index
-        outer = block.parent_op
-        if outer.parent is None:
-            return False
-        block = outer.parent
-        index = block.ops.index(outer)
-
-
 def _order_problems(module):
     """Where a block's order index disagrees with its list of ops."""
     problems = []
+    layout = ir_layout(module)
 
     def check(op):
         for region in op.regions:
@@ -99,7 +83,7 @@ def _order_problems(module):
                                         f"{inner.block_index()}")
                     for v in inner.operands:
                         if value_dominates_op(v, inner) \
-                                != _dominates_by_index(v, inner):
+                                != visible_by_definition(v, block, i, layout):
                             problems.append(f"dominance of {v!r} at "
                                             f"{inner.name} differs")
 

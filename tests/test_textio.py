@@ -47,7 +47,8 @@ def test_files_are_fixed_points(path):
     if os.path.basename(path) == "forms.sir":
         return  # its test-dialect ops are opaque to the passes
     for pipeline in PIPELINES:
-        module, _ = run_pipeline(parse_module(text, context_with_test_ops()), pipeline)
+        module, _ = run_pipeline(parse_module(text, context_with_test_ops()),
+                                 pipeline)
         _assert_fixed_point(module)
 
 
@@ -172,7 +173,8 @@ def test_token_offsets_point_into_the_text():
 
 def test_unknown_op_is_reported_with_its_line():
     with pytest.raises(UnknownOperation, match="line 3: .*'foo.bar'"):
-        parse_module(_func("    foo.bar() : () -> ()"), context_with_test_ops())
+        parse_module(_func("    foo.bar() : () -> ()"),
+                     context_with_test_ops())
 
 
 def test_generic_form_rejects_what_it_cannot_print():

@@ -77,7 +77,7 @@ def _shorten_inner_loop(root, **_):
 
 def test_a_pipeline_that_changes_results_raises(monkeypatch):
     monkeypatch.setitem(PASSES, "shorten", _shorten_inner_loop)
-    with pytest.raises(StaircaseError, match="changed the results of @conv_rows"):
+    with pytest.raises(StaircaseError, match="changed the results of @conv"):
         evaluate(_conv_rows(), lambda tiles, unroll:
                  "builtin.module(func.func(shorten))",
                  params={"tiles": [1, 1], "unroll": 1})
