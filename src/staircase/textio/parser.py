@@ -244,7 +244,7 @@ class Reader:
         if kind == "str":
             try:
                 return str_attr(json.loads(tok[1]))
-            except json.JSONDecodeError:  # a raw control character
+            except json.JSONDecodeError:
                 self.error(f"bad character or escape in string {tok[1]}", tok)
         if kind == "at":
             parts = [tok[1][1:]]
