@@ -58,9 +58,9 @@ def test_a_trial_verifies_its_input_and_each_pass(monkeypatch, tiles, unroll,
                                                   passes):
     session = _Session(_conv_rows(), seed=3)
     roots = []
-    whole = verify.verify
+    real = verify.verify
     monkeypatch.setattr(verify, "verify",
-                        lambda root: roots.append(root) or whole(root))
+                        lambda root: roots.append(root) or real(root))
     trial = session.trial(1, tiles, unroll)
     assert trial.status == "evaluated"
     assert len(roots) == 1 + passes
