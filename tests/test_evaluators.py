@@ -38,7 +38,9 @@ IRGEN_SEEDS = range(240)
 
 
 def _outcome(runner, module, func, args, mode, workers):
-    args = [a.copy() if isinstance(a, Buffer) else a for a in args]
+    copies = {}     # arguments that are one Buffer stay one Buffer
+    args = [copies.setdefault(id(a), a.copy()) if isinstance(a, Buffer) else a
+            for a in args]
     try:
         results, stats = runner(module, func, args, mode, workers)
     except Exception as exc:  # compared by type, message and buffers
@@ -750,3 +752,196 @@ module attributes {gpu.container_module} {
     assert re.search(r"^ +h\d+ = -bx\*6$", source, re.M)
     args = [Buffer((4, 6), "f64", [float(k) for k in range(24)])]
     assert _agree(module, args, "gpu_emulated")[0] == "returned"
+
+
+# -- one Buffer under two names --------------------------------------------------
+
+def _agree_in_every_mode(module, func, args):
+    """Both evaluators agree in each mode; returns the sequential outcome."""
+    outcomes = []
+    for mode, workers, _ in MODES:
+        want, problem = differ(module, func, args, mode, workers)
+        assert problem is None, problem
+        outcomes.append(want)
+    return outcomes[0]
+
+
+# B[0] is read in every iteration, A[i] written: under one Buffer, the
+# store at i = 0 changes what later iterations read
+_READ_AFTER_OTHER_NAME = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 1.0 : f64
+    scf.for %arg2 = %0 to %1 step %2 {
+      %4 = memref.load %arg1[%0] : memref<4xf64>
+      %5 = arith.addf %4, %3 : f64
+      memref.store %5, %arg0[%arg2] : memref<4xf64>
+    }
+    return"""
+
+# A[3] is read and written in every iteration and B[i] read: under one
+# Buffer, B[3] is the running sum, not the value A[3] had on entry
+_ACCUMULATE_OTHER_NAME = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 3 : index
+    scf.for %arg2 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%3] : memref<4xf64>
+      %5 = memref.load %arg1[%arg2] : memref<4xf64>
+      %6 = arith.addf %4, %5 : f64
+      memref.store %6, %arg0[%3] : memref<4xf64>
+    }
+    return"""
+
+_TWO = "%arg0: memref<4xf64>, %arg1: memref<4xf64>"
+
+
+def _counting(n=4):
+    return Buffer((n,), "f64", [float(k + 1) for k in range(n)])
+
+
+@pytest.mark.parametrize("body", [_READ_AFTER_OTHER_NAME, _ACCUMULATE_OTHER_NAME],
+                         ids=["read", "accumulate"])
+def test_one_buffer_under_two_names_in_a_loop(body):
+    module = _module(body, _TWO)
+    shared = _counting()
+    want = _agree_in_every_mode(module, "f", [shared, shared])
+    distinct = _agree_in_every_mode(module, "f", [_counting(), _counting()])
+    assert want[2][0].tolist() != distinct[2][0].tolist()
+
+
+@pytest.mark.parametrize("body", [_READ_AFTER_OTHER_NAME, _ACCUMULATE_OTHER_NAME],
+                         ids=["read", "accumulate"])
+def test_one_buffer_under_two_names_in_an_unrolled_run(body):
+    module, _ = run_pipeline(_module(body, _TWO),
+                             "builtin.module(func.func(loop-unroll{factor=4}))")
+    assert "for " not in _source(module)     # one straight-line run
+    shared = _counting()
+    want = _agree_in_every_mode(module, "f", [shared, shared])
+    distinct = _agree_in_every_mode(module, "f", [_counting(), _counting()])
+    assert want[2][0].tolist() != distinct[2][0].tolist()
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU])
+def test_matmul_of_one_buffer_with_itself(pipeline):
+    with open(os.path.join(INPUTS, "matmul.sir"), encoding="utf-8") as fh:
+        module = parse_module(fh.read(), create_context())
+    module, _ = run_pipeline(module, pipeline)
+    a = Buffer((32, 32), "f64", [(k % 7 - 3) / 64 for k in range(32 * 32)])
+    want = _agree_in_every_mode(module, "matmul", [a, a, a])
+    assert want[0] == "returned"
+
+
+def test_call_passes_one_buffer_twice():
+    text = """\
+module {
+  func.func @g(%arg0: memref<4xf64>, %arg1: memref<4xf64>) {
+READ
+  }
+  func.func @f(%arg0: memref<4xf64>) {
+    func.call @g(%arg0, %arg0) : (memref<4xf64>, memref<4xf64>) -> ()
+    func.call @h(%arg0, %arg0) : (memref<4xf64>, memref<4xf64>) -> ()
+    return
+  }
+  func.func @h(%arg0: memref<4xf64>, %arg1: memref<4xf64>) {
+ACCUMULATE
+  }
+}
+"""
+    text = text.replace("READ", _READ_AFTER_OTHER_NAME)
+    module = parse_module(text.replace("ACCUMULATE", _ACCUMULATE_OTHER_NAME),
+                          create_context())
+    want = _agree_in_every_mode(module, "f", [_counting()])
+    assert want[0] == "returned"
+
+
+def test_launch_passes_one_buffer_twice():
+    # every thread reads B[0] and writes A[tx]: thread 0's store changes
+    # what the later threads read
+    text = """\
+module attributes {gpu.container_module} {
+  gpu.module @g {
+    gpu.func @k(%arg0: memref<4xf64>, %arg1: memref<4xf64>) kernel {
+      %0 = gpu.thread_id x
+      %1 = arith.constant 0 : index
+      %2 = arith.constant 1.0 : f64
+      %3 = memref.load %arg1[%1] : memref<4xf64>
+      %4 = arith.addf %3, %2 : f64
+      memref.store %4, %arg0[%0] : memref<4xf64>
+      gpu.return
+    }
+  }
+  func.func @f(%arg0: memref<4xf64>) {
+    %0 = arith.constant 1 : index
+    %1 = arith.constant 4 : index
+    gpu.launch_func @g::@k blocks in (%0, %0, %0) threads in (%1, %0, %0) args(%arg0 : memref<4xf64>, %arg0 : memref<4xf64>)
+    return
+  }
+}
+"""
+    module = parse_module(text, create_context())
+    want, problem = differ(module, "f", [_counting()], "gpu_emulated")
+    assert problem is None, problem
+    assert want[2][0].tolist() == [2.0, 3.0, 3.0, 3.0]
+
+
+# -- raising inside a loop whose elements could live in locals -------------------
+
+def test_unproven_index_raises_in_op_order():
+    # A[0] accumulates B[i + k] and B[1]; at i + k = 4 the load raises, and
+    # the sums stored before it stay
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    scf.for %arg3 = %0 to %1 step %2 {
+      %3 = memref.load %arg0[%0] : memref<4xf64>
+      %4 = arith.addi %arg3, %arg2 : index
+      %5 = memref.load %arg1[%4] : memref<4xf64>
+      %6 = memref.load %arg1[%2] : memref<4xf64>
+      %7 = arith.addf %3, %5 : f64
+      %8 = arith.addf %7, %6 : f64
+      memref.store %8, %arg0[%0] : memref<4xf64>
+    }
+    return""", _TWO + ", %arg2: index")
+    for k in (0, 2, 4):
+        want = _agree_in_every_mode(module, "f", [_counting(), _counting(), k])
+        assert want[0] == ("returned" if k == 0 else "raised")
+    assert want[1].__name__ == "OutOfBounds"
+    assert want[2].startswith("index 4 out of bounds for extent 4 of Buffer<4xf64> at ")
+    assert want[3][0].tolist()[0] == 1.0        # k = 4 raises at once
+    want = _agree_in_every_mode(module, "f", [_counting(), _counting(), 2])
+    assert want[3][0].tolist()[0] == 1.0 + (3.0 + 2.0) + (4.0 + 2.0)
+
+
+def test_runtime_step_raises_in_op_order():
+    # A[0] accumulates B[i] and B[1], then an inner loop steps by s: a step
+    # that is not positive raises after the first outer iteration's store
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2 : index
+    scf.for %arg3 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%0] : memref<4xf64>
+      %5 = memref.load %arg1[%arg3] : memref<4xf64>
+      %6 = memref.load %arg1[%2] : memref<4xf64>
+      %7 = arith.addf %4, %5 : f64
+      %8 = arith.addf %7, %6 : f64
+      memref.store %8, %arg0[%0] : memref<4xf64>
+      scf.for %arg4 = %0 to %3 step %arg2 {
+        %9 = memref.load %arg0[%0] : memref<4xf64>
+        %10 = arith.addf %9, %6 : f64
+        memref.store %10, %arg0[%0] : memref<4xf64>
+      }
+    }
+    return""", _TWO + ", %arg2: index")
+    assert _agree_in_every_mode(module, "f", [_counting(), _counting(), 1])[0] \
+        == "returned"
+    for step in (0, -1):
+        want = _agree_in_every_mode(module, "f", [_counting(), _counting(), step])
+        assert want[1].__name__ == "InvalidBound"
+        assert want[2] == "loop step must be positive at runtime"
+        assert want[3][0].tolist()[0] == 1.0 + (1.0 + 2.0) + 2.0
