@@ -30,7 +30,31 @@ the partial sum of the loops outside it plus its own terms (loop-invariant
 code motion). The innermost loop's terms and the constant stay in the
 statement. A nested function's entry is its outermost level, so the terms
 of variables it receives are summed there. An index value used only in
-addresses, directly or through integer ops, is never bound at all.
+addresses, directly or through integer ops, is never bound at all, and an
+offset used once is written into its use.
+
+Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
+except in code that reports to a recorder:
+
+- a load whose indices are proven and whose address no iteration of a
+  loop changes is bound once, just before the outermost such loop that
+  stores to no buffer that may be its own;
+- a load of an element that an earlier load in the same straight-line run
+  read, with no store between that may reach it, reads that load's local;
+- a loop that reads and writes one element at an address it never
+  changes, touches no buffer that may hold it in any other way, and cannot
+  raise (every index proven, no step checked at run time, no call) reads
+  the element into a local before it and stores it once after it;
+- ``x = (x) op e`` on f64 is written ``x op= e``, which reads and writes
+  in the same order.
+
+An alloc is a new array and a call's result may be any array, but two
+memref parameters may be one Buffer. So a function whose steps above
+assume that some pairs of its parameters are different arrays tests
+exactly those pairs with ``is`` at entry (LLVM's ``LoopVersioningLICM``).
+If any pair is one array, the call goes to an alias-safe variant, which
+assumes nothing about its parameters. That variant is generated and
+compiled on its first call; most modules never need it.
 
 ExecStats stay exact without a counter per op. Every block of the IR runs
 as a whole, so its ops' counts are its static counts times the number of
@@ -85,6 +109,9 @@ _IPREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
            "sge": ">="}
 _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
 _NAME = re.compile(r"[A-Za-z_]\w*")
+_OFFSET = re.compile(r"\bo\d+\b")
+_CALLS = frozenset({"func.call", "gpu.launch_func"})
+_MANY = object()    # a buffer stored to at more than one address
 
 
 @dataclass
@@ -223,6 +250,25 @@ def _const_int(value: Value):
     return None
 
 
+def _is_constant(value: Value) -> bool:
+    op = value.owner
+    return op.__class__ is Operation and op.name == "arith.constant"
+
+
+def _address_key(indices) -> tuple:
+    """Indices that name one element: the same values or equal constants."""
+    return tuple(v.owner.attributes["value"].value if _is_constant(v) else v
+                 for v in indices)
+
+
+def _defined_in(value: Value, loop: Operation) -> bool:
+    """Whether ``value`` is defined inside ``loop``'s regions."""
+    op = value.owner.parent_op if value.is_block_arg else value.defining_op
+    while op is not None and op is not loop:
+        op = op.parent.parent_op if op.parent is not None else None
+    return op is loop
+
+
 # A block's execution count is coef * var: var is None (a literal count),
 # a counter, "nt" (a kernel's thread count) or an else-arm difference.
 
@@ -246,14 +292,30 @@ def _range(lb: int, ub: int, step: int) -> str:
 # -- code generation ------------------------------------------------------------
 
 class _Stmts:
-    """The statements of one flat op, and the locals they bind."""
+    """The statements of one flat op, the locals they bind, and how many
+    statements they count for when a run is split."""
 
-    __slots__ = ("op", "lines", "binds")
+    __slots__ = ("op", "lines", "binds", "size")
 
-    def __init__(self, op, lines, binds):
+    def __init__(self, op, lines, binds, size):
         self.op = op
         self.lines = lines
         self.binds = binds
+        self.size = size
+
+
+class _Level:
+    """An open loop level, and the statements that go around its loop."""
+
+    __slots__ = ("at", "depth", "op", "sums", "before", "loads")
+
+    def __init__(self, at: int, depth: int, op):
+        self.at = at            # the line its header goes before
+        self.depth = depth      # the indentation of its body
+        self.op = op            # the op whose body the loop runs
+        self.sums = []          # partial sums bound in its header
+        self.before = []        # elements bound just before its loop
+        self.loads = {}         # element -> the local bound before its loop
 
 
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
@@ -284,7 +346,8 @@ class _FuncGen:
     for its chained segments, parallel bodies and deep loops."""
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
-                 extents, constants: list, recording: bool = False):
+                 extents, constants: list, recording: bool = False,
+                 guarded: bool = True):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
@@ -292,6 +355,12 @@ class _FuncGen:
         self.extents = extents      # a kernel's largest launch sizes, or None
         self.constants = constants  # the K table: objects without a literal
         self.recording = recording  # call the race recorder R
+        self.guarded = guarded      # may assume parameters distinct, and test
+        self.assumed: set = set()   # the pairs of parameters assumed distinct
+        self.stores: dict = {}      # region op -> what it stores to (effects)
+        self.reused: dict = {}      # load -> the earlier load it reads again
+        self.kept: set = set()      # loads whose value a later load reads
+        self.promoted: dict = {}    # buffer -> the local its element is in
         self.units: list = []       # source of every compiled unit
         self.names: dict = {}       # Value -> Python expression
         self.ranges: dict = {}      # integer Value -> (lo, hi)
@@ -309,8 +378,7 @@ class _FuncGen:
         self.indexing: dict = {}    # Value -> whether it is used only in addresses
         # Loop levels: 0 is the function's entry, each ``for`` opens one.
         self.levels: dict = {}      # induction local -> the level its loop opens
-        self.headers: list = [(0, 1, [])]  # per open level: the line and depth
-        #                             of its header, and the sums bound there
+        self.headers: list = [_Level(0, 1, None)]  # per open level
         self.partials: dict = {}    # (outer partial sum, terms) -> its local
         self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
         self.offsets: dict = {}     # address sum -> its local, in this run
@@ -445,6 +513,7 @@ class _FuncGen:
             params.append(self.bind(arg, "a"))
             if arg.type.kind == "memref":
                 prologue.append(self.bind_array(arg))
+        arrays = len(prologue)
         depth = 1
         count = (1, None)
         if self.is_kernel:   # its threads loop inside the function
@@ -462,7 +531,8 @@ class _FuncGen:
                 depth += 1
             for d in looped:
                 self.scope.add(_GPU_IDS[d])
-                depth = self.loop(depth, _GPU_IDS[d], f"range({sizes[d]})")
+                depth = self.loop(depth, _GPU_IDS[d], f"range({sizes[d]})",
+                                  self.op)
             if self.recording:  # each thread is a point
                 ids = (_GPU_IDS[d] if d in looped else "0" for d in range(6))
                 self.emit(depth, f"R.begin_point(({', '.join(ids)}))")
@@ -472,6 +542,12 @@ class _FuncGen:
         self.close_loops(0)
         if self.is_kernel and self.recording:
             self.emit(1, "R.end_parallel()")
+        if self.assumed:    # the alias-safe variant takes any other call
+            pairs = sorted((a.index, b.index) for a, b in self.assumed)
+            test = " or ".join(f"{self.arrays[body.args[a]]} is "
+                               f"{self.arrays[body.args[b]]}" for a, b in pairs)
+            call = f"{self.pyname}_aliased({', '.join(params + ['T', 'X'])})"
+            prologue.insert(arrays, f"if {test}: return {call}")
         self.unit(params, prologue)
 
     def unit(self, params: list, prologue: list) -> None:
@@ -501,7 +577,7 @@ class _FuncGen:
         child.bookkeeping, child.scope = [], set(self.scope)
         child.returned = None
         # its entry is its level 0: every local it reads from here is there
-        child.levels, child.headers = {}, [(0, 1, [])]
+        child.levels, child.headers = {}, [_Level(0, 1, None)]
         child.partials, child.hoisted = {}, {}
         return child
 
@@ -537,6 +613,8 @@ class _FuncGen:
         """Write a block's ops; ``count`` is how many times the block runs."""
         stat = [0] * BOOKKEEPING
         self.blocks.append((count, stat))
+        if not self.recording:
+            self.find_reused(block)
         self.find_foldable(block)
         run: list = []
         self.offsets = {}
@@ -565,8 +643,55 @@ class _FuncGen:
             elif name in _HANDLERS:
                 self.binds = set()
                 lines = getattr(self, _HANDLERS[name])(op)
-                run.append(_Stmts(op, lines, self.binds))
+                # a load whose value is a local counts the statement that
+                # would bind it: replacing loads moves no split
+                size = len(lines) + (
+                    name == "memref.load" and op.results[0] not in self.foldable
+                    and self.names[op.results[0]] not in self.binds)
+                run.append(_Stmts(op, lines, self.binds, size))
         self.flush(run, depth)
+
+    def find_reused(self, block) -> None:
+        """Loads of an element an earlier load in the same straight-line run
+        read, with no store between them that may reach it.
+
+        The earlier load binds its value, and each later one reads that
+        local instead of the element. Every store between them is to an
+        array the guard, if any, shows is another.
+        """
+        first: dict = {}    # buffer -> {address key: (its first load, where)}
+        crossed: dict = {}  # buffer -> {buffer stored to: where it last was}
+        known: dict = {}    # (buffer, buffer stored to) -> separate()
+        for at, op in enumerate(block.ops):
+            name = op.name
+            if name == "memref.load":
+                buf = op.operands[0]
+                loads = first.setdefault(buf, {})
+                key = _address_key(op.operands[1:])
+                if key not in loads:
+                    loads[key] = (op, at)
+                    continue
+                if not op.results[0].uses:  # nothing would read the local
+                    continue
+                load, since = loads[key]
+                self.reused[op] = load
+                self.kept.add(load)
+                for other, when in crossed.get(buf, {}).items():
+                    if when > since:
+                        self.assumed.update(known[buf, other])
+            elif name == "memref.store":
+                target = op.operands[1]
+                for buf in list(first):
+                    pair = known.get((buf, target), ())
+                    if pair == ():
+                        pair = known[buf, target] = self.separate(buf, target)
+                    if pair is None:
+                        del first[buf]
+                        crossed.pop(buf, None)
+                    elif pair:
+                        crossed.setdefault(buf, {})[target] = at
+            elif op.regions or name in _CALLS:
+                first, crossed = {}, {}
 
     def find_foldable(self, block) -> None:
         """Results used once, later in the same straight-line run.
@@ -586,7 +711,8 @@ class _FuncGen:
             writes += op.name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
-            if op.name not in _PURE and op.name != "memref.load":
+            if op.name not in _PURE and op.name != "memref.load" \
+                    or op in self.kept:
                 continue
             uses = op.results[0].uses
             if len(uses) != 1:
@@ -609,26 +735,36 @@ class _FuncGen:
             self.emit(depth, "pass")
 
     def flush(self, run: list, depth: int) -> None:
-        """Emit a straight-line run, split into chained segments if long."""
-        if sum(len(s.lines) for s in run) <= SEGMENT:
+        """Emit a straight-line run, split into chained segments if long.
+
+        The split is where it would be without the elements and offsets
+        written into their uses: each statement counts its ``size``, which
+        ``inline_offsets`` leaves as it was.
+        """
+        long = sum(s.size for s in run) > SEGMENT
+        if long:
+            segments, current, size = [], [], 0
+            for s in run:
+                if current and size + s.size > SEGMENT:
+                    segments.append(current)
+                    current, size = [], 0
+                current.append(s)
+                size += s.size
+            segments.append(current)
+        if self.offsets and not self.recording:
+            self.inline_offsets(run)
+        if not long:
             for s in run:
                 for line in s.lines:
                     self.emit(depth, line)
             return
-        segments, current, size = [], [], 0
-        for s in run:
-            if current and size + len(s.lines) > SEGMENT:
-                segments.append(current)
-                current, size = [], 0
-            current.append(s)
-            size += len(s.lines)
-        segments.append(current)
+        segments = [seg for seg in segments if any(s.lines for s in seg)]
         # a segment returns the locals it binds that later segments read
         # (folded expressions included) or that ops after the run may read
         # for a result of the run: its name, which an alias shares with an
         # earlier result, or its array
         in_run = {s.op for s in run}
-        later, outs = set(), []
+        later, outs = set(self.promoted.values()), []   # and accumulators
         for s in run:
             for r in s.op.results:
                 if any(user not in in_run for user, _ in r.uses):
@@ -640,6 +776,22 @@ class _FuncGen:
         for seg, out in zip(segments, reversed(outs)):
             self.segment(seg, out, depth)
 
+    def inline_offsets(self, run: list) -> None:
+        """Write each offset this run binds and uses once into its use."""
+        text = "\n".join(line for s in run for line in s.lines)
+        uses = {}
+        for name in _OFFSET.findall(text):
+            uses[name] = uses.get(name, 0) + 1
+        # its binding names it once; an unused one goes too
+        single = {base: key for key, base in self.offsets.items()
+                  if uses.get(base, 0) <= 2}
+        if not single:
+            return
+        bindings = {f"{base} = {key}" for base, key in single.items()}
+        for s in run:
+            s.lines = [_OFFSET.sub(lambda m: single.get(m[0], m[0]), line)
+                       for line in s.lines if line not in bindings]
+
     def reads(self, lines) -> set:
         """The locals of this function that ``lines`` name."""
         return set(_NAME.findall("\n".join(lines))) & self.scope
@@ -648,7 +800,9 @@ class _FuncGen:
         """One chained function: takes the locals it reads, returns
         ``outs``, the ones it binds that later code reads."""
         bound = set().union(*(s.binds for s in seg))
-        ins = sorted(self.reads(line for s in seg for line in s.lines) - bound)
+        read = self.reads(line for s in seg for line in s.lines)
+        # an accumulator may be read before the segment assigns it
+        ins = sorted(read - bound | read & set(self.promoted.values()))
         name = self.fresh(f"{self.pyname}_s")
         params = ", ".join(ins + ["T", "X"])
         lines = [f"def {name}({params}):"]
@@ -726,28 +880,69 @@ class _FuncGen:
         return self.assign(r, _wrap_expr(self.val(src), "i32"))
 
     def load(self, op: Operation) -> list:
-        buf = op.operands[0]
-        lines, off = self.address(op, buf, op.operands[1:])
-        array = self.arrays[buf]
+        buf, r = op.operands[0], op.results[0]
+        if buf in self.promoted:    # every access in the loop is to it
+            return self.assign(r, self.promoted[buf])
+        lines, off, level = self.address(op, buf, op.operands[1:])
+        element = f"{self.arrays[buf]}[{off}]"
         if self.recording:
             lines.append(f"R.on_read({self.val(buf)}, {off})")
-        return lines + self.assign(op.results[0], f"{array}[{off}]")
+        elif op in self.reused:     # its bounds checks stay in place
+            self.names[r] = self.names[self.reused[op].results[0]]
+            return lines
+        elif level is not None and level + 1 < len(self.headers) and r.uses:
+            local = self.invariant(op, element, level + 1)
+            if local is not None:
+                self.names[r] = local
+                return lines
+        return lines + self.assign(r, element)
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
-        lines, off = self.address(op, buf, op.operands[2:])
-        expr = self.val(value)
-        kind = buf.type.element.kind
-        if kind in ("i32", "i64") and not self.proven(value, kind):
-            expr = _wrap_expr(expr, kind)
-        array = self.arrays[buf]
-        lines.append(f"{array}[{off}] = {expr}")
+        target = self.promoted.get(buf)
+        if target is None:
+            lines, off, _ = self.address(op, buf, op.operands[2:])
+            target = f"{self.arrays[buf]}[{off}]"
+        else:
+            lines = []
+            self.binds.add(target)
+        update = None if self.recording else self.update(value, buf, op)
+        if update is None:
+            expr = self.val(value)
+            kind = buf.type.element.kind
+            if kind in ("i32", "i64") and not self.proven(value, kind):
+                expr = _wrap_expr(expr, kind)
+            lines.append(f"{target} = {expr}")
+        else:
+            lines.append(f"{target} {update}")
         if self.recording:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
 
+    def update(self, value: Value, buf: Value, store: Operation):
+        """``op= e`` for a store of f64 ``(x) op e`` to the element that x,
+        read in this store's statement, is; None for any other store.
+
+        Integers never qualify: a loaded element has no interval, so a sum
+        with one is wrapped.
+        """
+        if value not in self.folded:
+            return None
+        op = value.defining_op
+        if op.name not in _FOPS or value.type.kind != "f64":
+            return None
+        x, e = op.operands
+        load = x.defining_op
+        if x not in self.folded or load.name != "memref.load" \
+                or load.operands[0] is not buf or _address_key(
+                    load.operands[1:]) != _address_key(store.operands[2:]):
+            return None
+        return f"{_FOPS[op.name]}= {self.val(e)}"
+
     def address(self, op: Operation, buf: Value, indices) -> tuple:
-        """Bounds checks for the unproven dimensions, and the flat offset.
+        """Bounds checks for the unproven dimensions, the flat offset, and
+        the innermost loop level the offset changes in (None if it is
+        checked or not linear).
 
         The offset is linearised: the terms of loops outside the innermost
         one come from partial sums bound in their headers (``hoist``).
@@ -776,6 +971,11 @@ class _FuncGen:
             for name, coef in form[0].items():
                 coefs[name] = coefs.get(name, 0) + coef * stride
             fixed += form[1] * stride
+        level = None
+        if not lines and not rest:
+            level = 0
+            for name in coefs:
+                level = max(level, self.levels.get(name, 0))
         terms = self.hoist(coefs) + rest
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
@@ -786,7 +986,7 @@ class _FuncGen:
                     self.binds.add(base)
                     lines.append(f"{base} = {key}")
                 terms = [(base, 1)]
-        return lines, _sum(terms, fixed)
+        return lines, _sum(terms, fixed), level
 
     def hoist(self, coefs: dict) -> list:
         """Σ coef·var as terms of the current loop level, led by the partial
@@ -816,10 +1016,189 @@ class _FuncGen:
             if name is None:
                 name = self.partials[partial, tuple(terms)] = self.local("h")
                 head = [(partial, 1)] if partial else []
-                self.headers[level][2].append(f"{name} = {_sum(head + terms)}")
+                self.headers[level].sums.append(f"{name} = {_sum(head + terms)}")
             partial = name
         terms = self.hoisted[key] = ([(partial, 1)] if partial else []) + inner
         return terms
+
+    # -- elements in locals -------------------------------------------------
+
+    def effects(self, op: Operation) -> dict:
+        """What the regions of ``op`` store to: per buffer, the address key
+        and one store of all its stores, or _MANY. A call stores to every
+        buffer, which is the key None."""
+        stores = self.stores.get(op)
+        if stores is not None:
+            return stores
+        stores = self.stores[op] = {}
+        for region in op.regions:
+            for inner in region.blocks[0].ops:
+                if inner.name == "memref.store":
+                    found = {inner.operands[1]:
+                             (_address_key(inner.operands[2:]), inner)}
+                elif inner.name in _CALLS:
+                    found = {None: _MANY}
+                elif inner.regions:
+                    found = self.effects(inner)
+                else:
+                    continue
+                for buf, where in found.items():
+                    had = stores.setdefault(buf, where)
+                    if had is not _MANY and (where is _MANY or had[0] != where[0]):
+                        stores[buf] = _MANY
+        return stores
+
+    def separate(self, a: Value, b: Value, loop=None):
+        """How buffers ``a`` and ``b`` are known to be two arrays: ``()``
+        always, a pair of parameters under the entry guard, or None if
+        they may be one.
+
+        An alloc is a new array, unless ``loop`` makes it anew in each
+        iteration; a call's result may be any array.
+        """
+        if a is b:
+            return None
+        for v in (a, b):
+            op = v.defining_op
+            if op is not None and op.name in ("memref.alloc", "memref.alloca") \
+                    and (loop is None or not _defined_in(v, loop)):
+                return ()
+        if self.guarded and a.is_block_arg and b.is_block_arg:
+            return ((a, b) if a.index < b.index else (b, a),)
+        return None
+
+    def unaffected(self, buf: Value, loop: Operation):
+        """The pairs under which nothing ``loop`` stores to may be ``buf``'s
+        array, or None if something may."""
+        pairs: set = set()
+        for other in self.effects(loop):
+            pair = None if other is None else self.separate(buf, other, loop)
+            if pair is None:
+                return None
+            pairs.update(pair)
+        return pairs
+
+    def invariant(self, load: Operation, element: str, level: int):
+        """The local the element ``load`` reads is bound to just before the
+        outermost loop, from ``level`` in, that defines none of its operands
+        but constants and stores to no array that may be its buffer's; None
+        if there is no such loop."""
+        buf, entry = load.operands[0], self.op.body()
+        for lv in self.headers[level:]:
+            if not any(_defined_in(v, lv.op) for v in load.operands
+                       if v.owner is not entry and not _is_constant(v)):
+                pairs = self.unaffected(buf, lv.op)
+                if pairs is not None:
+                    break
+        else:
+            return None
+        self.assumed.update(pairs)
+        local = lv.loads.get(element)
+        if local is None:
+            local = lv.loads[element] = self.local("v")
+            lv.before.append(f"{local} = {element}")
+        return local
+
+    def promote(self, loop: Operation, depth: int) -> list:
+        """The elements ``loop`` reads and writes at one address it never
+        changes, each read into a local just before it: (buffer, local,
+        element) for each.
+
+        The loop must touch no other array that may hold such an element,
+        and nothing in it may raise, so a run that raises leaves the
+        buffers as it found them: every index proven, every step proven
+        positive, no call and no function of its own.
+        """
+        stores = self.effects(loop)
+        if None in stores:
+            return []
+        found = {buf: where for buf, where in stores.items()
+                 if where is not _MANY and buf not in self.promoted
+                 and (buf.is_block_arg or not _defined_in(buf, loop))
+                 and not any(isinstance(v, Value) and _defined_in(v, loop)
+                             for v in where[0])}
+        touched: set = set()
+        if not found or not self.raise_free(loop.body(), depth, {}, found,
+                                            touched):
+            return []
+        promoted = []
+        for buf, (_, store) in found.items():
+            pairs = set()
+            for other in touched - {buf}:
+                pair = self.separate(buf, other, loop)
+                if pair is None:
+                    break
+                pairs.update(pair)
+            else:
+                indices = store.operands[2:]
+                if None in map(self.form, indices):
+                    continue    # its offset would need a statement
+                _, off, _ = self.address(store, buf, indices)
+                element = f"{self.arrays[buf]}[{off}]"
+                local = self.promoted[buf] = self.local("e")
+                self.headers[-1].before.append(f"{local} = {element}")
+                self.assumed.update(pairs)
+                promoted.append((buf, local, element))
+        return promoted
+
+    def raise_free(self, block, depth: int, known: dict, found: dict,
+                   touched: set) -> bool:
+        """Whether no op of ``block`` can raise or needs a function of its
+        own (``depth`` is where its ops are written).
+
+        Notes each buffer it touches, and drops from ``found`` each buffer
+        it reads at another address. ``known`` holds the intervals of the
+        integers defined inside the loop.
+        """
+        def interval(v):
+            return known.get(v) or self.ranges.get(v)
+
+        for op in block.ops:
+            name = op.name
+            if name in _INDEX_FROM:
+                at = _INDEX_FROM[name]
+                buf = op.operands[at - 1]
+                for v, extent in zip(op.operands[at:], buf.type.shape):
+                    r = interval(v)
+                    if r is None or r[0] < 0 or r[1] >= extent:
+                        return False
+                touched.add(buf)
+                if buf in found and _address_key(op.operands[at:]) != found[buf][0]:
+                    del found[buf]
+            elif name == "arith.constant":
+                c = constant_value(op)
+                if isinstance(c, int):
+                    known[op.results[0]] = (c, c)
+            elif name in _LINEAR_OPS:
+                r, kind = op.results[0], op.results[0].type.kind
+                a = interval(op.operands[0])
+                if name in _IOPS:
+                    b = interval(op.operands[1])
+                    a = a and b and _combine(_IOPS[name], a, b)
+                if a and _fits(*a, kind):
+                    known[r] = a
+            elif op.regions:
+                if depth > MAX_DEPTH or name not in ("scf.for", "affine.for",
+                                                     "scf.if"):
+                    return False
+                if name == "scf.for":
+                    lb, ub, step = map(interval, op.operands)
+                    if step is None or step[0] < 1:
+                        return False
+                    if lb and ub:
+                        known[op.body().args[0]] = (lb[0], max(ub[1] - 1, lb[0]))
+                elif name == "affine.for":
+                    attrs = op.attributes
+                    trips = range(wrap_int(attrs["lower_bound"].value, "i64"),
+                                  wrap_int(attrs["upper_bound"].value, "i64"),
+                                  attrs["step"].value)
+                    if trips:
+                        known[op.body().args[0]] = (trips[0], trips[-1])
+                for region in op.regions:
+                    if not self.raise_free(region.blocks[0], depth + 1, known,
+                                           found, touched):
+                        return False
+        return True
 
     def alloc(self, op: Operation) -> list:
         r = op.results[0]
@@ -862,20 +1241,24 @@ class _FuncGen:
 
     # -- region ops: each writes its statements ---------------------------------
 
-    def loop(self, depth: int, name: str, source: str) -> int:
-        """``for name in source:``, whose body is a new loop level; returns
-        the depth of the body."""
+    def loop(self, depth: int, name: str, source: str, op) -> int:
+        """``for name in source:``, whose body is a new loop level that runs
+        the body of ``op``; returns the depth of the body."""
         self.emit(depth, f"for {name} in {source}:")
         self.levels[name] = len(self.headers)
-        self.headers.append((len(self.lines), depth + 1, []))
+        self.headers.append(_Level(len(self.lines), depth + 1, op))
         return depth + 1
 
     def close_loops(self, level: int) -> None:
         """Write the partial sums of each level from ``level`` on into the
-        header of its loop, and leave those levels."""
+        header of its loop, and the elements bound before its loop before
+        it, and leave those levels."""
         while len(self.headers) > level:
-            at, depth, sums = self.headers.pop()
-            self.lines[at:at] = ["    " * depth + line for line in sums]
+            lv = self.headers.pop()
+            self.lines[lv.at:lv.at] = ["    " * lv.depth + line
+                                       for line in lv.sums]
+            self.lines[lv.at - 1:lv.at - 1] = ["    " * (lv.depth - 1) + line
+                                               for line in lv.before]
 
     def induction(self, iv: Value, interval) -> None:
         """Note the interval of a bound induction variable, if known, and
@@ -899,7 +1282,8 @@ class _FuncGen:
         r = self.ranges.get(step)
         return r is not None and r[0] >= 1
 
-    def loop_header(self, iv: Value, bounds: tuple, depth: int) -> int:
+    def loop_header(self, op: Operation, iv: Value, bounds: tuple,
+                    depth: int) -> int:
         """``for`` over literal bounds; a single trip binds the value instead.
 
         Returns the depth of the body.
@@ -909,30 +1293,46 @@ class _FuncGen:
             self.names[iv] = self.literal(trips[0])
             self.ranges[iv] = (trips[0], trips[0])
             return depth
-        depth = self.loop(depth, self.bind(iv, "i"), _range(*bounds))
+        depth = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
         self.induction(iv, (trips[0], trips[-1]) if trips else None)
         return depth
 
+    def counted(self, op: Operation, bounds: tuple, count: tuple,
+                depth: int) -> None:
+        """A loop over literal bounds, with the elements it keeps in locals
+        stored back after it."""
+        inner = _times(count, len(range(*bounds)))
+        self.bookkeeping.append(inner)
+        level = len(self.headers)
+        body = self.loop_header(op, op.body().args[0], bounds, depth)
+        promoted = []
+        if len(self.headers) > level and not self.recording:
+            promoted = self.promote(op, body)
+        self.body(op.body(), inner, body)
+        self.close_loops(level)
+        for buf, local, element in promoted:
+            self.emit(depth, f"{element} = {local}")
+            del self.promoted[buf]
+
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
         lb, ub, step = op.operands
-        iv = op.body().args[0]
         bounds = (self.const(lb), self.const(ub), self.const(step))
-        level = len(self.headers)
         if None not in bounds and bounds[2] > 0:
-            inner = _times(count, len(range(*bounds)))
-            depth = self.loop_header(iv, bounds, depth)
+            self.counted(op, bounds, count, depth)
+            return
+        iv = op.body().args[0]
+        level = len(self.headers)
+        l, u, s = (self.val(v) for v in op.operands)
+        rng = self.fresh("r")
+        inner = (1, self.counter())
+        if self.step_proven(step):
+            self.emit(depth, f"{rng} = range({l}, {u}, {s})")
         else:
-            l, u, s = (self.val(v) for v in op.operands)
-            rng = self.fresh("r")
-            inner = (1, self.counter())
-            if self.step_proven(step):
-                self.emit(depth, f"{rng} = range({l}, {u}, {s})")
-            else:
-                self.emit(depth, f"{rng} = range({l}, {u}, {s}) if {s} > 0 "
-                                 f"else bad_step({l}, {u})")
-            self.emit(depth, f"{inner[1]} += len({rng})")
-            depth = self.loop(depth, self.bind(iv, "i"), rng)
-            self.induction(iv, self.iv_range(lb, ub))
+            self.emit(depth, f"{rng} = range({l}, {u}, {s}) if {s} > 0 "
+                             f"else bad_step({l}, {u})")
+        self.emit(depth, f"{inner[1]} += len({rng})")
+        depth = self.loop(depth, self.bind(iv, "i"), rng, op)
+        self.induction(iv, self.iv_range(lb, ub))
         self.bookkeeping.append(inner)
         self.body(op.body(), inner, depth)
         self.close_loops(level)
@@ -942,12 +1342,7 @@ class _FuncGen:
         bounds = (wrap_int(attrs["lower_bound"].value, "i64"),
                   wrap_int(attrs["upper_bound"].value, "i64"),
                   attrs["step"].value)
-        inner = _times(count, len(range(*bounds)))
-        self.bookkeeping.append(inner)
-        level = len(self.headers)
-        depth = self.loop_header(op.body().args[0], bounds, depth)
-        self.body(op.body(), inner, depth)
-        self.close_loops(level)
+        self.counted(op, bounds, count, depth)
 
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
         """A call to the function its body becomes, which takes the locals
@@ -991,9 +1386,9 @@ class _FuncGen:
         depth = 1
         for iv, rng, interval in loops:
             if isinstance(rng, tuple):
-                depth = self.loop_header(iv, rng, depth)
+                depth = self.loop_header(op, iv, rng, depth)
                 continue
-            depth = self.loop(depth, self.bind(iv, "i"), rng)
+            depth = self.loop(depth, self.bind(iv, "i"), rng, op)
             self.induction(iv, interval)
         if self.recording:
             point = "".join(self.val(iv) + ", " for iv in op.body().args)
@@ -1017,28 +1412,34 @@ class _FuncGen:
 def lower_module(module: Operation, recorder=None) -> Program:
     """Generate, compile and bind one Python function per func and kernel.
 
-    Units are compiled in batches of about SEGMENT lines: few enough calls
-    to keep compile()'s per-call cost small, and a bounded source each.
     With a ``recorder`` (``races``), the code also reports every load and
-    store, and the points of each parallel loop and launch, to it.
+    store, and the points of each parallel loop and launch, to it. A
+    function whose entry guard can fail gets its alias-safe variant from
+    a stand-in that generates it on the first call that needs it.
     """
     entries = list(module_functions(module))
     pynames = {key: f"f{i}" for i, (key, _, _) in enumerate(entries)}
     extents = _launch_extents(module) if any(e[2] for e in entries) else {}
     constants: list = []
     namespace = dict(_RUNTIME, K=constants, R=recorder)
-    batch, lines = [], 0
-    for key, op, _ in entries:
-        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
-                       recorder is not None)
+
+    def generate(key, op, pyname, guarded=True):
+        gen = _FuncGen(op, pyname, pynames, extents.get(key), constants,
+                       recorder is not None, guarded)
         gen.generate()
-        for text in gen.units:
-            batch.append(text)
-            lines += text.count("\n")
-            if lines >= SEGMENT:
-                _define(batch, namespace)
-                batch, lines = [], 0
-    _define(batch, namespace)
+        return gen
+
+    units = []
+    for key, op, _ in entries:
+        gen = generate(key, op, pynames[key])
+        units += gen.units
+        if gen.assumed:
+            variant = f"{gen.pyname}_aliased"
+            namespace[variant] = _on_first_call(
+                namespace, variant,
+                lambda key=key, op=op, variant=variant:
+                    generate(key, op, variant, guarded=False).units)
+    _define(units, namespace)
     program = Program()
     for key, op, is_kernel in entries:
         program[key] = Function(
@@ -1050,6 +1451,22 @@ def lower_module(module: Operation, recorder=None) -> Program:
     return program
 
 
+def _on_first_call(namespace: dict, name: str, units):
+    """A stand-in for ``namespace[name]`` that compiles ``units()``, which
+    define that name, when it is first called."""
+    def first_call(*args):
+        _define(units(), namespace)
+        return namespace[name](*args)
+    return first_call
+
+
 def _define(units: list, namespace: dict) -> None:
-    if units:
-        exec(compile("".join(units), "<staircase>", "exec"), namespace)  # noqa: S102
+    """Compile units in batches of about SEGMENT lines: few enough calls to
+    keep compile()'s per-call cost small, and a bounded source each."""
+    batch, lines = [], 0
+    for i, text in enumerate(units):
+        batch.append(text)
+        lines += text.count("\n")
+        if lines >= SEGMENT or i == len(units) - 1:
+            exec(compile("".join(batch), "<staircase>", "exec"), namespace)  # noqa: S102
+            batch, lines = [], 0

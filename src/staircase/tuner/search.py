@@ -280,5 +280,10 @@ def search(kernel, pipeline_template=None, space: ParamSpace | None = None,
             parent_cost = trial.cost
 
     evaluated = [t for t in log if t.status == "evaluated"]
+    if not evaluated:
+        name = getattr(session.template, "__name__", repr(session.template))
+        raise StaircaseError(
+            f"pipeline template {name} was refused at all {budget} points "
+            "of the search, the identity point included")
     best = min(evaluated, key=lambda t: (t.cost, t.idx))
     return best, log

@@ -19,7 +19,7 @@ import definterp
 from conftest import golden_path
 from irgen import index_module, random_inputs, random_module
 from staircase.interp import Buffer, codegen
-from staircase.interp.machine import run
+from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
@@ -945,3 +945,85 @@ def test_runtime_step_raises_in_op_order():
         assert want[1].__name__ == "InvalidBound"
         assert want[2] == "loop step must be positive at runtime"
         assert want[3][0].tolist()[0] == 1.0 + (1.0 + 2.0) + 2.0
+
+
+# -- the entry guard, and the code a recorder gets ---------------------------------
+
+def _canonical(path):
+    with open(path, encoding="utf-8") as fh:
+        return run_pipeline(parse_module(fh.read(), create_context()), CANON)[0]
+
+
+def test_alias_safe_variant_is_generated_on_first_need(monkeypatch):
+    generated = []
+    real = codegen._FuncGen.generate
+    monkeypatch.setattr(codegen._FuncGen, "generate",
+                        lambda gen: (generated.append(gen.pyname), real(gen))[1])
+    module = _canonical(os.path.join(INPUTS, "matmul.sir"))
+    source = _source(module)
+    assert "if d2 is d6 or d4 is d6: return f0_aliased(" in source
+    assert "def f0_aliased" not in source
+    program = compile_module(module)
+    assert generated == ["f0", "f0"]      # _source's and compile_module's
+
+    def matrix():
+        return Buffer((32, 32), "f64", [(k % 5 - 2) / 16 for k in range(1024)])
+
+    call(program, "matmul", [matrix(), matrix(), matrix()], "sequential", 1)
+    assert generated == ["f0", "f0"]
+    a = matrix()
+    for _ in range(2):
+        call(program, "matmul", [a, a, a], "sequential", 1)
+        assert generated == ["f0", "f0", "f0_aliased"]
+
+
+def _golden_modules():
+    names = ["conv2d.sir", "ifs.sir", "matmul.sir", os.path.join("run", "buffers.sir")]
+    names += [os.path.join("passes", f)
+              for f in sorted(os.listdir(golden_path("passes")))]
+    return _sources() + [golden_path(name) for name in names]
+
+
+@pytest.mark.parametrize("path", _golden_modules(),
+                         ids=lambda p: os.path.relpath(p, ROOT))
+def test_recorder_sees_every_load_and_store(path):
+    with open(path, encoding="utf-8") as fh:
+        parsed = parse_module(fh.read(), create_context())
+    for pipeline in (CANON, GPU):
+        module, _ = run_pipeline(parsed, pipeline)
+        ops = [op.name for op in module.walk_nested()]
+        source = _source(module, recorder=object())
+        assert source.count("R.on_read(") == ops.count("memref.load")
+        assert source.count("R.on_write(") == ops.count("memref.store")
+
+
+def _innermost_body(source):
+    """The innermost ``for`` loop's induction variable and body lines."""
+    lines = source.splitlines()
+    indents = [len(line) - len(line.lstrip()) for line in lines]
+    at = max((i for i, line in enumerate(lines) if line.lstrip().startswith("for ")),
+             key=lambda i: indents[i])
+    body = []
+    for line, indent in zip(lines[at + 1:], indents[at + 1:]):
+        if indent <= indents[at]:
+            break
+        body.append(line.strip())
+    return lines[at].split()[1], body
+
+
+@pytest.mark.parametrize("path", [PRINTED_KERNELS["conv_rows"], PRINTED_KERNELS["conv2d"],
+                                  os.path.join(INPUTS, "matmul.sir")],
+                         ids=os.path.basename)
+def test_innermost_loops_read_no_invariant_element(path):
+    # every element the innermost loop reads is at an address that moves
+    # with its induction variable, and an offset it binds is used again
+    iv, body = _innermost_body(_source(_canonical(path)))
+    varying = {iv}
+    for line in body:
+        bound = re.match(r"(o\d+) = (.*)", line)
+        if bound and set(re.findall(r"\w+", bound[2])) & varying:
+            varying.add(bound[1])
+            assert "\n".join(body).count(bound[1]) > 2, line
+    reads = [a for line in body for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
+    assert reads
+    assert all(set(re.findall(r"\w+", a)) & varying for a in reads), body

@@ -75,6 +75,15 @@ def _shorten_inner_loop(root, **_):
     return PassOutcome(rewrites=1)
 
 
+def test_a_search_whose_every_trial_is_skipped_raises():
+    def unroll_by_zero(tiles, unroll):
+        return "builtin.module(func.func(loop-unroll{factor=0}))"
+
+    with pytest.raises(StaircaseError, match="template unroll_by_zero was "
+                                             "refused at all 3 points"):
+        search(_conv_rows(), unroll_by_zero, SPACE, budget=3, seed=1)
+
+
 def test_a_pipeline_that_changes_results_raises(monkeypatch):
     monkeypatch.setitem(PASSES, "shorten", _shorten_inner_loop)
     with pytest.raises(StaircaseError, match="changed the results of @conv"):
