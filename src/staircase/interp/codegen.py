@@ -643,8 +643,8 @@ class _FuncGen:
             elif name in _HANDLERS:
                 self.binds = set()
                 lines = getattr(self, _HANDLERS[name])(op)
-                # a load whose value is a local counts the statement that
-                # would bind it: replacing loads moves no split
+                # a load that reads a local still counts the statement
+                # that would bind it, so hoisting or reusing moves no split
                 size = len(lines) + (
                     name == "memref.load" and op.results[0] not in self.foldable
                     and self.names[op.results[0]] not in self.binds)
@@ -666,6 +666,8 @@ class _FuncGen:
             name = op.name
             if name == "memref.load":
                 buf = op.operands[0]
+                if buf in self.promoted:    # its element is a local already
+                    continue
                 loads = first.setdefault(buf, {})
                 key = _address_key(op.operands[1:])
                 if key not in loads:
@@ -682,9 +684,9 @@ class _FuncGen:
             elif name == "memref.store":
                 target = op.operands[1]
                 for buf in list(first):
-                    pair = known.get((buf, target), ())
-                    if pair == ():
-                        pair = known[buf, target] = self.separate(buf, target)
+                    if (buf, target) not in known:
+                        known[buf, target] = self.separate(buf, target)
+                    pair = known[buf, target]
                     if pair is None:
                         del first[buf]
                         crossed.pop(buf, None)
@@ -737,9 +739,9 @@ class _FuncGen:
     def flush(self, run: list, depth: int) -> None:
         """Emit a straight-line run, split into chained segments if long.
 
-        The split is where it would be without the elements and offsets
-        written into their uses: each statement counts its ``size``, which
-        ``inline_offsets`` leaves as it was.
+        Each op counts its ``size``, which includes the statement of a load
+        that reads a local and of an offset written into its use, so the
+        split is where it would be without them.
         """
         long = sum(s.size for s in run) > SEGMENT
         if long:
@@ -758,6 +760,7 @@ class _FuncGen:
                 for line in s.lines:
                     self.emit(depth, line)
             return
+        # a segment whose statements all went needs no function
         segments = [seg for seg in segments if any(s.lines for s in seg)]
         # a segment returns the locals it binds that later segments read
         # (folded expressions included) or that ops after the run may read

@@ -2,7 +2,9 @@
 
 ``compile_module`` generates and compiles one Python function per
 func.func and gpu.func kernel (see ``codegen``); the ``Program`` it returns
-holds them by symbol.
+holds them by symbol. A function called with one Buffer as two of its
+arguments may generate its alias-safe variant from the module then, so
+call a Program's functions before their module changes.
 """
 from __future__ import annotations
 
@@ -11,7 +13,11 @@ from staircase.ir.core import Operation, SymbolTable
 
 
 class Program(dict):
-    """Compiled functions by symbol; kernels are keyed ``module::kernel``."""
+    """Compiled functions by symbol; kernels are keyed ``module::kernel``.
+
+    Valid while its module is unchanged: a function may generate code from
+    the module when it is first called with aliased arguments.
+    """
 
 
 def constant_value(op: Operation):
@@ -40,7 +46,10 @@ def module_functions(module: Operation):
 
 
 def compile_module(module: Operation) -> Program:
-    """Generate and compile Python source for every function of the module."""
+    """Generate and compile Python source for every function of the module.
+
+    Call the Program's functions before the module changes.
+    """
     from staircase.interp.codegen import lower_module  # imports this module
 
     return lower_module(module)
