@@ -39,8 +39,9 @@ except in code that reports to a recorder:
 - a load whose indices are proven and whose address no iteration of a
   loop changes is bound once, just before the outermost such loop that
   stores to no buffer that may be its own;
-- a load of an element that an earlier load in the same straight-line run
-  read, with no store between that may reach it, reads that load's local;
+- a load with the buffer and index values of an earlier load in the same
+  straight-line run, with no store between that may reach that element,
+  reads the earlier load's local;
 - a loop that reads and writes one element at an address it never
   changes, touches no buffer that may hold it in any other way, and cannot
   raise (every index proven, no step checked at run time, no call) reads
@@ -255,10 +256,13 @@ def _is_constant(value: Value) -> bool:
     return op.__class__ is Operation and op.name == "arith.constant"
 
 
-def _address_key(indices) -> tuple:
-    """Indices that name one element: the same values or equal constants."""
-    return tuple(v.owner.attributes["value"].value if _is_constant(v) else v
-                 for v in indices)
+def _same_element(a: tuple, b: tuple) -> bool:
+    """Whether two index tuples name one element: each pair of indices is
+    one value, or two constants of one value."""
+    return a == b or all(
+        x is y or _is_constant(x) and _is_constant(y)
+        and x.owner.attributes["value"].value == y.owner.attributes["value"].value
+        for x, y in zip(a, b))
 
 
 def _defined_in(value: Value, loop: Operation) -> bool:
@@ -645,37 +649,37 @@ class _FuncGen:
                 lines = getattr(self, _HANDLERS[name])(op)
                 # a load that reads a local still counts the statement
                 # that would bind it, so hoisting or reusing moves no split
-                size = len(lines) + (
-                    name == "memref.load" and op.results[0] not in self.foldable
-                    and self.names[op.results[0]] not in self.binds)
+                size = len(lines)
+                if name == "memref.load" and op.results[0] not in self.foldable \
+                        and self.names[op.results[0]] not in self.binds:
+                    size += 1
                 run.append(_Stmts(op, lines, self.binds, size))
         self.flush(run, depth)
 
     def find_reused(self, block) -> None:
-        """Loads of an element an earlier load in the same straight-line run
-        read, with no store between them that may reach it.
+        """Loads with the buffer and index values of an earlier load in the
+        same straight-line run, and no store between them that may reach
+        that element.
 
         The earlier load binds its value, and each later one reads that
-        local instead of the element. Every store between them is to an
-        array the guard, if any, shows is another.
+        local instead. Every store between them is to an array that is
+        another, or that the guard shows is.
         """
-        first: dict = {}    # buffer -> {address key: (its first load, where)}
+        first: dict = {}    # buffer -> {indices: (its first load, where)}
         crossed: dict = {}  # buffer -> {buffer stored to: where it last was}
         known: dict = {}    # (buffer, buffer stored to) -> separate()
         for at, op in enumerate(block.ops):
             name = op.name
             if name == "memref.load":
-                buf = op.operands[0]
+                operands = op.operands
+                buf = operands[0]
                 if buf in self.promoted:    # its element is a local already
                     continue
                 loads = first.setdefault(buf, {})
-                key = _address_key(op.operands[1:])
-                if key not in loads:
-                    loads[key] = (op, at)
-                    continue
-                if not op.results[0].uses:  # nothing would read the local
-                    continue
-                load, since = loads[key]
+                hit = loads.setdefault(operands[1:], (op, at))
+                if hit[0] is op or not op.results[0].uses:
+                    continue    # the first, or one nothing reads
+                load, since = hit
                 self.reused[op] = load
                 self.kept.add(load)
                 for other, when in crossed.get(buf, {}).items():
@@ -713,8 +717,8 @@ class _FuncGen:
             writes += op.name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
-            if op.name not in _PURE and op.name != "memref.load" \
-                    or op in self.kept:
+            if op.name not in _PURE and (op.name != "memref.load"
+                                         or op in self.kept):
                 continue
             uses = op.results[0].uses
             if len(uses) != 1:
@@ -782,12 +786,10 @@ class _FuncGen:
     def inline_offsets(self, run: list) -> None:
         """Write each offset this run binds and uses once into its use."""
         text = "\n".join(line for s in run for line in s.lines)
-        uses = {}
-        for name in _OFFSET.findall(text):
-            uses[name] = uses.get(name, 0) + 1
-        # its binding names it once; an unused one goes too
+        # its binding names it once, and an unused one goes too; a count
+        # that takes in a longer name errs towards keeping the binding
         single = {base: key for key, base in self.offsets.items()
-                  if uses.get(base, 0) <= 2}
+                  if text.count(base) <= 2}
         if not single:
             return
         bindings = {f"{base} = {key}" for base, key in single.items()}
@@ -909,7 +911,9 @@ class _FuncGen:
         else:
             lines = []
             self.binds.add(target)
-        update = None if self.recording else self.update(value, buf, op)
+        update = None
+        if value in self.folded and not self.recording:
+            update = self.update(value, buf, op)
         if update is None:
             expr = self.val(value)
             kind = buf.type.element.kind
@@ -929,16 +933,15 @@ class _FuncGen:
         Integers never qualify: a loaded element has no interval, so a sum
         with one is wrapped.
         """
-        if value not in self.folded:
-            return None
         op = value.defining_op
         if op.name not in _FOPS or value.type.kind != "f64":
             return None
         x, e = op.operands
         load = x.defining_op
-        if x not in self.folded or load.name != "memref.load" \
-                or load.operands[0] is not buf or _address_key(
-                    load.operands[1:]) != _address_key(store.operands[2:]):
+        if x not in self.folded or load.name != "memref.load":
+            return None
+        if load.operands[0] is not buf \
+                or not _same_element(load.operands[1:], store.operands[2:]):
             return None
         return f"{_FOPS[op.name]}= {self.val(e)}"
 
@@ -978,7 +981,9 @@ class _FuncGen:
         if not lines and not rest:
             level = 0
             for name in coefs:
-                level = max(level, self.levels.get(name, 0))
+                at = self.levels.get(name, 0)
+                if at > level:
+                    level = at
         terms = self.hoist(coefs) + rest
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
@@ -1027,28 +1032,30 @@ class _FuncGen:
     # -- elements in locals -------------------------------------------------
 
     def effects(self, op: Operation) -> dict:
-        """What the regions of ``op`` store to: per buffer, the address key
-        and one store of all its stores, or _MANY. A call stores to every
+        """What the regions of ``op`` store to: per buffer, the indices and
+        one store of all its stores, or _MANY. A call stores to every
         buffer, which is the key None."""
         stores = self.stores.get(op)
         if stores is not None:
             return stores
         stores = self.stores[op] = {}
+
+        def note(buf, where):
+            had = stores.setdefault(buf, where)
+            if had is not _MANY and (where is _MANY or had[0] != where[0]):
+                stores[buf] = _MANY
+
         for region in op.regions:
             for inner in region.blocks[0].ops:
-                if inner.name == "memref.store":
-                    found = {inner.operands[1]:
-                             (_address_key(inner.operands[2:]), inner)}
-                elif inner.name in _CALLS:
-                    found = {None: _MANY}
+                name = inner.name
+                if name == "memref.store":
+                    operands = inner.operands
+                    note(operands[1], (operands[2:], inner))
+                elif name in _CALLS:
+                    stores[None] = _MANY
                 elif inner.regions:
-                    found = self.effects(inner)
-                else:
-                    continue
-                for buf, where in found.items():
-                    had = stores.setdefault(buf, where)
-                    if had is not _MANY and (where is _MANY or had[0] != where[0]):
-                        stores[buf] = _MANY
+                    for buf, where in self.effects(inner).items():
+                        note(buf, where)
         return stores
 
     def separate(self, a: Value, b: Value, loop=None):
@@ -1087,12 +1094,14 @@ class _FuncGen:
         but constants and stores to no array that may be its buffer's; None
         if there is no such loop."""
         buf, entry = load.operands[0], self.op.body()
+        if self.unaffected(buf, self.headers[-1].op) is None:
+            return None     # nor can any loop around that one
         for lv in self.headers[level:]:
-            if not any(_defined_in(v, lv.op) for v in load.operands
-                       if v.owner is not entry and not _is_constant(v)):
-                pairs = self.unaffected(buf, lv.op)
-                if pairs is not None:
-                    break
+            pairs = self.unaffected(buf, lv.op)
+            if pairs is not None and not any(
+                    _defined_in(v, lv.op) for v in load.operands
+                    if v.owner is not entry and not _is_constant(v)):
+                break
         else:
             return None
         self.assumed.update(pairs)
@@ -1118,7 +1127,7 @@ class _FuncGen:
         found = {buf: where for buf, where in stores.items()
                  if where is not _MANY and buf not in self.promoted
                  and (buf.is_block_arg or not _defined_in(buf, loop))
-                 and not any(isinstance(v, Value) and _defined_in(v, loop)
+                 and not any(_defined_in(v, loop) and not _is_constant(v)
                              for v in where[0])}
         touched: set = set()
         if not found or not self.raise_free(loop.body(), depth, {}, found,
@@ -1166,7 +1175,7 @@ class _FuncGen:
                     if r is None or r[0] < 0 or r[1] >= extent:
                         return False
                 touched.add(buf)
-                if buf in found and _address_key(op.operands[at:]) != found[buf][0]:
+                if buf in found and op.operands[at:] != found[buf][0]:
                     del found[buf]
             elif name == "arith.constant":
                 c = constant_value(op)
