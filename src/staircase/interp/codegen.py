@@ -359,7 +359,7 @@ class _FuncGen:
         self.extents = extents      # a kernel's largest launch sizes, or None
         self.constants = constants  # the K table: objects without a literal
         self.recording = recording  # call the race recorder R
-        self.guarded = guarded      # may assume parameters distinct, and test
+        self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
         self.stores: dict = {}      # region op -> what it stores to (effects)
         self.reused: dict = {}      # load -> the earlier load it reads again
