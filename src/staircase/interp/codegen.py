@@ -47,7 +47,8 @@ except in code that reports to a recorder:
   raise (every index proven, no step checked at run time, no call) reads
   the element into a local before it and stores it once after it;
 - ``x = (x) op e`` on f64 is written ``x op= e``, which reads and writes
-  in the same order.
+  in the same order and computes x's offset once; where that offset is a
+  plain name or literal, CPython runs the long form faster, so it stays.
 
 An alloc is a new array and a call's result may be any array, but two
 memref parameters may be one Buffer. So a function whose steps above
@@ -112,6 +113,9 @@ _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _OFFSET = re.compile(r"\bo\d+\b")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
+_REGION_OPS = frozenset({"scf.for", "affine.for", "scf.parallel", "scf.if"})
+# the ops that end a straight-line run or access memory in it
+_RUN_MEMORY = frozenset({"memref.load", "memref.store", *_CALLS, *_REGION_OPS})
 _MANY = object()    # a buffer stored to at more than one address
 
 
@@ -259,10 +263,14 @@ def _is_constant(value: Value) -> bool:
 def _same_element(a: tuple, b: tuple) -> bool:
     """Whether two index tuples name one element: each pair of indices is
     one value, or two constants of one value."""
-    return a == b or all(
-        x is y or _is_constant(x) and _is_constant(y)
-        and x.owner.attributes["value"].value == y.owner.attributes["value"].value
-        for x, y in zip(a, b))
+    if a == b:
+        return True
+    for x, y in zip(a, b):
+        if x is not y and not (_is_constant(x) and _is_constant(y) and (
+                x.owner.attributes["value"].value
+                == y.owner.attributes["value"].value)):
+            return False
+    return True
 
 
 def _defined_in(value: Value, loop: Operation) -> bool:
@@ -386,6 +394,7 @@ class _FuncGen:
         self.partials: dict = {}    # (outer partial sum, terms) -> its local
         self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
         self.offsets: dict = {}     # address sum -> its local, in this run
+        self.offset_uses: dict = {}  # that local -> the addresses it is in
         self.returned: tuple = ()
         self.scope: set = set()     # the locals this function can read
 
@@ -621,7 +630,7 @@ class _FuncGen:
             self.find_reused(block)
         self.find_foldable(block)
         run: list = []
-        self.offsets = {}
+        self.offsets, self.offset_uses = {}, {}
         for op in block.ops:
             name = op.name
             if name not in OP_SLOT:
@@ -641,7 +650,7 @@ class _FuncGen:
                     self.call_nested(child, depth)
                 else:
                     getattr(self, _HANDLERS[name])(op, count, depth)
-                self.offsets = {}
+                self.offsets, self.offset_uses = {}, {}
             elif name == "func.return":   # read after the run, not in it
                 self.returned = tuple(self.val(v) for v in op.operands)
             elif name in _HANDLERS:
@@ -670,15 +679,22 @@ class _FuncGen:
         known: dict = {}    # (buffer, buffer stored to) -> separate()
         for at, op in enumerate(block.ops):
             name = op.name
+            if name not in _RUN_MEMORY:
+                continue
             if name == "memref.load":
                 operands = op.operands
                 buf = operands[0]
                 if buf in self.promoted:    # its element is a local already
                     continue
-                loads = first.setdefault(buf, {})
-                hit = loads.setdefault(operands[1:], (op, at))
-                if hit[0] is op or not op.results[0].uses:
-                    continue    # the first, or one nothing reads
+                loads = first.get(buf)
+                if loads is None:
+                    loads = first[buf] = {}
+                hit = loads.get(operands[1:])
+                if hit is None:
+                    loads[operands[1:]] = (op, at)
+                    continue
+                if not op.results[0].uses:  # nothing would read the local
+                    continue
                 load, since = hit
                 self.reused[op] = load
                 self.kept.add(load)
@@ -696,7 +712,7 @@ class _FuncGen:
                         crossed.pop(buf, None)
                     elif pair:
                         crossed.setdefault(buf, {})[target] = at
-            elif op.regions or name in _CALLS:
+            else:
                 first, crossed = {}, {}
 
     def find_foldable(self, block) -> None:
@@ -785,11 +801,15 @@ class _FuncGen:
 
     def inline_offsets(self, run: list) -> None:
         """Write each offset this run binds and uses once into its use."""
-        text = "\n".join(line for s in run for line in s.lines)
+        # a read-modify-write written ``x op= e`` drops its read's address
+        maybe = [(key, base) for key, base in self.offsets.items()
+                 if self.offset_uses[base] <= 2]
+        if not maybe:
+            return
+        text = "\n".join([line for s in run for line in s.lines])
         # its binding names it once, and an unused one goes too; a count
         # that takes in a longer name errs towards keeping the binding
-        single = {base: key for key, base in self.offsets.items()
-                  if text.count(base) <= 2}
+        single = {base: key for key, base in maybe if text.count(base) <= 2}
         if not single:
             return
         bindings = {f"{base} = {key}" for base, key in single.items()}
@@ -888,13 +908,13 @@ class _FuncGen:
         buf, r = op.operands[0], op.results[0]
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
+        if op in self.reused:   # its indices were checked for the first
+            self.names[r] = self.names[self.reused[op].results[0]]
+            return []
         lines, off, level = self.address(op, buf, op.operands[1:])
         element = f"{self.arrays[buf]}[{off}]"
         if self.recording:
             lines.append(f"R.on_read({self.val(buf)}, {off})")
-        elif op in self.reused:     # its bounds checks stay in place
-            self.names[r] = self.names[self.reused[op].results[0]]
-            return lines
         elif level is not None and level + 1 < len(self.headers) and r.uses:
             local = self.invariant(op, element, level + 1)
             if local is not None:
@@ -904,15 +924,19 @@ class _FuncGen:
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
-        target = self.promoted.get(buf)
+        target, plain = self.promoted.get(buf), False
         if target is None:
             lines, off, _ = self.address(op, buf, op.operands[2:])
             target = f"{self.arrays[buf]}[{off}]"
+            # x[o] op= e is slower than x[o] = (x[o]) op e when o is a name
+            # or literal; a bound offset only the read shares goes inline
+            plain = (off.isidentifier() or off.isdigit()) \
+                and self.offset_uses.get(off) != 2
         else:
             lines = []
             self.binds.add(target)
         update = None
-        if value in self.folded and not self.recording:
+        if value in self.folded and not plain and not self.recording:
             update = self.update(value, buf, op)
         if update is None:
             expr = self.val(value)
@@ -977,28 +1001,27 @@ class _FuncGen:
             for name, coef in form[0].items():
                 coefs[name] = coefs.get(name, 0) + coef * stride
             fixed += form[1] * stride
-        level = None
-        if not lines and not rest:
-            level = 0
-            for name in coefs:
-                at = self.levels.get(name, 0)
-                if at > level:
-                    level = at
-        terms = self.hoist(coefs) + rest
+        terms, level = self.hoist(coefs)
+        if lines or rest:
+            level = None
+        terms = terms + rest
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
                 base = self.offsets.get(key)
                 if base is None:
                     base = self.offsets[key] = self.local("o")
+                    self.offset_uses[base] = 0
                     self.binds.add(base)
                     lines.append(f"{base} = {key}")
+                self.offset_uses[base] += 1
                 terms = [(base, 1)]
         return lines, _sum(terms, fixed), level
 
-    def hoist(self, coefs: dict) -> list:
+    def hoist(self, coefs: dict) -> tuple:
         """Σ coef·var as terms of the current loop level, led by the partial
-        sum of the outer levels' terms.
+        sum of the outer levels' terms, and the innermost level it changes
+        in.
 
         Each outer level's partial sum adds its terms to the one before it
         and is bound once, in the header of the loop that binds its
@@ -1026,8 +1049,10 @@ class _FuncGen:
                 head = [(partial, 1)] if partial else []
                 self.headers[level].sums.append(f"{name} = {_sum(head + terms)}")
             partial = name
-        terms = self.hoisted[key] = ([(partial, 1)] if partial else []) + inner
-        return terms
+        terms = ([(partial, 1)] if partial else []) + inner
+        level = current if inner else max(by_level, default=0)
+        self.hoisted[key] = terms, level
+        return terms, level
 
     # -- elements in locals -------------------------------------------------
 
@@ -1048,12 +1073,14 @@ class _FuncGen:
         for region in op.regions:
             for inner in region.blocks[0].ops:
                 name = inner.name
+                if name not in _RUN_MEMORY or name == "memref.load":
+                    continue
                 if name == "memref.store":
                     operands = inner.operands
                     note(operands[1], (operands[2:], inner))
                 elif name in _CALLS:
                     stores[None] = _MANY
-                elif inner.regions:
+                else:
                     for buf, where in self.effects(inner).items():
                         note(buf, where)
         return stores
