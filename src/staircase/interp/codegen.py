@@ -36,14 +36,15 @@ offset used once is written into its use.
 Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
 except in code that reports to a recorder:
 
-- a load whose indices are proven and whose address no iteration of a
-  loop changes is bound once, just before the outermost such loop that
-  stores to no buffer that may be its own;
+- a load whose indices are proven, and whose buffer and indices are
+  parameters, constants or values defined outside a loop, is bound once
+  just before the outermost such loop that stores to no buffer that may
+  be its own;
 - a load with the buffer and index values of an earlier load in the same
   straight-line run, with no store between that may reach that element,
   reads the earlier load's local;
-- a loop that reads and writes one element at an address it never
-  changes, touches no buffer that may hold it in any other way, and cannot
+- a loop that reads and writes one element at indices defined outside
+  it, touches no buffer that may hold it in any other way, and cannot
   raise (every index proven, no step checked at run time, no call) reads
   the element into a local before it and stores it once after it;
 - ``x = (x) op e`` on f64 is written ``x op= e``, which reads and writes
@@ -113,9 +114,9 @@ _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _OFFSET = re.compile(r"\bo\d+\b")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
-_REGION_OPS = frozenset({"scf.for", "affine.for", "scf.parallel", "scf.if"})
 # the ops that end a straight-line run or access memory in it
-_RUN_MEMORY = frozenset({"memref.load", "memref.store", *_CALLS, *_REGION_OPS})
+_RUN_MEMORY = frozenset({"memref.load", "memref.store", *_CALLS, "scf.for",
+                         "affine.for", "scf.parallel", "scf.if"})
 _MANY = object()    # a buffer stored to at more than one address
 
 

@@ -978,7 +978,7 @@ def test_alias_safe_variant_is_generated_on_first_need(monkeypatch):
 
 
 def _golden_modules():
-    names = ["conv2d.sir", "ifs.sir", "matmul.sir", os.path.join("run", "buffers.sir")]
+    names = ["ifs.sir", "matmul.sir", os.path.join("run", "buffers.sir")]
     names += [os.path.join("passes", f)
               for f in sorted(os.listdir(golden_path("passes")))]
     return _sources() + [golden_path(name) for name in names]
@@ -1027,3 +1027,19 @@ def test_innermost_loops_read_no_invariant_element(path):
     reads = [a for line in body for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
     assert reads
     assert all(set(re.findall(r"\w+", a)) & varying for a in reads), body
+
+
+def test_read_modify_write_reads_its_offset_once():
+    # unrolled copies update d[o + k] in place; a plain offset keeps the
+    # long form, which CPython runs faster
+    long_form = re.compile(r"(d\d+\[([^\]]*)\]) = \(\(\1\) ")
+    with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
+        parsed = parse_module(fh.read(), create_context())
+    unrolled, _ = run_pipeline(
+        parsed, "builtin.module(func.func(lower-affine,loop-unroll{factor=62}))")
+    source = _source(unrolled)
+    assert len(re.findall(r"^ +d\d+\[.*\] \+= ", source, re.M)) == 61
+    assert all(m[2].isidentifier() for m in long_form.finditer(source))
+    saxpy = _source(_canonical(os.path.join(INPUTS, "saxpy.sir")))
+    offsets = [m[2] for m in long_form.finditer(saxpy)]
+    assert len(offsets) == 1 and re.fullmatch(r"o\d+", offsets[0])
