@@ -305,16 +305,14 @@ def _range(lb: int, ub: int, step: int) -> str:
 # -- code generation ------------------------------------------------------------
 
 class _Stmts:
-    """The statements of one flat op, the locals they bind, and how many
-    statements they count for when a run is split."""
+    """The statements of one flat op, and the locals they bind."""
 
-    __slots__ = ("op", "lines", "binds", "size")
+    __slots__ = ("op", "lines", "binds")
 
-    def __init__(self, op, lines, binds, size):
+    def __init__(self, op, lines, binds):
         self.op = op
         self.lines = lines
         self.binds = binds
-        self.size = size
 
 
 class _Level:
@@ -657,13 +655,7 @@ class _FuncGen:
             elif name in _HANDLERS:
                 self.binds = set()
                 lines = getattr(self, _HANDLERS[name])(op)
-                # a load that reads a local still counts the statement
-                # that would bind it, so hoisting or reusing moves no split
-                size = len(lines)
-                if name == "memref.load" and op.results[0] not in self.foldable \
-                        and self.names[op.results[0]] not in self.binds:
-                    size += 1
-                run.append(_Stmts(op, lines, self.binds, size))
+                run.append(_Stmts(op, lines, self.binds))
         self.flush(run, depth)
 
     def find_reused(self, block) -> None:
@@ -758,31 +750,22 @@ class _FuncGen:
             self.emit(depth, "pass")
 
     def flush(self, run: list, depth: int) -> None:
-        """Emit a straight-line run, split into chained segments if long.
-
-        Each op counts its ``size``, which includes the statement of a load
-        that reads a local and of an offset written into its use, so the
-        split is where it would be without them.
-        """
-        long = sum(s.size for s in run) > SEGMENT
-        if long:
-            segments, current, size = [], [], 0
-            for s in run:
-                if current and size + s.size > SEGMENT:
-                    segments.append(current)
-                    current, size = [], 0
-                current.append(s)
-                size += s.size
-            segments.append(current)
+        """Emit a straight-line run, split into chained segments if long."""
         if self.offsets and not self.recording:
             self.inline_offsets(run)
-        if not long:
+        if sum(len(s.lines) for s in run) <= SEGMENT:
             for s in run:
                 for line in s.lines:
                     self.emit(depth, line)
             return
-        # a segment whose statements all went needs no function
-        segments = [seg for seg in segments if any(s.lines for s in seg)]
+        segments, current, size = [], [], 0
+        for s in run:
+            if current and size + len(s.lines) > SEGMENT:
+                segments.append(current)
+                current, size = [], 0
+            current.append(s)
+            size += len(s.lines)
+        segments.append(current)
         # a segment returns the locals it binds that later segments read
         # (folded expressions included) or that ops after the run may read
         # for a result of the run: its name, which an alias shares with an
@@ -801,22 +784,20 @@ class _FuncGen:
             self.segment(seg, out, depth)
 
     def inline_offsets(self, run: list) -> None:
-        """Write each offset this run binds and uses once into its use."""
-        # a read-modify-write written ``x op= e`` drops its read's address
-        maybe = [(key, base) for key, base in self.offsets.items()
-                 if self.offset_uses[base] <= 2]
-        if not maybe:
-            return
-        text = "\n".join([line for s in run for line in s.lines])
-        # its binding names it once, and an unused one goes too; a count
-        # that takes in a longer name errs towards keeping the binding
-        single = {base: key for key, base in maybe if text.count(base) <= 2}
+        """Write each offset this run binds and uses once into its use.
+
+        The sum reads only locals that never change, so it has the same
+        value wherever it is written.
+        """
+        single = {base: key for key, base in self.offsets.items()
+                  if self.offset_uses[base] == 1}
         if not single:
             return
-        bindings = {f"{base} = {key}" for base, key in single.items()}
         for s in run:
+            for base in s.binds.intersection(single):
+                s.lines.remove(f"{base} = {single[base]}")
             s.lines = [_OFFSET.sub(lambda m: single.get(m[0], m[0]), line)
-                       for line in s.lines if line not in bindings]
+                       for line in s.lines]
 
     def reads(self, lines) -> set:
         """The locals of this function that ``lines`` name."""
@@ -912,7 +893,7 @@ class _FuncGen:
         if op in self.reused:   # its indices were checked for the first
             self.names[r] = self.names[self.reused[op].results[0]]
             return []
-        lines, off, level = self.address(op, buf, op.operands[1:])
+        lines, off, level, _ = self.address(op, buf, op.operands[1:])
         element = f"{self.arrays[buf]}[{off}]"
         if self.recording:
             lines.append(f"R.on_read({self.val(buf)}, {off})")
@@ -925,9 +906,9 @@ class _FuncGen:
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
-        target, plain = self.promoted.get(buf), False
+        target, plain, base = self.promoted.get(buf), False, None
         if target is None:
-            lines, off, _ = self.address(op, buf, op.operands[2:])
+            lines, off, _, base = self.address(op, buf, op.operands[2:])
             target = f"{self.arrays[buf]}[{off}]"
             # x[o] op= e is slower than x[o] = (x[o]) op e when o is a name
             # or literal; a bound offset only the read shares goes inline
@@ -947,6 +928,8 @@ class _FuncGen:
             lines.append(f"{target} = {expr}")
         else:
             lines.append(f"{target} {update}")
+            if base is not None:    # the read's use of the offset went
+                self.offset_uses[base] -= 1
         if self.recording:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
@@ -971,9 +954,10 @@ class _FuncGen:
         return f"{_FOPS[op.name]}= {self.val(e)}"
 
     def address(self, op: Operation, buf: Value, indices) -> tuple:
-        """Bounds checks for the unproven dimensions, the flat offset, and
-        the innermost loop level the offset changes in (None if it is
-        checked or not linear).
+        """Bounds checks for the unproven dimensions, the flat offset, the
+        innermost loop level the offset changes in (None if it is checked
+        or not linear), and the local of the run that holds part of the
+        offset, or None.
 
         The offset is linearised: the terms of loops outside the innermost
         one come from partial sums bound in their headers (``hoist``).
@@ -1005,7 +989,7 @@ class _FuncGen:
         terms, level = self.hoist(coefs)
         if lines or rest:
             level = None
-        terms = terms + rest
+        terms, base = terms + rest, None
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
@@ -1017,7 +1001,7 @@ class _FuncGen:
                     lines.append(f"{base} = {key}")
                 self.offset_uses[base] += 1
                 terms = [(base, 1)]
-        return lines, _sum(terms, fixed), level
+        return lines, _sum(terms, fixed), level, base
 
     def hoist(self, coefs: dict) -> tuple:
         """Σ coef·var as terms of the current loop level, led by the partial
@@ -1091,17 +1075,25 @@ class _FuncGen:
         always, a pair of parameters under the entry guard, or None if
         they may be one.
 
-        An alloc is a new array, unless ``loop`` makes it anew in each
-        iteration; a call's result may be any array.
+        An alloc is a new array, so it is another than a parameter or
+        another alloc, unless ``loop`` makes it anew in each iteration. Any
+        other memref, such as a call's result, may be any array.
         """
         if a is b:
             return None
+        entry, fresh = self.op.body(), False
         for v in (a, b):
-            op = v.defining_op
-            if op is not None and op.name in ("memref.alloc", "memref.alloca") \
+            if v.is_block_arg:
+                if v.owner is not entry:
+                    return None
+            elif v.defining_op.name in ("memref.alloc", "memref.alloca") \
                     and (loop is None or not _defined_in(v, loop)):
-                return ()
-        if self.guarded and a.is_block_arg and b.is_block_arg:
+                fresh = True
+            else:
+                return None
+        if fresh:
+            return ()
+        if self.guarded:
             return ((a, b) if a.index < b.index else (b, a),)
         return None
 
@@ -1173,7 +1165,7 @@ class _FuncGen:
                 indices = store.operands[2:]
                 if None in map(self.form, indices):
                     continue    # its offset would need a statement
-                _, off, _ = self.address(store, buf, indices)
+                _, off, _, _ = self.address(store, buf, indices)
                 element = f"{self.arrays[buf]}[{off}]"
                 local = self.promoted[buf] = self.local("e")
                 self.headers[-1].before.append(f"{local} = {element}")

@@ -121,9 +121,9 @@ def test_index_corpus_agrees():
 def test_chained_segments_agree(monkeypatch):
     """Straight-line runs split every few statements still agree."""
     monkeypatch.setattr(codegen, "SEGMENT", 2)
-    mismatches, _, _ = _irgen_runs(range(60))
+    mismatches, _, _ = _irgen_runs(range(80))
     assert not mismatches, "\n".join(mismatches[:5])
-    modules = [random_module(seed) for seed in range(60)]
+    modules = [random_module(seed) for seed in range(80)]
     sources = [_source(m) for m in modules]
     assert sum("_s" in source for source in sources) > 20
 
@@ -885,6 +885,61 @@ module attributes {gpu.container_module} {
     want, problem = differ(module, "f", [_counting()], "gpu_emulated")
     assert problem is None, problem
     assert want[2][0].tolist() == [2.0, 3.0, 3.0, 3.0]
+
+
+# %b is what @id returns for the alloc %a, so %a and %b are one array; each
+# body writes what it reads of %a (or of %b) into the parameter
+_CALL_RESULT = """\
+module {
+  func.func @id(%arg0: memref<4xf64>) -> (memref<4xf64>) {
+    return %arg0 : memref<4xf64>
+  }
+  func.func @f(%arg0: memref<4xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 1.0 : f64
+    %4 = memref.alloc() : memref<4xf64>
+    %5 = func.call @id(%4) : (memref<4xf64>) -> (memref<4xf64>)
+BODY
+    return
+  }
+}
+"""
+_CALL_RESULT_BODIES = {
+    # a second load of %a[0] after a store to %b[0]
+    "run": ("""\
+    %6 = memref.load %4[%0] : memref<4xf64>
+    %7 = arith.addf %6, %3 : f64
+    memref.store %7, %5[%0] : memref<4xf64>
+    %8 = memref.load %4[%0] : memref<4xf64>
+    memref.store %8, %arg0[%0] : memref<4xf64>""", [1.0, 9.0, 9.0, 9.0]),
+    # %a[0] read in a loop that stores through %b
+    "invariant": ("""\
+    scf.for %arg1 = %0 to %1 step %2 {
+      %6 = memref.load %4[%0] : memref<4xf64>
+      %7 = arith.addf %6, %3 : f64
+      memref.store %7, %5[%arg1] : memref<4xf64>
+      memref.store %6, %arg0[%arg1] : memref<4xf64>
+    }""", [0.0, 1.0, 1.0, 1.0]),
+    # %a[0] accumulates in a loop that reads %b[0]
+    "accumulate": ("""\
+    scf.for %arg1 = %0 to %1 step %2 {
+      %6 = memref.load %4[%0] : memref<4xf64>
+      %7 = memref.load %5[%0] : memref<4xf64>
+      %8 = arith.addf %6, %3 : f64
+      memref.store %8, %4[%0] : memref<4xf64>
+      memref.store %7, %arg0[%arg1] : memref<4xf64>
+    }""", [0.0, 1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CALL_RESULT_BODIES))
+def test_call_result_may_be_an_alloc(case):
+    body, expected = _CALL_RESULT_BODIES[case]
+    module = parse_module(_CALL_RESULT.replace("BODY", body), create_context())
+    want = _agree_in_every_mode(module, "f", [Buffer((4,), "f64", [9.0] * 4)])
+    assert want[2][0].tolist() == expected
 
 
 # -- raising inside a loop whose elements could live in locals -------------------
