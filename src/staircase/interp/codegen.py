@@ -36,10 +36,9 @@ offset used once is written into its use.
 Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
 except in code that reports to a recorder:
 
-- a load whose indices are proven, and whose buffer and indices are
-  parameters, constants or values defined outside a loop, is bound once
-  just before the outermost such loop that stores to no buffer that may
-  be its own;
+- a load whose indices are proven, whose address does not change in a
+  loop and whose buffer is defined outside it is bound once just before
+  the outermost such loop that stores to no buffer that may be its own;
 - a load with the buffer and index values of an earlier load in the same
   straight-line run, with no store between that may reach that element,
   reads the earlier load's local;
@@ -79,6 +78,7 @@ lines.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -114,10 +114,8 @@ _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _OFFSET = re.compile(r"\bo\d+\b")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
-# the ops that end a straight-line run or access memory in it
-_RUN_MEMORY = frozenset({"memref.load", "memref.store", *_CALLS, "scf.for",
-                         "affine.for", "scf.parallel", "scf.if"})
 _MANY = object()    # a buffer stored to at more than one address
+_ALLOCS = frozenset({"memref.alloc", "memref.alloca"})
 
 
 @dataclass
@@ -256,22 +254,12 @@ def _const_int(value: Value):
     return None
 
 
-def _is_constant(value: Value) -> bool:
-    op = value.owner
-    return op.__class__ is Operation and op.name == "arith.constant"
-
-
-def _same_element(a: tuple, b: tuple) -> bool:
-    """Whether two index tuples name one element: each pair of indices is
-    one value, or two constants of one value."""
-    if a == b:
-        return True
-    for x, y in zip(a, b):
-        if x is not y and not (_is_constant(x) and _is_constant(y) and (
-                x.owner.attributes["value"].value
-                == y.owner.attributes["value"].value)):
-            return False
-    return True
+def _note(stores: dict, buf, where) -> None:
+    """Add a store to ``buf`` at ``where``, (indices, store) or _MANY, to
+    what a region stores to."""
+    had = stores.setdefault(buf, where)
+    if had is not _MANY and (where is _MANY or had[0] != where[0]):
+        stores[buf] = _MANY
 
 
 def _defined_in(value: Value, loop: Operation) -> bool:
@@ -368,7 +356,9 @@ class _FuncGen:
         self.recording = recording  # call the race recorder R
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
-        self.stores: dict = {}      # region op -> what it stores to (effects)
+        # region op -> what it stores to: per buffer, the indices and one
+        # store of all its stores, or _MANY; a call's key is None
+        self.stores: dict = {}
         self.reused: dict = {}      # load -> the earlier load it reads again
         self.kept: set = set()      # loads whose value a later load reads
         self.promoted: dict = {}    # buffer -> the local its element is in
@@ -526,6 +516,7 @@ class _FuncGen:
             if arg.type.kind == "memref":
                 prologue.append(self.bind_array(arg))
         arrays = len(prologue)
+        self.stores[self.op] = self.scan(body)  # a kernel's thread loops run it
         depth = 1
         count = (1, None)
         if self.is_kernel:   # its threads loop inside the function
@@ -625,9 +616,6 @@ class _FuncGen:
         """Write a block's ops; ``count`` is how many times the block runs."""
         stat = [0] * BOOKKEEPING
         self.blocks.append((count, stat))
-        if not self.recording:
-            self.find_reused(block)
-        self.find_foldable(block)
         run: list = []
         self.offsets, self.offset_uses = {}, {}
         for op in block.ops:
@@ -658,44 +646,66 @@ class _FuncGen:
                 run.append(_Stmts(op, lines, self.binds))
         self.flush(run, depth)
 
-    def find_reused(self, block) -> None:
-        """Loads with the buffer and index values of an earlier load in the
-        same straight-line run, and no store between them that may reach
-        that element.
+    def scan(self, block) -> dict:
+        """One pass over the ops of ``block``, and first of the blocks in
+        them; returns what the block stores to (the form of ``stores``).
 
-        The earlier load binds its value, and each later one reads that
-        local instead. Every store between them is to an array that is
-        another, or that the guard shows is.
+        It finds the results used once, later in the same straight-line
+        run. Such a result is written into its use as an expression, which
+        is evaluated where the outermost folded use is written. A pure op
+        reads only SSA locals, which never change, and cannot raise, so
+        computing it there is unobservable. So is a load's read when no op
+        before that point writes memory; its bounds check stays where the
+        load is.
+
+        Unless a recorder is told of every load, it also finds the loads
+        with the buffer and index values of an earlier load in the same
+        run, with no store between them that may reach that element: the
+        earlier load binds its value, and each later one reads that local,
+        assuming the pairs of parameters under which each store between
+        them is to another array.
         """
+        stores: dict = {}
+        run, writes = 0, 0
+        where = {}          # op -> (run, memory writes before it)
         first: dict = {}    # buffer -> {indices: (its first load, where)}
         crossed: dict = {}  # buffer -> {buffer stored to: where it last was}
         known: dict = {}    # (buffer, buffer stored to) -> separate()
+        reuse = not self.recording
         for at, op in enumerate(block.ops):
             name = op.name
-            if name not in _RUN_MEMORY:
+            if name == "arith.constant":    # neither folds nor takes a fold
                 continue
-            if name == "memref.load":
-                operands = op.operands
-                buf = operands[0]
-                if buf in self.promoted:    # its element is a local already
-                    continue
-                loads = first.get(buf)
-                if loads is None:
-                    loads = first[buf] = {}
-                hit = loads.get(operands[1:])
-                if hit is None:
-                    loads[operands[1:]] = (op, at)
-                    continue
-                if not op.results[0].uses:  # nothing would read the local
-                    continue
-                load, since = hit
-                self.reused[op] = load
-                self.kept.add(load)
-                for other, when in crossed.get(buf, {}).items():
-                    if when > since:
-                        self.assumed.update(known[buf, other])
+            if op.regions:
+                run += 1
+                first, crossed = {}, {}
+                inner = self.stores[op] = self.scan(op.body())
+                for region in op.regions[1:]:   # an else-arm
+                    for buf, stored in self.scan(region.blocks[0]).items():
+                        _note(inner, buf, stored)
+                for buf, stored in inner.items():
+                    _note(stores, buf, stored)
+            elif name == "memref.load":
+                if reuse:
+                    operands = op.operands
+                    buf, indices = operands[0], operands[1:]
+                    loads = first.get(buf)
+                    if loads is None:
+                        loads = first[buf] = {}
+                    hit = loads.get(indices)
+                    if hit is None:
+                        loads[indices] = (op, at)
+                    elif op.results[0].uses:    # something reads the local
+                        load, since = hit
+                        self.reused[op] = load
+                        self.kept.add(load)
+                        for other, when in crossed.get(buf, {}).items():
+                            if when > since:
+                                self.assumed.update(known[buf, other])
             elif name == "memref.store":
-                target = op.operands[1]
+                operands = op.operands
+                target = operands[1]
+                _note(stores, target, (operands[2:], op))
                 for buf in list(first):
                     if (buf, target) not in known:
                         known[buf, target] = self.separate(buf, target)
@@ -705,25 +715,11 @@ class _FuncGen:
                         crossed.pop(buf, None)
                     elif pair:
                         crossed.setdefault(buf, {})[target] = at
-            else:
+            elif name in _CALLS:    # a call may store to any buffer
+                stores[None] = _MANY
                 first, crossed = {}, {}
-
-    def find_foldable(self, block) -> None:
-        """Results used once, later in the same straight-line run.
-
-        Such a result is written into its use as an expression, which is
-        evaluated where the outermost folded use is written. A pure op
-        reads only SSA locals, which never change, and cannot raise, so
-        computing it there is unobservable. So is a load's read when no
-        op before that point writes memory; its bounds check stays where
-        the load is.
-        """
-        run, writes = 0, 0
-        where = {}      # op -> (run, memory writes before it)
-        for op in block.ops:
-            run += bool(op.regions)
             where[op] = (run, writes)
-            writes += op.name in _WRITES
+            writes += name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
             if op.name not in _PURE and (op.name != "memref.load"
@@ -741,6 +737,7 @@ class _FuncGen:
             if run == at_run and (op.name in _PURE or writes == at_writes):
                 point[op] = at
                 self.foldable.add(op.results[0])
+        return stores
 
     def body(self, block, count: tuple, depth: int) -> None:
         """A block that is the body of a Python compound statement."""
@@ -919,7 +916,7 @@ class _FuncGen:
             self.binds.add(target)
         update = None
         if value in self.folded and not plain and not self.recording:
-            update = self.update(value, buf, op)
+            update = self.update(value, target)
         if update is None:
             expr = self.val(value)
             kind = buf.type.element.kind
@@ -934,22 +931,19 @@ class _FuncGen:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
 
-    def update(self, value: Value, buf: Value, store: Operation):
-        """``op= e`` for a store of f64 ``(x) op e`` to the element that x,
-        read in this store's statement, is; None for any other store.
+    def update(self, value: Value, target: str):
+        """``op= e`` for a store of f64 ``(x) op e`` to ``target`` where x
+        reads ``target`` in this store's statement; None for any other.
 
-        Integers never qualify: a loaded element has no interval, so a sum
-        with one is wrapped.
+        The element and its offset name only locals that never change, so
+        one text is one element. Integers never qualify: a loaded element
+        has no interval, so a sum with one is wrapped.
         """
         op = value.defining_op
         if op.name not in _FOPS or value.type.kind != "f64":
             return None
         x, e = op.operands
-        load = x.defining_op
-        if x not in self.folded or load.name != "memref.load":
-            return None
-        if load.operands[0] is not buf \
-                or not _same_element(load.operands[1:], store.operands[2:]):
+        if self.names[x] != f"({target})":
             return None
         return f"{_FOPS[op.name]}= {self.val(e)}"
 
@@ -1041,35 +1035,6 @@ class _FuncGen:
 
     # -- elements in locals -------------------------------------------------
 
-    def effects(self, op: Operation) -> dict:
-        """What the regions of ``op`` store to: per buffer, the indices and
-        one store of all its stores, or _MANY. A call stores to every
-        buffer, which is the key None."""
-        stores = self.stores.get(op)
-        if stores is not None:
-            return stores
-        stores = self.stores[op] = {}
-
-        def note(buf, where):
-            had = stores.setdefault(buf, where)
-            if had is not _MANY and (where is _MANY or had[0] != where[0]):
-                stores[buf] = _MANY
-
-        for region in op.regions:
-            for inner in region.blocks[0].ops:
-                name = inner.name
-                if name not in _RUN_MEMORY or name == "memref.load":
-                    continue
-                if name == "memref.store":
-                    operands = inner.operands
-                    note(operands[1], (operands[2:], inner))
-                elif name in _CALLS:
-                    stores[None] = _MANY
-                else:
-                    for buf, where in self.effects(inner).items():
-                        note(buf, where)
-        return stores
-
     def separate(self, a: Value, b: Value, loop=None):
         """How buffers ``a`` and ``b`` are known to be two arrays: ``()``
         always, a pair of parameters under the entry guard, or None if
@@ -1083,10 +1048,10 @@ class _FuncGen:
             return None
         entry, fresh = self.op.body(), False
         for v in (a, b):
-            if v.is_block_arg:
-                if v.owner is not entry:
-                    return None
-            elif v.defining_op.name in ("memref.alloc", "memref.alloca") \
+            op = v.owner
+            if op is entry:     # a parameter
+                continue
+            if op.__class__ is Operation and op.name in _ALLOCS \
                     and (loop is None or not _defined_in(v, loop)):
                 fresh = True
             else:
@@ -1101,7 +1066,7 @@ class _FuncGen:
         """The pairs under which nothing ``loop`` stores to may be ``buf``'s
         array, or None if something may."""
         pairs: set = set()
-        for other in self.effects(loop):
+        for other in self.stores[loop]:
             pair = None if other is None else self.separate(buf, other, loop)
             if pair is None:
                 return None
@@ -1110,17 +1075,18 @@ class _FuncGen:
 
     def invariant(self, load: Operation, element: str, level: int):
         """The local the element ``load`` reads is bound to just before the
-        outermost loop, from ``level`` in, that defines none of its operands
-        but constants and stores to no array that may be its buffer's; None
-        if there is no such loop."""
-        buf, entry = load.operands[0], self.op.body()
+        outermost loop, from ``level`` in, that does not define its buffer
+        and stores to no array that may be its buffer's; None if there is
+        no such loop.
+
+        ``element`` names only locals bound outside the loop at ``level``.
+        """
+        buf = load.operands[0]
         if self.unaffected(buf, self.headers[-1].op) is None:
             return None     # nor can any loop around that one
         for lv in self.headers[level:]:
             pairs = self.unaffected(buf, lv.op)
-            if pairs is not None and not any(
-                    _defined_in(v, lv.op) for v in load.operands
-                    if v.owner is not entry and not _is_constant(v)):
+            if pairs is not None and not _defined_in(buf, lv.op):
                 break
         else:
             return None
@@ -1141,14 +1107,16 @@ class _FuncGen:
         buffers as it found them: every index proven, every step proven
         positive, no call and no function of its own.
         """
-        stores = self.effects(loop)
+        stores = self.stores[loop]
         if None in stores:
             return []
+        # a buffer or index named already is defined outside the loop, but
+        # for the loop's own induction variable
+        iv = loop.body().args[0]
         found = {buf: where for buf, where in stores.items()
                  if where is not _MANY and buf not in self.promoted
-                 and (buf.is_block_arg or not _defined_in(buf, loop))
-                 and not any(_defined_in(v, loop) and not _is_constant(v)
-                             for v in where[0])}
+                 and buf in self.arrays and iv not in where[0]
+                 and None not in map(self.form, where[0])}
         touched: set = set()
         if not found or not self.raise_free(loop.body(), depth, {}, found,
                                             touched):
@@ -1162,10 +1130,7 @@ class _FuncGen:
                     break
                 pairs.update(pair)
             else:
-                indices = store.operands[2:]
-                if None in map(self.form, indices):
-                    continue    # its offset would need a statement
-                _, off, _, _ = self.address(store, buf, indices)
+                _, off, _, _ = self.address(store, buf, store.operands[2:])
                 element = f"{self.arrays[buf]}[{off}]"
                 local = self.promoted[buf] = self.local("e")
                 self.headers[-1].before.append(f"{local} = {element}")
@@ -1289,8 +1254,9 @@ class _FuncGen:
             lv = self.headers.pop()
             self.lines[lv.at:lv.at] = ["    " * lv.depth + line
                                        for line in lv.sums]
-            self.lines[lv.at - 1:lv.at - 1] = ["    " * (lv.depth - 1) + line
-                                               for line in lv.before]
+            if lv.before:
+                self.lines[lv.at - 1:lv.at - 1] = [
+                    "    " * (lv.depth - 1) + line for line in lv.before]
 
     def induction(self, iv: Value, interval) -> None:
         """Note the interval of a bound induction variable, if known, and
@@ -1454,23 +1420,15 @@ def lower_module(module: Operation, recorder=None) -> Program:
     extents = _launch_extents(module) if any(e[2] for e in entries) else {}
     constants: list = []
     namespace = dict(_RUNTIME, K=constants, R=recorder)
-
-    def generate(key, op, pyname, guarded=True):
-        gen = _FuncGen(op, pyname, pynames, extents.get(key), constants,
-                       recorder is not None, guarded)
-        gen.generate()
-        return gen
-
     units = []
     for key, op, _ in entries:
-        gen = generate(key, op, pynames[key])
+        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
+                       recorder is not None)
+        gen.generate()
         units += gen.units
         if gen.assumed:
-            variant = f"{gen.pyname}_aliased"
-            namespace[variant] = _on_first_call(
-                namespace, variant,
-                lambda key=key, op=op, variant=variant:
-                    generate(key, op, variant, guarded=False).units)
+            namespace[f"{gen.pyname}_aliased"] = functools.partial(
+                _alias_safe, namespace, op, gen.pyname, pynames, gen.extents)
     _define(units, namespace)
     program = Program()
     for key, op, is_kernel in entries:
@@ -1483,13 +1441,15 @@ def lower_module(module: Operation, recorder=None) -> Program:
     return program
 
 
-def _on_first_call(namespace: dict, name: str, units):
-    """A stand-in for ``namespace[name]`` that compiles ``units()``, which
-    define that name, when it is first called."""
-    def first_call(*args):
-        _define(units(), namespace)
-        return namespace[name](*args)
-    return first_call
+def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
+                extents, *args):
+    """Generate and compile the alias-safe variant of ``op``, which takes
+    the place of this stand-in in ``namespace``, and call it."""
+    gen = _FuncGen(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
+                   namespace["R"] is not None, guarded=False)
+    gen.generate()
+    _define(gen.units, namespace)
+    return namespace[gen.pyname](*args)
 
 
 def _define(units: list, namespace: dict) -> None:
