@@ -24,7 +24,6 @@ from staircase.errors import (
 )
 from staircase.ir.core import (
     F64,
-    I1,
     I64,
     INDEX,
     Block,
@@ -83,8 +82,7 @@ def build_index_constant(at: Block | Operation, value: int,
 
 def build_arith_binop(at: Block | Operation, name: str, a: Value, b: Value,
                       location: Location | None = None) -> Value:
-    op = _insert(at, name, operands=[a, b], result_types=[a.type],
-                 location=location)
+    op = _insert(at, name, operands=[a, b], location=location)
     return op.results[0]
 
 
@@ -98,8 +96,7 @@ def build_cmp(at: Block | Operation, operator: str, a: Value, b: Value,
     else:
         name, pred = "arith.cmpi", ipred
     op = _insert(at, name, operands=[a, b],
-                 attributes={"predicate": str_attr(pred)},
-                 result_types=[I1], location=location)
+                 attributes={"predicate": str_attr(pred)}, location=location)
     return op.results[0]
 
 
@@ -188,8 +185,7 @@ def build_memref_access(at: Block | Operation, kind: str, buffer: Value,
             f"index(es)"
         )
     if kind == "load":
-        op = _insert(at, "memref.load", operands=[buffer, *indices],
-                     result_types=[buffer.type.element], location=location)
+        op = _insert(at, "memref.load", operands=[buffer, *indices], location=location)
         return op.results[0]
     if kind == "store":
         if stored is None:
@@ -259,7 +255,7 @@ def build_gpu_func(gpu_module: Operation, name: str,
 def build_gpu_id(at: Block | Operation, which: str, dim: str,
                  location: Location | None = None) -> Value:
     op = _insert(at, f"gpu.{which}", attributes={"dimension": str_attr(dim)},
-                 result_types=[INDEX], location=location)
+                 location=location)
     return op.results[0]
 
 

@@ -1,8 +1,13 @@
-"""Op schemas for the built-in dialects.
+"""The built-in dialects: every op's definition, written once.
 
-Each schema carries a creation-time check (operands, attributes, results)
-and optionally a structure check that runs during verification once
-regions are populated.
+Each OpSchema holds what the rest of the system reads about its op, as
+an ODS record does in MLIR: its regions and terminator, a creation-time
+check (operands, attributes, results), an optional structure check that
+runs during verification once regions are populated, its syntax in the
+text format (``form``), the rule that types its results (``result``),
+whether canonicalize may erase it unused (``pure``) and the ExecStats
+slot each execution counts in (``slot``). The dialects are built once,
+here, and every Context registers these same objects.
 """
 from __future__ import annotations
 
@@ -11,23 +16,33 @@ from staircase.ir.core import (
     INDEX,
     Attribute,
     DialectDef,
-    DialectRegistry,
     OpSchema,
     Operation,
+    array_attr,
+    int_attr,
+    unit_attr,
+)
+from staircase.textio.forms import (
+    Form,
+    args,
+    attr,
+    attrs,
+    default,
+    operand,
+    operands,
+    optional,
+    region,
+    result_type,
+    type_of,
+    types,
 )
 
 FLOAT_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
 INT_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge")
 
 # host comparison operator -> (float predicate, signed-int predicate)
-PREDICATE_FOR_OPERATOR = {
-    "<": ("olt", "slt"),
-    "<=": ("ole", "sle"),
-    ">": ("ogt", "sgt"),
-    ">=": ("oge", "sge"),
-    "==": ("oeq", "eq"),
-    "!=": ("one", "ne"),
-}
+PREDICATE_FOR_OPERATOR = dict(zip(("==", "!=", "<", "<=", ">", ">="),
+                                  zip(FLOAT_PREDICATES, INT_PREDICATES)))
 
 
 def _attr(op: Operation, name: str, kind: str) -> Attribute | None:
@@ -58,60 +73,38 @@ def _check_constant(op: Operation) -> list:
     return problems
 
 
-def _float_binop(op: Operation) -> list:
-    if len(op.operands) != 2 or len(op.results) != 1:
-        return ["expects two operands and one result"]
-    a, b = (v.type for v in op.operands)
-    if a != b:
-        return [f"operand types differ: {a} vs {b}"]
-    if not a.is_float:
-        return [f"expects float operands, got {a}"]
-    if op.results[0].type != a:
-        return [f"result type {op.results[0].type} must match operands {a}"]
-    return []
+def _binop(accepts, kind: str):
+    """The check of a binop over two operands of one type that accepts."""
+    def check(op: Operation) -> list:
+        if len(op.operands) != 2 or len(op.results) != 1:
+            return ["expects two operands and one result"]
+        a, b = (v.type for v in op.operands)
+        if a != b:
+            return [f"operand types differ: {a} vs {b}"]
+        if not accepts(a):
+            return [f"expects {kind} operands, got {a}"]
+        if op.results[0].type != a:
+            return [f"result type {op.results[0].type} must match operands {a}"]
+        return []
+    return check
 
 
-def _int_binop(op: Operation) -> list:
-    if len(op.operands) != 2 or len(op.results) != 1:
-        return ["expects two operands and one result"]
-    a, b = (v.type for v in op.operands)
-    if a != b:
-        return [f"operand types differ: {a} vs {b}"]
-    if not a.is_int or a == I1:
-        return [f"expects integer or index operands, got {a}"]
-    if op.results[0].type != a:
-        return [f"result type {op.results[0].type} must match operands {a}"]
-    return []
-
-
-def _check_cmpf(op: Operation) -> list:
-    problems = []
-    if len(op.operands) != 2 or len(op.results) != 1:
-        return ["expects two operands and one result"]
-    a, b = (v.type for v in op.operands)
-    if a != b or not a.is_float:
-        problems.append(f"expects two identical float operands, got {a}, {b}")
-    pred = _attr(op, "predicate", "str")
-    if pred is None or pred.value not in FLOAT_PREDICATES:
-        problems.append("requires a 'predicate' attribute in " + str(FLOAT_PREDICATES))
-    if op.results[0].type != I1:
-        problems.append("result must be i1")
-    return problems
-
-
-def _check_cmpi(op: Operation) -> list:
-    problems = []
-    if len(op.operands) != 2 or len(op.results) != 1:
-        return ["expects two operands and one result"]
-    a, b = (v.type for v in op.operands)
-    if a != b or not a.is_int:
-        problems.append(f"expects two identical integer operands, got {a}, {b}")
-    pred = _attr(op, "predicate", "str")
-    if pred is None or pred.value not in INT_PREDICATES:
-        problems.append("requires a 'predicate' attribute in " + str(INT_PREDICATES))
-    if op.results[0].type != I1:
-        problems.append("result must be i1")
-    return problems
+def _cmp(accepts, kind: str, predicates: tuple):
+    """The check of a comparison of two operands of one type that accepts."""
+    def check(op: Operation) -> list:
+        problems = []
+        if len(op.operands) != 2 or len(op.results) != 1:
+            return ["expects two operands and one result"]
+        a, b = (v.type for v in op.operands)
+        if a != b or not accepts(a):
+            problems.append(f"expects two identical {kind} operands, got {a}, {b}")
+        pred = _attr(op, "predicate", "str")
+        if pred is None or pred.value not in predicates:
+            problems.append("requires a 'predicate' attribute in " + str(predicates))
+        if op.results[0].type != I1:
+            problems.append("result must be i1")
+        return problems
+    return check
 
 
 def _check_index_cast(op: Operation) -> list:
@@ -268,9 +261,7 @@ def _check_symbol_op(op: Operation) -> list:
 
 
 def _check_func(op: Operation) -> list:
-    problems = _check_symbol_op(op)
-    if op.operands or op.results:
-        problems.append("takes no operands and produces no results")
+    problems = _check_symbol_op(op) + _check_no_values(op)
     res = op.attributes.get("results")
     if not isinstance(res, Attribute) or res.kind != "array" or any(
         a.kind != "type" for a in res.value
@@ -301,9 +292,7 @@ def _check_gpu_func(op: Operation) -> list:
     problems = _check_symbol_op(op)
     if "kernel" not in op.attributes or op.attributes["kernel"].kind != "unit":
         problems.append("requires the 'kernel' unit attribute")
-    if op.operands or op.results:
-        problems.append("takes no operands and produces no results")
-    return problems
+    return problems + _check_no_values(op)
 
 
 def _check_launch(op: Operation) -> list:
@@ -328,111 +317,158 @@ def _check_id_op(op: Operation) -> list:
     return problems
 
 
-def _check_module(op: Operation) -> list:
+def _check_no_values(op: Operation) -> list:
     if op.operands or op.results:
         return ["takes no operands and produces no results"]
     return []
 
 
-def build_dialects() -> list[DialectDef]:
-    arith = DialectDef("arith")
-    arith.add_op(OpSchema("arith.constant", check_creation=_check_constant))
-    for n in ("addf", "subf", "mulf", "divf"):
-        arith.add_op(OpSchema(f"arith.{n}", check_creation=_float_binop))
-    for n in ("addi", "subi", "muli"):
-        arith.add_op(OpSchema(f"arith.{n}", check_creation=_int_binop))
-    arith.add_op(OpSchema("arith.cmpf", check_creation=_check_cmpf))
-    arith.add_op(OpSchema("arith.cmpi", check_creation=_check_cmpi))
-    arith.add_op(OpSchema("arith.index_cast", check_creation=_check_index_cast))
-
-    scf = DialectDef("scf")
-    scf.add_op(
-        OpSchema(
-            "scf.for",
-            num_regions=1,
-            terminator="scf.yield",
-            check_creation=_check_scf_for,
-            check_structure=_structure_scf_for,
-        )
-    )
-    scf.add_op(
-        OpSchema(
-            "scf.if",
-            num_regions=1,
-            variadic_regions=True,
-            terminator="scf.yield",
-            check_creation=_check_scf_if,
-            check_structure=_structure_scf_if,
-        )
-    )
-    scf.add_op(
-        OpSchema(
-            "scf.parallel",
-            num_regions=1,
-            terminator="scf.yield",
-            check_creation=_check_scf_parallel,
-            check_structure=_structure_scf_parallel,
-        )
-    )
-    scf.add_op(OpSchema("scf.yield", is_terminator=True, check_creation=_check_yield))
-
-    affine = DialectDef("affine")
-    affine.add_op(
-        OpSchema(
-            "affine.for",
-            num_regions=1,
-            terminator="scf.yield",
-            check_creation=_check_affine_for,
-            check_structure=_structure_scf_for,
-        )
-    )
-
-    memref = DialectDef("memref")
-    memref.add_op(OpSchema("memref.alloc", check_creation=_check_alloc))
-    memref.add_op(OpSchema("memref.alloca", check_creation=_check_alloc))
-    memref.add_op(OpSchema("memref.dealloc", check_creation=_check_dealloc))
-    memref.add_op(OpSchema("memref.load", check_creation=_check_load))
-    memref.add_op(OpSchema("memref.store", check_creation=_check_store))
-
-    func = DialectDef("func")
-    func.add_op(
-        OpSchema(
-            "func.func",
-            num_regions=1,
-            terminator="func.return",
-            check_creation=_check_func,
-        )
-    )
-    func.add_op(
-        OpSchema(
-            "func.return",
-            is_terminator=True,
-            check_structure=_structure_func_return,
-        )
-    )
-    func.add_op(OpSchema("func.call", check_creation=_check_call))
-
-    gpu = DialectDef("gpu")
-    gpu.add_op(OpSchema("gpu.module", num_regions=1, check_creation=_check_symbol_op))
-    gpu.add_op(
-        OpSchema(
-            "gpu.func",
-            num_regions=1,
-            terminator="gpu.return",
-            check_creation=_check_gpu_func,
-        )
-    )
-    gpu.add_op(OpSchema("gpu.return", is_terminator=True, check_creation=_check_yield))
-    gpu.add_op(OpSchema("gpu.launch_func", check_creation=_check_launch))
-    gpu.add_op(OpSchema("gpu.block_id", check_creation=_check_id_op))
-    gpu.add_op(OpSchema("gpu.thread_id", check_creation=_check_id_op))
-
-    builtin = DialectDef("builtin")
-    builtin.add_op(OpSchema("builtin.module", num_regions=1, check_creation=_check_module))
-
-    return [arith, scf, affine, memref, func, gpu, builtin]
+# -- result rules: the result types from the operands, [] where they do not fit
 
 
-def register_builtin_dialects(registry: DialectRegistry) -> None:
-    for d in build_dialects():
-        registry.register(d)
+def _like_lhs(values: list) -> list:
+    return [values[0].type] if values else []
+
+
+def _element(values: list) -> list:
+    if values and values[0].type.kind == "memref":
+        return [values[0].type.element]
+    return []
+
+
+# -- forms shared by several ops
+
+
+def _ivs(op) -> int:
+    """The size of each of scf.parallel's three operand groups."""
+    return len(op.body().args)
+
+
+_BINOP = Form(" ", operand, ", ", operand, attrs(bare=True), " : ", result_type)
+_CMP = Form(" ", attr("predicate", "id"), ", ", operand, ", ", operand,
+            attrs("predicate", bare=True), " : ", type_of(0))
+_ALLOC = Form("()", attrs(bare=True), " : ", result_type)
+_GPU_ID = Form(" ", attr("dimension", "id"), attrs("dimension", bare=True))
+_BARE = Form(attrs(bare=True))
+_BODY = region(0, elide_yield=True)
+
+
+BUILTIN_DIALECTS = (
+    DialectDef("arith", [
+        OpSchema("arith.constant", check_creation=_check_constant,
+                 form=Form(attrs("value", bare=True), " ", attr("value"), " : ",
+                           result_type),
+                 pure=True, slot="arith"),
+        *(OpSchema(f"arith.{n}", check_creation=_binop(lambda t: t.is_float, "float"),
+                   form=_BINOP, result=_like_lhs, pure=True, slot="arith")
+          for n in ("addf", "subf", "mulf", "divf")),
+        *(OpSchema(f"arith.{n}", check_creation=_binop(
+                       lambda t: t.is_int and t != I1, "integer or index"),
+                   form=_BINOP, result=_like_lhs, pure=True, slot="arith")
+          for n in ("addi", "subi", "muli")),
+        OpSchema("arith.cmpf", check_creation=_cmp(
+                     lambda t: t.is_float, "float", FLOAT_PREDICATES),
+                 form=_CMP, result=lambda values: [I1], pure=True, slot="arith"),
+        OpSchema("arith.cmpi", check_creation=_cmp(
+                     lambda t: t.is_int, "integer", INT_PREDICATES),
+                 form=_CMP, result=lambda values: [I1], pure=True, slot="arith"),
+        OpSchema("arith.index_cast", check_creation=_check_index_cast,
+                 form=Form(" ", operand, attrs(bare=True), " : ", type_of(0), " to ",
+                           result_type),
+                 pure=True, slot="arith"),
+    ]),
+    DialectDef("scf", [
+        OpSchema("scf.for", num_regions=1, terminator="scf.yield",
+                 check_creation=_check_scf_for, check_structure=_structure_scf_for,
+                 form=Form(" ", args(), " = ", operand, " to ", operand, " step ",
+                           operand, attrs(), _BODY),
+                 slot="scf"),
+        OpSchema("scf.if", num_regions=1, variadic_regions=True, terminator="scf.yield",
+                 check_creation=_check_scf_if, check_structure=_structure_scf_if,
+                 form=Form(" ", operand, attrs(), _BODY,
+                           optional(" else", lambda op: len(op.regions) == 2,
+                                    region(1, elide_yield=True))),
+                 slot="scf"),
+        OpSchema("scf.parallel", num_regions=1, terminator="scf.yield",
+                 check_creation=_check_scf_parallel,
+                 check_structure=_structure_scf_parallel,
+                 form=Form(" (", args(), ") = (", operands(_ivs), ") to (",
+                           operands(_ivs), ") step (", operands(_ivs), ")", attrs(),
+                           _BODY),
+                 slot="scf"),
+        OpSchema("scf.yield", is_terminator=True, check_creation=_check_yield,
+                 form=_BARE, slot=""),
+    ]),
+    DialectDef("affine", [
+        OpSchema("affine.for", num_regions=1, terminator="scf.yield",
+                 check_creation=_check_affine_for, check_structure=_structure_scf_for,
+                 form=Form(" ", args(), " = ", attr("lower_bound"), " to ",
+                           attr("upper_bound"), default("step", int_attr(1)),
+                           optional(" step ", lambda op: op.attributes["step"].value != 1,
+                                    attr("step")),
+                           attrs("lower_bound", "upper_bound", "step"), _BODY),
+                 slot="affine"),
+    ]),
+    DialectDef("memref", [
+        OpSchema("memref.alloc", check_creation=_check_alloc, form=_ALLOC,
+                 pure=True, slot="memref"),
+        OpSchema("memref.alloca", check_creation=_check_alloc, form=_ALLOC,
+                 pure=True, slot="memref"),
+        OpSchema("memref.dealloc", check_creation=_check_dealloc,
+                 form=Form(" ", operand, attrs(bare=True), " : ", type_of(0)),
+                 slot="memref"),
+        OpSchema("memref.load", check_creation=_check_load,
+                 form=Form(" ", operand, "[", operands(), "]", attrs(bare=True), " : ",
+                           type_of(0)),
+                 result=_element, pure=True, slot="loads"),
+        OpSchema("memref.store", check_creation=_check_store,
+                 form=Form(" ", operand, ", ", operand, "[", operands(), "]",
+                           attrs(bare=True), " : ", type_of(1)),
+                 slot="stores"),
+    ]),
+    DialectDef("func", [
+        OpSchema("func.func", num_regions=1, terminator="func.return",
+                 check_creation=_check_func,
+                 form=Form(" ", attr("sym_name", "sym"), "(", args(typed=True), ")",
+                           default("results", array_attr(())),
+                           optional(" -> (", lambda op: op.attributes["results"].value,
+                                    attr("results", "types"), ")"),
+                           attrs("sym_name", "results"), region(0))),
+        OpSchema("func.return", is_terminator=True,
+                 check_structure=_structure_func_return,
+                 form=Form(attrs(bare=True),
+                           optional(" ", lambda op: op.operands, operands(), " : ",
+                                    types()),
+                           mnemonic="return"),
+                 slot="func"),
+        OpSchema("func.call", check_creation=_check_call,
+                 form=Form(" ", attr("callee"), "(", operands(), ")",
+                           attrs("callee", bare=True), " : (", types(), ") -> (",
+                           types(results=True), ")"),
+                 slot="func"),
+    ]),
+    DialectDef("gpu", [
+        OpSchema("gpu.module", num_regions=1, check_creation=_check_symbol_op,
+                 form=Form(" ", attr("sym_name", "sym"), attrs("sym_name"), region(0))),
+        OpSchema("gpu.func", num_regions=1, terminator="gpu.return",
+                 check_creation=_check_gpu_func,
+                 form=Form(" ", attr("sym_name", "sym"), "(", args(typed=True),
+                           ") kernel", default("kernel", unit_attr()),
+                           attrs("sym_name", "kernel"), region(0))),
+        OpSchema("gpu.return", is_terminator=True, check_creation=_check_yield,
+                 form=_BARE, slot="gpu"),
+        OpSchema("gpu.launch_func", check_creation=_check_launch,
+                 form=Form(" ", attr("kernel"), " blocks in (", operands(3),
+                           ") threads in (", operands(3), ") args(",
+                           operands(typed=True), ")", attrs("kernel", bare=True)),
+                 slot="gpu"),
+        OpSchema("gpu.block_id", check_creation=_check_id_op, form=_GPU_ID,
+                 result=lambda values: [INDEX], pure=True, slot="gpu"),
+        OpSchema("gpu.thread_id", check_creation=_check_id_op, form=_GPU_ID,
+                 result=lambda values: [INDEX], pure=True, slot="gpu"),
+    ]),
+    DialectDef("builtin", [
+        OpSchema("builtin.module", num_regions=1, check_creation=_check_no_values,
+                 form=Form(attrs(), region(0), mnemonic="module")),
+    ]),
+)

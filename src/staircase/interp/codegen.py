@@ -483,6 +483,11 @@ class _FuncGen:
             return r[0]
         return None
 
+    def within(self, value: Value, extent: int) -> bool:
+        """Whether an index is proven to lie in [0, extent)."""
+        r = self.ranges.get(value)
+        return r is not None and 0 <= r[0] and r[1] < extent
+
     def proven(self, value: Value, kind: str) -> bool:
         r = self.ranges.get(value)
         return r is not None and _fits(r[0], r[1], kind)
@@ -885,6 +890,9 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
+        if not (r.uses or self.recording or op in self.kept) and all(
+                map(self.within, op.operands[1:], buf.type.shape)):
+            return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
         if op in self.reused:   # its indices were checked for the first
@@ -964,14 +972,14 @@ class _FuncGen:
             strides = self.strides[shape] = row_major_strides(shape)
         coefs, fixed, rest = {}, 0, []
         for v, extent, stride in zip(indices, shape, strides):
-            r = self.ranges.get(v)
-            if r is None or r[0] < 0 or r[1] >= extent:
+            if not self.within(v, extent):
                 expr = self.val(v)
                 where = where or self.constant(op.location)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
-            if r is not None and r[0] == r[1]:
-                fixed += r[0] * stride
+            point = self.const(v)
+            if point is not None:
+                fixed += point * stride
                 continue
             form = self.linear.get(v)
             if form is None:

@@ -6,13 +6,16 @@ calibrated to any hardware.
 
 A run counts into a tally: one slot per dialect, then loads, stores and
 bookkeeping. Each execution of an op adds one to the slot ``OP_SLOT``
-gives it; a load or store counts in its own slot, and ``fold_tally``
-charges it to memref as well. Bookkeeping is one per loop iteration, one
-per parallel point and one per GPU thread.
+gives it. ``OP_SLOT`` is read off the built-in OpSchemas, each of which
+names its slot; a load or store counts in its own slot, and
+``fold_tally`` charges it to memref as well. Bookkeeping is one per loop
+iteration, one per parallel point and one per GPU thread.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from staircase.dialects.schemas import BUILTIN_DIALECTS
 
 DEFAULT_WEIGHTS = {"arith": 1.0, "memory": 4.0, "bookkeeping": 50.0}
 
@@ -20,20 +23,12 @@ DIALECTS = ("arith", "memref", "scf", "affine", "func", "gpu")
 ARITH, MEMREF = 0, 1
 LOADS, STORES, BOOKKEEPING = range(len(DIALECTS), len(DIALECTS) + 3)
 
-_OPS = {
-    "arith": "constant addf subf mulf divf addi subi muli cmpf cmpi index_cast",
-    "memref": "alloc alloca dealloc",
-    "scf": "for if parallel",
-    "affine": "for",
-    "func": "call return",
-    "gpu": "launch_func block_id thread_id return",
-}
-
-# Every op the interpreter executes, and its slot; scf.yield counts in none.
-OP_SLOT = {f"{dialect}.{name}": DIALECTS.index(dialect)
-           for dialect, names in _OPS.items() for name in names.split()}
-OP_SLOT.update({"memref.load": LOADS, "memref.store": STORES,
-                "scf.yield": None})
+# Every built-in op the interpreter executes, and the slot its schema
+# names; scf.yield counts in none.
+_SLOTS = DIALECTS + ("loads", "stores")
+OP_SLOT = {name: _SLOTS.index(schema.slot) if schema.slot else None
+           for dialect in BUILTIN_DIALECTS for name, schema in dialect.ops.items()
+           if schema.slot is not None}
 
 
 @dataclass

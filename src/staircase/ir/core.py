@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Union
 
 from staircase.errors import (
     ArityMismatch,
@@ -20,6 +20,9 @@ from staircase.errors import (
     TypeMismatch,
     UnknownOperation,
 )
+
+if TYPE_CHECKING:
+    from staircase.textio.forms import Form
 
 # ---------------------------------------------------------------------------
 # Types
@@ -420,13 +423,19 @@ class Block:
 # Dialect registry
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpSchema:
-    """Static shape of one operation kind.
+    """One operation kind, defined once, as an ODS record defines an op in MLIR.
 
     check_creation validates operands/attributes/result types at creation
     time and returns a list of problem strings. check_structure runs at
-    verification time with regions fully populated.
+    verification time with regions fully populated. form is the op's
+    syntax (a textio.forms.Form; None is the generic form). result types
+    the results from the operands when create_op is given none, as
+    InferTypeOpInterface does, and gives [] for operands it cannot type.
+    pure lets canonicalize erase the op when no result is used. slot is
+    the ExecStats slot a run of the op counts in ("" for none); None marks
+    an op the interpreter does not run.
     """
 
     name: str
@@ -436,35 +445,40 @@ class OpSchema:
     is_terminator: bool = False
     check_creation: Callable[["Operation"], list] | None = None
     check_structure: Callable[["Operation"], list] | None = None
+    form: Form | None = None
+    result: Callable[[list], list] | None = None
+    pure: bool = False
+    slot: str | None = None
 
 
 class DialectDef:
     def __init__(self, name: str, ops: Iterable[OpSchema] = ()):
         self.name = name
-        self.ops: dict[str, OpSchema] = {}
-        for schema in ops:
-            self.add_op(schema)
-
-    def add_op(self, schema: OpSchema) -> None:
-        assert schema.name.startswith(self.name + "."), schema.name
-        self.ops[schema.name] = schema
+        self.ops: dict[str, OpSchema] = {schema.name: schema for schema in ops}
+        for op_name in self.ops:
+            assert op_name.startswith(name + "."), op_name
 
 
 class DialectRegistry:
+    """The registered dialects' ops, by name and by the word printed for
+    an op when it is not the op's name."""
+
     def __init__(self):
         self.dialects: dict[str, DialectDef] = {}
+        self.ops: dict[str, OpSchema] = {}
+        self.mnemonics: dict[str, OpSchema] = {}
 
     def register(self, d: DialectDef) -> None:
         if d.name in self.dialects:
             raise DuplicateDialect(f"dialect {d.name!r} is already registered")
         self.dialects[d.name] = d
+        self.ops.update(d.ops)
+        for schema in d.ops.values():
+            if schema.form is not None and schema.form.mnemonic:
+                self.mnemonics[schema.form.mnemonic] = schema
 
     def lookup_op(self, op_name: str) -> OpSchema | None:
-        dialect = op_name.split(".", 1)[0]
-        d = self.dialects.get(dialect)
-        if d is None:
-            return None
-        return d.ops.get(op_name)
+        return self.ops.get(op_name)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +494,10 @@ class Context:
         self._next_value_id = 0
         # set by the capture machinery while a capture is running
         self.active_capture = None
-        from staircase.dialects.schemas import register_builtin_dialects
+        from staircase.dialects.schemas import BUILTIN_DIALECTS
 
-        register_builtin_dialects(self.registry)
+        for dialect in BUILTIN_DIALECTS:
+            self.registry.register(dialect)
 
     def new_value_id(self) -> int:
         vid = self._next_value_id
@@ -558,17 +573,18 @@ def create_op(
     name: str,
     operands: list = (),
     attributes: dict | None = None,
-    result_types: list = (),
+    result_types: list | None = None,
     region_count: int = 0,
     location: Location | None = None,
 ) -> Operation:
     """Create an operation and insert it at `insert_index` in `block`.
 
-    The schema's creation checks run after construction; on failure the
-    half-built op is detached so the IR is unchanged.
+    Without result_types, the schema's result rule gives them from the
+    operands. The schema's creation checks run after construction; on
+    failure the half-built op is detached so the IR is unchanged.
     """
     ctx = block.ctx
-    schema = ctx.registry.lookup_op(name)
+    schema = ctx.registry.ops.get(name)
     if schema is None:
         raise UnknownOperation(f"no registered schema for {name!r}")
     if not schema.variadic_regions and region_count != schema.num_regions:
@@ -584,6 +600,8 @@ def create_op(
             raise DominanceViolation(
                 f"operand {v!r} of {name} does not dominate the insertion point"
             )
+    if result_types is None:
+        result_types = schema.result(operands) if schema.result is not None else []
     op = Operation(ctx, name, operands, attributes or {}, list(result_types),
                    region_count, location)
     if schema.check_creation is not None:

@@ -22,15 +22,6 @@ _INT_FOLD = {
 }
 _FOLDABLE = tuple(_FLOAT_FOLD) + tuple(_INT_FOLD)
 
-# Ops safe to erase when no result is used. Loads are side-effect-free;
-# stores, deallocs, launches, and control flow are not and stay put.
-_ERASABLE = frozenset({
-    "arith.constant", "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
-    "arith.addi", "arith.subi", "arith.muli", "arith.cmpf", "arith.cmpi",
-    "arith.index_cast", "memref.load", "memref.alloc", "memref.alloca",
-    "gpu.block_id", "gpu.thread_id",
-})
-
 
 def _constant_attr(value):
     op = value.defining_op
@@ -103,9 +94,10 @@ def _dedup_constants(root: Operation) -> int:
 
 def _erase_dead(root: Operation) -> int:
     changed = 0
+    pure = {name for name, schema in root.ctx.registry.ops.items() if schema.pure}
     # reversed pre-order kills users before producers, so chains fall in
     # one sweep
-    for op in reversed(matching_ops(root, _ERASABLE)):
+    for op in reversed(matching_ops(root, pure)):
         if op.parent is None:
             continue
         if op.results and all(not r.uses for r in op.results):
@@ -120,8 +112,8 @@ def canonicalize(root: Operation) -> PassOutcome:
     Folding evaluates arith binops whose operands are constants (f32
     results round through f32, integers wrap to their width). Dedup keeps
     the first of identical constants within one block. Erasure removes
-    side-effect-free ops none of whose results are used. A second run on
-    the output changes nothing, byte for byte.
+    ops whose schema is pure when none of their results is used. A second
+    run on the output changes nothing, byte for byte.
     """
     total = 0
     while True:

@@ -1,26 +1,22 @@
-"""The grammar of the text format: each op's syntax, written once.
+"""The grammar of the text format: the directives an op's syntax is
+written in.
 
 A Form is what follows an op's mnemonic, as a sequence of directives.
 Each directive has a ``write`` that renders its part of an op for
 printer.Writer and a ``read`` that consumes the same tokens for
-parser.Reader, so a printed module parses back to itself. Ops with no
-entry in FORMS take GENERIC, ``name(operands) {attrs} : (types) ->
-(types)`` and an optional region. Operand directives take operands in
-order, so they all come before the op's regions.
+parser.Reader, so a printed module parses back to itself. Each op's Form
+is on its OpSchema (``dialects/schemas.py`` holds the built-in ones); an
+op whose schema has none takes GENERIC, ``name(operands) {attrs} :
+(types) -> (types)`` and an optional region. Operand directives take
+operands in order, so they all come before the op's regions. No
+directive reads a result type the text leaves out: create_op gives it
+from the schema's result rule.
 """
 from __future__ import annotations
 
-from staircase.ir.core import (
-    I1,
-    INDEX,
-    array_attr,
-    int_attr,
-    str_attr,
-    type_attr,
-    unit_attr,
-)
+from staircase.ir.core import INDEX, array_attr, str_attr, type_attr
 
-# Lower-case class names: in FORMS they read as the grammar's directives.
+# Lower-case class names: in a Form they read as the grammar's directives.
 
 
 class kw:
@@ -106,19 +102,6 @@ class type_of:
 
     def read(self, r, p) -> None:
         r.check_type(p.operands[self.i].type)
-
-
-class result:
-    """Result types the reader derives from the operands; prints nothing."""
-
-    def __init__(self, derive):
-        self.derive = derive
-
-    def write(self, w, op) -> None:
-        pass
-
-    def read(self, r, p) -> None:
-        p.result_types = self.derive(p.operands)
 
 
 class attr:
@@ -249,7 +232,7 @@ class region:
 
     def read(self, r, p) -> None:
         if p.op is None:
-            r.create(p, p.form.num_regions)
+            r.create(p, p.schema.num_regions)
         r.region(p.op, self.i, self.elide_yield)
 
 
@@ -288,80 +271,7 @@ class Form:
         self.writers = [d.write for d in directives]
         self.readers = [d.read for d in directives]
         self.isolated = any(isinstance(d, args) and d.typed for d in directives)
-        self.num_regions = sum(isinstance(d, region) for d in directives)
 
-
-_BINOP = Form(" ", operand, ", ", operand, attrs(bare=True), " : ", result_type)
-_CMP = Form(" ", attr("predicate", "id"), ", ", operand, ", ", operand,
-            attrs("predicate", bare=True), " : ", type_of(0), result(lambda values: [I1]))
-_ALLOC = Form("()", attrs(bare=True), " : ", result_type)
-_GPU_ID = Form(" ", attr("dimension", "id"), attrs("dimension", bare=True),
-               result(lambda values: [INDEX]))
-_BARE = Form(attrs(bare=True))
-_BODY = region(0, elide_yield=True)
-
-
-def _ivs(op) -> int:
-    """The size of each of scf.parallel's three operand groups."""
-    return len(op.body().args)
-
-
-FORMS = {
-    "builtin.module": Form(attrs(), region(0), mnemonic="module"),
-    "func.func": Form(
-        " ", attr("sym_name", "sym"), "(", args(typed=True), ")",
-        default("results", array_attr(())),
-        optional(" -> (", lambda op: op.attributes["results"].value,
-                 attr("results", "types"), ")"),
-        attrs("sym_name", "results"), region(0)),
-    "func.return": Form(attrs(bare=True),
-                        optional(" ", lambda op: op.operands, operands(), " : ", types()),
-                        mnemonic="return"),
-    "func.call": Form(" ", attr("callee"), "(", operands(), ")", attrs("callee", bare=True),
-                      " : (", types(), ") -> (", types(results=True), ")"),
-    "gpu.module": Form(" ", attr("sym_name", "sym"), attrs("sym_name"), region(0)),
-    "gpu.func": Form(
-        " ", attr("sym_name", "sym"), "(", args(typed=True), ") kernel",
-        default("kernel", unit_attr()), attrs("sym_name", "kernel"), region(0)),
-    "gpu.return": _BARE,
-    "gpu.block_id": _GPU_ID,
-    "gpu.thread_id": _GPU_ID,
-    "gpu.launch_func": Form(" ", attr("kernel"), " blocks in (", operands(3), ") threads in (",
-                            operands(3), ") args(", operands(typed=True), ")",
-                            attrs("kernel", bare=True)),
-    "scf.for": Form(" ", args(), " = ", operand, " to ", operand, " step ", operand, attrs(),
-                    _BODY),
-    "scf.parallel": Form(" (", args(), ") = (", operands(_ivs), ") to (", operands(_ivs),
-                         ") step (", operands(_ivs), ")", attrs(), _BODY),
-    "scf.if": Form(" ", operand, attrs(), _BODY,
-                   optional(" else", lambda op: len(op.regions) == 2,
-                            region(1, elide_yield=True))),
-    "scf.yield": _BARE,
-    "affine.for": Form(
-        " ", args(), " = ", attr("lower_bound"), " to ", attr("upper_bound"),
-        default("step", int_attr(1)),
-        optional(" step ", lambda op: op.attributes["step"].value != 1, attr("step")),
-        attrs("lower_bound", "upper_bound", "step"), _BODY),
-    "arith.constant": Form(attrs("value", bare=True), " ", attr("value"), " : ", result_type),
-    "arith.addf": _BINOP,
-    "arith.subf": _BINOP,
-    "arith.mulf": _BINOP,
-    "arith.divf": _BINOP,
-    "arith.addi": _BINOP,
-    "arith.subi": _BINOP,
-    "arith.muli": _BINOP,
-    "arith.cmpf": _CMP,
-    "arith.cmpi": _CMP,
-    "arith.index_cast": Form(" ", operand, attrs(bare=True), " : ", type_of(0), " to ",
-                             result_type),
-    "memref.alloc": _ALLOC,
-    "memref.alloca": _ALLOC,
-    "memref.load": Form(" ", operand, "[", operands(), "]", attrs(bare=True), " : ",
-                        type_of(0), result(lambda values: [values[0].type.element])),
-    "memref.store": Form(" ", operand, ", ", operand, "[", operands(), "]", attrs(bare=True),
-                         " : ", type_of(1)),
-    "memref.dealloc": Form(" ", operand, attrs(bare=True), " : ", type_of(0)),
-}
 
 GENERIC = Form("(", operands(), ")", attrs(bare=True), " : (", types(), ") -> (",
                types(results=True), ")", regions())

@@ -1,13 +1,15 @@
 """Parser for the printed module subset.
 
-Each op's syntax is its Form in forms.py, the same table the printer
-runs; the Reader here runs forms against tokens and owns the lexer,
-scopes, types and attribute literals. The parser is syntax-only: it
-reconstructs the always-elided scf.yield terminators of loop and branch
-bodies but will happily return a function with no return; verify() owns
-semantic judgments. The lexer keeps each token's offset into the
-text; a 1-based line:column is worked out from the offsets of the
-newlines, once per op for its Location and when an error is raised.
+Each op's syntax is the Form on its OpSchema, found in the context's
+registry by the op's name or mnemonic; the printer runs the same Form.
+The Reader here runs forms against tokens and owns the lexer, scopes,
+types and attribute literals. A result type the text leaves out comes
+from the schema's result rule, in create_op. The parser is syntax-only:
+it reconstructs the always-elided scf.yield terminators of loop and
+branch bodies but will happily return a function with no return;
+verify() owns semantic judgments. The lexer keeps each token's offset
+into the text; a 1-based line:column is worked out from the offsets of
+the newlines, once per op for its Location and when an error is raised.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from staircase.ir.core import (
     type_attr,
     unit_attr,
 )
-from staircase.textio.forms import FORMS, GENERIC
+from staircase.textio.forms import GENERIC
 
 _SCALARS = {t.kind: t for t in (F32, F64, I1, I32, I64, INDEX)}
 
@@ -71,11 +73,6 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
-
-# The word an op is printed with, to its op name and form.
-_MNEMONICS = {name: (name, form) for name, form in FORMS.items()}
-_MNEMONICS.update((form.mnemonic, (name, form))
-                  for name, form in FORMS.items() if form.mnemonic)
 
 
 def _lex(text: str):
@@ -114,15 +111,13 @@ def _literal_tokens(text: str) -> tuple:
 class _Pending:
     """What the reader has gathered for one op, and the op once built."""
 
-    def __init__(self, name, form, schema, block, loc):
-        self.name = name
-        self.form = form
-        self.schema = schema  # looked up for the generic form only
+    def __init__(self, schema, block, loc):
+        self.schema = schema
         self.block = block  # None for the top-level module
         self.loc = loc
         self.operands: list[Value] = []
         self.attrs: dict[str, Attribute] = {}
-        self.result_types: list[IRType] = []
+        self.result_types: list[IRType] | None = None  # None: not written
         self.args: list = []  # (name token, type) per block argument
         self.op: Operation | None = None
 
@@ -281,16 +276,13 @@ class Reader:
             self.expect("=")
         name_tok = self.expect("id")
         loc = Location("<input>", *_line_col(self.newlines, name_tok[2]))
-        entry = _MNEMONICS.get(name_tok[1])
-        if entry is not None:
-            (name, form), schema = entry, None
-        else:
-            name, form = name_tok[1], GENERIC
-            schema = self.ctx.registry.lookup_op(name)
-            if schema is None:
-                raise UnknownOperation(
-                    f"line {loc.line}: no registered schema for {name!r}")
-        p = _Pending(name, form, schema, block, loc)
+        registry = self.ctx.registry
+        schema = registry.ops.get(name_tok[1]) or registry.mnemonics.get(name_tok[1])
+        if schema is None:
+            raise UnknownOperation(
+                f"line {loc.line}: no registered schema for {name_tok[1]!r}")
+        p = _Pending(schema, block, loc)
+        form = schema.form or GENERIC
         outer = self.values
         if form.isolated:
             self.values = {}
@@ -302,7 +294,7 @@ class Reader:
         op = p.op
         if len(result_toks) != len(op.results):
             self.error(
-                f"{name} produces {len(op.results)} result(s), "
+                f"{schema.name} produces {len(op.results)} result(s), "
                 f"{len(result_toks)} named", name_tok)
         for tok, v in zip(result_toks, op.results):
             self.define(tok, v)
@@ -314,7 +306,7 @@ class Reader:
             op = create_module(self.ctx, location=p.loc)
             op.attributes.update(p.attrs)
         else:
-            op = create_op(p.block, len(p.block.ops), p.name,
+            op = create_op(p.block, len(p.block.ops), p.schema.name,
                            operands=p.operands, attributes=p.attrs,
                            result_types=p.result_types,
                            region_count=region_count, location=p.loc)

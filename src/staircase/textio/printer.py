@@ -1,25 +1,27 @@
 """Deterministic textual form for modules.
 
-Each op's syntax is its Form in forms.py; the Writer here runs forms and
-owns numbering, indentation and attribute literals. Numbering is
-positional: results are %0, %1, ... and block arguments are %arg0,
-%arg1, ... in pre-order, with both counters reset at each function so
-nothing leaks from the Context's id counter. Attribute dictionaries are
-sorted by key. Loop and branch bodies never show their scf.yield (it is
-always empty in this dialect subset); return and gpu.return are explicit.
+Each op's syntax is the Form on its OpSchema (GENERIC when it has none);
+the Writer here runs forms and owns numbering, indentation and attribute
+literals. Numbering is positional: results are %0, %1, ... and block
+arguments are %arg0, %arg1, ... in pre-order, with both counters reset
+at each function so nothing leaks from the Context's id counter.
+Attribute dictionaries are sorted by key. Loop and branch bodies never
+show their scf.yield (it is always empty in this dialect subset); return
+and gpu.return are explicit.
 """
 from __future__ import annotations
 
 import json
 
 from staircase.ir.core import Attribute, Block, Operation, Value
-from staircase.textio.forms import FORMS, GENERIC
+from staircase.textio.forms import GENERIC
 
 
 class Writer:
     """Renders ops by running their forms; the text collects in out."""
 
-    def __init__(self):
+    def __init__(self, schemas: dict):
+        self.schemas = schemas  # op name -> OpSchema
         self.out: list[str] = []
         self.names: dict[int, str] = {}
         self.next_result = 0
@@ -71,7 +73,7 @@ class Writer:
         self.out.append(indent + "}")
 
     def op(self, op: Operation) -> None:
-        form = FORMS.get(op.name, GENERIC)
+        form = self.schemas[op.name].form or GENERIC
         head = self.indent
         if op.results:
             labels = []
@@ -95,6 +97,6 @@ class Writer:
 
 
 def print_module(module: Operation) -> str:
-    writer = Writer()
+    writer = Writer(module.ctx.registry.ops)
     writer.op(module)
     return "".join(writer.out)

@@ -1,0 +1,67 @@
+"""Import staircase, capture the kernel corpus and run it, printing all of it.
+
+It uses the standard library alone, so any Python can run it:
+
+    PYTHONPATH=src:tests python tests/every_python.py
+
+For each kernel of tests/kernels.py it prints the captured IR, each op's
+source line, and the ExecStats, results and buffers of a gpu_emulated run
+after canonicalize. test_pythons.py compares this output across
+interpreters.
+"""
+import os
+
+import kernels
+from staircase.frontend.capture import StagedFunction
+from staircase.interp import Buffer
+from staircase.interp.machine import run
+from staircase.interp.tape import compile_module
+from staircase.ir.core import walk
+from staircase.passes import run_pipeline
+from staircase.textio import print_module
+
+CANON = "builtin.module(func.func(canonicalize))"
+STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
+               "bookkeeping", "mode", "workers")
+
+
+def inputs(param_types) -> list:
+    """Arguments made without a random generator, so they are the same on
+    every version."""
+    args = []
+    for n, ty in enumerate(param_types):
+        if ty.kind == "memref":
+            buf = Buffer(ty.shape, ty.element.kind)
+            for i in range(len(buf.data)):
+                buf.data[i] = ((7 * i + n) % 13) / 4.0 - 1.5
+            args.append(buf)
+        else:
+            args.append(n + 0.5)
+    return args
+
+
+def where(op) -> str:
+    loc = op.location
+    return f"{os.path.basename(loc.file)}:{loc.line}" if loc else "-"
+
+
+def main() -> None:
+    for name, staged in sorted(vars(kernels).items()):
+        if not isinstance(staged, StagedFunction):
+            continue
+        module = staged.module
+        print(f"== {name}")
+        print(print_module(module), end="")
+        walk(module, lambda op: print(op.name, where(op)))
+        module, _ = run_pipeline(module, CANON)
+        args = inputs(compile_module(module)[name].param_types)
+        results, stats = run(module, name, args, "gpu_emulated")
+        print("results", repr(results))
+        print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
+        for arg in args:
+            if isinstance(arg, Buffer):
+                print("buffer", repr(arg.tolist()))
+
+
+if __name__ == "__main__":
+    main()

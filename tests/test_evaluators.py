@@ -252,6 +252,20 @@ def test_out_of_bounds_on_unproven_dimension():
         "index 3 out of bounds for extent 3 of Buffer<4x3xf64> at ")
 
 
+def test_unread_loads_at_proven_indices_write_nothing():
+    # all four loads of irgen seed 52 go unread, at constant indices inside
+    # the buffer: they cannot raise, so run writes no statement for them,
+    # while the recorder still hears of each and both count them
+    module = random_module(52)
+    assert "d2[" not in _source(module)
+    recorded = _source(module, recorder=object())
+    assert recorded.count(" = d2[") == recorded.count("R.on_read(a1, ") == 4
+    args = random_inputs(_param_types(module, "gen52"), 52)
+    want, problem = differ(module, "gen52", args)
+    assert problem is None, problem
+    assert want[3][STAT_FIELDS.index("loads")] == 25
+
+
 def test_loops_with_runtime_bounds():
     # j runs from i to i + 2 for i in 0..3: j is in [0, 4], inside the
     # 5-wide buffer (no check needed) but not the 4-wide one (checked)
