@@ -1,4 +1,4 @@
-"""The command line end to end: emit | opt | run on the kernel corpus."""
+"""The command line end to end: emit | opt | run on the kernel corpus, and tune."""
 import json
 import os
 
@@ -123,3 +123,14 @@ def test_verify_reports_a_bad_string_with_its_position(capsys, tmp_path,
     assert cli.main(["verify", "--input", path]) == 1
     assert capsys.readouterr().err == (
         f"error: 1:27: bad character or escape in string {literal}\n")
+
+
+def test_tune_prints_the_best_trial_and_writes_its_log(capsys, tmp_path):
+    log = tmp_path / "trials.jsonl"
+    out = _main(capsys, "tune", "--input", KERNELS, "--func", "conv_rows",
+                "--tiles", "1,3;1,2,31", "--unroll", "1,2", "--budget", "5",
+                "--seed", "3", "--log", str(log))
+    assert out == golden_text(os.path.join("tuner", "cli_conv_rows.out"))
+    with open(golden_path(os.path.join("tuner", "cli_conv_rows.jsonl")),
+              "rb") as fh:
+        assert log.read_bytes() == fh.read()
