@@ -98,38 +98,6 @@ __all__ = [
     "clone_op",
     "clone_module",
     "verify",
-    "staged",
-    "capture",
-    "constant",
-    "F32",
-    "F64",
-    "I32",
-    "I64",
-    "Index",
-    "MemRef",
-    "scf_for",
-    "affine_for",
-    "parallel",
-    "GPUModule",
-    "spirv",
-    "block_id_x",
-    "block_id_y",
-    "block_id_z",
-    "thread_id_x",
-    "thread_id_y",
-    "thread_id_z",
-    "Pipeline",
-    "PassStats",
-    "pipeline_builder",
-    "pipeline_parse",
-    "run_pipeline",
-    "Buffer",
-    "run",
-    "check_races",
-    "cost",
-    "ParamSpace",
-    "Trial",
-    "search",
-    "evaluate",
+    *_FRONTEND,
     "__version__",
 ]

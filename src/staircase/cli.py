@@ -242,18 +242,9 @@ def _ints_arg(text: str):
         )
 
 
-def _trial_json(trial) -> str:
-    return json.dumps({
-        "idx": trial.idx,
-        "params": trial.params,
-        "cost": trial.cost,
-        "status": trial.status,
-        "seed": trial.seed,
-    })
-
-
 def _cmd_tune(ns) -> int:
     from staircase.tuner import ParamSpace, persist, search
+    from staircase.tuner.log import trial_line
 
     seed = ns.seed
     if seed is None:
@@ -270,7 +261,7 @@ def _cmd_tune(ns) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     persist(log, ns.log)
-    print(_trial_json(best))
+    print(trial_line(best))
     return 0
 
 

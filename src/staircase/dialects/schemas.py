@@ -277,7 +277,8 @@ def _structure_func_return(op: Operation) -> list:
     expected = [a.value for a in parent.attributes["results"].value]
     got = [v.type for v in op.operands]
     if expected != got:
-        return [f"returns {got}, function declares {expected}"]
+        return [f"returns ({', '.join(map(str, got))}), "
+                f"function declares ({', '.join(map(str, expected))})"]
     return []
 
 

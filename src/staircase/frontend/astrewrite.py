@@ -2,11 +2,11 @@
 
 check_supported validates the original tree and reports offending source
 lines. insert_markers swaps range() for the staged range constructor,
-brackets loops and conditionals with end markers, wraps bare numeric
-literal assignments in constant(), and desugars augmented subscript
-assignment right-hand-side first. flatten_conditionals then splices both
-arms of every conditional into straight-line code guarded by the same
-markers, so one run over proxies captures both, on every Python.
+closes loops with an end marker, wraps bare numeric literal assignments
+in constant(), and desugars augmented subscript assignment
+right-hand-side first. It writes every conditional as straight-line
+code, both arms in turn between markers, so one run over proxies
+captures both, on every Python.
 """
 from __future__ import annotations
 
@@ -16,14 +16,6 @@ from staircase.errors import UnsupportedConstruct
 
 _RANGE_NAMES = {"range", "scf_range", "affine_range", "scf_for", "affine_for"}
 _LOOP_NAMES = _RANGE_NAMES | {"parallel"}
-
-_ALLOWED_EXPR = (
-    ast.BinOp, ast.Compare, ast.Call, ast.Subscript, ast.Name,
-    ast.Attribute, ast.Constant, ast.Tuple, ast.List, ast.UnaryOp,
-    ast.keyword, ast.Load, ast.Store,
-    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub,
-    ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
-)
 
 _BANNED_STMT_NAMES = {
     ast.While: "while loops",
@@ -151,8 +143,8 @@ def _call(name: str, args: list, at: ast.AST) -> ast.Call:
     return ast.copy_location(node, at)
 
 
-def _call_stmt(name: str, at: ast.AST) -> ast.Expr:
-    return ast.copy_location(ast.Expr(value=_call(name, [], at)), at)
+def _call_stmt(name: str, at: ast.AST, *args) -> ast.Expr:
+    return ast.copy_location(ast.Expr(value=_call(name, list(args), at)), at)
 
 
 class _MarkerTransformer(ast.NodeTransformer):
@@ -169,15 +161,12 @@ class _MarkerTransformer(ast.NodeTransformer):
 
     def visit_If(self, node: ast.If):
         self.generic_visit(node)
-        node.test = _call("scf_if", [node.test], node)
-        node.body.append(_call_stmt("scf_endif_branch", node))
+        flat = [_call_stmt("scf_if", node, node.test), *node.body,
+                _call_stmt("scf_endif_branch", node)]
         if node.orelse:
-            node.orelse = (
-                [_call_stmt("scf_else", node.orelse[0])]
-                + node.orelse
-                + [_call_stmt("scf_endif_branch", node.orelse[0])]
-            )
-        return [node, _call_stmt("scf_endif", node)]
+            flat += [_call_stmt("scf_else", node.orelse[0]), *node.orelse,
+                     _call_stmt("scf_endif_branch", node.orelse[0])]
+        return flat + [_call_stmt("scf_endif", node)]
 
     def visit_Assign(self, node: ast.Assign):
         self.generic_visit(node)
@@ -215,23 +204,5 @@ class _MarkerTransformer(ast.NodeTransformer):
 
 def insert_markers(fn_def: ast.FunctionDef, range_name: str) -> ast.FunctionDef:
     out = _MarkerTransformer(range_name).visit(fn_def)
-    ast.fix_missing_locations(out)
-    return out
-
-
-class _Flattener(ast.NodeTransformer):
-    def visit_If(self, node: ast.If):
-        self.generic_visit(node)
-        is_marker_if = (isinstance(node.test, ast.Call)
-                        and isinstance(node.test.func, ast.Name)
-                        and node.test.func.id == "scf_if")
-        if not is_marker_if:
-            return node
-        token = ast.copy_location(ast.Expr(value=node.test), node)
-        return [token, *node.body, *node.orelse]
-
-
-def flatten_conditionals(fn_def: ast.FunctionDef) -> ast.FunctionDef:
-    out = _Flattener().visit(fn_def)
     ast.fix_missing_locations(out)
     return out

@@ -1,9 +1,9 @@
 """Capture an annotated host function into a verified func.func.
 
-The pipeline: read the source, validate the construct whitelist, insert
-region markers, flatten both arms of every conditional into straight-line
-code between those markers, compile, then run the result once over value
-proxies that emit IR.
+The pipeline: read the source, validate the construct whitelist, rewrite
+it in one pass that inserts region markers and writes both arms of every
+conditional as straight-line code between them, compile, then run the
+result once over value proxies that emit IR.
 """
 from __future__ import annotations
 
@@ -104,8 +104,7 @@ def build_executable(fn, *, range_name: str, extra_bindings=None):
     """Compile fn's rewritten form; returns the callable to trace with."""
     fn_def, filename = load_function_def(fn)
     astrewrite.check_supported(fn_def)
-    fn_def = astrewrite.flatten_conditionals(
-        astrewrite.insert_markers(fn_def, range_name))
+    fn_def = astrewrite.insert_markers(fn_def, range_name)
 
     namespace = dict(fn.__globals__)
     if fn.__closure__:

@@ -2,9 +2,8 @@
 
 scf_range/affine_range/parallel open a loop region, built by the dialect
 builders, and yield induction proxies exactly once; scf_endfor closes it.
-scf_if opens a branch region and returns an always-truthy token;
-scf_endif_branch / scf_else / scf_endif walk the arms. Misordered calls
-raise UnbalancedMarkers.
+scf_if opens a branch region and scf_endif_branch / scf_else / scf_endif
+walk the arms. Misordered calls raise UnbalancedMarkers.
 """
 from __future__ import annotations
 
@@ -94,19 +93,7 @@ def scf_endfor() -> None:
     state.active().pop(("for", "parallel"))
 
 
-class _IfToken:
-    """Opaque truthy token that scf_if returns to the `if` it opens."""
-
-    __slots__ = ()
-
-    def __bool__(self) -> bool:
-        return True
-
-
-_TOKEN = _IfToken()
-
-
-def scf_if(cond) -> _IfToken:
+def scf_if(cond) -> None:
     if not isinstance(cond, ValueProxy) or cond.type != I1:
         got = cond.type if isinstance(cond, ValueProxy) else type(cond).__name__
         raise TypeMismatch(f"if conditions must be staged i1 values, got {got}")
@@ -114,7 +101,6 @@ def scf_if(cond) -> _IfToken:
     block, location = cap.insertion(cond.value)
     op = build_scf_if(block, cond.value, location=location)
     cap.push(state.Frame("if", op, op.body()))
-    return _TOKEN
 
 
 def scf_endif_branch() -> None:

@@ -1,4 +1,5 @@
-"""Interpreter: buffers, generated-code execution, modes, cost metering."""
+"""Interpreter: buffers, one run entry point over sequential, worksharing
+and gpu_emulated modes, the static cost model, and the race check."""
 from staircase.interp.buffer import Buffer, buffer_from_json, buffer_to_json
 from staircase.interp.stats import DEFAULT_WEIGHTS, ExecStats, cost
 
@@ -10,15 +11,13 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "cost",
     "run",
-    "run_worksharing",
     "check_races",
-    "ExecMode",
     "ENGINE_NAME",
 ]
 
 
 def __getattr__(name):
-    if name in ("run", "run_worksharing", "ExecMode", "ENGINE_NAME"):
+    if name in ("run", "ENGINE_NAME"):
         from staircase.interp import machine
 
         return getattr(machine, name)

@@ -745,10 +745,11 @@ class _FuncGen:
         return stores
 
     def body(self, block, count: tuple, depth: int) -> None:
-        """A block that is the body of a Python compound statement."""
+        """A block that is the body of a Python compound statement, or at
+        depth 1 of a function, whose counts or return always end it."""
         start = len(self.lines)
         self.block(block, count, depth)
-        if len(self.lines) == start:
+        if len(self.lines) == start and depth > 1:
             self.emit(depth, "pass")
 
     def flush(self, run: list, depth: int) -> None:
@@ -1311,9 +1312,10 @@ class _FuncGen:
         self.bookkeeping.append(inner)
         level = len(self.headers)
         body = self.loop_header(op, op.body().args[0], bounds, depth)
-        promoted = []
-        if len(self.headers) > level and not self.recording:
-            promoted = self.promote(op, body)
+        if len(self.headers) == level:  # one trip: no loop statement opened
+            self.block(op.body(), inner, body)
+            return
+        promoted = [] if self.recording else self.promote(op, body)
         self.body(op.body(), inner, body)
         self.close_loops(level)
         for buf, local, element in promoted:

@@ -9,7 +9,6 @@ raise the same errors and count the same ExecStats.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from staircase.errors import (
     ArityMismatch,
@@ -33,15 +32,7 @@ ENGINE_NAME = "pure"
 _MODES = ("sequential", "worksharing", "gpu_emulated")
 
 
-@dataclass(frozen=True)
-class ExecMode:
-    kind: str = "sequential"
-    workers: int = 1
-
-
 def normalize_mode(mode, workers: int) -> tuple:
-    if isinstance(mode, ExecMode):
-        mode, workers = mode.kind, mode.workers
     if mode not in _MODES:
         raise ModeUnsupported(
             f"unknown mode {mode!r}; expected one of {_MODES}"
@@ -117,16 +108,9 @@ def call(program: Program, func_name: str, args, mode: str, workers: int):
     return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 
 
-def run_worksharing(module: Operation, func_name: str, args,
-                    workers: int = 2):
-    return run(module, func_name, args, mode="worksharing", workers=workers)
-
-
 __all__ = [
-    "ExecMode",
     "ENGINE_NAME",
     "run",
-    "run_worksharing",
     "cost",
     "ExecStats",
 ]

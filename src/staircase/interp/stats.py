@@ -66,10 +66,10 @@ def fold_tally(tally, wall_time: float, mode: str, workers: int) -> ExecStats:
     )
 
 
-def cost(stats: ExecStats, model: dict | None = None) -> float:
-    w = DEFAULT_WEIGHTS if model is None else model
+def cost(stats: ExecStats) -> float:
+    w = DEFAULT_WEIGHTS
     return (
-        w.get("arith", 0.0) * stats.arith_ops
-        + w.get("memory", 0.0) * (stats.loads + stats.stores)
-        + w.get("bookkeeping", 0.0) * stats.bookkeeping
+        w["arith"] * stats.arith_ops
+        + w["memory"] * (stats.loads + stats.stores)
+        + w["bookkeeping"] * stats.bookkeeping
     )

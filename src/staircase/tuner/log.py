@@ -16,10 +16,11 @@ import os
 from staircase.errors import MalformedLine
 from staircase.tuner.space import Trial
 
-__all__ = ["persist", "load"]
+__all__ = ["persist", "load", "trial_line"]
 
 
-def _trial_line(trial: Trial) -> str:
+def trial_line(trial: Trial) -> str:
+    """One trial as a JSON line without its newline, keys in log order."""
     record = {
         "idx": trial.idx,
         "params": {
@@ -35,7 +36,7 @@ def _trial_line(trial: Trial) -> str:
 
 def persist(log, path) -> None:
     """Write the trial list to ``path`` as JSON lines."""
-    text = "".join(_trial_line(trial) + "\n" for trial in log)
+    text = "".join(trial_line(trial) + "\n" for trial in log)
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -3,7 +3,7 @@
 A search owns one captured kernel module and one fixed set of seeded
 inputs.  Every budgeted step instantiates the pipeline template at a
 parameter point, runs the transformed module in the interpreter, and
-scores it with the static cost model (or wall time when asked).  Trial 0
+scores it with the static cost model.  Trial 0
 is always the identity point, so its cost is the untransformed baseline
 and ``best.cost <= baseline.cost`` holds by construction.
 
@@ -26,7 +26,7 @@ from staircase.errors import (
     VerificationFailed,
 )
 from staircase.interp import Buffer, cost as model_cost
-from staircase.interp.machine import call, normalize_mode
+from staircase.interp.machine import call
 from staircase.interp.tape import compile_module
 from staircase.ir.core import Operation, SymbolTable
 from staircase.ir.verify import verify_or_raise
@@ -157,31 +157,21 @@ def _digest(stats) -> dict:
 class _Session:
     """One kernel, one input set, one baseline; evaluates parameter points."""
 
-    def __init__(self, module, func=None, seed=0, objective="model",
-                 pipeline_template=None, mode="sequential", workers=1):
-        if objective not in ("model", "wall"):
-            raise ValueError(f"unknown objective {objective!r}")
+    def __init__(self, module, func=None, seed=0, pipeline_template=None):
         verify_or_raise(module)
         self.module = module
         self.func_op = _find_func(module, func)
         self.func = SymbolTable.name_of(self.func_op)
         self.seed = seed
-        self.objective = objective
         self.template = pipeline_template or default_pipeline
-        self.mode, self.workers = normalize_mode(mode, workers)
         self.inputs = make_inputs(module, self.func, seed)
         args = _copy_args(self.inputs)
         results, stats = call(compile_module(module), self.func, args,
                               "sequential", 1)
         self.want_results = results
         self.want_args = args
-        self.baseline_cost = self._score(stats)
+        self.baseline_cost = model_cost(stats)
         self.baseline_stats = stats
-
-    def _score(self, stats) -> float:
-        if self.objective == "wall":
-            return stats.wall_time
-        return model_cost(stats)
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}
@@ -193,7 +183,7 @@ class _Session:
         try:
             args = _copy_args(self.inputs)
             results, stats = call(compile_module(work), self.func, args,
-                                  self.mode, self.workers)
+                                  "sequential", 1)
         finally:
             if work in self.module.ctx.modules:
                 self.module.ctx.modules.remove(work)
@@ -202,12 +192,12 @@ class _Session:
                 f"pipeline {spec!r} changed the results of @{self.func}; "
                 "transformed kernels must match the untransformed run"
             )
-        return Trial(idx, params, self._score(stats), "evaluated", self.seed,
+        return Trial(idx, params, model_cost(stats), "evaluated", self.seed,
                      stats=_digest(stats))
 
 
 def evaluate(kernel, pipeline_template=None, params=None, *, func=None,
-             seed=0, objective="model") -> Trial:
+             seed=0) -> Trial:
     """Score a single parameter point against a freshly run baseline.
 
     ``params`` holds ``tiles`` (list of ints) and ``unroll``.  Points the
@@ -217,7 +207,7 @@ def evaluate(kernel, pipeline_template=None, params=None, *, func=None,
     if params is None:
         raise EmptySpace("evaluate needs a params dict with tiles and unroll")
     module = _resolve_module(kernel)
-    session = _Session(module, func=func, seed=seed, objective=objective,
+    session = _Session(module, func=func, seed=seed,
                        pipeline_template=pipeline_template)
     return session.trial(0, params["tiles"], params["unroll"])
 
@@ -241,7 +231,7 @@ def _mutate(space: ParamSpace, parent, rng: random.Random):
 
 def search(kernel, pipeline_template=None, space: ParamSpace | None = None,
            budget: int = 20, seed: int = 0, strategy: str = "random", *,
-           func=None, objective="model", mode="sequential", workers=1):
+           func=None):
     """Run a budgeted search and return ``(best, log)``.
 
     The log has exactly ``budget`` trials; trial 0 is the identity point.
@@ -252,15 +242,13 @@ def search(kernel, pipeline_template=None, space: ParamSpace | None = None,
         raise EmptySpace("search needs a ParamSpace")
     if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
         raise ValueError(f"budget must be a positive integer, got {budget!r}")
-    strategy = {"es": "one_plus_one_es", "1+1-es": "one_plus_one_es"}.get(
-        strategy, strategy)
+    strategy = {"es": "one_plus_one_es"}.get(strategy, strategy)
     if strategy not in ("random", "one_plus_one_es"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
     module = _resolve_module(kernel)
-    session = _Session(module, func=func, seed=seed, objective=objective,
-                       pipeline_template=pipeline_template,
-                       mode=mode, workers=workers)
+    session = _Session(module, func=func, seed=seed,
+                       pipeline_template=pipeline_template)
     identity = space.identity()
     log = [session.trial(0, identity["tiles"], identity["unroll"])]
 

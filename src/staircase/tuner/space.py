@@ -54,13 +54,6 @@ class ParamSpace:
         """The do-nothing point: unit tiles, unroll factor 1."""
         return {"tiles": [1] * self.rank, "unroll": 1}
 
-    def size(self) -> int:
-        """Number of distinct points in the space."""
-        n = len(self.unroll_factors)
-        for dim in self.tile_sizes:
-            n *= len(set(dim))
-        return n
-
 
 @dataclass
 class Trial:

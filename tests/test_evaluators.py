@@ -18,6 +18,7 @@ import pytest
 import definterp
 from conftest import golden_path
 from irgen import index_module, random_inputs, random_module
+from staircase.errors import PassFailure
 from staircase.interp import Buffer, codegen
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module
@@ -160,6 +161,28 @@ def test_recorder_calls_stay_out_of_run(path):
         module, _ = run_pipeline(parsed, pipeline)
         assert not recorder_call.search(_source(module))
         assert recorder_call.search(_source(module, recorder=object()))
+
+
+def test_no_pass_before_another_statement():
+    """A loop of one trip writes its body into the enclosing block, which
+    then needs no ``pass``; over irgen seeds as generated and after each
+    of test_passes' pipelines, in plain and recorder source."""
+    from test_passes import PIPELINES
+
+    pass_then_more = re.compile(r"^( *)pass\n\1\S", re.M)
+    found = []
+    for seed in IRGEN_SEEDS:
+        module = random_module(seed)
+        for pipeline in ("",) + PIPELINES:
+            try:
+                work = run_pipeline(module, pipeline)[0] if pipeline else module
+            except PassFailure:
+                continue
+            for recorder in (None, object()):
+                if pass_then_more.search(_source(work, recorder)):
+                    found.append(f"seed {seed} {pipeline or 'as generated'}"
+                                 f"{' recorder' if recorder else ''}")
+    assert not found, found[:5]
 
 
 @pytest.mark.parametrize("name", ["ifs", "matmul", "conv2d", "conv_small",

@@ -32,6 +32,17 @@ def test_every_module_imports():
         importlib.import_module(name)
 
 
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from staircase import *", namespace)  # noqa: S102
+    core = ("Context", "create_context", "create_module", "create_op",
+            "register_dialect", "walk", "count_ops", "replace_all_uses_with",
+            "erase_op", "move_op", "clone_op", "clone_module", "verify")
+    missing = [name for name in (*core, *staircase._FRONTEND)
+               if name not in namespace]
+    assert not missing
+
+
 @pytest.mark.parametrize("name", ["ifs", "matmul", "conv2d"])
 def test_capture_matches_golden(name):
     import kernels

@@ -277,7 +277,7 @@ STRUCTURE = [
     ("scf.parallel", _parallel([F64]), "body arguments must be index"),
     ("func.return", _return_in_loop, "must terminate a func.func body"),
     ("func.return", _return_of_undeclared_value,
-     "returns [IRType(kind='f64', shape=(), element=None)], function declares []"),
+     "returns (f64), function declares ()"),
 ]
 
 

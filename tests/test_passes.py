@@ -6,13 +6,16 @@ Under gpu_emulated, the rewritten module must leave the same buffers and
 return the same results as the module it was given. Seeds whose
 untransformed run raises, and pipelines that refuse a module with
 PassFailure, are left out and counted. Every rewritten block's order
-numbers must agree with the positions of its ops. Four pass outputs are
-pinned as goldens, and the passes' source is checked to build only
-through the dialect builders.
+numbers must agree with the positions of its ops, and every rewritten
+module must print, parse and print to the same text. Seeded random
+compositions of two to five passes are checked the same way. Four pass
+outputs are pinned as goldens, and the passes' source is checked to
+build only through the dialect builders.
 """
 import ast
 import glob
 import os
+import random
 
 import pytest
 
@@ -31,8 +34,8 @@ from staircase.ir.core import (
     value_dominates_op,
     walk,
 )
-from staircase.passes import run_pipeline
-from staircase.textio import print_module
+from staircase.passes import PASSES, run_pipeline
+from staircase.textio import parse_module, print_module
 from staircase.tuner import default_pipeline
 
 IRGEN_SEEDS = range(240)
@@ -98,7 +101,7 @@ def _outcome(module, func, args):
     return results, [a.tolist() for a in args if isinstance(a, Buffer)]
 
 
-def _check(module, func, seed):
+def _check(module, func, seed, pipelines=PIPELINES):
     """Compare every pipeline against the untransformed run.
 
     Returns (mismatches, refused pipelines), or None when the
@@ -112,7 +115,7 @@ def _check(module, func, seed):
     except StaircaseError:  # such as OutOfBounds on a random index
         return None
     mismatches, refused = [], 0
-    for pipeline in PIPELINES:
+    for pipeline in pipelines:
         try:
             rewritten, _ = run_pipeline(module, pipeline)
         except PassFailure:
@@ -120,6 +123,10 @@ def _check(module, func, seed):
             continue
         mismatches += [f"{func} (seed {seed}) after {pipeline}: {problem}"
                        for problem in _order_problems(rewritten)]
+        text = print_module(rewritten)
+        if print_module(parse_module(text, create_context())) != text:
+            mismatches.append(f"{func} (seed {seed}) after {pipeline}: "
+                              "print -> parse -> print changes the text")
         try:
             got = _outcome(rewritten, func, args)
         except Exception as exc:  # reported with the pipeline that caused it
@@ -130,10 +137,12 @@ def _check(module, func, seed):
     return mismatches, refused
 
 
-def _check_all(cases):
+def _check_all(cases, pipelines=lambda: PIPELINES):
+    """_check over (module, func, seed) cases; ``pipelines()`` gives each
+    case its pipelines."""
     mismatches, excluded, refused = [], 0, 0
     for module, func, seed in cases:
-        checked = _check(module, func, seed)
+        checked = _check(module, func, seed, pipelines())
         if checked is None:
             excluded += 1
             continue
@@ -164,6 +173,41 @@ def test_passes_preserve_captured_kernels():
           f"{refused} pipeline runs refused with PassFailure")
     assert not mismatches, "\n".join(mismatches[:5])
     assert excluded == 0
+
+
+def _composition(rng):
+    """Two to five passes drawn from PASSES, with random unroll factors and
+    tile sizes; the gpu passes anchor on the module, the others on each
+    func.func."""
+    items = []
+    for _ in range(rng.randint(2, 5)):
+        name = rng.choice(sorted(PASSES))
+        if name == "loop-unroll":
+            name += "{factor=%d}" % rng.randint(1, 4)
+        elif name == "scf-parallel-loop-tiling":
+            name += "{sizes=[%s]}" % ",".join(
+                str(rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+        items.append(name if name.startswith("gpu-") else f"func.func({name})")
+    return "builtin.module(" + ",".join(items) + ")"
+
+
+def test_random_compositions_preserve_results():
+    import kernels
+
+    rng = random.Random(6)
+    cases = []
+    for seed in rng.sample(IRGEN_SEEDS, 80):
+        module = random_module(seed)
+        func = next(op for op in module.body().ops if op.name == "func.func")
+        cases.append((module, func.attributes["sym_name"].value, seed))
+    cases += [(getattr(kernels, name).module, name, 3) for name in KERNELS]
+    mismatches, excluded, refused = _check_all(
+        cases, lambda: [_composition(rng) for _ in range(5)])
+    runs = 5 * (len(cases) - excluded)
+    print(f"compositions: {excluded} of {len(cases)} cases raise "
+          f"untransformed; {refused} of {runs} runs refused with PassFailure")
+    assert not mismatches, "\n".join(mismatches[:5])
+    assert refused < runs // 2
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINES))
