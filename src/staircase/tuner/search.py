@@ -3,9 +3,9 @@
 A search owns one captured kernel module and one fixed set of seeded
 inputs.  Every budgeted step instantiates the pipeline template at a
 parameter point, runs the transformed module in the interpreter, and
-scores it with the static cost model.  Trial 0
-is always the identity point, so its cost is the untransformed baseline
-and ``best.cost <= baseline.cost`` holds by construction.
+scores it with the static cost model.  Trial 0 is always the identity
+point, so its cost is the untransformed baseline and
+``best.cost <= baseline.cost`` holds by construction.
 
 Two strategies are provided.  ``random`` samples each coordinate
 uniformly and independently.  ``one_plus_one_es`` keeps a parent point
@@ -160,18 +160,13 @@ class _Session:
     def __init__(self, module, func=None, seed=0, pipeline_template=None):
         verify_or_raise(module)
         self.module = module
-        self.func_op = _find_func(module, func)
-        self.func = SymbolTable.name_of(self.func_op)
+        self.func = SymbolTable.name_of(_find_func(module, func))
         self.seed = seed
         self.template = pipeline_template or default_pipeline
         self.inputs = make_inputs(module, self.func, seed)
-        args = _copy_args(self.inputs)
-        results, stats = call(compile_module(module), self.func, args,
-                              "sequential", 1)
-        self.want_results = results
-        self.want_args = args
-        self.baseline_cost = model_cost(stats)
-        self.baseline_stats = stats
+        self.want_args = _copy_args(self.inputs)
+        self.want_results, _ = call(compile_module(module), self.func,
+                                    self.want_args, "sequential", 1)
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}

@@ -151,12 +151,17 @@ def _check_all(cases, pipelines=lambda: PIPELINES):
     return mismatches, excluded, refused
 
 
-def test_passes_preserve_irgen_modules():
+def _irgen_cases(seeds):
     cases = []
-    for seed in IRGEN_SEEDS:
+    for seed in seeds:
         module = random_module(seed)
         func = next(op for op in module.body().ops if op.name == "func.func")
         cases.append((module, func.attributes["sym_name"].value, seed))
+    return cases
+
+
+def test_passes_preserve_irgen_modules():
+    cases = _irgen_cases(IRGEN_SEEDS)
     mismatches, excluded, refused = _check_all(cases)
     print(f"irgen: {excluded} of {len(cases)} seeds raise untransformed; "
           f"{refused} pipeline runs refused with PassFailure")
@@ -195,11 +200,7 @@ def test_random_compositions_preserve_results():
     import kernels
 
     rng = random.Random(6)
-    cases = []
-    for seed in rng.sample(IRGEN_SEEDS, 80):
-        module = random_module(seed)
-        func = next(op for op in module.body().ops if op.name == "func.func")
-        cases.append((module, func.attributes["sym_name"].value, seed))
+    cases = _irgen_cases(rng.sample(IRGEN_SEEDS, 80))
     cases += [(getattr(kernels, name).module, name, 3) for name in KERNELS]
     mismatches, excluded, refused = _check_all(
         cases, lambda: [_composition(rng) for _ in range(5)])
