@@ -21,7 +21,6 @@ from staircase.errors import (
 )
 from staircase.frontend import astrewrite, markers, state
 from staircase.frontend.proxy import ValueProxy
-from staircase.frontend.types import annotation_to_type
 from staircase.ir.core import (
     Context,
     IRType,
@@ -75,13 +74,12 @@ def annotated_params(fn, skip_first: bool = False) -> list[tuple[str, IRType]]:
         ann = p.annotation
         if isinstance(ann, str):
             ann = eval(ann, getattr(fn, "__globals__", {}))  # noqa: S307
-        ty = annotation_to_type(ann)
-        if ty is None:
+        if not isinstance(ann, IRType):
             raise UnannotatedParameter(
                 f"parameter {p.name!r} of {fn.__name__!r} needs a type "
                 f"annotation (F32/F64/I32/I64/Index/MemRef[...])"
             )
-        out.append((p.name, ty))
+        out.append((p.name, ann))
     return out
 
 

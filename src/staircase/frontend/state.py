@@ -113,14 +113,10 @@ def begin(capture: Capture) -> None:
     global _ACTIVE
     if _ACTIVE is not None:
         raise CaptureError("captures do not nest")
-    if capture.ctx.active_capture is not None:
-        raise CaptureError("this Context already has an active capture")
-    capture.ctx.active_capture = capture
     _ACTIVE = capture
 
 
 def end(capture: Capture) -> None:
     global _ACTIVE
-    capture.ctx.active_capture = None
     if _ACTIVE is capture:
         _ACTIVE = None

@@ -56,9 +56,3 @@ class MemRef:
     def alloc(cls, shape, elem: IRType):
         return cls._allocate(shape, elem, stack=False)
 
-
-def annotation_to_type(ann) -> IRType | None:
-    """IRType for a parameter annotation, or None if it is not one."""
-    if isinstance(ann, IRType):
-        return ann
-    return None

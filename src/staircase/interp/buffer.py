@@ -47,6 +47,26 @@ def to_f32(x: float) -> float:
         return math.copysign(math.inf, x)
 
 
+def constant_value(op):
+    """The runtime value of an arith.constant, rounded or wrapped to its type."""
+    value = op.attributes["value"].value
+    kind = op.results[0].type.kind
+    if kind == "f32":
+        return to_f32(float(value))
+    if kind == "f64":
+        return float(value)
+    # i32 wraps to 32 bits; i64, index and i1 (verified 0 or 1) to 64
+    return wrap_int(int(value), "i32" if kind == "i32" else "i64")
+
+
+def constant_of(value):
+    """The runtime value of the arith.constant behind an SSA value, or None."""
+    op = value.defining_op
+    if op is None or op.name != "arith.constant":
+        return None
+    return constant_value(op)
+
+
 def fdiv(a: float, b: float) -> float:
     """IEEE division: a zero divisor gives a signed infinity or NaN."""
     if b == 0.0:
@@ -181,6 +201,14 @@ def buffer_to_json(buf: Buffer) -> str:
         {"shape": list(buf.shape), "dtype": buf.dtype,
          "data": buf.data.tolist()}
     )
+
+
+def copy_buffers(args) -> list:
+    """The arguments with each distinct Buffer copied once: a Buffer passed
+    twice stays one Buffer, and other arguments are kept as they are."""
+    copies: dict = {}
+    return [copies.setdefault(id(a), a.copy()) if isinstance(a, Buffer) else a
+            for a in args]
 
 
 def buffer_from_value(obj) -> Buffer:

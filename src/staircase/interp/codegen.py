@@ -88,6 +88,8 @@ from staircase.interp.buffer import (
     Buffer,
     bad_loop_step,
     bad_parallel_step,
+    constant_of,
+    constant_value,
     fdiv,
     launch_outside_gpu,
     out_of_bounds,
@@ -96,7 +98,7 @@ from staircase.interp.buffer import (
     wrap_int,
 )
 from staircase.interp.stats import BOOKKEEPING, OP_SLOT
-from staircase.interp.tape import Program, constant_value, module_functions
+from staircase.interp.tape import Program, module_functions
 from staircase.ir.core import Operation, Value
 
 SEGMENT = 300   # statements per compiled unit in a long straight-line run
@@ -238,20 +240,13 @@ def _launch_extents(module: Operation) -> dict:
         if op.name != "gpu.launch_func":
             continue
         key = "::".join(op.attributes["kernel"].value)
-        sizes = [_const_int(v) for v in op.operands[:6]]
+        sizes = [constant_of(v) for v in op.operands[:6]]
         if key in extents and extents[key] is None or None in sizes:
             extents[key] = None
         else:
             prev = extents.get(key, sizes)
             extents[key] = [max(a, b) for a, b in zip(prev, sizes)]
     return extents
-
-
-def _const_int(value: Value):
-    op = value.defining_op
-    if op is not None and op.name == "arith.constant":
-        return constant_value(op)
-    return None
 
 
 def _note(stores: dict, buf, where) -> None:

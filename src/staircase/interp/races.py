@@ -9,7 +9,7 @@ iteration space, so conflicts here are precisely what would break it.
 """
 from __future__ import annotations
 
-from staircase.interp.buffer import Buffer
+from staircase.interp.buffer import Buffer, copy_buffers
 from staircase.interp.codegen import lower_module
 from staircase.interp.machine import call
 from staircase.ir.core import Operation
@@ -78,8 +78,9 @@ class _Recorder:
 
 def check_races(module: Operation, func_name: str, args) -> list:
     """Returns conflicting (point, point, address) triples."""
-    args = [a.copy() if isinstance(a, Buffer) else a for a in args]
-    labels = {id(a): f"arg{i}" for i, a in enumerate(args)
+    args = copy_buffers(args)
+    # reversed: a Buffer passed twice is named by its first parameter
+    labels = {id(a): f"arg{i}" for i, a in reversed(list(enumerate(args)))
               if isinstance(a, Buffer)}
     recorder = _Recorder(labels)
     verify_or_raise(module)

@@ -4,11 +4,11 @@
 func.func and gpu.func kernel (see ``codegen``); the ``Program`` it returns
 holds them by symbol. A function called with one Buffer as two of its
 arguments may generate its alias-safe variant from the module then, so
-call a Program's functions before their module changes.
+call a Program's functions before their module changes. Constants hold
+what ``buffer.constant_value`` reads, as the passes read them.
 """
 from __future__ import annotations
 
-from staircase.interp.buffer import to_f32, wrap_int
 from staircase.ir.core import Operation, SymbolTable
 
 
@@ -18,20 +18,6 @@ class Program(dict):
     Valid while its module is unchanged: a function may generate code from
     the module when it is first called with aliased arguments.
     """
-
-
-def constant_value(op: Operation):
-    """The runtime value of an arith.constant, rounded or wrapped to its type."""
-    value = op.attributes["value"].value
-    kind = op.results[0].type.kind
-    if kind == "f32":
-        return to_f32(float(value))
-    if kind == "f64":
-        return float(value)
-    if kind == "i1":
-        return 1 if value else 0
-    # i32/i64/index: keep values within the width
-    return wrap_int(int(value), "i32" if kind == "i32" else "i64")
 
 
 def module_functions(module: Operation):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Union
 
@@ -294,15 +295,27 @@ class Operation:
         return self.parent.position(self)
 
     def walk_nested(self) -> Iterator["Operation"]:
-        """Pre-order over the ops nested inside this op (excludes self)."""
-        for region in self.regions:
-            for block in region.blocks:
-                for op in block.ops:
+        """Pre-order over the ops nested inside this op (excludes self).
+
+        Reads a block's ops as it enters the block and skips erased ops, so
+        callers may rewrite ops it has yielded."""
+        stack = [_nested_ops(self)]
+        while stack:
+            for op in stack[-1]:
+                if not op.erased:
                     yield op
-                    yield from op.walk_nested()
+                    if op.regions:
+                        stack.append(_nested_ops(op))
+                        break
+            else:
+                stack.pop()
 
     def __repr__(self) -> str:
         return f"<Operation {self.name} at {self.location}>"
+
+
+def _nested_ops(op: Operation) -> Iterator[Operation]:
+    return chain.from_iterable(list(b.ops) for r in op.regions for b in r.blocks)
 
 
 class Region:
@@ -492,8 +505,6 @@ class Context:
         self.registry = DialectRegistry()
         self.modules: list[Operation] = []
         self._next_value_id = 0
-        # set by the capture machinery while a capture is running
-        self.active_capture = None
         from staircase.dialects.schemas import BUILTIN_DIALECTS
 
         for dialect in BUILTIN_DIALECTS:
@@ -695,14 +706,8 @@ def ancestors(op: Operation) -> Iterator[Operation]:
 
 
 def count_ops(root: Operation) -> int:
-    n = 0
-
-    def bump(_op):
-        nonlocal n
-        n += 1
-
-    walk(root, bump)
-    return n
+    """The ops in the subtree rooted at `root`, root included."""
+    return 1 + sum(1 for _ in root.walk_nested())
 
 
 def replace_all_uses_with(old: Value, new: Value) -> int:
@@ -728,11 +733,9 @@ def replace_all_uses_with(old: Value, new: Value) -> int:
 
 
 def _detach_tree(op: Operation) -> None:
-    for nested in list(op.walk_nested()):
+    for nested in chain((op,), op.walk_nested()):
         nested.drop_operand_uses()
         nested.erased = True
-    op.drop_operand_uses()
-    op.erased = True
 
 
 def erase_op(op: Operation) -> None:

@@ -2,59 +2,44 @@
 from __future__ import annotations
 
 import math
+import operator
+from itertools import chain
 
 from staircase.dialects.builders import build_constant
-from staircase.interp.buffer import to_f32, wrap_int
-from staircase.ir.core import Block, Operation, erase_op, replace_all_uses_with, walk
+from staircase.interp.buffer import constant_of, to_f32, wrap_int
+from staircase.ir.core import Operation, erase_op, replace_all_uses_with
 
 from .rewrite import PassOutcome, matching_ops
 
-_FLOAT_FOLD = {
-    "arith.addf": lambda a, b: a + b,
-    "arith.subf": lambda a, b: a - b,
-    "arith.mulf": lambda a, b: a * b,
-    "arith.divf": lambda a, b: a / b,
+_FOLD = {
+    "arith.addf": operator.add, "arith.subf": operator.sub,
+    "arith.mulf": operator.mul, "arith.divf": operator.truediv,
+    "arith.addi": operator.add, "arith.subi": operator.sub,
+    "arith.muli": operator.mul,
 }
-_INT_FOLD = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-}
-_FOLDABLE = tuple(_FLOAT_FOLD) + tuple(_INT_FOLD)
-
-
-def _constant_attr(value):
-    op = value.defining_op
-    if op is None or op.name != "arith.constant":
-        return None
-    return op.attributes.get("value")
 
 
 def _fold_constants(root: Operation) -> int:
     changed = 0
-    for op in matching_ops(root, _FOLDABLE):
-        a = _constant_attr(op.operands[0])
-        b = _constant_attr(op.operands[1])
+    for op in matching_ops(root, _FOLD):
+        a = constant_of(op.operands[0])
+        b = constant_of(op.operands[1])
         if a is None or b is None:
             continue
+        if op.name == "arith.divf" and b == 0.0:
+            continue  # inf/nan have no printable constant form
+        value = _FOLD[op.name](a, b)
         ty = op.results[0].type
-        if op.name in _FLOAT_FOLD:
-            if a.kind != "float" or b.kind != "float":
-                continue
-            if op.name == "arith.divf" and b.value == 0.0:
-                continue  # inf/nan have no printable constant form
-            value = _FLOAT_FOLD[op.name](a.value, b.value)
+        if ty.is_float:
             if ty.kind == "f32":
                 value = to_f32(value)
             if not math.isfinite(value):
                 continue
         else:
-            if a.kind != "int" or b.kind != "int":
-                continue
             width = "i64" if ty.kind == "index" else ty.kind
             if width not in ("i32", "i64"):
                 continue
-            value = wrap_int(_INT_FOLD[op.name](a.value, b.value), width)
+            value = wrap_int(value, width)
         replace_all_uses_with(op.results[0],
                               build_constant(op, value, ty, op.location))
         erase_op(op)
@@ -62,20 +47,10 @@ def _fold_constants(root: Operation) -> int:
     return changed
 
 
-def _blocks_under(root: Operation) -> list[Block]:
-    blocks: list[Block] = []
-
-    def note(op):
-        for region in op.regions:
-            blocks.extend(region.blocks)
-
-    walk(root, note)
-    return blocks
-
-
 def _dedup_constants(root: Operation) -> int:
     changed = 0
-    for block in _blocks_under(root):
+    for block in [block for op in chain((root,), root.walk_nested())
+                  for region in op.regions for block in region.blocks]:
         seen: dict = {}
         for op in list(block.ops):
             if op.name != "arith.constant":
@@ -109,11 +84,13 @@ def _erase_dead(root: Operation) -> int:
 def canonicalize(root: Operation) -> PassOutcome:
     """Run fold/dedup/erase sweeps to a fixed point.
 
-    Folding evaluates arith binops whose operands are constants (f32
-    results round through f32, integers wrap to their width). Dedup keeps
-    the first of identical constants within one block. Erasure removes
-    ops whose schema is pure when none of their results is used. A second
-    run on the output changes nothing, byte for byte.
+    Folding evaluates arith binops whose operands are constants. It reads
+    each constant as a run does (f32 rounded to f32, integers wrapped to
+    their width) and rounds or wraps the result the same way, so a fold
+    stores what the unfolded op computes. Dedup keeps the first of
+    identical constants within one block. Erasure removes ops whose schema
+    is pure when none of their results is used. A second run on the
+    output changes nothing, byte for byte.
     """
     total = 0
     while True:

@@ -11,6 +11,7 @@ from staircase.dialects.builders import (
     build_scf_for,
 )
 from staircase.errors import OutliningUnsupported
+from staircase.interp.buffer import constant_of
 from staircase.ir.core import (
     Block,
     Operation,
@@ -22,7 +23,7 @@ from staircase.ir.core import (
     merge_block,
 )
 
-from .rewrite import PassOutcome, const_int, matching_ops, trip_count
+from .rewrite import PassOutcome, matching_ops, static_bounds
 
 
 def _mapping(op: Operation) -> str | None:
@@ -55,16 +56,15 @@ def _reruns_effects(loop: Operation) -> bool:
                if op is not thread_loop and op is not terminator)
 
 
-def _geometry(loop: Operation) -> list[tuple[int, int, int]]:
-    """(lb, ub, step) integers per dimension; bounds must be constants."""
-    n = len(loop.body().args)
-    vals = [const_int(v) for v in loop.operands]
-    if any(v is None for v in vals):
+def _geometry(loop: Operation) -> list[tuple[int, int, int, int]]:
+    """(lb, ub, step, trips) per dimension, from static_bounds."""
+    bounds = static_bounds(loop)
+    if bounds is None:
         raise OutliningUnsupported(
-            "parallel loop bounds must be arith.constant values to outline "
-            f"a kernel (at {loop.location})"
+            "parallel loop bounds must be arith.constant values, and steps "
+            f"at least 1, to outline a kernel (at {loop.location})"
         )
-    return [(vals[d], vals[n + d], vals[2 * n + d]) for d in range(n)]
+    return bounds
 
 
 def _unused_name(table: SymbolTable, base: str) -> str:
@@ -85,19 +85,16 @@ def _gpu_module_for(module: Operation, name: str) -> Operation:
 
 
 def _free_values(loop: Operation) -> list[Value]:
-    """Values the loop body uses but does not define, in first-use order."""
+    """Values the loop body uses but does not define, in first-use order;
+    in pre-order, a value the body defines comes before each of its uses."""
     inside: set = set(loop.body().args)
+    free: dict = {}
     for op in loop.walk_nested():
+        free.update((v, None) for v in op.operands if v not in inside)
         inside.update(op.results)
         for region in op.regions:
-            for block in region.blocks:
-                inside.update(block.args)
-    free: list[Value] = []
-    for op in loop.walk_nested():
-        for value in op.operands:
-            if value not in inside and value not in free:
-                free.append(value)
-    return free
+            inside.update(region.blocks[0].args)
+    return list(free)
 
 
 def _mount_dims(at: Block, which: str, geometry, location) -> tuple:
@@ -108,7 +105,7 @@ def _mount_dims(at: Block, which: str, geometry, location) -> tuple:
     each dimension's induction variable.
     """
     values = []
-    for d, (lb, ub, step) in enumerate(geometry):
+    for d, (lb, ub, step, _) in enumerate(geometry):
         if d < 3:
             value = build_gpu_id(at, which, "xyz"[d], location)
             if step != 1:
@@ -136,16 +133,15 @@ def _outline_one(module: Operation, loop: Operation) -> None:
         grid_loop, thread_loop = None, loop
     grid_geo = _geometry(grid_loop) if grid_loop is not None else []
     thread_geo = _geometry(thread_loop) if thread_loop is not None else []
-    grid3 = ([trip_count(*g) for g in grid_geo[:3]] + [1, 1, 1])[:3]
-    block3 = ([trip_count(*g) for g in thread_geo[:3]] + [1, 1, 1])[:3]
+    grid3 = ([g[3] for g in grid_geo[:3]] + [1, 1, 1])[:3]
+    block3 = ([g[3] for g in thread_geo[:3]] + [1, 1, 1])[:3]
 
     gpu_module = _gpu_module_for(module, f"{base}_gpu")
     gpu_module_name = gpu_module.attributes["sym_name"].value
     kernel_name = _unused_name(SymbolTable(gpu_module), f"{base}_kernel")
 
     free = _free_values(loop)
-    sunk = {v for v in free
-            if v.defining_op is not None and v.defining_op.name == "arith.constant"}
+    sunk = {v for v in free if constant_of(v) is not None}
     passed = [v for v in free if v not in sunk]
 
     kernel = build_gpu_func(gpu_module, kernel_name, [v.type for v in passed],

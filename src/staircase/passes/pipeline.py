@@ -194,6 +194,8 @@ class _Parser:
 
     def item(self):
         name = self.take()
+        if name in "(){}=[],":  # a punctuation token; names hold none of these
+            raise ParseError(f"pipeline: expected a pass or scope, got {name!r}")
         if self.peek() == "(":
             if name not in ANCHORS:
                 raise ParseError(

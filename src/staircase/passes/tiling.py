@@ -9,7 +9,7 @@ from staircase.dialects.builders import (
 from staircase.errors import ArityMismatch, InvalidFactor
 from staircase.ir.core import Operation, erase_op, merge_block
 
-from .rewrite import PassOutcome, const_int, matching_ops, trip_count
+from .rewrite import PassOutcome, matching_ops, static_bounds
 
 
 def scf_parallel_loop_tiling(root: Operation, sizes) -> PassOutcome:
@@ -37,23 +37,18 @@ def scf_parallel_loop_tiling(root: Operation, sizes) -> PassOutcome:
                 f"{len(sizes)} tile sizes for a {arity}-dimensional parallel loop"
             )
         tile = [1] * (arity - len(sizes)) + sizes
+        bounds = static_bounds(loop)
+        if bounds is None or any(b[3] % z for b, z in zip(bounds, tile)):
+            out.skipped += 1
+            continue
         lbs = loop.operands[:arity]
         ubs = loop.operands[arity:2 * arity]
         steps = loop.operands[2 * arity:]
-        lo = [const_int(v) for v in lbs]
-        hi = [const_int(v) for v in ubs]
-        st = [const_int(v) for v in steps]
-        if any(v is None for v in lo + hi + st) or any(s < 1 for s in st):
-            out.skipped += 1
-            continue
-        trips = [trip_count(*b) for b in zip(lo, hi, st)]
-        if any(t % z for t, z in zip(trips, tile)):
-            out.skipped += 1
-            continue
         loc = loop.location
         zero = build_index_constant(loop, 0, loc)
         # tile size in index units; outer step and inner bound
-        spans = [build_index_constant(loop, z * s, loc) for z, s in zip(tile, st)]
+        spans = [build_index_constant(loop, z * b[2], loc)
+                 for z, b in zip(tile, bounds)]
         outer = build_scf_parallel(loop, lbs, ubs, spans, loc)
         outer.attributes.update(loop.attributes)
         inner = build_scf_parallel(outer.body(), [zero] * arity, spans, steps,

@@ -5,7 +5,7 @@ from staircase.dialects.builders import build_arith_binop, build_index_constant
 from staircase.errors import InvalidFactor
 from staircase.ir.core import Operation, clone_op
 
-from .rewrite import PassOutcome, const_int, matching_ops, trip_count
+from .rewrite import PassOutcome, matching_ops, static_bounds
 
 _LOOPS = ("scf.for", "affine.for", "scf.parallel")
 
@@ -32,13 +32,11 @@ def loop_unroll(root: Operation, factor: int) -> PassOutcome:
     for loop in matching_ops(root, ("scf.for",)):
         if not _innermost(loop):
             continue
-        lb, ub, step = (const_int(v) for v in loop.operands)
-        if lb is None or ub is None or step is None or step < 1:
+        bounds = static_bounds(loop)
+        if bounds is None or bounds[0][3] % factor:
             out.skipped += 1
             continue
-        if trip_count(lb, ub, step) % factor:
-            out.skipped += 1
-            continue
+        step = bounds[0][2]
         loc = loop.location
         loop.set_operand(2, build_index_constant(loop, step * factor, loc))
         body = loop.body()

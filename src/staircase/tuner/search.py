@@ -26,6 +26,7 @@ from staircase.errors import (
     VerificationFailed,
 )
 from staircase.interp import Buffer, cost as model_cost
+from staircase.interp.buffer import copy_buffers
 from staircase.interp.machine import call
 from staircase.interp.tape import compile_module
 from staircase.ir.core import Operation, SymbolTable
@@ -107,10 +108,6 @@ def make_inputs(module: Operation, func: str | None, seed: int) -> list:
     return [_fresh_argument(arg.type, rng) for arg in func_op.body().args]
 
 
-def _copy_args(args) -> list:
-    return [a.copy() if isinstance(a, Buffer) else a for a in args]
-
-
 def _values_close(got, want) -> bool:
     if isinstance(want, float):
         return math.isclose(got, want, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
@@ -164,7 +161,7 @@ class _Session:
         self.seed = seed
         self.template = pipeline_template or default_pipeline
         self.inputs = make_inputs(module, self.func, seed)
-        self.want_args = _copy_args(self.inputs)
+        self.want_args = copy_buffers(self.inputs)
         self.want_results, _ = call(compile_module(module), self.func,
                                     self.want_args, "sequential", 1)
 
@@ -176,7 +173,7 @@ class _Session:
         except (PassFailure, VerificationFailed):
             return Trial(idx, params, None, "skipped", self.seed)
         try:
-            args = _copy_args(self.inputs)
+            args = copy_buffers(self.inputs)
             results, stats = call(compile_module(work), self.func, args,
                                   "sequential", 1)
         finally:

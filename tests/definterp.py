@@ -21,6 +21,7 @@ from staircase.interp.buffer import (
     Buffer,
     bad_loop_step,
     bad_parallel_step,
+    constant_value,
     fdiv,
     launch_outside_gpu,
     out_of_bounds,
@@ -29,7 +30,6 @@ from staircase.interp.buffer import (
 )
 from staircase.interp.machine import check_args, normalize_mode
 from staircase.interp.stats import BOOKKEEPING, OP_SLOT, fold_tally, new_tally
-from staircase.interp.tape import constant_value
 from staircase.ir.core import SymbolTable
 from staircase.ir.verify import verify_or_raise
 

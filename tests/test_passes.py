@@ -22,7 +22,7 @@ import pytest
 from conftest import golden_text, ir_layout, visible_by_definition
 from irgen import random_inputs, random_module
 from staircase.dialects.builders import build_constant, build_func
-from staircase.errors import PassFailure, StaircaseError
+from staircase.errors import InvalidBound, PassFailure, StaircaseError
 from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.ir.core import (
@@ -209,6 +209,66 @@ def test_random_compositions_preserve_results():
           f"untransformed; {refused} of {runs} runs refused with PassFailure")
     assert not mismatches, "\n".join(mismatches[:5])
     assert refused < runs // 2
+
+
+def _parse(body, param):
+    return parse_module("module {\n  func.func @f(%arg0: " + param + ") {\n"
+                        + body + "\n    return\n  }\n}\n", create_context())
+
+
+def test_canonicalize_folds_f32_constants_as_a_run_reads_them():
+    """Neither literal is exact in f32: a run rounds each before adding."""
+    module = _parse("""\
+    %0 = arith.constant -2.9250860471007902 : f32
+    %1 = arith.constant 2.7794698954978614 : f32
+    %2 = arith.addf %0, %1 : f32
+    %3 = arith.constant 0 : index
+    memref.store %2, %arg0[%3] : memref<1xf32>""", "memref<1xf32>")
+    folded, _ = run_pipeline(module, "builtin.module(func.func(canonicalize))")
+    assert "arith.addf" not in print_module(folded)
+    want = _outcome(module, "f", [Buffer((1,), "f32")])
+    assert want == ((), [[-0.1456160545349121]])
+    assert _outcome(folded, "f", [Buffer((1,), "f32")]) == want
+
+
+def test_tiling_reads_bounds_as_a_run_does():
+    """An index bound of 2**64 + 4 wraps to 4 in a run: 4 points, which a
+    tile of 5 does not divide, so the loop is left whole."""
+    module = _parse("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 18446744073709551620 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2.0 : f64
+    scf.parallel (%arg1) = (%0) to (%1) step (%2) {
+      %4 = memref.load %arg0[%arg1] : memref<8xf64>
+      %5 = arith.mulf %4, %3 : f64
+      memref.store %5, %arg0[%arg1] : memref<8xf64>
+    }""", "memref<8xf64>")
+    tiled, stats = run_pipeline(
+        module, "builtin.module(func.func(scf-parallel-loop-tiling{sizes=[5]}))")
+    ones = Buffer((8,), "f64", [1.0] * 8)
+    want = _outcome(module, "f", [ones])
+    assert want == ((), [[2.0] * 4 + [1.0] * 4])
+    assert _outcome(tiled, "f", [ones]) == want
+    assert (stats[0].rewrites, stats[0].skipped) == (0, 1)
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_outlining_refuses_a_step_a_run_refuses(step):
+    module = _parse(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant {step} : index
+    %3 = arith.constant 2.0 : f64
+    scf.parallel (%arg1) = (%0) to (%1) step (%2) {{
+      memref.store %3, %arg0[%arg1] : memref<4xf64>
+    }}""", "memref<4xf64>")
+    with pytest.raises(InvalidBound,
+                       match="scf.parallel steps must be positive at runtime"):
+        _outcome(module, "f", [Buffer((4,), "f64")])
+    with pytest.raises(PassFailure, match="gpu-kernel-outlining .*steps at "
+                                          "least 1"):
+        run_pipeline(module, PIPELINES[6])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINES))

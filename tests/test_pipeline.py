@@ -43,6 +43,10 @@ PARSE_ERRORS = [
     ("builtin.module(nope(canonicalize))", ParseError,
      f"pipeline: unknown anchor 'nope'; expected one of {_ANCHORS}"),
     ("builtin.module(nope)", UnknownPass, "unknown pass 'nope'"),
+    ("builtin.module(canonicalize,)", ParseError,
+     "pipeline: expected a pass or scope, got ')'"),
+    ("builtin.module(,canonicalize)", ParseError,
+     "pipeline: expected a pass or scope, got ','"),
     ("builtin.module(loop-unroll{factor})", ParseError,
      "pipeline: expected '=', got '}'"),
     ("builtin.module(loop-unroll{factor=2)", ParseError,

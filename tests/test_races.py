@@ -64,6 +64,26 @@ def test_read_of_another_points_write():
         ((0,), (1,), ("arg0", 1)), ((1,), (2,), ("arg0", 2))]
 
 
+def test_one_buffer_passed_twice_races_through_the_alias():
+    # every point reads a[3] and point i writes b[i]: with one Buffer as
+    # both, point 3 writes what points 0 and 1 read, under its first name
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+    %3 = arith.constant 3 : index
+    scf.parallel (%arg2) = (%0) to (%2) step (%1) {
+      %4 = memref.load %arg0[%3] : memref<4xf64>
+      memref.store %4, %arg1[%arg2] : memref<4xf64>
+    }
+    return""", "%arg0: memref<4xf64>, %arg1: memref<4xf64>")
+    buf = Buffer((4,), "f64", [1.0, 2.0, 3.0, 4.0])
+    assert check_races(module, "f", [buf, buf]) == [
+        ((0,), (3,), ("arg0", 3)), ((1,), (3,), ("arg0", 3))]
+    assert buf.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert check_races(module, "f", [buf, buf.copy()]) == []
+
+
 def test_nested_parallel_loops_record_outer_points():
     # the inner points of one outer point share b[i]; the outer points
     # share a[0], and they are reported by the outer index alone
