@@ -5,7 +5,10 @@ walks the ops recursively and defines what they mean. On every input
 below, in sequential, worksharing:2 and gpu_emulated modes, both must
 leave the same buffers, return the same results and count the same
 ExecStats, or raise the same exception type with the same message and
-leave the same buffers behind.
+leave the same buffers behind. Where a worksharing:2 run repeats a
+sequential one, it is checked against the sequential reference: the
+definitional interpreter reads the mode only in the stats and at
+gpu.launch_func, which both modes refuse with a message naming the mode.
 """
 import math
 import os
@@ -20,6 +23,7 @@ from conftest import golden_path
 from irgen import index_module, random_inputs, random_module
 from staircase.errors import PassFailure
 from staircase.interp import Buffer, codegen
+from staircase.interp.buffer import copy_buffers
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
@@ -31,17 +35,13 @@ INPUTS = os.path.join(ROOT, "perfbench", "inputs")
 
 CANON = "builtin.module(func.func(canonicalize))"
 GPU = "builtin.module(gpu-map-parallel-loops,gpu-kernel-outlining)"
-MODES = (("sequential", 1, CANON), ("worksharing", 2, CANON),
-         ("gpu_emulated", 1, GPU))
 STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
                "bookkeeping", "mode", "workers")
 IRGEN_SEEDS = range(240)
 
 
 def _outcome(runner, module, func, args, mode, workers):
-    copies = {}     # arguments that are one Buffer stay one Buffer
-    args = [copies.setdefault(id(a), a.copy()) if isinstance(a, Buffer) else a
-            for a in args]
+    args = copy_buffers(args)
     try:
         results, stats = runner(module, func, args, mode, workers)
     except Exception as exc:  # compared by type, message and buffers
@@ -50,13 +50,30 @@ def _outcome(runner, module, func, args, mode, workers):
     return ("returned", results, args, fields)
 
 
-def differ(module, func, args, mode="sequential", workers=1):
-    """Run both evaluators; return the reference outcome and a mismatch or None."""
-    want = _outcome(definterp.run, module, func, args, mode, workers)
+def differ(module, func, args, mode="sequential", workers=1, want=None):
+    """Run both evaluators, or only ``run`` against a given reference
+    outcome; return the reference outcome and a mismatch or None."""
+    if want is None:
+        want = _outcome(definterp.run, module, func, args, mode, workers)
     got = _outcome(run, module, func, args, mode, workers)
     if got != want:
         return want, f"{func} in {mode}: generated {got!r}, reference {want!r}"
     return want, None
+
+
+def _agree_in_modes(case, gpu_case):
+    """differ under sequential and worksharing:2 on ``case`` and under
+    gpu_emulated on ``gpu_case``, each a (module, func, args); returns the
+    three (reference, mismatch) pairs. A sequential reference that returned
+    serves worksharing with the stats' last two fields, mode and workers,
+    set to its own."""
+    sequential = differ(*case)
+    want = sequential[0]
+    shared = None
+    if want[0] == "returned":
+        shared = want[:3] + (want[3][:-2] + ("worksharing", 2),)
+    return [sequential, differ(*case, "worksharing", 2, shared),
+            differ(*gpu_case, "gpu_emulated", 1)]
 
 
 def _source(module, recorder=None):
@@ -83,13 +100,12 @@ def _irgen_runs(seeds, build=random_module):
     """Compare every seed in every mode; returns (mismatches, raised, runs)."""
     mismatches, raised, runs = [], 0, 0
     for seed in seeds:
-        for mode, workers, pipeline in MODES:
-            module = build(seed)
-            if mode == "gpu_emulated":
-                module, _ = run_pipeline(module, pipeline)
+        cases = []
+        for module in (build(seed), run_pipeline(build(seed), GPU)[0]):
             func = _entry_name(module)
             args = random_inputs(_param_types(module, func), seed)
-            want, problem = differ(module, func, args, mode, workers)
+            cases.append((module, func, args))
+        for want, problem in _agree_in_modes(*cases):
             runs += 1
             raised += want[0] == "raised"
             if problem:
@@ -143,11 +159,13 @@ PRINTED_KERNELS = {"conv_rows": os.path.join(INPUTS, "conv_rows.sir"),
 def test_bench_inputs_agree(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    for mode, workers, pipeline in MODES:
+    cases = []
+    for pipeline in (CANON, GPU):
         module, _ = run_pipeline(parse_module(text, create_context()), pipeline)
         func = _entry_name(module)
-        args = random_inputs(_param_types(module, func), 7)
-        want, problem = differ(module, func, args, mode, workers)
+        cases.append((module, func,
+                      random_inputs(_param_types(module, func), 7)))
+    for want, problem in _agree_in_modes(*cases):
         assert problem is None, problem
         assert want[0] == "returned"
 
@@ -194,10 +212,12 @@ def test_captured_kernels_agree(name):
     if name in PRINTED_KERNELS:
         with open(PRINTED_KERNELS[name], encoding="utf-8") as fh:
             assert print_module(staged.module) == fh.read()
-    for mode, workers, pipeline in MODES:
+    cases = []
+    for pipeline in (CANON, GPU):
         module, _ = run_pipeline(staged.module, pipeline)
-        args = random_inputs(_param_types(module, name), 3)
-        want, problem = differ(module, name, args, mode, workers)
+        cases.append((module, name,
+                      random_inputs(_param_types(module, name), 3)))
+    for want, problem in _agree_in_modes(*cases):
         assert problem is None, problem
         assert want[0] == "returned"
 
@@ -795,12 +815,11 @@ module attributes {gpu.container_module} {
 
 def _agree_in_every_mode(module, func, args):
     """Both evaluators agree in each mode; returns the sequential outcome."""
-    outcomes = []
-    for mode, workers, _ in MODES:
-        want, problem = differ(module, func, args, mode, workers)
+    case = (module, func, args)
+    outcomes = _agree_in_modes(case, case)
+    for _, problem in outcomes:
         assert problem is None, problem
-        outcomes.append(want)
-    return outcomes[0]
+    return outcomes[0][0]
 
 
 # B[0] is read in every iteration, A[i] written: under one Buffer, the

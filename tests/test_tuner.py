@@ -6,13 +6,13 @@ import os
 import pytest
 
 from conftest import golden_text
-from staircase.errors import StaircaseError
+from staircase.errors import MalformedLine, StaircaseError
 from staircase.interp import Buffer
 from staircase.ir import verify
 from staircase.ir.core import create_context, int_attr
 from staircase.passes import PASSES, PassOutcome
 from staircase.textio import parse_module
-from staircase.tuner import ParamSpace, evaluate, search
+from staircase.tuner import ParamSpace, evaluate, load, persist, search
 from staircase.tuner.search import _buffers_close, _Session
 
 CONV_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -26,23 +26,67 @@ def _conv_rows():
         return parse_module(fh.read(), create_context())
 
 
-def _search_lines():
+@pytest.fixture(scope="module")
+def searches():
+    """(strategy, best trial, log) of each golden search."""
+    return [(strategy, *search(_conv_rows(), space=SPACE, budget=6, seed=3,
+                               strategy=strategy))
+            for strategy in ("random", "one_plus_one_es")]
+
+
+def test_searches_replay_their_golden_logs(searches):
     """One JSON line per trial of each strategy, then one per best point."""
     lines = []
-    for strategy in ("random", "one_plus_one_es"):
-        best, log = search(_conv_rows(), space=SPACE, budget=6, seed=3,
-                           strategy=strategy)
+    for strategy, best, log in searches:
         for t in log + [best]:
             stats = t.stats and {k: v for k, v in t.stats.items()
                                  if k != "wall_time"}
             lines.append(json.dumps({
                 "strategy": strategy, "idx": t.idx, "params": t.params,
                 "cost": t.cost, "status": t.status, "stats": stats}))
-    return "".join(line + "\n" for line in lines)
+    assert "".join(line + "\n" for line in lines) == golden_text(GOLDEN)
 
 
-def test_searches_replay_their_golden_logs():
-    assert _search_lines() == golden_text(GOLDEN)
+def test_a_log_loads_as_it_was_persisted(searches, tmp_path):
+    for strategy, _, log in searches:
+        path = tmp_path / f"{strategy}.jsonl"
+        persist(log, path)
+        assert load(path) == log
+
+
+_RECORD = {"idx": 0, "params": {"tiles": [1, 1], "unroll": 1},
+           "cost": 812.0, "status": "evaluated", "seed": 7}
+
+
+def _with(**changes):
+    return json.dumps({**_RECORD, **changes})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{", "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("[]", "record is not a JSON object"),
+    ('{"idx": 0, "cost": null}', "missing keys ['params', 'seed', 'status']"),
+    (_with(idx=True), "idx must be an integer, got True"),
+    (_with(seed="7"), "seed must be an integer, got '7'"),
+    (_with(status="done"), "unknown status 'done'"),
+    (_with(params={"tiles": [1, 1]}),
+     "params must hold exactly tiles and unroll"),
+    (_with(params={"tiles": [1, 1.5], "unroll": 1}),
+     "tiles must be a list of integers"),
+    (_with(params={"tiles": [1, 1], "unroll": "2"}),
+     "unroll must be an integer"),
+    (_with(cost="812"), "evaluated trial needs a numeric cost"),
+    (_with(status="skipped"), "skipped trial must have null cost"),
+], ids=["json", "not-object", "missing", "idx", "seed", "status", "params",
+        "tiles", "unroll", "evaluated-cost", "skipped-cost"])
+def test_a_malformed_log_line_is_named(tmp_path, line, message):
+    """The line after a good record and a blank line is line 3."""
+    path = tmp_path / "log.jsonl"
+    path.write_text(_with() + "\n\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as info:
+        load(path)
+    assert str(info.value) == f"line 3: {message} in {path}"
+    assert info.value.lineno == 3
 
 
 def test_a_point_the_pipeline_rejects_is_skipped():
