@@ -246,17 +246,10 @@ def _cmd_tune(ns) -> int:
     from staircase.tuner import ParamSpace, persist, search
     from staircase.tuner.log import trial_line
 
-    seed = ns.seed
-    if seed is None:
-        env = os.environ.get("STAIRCASE_SEED")
-        try:
-            seed = int(env) if env is not None else 0
-        except ValueError:
-            raise _CliError(f"STAIRCASE_SEED must be an integer, got {env!r}")
     space = ParamSpace(tile_sizes=ns.tiles, unroll_factors=ns.unroll)
     module = _capture_from_file(ns.input, ns.func)
     try:
-        best, log = search(module, None, space, budget=ns.budget, seed=seed,
+        best, log = search(module, None, space, budget=ns.budget, seed=ns.seed,
                            strategy=ns.strategy, func=ns.func)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
@@ -330,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="unroll factor candidates, like '1,2,4'")
     tune.add_argument("--budget", type=int, default=20,
                       help="number of trials including the baseline")
-    tune.add_argument("--seed", type=int, default=None,
-                      help="search seed (default: $STAIRCASE_SEED or 0)")
+    tune.add_argument("--seed", type=int, default=0,
+                      help="search seed (default: 0)")
     tune.add_argument("--strategy", choices=("random", "es"),
                       default="random", help="search strategy")
     tune.add_argument("--log", required=True, help="JSONL trial log to write")

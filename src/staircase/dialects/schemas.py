@@ -188,7 +188,7 @@ def _check_affine_for(op: Operation) -> list:
     if lb is None or ub is None or step is None:
         problems.append("requires integer lower_bound, upper_bound, step attributes")
     else:
-        if step.value < 1:
+        if not 1 <= step.value < 1 << 63:  # a run reads the step as i64
             problems.append("step must be >= 1")
         if ub.value < lb.value:
             problems.append("upper bound must be >= lower bound")

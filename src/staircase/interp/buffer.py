@@ -10,6 +10,9 @@ positive extents, one of f32, f64, i32 or i64, and every element in
 row-major order. f32 and f64 take integers and floats (NaN and the
 infinities too) within the f64 range, and f32 rounds them; i32 and i64
 take integers only and wrap them. true and false are not numbers here.
+
+Constants and loop bounds are read here, as a run reads them, by passes
+and codegen alike: constant_value, constant_of and static_bounds.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from staircase.errors import (
 )
 
 _TYPECODES = {"f32": "f", "f64": "d", "i32": "i", "i64": "q"}
-_FLOAT_DTYPES = frozenset({"f32", "f64"})
 
 _WRAP = {"i32": (1 << 32, 1 << 31), "i64": (1 << 64, 1 << 63)}
 
@@ -65,6 +67,23 @@ def constant_of(value):
     if op is None or op.name != "arith.constant":
         return None
     return constant_value(op)
+
+
+def static_bounds(loop) -> list[tuple[int, int, int, int]] | None:
+    """(lb, ub, step, trips) per dimension of an scf.for, scf.parallel or
+    affine.for (its attributes wrapped to i64), as a run reads them; None
+    unless every bound is a constant and every step is at least 1."""
+    n = len(loop.body().args)
+    if loop.name == "affine.for":
+        values = [wrap_int(loop.attributes[key].value, "i64")
+                  for key in ("lower_bound", "upper_bound", "step")]
+    else:
+        values = [constant_of(v) for v in loop.operands]
+    if None in values or min(values[2 * n:]) < 1:
+        return None
+    # trips = ceil((ub - lb) / step); len(range(...)) overflows past sys.maxsize
+    return [(lb, ub, step, max(0, -((lb - ub) // step)))
+            for lb, ub, step in zip(values[:n], values[n:2 * n], values[2 * n:])]
 
 
 def fdiv(a: float, b: float) -> float:
@@ -142,42 +161,6 @@ class Buffer:
     def copy(self) -> "Buffer":
         return Buffer(self.shape, self.dtype, self.data)
 
-    # -- element access (host-side convenience; the evaluator inlines this) ---
-
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
-
-    @property
-    def is_float(self) -> bool:
-        return self.dtype in _FLOAT_DTYPES
-
-    def offset_of(self, indices) -> int:
-        if len(indices) != len(self.shape):
-            raise OutOfBounds(
-                f"{len(indices)} indices for a rank-{len(self.shape)} buffer"
-            )
-        off = 0
-        for idx, extent, stride in zip(indices, self.shape, self.strides):
-            if idx < 0 or idx >= extent:
-                raise OutOfBounds(
-                    f"index {idx} out of bounds for extent {extent}"
-                )
-            off += idx * stride
-        return off
-
-    def __getitem__(self, indices):
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        return self.data[self.offset_of(indices)]
-
-    def __setitem__(self, indices, value):
-        if not isinstance(indices, tuple):
-            indices = (indices,)
-        if not self.is_float:
-            value = wrap_int(value, self.dtype)
-        self.data[self.offset_of(indices)] = value
-
     def tolist(self) -> list:
         return self.data.tolist()
 
@@ -227,7 +210,7 @@ def buffer_from_value(obj) -> Buffer:
         )
     if not isinstance(data, list):
         raise TypeMismatch("buffer data must be a flat list of numbers")
-    is_float = dtype in _FLOAT_DTYPES
+    is_float = dtype in ("f32", "f64")
     if not set(map(type, data)) <= ({int, float} if is_float else {int}):
         raise TypeMismatch("float buffer data must be numbers" if is_float
                            else "integer buffer data must be integers")

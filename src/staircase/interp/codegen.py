@@ -94,12 +94,13 @@ from staircase.interp.buffer import (
     launch_outside_gpu,
     out_of_bounds,
     row_major_strides,
+    static_bounds,
     to_f32,
     wrap_int,
 )
 from staircase.interp.stats import BOOKKEEPING, OP_SLOT
 from staircase.interp.tape import Program, module_functions
-from staircase.ir.core import Operation, Value
+from staircase.ir.core import Operation, Value, ancestors
 
 SEGMENT = 300   # statements per compiled unit in a long straight-line run
 MAX_DEPTH = 15  # indentation past which a loop or if gets a function of its own
@@ -260,9 +261,7 @@ def _note(stores: dict, buf, where) -> None:
 def _defined_in(value: Value, loop: Operation) -> bool:
     """Whether ``value`` is defined inside ``loop``'s regions."""
     op = value.owner.parent_op if value.is_block_arg else value.defining_op
-    while op is not None and op is not loop:
-        op = op.parent.parent_op if op.parent is not None else None
-    return op is loop
+    return op is loop or any(a is loop for a in ancestors(op))
 
 
 # A block's execution count is coef * var: var is None (a literal count),
@@ -1189,10 +1188,7 @@ class _FuncGen:
                     if lb and ub:
                         known[op.body().args[0]] = (lb[0], max(ub[1] - 1, lb[0]))
                 elif name == "affine.for":
-                    attrs = op.attributes
-                    trips = range(wrap_int(attrs["lower_bound"].value, "i64"),
-                                  wrap_int(attrs["upper_bound"].value, "i64"),
-                                  attrs["step"].value)
+                    trips = range(*static_bounds(op)[0][:3])
                     if trips:
                         known[op.body().args[0]] = (trips[0], trips[-1])
                 for region in op.regions:
@@ -1341,11 +1337,7 @@ class _FuncGen:
         self.close_loops(level)
 
     def affine_for(self, op: Operation, count: tuple, depth: int) -> None:
-        attrs = op.attributes
-        bounds = (wrap_int(attrs["lower_bound"].value, "i64"),
-                  wrap_int(attrs["upper_bound"].value, "i64"),
-                  attrs["step"].value)
-        self.counted(op, bounds, count, depth)
+        self.counted(op, static_bounds(op)[0][:3], count, depth)
 
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
         """A call to the function its body becomes, which takes the locals

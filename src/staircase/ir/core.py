@@ -422,7 +422,7 @@ class Block:
     def terminator(self) -> Operation | None:
         if self.ops:
             last = self.ops[-1]
-            schema = last.ctx.registry.lookup_op(last.name)
+            schema = last.ctx.registry.ops.get(last.name)
             if schema is not None and schema.is_terminator:
                 return last
         return None
@@ -489,9 +489,6 @@ class DialectRegistry:
         for schema in d.ops.values():
             if schema.form is not None and schema.form.mnemonic:
                 self.mnemonics[schema.form.mnemonic] = schema
-
-    def lookup_op(self, op_name: str) -> OpSchema | None:
-        return self.ops.get(op_name)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def verify(root: Operation) -> list[Diagnostic]:
                               op.name, op.location))
 
     def visit(op: Operation) -> None:
-        schema = registry.lookup_op(op.name)
+        schema = registry.ops.get(op.name)
         if schema is None:
             out.append(Diagnostic("unknown operation", op.name, op.location))
             return
@@ -121,7 +121,7 @@ def verify(root: Operation) -> list[Diagnostic]:
                         f"region must end with {schema.terminator}",
                         op.name, op.location))
             for i, inner in enumerate(block.ops):
-                inner_schema = registry.lookup_op(inner.name)
+                inner_schema = registry.ops.get(inner.name)
                 if inner_schema and inner_schema.is_terminator \
                         and i != len(block.ops) - 1:
                     out.append(Diagnostic(

@@ -6,7 +6,7 @@ import operator
 from itertools import chain
 
 from staircase.dialects.builders import build_constant
-from staircase.interp.buffer import constant_of, to_f32, wrap_int
+from staircase.interp.buffer import constant_of, constant_value, to_f32, wrap_int
 from staircase.ir.core import Operation, erase_op, replace_all_uses_with
 
 from .rewrite import PassOutcome, matching_ops
@@ -55,8 +55,8 @@ def _dedup_constants(root: Operation) -> int:
         for op in list(block.ops):
             if op.name != "arith.constant":
                 continue
-            attr = op.attributes["value"]
-            key = (str(op.results[0].type), attr.kind, repr(attr.value))
+            value = constant_value(op)
+            key = (str(op.results[0].type), value, math.copysign(1, value))
             first = seen.get(key)
             if first is None:
                 seen[key] = op
@@ -87,10 +87,11 @@ def canonicalize(root: Operation) -> PassOutcome:
     Folding evaluates arith binops whose operands are constants. It reads
     each constant as a run does (f32 rounded to f32, integers wrapped to
     their width) and rounds or wraps the result the same way, so a fold
-    stores what the unfolded op computes. Dedup keeps the first of
-    identical constants within one block. Erasure removes ops whose schema
-    is pure when none of their results is used. A second run on the
-    output changes nothing, byte for byte.
+    stores what the unfolded op computes. Dedup keeps the first of the
+    constants in a block that a run reads alike (type, value, sign of a
+    zero). Erasure removes ops whose schema is pure when none of their
+    results is used. A second run on the output changes nothing, byte
+    for byte.
     """
     total = 0
     while True:

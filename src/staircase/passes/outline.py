@@ -11,7 +11,7 @@ from staircase.dialects.builders import (
     build_scf_for,
 )
 from staircase.errors import OutliningUnsupported
-from staircase.interp.buffer import constant_of
+from staircase.interp.buffer import constant_of, static_bounds
 from staircase.ir.core import (
     Block,
     Operation,
@@ -23,7 +23,7 @@ from staircase.ir.core import (
     merge_block,
 )
 
-from .rewrite import PassOutcome, matching_ops, static_bounds
+from .rewrite import PassOutcome, matching_ops
 
 
 def _mapping(op: Operation) -> str | None:

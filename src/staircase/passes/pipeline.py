@@ -169,6 +169,13 @@ class _Parser:
         self.at += 1
         return token
 
+    def word(self, what: str) -> str:
+        """The next token, which must be a name or number, not punctuation."""
+        token = self.take()
+        if token in "(){}=[],":  # names and numbers hold none of these
+            raise ParseError(f"pipeline: expected {what}, got {token!r}")
+        return token
+
     def scope(self) -> PassScope:
         name = self.take()
         if name not in ANCHORS:
@@ -193,9 +200,7 @@ class _Parser:
             return scope
 
     def item(self):
-        name = self.take()
-        if name in "(){}=[],":  # a punctuation token; names hold none of these
-            raise ParseError(f"pipeline: expected a pass or scope, got {name!r}")
+        name = self.word("a pass or scope")
         if self.peek() == "(":
             if name not in ANCHORS:
                 raise ParseError(
@@ -212,7 +217,7 @@ class _Parser:
         self.take("{")
         params: dict = {}
         while True:
-            key = self.take()
+            key = self.word("a parameter name")
             self.take("=")
             params[key] = self.value()
             if self.peek() == ",":
@@ -238,7 +243,7 @@ class _Parser:
         return self.scalar()
 
     def scalar(self):
-        token = self.take()
+        token = self.word("a value")
         try:
             return int(token)
         except ValueError:

@@ -7,9 +7,10 @@ from staircase.dialects.builders import (
     build_scf_parallel,
 )
 from staircase.errors import ArityMismatch, InvalidFactor
+from staircase.interp.buffer import static_bounds
 from staircase.ir.core import Operation, erase_op, merge_block
 
-from .rewrite import PassOutcome, matching_ops, static_bounds
+from .rewrite import PassOutcome, matching_ops
 
 
 def scf_parallel_loop_tiling(root: Operation, sizes) -> PassOutcome:

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from staircase.dialects.builders import build_arith_binop, build_index_constant
 from staircase.errors import InvalidFactor
+from staircase.interp.buffer import static_bounds
 from staircase.ir.core import Operation, clone_op
 
-from .rewrite import PassOutcome, matching_ops, static_bounds
+from .rewrite import PassOutcome, matching_ops
 
 _LOOPS = ("scf.for", "affine.for", "scf.parallel")
 

@@ -245,7 +245,8 @@ def random_inputs(param_types, seed):
         if ty.kind == "memref":
             buf = Buffer(ty.shape, ty.element.kind)
             for i in range(len(buf.data)):
-                buf.data[i] = (rng.uniform(-2.0, 2.0) if buf.is_float
+                buf.data[i] = (rng.uniform(-2.0, 2.0)
+                               if buf.dtype in ("f32", "f64")
                                else rng.randrange(-50, 50))
             args.append(buf)
         elif ty.is_float:

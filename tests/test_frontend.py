@@ -6,15 +6,25 @@ import pkgutil
 
 import pytest
 
+import definterp
 import staircase
 from conftest import golden_text
-from staircase import F64, GPUModule, MemRef, parallel, thread_id_x
+from staircase import (
+    F64,
+    GPUModule,
+    I64,
+    MemRef,
+    parallel,
+    spirv,
+    thread_id_x,
+)
 from staircase.errors import (
     CaptureLeak,
     InvalidBound,
     RankMismatch,
     TypeMismatch,
     UnbalancedMarkers,
+    UnsupportedConstruct,
 )
 from staircase.frontend.capture import capture
 from staircase.interp import Buffer
@@ -117,6 +127,77 @@ def launch_leak(a: MemRef[(8,), F64]):
     Zero().zero(b, grid_size=[1, 1, 1], block_size=[8, 1, 1])
 
 
+def host_return(x: F64):
+    return 1.0
+
+
+# One function per rejection in frontend/astrewrite.py; each message names
+# the line of the statement, or of the def, it rejects.
+
+def banned_statement(a: MemRef[(4,), F64]):
+    while a[0] < 1.0:
+        a[0] = 1.0
+
+
+def banned_expression(x: F64):
+    y = x if x else 1.0
+
+
+def chained(x: F64):
+    if 0.0 < x < 1.0:
+        pass
+
+
+def unary(x: F64):
+    y = -x
+
+
+def early_return(x: F64):
+    if x < 1.0:
+        return
+
+
+def for_else(a: MemRef[(4,), F64]):
+    for i in range(4):
+        a[i] = 1.0
+    else:
+        pass
+
+
+def host_loop(a: MemRef[(4,), F64]):
+    for i in [0, 1]:
+        a[i] = 1.0
+
+
+def subscript_target(a: MemRef[(4,), F64]):
+    for a[0] in range(4):
+        pass
+
+
+def two_targets(x: F64):
+    y = z = x
+
+
+def attribute_target(a: MemRef[(4,), F64]):
+    a.shape += 1.0
+
+
+def floor_div(x: F64):
+    x //= 2.0
+
+
+def bare_expression(x: F64):
+    x
+
+
+def annotated(x: F64):
+    y: F64 = x
+
+
+def star_args(*xs: F64):
+    pass
+
+
 @pytest.mark.parametrize("fn, range_ctor, error, message", [
     (leak, "scf_for", CaptureLeak,
      "a value defined in an already-closed region is used at {file}:{line3}"),
@@ -132,11 +213,46 @@ def launch_leak(a: MemRef[(8,), F64]):
      "parallel takes equal-length, non-empty bound tuples"),
     (launch_leak, "scf_for", CaptureLeak,
      "a value defined in an already-closed region is used at {file}:{line3}"),
+    (host_return, "scf_for", UnsupportedConstruct,
+     "only staged values can be returned from a captured function"),
+    (banned_statement, "scf_for", UnsupportedConstruct,
+     "line {line1}: while loops cannot be staged"),
+    (banned_expression, "scf_for", UnsupportedConstruct,
+     "line {line1}: conditional expressions cannot be staged"),
+    (chained, "scf_for", UnsupportedConstruct,
+     "line {line1}: chained comparisons cannot be staged"),
+    (unary, "scf_for", UnsupportedConstruct,
+     "line {line1}: unary operators on staged values"),
+    (early_return, "scf_for", UnsupportedConstruct,
+     "line {line2}: return is only allowed as the final statement"),
+    (for_else, "scf_for", UnsupportedConstruct,
+     "line {line1}: for/else cannot be staged"),
+    (host_loop, "scf_for", UnsupportedConstruct,
+     "line {line1}: loops must iterate over range() or parallel()"),
+    (subscript_target, "scf_for", UnsupportedConstruct,
+     "line {line1}: loop targets must be plain names"),
+    (two_targets, "scf_for", UnsupportedConstruct,
+     "line {line1}: assignment targets must be a name or a subscript"),
+    (attribute_target, "scf_for", UnsupportedConstruct,
+     "line {line1}: augmented targets must be a name or a subscript"),
+    (floor_div, "scf_for", UnsupportedConstruct,
+     "line {line1}: only + - * / augmented assignment can be staged"),
+    (bare_expression, "scf_for", UnsupportedConstruct,
+     "line {line1}: expression statements must be calls"),
+    (annotated, "scf_for", UnsupportedConstruct,
+     "line {line1}: AnnAssign cannot be staged"),
+    (star_args, "scf_for", UnsupportedConstruct,
+     "line {line0}: only plain positional parameters can be staged"),
 ], ids=["leak", "rank", "affine-bound", "float-subscript", "store-i1",
-        "parallel-arity", "launch-leak"])
+        "parallel-arity", "launch-leak", "host-return", "banned-statement",
+        "banned-expression", "chained", "unary", "early-return", "for-else",
+        "host-loop", "subscript-target", "two-targets", "attribute-target",
+        "floor-div", "bare-expression", "annotated", "star-args"])
 def test_capture_errors_keep_type_and_message(fn, range_ctor, error, message):
     code = fn.__code__
-    message = message.format(file=code.co_filename, line3=code.co_firstlineno + 3)
+    first = code.co_firstlineno
+    message = message.format(file=code.co_filename, line0=first,
+                             line1=first + 1, line2=first + 2, line3=first + 3)
     with pytest.raises(error) as info:
         capture(fn, range_ctor=range_ctor)
     assert type(info.value) is error
@@ -156,3 +272,71 @@ def test_gpu_module_captures_and_runs():
     buf = Buffer((8,), "f64", [float(k) for k in range(8)])
     run(module, "add_one", [buf], "gpu_emulated")
     assert buf.tolist() == [k + 1.0 for k in range(8)]
+
+
+# -- what a capture returns, and the operators it stages ----------------------------
+
+
+def one_result(x: F64):
+    return 3.0 * x
+
+
+def host_numbers(x: F64):
+    return 1.0 + x, 2.0 - x, 3.0 * x, 1.0 / x, x - 0.5, x / 2.0
+
+
+def compared_f64(x: F64, y: F64):
+    return x < y, x <= y, x > y, x >= y, x == y, x != y
+
+
+def compared_i64(x: I64, y: I64):
+    return x < y, x <= y, x > y, x >= y, x == y, x != y
+
+
+@pytest.mark.parametrize("fn, args, results", [
+    (one_result, [2.0], (6.0,)),
+    (host_numbers, [4.0], (5.0, -2.0, 12.0, 0.25, 3.5, 2.0)),
+    (compared_f64, [1.0, 2.0], (1, 1, 0, 0, 0, 1)),
+    (compared_f64, [2.0, 2.0], (0, 1, 0, 1, 1, 0)),
+    (compared_i64, [3, 2], (0, 0, 1, 1, 0, 1)),
+    (compared_i64, [2, 2], (0, 1, 0, 1, 1, 0)),
+])
+def test_captured_results_agree_with_the_reference(fn, args, results):
+    """A host number on either side of an operator becomes a constant of
+    the staged operand's type; a tuple returns one value per element."""
+    module = capture(fn).parent.parent_op
+    got, _ = run(module, fn.__name__, args)
+    want, _ = definterp.run(module, fn.__name__, args)
+    assert tuple(got) == tuple(want) == results
+
+
+class Tagged(GPUModule):
+    def zero(self, a: MemRef[(8,), F64]):
+        a[thread_id_x()] = 0.0
+
+    def one(self, a: MemRef[(8,), F64]):
+        a[thread_id_x()] = 1.0
+
+
+def tagged(a: MemRef[(8,), F64]):
+    kernels = Tagged(func_attributes={
+        "spirv.entry_point_abi": spirv.entry_point_abi([4, 1, 1])})
+    kernels.zero(a, grid_size=[1, 1, 1], block_size=[8, 1, 1])
+    kernels.one(a, grid_size=[1, 1, 1], block_size=[4, 1, 1])
+
+
+def test_gpu_func_attributes_land_on_every_kernel():
+    module = capture(tagged).parent.parent_op
+    funcs = [op for op in module.walk_nested() if op.name == "gpu.func"]
+    assert [f.attributes["sym_name"].value for f in funcs] == ["zero", "one"]
+    for func in funcs:
+        abi = func.attributes["spirv.entry_point_abi"]
+        assert abi == spirv.entry_point_abi([4, 1, 1])
+    text = print_module(module)
+    assert print_module(parse_module(text, create_context())) == text
+    buf = Buffer((8,), "f64", [5.0] * 8)
+    want = Buffer((8,), "f64", [5.0] * 8)
+    run(module, "tagged", [buf], "gpu_emulated")
+    definterp.run(module, "tagged", [want], "gpu_emulated")
+    assert buf == want
+    assert buf.tolist() == [1.0] * 4 + [0.0] * 4

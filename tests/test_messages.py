@@ -131,6 +131,11 @@ CREATION = [
      [], 1, "func", "requires integer lower_bound, upper_bound, step attributes"),
     ("affine.for", [], {**BOUNDS, "step": int_attr(0)}, [], 1, "func",
      "step must be >= 1"),
+    # a run reads the step as an i64: 2**63 as negative, 2**64 + 1 as 1
+    *(pytest.param(("affine.for", [], {**BOUNDS, "step": int_attr(step)}, [],
+                    1, "func", "step must be >= 1"),
+                   id=f"affine.for:step {step}")
+      for step in (1 << 63, (1 << 64) + 1)),
     ("affine.for", [], {**BOUNDS, "upper_bound": int_attr(-1)}, [], 1, "func",
      "upper bound must be >= lower bound"),
     ("affine.for", [], BOUNDS, [F64], 1, "func", "carries no results"),

@@ -231,6 +231,41 @@ def test_canonicalize_folds_f32_constants_as_a_run_reads_them():
     assert _outcome(folded, "f", [Buffer((1,), "f32")]) == want
 
 
+@pytest.mark.parametrize("first, second, merged", [
+    ("0.1 : f32", "0.10000000001 : f32", True),
+    ("1 : index", "18446744073709551617 : index", True),
+    ("0.0 : f32", "-0.0 : f32", False),
+])
+def test_canonicalize_merges_constants_a_run_reads_alike(first, second,
+                                                          merged):
+    """Dedup keys on the value a run reads, its type and the sign of a
+    zero, not on how the literal is written."""
+    if first.endswith("index"):   # the two constants index the stores
+        body = f"""\
+    %0 = arith.constant 2.0 : f32
+    %1 = arith.constant {first}
+    %2 = arith.constant {second}
+    memref.store %0, %arg0[%1] : memref<2xf32>
+    memref.store %0, %arg0[%2] : memref<2xf32>"""
+    else:                         # the two constants are stored
+        body = f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant {first}
+    %3 = arith.constant {second}
+    memref.store %2, %arg0[%0] : memref<2xf32>
+    memref.store %3, %arg0[%1] : memref<2xf32>"""
+    module = _parse(body, "memref<2xf32>")
+    merged_module, stats = run_pipeline(
+        module, "builtin.module(func.func(canonicalize))")
+    assert stats[0].rewrites == int(merged)
+    text = print_module(merged_module)
+    assert (f"arith.constant {second}" not in text) == merged
+    assert f"arith.constant {first}" in text
+    want = _outcome(module, "f", [Buffer((2,), "f32")])
+    assert _outcome(merged_module, "f", [Buffer((2,), "f32")]) == want
+
+
 def test_tiling_reads_bounds_as_a_run_does():
     """An index bound of 2**64 + 4 wraps to 4 in a run: 4 points, which a
     tile of 5 does not divide, so the loop is left whole."""

@@ -55,6 +55,16 @@ PARSE_ERRORS = [
      "pipeline: unexpected end of input, expected '}'"),
     ("builtin.module(scf-parallel-loop-tiling{sizes=[2,3)})", ParseError,
      "pipeline: expected ']', got ')'"),
+    ("builtin.module(loop-unroll{factor=})", ParseError,
+     "pipeline: expected a value, got '}'"),
+    ("builtin.module(loop-unroll{factor=2,})", ParseError,
+     "pipeline: expected a parameter name, got '}'"),
+    ("builtin.module(loop-unroll{=2})", ParseError,
+     "pipeline: expected a parameter name, got '='"),
+    ("builtin.module(scf-parallel-loop-tiling{sizes=[2,]})", ParseError,
+     "pipeline: expected a value, got ']'"),
+    ("builtin.module(scf-parallel-loop-tiling{sizes=[,]})", ParseError,
+     "pipeline: expected a value, got ','"),
 ]
 
 

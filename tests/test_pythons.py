@@ -5,9 +5,10 @@ tests/every_python.py imports staircase, captures tests/kernels.py and
 prints each kernel's IR, each op's source line, and the ExecStats and
 buffers of a gpu_emulated run after canonicalize. Each python3.10 to
 python3.13 on PATH runs it, and its output must equal what the
-interpreter running this suite (3.11 for tier-1) prints. An interpreter
-that is not on PATH, or that cannot run ``-c pass`` (a pyenv shim for a
-version no one selected), is reported as skipped, by version.
+interpreter running this suite (3.11 for tier-1) prints. Each runs with
+PYENV_VERSION set to its version, so a pyenv shim picks that version
+when none is selected. An interpreter that is not on PATH, or that still
+cannot run ``-c pass``, is reported as skipped, by version.
 """
 import os
 import shutil
@@ -22,8 +23,8 @@ SCRIPT = os.path.join(TESTS, "every_python.py")
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 
 
-def _run(python: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS]),
+def _run(python: str, env=os.environ) -> subprocess.CompletedProcess:
+    env = dict(env, PYTHONPATH=os.pathsep.join([SRC, TESTS]),
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([python, SCRIPT], env=env, capture_output=True,
                           text=True, timeout=300)
@@ -41,11 +42,12 @@ def test_capture_agrees_on_every_python(version, reference):
     python = shutil.which(f"python{version}")
     if python is None:
         pytest.skip(f"python{version} is not on PATH")
-    probe = subprocess.run([python, "-c", "pass"], capture_output=True,
-                           text=True, timeout=60)
+    env = dict(os.environ, PYENV_VERSION=version)
+    probe = subprocess.run([python, "-c", "pass"], env=env,
+                           capture_output=True, text=True, timeout=60)
     if probe.returncode != 0:
         why = probe.stderr.strip().splitlines() or [f"exit {probe.returncode}"]
         pytest.skip(f"python{version} cannot run: {why[0]}")
-    done = _run(python)
+    done = _run(python, env)
     assert done.returncode == 0, done.stderr
     assert done.stdout == reference
