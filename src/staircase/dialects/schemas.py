@@ -190,7 +190,11 @@ def _check_affine_for(op: Operation) -> list:
     else:
         if not 1 <= step.value < 1 << 63:  # a run reads the step as i64
             problems.append("step must be >= 1")
-        if ub.value < lb.value:
+        # a run reads the bounds wrapped to i64 (the import would cycle
+        # when this module loads)
+        from staircase.interp.buffer import wrap_int
+
+        if wrap_int(ub.value, "i64") < wrap_int(lb.value, "i64"):
             problems.append("upper bound must be >= lower bound")
     if op.results:
         problems.append("carries no results")

@@ -70,6 +70,18 @@ Given a recorder (``races``), the generated code also reports each load
 and store, and the points of each parallel loop and each launch's
 threads; the code ``run`` executes has none of these calls.
 
+An innermost loop of SLICE_TRIPS or more literal trips, whose body is one
+store, loads and pure ops, and whose induction variable is used only in
+proven addresses that move by a constant positive stride or not at all,
+runs over slices of its arrays (MLIR's ``affine-super-vectorize``). If
+the store is to a buffer read only at the element it stores and
+``separate`` from the others it reads, the body becomes one slice
+assignment of a comprehension over the zipped slices; if it adds into an
+element kept in a local, a loop over them, adding in order (``sum`` rounds
+otherwise from 3.12). Slices cost set-up: on CPython 3.11 the first form
+overtakes the loop at 16 to 20 trips, the second at 8 to 12. Code for a
+recorder keeps every loop.
+
 ``compile()`` holds about 2.4 KB per statement of the source it is given,
 so a straight-line run longer than SEGMENT statements is split into
 chained functions, and functions are compiled in batches of about SEGMENT
@@ -81,6 +93,7 @@ import copy
 import functools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 from staircase.errors import UnknownOperation
@@ -104,6 +117,7 @@ from staircase.ir.core import Operation, Value, ancestors
 
 SEGMENT = 300   # statements per compiled unit in a long straight-line run
 MAX_DEPTH = 15  # indentation past which a loop or if gets a function of its own
+SLICE_TRIPS = 16  # trips from which an innermost loop runs over slices
 
 _WIDTH = {"i32": 32, "i64": 64, "index": 64}
 _FOPS = {"arith.addf": "+", "arith.subf": "-", "arith.mulf": "*"}
@@ -134,6 +148,10 @@ class Function:
     param_types: tuple
     is_kernel: bool
     fn: object = None
+
+
+class _Unsliced(Exception):
+    """The loop ``args[0]``, written over slices, fits no slice form."""
 
 
 class ExecContext:
@@ -173,6 +191,7 @@ def bad_step(lb, ub):
 
 _RUNTIME = {
     "Buffer": Buffer,
+    "array": array,
     "to_f32": to_f32,
     "fdiv": fdiv,
     "oob": out_of_bounds,
@@ -264,6 +283,12 @@ def _defined_in(value: Value, loop: Operation) -> bool:
     return op is loop or any(a is loop for a in ancestors(op))
 
 
+def _element_key(indices) -> list:
+    """Indices that name one element alike: a constant by its value."""
+    return [v if c is None else c
+            for v, c in zip(indices, map(constant_of, indices))]
+
+
 # A block's execution count is coef * var: var is None (a literal count),
 # a counter, "nt" (a kernel's thread count) or an else-arm difference.
 
@@ -314,6 +339,8 @@ class _Level:
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
                    "arith.index_cast"})
 _TERMINATORS = frozenset({"scf.yield", "func.return", "gpu.return"})
+_SLICEABLE = _PURE | {"arith.constant", "memref.load", "memref.store",
+                      "scf.yield"}   # the ops of a loop body over slices
 _WRITES = frozenset({"memref.store", "func.call", "gpu.launch_func"})
 _INDEX_FROM = {"memref.load": 1, "memref.store": 2}  # first index operand
 _LINEAR_OPS = frozenset({*_IOPS, "arith.index_cast"})
@@ -340,7 +367,7 @@ class _FuncGen:
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
                  extents, constants: list, recording: bool = False,
-                 guarded: bool = True):
+                 guarded: bool = True, unsliced=frozenset()):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
@@ -350,6 +377,10 @@ class _FuncGen:
         self.recording = recording  # call the race recorder R
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
+        self.unsliced = unsliced    # loops that keep their loop form
+        # while a body is written over slices: (loop, induction local, trips,
+        # {slice: the local each of its elements is read into})
+        self.slicing = None
         # region op -> what it stores to: per buffer, the indices and one
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
@@ -893,6 +924,13 @@ class _FuncGen:
         if op in self.reused:   # its indices were checked for the first
             self.names[r] = self.names[self.reused[op].results[0]]
             return []
+        text = self.slicing and self.slice_of(buf, op.operands[1:])
+        if text:
+            zipped = self.slicing[3]
+            if text not in zipped:
+                zipped[text] = self.local("x")
+            self.names[r] = zipped[text]
+            return []
         lines, off, level, _ = self.address(op, buf, op.operands[1:])
         element = f"{self.arrays[buf]}[{off}]"
         if self.recording:
@@ -906,6 +944,16 @@ class _FuncGen:
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
+        expr = self.val(value)
+        kind = buf.type.element.kind
+        if kind in ("i32", "i64") and not self.proven(value, kind):
+            expr = _wrap_expr(expr, kind)
+        if self.slicing is not None and buf not in self.promoted:
+            text = self.slice_of(buf, op.operands[2:])
+            if text is None:
+                raise _Unsliced(self.slicing[0])
+            return [f"{text} = array({self.arrays[buf]}.typecode, "
+                    f"[{expr} {self.zip_clause()}])"]
         target, plain, base = self.promoted.get(buf), False, None
         if target is None:
             lines, off, _, base = self.address(op, buf, op.operands[2:])
@@ -921,10 +969,6 @@ class _FuncGen:
         if value in self.folded and not plain and not self.recording:
             update = self.update(value, target)
         if update is None:
-            expr = self.val(value)
-            kind = buf.type.element.kind
-            if kind in ("i32", "i64") and not self.proven(value, kind):
-                expr = _wrap_expr(expr, kind)
             lines.append(f"{target} = {expr}")
         else:
             lines.append(f"{target} {update}")
@@ -961,28 +1005,13 @@ class _FuncGen:
         """
         lines = []
         where = None
-        shape = buf.type.shape
-        strides = self.strides.get(shape)
-        if strides is None:
-            strides = self.strides[shape] = row_major_strides(shape)
-        coefs, fixed, rest = {}, 0, []
-        for v, extent, stride in zip(indices, shape, strides):
+        for v, extent in zip(indices, buf.type.shape):
             if not self.within(v, extent):
                 expr = self.val(v)
                 where = where or self.constant(op.location)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
-            point = self.const(v)
-            if point is not None:
-                fixed += point * stride
-                continue
-            form = self.linear.get(v)
-            if form is None:
-                rest.append((self.val(v), stride))
-                continue
-            for name, coef in form[0].items():
-                coefs[name] = coefs.get(name, 0) + coef * stride
-            fixed += form[1] * stride
+        coefs, fixed, rest = self.linearise(buf, indices)
         terms, level = self.hoist(coefs)
         if lines or rest:
             level = None
@@ -999,6 +1028,28 @@ class _FuncGen:
                 self.offset_uses[base] += 1
                 terms = [(base, 1)]
         return lines, _sum(terms, fixed), level, base
+
+    def linearise(self, buf: Value, indices) -> tuple:
+        """The flat offset of ``indices`` into ``buf``: {induction local:
+        coef}, a constant, and (expression, stride) per nonlinear index."""
+        shape = buf.type.shape
+        strides = self.strides.get(shape)
+        if strides is None:
+            strides = self.strides[shape] = row_major_strides(shape)
+        coefs, fixed, rest = {}, 0, []
+        for v, stride in zip(indices, strides):
+            point = self.const(v)
+            if point is not None:
+                fixed += point * stride
+                continue
+            form = self.linear.get(v)
+            if form is None:
+                rest.append((self.val(v), stride))
+                continue
+            for name, coef in form[0].items():
+                coefs[name] = coefs.get(name, 0) + coef * stride
+            fixed += form[1] * stride
+        return coefs, fixed, rest
 
     def hoist(self, coefs: dict) -> tuple:
         """Σ coef·var as terms of the current loop level, led by the partial
@@ -1197,6 +1248,89 @@ class _FuncGen:
                         return False
         return True
 
+    # -- loops over slices ---------------------------------------------------
+
+    def sliceable(self, loop: Operation, iv: Value, trips: range, depth: int):
+        """The slice form the innermost loop just opened, ``for iv in
+        trips``, may take: "reduce", "map", or None. What only writing its
+        body shows (strides, one statement) raises ``_Unsliced`` there."""
+        if self.recording or len(trips) < SLICE_TRIPS \
+                or loop in self.unsliced or not self.index_only(iv):
+            return None
+        block = loop.body()
+        loads = [op for op in block.ops if op.name == "memref.load"]
+        stores = [op for op in block.ops if op.name == "memref.store"]
+        if len(stores) != 1 or not loads \
+                or any(op.name not in _SLICEABLE for op in block.ops) \
+                or not self.raise_free(block, depth, {}, {}, set()):
+            return None
+        (store,) = stores
+        buf = store.operands[1]
+        if buf in self.promoted:    # promote checked the buffers it reads
+            return "reduce"
+        pairs, at = set(), _element_key(store.operands[2:])
+        for load in loads:
+            other = load.operands[0]
+            pair = self.separate(other, buf, loop)
+            if pair is None and (other is not buf
+                                 or _element_key(load.operands[1:]) != at):
+                return None
+            pairs.update(pair or ())
+        self.assumed.update(pairs)
+        return "map"
+
+    def loop_body(self, loop: Operation, innermost, count: tuple,
+                  depth: int) -> None:
+        """The body of ``loop``; ``innermost`` is (iv, trips) if the last
+        loop opened, ``for iv in trips``, runs it. Over slices of its
+        arrays where that loop takes a slice form, else as it is."""
+        form = innermost and self.sliceable(loop, *innermost, depth)
+        if not form:
+            self.body(loop.body(), count, depth)
+            return
+        at, name = len(self.lines), self.names[innermost[0]]
+        self.slicing = (loop, name, innermost[1], {})
+        self.body(loop.body(), count, depth)
+        lines = self.lines[at:]
+        if form == "map" and len(lines) != 1 \
+                or re.search(rf"\b{name}\b", "\n".join(lines)):
+            raise _Unsliced(loop)
+        head = "    " * (depth - 1)
+        if form == "map":   # the store wrote the one statement
+            self.lines[at - 1:] = [head + lines[0].lstrip()]
+        else:
+            self.lines[at - 1] = head + self.zip_clause() + ":"
+        self.slicing = None
+
+    def slice_of(self, buf: Value, indices):
+        """The elements of ``buf`` at ``indices`` over the trips of the loop
+        being sliced, as a slice of its array; None for an address that
+        does not move, whose element the loop form's load reads."""
+        loop, name, trips, _ = self.slicing
+        coefs, fixed, rest = self.linearise(buf, indices)
+        coef = coefs.pop(name, 0)
+        if not coef:
+            return None
+        step = coef * trips.step
+        if rest or step < 1:
+            raise _Unsliced(loop)
+        terms, _ = self.hoist(coefs)
+        start = _sum(terms, fixed + coef * trips[0])
+        span = len(trips) * step
+        stop = f"{start} + {span}" if terms else str(int(start) + span)
+        return (f"{self.arrays[buf]}[{start}:{stop}"
+                + (f":{step}]" if step > 1 else "]"))
+
+    def zip_clause(self) -> str:
+        """``for`` over the elements of the slices the sliced body reads."""
+        loop, _, _, zipped = self.slicing
+        if not zipped:
+            raise _Unsliced(loop)
+        if len(zipped) == 1:
+            ((text, name),) = zipped.items()
+            return f"for {name} in {text}"
+        return f"for {', '.join(zipped.values())} in zip({', '.join(zipped)})"
+
     def alloc(self, op: Operation) -> list:
         r = op.results[0]
         ty = r.type
@@ -1307,7 +1441,7 @@ class _FuncGen:
             self.block(op.body(), inner, body)
             return
         promoted = [] if self.recording else self.promote(op, body)
-        self.body(op.body(), inner, body)
+        self.loop_body(op, (op.body().args[0], range(*bounds)), inner, body)
         self.close_loops(level)
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
@@ -1378,17 +1512,19 @@ class _FuncGen:
             count = (coef, self.local("n"))
             self.emit(1, f"{count[1]} = {' * '.join(sizes)}")
         self.bookkeeping.append(count)
-        depth = 1
+        depth, innermost = 1, None
         for iv, rng, interval in loops:
             if isinstance(rng, tuple):
-                depth = self.loop_header(op, iv, rng, depth)
+                inner = self.loop_header(op, iv, rng, depth)
+                if inner > depth:   # it opened a loop over literal bounds
+                    depth, innermost = inner, (iv, range(*rng))
                 continue
-            depth = self.loop(depth, self.bind(iv, "i"), rng, op)
+            depth, innermost = self.loop(depth, self.bind(iv, "i"), rng, op), None
             self.induction(iv, interval)
         if self.recording:
             point = "".join(self.val(iv) + ", " for iv in op.body().args)
             self.emit(depth, f"R.begin_point(({point.rstrip()}))")
-        self.body(op.body(), count, depth)
+        self.loop_body(op, innermost, count, depth)
 
     def scf_if(self, op: Operation, count: tuple, depth: int) -> None:
         taken = self.counter()
@@ -1419,9 +1555,8 @@ def lower_module(module: Operation, recorder=None) -> Program:
     namespace = dict(_RUNTIME, K=constants, R=recorder)
     units = []
     for key, op, _ in entries:
-        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
-                       recorder is not None)
-        gen.generate()
+        gen = _generate(op, pynames[key], pynames, extents.get(key), constants,
+                        recorder is not None)
         units += gen.units
         if gen.assumed:
             namespace[f"{gen.pyname}_aliased"] = functools.partial(
@@ -1442,11 +1577,25 @@ def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
                 extents, *args):
     """Generate and compile the alias-safe variant of ``op``, which takes
     the place of this stand-in in ``namespace``, and call it."""
-    gen = _FuncGen(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
-                   namespace["R"] is not None, guarded=False)
-    gen.generate()
+    gen = _generate(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
+                    namespace["R"] is not None, guarded=False)
     _define(gen.units, namespace)
     return namespace[gen.pyname](*args)
+
+
+def _generate(op: Operation, *args, **kwargs) -> _FuncGen:
+    """A generator that has written ``op``. A loop it found not to fit the
+    slice form it took is written as a loop by a fresh one."""
+    unsliced: set = set()
+    while True:
+        gen = _FuncGen(op, *args, **kwargs, unsliced=unsliced)
+        mark = len(gen.constants)
+        try:
+            gen.generate()
+            return gen
+        except _Unsliced as exc:
+            unsliced.add(exc.args[0])
+            del gen.constants[mark:]
 
 
 def _define(units: list, namespace: dict) -> None:

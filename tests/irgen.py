@@ -23,6 +23,7 @@ from staircase.ir.core import (
     memref_type,
 )
 from staircase.ir.verify import verify_or_raise
+from staircase.textio import parse_module
 
 _BINOPS_F = ("arith.addf", "arith.subf", "arith.mulf")
 _BINOPS_I = ("arith.addi", "arith.subi", "arith.muli")
@@ -439,3 +440,124 @@ def index_module(seed: int, ctx=None):
     nest.fill(body, [nest.const(body, 0)], rng.randrange(2, 5))
     verify_or_raise(module)
     return module
+
+
+# -- innermost loops codegen may write over slices -----------------------------
+#
+# random_module and index_module draw loop bounds under 9, so no loop they
+# build reaches codegen.SLICE_TRIPS. slice_module builds the shapes the two
+# slice forms take, and the shapes one condition keeps a loop.
+
+class _Lines:
+    """The lines of a function body under construction, numbering values."""
+
+    def __init__(self):
+        self.lines = []
+
+    def add(self, rhs):
+        name = f"%{len(self.lines)}"
+        self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def index(self, value):
+        return self.add(f"arith.constant {value} : index")
+
+    def address(self, i, r, span, outer, stride, rng):
+        """``stride * i + t * r + k`` for i in [0, span) and r in [0,
+        outer); returns its name and its smallest and largest values."""
+        t = rng.choice((0, 0, 1, span))
+        k = rng.randrange(0, 3) - (stride * (span - 1) if stride < 0 else 0)
+        name = i
+        if stride != 1:
+            name = self.add(f"arith.muli {i}, {self.index(stride)} : index")
+        if t:
+            scaled = self.add(f"arith.muli {r}, {self.index(t)} : index")
+            name = self.add(f"arith.addi {name}, {scaled} : index")
+        if k:
+            name = self.add(f"arith.addi {name}, {self.index(k)} : index")
+        ends = [stride * a + t * b + k for a in (0, span - 1) for b in (0, outer - 1)]
+        return name, min(ends), max(ends)
+
+
+def slice_module(seed: int, ctx=None):
+    """An outer loop (scf.parallel or scf.for) of 1 to 3 trips around an
+    innermost scf.for or affine.for of 15 to 64 trips over two or three
+    one-dimensional buffers of one element type (f64, f32, i32 or i64).
+
+    The body is elementwise, D[a] = X op Y, or a reduction into D at an
+    address the inner loop never changes. Addresses move by strides 1 to
+    3 times the loop step, 1 or 2. Some draws break one condition of the
+    slice forms: a read of D at the element the trip before stored, a
+    stride of -1, an index one past its extent, or 15 trips."""
+    rng = random.Random(seed)
+    kind = rng.choice(("f64", "f64", "f32", "i32", "i64"))
+    add, _, mul = _BINOPS_F if kind[0] == "f" else _BINOPS_I
+    outer, step, lb = rng.randrange(1, 4), rng.choice((1, 1, 2)), rng.randrange(0, 3)
+    trips = 15 if rng.random() < 0.1 else rng.randrange(16, 65)
+    n_params = rng.randrange(2, 4)
+    src, other, dst = "%arg0", f"%arg{n_params - 2}", f"%arg{n_params - 1}"
+    ty = f"memref<SIZEx{kind}>"     # SIZE: once every address is drawn
+    body = _Lines()
+    c0, c1 = body.index(0), body.index(1)
+    head = ("scf.parallel (%arg9) = ({}) to ({}) step ({}) {{" if rng.random() < 0.5
+            else "scf.for %arg9 = {} to {} step {} {{")
+    body.lines.append(head.format(c0, body.index(outer), c1))
+    ends = []
+    reduce = rng.random() < 0.35
+    if reduce:      # its element, outside the inner loop
+        acc = body.add(f"arith.addi %arg9, {body.index(rng.randrange(0, 3))} : index")
+        ends.append(outer + 1)
+    if rng.random() < 0.5:
+        body.lines.append(f"affine.for %arg8 = {lb} to {lb + trips * step} step {step} {{")
+    else:
+        body.lines.append(f"scf.for %arg8 = {body.index(lb)} to "
+                          f"{body.index(lb + trips * step)} step {body.index(step)} {{")
+    i = body.add(f"arith.subi %arg8, {body.index(lb)} : index")  # 0, step, ...
+
+    def address(stride):
+        at, low, high = body.address(i, "%arg9", (trips - 1) * step + 1, outer,
+                                     stride, rng)
+        ends.extend((low, high))
+        return at
+
+    def load(buf, at):
+        return body.add(f"memref.load {buf}[{at}] : {ty}")
+
+    hazard = rng.random()
+    x = load(src, address(rng.choice((1, 2, 3)) if hazard > 0.1 else -1))
+    if reduce:
+        y = load(other, address(rng.choice((1, 2, 3))))
+        total = body.add(f"{add} {load(dst, acc)}, "
+                         f"{body.add(f'{mul} {x}, {y} : {kind}')} : {kind}")
+        body.lines.append(f"memref.store {total}, {dst}[{acc}] : {ty}")
+    else:
+        at = address(1 if hazard < 0.25 else rng.choice((1, 1, 2, 3)))
+        if hazard < 0.25:   # D[a + 1] = X op D[a]: the element the last trip stored
+            y = load(dst, at)
+            at = body.add(f"arith.addi {at}, {c1} : index")
+            ends.append(max(ends) + 1)
+        elif hazard < 0.6:
+            y = load(dst, at)
+        else:
+            y = load(other, address(rng.choice((1, 2, 3))))
+        value = body.add(f"{rng.choice(_BINOPS_F if kind[0] == 'f' else _BINOPS_I)} "
+                         f"{x}, {y} : {kind}")
+        body.lines.append(f"memref.store {value}, {dst}[{at}] : {ty}")
+    body.lines += ["}", "}", "return"]
+    assert min(ends) >= 0
+    size = max(ends) + (0 if rng.random() < 0.1 else rng.randrange(1, 4))
+    params = ", ".join(f"%arg{k}: memref<{size}x{kind}>" for k in range(n_params))
+    text = "\n".join(body.lines).replace("SIZE", str(size))
+    module = parse_module(f"module {{\n  func.func @slices{seed % 1000}({params}) "
+                          f"{{\n{text}\n  }}\n}}\n", ctx or create_context())
+    verify_or_raise(module)
+    return module
+
+
+def slice_inputs(param_types, seed):
+    """random_inputs, but for every third seed the first parameter's
+    Buffer is passed as the last one too."""
+    args = random_inputs(param_types, seed)
+    if seed % 3 == 0:
+        args[-1] = args[0]
+    return args

@@ -20,10 +20,16 @@ import pytest
 
 import definterp
 from conftest import golden_path
-from irgen import index_module, random_inputs, random_module
+from irgen import (
+    index_module,
+    random_inputs,
+    random_module,
+    slice_inputs,
+    slice_module,
+)
 from staircase.errors import PassFailure
 from staircase.interp import Buffer, codegen
-from staircase.interp.buffer import copy_buffers
+from staircase.interp.buffer import copy_buffers, wrap_int
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
@@ -96,14 +102,14 @@ def _param_types(module, func):
     return compile_module(module)[func].param_types
 
 
-def _irgen_runs(seeds, build=random_module):
+def _irgen_runs(seeds, build=random_module, inputs=random_inputs):
     """Compare every seed in every mode; returns (mismatches, raised, runs)."""
     mismatches, raised, runs = [], 0, 0
     for seed in seeds:
         cases = []
         for module in (build(seed), run_pipeline(build(seed), GPU)[0]):
             func = _entry_name(module)
-            args = random_inputs(_param_types(module, func), seed)
+            args = inputs(_param_types(module, func), seed)
             cases.append((module, func, args))
         for want, problem in _agree_in_modes(*cases):
             runs += 1
@@ -133,6 +139,27 @@ def test_index_corpus_agrees():
     hoisted = [re.search(r"^ +h\d+ = ", _source(index_module(seed)), re.M)
                for seed in seeds]
     assert sum(map(bool, hoisted)) > len(seeds) // 2
+
+
+def test_slice_corpus_agrees():
+    """Innermost loops of 15 to 64 trips, which codegen writes over slices
+    where both slice conditions hold, and keeps as loops where one fails;
+    a third of the seeds pass one Buffer as two parameters."""
+    seeds = range(90)
+    mismatches, raised, runs = _irgen_runs(seeds, slice_module, slice_inputs)
+    print(f"slice corpus: {raised} of {runs} runs raise")
+    assert not mismatches, "\n".join(mismatches[:5])
+    assert 0.02 < raised / runs < 0.3
+    forms = {"map": 0, "reduce": 0, "loop": 0, "kernel": 0}
+    for seed in seeds:
+        source = _source(slice_module(seed))
+        forms["map"] += " = array(" in source
+        forms["reduce"] += bool(re.search(r"^ +for x\d+", source, re.M))
+        forms["loop"] += not _slice_forms(source)
+        gpu = _source(run_pipeline(slice_module(seed), GPU)[0])
+        forms["kernel"] += "def f0(g0" in gpu and bool(_slice_forms(gpu))
+    print(f"slice corpus forms: {forms}")
+    assert min(forms.values()) > len(seeds) // 10
 
 
 def test_chained_segments_agree(monkeypatch):
@@ -569,23 +596,42 @@ def _addresses(line):
     return ([bound.group(1)] if bound else []) + re.findall(r"\[([^\[\]]*)\]", line)
 
 
+_SLICE = re.compile(r"\bd\d+\[[^\]]*:")
+
+
+def _slice_forms(source):
+    """Each innermost loop written over slices: its one statement, or its
+    ``for`` over slices and the lines of its body."""
+    lines = source.splitlines()
+    forms = []
+    for at, line in enumerate(lines):
+        if not _SLICE.search(line):
+            continue
+        indent = len(line) - len(line.lstrip())
+        form = [line.strip()]
+        if form[0].startswith("for "):
+            for inner in lines[at + 1:]:
+                if len(inner) - len(inner.lstrip()) <= indent:
+                    break
+                form.append(inner.strip())
+        forms.append(form)
+    return forms
+
+
 @pytest.mark.parametrize("name", ["conv_rows", "matmul"])
 def test_innermost_addresses_multiply_nothing(name):
     # every stride times an outer induction variable is in a partial sum
-    # bound outside the innermost loop (the float product stays)
+    # bound outside the innermost loop (the float product stays); conv_rows
+    # runs it over slices, matmul's 8 trips stay a loop
     import kernels
 
     module, _ = run_pipeline(getattr(kernels, name).module, CANON)
-    lines = _source(module).splitlines()
-    indents = [len(line) - len(line.lstrip()) for line in lines]
-    at = max((i for i, line in enumerate(lines) if line.lstrip().startswith("for ")),
-             key=lambda i: indents[i])
-    body = []
-    for line, indent in zip(lines[at + 1:], indents[at + 1:]):
-        if indent <= indents[at]:
-            break
-        body.append(line)
-    assert body and not [a for line in body for a in _addresses(line) if "*" in a]
+    source = _source(module)
+    forms = _slice_forms(source)
+    assert bool(forms) == (name == "conv_rows")
+    body = [line for form in forms for line in form] or _innermost_body(source)[1]
+    addresses = [a for line in body for a in _addresses(line)]
+    assert addresses and not [a for a in addresses if "*" in a]
 
 
 def test_bounds_checks_over_irgen_seeds():
@@ -654,6 +700,18 @@ def test_zero_trip_and_unbounded_loops():
     for bound in (0, 3, 5):
         want = _agree(module, [Buffer((3, 8), "f64"), bound])
         assert want[0] == ("raised" if bound == 5 else "returned")
+
+
+def test_affine_bounds_read_wrapped():
+    # 2**64 is 0 as a run reads it, so the loop verifies and runs 0 to 4
+    module = _module("""\
+    %0 = arith.constant 1.0 : f64
+    affine.for %arg1 = 18446744073709551616 to 4 {
+      memref.store %0, %arg0[%arg1] : memref<4xf64>
+    }
+    return""", "%arg0: memref<4xf64>")
+    want = _agree(module, [Buffer((4,), "f64")])
+    assert want[2][0].tolist() == [1.0] * 4
 
 
 def test_addresses_in_the_arms_of_an_if():
@@ -1127,8 +1185,18 @@ def _innermost_body(source):
                          ids=os.path.basename)
 def test_innermost_loops_read_no_invariant_element(path):
     # every element the innermost loop reads is at an address that moves
-    # with its induction variable, and an offset it binds is used again
-    iv, body = _innermost_body(_source(_canonical(path)))
+    # with it: over slices, each is read from a slice; conv2d's 3-trip
+    # loops stay loops, which read at addresses with their induction
+    # variable, and an offset such a loop binds is used again
+    source = _source(_canonical(path))
+    forms = _slice_forms(source)
+    if path != PRINTED_KERNELS["conv2d"]:
+        reads = [a for form in forms for line in form
+                 for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
+        assert reads and all(":" in a for a in reads), forms
+        return
+    assert not forms
+    iv, body = _innermost_body(source)
     varying = {iv}
     for line in body:
         bound = re.match(r"(o\d+) = (.*)", line)
@@ -1142,7 +1210,8 @@ def test_innermost_loops_read_no_invariant_element(path):
 
 def test_read_modify_write_reads_its_offset_once():
     # unrolled copies update d[o + k] in place; a plain offset keeps the
-    # long form, which CPython runs faster
+    # long form, which CPython runs faster; saxpy's loop is one slice
+    # assignment, which reads its target through the one slice it stores
     long_form = re.compile(r"(d\d+\[([^\]]*)\]) = \(\(\1\) ")
     with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
         parsed = parse_module(fh.read(), create_context())
@@ -1151,6 +1220,194 @@ def test_read_modify_write_reads_its_offset_once():
     source = _source(unrolled)
     assert len(re.findall(r"^ +d\d+\[.*\] \+= ", source, re.M)) == 61
     assert all(m[2].isidentifier() for m in long_form.finditer(source))
-    saxpy = _source(_canonical(os.path.join(INPUTS, "saxpy.sir")))
-    offsets = [m[2] for m in long_form.finditer(saxpy)]
-    assert len(offsets) == 1 and re.fullmatch(r"o\d+", offsets[0])
+    ((saxpy,),) = _slice_forms(_source(_canonical(os.path.join(INPUTS, "saxpy.sir"))))
+    target = re.match(r"(d\d+\[(h\d+):\2 \+ 256\]) = ", saxpy)
+    assert target, saxpy
+    assert re.findall(r"\bd\d+\[[^\]]*\]", saxpy).count(target[1]) == 2
+
+
+# -- innermost loops over slices --------------------------------------------------
+
+def _elementwise(trips, kind="f64", op="arith.addf", params=None):
+    """@f: C[i] = A[i] op B[i] for i < trips, over buffers of 64 elements."""
+    ty = f"memref<64x{kind}>"
+    return _module(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant {trips} : index
+    %2 = arith.constant 1 : index
+    scf.for %arg3 = %0 to %1 step %2 {{
+      %3 = memref.load %arg0[%arg3] : {ty}
+      %4 = memref.load %arg1[%arg3] : {ty}
+      %5 = {op} %3, %4 : {kind}
+      memref.store %5, %arg2[%arg3] : {ty}
+    }}
+    return""", params or f"%arg0: {ty}, %arg1: {ty}, %arg2: {ty}")
+
+
+def _ramp(kind="f64", n=64, scale=1.0):
+    cast = float if kind[0] == "f" else int
+    return Buffer((n,), kind, [cast((k - n // 3) * scale) for k in range(n)])
+
+
+def test_slice_trips_pin_the_threshold():
+    # 15 trips stay a loop, 16 are one slice assignment
+    assert codegen.SLICE_TRIPS == 16
+    for trips, sliced in ((15, False), (16, True)):
+        module = _elementwise(trips)
+        assert bool(_slice_forms(_source(module))) == sliced
+        want = _agree(module, [_ramp(), _ramp(scale=0.5), _ramp(scale=0.25)])
+        assert want[2][2].tolist()[trips - 1:trips + 1] == [
+            (trips - 22) * 1.5, (trips - 21) * 0.25]
+
+
+def test_read_of_another_trips_element_keeps_the_loop():
+    # d[i + 1] = d[i] * 2.0: trip i reads what trip i - 1 stored
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 32 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2.0 : f64
+    scf.for %arg1 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%arg1] : memref<33xf64>
+      %5 = arith.mulf %4, %3 : f64
+      %6 = arith.addi %arg1, %2 : index
+      memref.store %5, %arg0[%6] : memref<33xf64>
+    }
+    return""", "%arg0: memref<33xf64>")
+    assert not _slice_forms(_source(module))
+    want = _agree(module, [Buffer((33,), "f64", [1.0] + [0.0] * 32)])
+    assert want[2][0].tolist()[-1] == 2.0 ** 32
+
+
+def test_one_buffer_as_source_and_destination_keeps_loops():
+    # C[i] = A[i] + B[i] assumes A and B are not C's array; one Buffer
+    # passed as all three goes to the alias-safe variant, whose loop reads
+    # each element before its own trip stores it
+    module = _elementwise(48)
+    source = _source(module)
+    assert "if d2 is d6 or d4 is d6: return f0_aliased(" in source
+    assert _slice_forms(source)
+    units = []
+    define = codegen._define
+    with mock.patch.object(codegen, "_define", lambda batch, namespace: (
+            units.extend(batch), define(batch, namespace))):
+        a = _ramp()
+        want = _agree(module, [a, a, a])
+    (variant,) = [u for u in units if u.startswith("def f0_aliased(")]
+    assert "for i" in variant and not _slice_forms(variant)
+    assert want[2][0].tolist()[:48] == [2.0 * (k - 21) for k in range(48)]
+    assert _agree(module, [_ramp(), a, _ramp(scale=3.0)])[0] == "returned"
+
+
+@pytest.mark.parametrize("kind, op, scale", [
+    ("f32", "arith.mulf", 0.1),
+    ("i32", "arith.muli", 1 << 27),
+    ("i64", "arith.addi", 1 << 61),
+], ids=["f32", "i32", "i64"])
+def test_element_types_over_slices(kind, op, scale):
+    # f32 products round as each store would; i32 and i64 results are not
+    # proven to fit, so each element wraps
+    module = _elementwise(40, kind, op)
+    (form,) = _slice_forms(_source(module))
+    assert ("to_f32(" if kind == "f32" else " & ") in form[0]
+    if kind == "f32":
+        inputs = [_ramp(kind, scale=scale), _ramp(kind, scale=0.3)]
+    else:
+        inputs = [Buffer((64,), kind, [wrap_int((k * 7919 + 13) * scale, kind)
+                                       for k in range(64)]) for _ in range(2)]
+    want = _agree(module, inputs + [_ramp(kind)])
+    assert want[2][2].tolist() != _ramp(kind).tolist()
+
+
+@pytest.mark.parametrize("offset", ["%arg2", "%5"])
+def test_unproven_index_keeps_the_loop_and_its_error_order(offset):
+    # A[i + k] for an argument k, or A[i + 8], is checked at run time: the
+    # loop stays, and an offset of 8 raises at trip 16 after sixteen stores
+    module = _module(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 20 : index
+    %2 = arith.constant 1 : index
+    %5 = arith.constant 8 : index
+    scf.for %arg3 = %0 to %1 step %2 {{
+      %3 = arith.addi %arg3, {offset} : index
+      %4 = memref.load %arg0[%3] : memref<24xf64>
+      memref.store %4, %arg1[%arg3] : memref<24xf64>
+    }}
+    return""", "%arg0: memref<24xf64>, %arg1: memref<24xf64>, %arg2: index")
+    assert not _slice_forms(_source(module))
+    for k, outcome in ((4, "returned"), (8, "raised")):
+        want = _agree(module, [_ramp("f64", 24), Buffer((24,), "f64"), k])
+        assert want[0] == ("raised" if offset == "%5" else outcome)
+    assert want[2].startswith("index 24 out of bounds for extent 24 ")
+    assert want[3][1].tolist()[15:17] == [15.0, 0.0]
+
+
+def test_call_in_the_body_keeps_the_loop_and_its_error_order():
+    # @g stores at i + 4: at trip 16 it raises, after C[16] was stored
+    module = parse_module("""\
+module {
+  func.func @g(%arg0: memref<20xf64>, %arg1: index) {
+    %0 = arith.constant 4 : index
+    %1 = arith.addi %arg1, %0 : index
+    %2 = arith.constant 1.0 : f64
+    memref.store %2, %arg0[%1] : memref<20xf64>
+    return
+  }
+  func.func @f(%arg0: memref<20xf64>, %arg1: memref<20xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 20 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2.0 : f64
+    scf.for %arg2 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%arg2] : memref<20xf64>
+      %5 = arith.mulf %4, %3 : f64
+      memref.store %5, %arg1[%arg2] : memref<20xf64>
+      func.call @g(%arg1, %arg2) : (memref<20xf64>, index) -> ()
+    }
+    return
+  }
+}
+""", create_context())
+    assert not _slice_forms(_source(module))
+    want = _agree(module, [_ramp("f64", 20), Buffer((20,), "f64")])
+    assert want[1].__name__ == "OutOfBounds"
+    assert want[3][1].tolist()[16] == 2.0 * (16 - 6)
+
+
+def test_strided_reduction_is_bit_identical_to_the_loop(monkeypatch):
+    # C[r] += A[r*32 + i] * B[i*32 + r]: the zipped slices add in the
+    # loop's order, so rounding is the same; sum() would compensate
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 32 : index
+    %2 = arith.constant 1 : index
+    scf.for %arg3 = %0 to %1 step %2 {
+      scf.for %arg4 = %0 to %1 step %2 {
+        %3 = arith.muli %arg3, %1 : index
+        %4 = arith.addi %3, %arg4 : index
+        %5 = arith.muli %arg4, %1 : index
+        %6 = arith.addi %5, %arg3 : index
+        %7 = memref.load %arg0[%4] : memref<1024xf64>
+        %8 = memref.load %arg1[%6] : memref<1024xf64>
+        %9 = arith.mulf %7, %8 : f64
+        %10 = memref.load %arg2[%arg3] : memref<32xf64>
+        %11 = arith.addf %10, %9 : f64
+        memref.store %11, %arg2[%arg3] : memref<32xf64>
+      }
+    }
+    return""", "%arg0: memref<1024xf64>, %arg1: memref<1024xf64>, %arg2: memref<32xf64>")
+    (form,) = _slice_forms(_source(module))
+    assert form[0].startswith("for x") and ":32]" in form[0]
+
+    def inputs():
+        spread = [math.ldexp(1.0 + k / 997, (k * 37) % 61 - 30) * (-1) ** k
+                  for k in range(1024)]
+        return [Buffer((1024,), "f64", spread),
+                Buffer((1024,), "f64", spread[::-1]), Buffer((32,), "f64")]
+
+    want = _agree(module, inputs())
+    monkeypatch.setattr(codegen, "SLICE_TRIPS", 1 << 62)
+    assert not _slice_forms(_source(module))
+    loop = inputs()
+    run(module, "f", loop)
+    assert want[2][2].data.tobytes() == loop[2].data.tobytes()

@@ -138,6 +138,11 @@ CREATION = [
       for step in (1 << 63, (1 << 64) + 1)),
     ("affine.for", [], {**BOUNDS, "upper_bound": int_attr(-1)}, [], 1, "func",
      "upper bound must be >= lower bound"),
+    # as a run reads the bounds, wrapped to i64: 0 to 2**64 - 1 runs 0 to -1
+    # (2**64 to 4 runs 0 to 4: test_evaluators.test_affine_bounds_read_wrapped)
+    pytest.param(("affine.for", [], {**BOUNDS, "upper_bound": int_attr((1 << 64) - 1)},
+                  [], 1, "func", "upper bound must be >= lower bound"),
+                 id="affine.for:upper bound 18446744073709551615"),
     ("affine.for", [], BOUNDS, [F64], 1, "func", "carries no results"),
     ("memref.alloc", ["idx"], {}, [M1], 0, "func",
      "static shapes only: takes no operands"),
