@@ -11,6 +11,8 @@ here, and every Context registers these same objects.
 """
 from __future__ import annotations
 
+import math
+
 from staircase.ir.core import (
     I1,
     INDEX,
@@ -70,6 +72,8 @@ def _check_constant(op: Operation) -> list:
         problems.append("result must be scalar")
     elif rt == I1 and value.value not in (0, 1):
         problems.append("i1 constant must be 0 or 1")
+    elif value.kind == "float" and not math.isfinite(value.value):
+        problems.append("float value must be finite")  # inf and nan print no literal
     return problems
 
 

@@ -1,5 +1,5 @@
-"""The grammar of the text format: the directives an op's syntax is
-written in.
+"""The grammar of the text format: its tokens and the directives an op's
+syntax is written in.
 
 A Form is what follows an op's mnemonic, as a sequence of directives.
 Each directive has a ``write`` that renders its part of an op for
@@ -11,10 +11,46 @@ op whose schema has none takes GENERIC, ``name(operands) {attrs} :
 operands in order, so they all come before the op's regions. No
 directive reads a result type the text leaves out: create_op gives it
 from the schema's result rule.
+
+Each directive's ``line`` gives its part of a regionless op written on
+one line: a regex fragment, a ``take`` that reads the fragment's groups
+as ``read`` reads the tokens, the tokens ``read`` could go on to read
+on the next line, and whether it can read nothing. Form.line joins them,
+once per Form, so no line regex is written by hand. A take reports no
+error: where ``read`` would raise, or might read otherwise, it raises
+Decline and the token reader reads the line.
 """
 from __future__ import annotations
 
-from staircase.ir.core import INDEX, array_attr, str_attr, type_attr
+import functools
+import re
+
+from staircase.ir.core import (F32, F64, I1, I32, I64, INDEX, array_attr, float_attr,
+                               int_attr, str_attr, symbol_attr, type_attr)
+
+SCALARS = {t.kind: t for t in (F32, F64, I1, I32, I64, INDEX)}
+
+# Blanks and comments. A comment runs to the end of its line, so a run of
+# them matches in one way only and a failed token match backs off fast.
+BLANKS = r"[ \t\n]*(?://[^\n]*(?![^\n])[ \t\n]*)*"
+
+# The tokens, in the order the lexer tries them.
+TOKENS = {"memref": r"memref<[^>\n]*>",
+          "float": r"-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+)",
+          "int": r"-?\d+", "pct": r"%[A-Za-z0-9_]+", "at": r"@[A-Za-z_][A-Za-z0-9_]*",
+          "id": r"[A-Za-z_][A-Za-z0-9_.$]*", "str": r'"(?:[^"\\]|\\.)*"',
+          "arrow": r"->", "dcolon": r"::", "punct": r"[(){}\[\],=:]"}
+
+_WORD_END = r"(?![A-Za-z0-9_.$])"
+_SCALAR = f"(?:{'|'.join(SCALARS)}){_WORD_END}"
+_TYPE = rf"(?:memref<(?:\d+x)+\w+>|{_SCALAR})"  # one type token, no blank or comma
+_TYPE_TOKEN = f"(?:{TOKENS['memref']}|{_SCALAR})"  # a token type_list reads on at
+_PCT, _AT = TOKENS["pct"], TOKENS["at"]
+
+
+class Decline(Exception):
+    """The line is left to the token reader."""
+
 
 # Lower-case class names: in a Form they read as the grammar's directives.
 
@@ -30,6 +66,9 @@ class kw:
 
     def read(self, r, p) -> None:
         r.literal(self.text)
+
+    def line(self):
+        return re.escape(self.text), None, (), not self.text.strip()
 
 
 class operands:
@@ -65,6 +104,24 @@ class operands:
             r.check_type(value.type)
         return value
 
+    def line(self):
+        if self.n == 1:
+            return f"({_PCT})", self.take_one, (), False
+        item = rf"{_PCT} : {_TYPE}" if self.typed else _PCT
+        return f"((?:{item}(?:, {item})*)?)", self.take, (",", "%"), True
+
+    def take_one(self, r, p, got) -> None:
+        p.operands.append(r.known(next(got)))
+
+    def take(self, r, p, got) -> None:
+        text = next(got)
+        for item in text.split(", ") if text else ():
+            name, _, ty = item.partition(" : ")
+            value = r.known(name)
+            if self.typed and [value.type] != r.types_of(ty):
+                raise Decline(item)
+            p.operands.append(value)
+
 
 operand = operands(1)
 
@@ -87,6 +144,16 @@ class types:
         elif written != [v.type for v in p.operands]:
             r.error("operand types do not match the written types", tok)
 
+    def line(self):
+        return f"((?:{_TYPE}(?:, {_TYPE})*)?)", self.take, (",", _TYPE_TOKEN), True
+
+    def take(self, r, p, got) -> None:
+        written = r.types_of(next(got))
+        if self.results:
+            p.result_types = written
+        elif written != [v.type for v in p.operands]:
+            raise Decline(written)
+
 
 result_type = types(results=True)
 
@@ -102,6 +169,13 @@ class type_of:
 
     def read(self, r, p) -> None:
         r.check_type(p.operands[self.i].type)
+
+    def line(self):
+        return f"({_TYPE})", self.take, (), False
+
+    def take(self, r, p, got) -> None:
+        if r.types_of(next(got)) != [p.operands[self.i].type]:
+            raise Decline(self.i)
 
 
 class attr:
@@ -134,6 +208,24 @@ class attr:
             a = array_attr(type_attr(t) for t in r.type_list())
         p.attrs[self.name] = a
 
+    def line(self):
+        if self.style == "types":
+            return None  # func.func's, whose region ends no line
+        if self.style == "value":  # the literals regionless ops print
+            return (f"(?:({TOKENS['float']})|({TOKENS['int']})|({_AT}(?:::{_AT})*))",
+                    self.take_value, ("::",), False)
+        return f"({_AT if self.style == 'sym' else TOKENS['id']})", self.take, (), False
+
+    def take_value(self, r, p, got) -> None:
+        number, integer, symbol = next(got), next(got), next(got)
+        p.attrs[self.name] = (
+            float_attr(float(number)) if number else int_attr(int(integer)) if integer
+            else symbol_attr(*(part[1:] for part in symbol.split("::"))))
+
+    def take(self, r, p, got) -> None:
+        text = next(got)
+        p.attrs[self.name] = str_attr(text[1:] if self.style == "sym" else text)
+
 
 class optional:
     """A group printed when when(op) holds; the reader takes it when lead
@@ -155,6 +247,24 @@ class optional:
             for d in self.body:
                 d.read(r, p)
 
+    def line(self):
+        body = _line(self.body)
+        if body is None:
+            return None
+        regex, takes, follow, _ = body
+        skip = re.compile(regex).groups
+
+        def take(r, p, got) -> None:
+            if next(got) is None:  # not taken: skip the body's groups
+                for _ in range(skip):
+                    next(got)
+            else:
+                for body_take in takes:
+                    body_take(r, p, got)
+        lead = self.lead.strip()
+        regex = f"(?:({re.escape(self.lead)}{'' if lead else '(?=%)'}){regex})?"
+        return regex, take, (*follow, re.escape(lead[:1]) or "%"), True
+
 
 class default:
     """Attribute `name` when the text leaves it out; goes before the
@@ -169,6 +279,9 @@ class default:
 
     def read(self, r, p) -> None:
         p.attrs[self.name] = self.value
+
+    def line(self):
+        return "", lambda r, p, got: self.read(r, p), (), True
 
 
 class args:
@@ -189,6 +302,8 @@ class args:
     def read(self, r, p) -> None:
         if r.peek()[0] == "pct":
             p.args = r.comma_list(lambda: self.read_one(r))
+
+    line = None  # a region ends no line
 
     def read_one(self, r):
         tok = r.expect("pct")
@@ -217,6 +332,10 @@ class attrs:
         if r.accept("id", "attributes") or (self.bare and r.peek()[0] == "{"):
             p.attrs.update(r.attr_dict())
 
+    def line(self):  # a line with a dictionary is left to the token reader
+        follow = ((r"\{",) if self.bare else ()) + ("attributes" + _WORD_END,)
+        return f"(?![ \t]*(?:{'|'.join(follow)}))", None, follow, True
+
 
 class region:
     """Region i as `` {``, one op per line, ``}``; elide_yield drops the
@@ -226,6 +345,8 @@ class region:
     def __init__(self, i: int, elide_yield: bool = False):
         self.i = i
         self.elide_yield = elide_yield
+
+    line = None
 
     def write(self, w, op) -> None:
         w.region(op.regions[self.i].blocks[0], self.elide_yield)
@@ -238,6 +359,8 @@ class region:
 
 class regions:
     """The generic form's regions: at most one, without arguments."""
+
+    line = None
 
     def write(self, w, op) -> None:
         if len(op.regions) > 1:
@@ -261,6 +384,21 @@ def _directive(d):
     return kw(d) if isinstance(d, str) else d
 
 
+def _line(directives):
+    """The directives' fragments in sequence, the takes of their groups in
+    order, the tokens that would go on reading them past the end of their
+    line, and whether they can read nothing; None where one has no line."""
+    parts = [d.line and d.line() for d in directives]
+    if None in parts:
+        return None
+    follow, empty = [], True
+    for _, _, tokens, can_be_empty in reversed(parts):
+        if empty:
+            follow += tokens
+            empty = can_be_empty
+    return "".join(p[0] for p in parts), [p[1] for p in parts if p[1]], follow, empty
+
+
 class Form:
     """One op's syntax after its mnemonic, the word printed for the op
     when it is not the op's name. A string in it is literal text."""
@@ -268,9 +406,27 @@ class Form:
     def __init__(self, *directives, mnemonic: str | None = None):
         directives = [_directive(d) for d in directives]
         self.mnemonic = mnemonic
+        self.directives = directives
         self.writers = [d.write for d in directives]
         self.readers = [d.read for d in directives]
         self.isolated = any(isinstance(d, args) and d.typed for d in directives)
+
+    @functools.cached_property
+    def line(self):
+        """The regex over the rest of a one-line op after its name, and the
+        takes of its groups; None for a form with a region. The match ends
+        with the line. Where the token reader could read on (follow), it
+        also takes the next line's indent and refuses a next line that is
+        blank, a comment or starts with a token in follow."""
+        line = _line(self.directives)
+        if line is None:
+            return None
+        regex, takes, follow, _ = line
+        if follow:
+            regex += rf"[ \t]*(?:\n[ \t]*(?![ \t])|\Z)(?!\n|//|{'|'.join(follow)})"
+        else:
+            regex += r"[ \t]*(?:\n|\Z)"
+        return re.compile(regex), takes
 
 
 GENERIC = Form("(", operands(), ")", attrs(bare=True), " : (", types(), ") -> (",

@@ -2,14 +2,21 @@
 
 Each op's syntax is the Form on its OpSchema, found in the context's
 registry by the op's name or mnemonic; the printer runs the same Form.
-The Reader here runs forms against tokens and owns the lexer, scopes,
-types and attribute literals. A result type the text leaves out comes
-from the schema's result rule, in create_op. The parser is syntax-only:
-it reconstructs the always-elided scf.yield terminators of loop and
-branch bodies but will happily return a function with no return;
-verify() owns semantic judgments. The lexer keeps each token's offset
-into the text; a 1-based line:column is worked out from the offsets of
-the newlines, once per op for its Location and when an error is raised.
+The Reader here owns the lexer, scopes, types and attribute literals.
+It has two readers. The line reader (Reader.line) builds a regionless op
+written on one line, as printed, from the groups of the regex its Form
+generates (Form.line), without lexing the line. The token reader
+(Reader.op) runs the Form's directives over tokens, lexed lazily from
+the reader's offset; it reads every other op and each line the line
+reader declines, and it alone raises ParseErrors, so their positions do
+not depend on the reader. As when the whole text was lexed first, an
+unexpected character anywhere is the error reported. A result type the
+text leaves out comes from the schema's result rule, in create_op. The
+parser is syntax-only: it reconstructs the always-elided scf.yield
+terminators of loop and branch bodies but will happily return a
+function with no return; verify() owns semantic judgments. A 1-based
+line:column is worked out from the offsets of the newlines, once per op
+for its Location and when an error is raised.
 """
 from __future__ import annotations
 
@@ -18,14 +25,8 @@ import functools
 import json
 import re
 
-from staircase.errors import ParseError, UnknownOperation
+from staircase.errors import ParseError, StaircaseError, UnknownOperation
 from staircase.ir.core import (
-    F32,
-    F64,
-    I1,
-    I32,
-    I64,
-    INDEX,
     Attribute,
     Block,
     Context,
@@ -46,54 +47,30 @@ from staircase.ir.core import (
     type_attr,
     unit_attr,
 )
-from staircase.textio.forms import GENERIC
-
-_SCALARS = {t.kind: t for t in (F32, F64, I1, I32, I64, INDEX)}
+from staircase.textio.forms import BLANKS, GENERIC, SCALARS, TOKENS, Decline
 
 _MEMREF_RE = re.compile(r"memref<((?:\d+x)*)(\w+)>")
 
-# Blanks and comments. A comment runs to the end of its line, so a run of
-# them matches in one way only and a failed token match backs off fast.
-_BLANKS = r"(?:[ \t\n]|//[^\n]*(?![^\n]))*"
-_BLANKS_RE = re.compile(_BLANKS)
+_BLANKS_RE = re.compile(BLANKS)
 
 # One token and the blanks before it.
-_TOKEN_RE = re.compile(
-    _BLANKS + r"""(?:
-    (?P<memref>memref<[^>\n]*>)
-  | (?P<float>-?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))
-  | (?P<int>-?\d+)
-  | (?P<pct>%[A-Za-z0-9_]+)
-  | (?P<at>@[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<id>[A-Za-z_][A-Za-z0-9_.$]*)
-  | (?P<str>"(?:[^"\\]|\\.)*")
-  | (?P<arrow>->)
-  | (?P<dcolon>::)
-  | (?P<punct>[(){}\[\],=:])
-    )""",
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(BLANKS + "(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in TOKENS.items()) + ")")
+
+# An op line up to its form: the blanks before it, the names of its
+# results and its name.
+_HEAD_RE = re.compile(
+    rf"{BLANKS}(?:({TOKENS['pct']}(?:, {TOKENS['pct']})*) = )?({TOKENS['id']})")
 
 
 def _lex(text: str):
     """(kind, lexeme, offset) per token, ending with an eof token, and the
     offset of each newline."""
-    tokens = []
-    match = _TOKEN_RE.match
-    pos = 0
-    while m := match(text, pos):
-        pos = m.end()
-        kind = m.lastgroup
-        lexeme = m[kind]
-        tokens.append((lexeme if kind == "punct" else kind, lexeme,
-                       m.start(kind)))
-    pos = _BLANKS_RE.match(text, pos).end()
-    newlines = [m.start() for m in re.finditer("\n", text)]
-    if pos != len(text):
-        raise ParseError(f"unexpected character {text[pos]!r}",
-                         *_line_col(newlines, pos))
-    tokens.append(("eof", "", pos))
-    return tokens, newlines
+    reader = Reader(text, None)
+    tokens = [reader.next()]
+    while tokens[-1][0] != "eof":
+        tokens.append(reader.next())
+    return tokens, reader.newlines
 
 
 def _line_col(newlines: list, offset: int) -> tuple:
@@ -108,8 +85,20 @@ def _literal_tokens(text: str) -> tuple:
     return tuple(tok[:2] for tok in _lex(text)[0][:-1])
 
 
+@functools.lru_cache(maxsize=None)
+def _types_named(text: str) -> tuple:
+    """The types the token reader reads from a list of them."""
+    try:
+        return tuple(Reader(text, None).type_list())
+    except StaircaseError:
+        raise Decline(text) from None
+
+
 class _Pending:
     """What the reader has gathered for one op, and the op once built."""
+
+    __slots__ = ("schema", "block", "loc", "operands", "attrs", "result_types",
+                 "args", "op")
 
     def __init__(self, schema, block, loc):
         self.schema = schema
@@ -123,23 +112,39 @@ class _Pending:
 
 
 class Reader:
-    """Builds ops by running their forms over a token list."""
+    """Builds ops from a text, one line by its form's regex or by running
+    the form over tokens."""
 
     def __init__(self, text: str, ctx: Context):
-        self.tokens, self.newlines = _lex(text)
-        self.pos = 0
+        self.text = text
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
+        self.at = 0  # where the next token starts, blanks first
+        self.tok = None  # that token, once lexed
         self.ctx = ctx
         self.values: dict[str, Value] = {}
 
     # -- token plumbing ------------------------------------------------------
 
     def peek(self):
-        return self.tokens[self.pos]
+        """The next token, (kind, lexeme, offset); an eof token at the end."""
+        if self.tok is not None:
+            return self.tok
+        m = _TOKEN_RE.match(self.text, self.at)
+        if m is None:
+            end = _BLANKS_RE.match(self.text, self.at).end()
+            if end != len(self.text):
+                raise ParseError(f"unexpected character {self.text[end]!r}",
+                                 *_line_col(self.newlines, end))
+            self.tok = ("eof", "", end)
+        else:
+            kind = m.lastgroup
+            self.tok = (m[kind] if kind == "punct" else kind, m[kind], m.start(kind))
+        return self.tok
 
     def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
+        tok = self.tok or self.peek()
+        self.at = tok[2] + len(tok[1])
+        self.tok = None
         return tok
 
     def error(self, msg: str, tok):
@@ -155,8 +160,7 @@ class Reader:
     def accept(self, kind: str, text: str | None = None):
         tok = self.peek()
         if tok[0] == kind and (text is None or tok[1] == text):
-            self.pos += 1
-            return tok
+            return self.next()
         return None
 
     def literal(self, text: str) -> None:
@@ -196,18 +200,18 @@ class Reader:
 
     def type(self) -> IRType:
         tok = self.next()
-        if tok[1] in _SCALARS:
-            return _SCALARS[tok[1]]
+        if tok[1] in SCALARS:
+            return SCALARS[tok[1]]
         m = _MEMREF_RE.fullmatch(tok[1]) if tok[0] == "memref" else None
         if m is None:
             self.error(f"expected a type, got {tok[1]!r}", tok)
         dims, elem = m.groups()
-        if elem not in _SCALARS or elem == "index":
+        if elem not in SCALARS or elem == "index":
             self.error(f"bad memref element type {elem!r}", tok)
         shape = tuple(int(d) for d in dims.split("x") if d)
         if not shape:
             self.error("memref needs at least one dimension", tok)
-        return memref_type(shape, _SCALARS[elem])
+        return memref_type(shape, SCALARS[elem])
 
     def check_type(self, want: IRType) -> None:
         tok = self.peek()
@@ -218,7 +222,7 @@ class Reader:
     def type_list(self) -> list[IRType]:
         """Zero or more types, comma-separated."""
         tok = self.peek()
-        if tok[0] == "memref" or tok[1] in _SCALARS:
+        if tok[0] == "memref" or tok[1] in SCALARS:
             return self.comma_list(self.type)
         return []
 
@@ -229,7 +233,7 @@ class Reader:
         kind = tok[0]
         if kind == "{":
             return dict_attr(self.attr_dict())
-        if kind == "memref" or tok[1] in _SCALARS:
+        if kind == "memref" or tok[1] in SCALARS:
             return type_attr(self.type())
         self.next()
         if kind == "int":
@@ -266,7 +270,49 @@ class Reader:
         self.expect("}")
         return attrs
 
+    # -- the line reader's lookups, which decline where value() or type() raise
+
+    def known(self, name: str) -> Value:
+        v = self.values.get(name)
+        if v is None:
+            raise Decline(name)
+        return v
+
+    def types_of(self, text: str) -> list[IRType]:
+        return list(_types_named(text))
+
     # -- operations ----------------------------------------------------------
+
+    def line(self, block: Block) -> bool:
+        """The next op, appended to block, if its form's regex reads its
+        line and the token reader would build the same op from it; False,
+        having read nothing, if not."""
+        head = _HEAD_RE.match(self.text, self.at)
+        registry = self.ctx.registry
+        schema = head and (registry.ops.get(head[2]) or registry.mnemonics.get(head[2]))
+        line = schema and (schema.form or GENERIC).line
+        m = line and line[0].match(self.text, head.end())
+        if not m:
+            return False
+        p = _Pending(schema, block,
+                     Location("<input>", *_line_col(self.newlines, head.start(2))))
+        got = iter(m.groups())
+        try:
+            for take in line[1]:
+                take(self, p, got)
+        except Decline:
+            return False
+        if p.result_types is None:
+            p.result_types = schema.result(p.operands) if schema.result else []
+        names = head[1].split(", ") if head[1] else ()
+        if len(names) != len(p.result_types) or len(set(names)) < len(names) \
+                or not self.values.keys().isdisjoint(names):
+            return False
+        op = create_op(block, len(block.ops), schema.name, p.operands, p.attrs,
+                       p.result_types, 0, p.loc)
+        self.values.update(zip(names, op.results))
+        self.at, self.tok = m.end(), None
+        return True
 
     def op(self, block: Block | None) -> Operation:
         """One op, appended to block; the top-level module when block is None."""
@@ -320,8 +366,9 @@ class Reader:
             op.regions.append(Region(op))
         block = op.regions[i].blocks[0]
         self.expect("{")
-        while self.peek()[1] != "}":
-            self.op(block)
+        while self.line(block) or self.peek()[1] != "}":
+            if self.tok is not None:  # not read by the line reader
+                self.op(block)
         self.expect("}")
         if elide_yield and not (block.ops and block.ops[-1].name == "scf.yield"):
             create_op(block, len(block.ops), "scf.yield")
@@ -329,9 +376,13 @@ class Reader:
 
 def parse_module(text: str, ctx: Context) -> Operation:
     reader = Reader(text, ctx)
-    head = reader.peek()
-    if head[:2] != ("id", "module"):
-        reader.error(f"modules start with 'module', got {head[1]!r}", head)
-    module = reader.op(None)
-    reader.expect("eof")
+    try:
+        head = reader.peek()
+        if head[:2] != ("id", "module"):
+            reader.error(f"modules start with 'module', got {head[1]!r}", head)
+        module = reader.op(None)
+        reader.expect("eof")
+    except StaircaseError:
+        _lex(text)  # raises for an unexpected character anywhere
+        raise
     return module

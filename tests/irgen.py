@@ -10,7 +10,10 @@ import random
 from staircase.dialects.builders import build_func
 from staircase.interp import Buffer
 from staircase.ir.core import (
+    F32,
     F64,
+    I1,
+    I32,
     I64,
     INDEX,
     IRType,
@@ -561,3 +564,78 @@ def slice_inputs(param_types, seed):
     if seed % 3 == 0:
         args[-1] = args[0]
     return args
+
+
+# -- boundary literals -------------------------------------------------------------
+#
+# random_module draws small numbers only. literal_module draws the literals a
+# reader of the text can take apart wrongly: a signed zero, the edges of i32
+# and i64, values past 2^64, the smallest subnormal and a double near the
+# largest, decimals an f32 cannot hold, and affine.for bounds at the 64-bit
+# wrap.
+
+_EDGES = (31, 63)
+_INTS = (0, *(sign * ((1 << bits) + delta) for bits in _EDGES
+              for sign in (1, -1) for delta in (1, -1)))
+_F64S = (0.0, -0.0, 5e-324, -5e-324, 1e+308, -1e+308, 1.5e-07)
+_F32S = (0.1, -0.2, 1.1, 3.3, 16777217.0, 1e-07)   # none is an f32
+_WRAP = 1 << 64
+# (lower, upper) affine.for bounds a run reads wrapped to i64, a few trips apart
+_BOUNDS = ((_WRAP, _WRAP + 3), (_WRAP - 1, _WRAP + 1), ((1 << 63) - 3, (1 << 63) - 1),
+           (-(1 << 63), -(1 << 63) + 2), (0, _WRAP + 2))
+
+
+def literal_module(seed: int, ctx=None):
+    """A function of boundary constants of every scalar type: index, i32
+    and i64 integers at the edges of i32 and i64 and at 2^64 + k, f64s from
+    a signed zero to the smallest subnormal and 1e+308, f32 decimals no
+    f32 holds. It adds, multiplies, compares and casts them, stores f32
+    and i32 values into its two parameters, and runs an affine.for whose
+    bounds lie past the 64-bit wrap."""
+    rng = random.Random(seed)
+    ctx = ctx or create_context()
+    module = create_module(ctx)
+    func = build_func(module, f"lit{seed % 1000}",
+                      [memref_type((4,), F32), memref_type((4,), I32)])
+    body = func.body()
+
+    def op(name, operands=(), attributes=None, result_types=(), block=body):
+        created = create_op(block, block.insertion_index(), name, list(operands),
+                            attributes, list(result_types))
+        return created.results[0] if created.results else None
+
+    def const(value, ty):
+        attr = float_attr(value) if ty.is_float else int_attr(value)
+        return op("arith.constant", attributes={"value": attr}, result_types=[ty])
+
+    def draw(ty):
+        if ty == F64:
+            return const(rng.choice(_F64S), ty)
+        if ty == F32:
+            return const(rng.choice(_F32S), ty)
+        value = rng.choice(_INTS + (_WRAP + rng.randrange(4),))
+        return const(value, ty)
+
+    for _ in range(rng.randrange(3, 7)):
+        ty = rng.choice((INDEX, I32, I64, F32, F64))
+        a, b = draw(ty), draw(ty)
+        if ty.is_float:
+            op(rng.choice(_BINOPS_F), [a, b], result_types=[ty])
+            op("arith.cmpf", [a, b], {"predicate": str_attr("olt")}, [I1])
+        else:
+            op(rng.choice(_BINOPS_I), [a, b], result_types=[ty])
+            op("arith.cmpi", [a, b], {"predicate": str_attr("slt")}, [I1])
+        if ty == INDEX:
+            op("arith.index_cast", [a], result_types=[rng.choice((I32, I64))])
+    for buf in body.args:
+        at = const(rng.randrange(4), INDEX)
+        op("memref.store", [draw(buf.type.element), buf, at])
+    lower, upper = rng.choice(_BOUNDS)
+    loop = create_op(body, body.insertion_index(), "affine.for", attributes={
+        "lower_bound": int_attr(lower), "upper_bound": int_attr(upper),
+        "step": int_attr(rng.choice((1, 2)))}, region_count=1)
+    iv = loop.body().add_arg(INDEX)
+    op("arith.index_cast", [iv], result_types=[I64], block=loop.body())
+    create_op(loop.body(), len(loop.body().ops), "scf.yield")
+    verify_or_raise(module)
+    return module

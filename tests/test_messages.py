@@ -8,6 +8,8 @@ build a well-formed op, break its regions, and look for the Diagnostic.
 The last rows leave the result types out of create_op with operands that
 do not fit the op: the creation check, not a result rule, reports them.
 """
+import math
+
 import pytest
 
 from staircase.dialects.builders import (
@@ -67,6 +69,12 @@ CREATION = [
      "result must be scalar"),
     ("arith.constant", [], {"value": int_attr(2)}, [I1], 0, "func",
      "i1 constant must be 0 or 1"),
+    # inf and nan print as words the parser reads as no value
+    ("arith.constant", [], {"value": float_attr(math.inf)}, [F64], 0, "func",
+     "float value must be finite"),
+    pytest.param(("arith.constant", [], {"value": float_attr(math.nan)}, [F32], 0,
+                  "func", "float value must be finite"),
+                 id="arith.constant:float value must be finite (nan)"),
     ("arith.addf", ["f64"], {}, [F64], 0, "func",
      "expects two operands and one result"),
     ("arith.subf", ["f64", "f32"], {}, [F64], 0, "func",

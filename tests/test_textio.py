@@ -1,24 +1,36 @@
 """The text format: print -> parse -> print is a fixed point, the goldens
-print byte for byte, and malformed input fails with its class and position."""
+print byte for byte, malformed input fails with its class and position,
+and the line reader builds what the token reader builds."""
 import glob
 import os
+import sys
 
 import pytest
 
 from conftest import GOLDEN_DIR, context_with_test_ops, golden_text
-from irgen import random_module
+from irgen import literal_module, random_module
 from staircase.dialects.builders import build_func, build_scf_for
-from staircase.errors import ParseError, UnknownOperation
+from staircase.errors import ParseError, TypeMismatch, UnknownOperation
 from staircase.ir.core import (
     F64,
     INDEX,
+    DialectDef,
+    Location,
+    OpSchema,
+    create_context,
     create_module,
     create_op,
     int_attr,
+    register_dialect,
     str_attr,
 )
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, parser, print_module
+from staircase.textio.forms import Form, attr, attrs, default, operands, optional
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import oracle  # noqa: E402
+import workloads  # noqa: E402
 
 INPUTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "inputs")
 PIPELINES = (
@@ -37,6 +49,11 @@ def _assert_fixed_point(module):
 def test_irgen_seeds_are_fixed_points():
     for seed in range(200):
         _assert_fixed_point(random_module(seed))
+
+
+def test_boundary_literals_are_fixed_points():
+    for seed in range(60):
+        _assert_fixed_point(literal_module(seed))
 
 
 @pytest.mark.parametrize("path", FILES, ids=os.path.basename)
@@ -116,15 +133,26 @@ def _func(body):
      'bad character or escape in string "a\tb"'),
     ('module {\n  func.func @f() attributes {k = "a\\qb"} {\n', 2, 34,
      'bad character or escape in string "a\\qb"'),
+    (_func("    %0 = arith.addf %1, %1 : f64\n  }\n}\n?"), 6, 1,
+     "unexpected character '?'"),
 ], ids=["undefined", "redefinition", "memref-element", "result-count",
         "no-module", "after-comment", "comment-then-line", "after-tab",
         "after-string", "last-line", "eof", "eof-no-newline",
-        "after-long-blanks", "string-control-character", "string-bad-escape"])
+        "after-long-blanks", "string-control-character", "string-bad-escape",
+        "character-after-error"])
 def test_parse_errors_keep_class_and_position(text, line, column, message):
     with pytest.raises(ParseError) as info:
         parse_module(text, context_with_test_ops())
     assert (info.value.line, info.value.column) == (line, column)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_non_finite_constants_are_refused(literal):
+    # they would print as inf, which reads back as no attribute value
+    with pytest.raises(TypeMismatch, match="arith.constant: float value must be finite"):
+        parse_module(_func(f"    %0 = arith.constant {literal} : f64"),
+                     context_with_test_ops())
 
 
 def _parsed_locations():
@@ -189,3 +217,165 @@ def test_generic_form_rejects_what_it_cannot_print():
     op.body().add_arg(F64)
     with pytest.raises(ValueError, match="regions with arguments"):
         print_module(module)
+
+
+# -- the line reader -------------------------------------------------------------
+
+
+def _token_reader_only(monkeypatch):
+    monkeypatch.setattr(parser.Reader, "line", lambda self, block: False)
+
+
+def _built(module):
+    """What parsing built: the printed text, and each op's name, Location
+    and result types."""
+    ops = [module, *module.walk_nested()]
+    return print_module(module), [
+        (op.name, op.location, [v.type for v in op.results]) for op in ops]
+
+
+def _agreement_corpus():
+    paths = sorted(glob.glob(os.path.join(GOLDEN_DIR, "**", "*.sir"), recursive=True)
+                   + glob.glob(os.path.join(INPUTS, "*.sir")))
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    texts += [print_module(random_module(seed)) for seed in range(60)]
+    texts += [print_module(literal_module(seed)) for seed in range(60)]
+    with open(os.path.join(INPUTS, "conv_rows_strip.sir"), encoding="utf-8") as fh:
+        strip = fh.read()
+    for text in (oracle.straight_line_block("block1000", 1000, 1).text, strip):
+        for pipeline in (workloads.CANON, workloads.UNROLL):
+            module, _ = run_pipeline(parse_module(text, context_with_test_ops()),
+                                     pipeline)
+            texts.append(print_module(module))
+    return texts
+
+
+def test_line_reader_agrees_with_the_token_reader(monkeypatch):
+    read = parser.Reader.line
+    taken = []
+
+    def line(self, block):
+        taken.append(read(self, block))
+        return taken[-1]
+
+    monkeypatch.setattr(parser.Reader, "line", line)
+    corpus = _agreement_corpus()
+    both = [_built(parse_module(text, context_with_test_ops())) for text in corpus]
+    assert taken.count(True) > 0.8 * sum(len(ops) for _, ops in both)
+    _token_reader_only(monkeypatch)
+    for text, built in zip(corpus, both):
+        assert _built(parse_module(text, context_with_test_ops())) == built
+
+
+def _token_read_lines(monkeypatch):
+    """The line each op the token reader reads starts on, in parse order."""
+    lines = []
+    read = parser.Reader.op
+
+    def op(self, block):
+        lines.append(parser._line_col(self.newlines, self.peek()[2])[0])
+        return read(self, block)
+
+    monkeypatch.setattr(parser.Reader, "op", op)
+    return lines
+
+
+def test_token_reader_reads_only_ops_with_regions_of_a_block(monkeypatch):
+    text = oracle.straight_line_block("block4000", 4000, 1).text
+    lines = _token_read_lines(monkeypatch)
+    parse_module(text, context_with_test_ops())
+    words = {text.splitlines()[line - 1].split()[0] for line in lines}
+    assert words <= {"module", "func.func", "return"}
+
+
+def _f64_func(body):
+    return ("module {\n  func.func @f(%arg0: f64) -> (f64) {\n"
+            f"{body}\n    return %arg0 : f64\n  }}\n}}\n")
+
+
+@pytest.mark.parametrize("body, name, column", [
+    ("    %0 = arith.addf %arg0,\n      %arg0 : f64", "arith.addf", 10),
+    ('    %0 = arith.addf %arg0, %arg0 {note = "x"} : f64', "arith.addf", 10),
+    ('    %0 = arith.addf %arg0, %arg0 attributes {note = "x"} : f64', "arith.addf", 10),
+    ("    %0 = arith.addf %arg0, %arg0 : f64 // the sum", "arith.addf", 10),
+    ('    %0 = gpu.thread_id x\n    {note = "x"}', "gpu.thread_id", 10),
+    ("    return\n    // the value\n    %arg0 : f64", "func.return", 5),
+], ids=["two-lines", "dictionary", "attributes", "comment", "dictionary-below",
+        "operands-below"])
+def test_lines_the_regex_leaves_go_to_the_token_reader(monkeypatch, body, name, column):
+    lines = _token_read_lines(monkeypatch)
+    got = _built(parse_module(_f64_func(body), context_with_test_ops()))
+    assert 3 in lines
+    assert got[1][2][:2] == (name, Location("<input>", 3, column))
+    _token_reader_only(monkeypatch)
+    assert _built(parse_module(_f64_func(body), context_with_test_ops())) == got
+
+
+def _failure(text):
+    try:
+        parse_module(text, context_with_test_ops())
+    except (ParseError, TypeMismatch) as error:
+        return type(error), str(error)
+    raise AssertionError("parsed")
+
+
+@pytest.mark.parametrize("body, failure, line", [
+    ("    %0 = arith.addf %1, %1 : f64",
+     (ParseError, "3:21: use of undefined value %1"), 3),
+    ("    %0 = arith.addf %arg0, %arg0 : f64\n    , f64",
+     (TypeMismatch, "arith.addf: expects two operands and one result"), 3),
+    ("    %0 = arith.addf %arg0, %arg0 : f64\n    %0 = arith.mulf %arg0, %arg0 : f64",
+     (ParseError, "4:5: redefinition of value %0"), 4),
+    ("    %0 = arith.index_cast %arg0 : index to i64",
+     (ParseError, "3:35: expected type f64, got index"), 3),
+    ("    return %arg0 : i64",
+     (ParseError, "3:20: operand types do not match the written types"), 3),
+    ("    %0 = memref.alloc() : memref<0xf64>",
+     (TypeMismatch, "memref extents must be static integers >= 1, got 0"), 3),
+    ("    return  : ", (ParseError, "3:13: expected 'id', got ':'"), 3),
+], ids=["undefined", "type-below", "redefinition", "operand-type", "written-types",
+        "bad-type", "no-operands"])
+def test_failures_come_from_the_token_reader(monkeypatch, body, failure, line):
+    lines = _token_read_lines(monkeypatch)
+    assert _failure(_f64_func(body)) == failure
+    assert lines[-1] == line
+    _token_reader_only(monkeypatch)
+    assert _failure(_f64_func(body)) == failure
+
+
+
+def _context_with_forms():
+    """A context with regionless forms the built-in dialects do not have."""
+    ctx = create_context()
+    register_dialect(ctx, DialectDef("test", [
+        OpSchema("test.word", form=Form(attrs("mode", bare=True), " ", attr("mode", "id"))),
+        OpSchema("test.sym", form=Form(
+            " ", attr("callee", "sym"), default("n", int_attr(0)),
+            optional(" n ", lambda op: op.attributes["n"].value, attr("n")),
+            "(", operands(typed=True), ")", attrs("callee", "n", bare=True))),
+    ]))
+    return ctx
+
+
+@pytest.mark.parametrize("line, failure", [
+    ("test.sym @f n 3(%arg0 : f64)", None),
+    ("test.sym @g(%arg0 : f64, %arg0 : f64)", None),
+    ("test.sym @g(%arg0 : i64)", "3:25: expected type f64, got i64"),
+    ("test.word attributes", "4:1: expected '{', got '}'"),
+], ids=["optional", "default", "typed-operand", "dictionary-before-word"])
+def test_forms_the_built_in_dialects_lack_agree(monkeypatch, line, failure):
+    text = f"module {{\n  func.func @f(%arg0: f64) {{\n    {line}\n}}\n}}\n"
+    if failure:
+        for reset in (lambda: None, lambda: _token_reader_only(monkeypatch)):
+            reset()
+            with pytest.raises(ParseError, match=failure):
+                parse_module(text, _context_with_forms())
+        return
+    lines = _token_read_lines(monkeypatch)
+    built = _built(parse_module(text, _context_with_forms()))
+    assert 3 not in lines
+    _token_reader_only(monkeypatch)
+    assert _built(parse_module(text, _context_with_forms())) == built
