@@ -17,7 +17,6 @@ from staircase.ir.core import (
     move_op,
     register_dialect,
     replace_all_uses_with,
-    walk,
 )
 from staircase.ir.verify import verify
 
@@ -56,7 +55,6 @@ _FRONTEND = {
     "thread_id_z": ("staircase.frontend.gpu", "thread_id_z"),
     "Pipeline": ("staircase.passes", "Pipeline"),
     "PassStats": ("staircase.passes", "PassStats"),
-    "pipeline_builder": ("staircase.passes", "pipeline_builder"),
     "pipeline_parse": ("staircase.passes", "pipeline_parse"),
     "run_pipeline": ("staircase.passes", "run_pipeline"),
     "Buffer": ("staircase.interp", "Buffer"),
@@ -90,7 +88,6 @@ __all__ = [
     "create_module",
     "create_op",
     "register_dialect",
-    "walk",
     "count_ops",
     "replace_all_uses_with",
     "erase_op",

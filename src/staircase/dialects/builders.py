@@ -138,8 +138,8 @@ def build_scf_if(at: Block | Operation, cond: Value, with_else: bool = False,
                  location: Location | None = None) -> Operation:
     op = _insert(at, "scf.if", operands=[cond],
                  region_count=2 if with_else else 1, location=location)
-    for region in op.regions:
-        append_terminator(region.blocks[0], "scf.yield", location=location)
+    for block in op.regions:
+        append_terminator(block, "scf.yield", location=location)
     return op
 
 

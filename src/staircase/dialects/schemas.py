@@ -154,8 +154,8 @@ def _check_scf_if(op: Operation) -> list:
 
 def _structure_scf_if(op: Operation) -> list:
     problems = []
-    for region in op.regions:
-        if region.blocks[0].args:
+    for block in op.regions:
+        if block.args:
             problems.append("branch regions take no arguments")
     return problems
 

@@ -17,7 +17,7 @@ from staircase.dialects.builders import (
 from staircase.errors import TypeMismatch, UnbalancedMarkers, UnsupportedConstruct
 from staircase.frontend import state
 from staircase.frontend.proxy import ValueProxy, constant, materialize_constant
-from staircase.ir.core import INDEX, I1, Region, Value
+from staircase.ir.core import INDEX, I1, Block, Value
 
 __all__ = [
     "scf_range", "affine_range", "scf_for", "affine_for", "parallel",
@@ -116,8 +116,8 @@ def scf_else() -> None:
     if frame.kind != "if" or frame.arm != "then" or not frame.arm_ended:
         raise UnbalancedMarkers("else marker without a finished then arm")
     op = frame.op
-    op.regions.append(Region(op))
-    else_block = op.body(1)
+    else_block = Block(op)
+    op.regions.append(else_block)
     append_terminator(else_block, "scf.yield", location=cap.location())
     frame.block = else_block
     frame.arm = "else"

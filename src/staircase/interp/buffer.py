@@ -1,9 +1,8 @@
 """Dense strided buffers backing memref values during interpretation.
 
 Storage uses array.array so f32 elements round to C float on every store,
-matching what a real 32-bit buffer would hold. Strides are row-major and
-measured in elements; they are recorded explicitly so the descriptor
-shape does not have to change if other layouts ever appear.
+matching what a real 32-bit buffer would hold. Elements lie in row-major
+order; row_major_strides gives each dimension's stride in elements.
 
 In JSON a buffer is {"shape": [...], "dtype": "...", "data": [...]}: its
 positive extents, one of f32, f64, i32 or i64, and every element in
@@ -133,7 +132,7 @@ def row_major_strides(shape) -> tuple:
 class Buffer:
     """One dense numeric array plus its logical shape."""
 
-    __slots__ = ("shape", "strides", "dtype", "data")
+    __slots__ = ("shape", "dtype", "data")
 
     def __init__(self, shape, dtype: str, data=None):
         shape = tuple(int(s) for s in shape)
@@ -146,7 +145,6 @@ class Buffer:
             raise TypeMismatch(f"buffer extents must be positive, got {shape}")
         size = math.prod(shape)
         self.shape = shape
-        self.strides = row_major_strides(shape)
         self.dtype = dtype
         if data is None:
             self.data = array(_TYPECODES[dtype], [0] * size)

@@ -710,8 +710,8 @@ class _FuncGen:
                 run += 1
                 first, crossed = {}, {}
                 inner = self.stores[op] = self.scan(op.body())
-                for region in op.regions[1:]:   # an else-arm
-                    for buf, stored in self.scan(region.blocks[0]).items():
+                for arm in op.regions[1:]:      # an else-arm
+                    for buf, stored in self.scan(arm).items():
                         _note(inner, buf, stored)
                 for buf, stored in inner.items():
                     _note(stores, buf, stored)
@@ -1242,9 +1242,9 @@ class _FuncGen:
                     trips = range(*static_bounds(op)[0][:3])
                     if trips:
                         known[op.body().args[0]] = (trips[0], trips[-1])
-                for region in op.regions:
-                    if not self.raise_free(region.blocks[0], depth + 1, known,
-                                           found, touched):
+                for body in op.regions:
+                    if not self.raise_free(body, depth + 1, known, found,
+                                           touched):
                         return False
         return True
 

@@ -74,6 +74,10 @@ def check_args(name: str, param_types, args) -> list:
             v = float(arg)
             values.append(to_f32(v) if ty.kind == "f32" else v)
         elif ty.kind == "i1":
+            if not isinstance(arg, int):
+                raise TypeMismatch(
+                    f"argument {i} of @{name} is i1, needs an integer"
+                )
             values.append(1 if arg else 0)
         else:  # i32/i64/index
             if isinstance(arg, bool) or not isinstance(arg, int):

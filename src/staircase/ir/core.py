@@ -1,9 +1,9 @@
 """SSA region-based IR: contexts, dialects, types, values, operations.
 
-Structure mirrors the usual region-based IR nesting: operations contain
-regions, regions contain blocks, blocks contain argument values and
-operations. Only structured control flow is supported, so every region
-holds exactly one block.
+Structure mirrors the usual region-based IR nesting, with one level
+folded away: only structured control flow is supported, so every region
+holds exactly one block, and an operation's `regions` are those blocks.
+Blocks contain argument values and operations.
 """
 from __future__ import annotations
 
@@ -253,7 +253,7 @@ class Operation:
         self.results = [
             Value(ctx.new_value_id(), t, self, i) for i, t in enumerate(result_types)
         ]
-        self.regions = [Region(self) for _ in range(region_count)]
+        self.regions = [Block(self) for _ in range(region_count)]
         for v in operands:
             self._append_operand(v)
 
@@ -288,7 +288,8 @@ class Operation:
         return self.name.split(".", 1)[0]
 
     def body(self, region_index: int = 0) -> "Block":
-        return self.regions[region_index].blocks[0]
+        """The block of region `region_index`."""
+        return self.regions[region_index]
 
     def block_index(self) -> int:
         assert self.parent is not None
@@ -315,15 +316,7 @@ class Operation:
 
 
 def _nested_ops(op: Operation) -> Iterator[Operation]:
-    return chain.from_iterable(list(b.ops) for r in op.regions for b in r.blocks)
-
-
-class Region:
-    """Ordered blocks owned by an operation; always one block here."""
-
-    def __init__(self, parent_op: Operation):
-        self.parent_op = parent_op
-        self.blocks: list[Block] = [Block(self)]
+    return chain.from_iterable(list(b.ops) for b in op.regions)
 
 
 _ORDER_STRIDE = 1 << 10
@@ -336,7 +329,8 @@ def _list_position(index: int, n: int) -> int:
 
 
 class Block:
-    """Ordered argument values followed by ordered operations.
+    """One region of `parent_op`: ordered argument values followed by
+    ordered operations.
 
     Every op in `ops` carries an order number (`Operation._order`) that
     increases along the block, as MLIR's order index behind
@@ -350,8 +344,8 @@ class Block:
     `merge_block`.
     """
 
-    def __init__(self, parent_region: Region):
-        self.parent_region = parent_region
+    def __init__(self, parent_op: Operation):
+        self.parent_op = parent_op
         self.args: list[Value] = []
         self.ops: list[Operation] = []
         self._order_valid = True
@@ -404,10 +398,6 @@ class Block:
         """Take `op` out of this block; the numbering stays valid."""
         del self.ops[self.position(op)]
         op.parent = None
-
-    @property
-    def parent_op(self) -> Operation:
-        return self.parent_region.parent_op
 
     @property
     def ctx(self) -> "Context":
@@ -538,7 +528,7 @@ def _visible_before(value: Value, block: Block, before: Operation | None) -> boo
     owner = value.owner
     if isinstance(owner, Block):
         while block is not owner:
-            block = block.parent_region.parent_op.parent
+            block = block.parent_op.parent
             if block is None:
                 return False
         return True
@@ -546,7 +536,7 @@ def _visible_before(value: Value, block: Block, before: Operation | None) -> boo
         return False
     home = owner.parent
     while block is not home:
-        before = block.parent_region.parent_op
+        before = block.parent_op
         block = before.parent
         if block is None:
             return False
@@ -620,37 +610,6 @@ def create_op(
             raise TypeMismatch(f"{name}: " + "; ".join(problems))
     block.insert(insert_index, op)
     return op
-
-
-def walk(root: Operation, visitor, order: str = "pre") -> None:
-    """Invoke `visitor` once per op in the subtree rooted at `root` (root
-    included). `visitor` is either a callable or a mapping from dialect
-    name to handler with an optional `None` key as the generic fallback.
-    """
-    if order not in ("pre", "post"):
-        raise ValueError(f"walk order must be 'pre' or 'post', got {order!r}")
-
-    if callable(visitor):
-        dispatch = visitor
-    else:
-        def dispatch(op, _table=visitor):
-            handler = _table.get(op.dialect, _table.get(None))
-            if handler is not None:
-                handler(op)
-
-    def go(op: Operation) -> None:
-        if order == "pre":
-            dispatch(op)
-        for region in op.regions:
-            for block in region.blocks:
-                # snapshot so visitors may mutate the block they are in
-                for child in list(block.ops):
-                    if not child.erased:
-                        go(child)
-        if order == "post":
-            dispatch(op)
-
-    go(root)
 
 
 def top_module(op: Operation) -> Operation:
@@ -799,12 +758,11 @@ def clone_op(
     )
     for old_r, new_r in zip(op.results, new.results):
         vmap[old_r] = new_r
-    for old_region, new_region in zip(op.regions, new.regions):
-        for old_block, new_block in zip(old_region.blocks, new_region.blocks):
-            for arg in old_block.args:
-                vmap[arg] = new_block.add_arg(arg.type)
-            for child in old_block.ops:
-                clone_op(child, new_block, len(new_block.ops), vmap)
+    for old_block, new_block in zip(op.regions, new.regions):
+        for arg in old_block.args:
+            vmap[arg] = new_block.add_arg(arg.type)
+        for child in old_block.ops:
+            clone_op(child, new_block, len(new_block.ops), vmap)
     return new
 
 

@@ -7,6 +7,7 @@ VerificationFailed themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from staircase.errors import SignatureMismatch, UnknownSymbol, VerificationFailed
 from staircase.ir.core import (
@@ -16,7 +17,6 @@ from staircase.ir.core import (
     SymbolTable,
     ancestors,
     value_dominates_op,
-    walk,
 )
 
 
@@ -25,13 +25,12 @@ class Diagnostic:
     message: str
     op_name: str = ""
     location: Location | None = None
-    severity: str = "error"
 
     def __str__(self) -> str:
         loc = ""
         if self.location is not None:
             loc = f" at {self.location}"
-        return f"{self.severity}: '{self.op_name}'{loc}: {self.message}"
+        return f"error: '{self.op_name}'{loc}: {self.message}"
 
 
 def check_launch(table: SymbolTable, kernel: tuple, arg_types: list) -> None:
@@ -93,11 +92,11 @@ def verify(root: Operation) -> list[Diagnostic]:
         out.append(Diagnostic(f"duplicate symbol @{SymbolTable.name_of(op)}",
                               op.name, op.location))
 
-    def visit(op: Operation) -> None:
+    for op in chain((root,), root.walk_nested()):
         schema = registry.ops.get(op.name)
         if schema is None:
             out.append(Diagnostic("unknown operation", op.name, op.location))
-            return
+            continue
 
         if schema.check_creation is not None:
             for problem in schema.check_creation(op):
@@ -108,12 +107,7 @@ def verify(root: Operation) -> list[Diagnostic]:
                 f"expected {schema.num_regions} regions, found {len(op.regions)}",
                 op.name, op.location))
 
-        for region in op.regions:
-            if len(region.blocks) != 1:
-                out.append(Diagnostic("regions hold exactly one block",
-                                      op.name, op.location))
-                continue
-            block = region.blocks[0]
+        for block in op.regions:
             if schema.terminator is not None:
                 term = block.terminator
                 if term is None or term.name != schema.terminator:
@@ -150,8 +144,6 @@ def verify(root: Operation) -> list[Diagnostic]:
             if not any(a.name == "gpu.func" for a in ancestors(op)):
                 out.append(Diagnostic(
                     "only valid inside a gpu.func body", op.name, op.location))
-
-    walk(root, visit)
     return out
 
 

@@ -8,10 +8,8 @@ from .pipeline import (
     ANCHORS,
     PASSES,
     Pipeline,
-    PipelineBuilder,
     PassScope,
     PassStats,
-    pipeline_builder,
     pipeline_parse,
     run_pipeline,
 )
@@ -26,13 +24,11 @@ __all__ = [
     "PassScope",
     "PassStats",
     "Pipeline",
-    "PipelineBuilder",
     "canonicalize",
     "gpu_kernel_outlining",
     "gpu_map_parallel_loops",
     "loop_unroll",
     "lower_affine",
-    "pipeline_builder",
     "pipeline_parse",
     "run_pipeline",
     "scf_parallel_loop_tiling",

@@ -50,7 +50,7 @@ def _fold_constants(root: Operation) -> int:
 def _dedup_constants(root: Operation) -> int:
     changed = 0
     for block in [block for op in chain((root,), root.walk_nested())
-                  for region in op.regions for block in region.blocks]:
+                  for block in op.regions]:
         seen: dict = {}
         for op in list(block.ops):
             if op.name != "arith.constant":

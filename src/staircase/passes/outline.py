@@ -92,8 +92,8 @@ def _free_values(loop: Operation) -> list[Value]:
     for op in loop.walk_nested():
         free.update((v, None) for v in op.operands if v not in inside)
         inside.update(op.results)
-        for region in op.regions:
-            inside.update(region.blocks[0].args)
+        for block in op.regions:
+            inside.update(block.args)
     return list(free)
 
 

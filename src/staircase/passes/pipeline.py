@@ -1,4 +1,4 @@
-"""Scope-anchored pass pipelines: build them, parse them, run them.
+"""Scope-anchored pass pipelines: parse them, print them, run them.
 
 A pipeline is a tree of scopes. Each scope names an anchor op and holds
 an ordered mix of passes and child scopes; a pass runs once per op
@@ -89,50 +89,6 @@ def _render_scope(scope: PassScope) -> str:
             else:
                 parts.append(name)
     return f"{scope.anchor}({','.join(parts)})"
-
-
-# ---------------------------------------------------------------------------
-# construction
-
-
-class PipelineBuilder:
-    """Assemble a pipeline scope by scope. The root is always a
-    builtin.module scope, matching what the parser produces."""
-
-    def __init__(self):
-        self._root = PassScope("builtin.module")
-        self._stack = [self._root]
-
-    def push_scope(self, anchor: str) -> "PipelineBuilder":
-        if anchor not in ANCHORS:
-            raise ParseError(
-                f"unknown anchor {anchor!r}; expected one of {', '.join(ANCHORS)}"
-            )
-        scope = PassScope(anchor)
-        self._stack[-1].items.append(scope)
-        self._stack.append(scope)
-        return self
-
-    def pop_scope(self) -> "PipelineBuilder":
-        if len(self._stack) == 1:
-            raise ParseError("pop_scope without a matching push_scope")
-        self._stack.pop()
-        return self
-
-    def add_pass(self, name: str, params: dict | None = None) -> "PipelineBuilder":
-        if name not in PASSES:
-            raise UnknownPass(f"unknown pass {name!r}")
-        self._stack[-1].items.append((name, dict(params or {})))
-        return self
-
-    def build(self) -> Pipeline:
-        if len(self._stack) != 1:
-            raise ParseError(f"{len(self._stack) - 1} scope(s) left open")
-        return Pipeline(self._root)
-
-
-def pipeline_builder() -> PipelineBuilder:
-    return PipelineBuilder()
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z0-9_.\-]+|[(){}=\[\],])")

@@ -1,5 +1,5 @@
 """Small shared helpers for the IR-rewriting passes: the outcome record
-and a snapshot walk.
+and the list of ops a pass visits, read before it rewrites any.
 
 Passes read constants and loop bounds through ``interp.buffer``
 (``constant_of``, ``static_bounds``), as a run reads them, so a pass

@@ -349,7 +349,7 @@ class region:
     line = None
 
     def write(self, w, op) -> None:
-        w.region(op.regions[self.i].blocks[0], self.elide_yield)
+        w.region(op.regions[self.i], self.elide_yield)
 
     def read(self, r, p) -> None:
         if p.op is None:

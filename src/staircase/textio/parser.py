@@ -33,7 +33,6 @@ from staircase.ir.core import (
     IRType,
     Location,
     Operation,
-    Region,
     Value,
     array_attr,
     create_module,
@@ -363,8 +362,8 @@ class Reader:
     def region(self, op: Operation, i: int, elide_yield: bool) -> None:
         """Region i of op, added when op has only i regions so far."""
         if i == len(op.regions):
-            op.regions.append(Region(op))
-        block = op.regions[i].blocks[0]
+            op.regions.append(Block(op))
+        block = op.regions[i]
         self.expect("{")
         while self.line(block) or self.peek()[1] != "}":
             if self.tok is not None:  # not read by the line reader

@@ -50,12 +50,11 @@ def ir_layout(root):
     ops_at, holder = {}, {}
 
     def go(op):
-        for region in op.regions:
-            for block in region.blocks:
-                holder[block] = op
-                for i, child in enumerate(block.ops):
-                    ops_at[child] = (block, i)
-                    go(child)
+        for block in op.regions:
+            holder[block] = op
+            for i, child in enumerate(block.ops):
+                ops_at[child] = (block, i)
+                go(child)
 
     go(root)
     return ops_at, holder

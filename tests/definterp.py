@@ -25,6 +25,7 @@ from staircase.interp.buffer import (
     fdiv,
     launch_outside_gpu,
     out_of_bounds,
+    row_major_strides,
     to_f32,
     wrap_int,
 )
@@ -223,7 +224,8 @@ def _offset(op, buf, indices) -> int:
     """The flat offset of in-bounds indices; the first one outside its
     extent raises."""
     offset = 0
-    for i, extent, stride in zip(indices, buf.shape, buf.strides):
+    strides = row_major_strides(buf.shape)
+    for i, extent, stride in zip(indices, buf.shape, strides):
         if i < 0 or i >= extent:
             out_of_bounds(i, extent, buf, op.location)
         offset += i * stride

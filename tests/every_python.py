@@ -10,13 +10,13 @@ after canonicalize. test_pythons.py compares this output across
 interpreters.
 """
 import os
+from itertools import chain
 
 import kernels
 from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.interp.tape import compile_module
-from staircase.ir.core import walk
 from staircase.passes import run_pipeline
 from staircase.textio import print_module
 
@@ -52,7 +52,8 @@ def main() -> None:
         module = staged.module
         print(f"== {name}")
         print(print_module(module), end="")
-        walk(module, lambda op: print(op.name, where(op)))
+        for op in chain((module,), module.walk_nested()):
+            print(op.name, where(op))
         module, _ = run_pipeline(module, CANON)
         args = inputs(compile_module(module)[name].param_types)
         results, stats = run(module, name, args, "gpu_emulated")

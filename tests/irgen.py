@@ -187,8 +187,7 @@ def _emit_region_op(block, rng, scope, depth):
                          result_types=[IRType("i1")])
         branch = create_op(block, block.insertion_index(), "scf.if",
                            operands=[cond.results[0]], region_count=2)
-        for region in branch.regions:
-            body = region.blocks[0]
+        for body in branch.regions:
             _fill_block(body, rng, _Scope(scope), depth - 1)
             create_op(body, len(body.ops), "scf.yield")
         return
@@ -418,8 +417,7 @@ class _Nest:
                            attributes={"predicate": str_attr("olt")},
                            result_types=[IRType("i1")]).results[0]
             branch = self.op(block, "scf.if", [cond], regions=2)
-            for region in branch.regions:
-                arm = region.blocks[0]
+            for arm in branch.regions:
                 self.chain(arm, list(scope))
                 self.access(arm, list(scope))
                 create_op(arm, len(arm.ops), "scf.yield")

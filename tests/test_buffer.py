@@ -60,7 +60,7 @@ def test_malformed_buffers_are_rejected_with_their_message(text, message):
 
 def test_elements_keep_their_dtype():
     buf = buffer_from_json(_json(shape=[2, 2], data=[1, 2.5, -0.0, 3]))
-    assert (buf.shape, buf.strides, buf.dtype) == ((2, 2), (2, 1), "f64")
+    assert (buf.shape, buf.dtype) == ((2, 2), "f64")
     assert buf.tolist() == [1.0, 2.5, -0.0, 3.0]
     assert all(type(v) is float for v in buf.tolist())
     assert math.copysign(1.0, buf.tolist()[2]) == -1.0

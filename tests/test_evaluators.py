@@ -27,7 +27,7 @@ from irgen import (
     slice_inputs,
     slice_module,
 )
-from staircase.errors import PassFailure
+from staircase.errors import ArityMismatch, PassFailure, TypeMismatch
 from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, wrap_int
 from staircase.interp.machine import call, run
@@ -437,6 +437,42 @@ def test_integer_identities(monkeypatch):
     for a, b in ((5, 7), (-3, 2**62)):
         want = _agree(module, [a, b, Buffer((3,), "i64")])
         assert want[2][2].tolist() == [a + b, a, (a - 1) * 2]
+
+
+_ARGS_OK = (Buffer((4,), "f64"), 1.5, 7, 1)
+
+
+def _args_with(i, arg):
+    args = list(_ARGS_OK)
+    args[i] = arg
+    return args
+
+
+# id -> (arguments for @f(memref<4xf64>, f64, i32, i1), error, message)
+BAD_ARGS = {
+    "arity": (list(_ARGS_OK[:3]), ArityMismatch, "@f takes 4 arguments, got 3"),
+    "memref-list": (_args_with(0, [0.0] * 4), TypeMismatch,
+                    "argument 0 of @f is memref<4xf64>, needs a Buffer"),
+    "memref-shape": (_args_with(0, Buffer((5,), "f64")), TypeMismatch,
+                     "argument 0 of @f is memref<4xf64>, got Buffer<5xf64>"),
+    "f64-str": (_args_with(1, "1.5"), TypeMismatch,
+                "argument 1 of @f is f64, needs a number"),
+    "i32-float": (_args_with(2, 7.0), TypeMismatch,
+                  "argument 2 of @f is i32, needs an integer"),
+    **{f"i1-{kind}": (_args_with(3, bad), TypeMismatch,
+                      "argument 3 of @f is i1, needs an integer")
+       for kind, bad in (("str", "no"), ("buffer", Buffer((4,), "f64")),
+                         ("float", 2.5), ("none", None))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGS))
+def test_arguments_are_checked(case):
+    args, error, message = BAD_ARGS[case]
+    module = _module("    return",
+                     "%arg0: memref<4xf64>, %arg1: f64, %arg2: i32, %arg3: i1")
+    assert _agree(module, _ARGS_OK)[0] == "returned"
+    assert _agree(module, args)[:3] == ("raised", error, message)
 
 
 def test_out_of_bounds_on_runtime_index():

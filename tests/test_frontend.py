@@ -3,6 +3,7 @@
 import importlib
 import os
 import pkgutil
+from itertools import chain
 
 import pytest
 
@@ -46,7 +47,7 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from staircase import *", namespace)  # noqa: S102
     core = ("Context", "create_context", "create_module", "create_op",
-            "register_dialect", "walk", "count_ops", "replace_all_uses_with",
+            "register_dialect", "count_ops", "replace_all_uses_with",
             "erase_op", "move_op", "clone_op", "clone_module", "verify")
     missing = [name for name in (*core, *staircase._FRONTEND)
                if name not in namespace]
@@ -64,19 +65,16 @@ def _locations():
     """One line per op of every kernel in the corpus: kernel, op, file:line."""
     import kernels
     from staircase.frontend.capture import StagedFunction
-    from staircase.ir.core import walk
 
     lines = []
     for name, staged in vars(kernels).items():
         if not isinstance(staged, StagedFunction):
             continue
-
-        def note(op, name=name):
+        module = staged.module
+        for op in chain((module,), module.walk_nested()):
             loc = op.location
             where = f"{os.path.basename(loc.file)}:{loc.line}" if loc else "-"
             lines.append(f"{name} {op.name} {where}")
-
-        walk(staged.module, note)
     return "".join(line + "\n" for line in lines)
 
 

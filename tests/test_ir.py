@@ -63,7 +63,6 @@ from staircase.ir.core import (
     unit_attr,
     value_dominates_op,
     value_visible_at,
-    walk,
 )
 from staircase.ir.verify import verify, verify_or_raise
 from staircase.passes.canonicalize import canonicalize
@@ -447,31 +446,13 @@ class TestWalk:
         build_constant(loop.body(), 1.0)
         return module, func, loop
 
-    def test_pre_and_post_order(self, ctx):
-        module, func, loop = self._nested(ctx)
-        pre, post = [], []
-        walk(module, lambda op: pre.append(op.name), order="pre")
-        walk(module, lambda op: post.append(op.name), order="post")
-        assert pre[0] == "builtin.module" and post[-1] == "builtin.module"
-        i = pre.index("scf.for")
-        assert "arith.constant" in pre[i:]
-        assert set(pre) == set(post)
-
-    def test_dialect_keyed_visitor(self, ctx):
-        module, _, _ = self._nested(ctx)
-        seen = {"arith": 0, "scf": 0}
-        walk(module, {
-            "arith": lambda op: seen.__setitem__("arith", seen["arith"] + 1),
-            "scf": lambda op: seen.__setitem__("scf", seen["scf"] + 1),
-        })
-        assert seen["arith"] == 4
-        assert seen["scf"] == 2  # the loop and its yield
-
     def test_count_ops(self, ctx):
         module, _, _ = self._nested(ctx)
-        names = []
-        walk(module, lambda op: names.append(op.name))
-        assert count_ops(module) == len(names)
+        names = [op.name for op in module.walk_nested()]
+        assert names == ["func.func", "arith.constant", "arith.constant",
+                         "arith.constant", "scf.for", "arith.constant",
+                         "scf.yield", "func.return"]
+        assert count_ops(module) == 1 + len(names)
 
 
 class TestDialectRegistry:

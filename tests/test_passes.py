@@ -16,6 +16,7 @@ import ast
 import glob
 import os
 import random
+from itertools import chain
 
 import pytest
 
@@ -32,7 +33,6 @@ from staircase.ir.core import (
     erase_op,
     move_op,
     value_dominates_op,
-    walk,
 )
 from staircase.passes import PASSES, run_pipeline
 from staircase.textio import parse_module, print_module
@@ -70,27 +70,29 @@ GOLDEN_PIPELINES = {
 
 
 def _order_problems(module):
-    """Where a block's order index disagrees with its list of ops."""
+    """Where a block's order index disagrees with its list of ops, or a
+    block or op names another parent than the one holding it."""
     problems = []
     layout = ir_layout(module)
-
-    def check(op):
-        for region in op.regions:
-            for block in region.blocks:
-                orders = [block.order_of(o) for o in block.ops]
-                if any(a >= b for a, b in zip(orders, orders[1:])):
-                    problems.append(f"order numbers {orders} in {op.name}")
-                for i, inner in enumerate(block.ops):
-                    if inner.block_index() != i:
-                        problems.append(f"{inner.name} at {i} reports "
-                                        f"{inner.block_index()}")
-                    for v in inner.operands:
-                        if value_dominates_op(v, inner) \
-                                != visible_by_definition(v, block, i, layout):
-                            problems.append(f"dominance of {v!r} at "
-                                            f"{inner.name} differs")
-
-    walk(module, check)
+    ops_at, holder = layout
+    for op in chain((module,), module.walk_nested()):
+        for block in op.regions:
+            if block.parent_op is not holder[block]:
+                problems.append(f"a block of {op.name} names another parent")
+            orders = [block.order_of(o) for o in block.ops]
+            if any(a >= b for a, b in zip(orders, orders[1:])):
+                problems.append(f"order numbers {orders} in {op.name}")
+            for i, inner in enumerate(block.ops):
+                if inner.parent is not ops_at[inner][0]:
+                    problems.append(f"{inner.name} at {i} names another block")
+                elif inner.block_index() != i:
+                    problems.append(f"{inner.name} at {i} reports "
+                                    f"{inner.block_index()}")
+                for v in inner.operands:
+                    if value_dominates_op(v, inner) \
+                            != visible_by_definition(v, block, i, layout):
+                        problems.append(f"dominance of {v!r} at "
+                                        f"{inner.name} differs")
     return problems
 
 
@@ -317,11 +319,11 @@ def test_pass_outputs_print_byte_for_byte(name):
 
 
 def test_passes_build_through_the_builders():
-    """No pass makes an op, block argument or region by hand, or moves ops
-    one by one: they use dialects/builders.py and merge_block."""
+    """No pass makes an op, block argument or region's block by hand, or
+    moves ops one by one: they use dialects/builders.py and merge_block."""
     import staircase.passes
 
-    banned_calls = {"create_op", "add_arg", "move_op", "Region"}
+    banned_calls = {"create_op", "add_arg", "move_op", "Block"}
     banned_defs = {"index_const", "_KernelWriter"}
     found = []
     for path in glob.glob(os.path.join(

@@ -1,9 +1,8 @@
-"""Pipeline specs: every parse and builder message, and the two ways to
-make a pipeline agree.
+"""Pipeline specs: every parse message, and printing.
 
 A spec parsed, printed and parsed again gives the same Pipeline, for the
-tuner's and the benchmark's specs; the builder, driven item by item, makes
-the Pipeline the parser makes.
+tuner's and the benchmark's specs, and a spec in the printed form prints
+exactly as written.
 """
 import itertools
 import os
@@ -12,7 +11,7 @@ import sys
 import pytest
 
 from staircase.errors import ParseError, UnknownPass
-from staircase.passes.pipeline import PassScope, pipeline_builder, pipeline_parse
+from staircase.passes.pipeline import pipeline_parse
 from staircase.tuner import default_pipeline
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -77,21 +76,6 @@ def test_parse_message(spec, error, message):
     assert str(info.value) == message
 
 
-def test_builder_messages():
-    with pytest.raises(ParseError) as info:
-        pipeline_builder().push_scope("nope")
-    assert str(info.value) == f"unknown anchor 'nope'; expected one of {_ANCHORS}"
-    with pytest.raises(ParseError) as info:
-        pipeline_builder().pop_scope()
-    assert str(info.value) == "pop_scope without a matching push_scope"
-    with pytest.raises(UnknownPass) as info:
-        pipeline_builder().add_pass("nope")
-    assert str(info.value) == "unknown pass 'nope'"
-    with pytest.raises(ParseError) as info:
-        pipeline_builder().push_scope("func.func").build()
-    assert str(info.value) == "1 scope(s) left open"
-
-
 def _tuner_specs():
     tiles, unrolls = workloads.TILES, workloads.UNROLLS
     return [default_pipeline(list(t), u)
@@ -107,34 +91,7 @@ def test_printed_spec_parses_to_the_same_pipeline(spec):
     assert pipeline_parse(str(pipeline)) == pipeline
 
 
-def _build(scope, builder):
-    for item in scope.items:
-        if isinstance(item, PassScope):
-            _build(item, builder.push_scope(item.anchor))
-            builder.pop_scope()
-        else:
-            builder.add_pass(*item)
-
-
-@pytest.mark.parametrize("spec", SPECS)
-def test_builder_makes_the_parsed_pipeline(spec):
-    parsed = pipeline_parse(spec)
-    builder = pipeline_builder()
-    _build(parsed.root, builder)
-    assert builder.build() == parsed
-
-
-def test_builder_by_hand():
-    built = (pipeline_builder()
-             .push_scope("func.func")
-             .add_pass("scf-parallel-loop-tiling", {"sizes": [1, 3]})
-             .add_pass("loop-unroll", {"factor": 2})
-             .pop_scope()
-             .add_pass("gpu-map-parallel-loops")
-             .build())
-    assert built == pipeline_parse(
-        "builtin.module(func.func(scf-parallel-loop-tiling{sizes=[1,3]},"
-        "loop-unroll{factor=2}),gpu-map-parallel-loops)")
-    assert str(built) == ("builtin.module(func.func(scf-parallel-loop-tiling"
-                          "{sizes=[1,3]},loop-unroll{factor=2}),"
-                          "gpu-map-parallel-loops)")
+def test_spec_prints_as_written():
+    spec = ("builtin.module(func.func(scf-parallel-loop-tiling{sizes=[1,3]},"
+            "loop-unroll{factor=2}),gpu-map-parallel-loops)")
+    assert str(pipeline_parse(spec)) == spec
