@@ -1,8 +1,8 @@
 """Pipeline specs: every parse message, and printing.
 
 A spec parsed, printed and parsed again gives the same Pipeline, for the
-tuner's and the benchmark's specs, and a spec in the printed form prints
-exactly as written.
+tuner's and the benchmark's specs; and each of those specs, and one written
+by hand, prints exactly as written once its blanks are dropped.
 """
 import itertools
 import os
@@ -91,7 +91,14 @@ def test_printed_spec_parses_to_the_same_pipeline(spec):
     assert pipeline_parse(str(pipeline)) == pipeline
 
 
-def test_spec_prints_as_written():
-    spec = ("builtin.module(func.func(scf-parallel-loop-tiling{sizes=[1,3]},"
-            "loop-unroll{factor=2}),gpu-map-parallel-loops)")
-    assert str(pipeline_parse(spec)) == spec
+BY_HAND = ("builtin.module(func.func(scf-parallel-loop-tiling{sizes=[1,3]},"
+           "loop-unroll{factor=2}),gpu-map-parallel-loops)")
+
+
+@pytest.mark.parametrize("spec", [BY_HAND, *SPECS],
+                         ids=["by-hand", *SPECS])
+def test_spec_prints_as_written(spec):
+    """Blanks aside, a spec prints exactly as written."""
+    written = spec.replace(" ", "")
+    assert pipeline_parse(written) == pipeline_parse(spec)
+    assert str(pipeline_parse(written)) == written
