@@ -3,13 +3,14 @@
 Each func.func, gpu.func and scf.parallel body becomes one Python
 function. SSA values become locals, integer constants become literals, and
 a result used once, later in the same straight-line run, is written into
-that use as an expression. Loops become ``for`` loops over ``range``, and a
-loop of one trip binds its induction variable instead. A parallel body's
-function loops over its points in the order ``itertools.product`` would
-visit them; worksharing mode runs it as sequential mode does and only
-records its worker count. Each buffer's ``array`` is bound to a local
-once. A kernel takes its grid and block sizes and runs every thread
-in nested loops of its own, so a launch is one call.
+that use as an expression. Loops become ``for`` loops over ``range``,
+except short ones over literal bounds, written once per trip (below). A
+parallel body's function loops over its points in the order
+``itertools.product`` would visit them; worksharing mode runs it as
+sequential mode does and only records its worker count. Each buffer's
+``array`` is bound to a local once. A kernel takes its grid and block
+sizes and runs every thread in nested loops of its own, so a launch is
+one call.
 
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
@@ -82,6 +83,19 @@ otherwise from 3.12). Slices cost set-up: on CPython 3.11 the first form
 overtakes the loop at 16 to 20 trips, the second at 8 to 12. Code for a
 recorder keeps every loop.
 
+A loop over literal bounds that runs at most once, or heads a short nest,
+is written once per trip, its induction variable named by the trip's
+literal (MLIR's ``affine-loop-unroll``, ``unroll-full``). In code for no
+recorder, a nest is short if each loop in it has at most UNROLL_TRIPS trips
+and a body of constants, pure ops, loads, stores and such loops, nothing in
+it can raise (``raise_free``), and its copies write at most UNROLL_OPS ops.
+The copies open no level, so every open level's terms are in partial sums
+in the headers; an element read and written at one address is kept in a
+local around all copies, and a load no open loop moves is bound before
+them. Each copy adds its block's counts. Before each, what an earlier one
+noted of the body's values (names, intervals, linear forms, folds) is
+dropped; offsets are a block's own.
+
 ``compile()`` holds about 2.4 KB per statement of the source it is given,
 so a straight-line run longer than SEGMENT statements is split into
 chained functions, and functions are compiled in batches of about SEGMENT
@@ -118,6 +132,8 @@ from staircase.ir.core import Operation, Value, ancestors
 SEGMENT = 300   # statements per compiled unit in a long straight-line run
 MAX_DEPTH = 15  # indentation past which a loop or if gets a function of its own
 SLICE_TRIPS = 16  # trips from which an innermost loop runs over slices
+UNROLL_TRIPS = 4  # trips up to which a loop of a short nest is written per trip
+UNROLL_OPS = 96   # ops a nest written once per trip may write in all
 
 _WIDTH = {"i32": 32, "i64": 64, "index": 64}
 _FOPS = {"arith.addf": "+", "arith.subf": "-", "arith.mulf": "*"}
@@ -309,6 +325,26 @@ def _range(lb: int, ub: int, step: int) -> str:
     return f"range({ub})" if lb == 0 else f"range({lb}, {ub})"
 
 
+def _written(loop: Operation, trips: int):
+    """The ops but constants and yields that writing ``loop`` once per trip
+    writes, or None if it holds an op that no short nest may hold."""
+    size = 0
+    for op in loop.body().ops:
+        if op.name in ("scf.for", "affine.for"):
+            bounds = static_bounds(op)
+            if bounds is None or bounds[0][3] > UNROLL_TRIPS:
+                return None
+            inner = _written(op, bounds[0][3])
+            if inner is None:
+                return None
+            size += inner
+        elif op.name not in _SLICEABLE:
+            return None
+        elif op.name not in ("arith.constant", "scf.yield"):
+            size += 1
+    return trips * size
+
+
 # -- code generation ------------------------------------------------------------
 
 class _Stmts:
@@ -340,7 +376,7 @@ _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
                    "arith.index_cast"})
 _TERMINATORS = frozenset({"scf.yield", "func.return", "gpu.return"})
 _SLICEABLE = _PURE | {"arith.constant", "memref.load", "memref.store",
-                      "scf.yield"}   # the ops of a loop body over slices
+                      "scf.yield"}   # of a loop body over slices, or per trip
 _WRITES = frozenset({"memref.store", "func.call", "gpu.launch_func"})
 _INDEX_FROM = {"memref.load": 1, "memref.store": 2}  # first index operand
 _LINEAR_OPS = frozenset({*_IOPS, "arith.index_cast"})
@@ -378,6 +414,7 @@ class _FuncGen:
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
         self.unsliced = unsliced    # loops that keep their loop form
+        self.copying = False        # writing a nest per trip: no level innermost
         # while a body is written over slices: (loop, induction local, trips,
         # {slice: the local each of its elements is read into})
         self.slicing = None
@@ -1058,9 +1095,10 @@ class _FuncGen:
 
         Each outer level's partial sum adds its terms to the one before it
         and is bound once, in the header of the loop that binds its
-        variables; a bare name binds nothing.
+        variables; a bare name binds nothing. While a nest is written per
+        trip, every open level is an outer one.
         """
-        current = len(self.headers) - 1
+        current = len(self.headers) - (not self.copying)
         key = (current, tuple(coefs.items()))
         if key in self.hoisted:
             return self.hoisted[key]
@@ -1151,10 +1189,10 @@ class _FuncGen:
             lv.before.append(f"{local} = {element}")
         return local
 
-    def promote(self, loop: Operation, depth: int) -> list:
+    def promote(self, loop: Operation, depth: int, reads: list) -> list:
         """The elements ``loop`` reads and writes at one address it never
-        changes, each read into a local just before it: (buffer, local,
-        element) for each.
+        changes, each read into a local by a line added to ``reads``, which
+        go just before it: (buffer, local, element) for each.
 
         The loop must touch no other array that may hold such an element,
         and nothing in it may raise, so a run that raises leaves the
@@ -1187,7 +1225,7 @@ class _FuncGen:
                 _, off, _, _ = self.address(store, buf, store.operands[2:])
                 element = f"{self.arrays[buf]}[{off}]"
                 local = self.promoted[buf] = self.local("e")
-                self.headers[-1].before.append(f"{local} = {element}")
+                reads.append(f"{local} = {element}")
                 self.assumed.update(pairs)
                 promoted.append((buf, local, element))
         return promoted
@@ -1416,36 +1454,73 @@ class _FuncGen:
 
     def loop_header(self, op: Operation, iv: Value, bounds: tuple,
                     depth: int) -> int:
-        """``for`` over literal bounds; a single trip binds the value instead.
-
-        Returns the depth of the body.
-        """
+        """``for`` over literal bounds; returns the depth of the body."""
         trips = range(*bounds)
-        if len(trips) == 1:
-            self.names[iv] = self.literal(trips[0])
-            self.ranges[iv] = (trips[0], trips[0])
-            return depth
         depth = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
         self.induction(iv, (trips[0], trips[-1]) if trips else None)
         return depth
 
+    def bind_trip(self, iv: Value, trip: int) -> None:
+        """Name an induction variable by the literal of its one trip."""
+        self.names[iv] = self.literal(trip)
+        self.ranges[iv] = (trip, trip)
+
     def counted(self, op: Operation, bounds: tuple, count: tuple,
                 depth: int) -> None:
-        """A loop over literal bounds, with the elements it keeps in locals
-        stored back after it."""
-        inner = _times(count, len(range(*bounds)))
+        """A loop over literal bounds, written once per trip if it runs at
+        most once or ``unrolls``, else as a ``for`` loop; the elements it
+        keeps in locals are stored back after it."""
+        trips = range(*bounds)
+        inner = _times(count, len(trips))
         self.bookkeeping.append(inner)
-        level = len(self.headers)
-        body = self.loop_header(op, op.body().args[0], bounds, depth)
-        if len(self.headers) == level:  # one trip: no loop statement opened
-            self.block(op.body(), inner, body)
-            return
-        promoted = [] if self.recording else self.promote(op, body)
-        self.loop_body(op, (op.body().args[0], range(*bounds)), inner, body)
-        self.close_loops(level)
+        iv = op.body().args[0]
+        if len(trips) > 1 and not self.unrolls(op, trips, depth):
+            level = len(self.headers)
+            body = self.loop_header(op, iv, bounds, depth)
+            promoted = [] if self.recording else self.promote(
+                op, body, self.headers[-1].before)
+            self.loop_body(op, (iv, trips), inner, body)
+            self.close_loops(level)
+        else:
+            promoted, reads, copying = [], [], self.copying
+            if len(trips) > 1:
+                self.copying = True
+                self.ranges[iv] = (trips[0], trips[-1])  # for promote
+                promoted = self.promote(op, depth, reads)
+            for line in reads:
+                self.emit(depth, line)
+            for trip in trips:
+                self.forget(op)
+                self.bind_trip(iv, trip)
+                self.block(op.body(), count, depth)
+            self.copying = copying
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
+
+    def unrolls(self, loop: Operation, trips: range, depth: int) -> bool:
+        """Whether ``loop``, of ``trips``, heads a short nest, which is
+        written once per trip (MLIR's ``affine-loop-unroll`` in full): code
+        for no recorder, every loop of the nest over literal bounds and at
+        most UNROLL_TRIPS trips, its bodies of constants, pure ops, loads,
+        stores and such loops, nothing in it that can raise, and at most
+        UNROLL_OPS ops written in all."""
+        if self.recording or len(trips) > UNROLL_TRIPS:
+            return False
+        size = _written(loop, len(trips))
+        known = {loop.body().args[0]: (trips[0], trips[-1])}
+        return size is not None and size <= UNROLL_OPS and self.raise_free(
+            loop.body(), depth, known, {}, set())
+
+    def forget(self, loop: Operation) -> None:
+        """Drop what an earlier copy of ``loop``'s body noted of the values
+        the body defines: names, intervals, linear forms and folds."""
+        for op in loop.walk_nested():
+            for v in (*op.results, *(a for b in op.regions for a in b.args)):
+                self.names.pop(v, None)
+                self.ranges.pop(v, None)
+                self.linear.pop(v, None)
+                self.folded.discard(v)
 
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
         lb, ub, step = op.operands
@@ -1515,9 +1590,11 @@ class _FuncGen:
         depth, innermost = 1, None
         for iv, rng, interval in loops:
             if isinstance(rng, tuple):
-                inner = self.loop_header(op, iv, rng, depth)
-                if inner > depth:   # it opened a loop over literal bounds
-                    depth, innermost = inner, (iv, range(*rng))
+                if len(range(*rng)) == 1:
+                    self.bind_trip(iv, rng[0])
+                else:
+                    depth = self.loop_header(op, iv, rng, depth)
+                    innermost = (iv, range(*rng))
                 continue
             depth, innermost = self.loop(depth, self.bind(iv, "i"), rng, op), None
             self.induction(iv, interval)

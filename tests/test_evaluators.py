@@ -126,6 +126,8 @@ def test_irgen_seeds_agree():
     assert not mismatches, "\n".join(mismatches[:5])
     # both paths must be exercised: runs that return and runs that raise
     assert 0.05 < share < 0.6
+    # and loops written once per trip
+    assert sum(_writes_per_trip(random_module(seed)) for seed in IRGEN_SEEDS) >= 20
 
 
 def test_index_corpus_agrees():
@@ -163,11 +165,13 @@ def test_slice_corpus_agrees():
 
 
 def test_chained_segments_agree(monkeypatch):
-    """Straight-line runs split every few statements still agree."""
+    """Straight-line runs split every few statements still agree. A loop
+    of no trips writes no statement, so the seeds are enough to chain
+    segments in more than 20 modules besides such loops' bodies."""
     monkeypatch.setattr(codegen, "SEGMENT", 2)
-    mismatches, _, _ = _irgen_runs(range(80))
+    mismatches, _, _ = _irgen_runs(range(120))
     assert not mismatches, "\n".join(mismatches[:5])
-    modules = [random_module(seed) for seed in range(80)]
+    modules = [random_module(seed) for seed in range(120)]
     sources = [_source(m) for m in modules]
     assert sum("_s" in source for source in sources) > 20
 
@@ -671,9 +675,11 @@ def test_innermost_addresses_multiply_nothing(name):
 
 
 def test_bounds_checks_over_irgen_seeds():
-    # linear forms prove nothing new and drop no check
+    # linear forms prove nothing new and drop no check; a loop written once
+    # per trip has none, and a loop of no trips writes none (36 checks in
+    # such bodies, run by no trip, were written until it wrote nothing)
     assert sum(_source(random_module(seed)).count("oob(")
-               for seed in IRGEN_SEEDS) == 105
+               for seed in IRGEN_SEEDS) == 69
 
 
 def test_out_of_bounds_under_hoisted_terms():
@@ -814,34 +820,35 @@ def test_deep_nest_indexed_by_outer_variables():
 
 def test_partial_sums_enter_chained_segments(monkeypatch):
     # the inner run is split every two statements; its segments read the
-    # partial sums bound in the header of i's loop
+    # partial sums bound in the header of i's loop (j's 5 trips keep both
+    # loops: a nest of UNROLL_TRIPS trips or fewer is written per trip)
     monkeypatch.setattr(codegen, "SEGMENT", 2)
     module = _module("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
     %2 = arith.constant 3 : index
-    %3 = arith.constant 4 : index
+    %3 = arith.constant 5 : index
     %4 = arith.constant 2.0 : f64
     scf.for %arg2 = %0 to %2 step %1 {
       scf.for %arg3 = %0 to %3 step %1 {
-        %5 = memref.load %arg0[%arg2, %arg3] : memref<3x4xf64>
+        %5 = memref.load %arg0[%arg2, %arg3] : memref<3x5xf64>
         %6 = arith.addf %5, %4 : f64
-        memref.store %6, %arg0[%arg2, %arg3] : memref<3x4xf64>
+        memref.store %6, %arg0[%arg2, %arg3] : memref<3x5xf64>
         %7 = arith.subi %2, %arg2 : index
         %8 = arith.subi %7, %1 : index
-        %9 = memref.load %arg1[%arg3, %8] : memref<4x3xf64>
+        %9 = memref.load %arg1[%arg3, %8] : memref<5x3xf64>
         %10 = arith.mulf %9, %6 : f64
-        memref.store %10, %arg1[%arg3, %8] : memref<4x3xf64>
+        memref.store %10, %arg1[%arg3, %8] : memref<5x3xf64>
       }
     }
-    return""", "%arg0: memref<3x4xf64>, %arg1: memref<4x3xf64>")
+    return""", "%arg0: memref<3x5xf64>, %arg1: memref<5x3xf64>")
     source = _source(module)
     assert re.search(r"^def f0_s\d+\(.*\bh\d+\b", source, re.M)
-    args = [Buffer((3, 4), "f64", [float(k) for k in range(12)]),
-            Buffer((4, 3), "f64", [float(k) for k in range(12)])]
+    args = [Buffer((3, 5), "f64", [float(k) for k in range(15)]),
+            Buffer((5, 3), "f64", [float(k) for k in range(15)])]
     want = _agree(module, args)
-    assert want[2][1].tolist() == [float(k) * (k // 3 + 4 * (2 - k % 3) + 2)
-                                   for k in range(12)]
+    assert want[2][1].tolist() == [float(k) * (k // 3 + 5 * (2 - k % 3) + 2)
+                                   for k in range(15)]
 
 
 def test_segment_parameters_are_read(monkeypatch):
@@ -1222,8 +1229,9 @@ def _innermost_body(source):
 def test_innermost_loops_read_no_invariant_element(path):
     # every element the innermost loop reads is at an address that moves
     # with it: over slices, each is read from a slice; conv2d's 3-trip
-    # loops stay loops, which read at addresses with their induction
-    # variable, and an offset such a loop binds is used again
+    # loops are written once per trip in its 62-trip loop, which reads at
+    # addresses with its induction variable, and a partial sum or offset
+    # bound in it is used again
     source = _source(_canonical(path))
     forms = _slice_forms(source)
     if path != PRINTED_KERNELS["conv2d"]:
@@ -1235,7 +1243,7 @@ def test_innermost_loops_read_no_invariant_element(path):
     iv, body = _innermost_body(source)
     varying = {iv}
     for line in body:
-        bound = re.match(r"(o\d+) = (.*)", line)
+        bound = re.match(r"([ho]\d+) = (.*)", line)
         if bound and set(re.findall(r"\w+", bound[2])) & varying:
             varying.add(bound[1])
             assert "\n".join(body).count(bound[1]) > 2, line
@@ -1447,3 +1455,174 @@ def test_strided_reduction_is_bit_identical_to_the_loop(monkeypatch):
     loop = inputs()
     run(module, "f", loop)
     assert want[2][2].data.tobytes() == loop[2].data.tobytes()
+
+
+# -- short nests written once per trip ---------------------------------------------
+
+def _for_ranges(source):
+    """What each ``for`` statement of the source loops over."""
+    return re.findall(r"^ *for \w+ in (.*):$", source, re.M)
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
+def test_conv2d_filter_loops_are_written_per_trip(pipeline):
+    # the two 3-trip loops over the filter are nine copies in the output
+    # loop: one element kept in a local around nine updates, and the nine
+    # filter reads bound before the output loop, as no address moves in
+    # it; code for a recorder keeps the two loops
+    with open(PRINTED_KERNELS["conv2d"], encoding="utf-8") as fh:
+        module, _ = run_pipeline(parse_module(fh.read(), create_context()), pipeline)
+    source = _source(module)
+    loops = _for_ranges(source)
+    assert loops == (["range(3)", "range(62)", "range(62)"] if pipeline == CANON
+                     else ["range(g1)", "range(g2)", "range(62)"])
+    kernel = re.search(r"^ +(d\d+) = a3\.data$", source, re.M)[1]
+    reads = re.findall(rf"^( *)v\d+ = {kernel}\[[^\]]*\]$", source, re.M)
+    assert len(reads) == 9 == source.count(f"{kernel}[")
+    output_loop = re.search(r"^( *)for \w+ in range\(62\):$", source, re.M)
+    assert set(reads) == {output_loop[1]}
+    assert source.rindex(f"= {kernel}[") < output_loop.start()
+    assert len(re.findall(r"^ +e\d+ \+= ", source, re.M)) == 9
+    assert _for_ranges(_source(module, recorder=object())) == loops + ["range(3)"] * 2
+
+
+def _writes_per_trip(module):
+    """Whether the code ``run`` executes for the module writes some loop of
+    more than one trip once per trip."""
+    found = []
+    unrolls = codegen._FuncGen.unrolls
+
+    def spy(gen, *args):
+        found.append(unrolls(gen, *args))
+        return found[-1]
+
+    with mock.patch.object(codegen._FuncGen, "unrolls", spy):
+        _source(module)
+    return any(found)
+
+
+def test_two_by_two_nest_with_colliding_addresses():
+    # A[r, i + j] += A[r, i + j] * B[i, j]: the copies for (0, 1) and
+    # (1, 0) update one element, so the second reads what the first stored;
+    # r's loop keeps its form, so the copies' addresses mix a literal with
+    # r's partial sum
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 5 : index
+    scf.for %arg2 = %0 to %3 step %1 {
+      scf.for %arg3 = %0 to %2 step %1 {
+        scf.for %arg4 = %0 to %2 step %1 {
+          %4 = arith.addi %arg3, %arg4 : index
+          %5 = memref.load %arg0[%arg2, %4] : memref<5x3xf64>
+          %6 = memref.load %arg1[%arg3, %arg4] : memref<2x2xf64>
+          %7 = arith.mulf %5, %6 : f64
+          %8 = arith.addf %5, %7 : f64
+          memref.store %8, %arg0[%arg2, %4] : memref<5x3xf64>
+        }
+      }
+    }
+    return""", "%arg0: memref<5x3xf64>, %arg1: memref<2x2xf64>")
+    assert _for_ranges(_source(module)) == ["range(5)"]
+    a = Buffer((5, 3), "f64", [float(k % 3 + 1) for k in range(15)])
+    b = Buffer((2, 2), "f64", [0.5, 0.25, 2.0, 4.0])
+    want = _agree(module, [a, b])
+    assert want[2][0].tolist() == [1.5, 7.5, 15.0] * 5
+
+
+def test_short_loop_that_can_raise_stays_a_loop():
+    # A[i + k] for an argument k is checked at run time: the 3-trip loop
+    # keeps its form, and k = 1 raises at trip 2, after two stores
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 3 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 1.5 : f64
+    scf.for %arg2 = %0 to %1 step %2 {
+      %4 = arith.addi %arg2, %arg1 : index
+      memref.store %3, %arg0[%4] : memref<3xf64>
+    }
+    return""", "%arg0: memref<3xf64>, %arg1: index")
+    source = _source(module)
+    assert _for_ranges(source) == ["range(3)"] and source.count("oob(") == 1
+    want = _agree(module, [Buffer((3,), "f64"), 1])
+    assert want[1].__name__ == "OutOfBounds"
+    assert want[2].startswith(
+        "index 3 out of bounds for extent 3 of Buffer<3xf64> at ")
+    assert want[3][0].tolist() == [0.0, 1.5, 1.5]
+    assert _agree(module, [Buffer((3,), "f64"), 0])[0] == "returned"
+
+
+def _scaled_nest(trips, inner_trips, products):
+    """@f: B[i, j] = A[i, j] * 2.0 ** products over i < trips, j <
+    inner_trips; the inner body writes products + 2 ops."""
+    chain = [f"        %p{k + 1} = arith.mulf %p{k}, %c : f64"
+             for k in range(products)]
+    return _module("\n".join([
+        "    %0 = arith.constant 0 : index",
+        "    %1 = arith.constant 1 : index",
+        f"    %2 = arith.constant {trips} : index",
+        f"    %3 = arith.constant {inner_trips} : index",
+        "    %c = arith.constant 2.0 : f64",
+        "    scf.for %arg2 = %0 to %2 step %1 {",
+        "      scf.for %arg3 = %0 to %3 step %1 {",
+        "        %p0 = memref.load %arg0[%arg2, %arg3] : memref<5x5xf64>",
+        *chain,
+        f"        memref.store %p{products}, %arg1[%arg2, %arg3] : memref<5x5xf64>",
+        "      }",
+        "    }",
+        "    return"]), "%arg0: memref<5x5xf64>, %arg1: memref<5x5xf64>")
+
+
+@pytest.mark.parametrize("trips, inner_trips, products, loops", [
+    (4, 4, 4, []),                          # 16 copies of 6 ops: 96
+    (4, 4, 5, ["range(4)"]),                # 16 of 7 are over, 4 are not
+    (5, 4, 0, ["range(5)"]),                # 5 trips keep the loop
+    (4, 5, 0, ["range(4)", "range(5)"]),    # as does a loop kept inside
+], ids=["at-budget", "over-budget", "five-trips", "inner-five-trips"])
+def test_unroll_bounds_pin_what_stays_a_loop(trips, inner_trips, products, loops):
+    assert (codegen.UNROLL_TRIPS, codegen.UNROLL_OPS) == (4, 96)
+    module = _scaled_nest(trips, inner_trips, products)
+    assert _for_ranges(_source(module)) == loops
+    a = Buffer((5, 5), "f64", [float(k) for k in range(25)])
+    want = _agree(module, [a, Buffer((5, 5), "f64")])
+    assert want[2][1].tolist() == [
+        float(k) * 2.0 ** products if k // 5 < trips and k % 5 < inner_trips
+        else 0.0 for k in range(25)]
+
+
+def _conv2d_on_one_shape():
+    """conv2d at 8x8, its image and output of one type: 1x3x8x8xf64."""
+    with open(PRINTED_KERNELS["conv2d"], encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("1x1x64x64", "1x3x8x8"), ("1x3x62x62", "1x3x8x8"),
+                     ("62 : index", "6 : index")):
+        text = text.replace(old, new)
+    return parse_module(text, create_context())
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
+def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
+    # each point adds into the image the later points read: the entry guard
+    # sends the call to the alias-safe variant, whose copies read in order
+    module, _ = run_pipeline(_conv2d_on_one_shape(), pipeline)
+    assert _writes_per_trip(module)
+    mode = "sequential" if pipeline == CANON else "gpu_emulated"
+
+    def agree(args):
+        want, problem = differ(module, "conv2d", args, mode)
+        assert problem is None, problem
+        assert want[0] == "returned"
+        return want[2]
+
+    image = Buffer((1, 3, 8, 8), "f64", [(k % 7 - 3) / 4 for k in range(192)])
+    kernel = Buffer((3, 1, 3, 3), "f64", [(k % 5 - 2) / 8 for k in range(27)])
+    units = []
+    define = codegen._define
+    with mock.patch.object(codegen, "_define", lambda batch, namespace: (
+            units.extend(batch), define(batch, namespace))):
+        shared = agree([image, kernel, image])
+    assert any(u.startswith("def f0_aliased(") for u in units)
+    apart = agree([image, kernel, Buffer((1, 3, 8, 8), "f64", list(image.data))])
+    assert shared[0].tolist() != apart[2].tolist()

@@ -29,6 +29,16 @@ def test_conv_rows_has_no_conflict():
     assert check_races(module, "conv_rows", random_inputs(params, 3)) == []
 
 
+def test_conv2d_has_no_conflict():
+    # the code check_races runs keeps conv2d's 3-trip loops, and each
+    # output point still adds only into its own element
+    import kernels
+
+    module = kernels.conv2d.module
+    params = [a.type for a in module.body().ops[0].body().args]
+    assert check_races(module, "conv2d", random_inputs(params, 3)) == []
+
+
 # Four points store to a[0].
 ONE_ADDRESS = ("""\
     %0 = arith.constant 0 : index
