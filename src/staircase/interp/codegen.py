@@ -3,10 +3,12 @@
 Each func.func, gpu.func and scf.parallel body becomes one Python
 function. SSA values become locals, integer constants become literals, and
 a result used once, later in the same straight-line run, is written into
-that use as an expression. Loops become ``for`` loops over ``range``,
+that use as an expression; a pure op that only such dead ops read, or
+none, is written nowhere. Loops become ``for`` loops over ``range``,
 except short ones over literal bounds, written once per trip (below). A
 parallel body's function loops over its points in the order
-``itertools.product`` would visit them; worksharing mode runs it as
+``itertools.product`` would visit them, and a parallel loop with a literal
+dimension of no trips writes nothing; worksharing mode runs it as
 sequential mode does and only records its worker count. Each buffer's
 ``array`` is bound to a local once. A kernel takes its grid and block
 sizes and runs every thread in nested loops of its own, so a launch is
@@ -96,6 +98,19 @@ them. Each copy adds its block's counts. Before each, what an earlier one
 noted of the body's values (names, intervals, linear forms, folds) is
 dropped; offsets are a block's own.
 
+An scf.for over literal bounds whose body ``loop-unroll`` made of copies
+is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
+Larsen and Amarasinghe's packing of isomorphic statements). Constants
+aside, which compare by value, its body must split into F >= 2 runs: run
+k >= 1 opens with ``iv + k*s``, where F*s is the loop's step, and is run 0
+op for op with iv replaced by that sum, using no value of another run. The
+loop is then written over run 0 alone, ``for iv in range(lb, lb +
+trips*F*s, s)``, so rolled iteration t*F + k does what copy k of trip t
+did, in the same order, and every rule above applies to it as to a loop
+never unrolled. Its counts are still those of the unrolled block. An error
+that would name the location of a copy's op other than run 0's (copies
+written by hand, not cloned) sends the loop back to its copies.
+
 ``compile()`` holds about 2.4 KB per statement of the source it is given,
 so a straight-line run longer than SEGMENT statements is split into
 chained functions, and functions are compiled in batches of about SEGMENT
@@ -166,8 +181,10 @@ class Function:
     fn: object = None
 
 
-class _Unsliced(Exception):
-    """The loop ``args[0]``, written over slices, fits no slice form."""
+class _Plain(Exception):
+    """Write the loop ``args[0]`` as the IR has it: written over slices, it
+    fits no slice form; rolled, an error of a copy would name the location
+    of the first run's op."""
 
 
 class ExecContext:
@@ -325,24 +342,93 @@ def _range(lb: int, ub: int, step: int) -> str:
     return f"range({ub})" if lb == 0 else f"range({lb}, {ub})"
 
 
-def _written(loop: Operation, trips: int):
-    """The ops but constants and yields that writing ``loop`` once per trip
-    writes, or None if it holds an op that no short nest may hold."""
-    size = 0
-    for op in loop.body().ops:
-        if op.name in ("scf.for", "affine.for"):
-            bounds = static_bounds(op)
-            if bounds is None or bounds[0][3] > UNROLL_TRIPS:
-                return None
-            inner = _written(op, bounds[0][3])
-            if inner is None:
-                return None
-            size += inner
-        elif op.name not in _SLICEABLE:
-            return None
-        elif op.name not in ("arith.constant", "scf.yield"):
-            size += 1
-    return trips * size
+@dataclass
+class _Rolled:
+    """The body of an scf.for that ``loop-unroll`` made of ``copies`` runs
+    of one body, as its first run alone: ``ops`` are the block's ops before
+    the second run, and its terminator. ``rest`` is the block's static
+    counts less ``copies`` times those of ``ops``; ``moved`` holds the ops
+    of the first run with a copy at another location."""
+
+    ops: list
+    copies: int
+    rest: list
+    moved: set
+
+
+def _rolled(loop: Operation):
+    """The body of ``loop`` as the loop ``loop-unroll`` made it from, a
+    ``_Rolled``, or None (LLVM's ``LoopRerollPass``).
+
+    Constants aside, the body must split into F >= 2 runs: each run k >= 1
+    opens with ``iv + k*s``, where F*s is the step, and is run 0 op for op
+    with iv replaced by that sum, using no value of another run. Rolled
+    iteration t*F + k then does what copy k of trip t did, in order.
+    """
+    bounds = loop.name == "scf.for" and static_bounds(loop)
+    if not bounds:
+        return None
+    lb, _, step, trips = bounds[0]
+    block = loop.body()
+    iv = block.args[0]
+    ops = [op for op in block.ops[:-1] if op.name != "arith.constant"]
+    moved: set = set()
+    for at, head in enumerate(ops):
+        if not at or head.name != "arith.addi" or head.operands[0] is not iv:
+            continue
+        size = at + 1   # of each run after the first
+        copies, extra = divmod(len(ops) + 1, size)
+        s = constant_of(head.operands[1])
+        if extra or s is None or copies * s != step \
+                or not _fits(lb, lb + trips * step - s, "index") \
+                or not all(_copy_of(ops[:at], ops[k * size - 1:(k + 1) * size - 1],
+                                    iv, k * s, moved) for k in range(1, copies)):
+            moved.clear()
+            continue
+        view = block.ops[:block.ops.index(head)] + block.ops[-1:]
+        rest = [0] * BOOKKEEPING
+        for part, n in ((block.ops, 1), (view, -copies)):
+            for op in part:
+                if OP_SLOT.get(op.name) is not None:
+                    rest[OP_SLOT[op.name]] += n
+        return _Rolled(view, copies, rest, moved)
+    return None
+
+
+def _key(value: Value):
+    """What a value compares by: a constant by its type and value, any
+    other value by itself."""
+    op = value.defining_op
+    if op is None or op.name != "arith.constant":
+        return value
+    return value.type, repr(constant_value(op))
+
+
+def _copy_of(run: list, copy: list, iv: Value, offset: int,
+             moved: set) -> bool:
+    """Whether ``copy`` is ``iv + offset`` followed by the ops of ``run``
+    with ``iv`` replaced by that sum; operands defined outside the runs are
+    shared, constants compare by value. Adds to ``moved`` each op of
+    ``run`` whose copy has another location."""
+    head, *copy = copy
+    if head.name != "arith.addi" or head.operands[0] is not iv \
+            or constant_of(head.operands[1]) != offset:
+        return False
+    remap = {iv: head.results[0]}
+    for a, b in zip(run, copy):
+        xs, ys = a.operands, b.operands
+        if a.name != b.name or a.regions or b.regions or len(xs) != len(ys) \
+                or a.attributes != b.attributes \
+                or [r.type for r in a.results] != [r.type for r in b.results]:
+            return False
+        for x, y in zip(xs, ys):
+            if remap[x] is not y if x in remap else \
+                    x is not y and _key(x) != _key(y):
+                return False
+        remap.update(zip(a.results, b.results))
+        if a.location is not b.location and a.location != b.location:
+            moved.add(a)
+    return True
 
 
 # -- code generation ------------------------------------------------------------
@@ -403,7 +489,7 @@ class _FuncGen:
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
                  extents, constants: list, recording: bool = False,
-                 guarded: bool = True, unsliced=frozenset()):
+                 guarded: bool = True, plain=frozenset()):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
@@ -413,7 +499,7 @@ class _FuncGen:
         self.recording = recording  # call the race recorder R
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
-        self.unsliced = unsliced    # loops that keep their loop form
+        self.plain = plain          # loops neither sliced nor rolled
         self.copying = False        # writing a nest per trip: no level innermost
         # while a body is written over slices: (loop, induction local, trips,
         # {slice: the local each of its elements is read into})
@@ -421,7 +507,9 @@ class _FuncGen:
         # region op -> what it stores to: per buffer, the indices and one
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
+        self.bodies: dict = {}      # region op -> its body as written
         self.reused: dict = {}      # load -> the earlier load it reads again
+        self.dead: set = set()      # pure ops only such ops read: no statement
         self.kept: set = set()      # loads whose value a later load reads
         self.promoted: dict = {}    # buffer -> the local its element is in
         self.units: list = []       # source of every compiled unit
@@ -558,6 +646,13 @@ class _FuncGen:
         name = self.local("c")
         self.counters.append(name)
         return name
+
+    def location(self, op: Operation) -> str:
+        """The K entry of the location an error at ``op`` names."""
+        body = self.bodies.get(op.parent.parent_op)
+        if isinstance(body, _Rolled) and op in body.moved:
+            raise _Plain(op.parent.parent_op)
+        return self.constant(op.location)
 
     def constant(self, obj) -> str:
         self.constants.append(obj)
@@ -707,6 +802,8 @@ class _FuncGen:
                 self.offsets, self.offset_uses = {}, {}
             elif name == "func.return":   # read after the run, not in it
                 self.returned = tuple(self.val(v) for v in op.operands)
+            elif op in self.dead:
+                pass
             elif name in _HANDLERS:
                 self.binds = set()
                 lines = getattr(self, _HANDLERS[name])(op)
@@ -723,7 +820,8 @@ class _FuncGen:
         reads only SSA locals, which never change, and cannot raise, so
         computing it there is unobservable. So is a load's read when no op
         before that point writes memory; its bounds check stays where the
-        load is.
+        load is. For the same reason a pure op whose result nothing reads
+        but such dead ops is dead: it writes no statement.
 
         Unless a recorder is told of every load, it also finds the loads
         with the buffer and index values of an earlier load in the same
@@ -746,7 +844,9 @@ class _FuncGen:
             if op.regions:
                 run += 1
                 first, crossed = {}, {}
-                inner = self.stores[op] = self.scan(op.body())
+                body = self.bodies[op] = (op not in self.plain
+                                          and _rolled(op)) or op.body()
+                inner = self.stores[op] = self.scan(body)
                 for arm in op.regions[1:]:      # an else-arm
                     for buf, stored in self.scan(arm).items():
                         _note(inner, buf, stored)
@@ -789,6 +889,10 @@ class _FuncGen:
             writes += name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
+            if op.name in _PURE and all(u in self.dead
+                                        for u, _ in op.results[0].uses):
+                self.dead.add(op)
+                continue
             if op.name not in _PURE and (op.name != "memref.load"
                                          or op in self.kept):
                 continue
@@ -796,7 +900,7 @@ class _FuncGen:
             if len(uses) != 1:
                 continue
             (user, _), = uses
-            if user.parent is not block or user.regions \
+            if user.parent is not op.parent or user.regions \
                     or user.name in _TERMINATORS:
                 continue
             at = point.get(user, user)
@@ -988,7 +1092,7 @@ class _FuncGen:
         if self.slicing is not None and buf not in self.promoted:
             text = self.slice_of(buf, op.operands[2:])
             if text is None:
-                raise _Unsliced(self.slicing[0])
+                raise _Plain(self.slicing[0])
             return [f"{text} = array({self.arrays[buf]}.typecode, "
                     f"[{expr} {self.zip_clause()}])"]
         target, plain, base = self.promoted.get(buf), False, None
@@ -1045,7 +1149,7 @@ class _FuncGen:
         for v, extent in zip(indices, buf.type.shape):
             if not self.within(v, extent):
                 expr = self.val(v)
-                where = where or self.constant(op.location)
+                where = where or self.location(op)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
         coefs, fixed, rest = self.linearise(buf, indices)
@@ -1210,8 +1314,8 @@ class _FuncGen:
                  and buf in self.arrays and iv not in where[0]
                  and None not in map(self.form, where[0])}
         touched: set = set()
-        if not found or not self.raise_free(loop.body(), depth, {}, found,
-                                            touched):
+        if not found or not self.raise_free(self.bodies[loop], depth, {},
+                                            found, touched):
             return []
         promoted = []
         for buf, (_, store) in found.items():
@@ -1280,7 +1384,7 @@ class _FuncGen:
                     trips = range(*static_bounds(op)[0][:3])
                     if trips:
                         known[op.body().args[0]] = (trips[0], trips[-1])
-                for body in op.regions:
+                for body in (self.bodies[op], *op.regions[1:]):
                     if not self.raise_free(body, depth + 1, known, found,
                                            touched):
                         return False
@@ -1291,11 +1395,11 @@ class _FuncGen:
     def sliceable(self, loop: Operation, iv: Value, trips: range, depth: int):
         """The slice form the innermost loop just opened, ``for iv in
         trips``, may take: "reduce", "map", or None. What only writing its
-        body shows (strides, one statement) raises ``_Unsliced`` there."""
+        body shows (strides, one statement) raises ``_Plain`` there."""
         if self.recording or len(trips) < SLICE_TRIPS \
-                or loop in self.unsliced or not self.index_only(iv):
+                or loop in self.plain or not self.index_only(iv):
             return None
-        block = loop.body()
+        block = self.bodies[loop]
         loads = [op for op in block.ops if op.name == "memref.load"]
         stores = [op for op in block.ops if op.name == "memref.store"]
         if len(stores) != 1 or not loads \
@@ -1324,15 +1428,15 @@ class _FuncGen:
         arrays where that loop takes a slice form, else as it is."""
         form = innermost and self.sliceable(loop, *innermost, depth)
         if not form:
-            self.body(loop.body(), count, depth)
+            self.body(self.bodies[loop], count, depth)
             return
         at, name = len(self.lines), self.names[innermost[0]]
         self.slicing = (loop, name, innermost[1], {})
-        self.body(loop.body(), count, depth)
+        self.body(self.bodies[loop], count, depth)
         lines = self.lines[at:]
         if form == "map" and len(lines) != 1 \
                 or re.search(rf"\b{name}\b", "\n".join(lines)):
-            raise _Unsliced(loop)
+            raise _Plain(loop)
         head = "    " * (depth - 1)
         if form == "map":   # the store wrote the one statement
             self.lines[at - 1:] = [head + lines[0].lstrip()]
@@ -1351,7 +1455,7 @@ class _FuncGen:
             return None
         step = coef * trips.step
         if rest or step < 1:
-            raise _Unsliced(loop)
+            raise _Plain(loop)
         terms, _ = self.hoist(coefs)
         start = _sum(terms, fixed + coef * trips[0])
         span = len(trips) * step
@@ -1363,7 +1467,7 @@ class _FuncGen:
         """``for`` over the elements of the slices the sliced body reads."""
         loop, _, _, zipped = self.slicing
         if not zipped:
-            raise _Unsliced(loop)
+            raise _Plain(loop)
         if len(zipped) == 1:
             ((text, name),) = zipped.items()
             return f"for {name} in {text}"
@@ -1387,7 +1491,7 @@ class _FuncGen:
         return lines
 
     def launch(self, op: Operation) -> list:
-        where = self.constant(op.location)
+        where = self.location(op)
         kernel = self.pynames["::".join(op.attributes["kernel"].value)]
         args = [self.val(v) for v in op.operands] + ["T", "X"]
         return [f"if X.mode != 'gpu_emulated': "
@@ -1469,11 +1573,21 @@ class _FuncGen:
                 depth: int) -> None:
         """A loop over literal bounds, written once per trip if it runs at
         most once or ``unrolls``, else as a ``for`` loop; the elements it
-        keeps in locals are stored back after it."""
+        keeps in locals are stored back after it.
+
+        A rolled body runs over the trips of the loop it was unrolled from;
+        its block's other counts are added per trip of ``op``.
+        """
         trips = range(*bounds)
         inner = _times(count, len(trips))
         self.bookkeeping.append(inner)
-        iv = op.body().args[0]
+        iv, block = op.body().args[0], self.bodies[op]
+        if isinstance(block, _Rolled):
+            self.blocks.append((inner, block.rest))
+            bounds = (bounds[0], bounds[0] + len(trips) * bounds[2],
+                      bounds[2] // block.copies)
+            trips = range(*bounds)
+            inner = _times(count, len(trips))
         if len(trips) > 1 and not self.unrolls(op, trips, depth):
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
@@ -1492,7 +1606,7 @@ class _FuncGen:
             for trip in trips:
                 self.forget(op)
                 self.bind_trip(iv, trip)
-                self.block(op.body(), count, depth)
+                self.block(block, count, depth)
             self.copying = copying
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
@@ -1507,20 +1621,47 @@ class _FuncGen:
         UNROLL_OPS ops written in all."""
         if self.recording or len(trips) > UNROLL_TRIPS:
             return False
-        size = _written(loop, len(trips))
+        size = self.written(loop, len(trips))
         known = {loop.body().args[0]: (trips[0], trips[-1])}
         return size is not None and size <= UNROLL_OPS and self.raise_free(
-            loop.body(), depth, known, {}, set())
+            self.bodies[loop], depth, known, {}, set())
+
+    def written(self, loop: Operation, trips: int):
+        """The ops but constants and yields that writing ``loop`` once per
+        trip writes, or None if it holds an op that no short nest may hold."""
+        size = 0
+        for op in self.bodies[loop].ops:
+            if op.name in ("scf.for", "affine.for"):
+                bounds, body = static_bounds(op), self.bodies[op]
+                if bounds is None:
+                    return None
+                n = bounds[0][3] * (body.copies if isinstance(body, _Rolled)
+                                    else 1)
+                inner = None if n > UNROLL_TRIPS else self.written(op, n)
+                if inner is None:
+                    return None
+                size += inner
+            elif op.name not in _SLICEABLE:
+                return None
+            elif op.name not in ("arith.constant", "scf.yield"):
+                size += 1
+        return trips * size
 
     def forget(self, loop: Operation) -> None:
         """Drop what an earlier copy of ``loop``'s body noted of the values
         the body defines: names, intervals, linear forms and folds."""
-        for op in loop.walk_nested():
+        ops = list(self.bodies[loop].ops)
+        while ops:
+            op = ops.pop()
             for v in (*op.results, *(a for b in op.regions for a in b.args)):
                 self.names.pop(v, None)
                 self.ranges.pop(v, None)
                 self.linear.pop(v, None)
                 self.folded.discard(v)
+            if op.regions:
+                ops += self.bodies[op].ops
+                for body in op.regions[1:]:
+                    ops += body.ops
 
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
         lb, ub, step = op.operands
@@ -1557,23 +1698,30 @@ class _FuncGen:
         if unproven:
             self.emit(depth, "if " + " or ".join(f"{s} <= 0" for s in unproven)
                       + ": bad_parallel_step()")
+        # per dimension, its literal (lb, ub, step), or None
+        literal = [(self.const(lb), self.const(ub), self.const(step))
+                   for lb, ub, step in zip(lbs, ubs, steps)]
+        literal = [None if None in c or c[2] < 1 else c for c in literal]
+        if any(c and not range(*c) for c in literal):
+            return      # no points: nothing to write, its counts are x0
         child = self.nested("p")
-        child.parallel_body(op, lbs, ubs, steps)
+        child.parallel_body(op, lbs, ubs, steps, literal)
         if self.recording:
             self.emit(depth, "R.begin_parallel()")
         self.call_nested(child, depth)
         if self.recording:
             self.emit(depth, "R.end_parallel()")
 
-    def parallel_body(self, op: Operation, lbs, ubs, steps) -> None:
+    def parallel_body(self, op: Operation, lbs, ubs, steps, literal) -> None:
         """The loops over the points, and the body inside them.
 
-        Dimensions with literal bounds loop over literal ranges.
+        Dimensions with literal bounds (``literal``) loop over literal
+        ranges.
         """
         coef, sizes, loops = 1, [], []
-        for iv, lb, ub, step in zip(op.body().args, lbs, ubs, steps):
-            c = (self.const(lb), self.const(ub), self.const(step))
-            if None not in c and c[2] > 0:
+        for iv, lb, ub, step, c in zip(op.body().args, lbs, ubs, steps,
+                                       literal):
+            if c:
                 coef *= len(range(*c))
                 loops.append((iv, c, None))
                 continue
@@ -1662,16 +1810,17 @@ def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
 
 def _generate(op: Operation, *args, **kwargs) -> _FuncGen:
     """A generator that has written ``op``. A loop it found not to fit the
-    slice form it took is written as a loop by a fresh one."""
-    unsliced: set = set()
+    slice form it took, or not to roll, is written as the IR has it by a
+    fresh one."""
+    plain: set = set()
     while True:
-        gen = _FuncGen(op, *args, **kwargs, unsliced=unsliced)
+        gen = _FuncGen(op, *args, **kwargs, plain=plain)
         mark = len(gen.constants)
         try:
             gen.generate()
             return gen
-        except _Unsliced as exc:
-            unsliced.add(exc.args[0])
+        except _Plain as exc:
+            plain.add(exc.args[0])
             del gen.constants[mark:]
 
 

@@ -6,8 +6,9 @@ It uses the standard library alone, so any Python can run it:
 
 For each kernel of tests/kernels.py it prints the captured IR, each op's
 source line, and the ExecStats, results and buffers of a gpu_emulated run
-after canonicalize. test_pythons.py compares this output across
-interpreters.
+after each of canonicalize and lower-affine,loop-unroll{factor=2}, whose
+copies the generated code rolls back into one loop. test_pythons.py
+compares this output across interpreters.
 """
 import os
 from itertools import chain
@@ -21,6 +22,7 @@ from staircase.passes import run_pipeline
 from staircase.textio import print_module
 
 CANON = "builtin.module(func.func(canonicalize))"
+UNROLL = "builtin.module(func.func(lower-affine,loop-unroll{factor=2}))"
 STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
                "bookkeeping", "mode", "workers")
 
@@ -54,14 +56,17 @@ def main() -> None:
         print(print_module(module), end="")
         for op in chain((module,), module.walk_nested()):
             print(op.name, where(op))
-        module, _ = run_pipeline(module, CANON)
-        args = inputs(compile_module(module)[name].param_types)
-        results, stats = run(module, name, args, "gpu_emulated")
-        print("results", repr(results))
-        print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
-        for arg in args:
-            if isinstance(arg, Buffer):
-                print("buffer", repr(arg.tolist()))
+        for pipeline in (CANON, UNROLL):
+            work, _ = run_pipeline(module, pipeline)
+            args = inputs(compile_module(work)[name].param_types)
+            results, stats = run(work, name, args, "gpu_emulated")
+            if pipeline == UNROLL:
+                print("after", pipeline)
+            print("results", repr(results))
+            print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
+            for arg in args:
+                if isinstance(arg, Buffer):
+                    print("buffer", repr(arg.tolist()))
 
 
 if __name__ == "__main__":

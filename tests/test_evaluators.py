@@ -10,9 +10,11 @@ sequential one, it is checked against the sequential reference: the
 definitional interpreter reads the mode only in the stats and at
 gpu.launch_func, which both modes refuse with a message naming the mode.
 """
+import itertools
 import math
 import os
 import re
+import sys
 from array import array
 from unittest import mock
 
@@ -27,7 +29,7 @@ from irgen import (
     slice_inputs,
     slice_module,
 )
-from staircase.errors import ArityMismatch, PassFailure, TypeMismatch
+from staircase.errors import ArityMismatch, OutOfBounds, PassFailure, TypeMismatch
 from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, wrap_int
 from staircase.interp.machine import call, run
@@ -35,6 +37,12 @@ from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
+from staircase.tuner import default_pipeline
+from staircase.tuner.search import make_inputs
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INPUTS = os.path.join(ROOT, "perfbench", "inputs")
@@ -166,12 +174,13 @@ def test_slice_corpus_agrees():
 
 def test_chained_segments_agree(monkeypatch):
     """Straight-line runs split every few statements still agree. A loop
-    of no trips writes no statement, so the seeds are enough to chain
-    segments in more than 20 modules besides such loops' bodies."""
+    of no trips and a pure op nothing reads write no statement, so the
+    seeds are enough to chain segments in more than 20 modules besides
+    such loops' bodies and such ops."""
     monkeypatch.setattr(codegen, "SEGMENT", 2)
-    mismatches, _, _ = _irgen_runs(range(120))
+    mismatches, _, _ = _irgen_runs(IRGEN_SEEDS)
     assert not mismatches, "\n".join(mismatches[:5])
-    modules = [random_module(seed) for seed in range(120)]
+    modules = [random_module(seed) for seed in IRGEN_SEEDS]
     sources = [_source(m) for m in modules]
     assert sum("_s" in source for source in sources) > 20
 
@@ -605,9 +614,10 @@ def test_alias_across_segments(monkeypatch):
     %6 = arith.constant 1 : index
     scf.for %arg2 = %4 to %5 step %6 {
     }
-    return %3 : i64""", "%arg0: index, %arg1: index", " -> (i64)")
+    return %1, %2, %3 : index, index, i64""", "%arg0: index, %arg1: index",
+                     " -> (index, index, i64)")
     assert "_s" in _source(module)
-    assert _agree(module, [3, 4])[1] == (12,)
+    assert _agree(module, [3, 4])[1] == (24, 16, 12)
 
 
 def test_nested_functions_get_distinct_names():
@@ -676,10 +686,33 @@ def test_innermost_addresses_multiply_nothing(name):
 
 def test_bounds_checks_over_irgen_seeds():
     # linear forms prove nothing new and drop no check; a loop written once
-    # per trip has none, and a loop of no trips writes none (36 checks in
-    # such bodies, run by no trip, were written until it wrote nothing)
-    assert sum(_source(random_module(seed)).count("oob(")
-               for seed in IRGEN_SEEDS) == 69
+    # per trip has none, and a loop or parallel loop of no trips writes none
+    # (36 and then 32 checks in such bodies, run by no trip, were written
+    # until each wrote nothing)
+    sources = [_source(random_module(seed)) for seed in IRGEN_SEEDS]
+    assert sum(source.count("oob(") for source in sources) == 37
+    literal = re.compile(r"^ *for \w+ in range\(([-\d, ]+)\):$", re.M)
+    assert all(range(*map(int, m[1].split(",")))
+               for source in sources for m in literal.finditer(source))
+
+
+def test_pure_ops_nothing_reads_write_nothing():
+    # %5 reads %4 and nothing reads %5: neither writes a statement in any
+    # copy of the loop, and both still count
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 3 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2.765 : f64
+    scf.for %arg1 = %0 to %1 step %2 {
+      %4 = arith.mulf %3, %3 : f64
+      %5 = arith.addf %4, %3 : f64
+      memref.store %3, %arg0[%arg1] : memref<3xf64>
+    }
+    return""", "%arg0: memref<3xf64>")
+    assert "2.765 *" not in _source(module)
+    arith_ops = _agree(module, [Buffer((3,), "f64")])[3][2]
+    assert arith_ops == 4 + 2 * 3     # the constants, and two ops a trip
 
 
 def test_out_of_bounds_under_hoisted_terms():
@@ -854,8 +887,8 @@ def test_partial_sums_enter_chained_segments(monkeypatch):
 def test_segment_parameters_are_read(monkeypatch):
     """Every parameter of a chained segment is named in its body."""
     monkeypatch.setattr(codegen, "SEGMENT", 2)
-    modules = [random_module(seed) for seed in range(60)]
-    modules += [index_module(seed) for seed in range(20)]
+    modules = [random_module(seed) for seed in range(120)]
+    modules += [index_module(seed) for seed in range(40)]
     for path in _sources():
         with open(path, encoding="utf-8") as fh:
             modules.append(run_pipeline(parse_module(fh.read(), create_context()),
@@ -1203,10 +1236,22 @@ def test_recorder_sees_every_load_and_store(path):
         parsed = parse_module(fh.read(), create_context())
     for pipeline in (CANON, GPU):
         module, _ = run_pipeline(parsed, pipeline)
-        ops = [op.name for op in module.walk_nested()]
+        ops = _written_names(module)
         source = _source(module, recorder=object())
         assert source.count("R.on_read(") == ops.count("memref.load")
         assert source.count("R.on_write(") == ops.count("memref.store")
+
+
+def _written_names(module):
+    """The names of the ops the code for ``module`` writes: of the copies
+    in a loop ``loop-unroll`` made, the first run alone."""
+    names, blocks = [], [module.body()]
+    while blocks:
+        for op in blocks.pop().ops:
+            names.append(op.name)
+            blocks += [at == 0 and codegen._rolled(op) or body
+                       for at, body in enumerate(op.regions)]
+    return names
 
 
 def _innermost_body(source):
@@ -1253,17 +1298,32 @@ def test_innermost_loops_read_no_invariant_element(path):
 
 
 def test_read_modify_write_reads_its_offset_once():
-    # unrolled copies update d[o + k] in place; a plain offset keeps the
-    # long form, which CPython runs faster; saxpy's loop is one slice
-    # assignment, which reads its target through the one slice it stores
+    # copies of an update that are not rolled back (their step is one
+    # copy's) update d[i + k] in place; a plain offset keeps the long form,
+    # which CPython runs faster; saxpy's loop is one slice assignment,
+    # which reads its target through the one slice it stores
     long_form = re.compile(r"(d\d+\[([^\]]*)\]) = \(\(\1\) ")
-    with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
-        parsed = parse_module(fh.read(), create_context())
-    unrolled, _ = run_pipeline(
-        parsed, "builtin.module(func.func(lower-affine,loop-unroll{factor=62}))")
-    source = _source(unrolled)
-    assert len(re.findall(r"^ +d\d+\[.*\] \+= ", source, re.M)) == 61
-    assert all(m[2].isidentifier() for m in long_form.finditer(source))
+    copies = [f"""\
+      %o{k} = arith.constant {k} : index
+      %i{k} = arith.addi %arg2, %o{k} : index
+      %a{k} = memref.load %arg0[%i{k}] : memref<20xf64>
+      %b{k} = memref.load %arg1[%i{k}] : memref<20xf64>
+      %s{k} = arith.addf %b{k}, %a{k} : f64
+      memref.store %s{k}, %arg1[%i{k}] : memref<20xf64>""" for k in range(4)]
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 16 : index
+    %2 = arith.constant 1 : index
+    scf.for %arg2 = %0 to %1 step %2 {
+COPIES
+    }
+    return""".replace("COPIES", "\n".join(copies)),
+        "%arg0: memref<20xf64>, %arg1: memref<20xf64>")
+    source = _source(module)
+    assert len(re.findall(r"^ +d\d+\[i\d+ \+ [123]\] \+= ", source, re.M)) == 3
+    (plain,) = long_form.finditer(source)
+    assert plain[2].isidentifier()
+    _agree(module, [_ramp(n=20), _ramp(n=20, scale=0.5)])
     ((saxpy,),) = _slice_forms(_source(_canonical(os.path.join(INPUTS, "saxpy.sir"))))
     target = re.match(r"(d\d+\[(h\d+):\2 \+ 256\]) = ", saxpy)
     assert target, saxpy
@@ -1626,3 +1686,184 @@ def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
     assert any(u.startswith("def f0_aliased(") for u in units)
     apart = agree([image, kernel, Buffer((1, 3, 8, 8), "f64", list(image.data))])
     assert shared[0].tolist() != apart[2].tolist()
+
+
+# -- loop-unroll's copies rolled back into one loop ---------------------------------
+
+# ExecStats of conv_rows at every tune point (tiles, unroll factor) on
+# seed-1 inputs, as loop-unroll's copies counted them before codegen rolled
+# them back: (total, arith, scf, bookkeeping). At every point memref counts
+# 415152 (311364 loads, 103788 stores) and func 1.
+TUNE_STATS = {
+    ((1, 1), 1): (1152092, 734334, 2605, 106392),
+    ((1, 1), 2): (1257554, 839796, 2605, 54498),
+    ((1, 1), 31): (1354646, 936888, 2605, 5952),
+    ((1, 1), 62): (1357994, 940236, 2605, 4278),
+    ((1, 2), 1): (1152560, 734709, 2698, 106485),
+    ((1, 2), 2): (1258022, 840171, 2698, 54591),
+    ((1, 2), 31): (1355114, 937263, 2698, 6045),
+    ((1, 2), 62): (1358462, 940611, 2698, 4371),
+    ((1, 31), 1): (1152473, 734709, 2611, 106398),
+    ((1, 31), 2): (1257935, 840171, 2611, 54504),
+    ((1, 31), 31): (1355027, 937263, 2611, 5958),
+    ((1, 31), 62): (1358375, 940611, 2611, 4284),
+    ((1, 62), 1): (1152470, 734709, 2608, 106395),
+    ((1, 62), 2): (1257932, 840171, 2608, 54501),
+    ((1, 62), 31): (1355024, 937263, 2608, 5955),
+    ((1, 62), 62): (1358372, 940611, 2608, 4281),
+    ((3, 1), 1): (1152529, 734709, 2667, 106454),
+    ((3, 1), 2): (1257991, 840171, 2667, 54560),
+    ((3, 1), 31): (1355083, 937263, 2667, 6014),
+    ((3, 1), 62): (1358431, 940611, 2667, 4340),
+    ((3, 2), 1): (1152498, 734709, 2636, 106423),
+    ((3, 2), 2): (1257960, 840171, 2636, 54529),
+    ((3, 2), 31): (1355052, 937263, 2636, 5983),
+    ((3, 2), 62): (1358400, 940611, 2636, 4309),
+    ((3, 31), 1): (1152469, 734709, 2607, 106394),
+    ((3, 31), 2): (1257931, 840171, 2607, 54500),
+    ((3, 31), 31): (1355023, 937263, 2607, 5954),
+    ((3, 31), 62): (1358371, 940611, 2607, 4280),
+    ((3, 62), 1): (1152468, 734709, 2606, 106393),
+    ((3, 62), 2): (1257930, 840171, 2606, 54499),
+    ((3, 62), 31): (1355022, 937263, 2606, 5953),
+    ((3, 62), 62): (1358370, 940611, 2606, 4279),
+}
+
+
+@pytest.mark.parametrize("tiles", itertools.product(*workloads.TILES), ids=str)
+def test_unrolled_tune_points_run_their_slice_form(tiles):
+    # every unrolled point's loop is rolled back into the slice statement
+    # of its factor-1 point, leaves the same buffers and counts as its
+    # copies did
+    with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
+        text = fh.read()
+    first = None
+    for unroll in workloads.UNROLLS:
+        module, _ = run_pipeline(parse_module(text, create_context()),
+                                 default_pipeline(tiles, unroll))
+        args = make_inputs(module, "conv_rows", 1)
+        _, stats = run(module, "conv_rows", args)
+        total, arith, scf, bookkeeping = TUNE_STATS[tiles, unroll]
+        assert (stats.total, stats.per_prefix, stats.arith_ops, stats.loads,
+                stats.stores, stats.bookkeeping) == (
+            total, {"arith": arith, "memref": 415152, "scf": scf, "func": 1},
+            arith, 311364, 103788, bookkeeping)
+        (form,), = _slice_forms(_source(module))
+        if first is None:
+            first = form, args[2].tolist()
+        else:
+            assert (form, args[2].tolist()) == first
+
+
+def _copies(runs, step, trips=5, extent=20):
+    """@f(A, B): a loop of ``trips`` from 0 by ``step`` over ``runs``, each
+    (offset of its index, scale, value it stores): B[i+o] = A[i+o] * scale.
+    A stored value "own" is the run's product; "first" is run 0's. A has
+    ``extent`` elements, B 20."""
+    lines = []
+    for k, (offset, scale, stored) in enumerate(runs):
+        index = "%arg2"
+        if offset:
+            lines += [f"%o{k} = arith.constant {offset} : index",
+                      f"%i{k} = arith.addi %arg2, %o{k} : index"]
+            index = f"%i{k}"
+        value = "%p0" if stored == "first" else f"%p{k}"
+        lines += [f"%a{k} = memref.load %arg0[{index}] : memref<{extent}xf64>",
+                  f"%s{k} = arith.constant {scale} : f64",
+                  f"%p{k} = arith.mulf %a{k}, %s{k} : f64",
+                  f"memref.store {value}, %arg1[{index}] : memref<20xf64>"]
+    body = "\n".join("      " + line for line in lines)
+    return _module(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant {trips * step} : index
+    %2 = arith.constant {step} : index
+    scf.for %arg2 = %0 to %1 step %2 {{
+{body}
+    }}
+    return""", f"%arg0: memref<{extent}xf64>, %arg1: memref<20xf64>")
+
+
+def _rolled_loops(module):
+    return [codegen._rolled(op) for op in module.walk_nested()
+            if op.name == "scf.for"]
+
+
+_FOUR_RUNS = [(k, 2.0, "own") for k in range(4)]
+
+
+@pytest.mark.parametrize("runs, step, trips", [
+    (_FOUR_RUNS, 4, 5),
+    ([(0, 2.0, "own"), (1, 2.0, "own")], 1, 19),            # step of one copy
+    (_FOUR_RUNS[:2] + [(2, 3.0, "own")] + _FOUR_RUNS[3:], 4, 5),    # a constant
+    (_FOUR_RUNS[:1] + [(1, 2.0, "first")] + _FOUR_RUNS[2:], 4, 5),  # a use
+], ids=["rolled", "step-of-one-copy", "differing-constant", "cross-run-use"])
+def test_only_copies_of_one_run_are_rolled(runs, step, trips):
+    module = _copies(runs, step, trips)
+    rolled = _rolled_loops(module)
+    assert _agree(module, [_ramp(n=20), Buffer((20,), "f64")])[0] == "returned"
+    source = _source(module)
+    if runs is _FOUR_RUNS:     # one slice statement for the 20 trips
+        assert [r.copies for r in rolled] == [4]
+        assert _for_ranges(source) == [] and len(_slice_forms(source)) == 1
+    else:   # a loop over the copies' trips, one store per copy
+        assert rolled == [None]
+        assert _for_ranges(source) == [f"range(0, {trips * step}, {step})"
+                                       if step > 1 else f"range({trips})"]
+        assert len(re.findall(r"^ +d\d+\[.*\] = ", source, re.M)) == len(runs)
+
+
+def test_copies_whose_sum_wraps_are_not_rolled():
+    # copy 1 passes iv + 2 = 2^63, wrapped to -2^63, to @g, which stores
+    # only for a negative index; the rolled loop would pass 2^63
+    module = parse_module("""\
+module {
+  func.func @g(%arg0: memref<1xf64>, %arg1: index) {
+    %0 = arith.constant 0 : index
+    %1 = arith.cmpi slt, %arg1, %0 : index
+    scf.if %1 {
+      %2 = arith.constant 1.0 : f64
+      memref.store %2, %arg0[%0] : memref<1xf64>
+    }
+    return
+  }
+  func.func @f(%arg0: memref<1xf64>) {
+    %0 = arith.constant 9223372036854775806 : index
+    %1 = arith.constant 9223372036854775807 : index
+    %2 = arith.constant 4 : index
+    scf.for %arg1 = %0 to %1 step %2 {
+      func.call @g(%arg0, %arg1) : (memref<1xf64>, index) -> ()
+      %3 = arith.constant 2 : index
+      %4 = arith.addi %arg1, %3 : index
+      func.call @g(%arg0, %4) : (memref<1xf64>, index) -> ()
+    }
+    return
+  }
+}
+""", create_context())
+    assert _rolled_loops(module) == [None]
+    assert _agree(module, [Buffer((1,), "f64")])[2][0].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("by", ["loop-unroll", "hand"])
+def test_error_in_a_rolled_copy_is_the_copys(by):
+    # A has 19 elements: copy 3 of the fifth trip reads A[19] and raises
+    # the copies' error with their message, after the stores before it.
+    # loop-unroll's copies share their ops' locations, so the loop is
+    # rolled; copies written by hand name their own lines, so their loop
+    # keeps them
+    if by == "hand":
+        module = _copies(_FOUR_RUNS, 4, extent=19)
+    else:
+        module, _ = run_pipeline(_copies(_FOUR_RUNS[:1], 1, 20, extent=19),
+                                 "builtin.module(func.func(loop-unroll{factor=4}))")
+    assert [r.copies for r in _rolled_loops(module)] == [4]
+    want = _agree(module, [_ramp(n=19), Buffer((20,), "f64")])
+    assert want[:2] == ("raised", OutOfBounds)
+    line = 7 if by == "loop-unroll" else 25
+    assert want[2] == ("index 19 out of bounds for extent 19 of "
+                       f"Buffer<19xf64> at <input>:{line}")
+    assert list(want[3][1].data) == [2 * x for x in _ramp(n=19).data] + [0.0]
+    source = _source(module)
+    assert source.count("oob(") == 1
+    assert _for_ranges(source) == (["range(20)"] if by == "loop-unroll"
+                                   else ["range(0, 20, 4)"])
