@@ -4,7 +4,8 @@ Each func.func, gpu.func and scf.parallel body becomes one Python
 function. SSA values become locals, integer constants become literals, and
 a result used once, later in the same straight-line run, is written into
 that use as an expression; a pure op that only such dead ops read, or
-none, is written nowhere. Loops become ``for`` loops over ``range``,
+ops of a loop with a literal dimension of no trips, or none, is written
+nowhere. Loops become ``for`` loops over ``range``,
 except short ones over literal bounds, written once per trip (below). A
 parallel body's function loops over its points in the order
 ``itertools.product`` would visit them, and a parallel loop with a literal
@@ -96,7 +97,14 @@ in the headers; an element read and written at one address is kept in a
 local around all copies, and a load no open loop moves is bound before
 them. Each copy adds its block's counts. Before each, what an earlier one
 noted of the body's values (names, intervals, linear forms, folds) is
-dropped; offsets are a block's own.
+dropped; offsets are a block's own. A perfect nest of such loops around
+one loop that takes the first slice form above, whose store writes one
+slice in every copy, jams into it (MLIR's ``affine-loop-unroll-jam``,
+after Carr and Kennedy, TOPLAS 1994): the copies write one slice
+assignment whose comprehension zips every copy's slices and chains their
+terms in copy order, a copy's load of the stored slice reading the value
+the copy before it stored, so each element's ops keep their order and
+their f32 rounding and integer wrapping.
 
 An scf.for over literal bounds whose body ``loop-unroll`` made of copies
 is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
@@ -184,7 +192,7 @@ class Function:
 class _Plain(Exception):
     """Write the loop ``args[0]`` as the IR has it: written over slices, it
     fits no slice form; rolled, an error of a copy would name the location
-    of the first run's op."""
+    of the first run's op; jammed, its copies fit no one statement."""
 
 
 class ExecContext:
@@ -466,6 +474,7 @@ _SLICEABLE = _PURE | {"arith.constant", "memref.load", "memref.store",
 _WRITES = frozenset({"memref.store", "func.call", "gpu.launch_func"})
 _INDEX_FROM = {"memref.load": 1, "memref.store": 2}  # first index operand
 _LINEAR_OPS = frozenset({*_IOPS, "arith.index_cast"})
+_LOOPS = frozenset({"scf.for", "affine.for", "scf.parallel"})
 
 # The _FuncGen method that writes each op; the others (constants, dealloc
 # and the terminators) write no statement of their own.
@@ -502,8 +511,13 @@ class _FuncGen:
         self.plain = plain          # loops neither sliced nor rolled
         self.copying = False        # writing a nest per trip: no level innermost
         # while a body is written over slices: (loop, induction local, trips,
-        # {slice: the local each of its elements is read into})
+        # {slice: the local each of its elements is read into}); for a nest
+        # that jams, the loop is the nest's head
         self.slicing = None
+        self.into = None            # while a nest jams: the loop it jams into
+        # and the slice its copies store to, the value the last one stored
+        # there, and that copy's statement
+        self.stored = None
         # region op -> what it stores to: per buffer, the indices and one
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
@@ -596,23 +610,26 @@ class _FuncGen:
 
     def index_only(self, value: Value) -> bool:
         """Whether every use of ``value`` is a memref index, directly or
-        through integer ops whose results are used only so."""
+        through integer ops whose results are used only so; a use that
+        writes nothing (``dead``) does not count."""
         memo, stack = self.indexing, [value]
         while stack:
             v = stack[-1]
             if v in memo:
                 stack.pop()
                 continue
-            pending = [u.results[0] for u, _ in v.uses
+            uses = [use for use in v.uses if use[0] not in self.dead] \
+                if self.dead else v.uses
+            pending = [u.results[0] for u, _ in uses
                        if u.name in _LINEAR_OPS and u.results[0] not in memo]
             if pending:
                 stack += pending
                 continue
             stack.pop()
-            memo[v] = bool(v.uses) and all(
+            memo[v] = bool(uses) and all(
                 slot >= _INDEX_FROM[u.name] if u.name in _INDEX_FROM
                 else u.name in _LINEAR_OPS and memo[u.results[0]]
-                for u, slot in v.uses)
+                for u, slot in uses)
         return memo[value]
 
     def form(self, value: Value):
@@ -788,7 +805,8 @@ class _FuncGen:
             if OP_SLOT[name] is not None:
                 stat[OP_SLOT[name]] += 1
             if name == "arith.constant":    # a literal: no statement
-                self.constant_op(op)
+                if op.results[0] not in self.names:     # or an earlier copy's
+                    self.constant_op(op)
             elif op.regions:
                 self.flush(run, depth)
                 run = []
@@ -821,7 +839,8 @@ class _FuncGen:
         computing it there is unobservable. So is a load's read when no op
         before that point writes memory; its bounds check stays where the
         load is. For the same reason a pure op whose result nothing reads
-        but such dead ops is dead: it writes no statement.
+        but dead ops is dead: it writes no statement. So is every op of a
+        loop with a literal dimension of no trips.
 
         Unless a recorder is told of every load, it also finds the loads
         with the buffer and index values of an earlier load in the same
@@ -889,6 +908,9 @@ class _FuncGen:
             writes += name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
+            if op.name in _LOOPS and 0 in (b[3] for b in static_bounds(op) or ()):
+                self.dead.update(op.walk_nested())  # it never runs
+                continue
             if op.name in _PURE and all(u in self.dead
                                         for u, _ in op.results[0].uses):
                 self.dead.add(op)
@@ -1066,6 +1088,8 @@ class _FuncGen:
             self.names[r] = self.names[self.reused[op].results[0]]
             return []
         text = self.slicing and self.slice_of(buf, op.operands[1:])
+        if text and self.stored and text == self.stored[0]:
+            return self.assign(r, self.stored[1])   # the copy before stored it
         if text:
             zipped = self.slicing[3]
             if text not in zipped:
@@ -1087,14 +1111,22 @@ class _FuncGen:
         value, buf = op.operands[:2]
         expr = self.val(value)
         kind = buf.type.element.kind
-        if kind in ("i32", "i64") and not self.proven(value, kind):
+        wrap = kind in ("i32", "i64") and not self.proven(value, kind)
+        if wrap:
             expr = _wrap_expr(expr, kind)
         if self.slicing is not None and buf not in self.promoted:
             text = self.slice_of(buf, op.operands[2:])
-            if text is None:
+            if text is None or self.stored and text != self.stored[0]:
                 raise _Plain(self.slicing[0])
-            return [f"{text} = array({self.arrays[buf]}.typecode, "
-                    f"[{expr} {self.zip_clause()}])"]
+            line = (f"{text} = array({self.arrays[buf]}.typecode, "
+                    f"[{expr} {self.zip_clause()}])")
+            if self.into is None:
+                return [line]
+            # a copy of a nest that jams: the next one reads the value, as
+            # assign names it, and the last one's statement is written
+            bare = expr[1:-1] if value in self.folded and not wrap else expr
+            self.stored = (text, bare, line)
+            return []
         target, plain, base = self.promoted.get(buf), False, None
         if target is None:
             lines, off, _, base = self.address(op, buf, op.operands[2:])
@@ -1576,7 +1608,10 @@ class _FuncGen:
         keeps in locals are stored back after it.
 
         A rolled body runs over the trips of the loop it was unrolled from;
-        its block's other counts are added per trip of ``op``.
+        its block's other counts are added per trip of ``op``. A loop that
+        ``jams`` is written once per trip too, and so is each loop of its
+        nest, but the loop it jams into: each copy of that one writes its
+        body into a slice statement that the last copy's store writes.
         """
         trips = range(*bounds)
         inner = _times(count, len(trips))
@@ -1588,7 +1623,20 @@ class _FuncGen:
                       bounds[2] // block.copies)
             trips = range(*bounds)
             inner = _times(count, len(trips))
-        if len(trips) > 1 and not self.unrolls(op, trips, depth):
+        if op is self.into:     # a copy of the loop a nest jams into
+            head, name, _, zipped = self.slicing
+            if name is None:    # the first copy opens it
+                self.loop_header(op, iv, bounds, depth)
+                if self.sliceable(op, iv, trips, depth + 1) != "map":
+                    raise _Plain(head)
+                self.slicing = (head, self.names[iv], trips, zipped)
+            self.names[iv] = self.slicing[1]
+            self.induction(iv, (trips[0], trips[-1]))
+            self.block(block, inner, depth + 1)
+            return
+        short = len(trips) < 2 or self.into or self.unrolls(op, trips, depth)
+        into = None if short else self.jams(op, trips, depth)
+        if not short and into is None:
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
             promoted = [] if self.recording else self.promote(
@@ -1597,7 +1645,10 @@ class _FuncGen:
             self.close_loops(level)
         else:
             promoted, reads, copying = [], [], self.copying
-            if len(trips) > 1:
+            if into:
+                at, level = len(self.lines), len(self.headers)
+                self.into, self.slicing = into, (op, None, None, {})
+            elif len(trips) > 1 and not self.into:
                 self.copying = True
                 self.ranges[iv] = (trips[0], trips[-1])  # for promote
                 promoted = self.promote(op, depth, reads)
@@ -1608,6 +1659,14 @@ class _FuncGen:
                 self.bind_trip(iv, trip)
                 self.block(block, count, depth)
             self.copying = copying
+            if into:    # the last copy's statement takes the loop's place
+                line = self.stored[2]
+                if len(self.lines) > at + 1 \
+                        or re.search(rf"\b{self.slicing[1]}\b", line):
+                    raise _Plain(op)
+                self.lines[at:] = ["    " * depth + line]
+                self.close_loops(level)
+                self.into = self.slicing = self.stored = None
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
@@ -1632,12 +1691,9 @@ class _FuncGen:
         size = 0
         for op in self.bodies[loop].ops:
             if op.name in ("scf.for", "affine.for"):
-                bounds, body = static_bounds(op), self.bodies[op]
-                if bounds is None:
-                    return None
-                n = bounds[0][3] * (body.copies if isinstance(body, _Rolled)
-                                    else 1)
-                inner = None if n > UNROLL_TRIPS else self.written(op, n)
+                n = self.trip_count(op)
+                inner = None if n is None or n > UNROLL_TRIPS \
+                    else self.written(op, n)
                 if inner is None:
                     return None
                 size += inner
@@ -1647,12 +1703,53 @@ class _FuncGen:
                 size += 1
         return trips * size
 
+    def trip_count(self, loop: Operation):
+        """The trips of an scf.for or affine.for over literal bounds as it
+        is written, a rolled one's copies included, or None."""
+        bounds, body = static_bounds(loop), self.bodies[loop]
+        if bounds is None:
+            return None
+        return bounds[0][3] * (body.copies if isinstance(body, _Rolled) else 1)
+
+    def jams(self, loop: Operation, trips: range, depth: int):
+        """The loop over slices the copies of ``loop``, of ``trips``, jam
+        into (MLIR's ``affine-loop-unroll-jam``), or None. In code for no
+        recorder, ``loop`` must head a perfect nest, each body of constants
+        and the next loop, of loops over literal bounds and at most
+        UNROLL_TRIPS trips around one of SLICE_TRIPS or more, whose body
+        holds one store; nothing in the nest may raise, and the copies, at
+        least one, may write at most UNROLL_OPS ops of that body."""
+        if self.recording or len(trips) > UNROLL_TRIPS or loop in self.plain:
+            return None
+        inner, copies, n = loop, len(trips), 1
+        while n <= UNROLL_TRIPS:
+            copies *= n
+            ops = [op for op in self.bodies[inner].ops
+                   if op.name not in ("arith.constant", "scf.yield")]
+            if len(ops) != 1 or ops[0].name not in ("scf.for", "affine.for"):
+                return None
+            inner = ops[0]
+            n = self.trip_count(inner)
+            if n is None:
+                return None
+        names = [op.name for op in self.bodies[inner].ops]
+        size = len(names) - names.count("arith.constant") - 1   # and a yield
+        known = {loop.body().args[0]: (trips[0], trips[-1])}
+        if n < SLICE_TRIPS or names.count("memref.store") != 1 or not copies \
+                or not _SLICEABLE.issuperset(names) or copies * size > UNROLL_OPS \
+                or not self.raise_free(self.bodies[loop], depth, known, {}, set()):
+            return None
+        return inner
+
     def forget(self, loop: Operation) -> None:
         """Drop what an earlier copy of ``loop``'s body noted of the values
-        the body defines: names, intervals, linear forms and folds."""
+        the body defines but its constants, literals in every copy: names,
+        intervals, linear forms and folds."""
         ops = list(self.bodies[loop].ops)
         while ops:
             op = ops.pop()
+            if op.name == "arith.constant":
+                continue
             for v in (*op.results, *(a for b in op.regions for a in b.args)):
                 self.names.pop(v, None)
                 self.ranges.pop(v, None)

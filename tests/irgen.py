@@ -564,6 +564,81 @@ def slice_inputs(param_types, seed):
     return args
 
 
+# -- short literal nests around a sliced loop ----------------------------------------
+
+JAM_BREAKS = ("store_dep", "second_store", "other_element", "raises", "budget")
+
+
+def jam_module(seed: int, ctx=None):
+    """An outer scf.parallel or scf.for of 1 or 2 trips over r, around a
+    perfect nest of one or two scf.for or affine.for loops of 1 to 4 trips
+    over k (and l), around an innermost loop of 16 to 40 trips over i, on
+    buffers of one element type (f64, f32, i32 or i64):
+    D[r, i] = D[r, i] + X[r + k, i + l] * W[k, l], or without the read of
+    D, D[r, i] = X[r + k, i + l] * W[k, l]. One level reads X[r + k, i + k]
+    and W[k, 0].
+
+    About half the draws break one condition of the jam: the store moves
+    with l, a second store, a read of D at the next element, a read of X
+    one past its extent in the last copy (which raises), or a chain of
+    products that takes the copies over codegen.UNROLL_OPS. The function
+    is named after the condition a draw breaks (``JAM_BREAKS``), or
+    ``jam`` when it breaks none."""
+    rng = random.Random(seed)
+    kind = rng.choice(("f64", "f64", "f32", "i32", "i64"))
+    add, _, mul = _BINOPS_F if kind[0] == "f" else _BINOPS_I
+    broken = rng.choice(JAM_BREAKS) if rng.random() < 0.5 else None
+    rows, trips = rng.randrange(1, 3), rng.randrange(16, 41)
+    shorts = [rng.randrange(1, 5) for _ in range(rng.randrange(1, 3))]
+    if broken == "budget":
+        shorts = [max(n, 2) for n in shorts]
+    body = _Lines()
+    c0, c1 = body.index(0), body.index(1)
+    head = ("scf.parallel (%arg9) = ({}) to ({}) step ({}) {{" if rng.random() < 0.5
+            else "scf.for %arg9 = {} to {} step {} {{")
+    body.lines.append(head.format(c0, body.index(rows), c1))
+    ivs = ["%arg5", "%arg6"][:len(shorts)]
+    for iv, n in zip(ivs, shorts):
+        if rng.random() < 0.5:
+            body.lines.append(f"affine.for {iv} = 0 to {n} step 1 {{")
+        else:
+            body.lines.append(f"scf.for {iv} = {c0} to {body.index(n)} step {c1} {{")
+    body.lines.append(f"scf.for %arg7 = {c0} to {body.index(trips)} step {c1} {{")
+    k, l = ivs[0], ivs[-1]
+    xt = (f"memref<{rows + shorts[0] - 1}x"
+          f"{trips + shorts[-1] - (2 if broken == 'raises' else 1)}x{kind}>")
+    wt = f"memref<4x4x{kind}>"
+    past = {"store_dep": shorts[-1] - 1, "other_element": 1}.get(broken, 0)
+    dt = f"memref<{rows}x{trips + past}x{kind}>"
+    x = body.add(f"memref.load %arg0[{body.add(f'arith.addi %arg9, {k} : index')}, "
+                 f"{body.add(f'arith.addi %arg7, {l} : index')}] : {xt}")
+    w = body.add(f"memref.load %arg1[{k}, {l if len(ivs) == 2 else c0}] : {wt}")
+    value = body.add(f"{mul} {x}, {w} : {kind}")
+    if broken == "budget":  # 6 ops and this chain: over 96 once copied
+        copies = shorts[0] * (shorts[-1] if len(ivs) == 2 else 1)
+        for _ in range(96 // copies - 5):
+            value = body.add(f"{mul} {value}, {x} : {kind}")
+    if rng.random() < 0.7 or broken == "other_element":
+        at = body.add(f"arith.addi %arg7, {c1} : index") \
+            if broken == "other_element" else "%arg7"
+        d = body.add(f"memref.load %arg2[%arg9, {at}] : {dt}")
+        value = body.add(f"{add} {d}, {value} : {kind}")
+    if broken == "second_store":
+        body.lines.append(f"memref.store {x}, %arg3[%arg9, %arg7] : {dt}")
+    at = body.add(f"arith.addi %arg7, {l} : index") if broken == "store_dep" else "%arg7"
+    body.lines.append(f"memref.store {value}, %arg2[%arg9, {at}] : {dt}")
+    body.lines += ["}"] * (len(ivs) + 2) + ["return"]
+    params = [f"%arg0: {xt}", f"%arg1: {wt}", f"%arg2: {dt}"]
+    if broken == "second_store":
+        params.append(f"%arg3: {dt}")
+    text = "\n".join(body.lines)
+    module = parse_module(f"module {{\n  func.func @{broken or 'jam'}{seed % 1000}"
+                          f"({', '.join(params)}) {{\n{text}\n  }}\n}}\n",
+                          ctx or create_context())
+    verify_or_raise(module)
+    return module
+
+
 # -- boundary literals -------------------------------------------------------------
 #
 # random_module draws small numbers only. literal_module draws the literals a

@@ -10,6 +10,7 @@ sequential one, it is checked against the sequential reference: the
 definitional interpreter reads the mode only in the stats and at
 gpu.launch_func, which both modes refuse with a message naming the mode.
 """
+import hashlib
 import itertools
 import math
 import os
@@ -23,7 +24,9 @@ import pytest
 import definterp
 from conftest import golden_path
 from irgen import (
+    JAM_BREAKS,
     index_module,
+    jam_module,
     random_inputs,
     random_module,
     slice_inputs,
@@ -31,7 +34,7 @@ from irgen import (
 )
 from staircase.errors import ArityMismatch, OutOfBounds, PassFailure, TypeMismatch
 from staircase.interp import Buffer, codegen
-from staircase.interp.buffer import copy_buffers, wrap_int
+from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module
 from staircase.ir.core import create_context
@@ -713,6 +716,32 @@ def test_pure_ops_nothing_reads_write_nothing():
     assert "2.765 *" not in _source(module)
     arith_ops = _agree(module, [Buffer((3,), "f64")])[3][2]
     assert arith_ops == 4 + 2 * 3     # the constants, and two ops a trip
+
+
+def test_readers_that_write_nothing_bind_no_local():
+    # gen44's -1.391 + -1.391 is read only by stores in a loop of no trips,
+    # and idx0's i - 3 (%11), under gpu, by addresses and by ops nothing
+    # reads: neither is bound
+    assert "(-1.391) + (-1.391)" not in _source(random_module(44))
+    gpu = _source(run_pipeline(index_module(0), GPU)[0])
+    assert not re.search(r"^ +\w+ = i\d+ - 3$", gpu, re.M)
+    assert _irgen_runs([44])[0] == _irgen_runs([0], index_module)[0] == []
+
+
+def _unread(source):
+    """The assignments of the source to a name it names nowhere else."""
+    return [m[0].strip() for m in re.finditer(r"^ *(\w+) = .*$", source, re.M)
+            if len(re.findall(rf"\b{m[1]}\b", source)) == 1]
+
+
+def test_locals_nothing_reads_over_irgen_seeds():
+    # what is left: the array of a buffer nothing reads or writes, and a
+    # load nothing reads whose bounds check is all it needs
+    unread = [line for seed in IRGEN_SEEDS
+              for line in _unread(_source(random_module(seed)))]
+    arrays = [line for line in unread if line.endswith(".data")]
+    loads = [line for line in unread if re.match(r"v\d+ = d\d+\[", line)]
+    assert (len(unread), len(arrays), len(loads)) == (227, 208, 19)
 
 
 def test_out_of_bounds_under_hoisted_terms():
@@ -1688,6 +1717,224 @@ def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
     assert shared[0].tolist() != apart[2].tolist()
 
 
+# -- short nests jammed into the slice statement they enclose -----------------------
+
+def _jam_verdicts(module, recorder=None):
+    """What ``jams`` said of each loop it was asked about while the code
+    for the module was generated, in order: (loop, the loop its nest jams
+    into or None). A jam refused while written regenerates its function,
+    which asks again."""
+    verdicts = []
+    jams = codegen._FuncGen.jams
+
+    def spy(gen, loop, *args):
+        verdicts.append((loop, jams(gen, loop, *args)))
+        return verdicts[-1][1]
+
+    with mock.patch.object(codegen._FuncGen, "jams", spy):
+        _source(module, recorder)
+    return verdicts
+
+
+def _jammed(module):
+    """Whether the code ``run`` executes writes some nest as one slice
+    statement: the last verdict on some loop is a loop."""
+    return any(dict(_jam_verdicts(module)).values())
+
+
+def test_jam_corpus_agrees():
+    """Short literal nests around a loop over slices: the copies of a nest
+    that breaks no condition jam into one statement, in every mode, and
+    each draw does what the definitional interpreter does."""
+    seeds = range(80)
+    mismatches, raised, runs = _irgen_runs(seeds, jam_module)
+    print(f"jam corpus: {raised} of {runs} runs raise")
+    assert not mismatches, "\n".join(mismatches[:5])
+    assert 0 < raised / runs < 0.3
+    jammed = dict.fromkeys(("jam",) + JAM_BREAKS, 0)
+    kernels = 0
+    for seed in seeds:
+        module = jam_module(seed)
+        jammed[_entry_name(module).rstrip("0123456789")] += _jammed(module)
+        gpu = run_pipeline(module, GPU)[0]
+        kernels += "def f0(g0" in _source(gpu) and _jammed(gpu)
+    print(f"jam corpus: nests jammed per condition broken: {jammed}; "
+          f"in kernels: {kernels}")
+    assert jammed["second_store"] == jammed["other_element"] == jammed["raises"] == 0
+    assert jammed["jam"] >= len(seeds) // 4 and kernels >= len(seeds) // 10
+
+
+def _jam_nest(kind="f64", short=3, products=0, changes=()):
+    """@f(X, W, D, E): D[i] = D[i] + X[i + k] * W[k] (times X[i + k]
+    ``products`` times more) over k < ``short`` and i < 16, a nest that
+    jams; ``changes`` are (text, its replacement) pairs."""
+    add, mul = ("arith.addf", "arith.mulf") if kind[0] == "f" else ("arith.addi", "arith.muli")
+    chain = "".join(f"        %p{j + 1} = {mul} %p{j}, %5 : {kind}\n"
+                    for j in range(products))
+    body = f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant {short} : index
+    %3 = arith.constant 16 : index
+    scf.for %arg4 = %0 to %2 step %1 {{
+      scf.for %arg5 = %0 to %3 step %1 {{
+        %4 = arith.addi %arg5, %arg4 : index
+        %5 = memref.load %arg0[%4] : memref<20x{kind}>
+        %6 = memref.load %arg1[%arg4] : memref<4x{kind}>
+        %p0 = {mul} %5, %6 : {kind}
+{chain}        %7 = memref.load %arg2[%arg5] : memref<20x{kind}>
+        %8 = {add} %7, %p{products} : {kind}
+        memref.store %8, %arg2[%arg5] : memref<20x{kind}>
+      }}
+    }}
+    return"""
+    for text, replacement in changes:
+        assert text in body
+        body = body.replace(text, replacement)
+    return _module(body, ", ".join(
+        f"%arg{n}: memref<{4 if n == 1 else 20}x{kind}>" for n in range(4)))
+
+
+def _jam_args(kind="f64", x=None, w=None, d=None):
+    cast = float if kind[0] == "f" else int
+    ramp = [cast(k % 7 - 3) for k in range(20)]
+    return [Buffer((20,), kind, x or ramp), Buffer((4,), kind, w or ramp[:4]),
+            Buffer((20,), kind, d or ramp[::-1]), Buffer((20,), kind)]
+
+
+def test_filter_nest_jams_into_one_statement():
+    # the three copies of the loop over k chain their terms into one slice
+    # assignment, in copy order, with W's three elements read before it
+    module = _jam_nest()
+    assert _jammed(module) and _for_ranges(_source(module)) == []
+    (form,), = _slice_forms(_source(module))
+    assert form == ("d6[0:16] = array(d6.typecode, [(((x12 + (x10 * v11)) + "
+                    "(x13 * v14)) + (x15 * v16)) for x10, x12, x13, x15 in "
+                    "zip(d2[0:16], d6[0:16], d2[1:17], d2[2:18])])")
+    assert re.findall(r"^ +v\d+ = d4\[(\d)\]$", _source(module), re.M) == ["0", "1", "2"]
+    want = _agree_in_every_mode(module, "f", _jam_args())
+    assert want[2][2].tolist()[:3] == [2.0 + 9 + 4 + 1, 1.0 + 6 + 2 + 0, 0.0 + 3 + 0 - 1]
+    shared = _jam_args()
+    shared[2] = shared[0]   # X is D: the alias-safe variant keeps the loops
+    _agree_in_every_mode(module, "f", shared)
+
+
+_READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%4]")
+
+
+@pytest.mark.parametrize("changes, refused_by_jams", [
+    ([_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
+     False),
+    ([("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
+       "        memref.store %8,")], True),
+    ([_READ_D_AT_I_PLUS_K], False),
+    ([("%4 = arith.addi %arg5, %arg4 : index",
+       "%9 = arith.muli %arg4, %2 : index\n        %4 = arith.addi %arg5, %9 : index")],
+     True),
+    ([("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
+     False),
+], ids=["store-moves-with-k", "second-store", "read-at-another-element",
+        "access-can-raise", "stored-slice-read-twice"])
+def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_jams):
+    # D[i + k] += ..., so each copy stores its own slice; another buffer is
+    # stored to; D is read at the element k trips on; X is read 3k on, past
+    # its extent in the third copy; or D[i] * D[i] reads what the copy
+    # before stored twice, which would need a local. jams refuses the
+    # second and fourth, writing the statement the others
+    module = _jam_nest(changes=changes)
+    verdicts = _jam_verdicts(module)
+    assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_jams
+    assert "range(3)" in _for_ranges(_source(module))
+    want = _agree_in_every_mode(module, "f", _jam_args())
+    if changes[0][1].startswith("%9"):  # in the third copy, at i = 14
+        assert want[:2] == ("raised", OutOfBounds) and want[2].startswith(
+            "index 20 out of bounds for extent 20 of Buffer<20xf64> at ")
+
+
+@pytest.mark.parametrize("products, jams", [(17, True), (18, False)],
+                         ids=["at-budget", "over-budget"])
+def test_unroll_ops_pin_what_jams(products, jams):
+    # four copies of 7 + products ops: 96 jam, 100 do not
+    module = _jam_nest(short=4, products=products)
+    assert any(into for _, into in _jam_verdicts(module)) == _jammed(module) == jams
+    _agree(module, _jam_args(x=[1.0 + k / 64 for k in range(20)]))
+
+
+def test_nest_with_a_loop_of_no_trips_writes_nothing():
+    # the copies of the loop over k hold no copy of the loop over i: the
+    # loop over k is left with a body that does nothing
+    module = _jam_nest(changes=[
+        ("scf.for %arg5", "scf.for %arg6 = %0 to %0 step %1 {\n      scf.for %arg5"),
+        ("    }\n    return", "    }\n    }\n    return")])
+    assert not any(into for _, into in _jam_verdicts(module))
+    assert _for_ranges(_source(module)) == ["range(3)"] and not _slice_forms(_source(module))
+    _agree_in_every_mode(module, "f", _jam_args())
+
+
+def test_code_for_a_recorder_does_not_jam():
+    module = _jam_nest()
+    assert _jammed(module)
+    recorder = object()
+    assert not any(into for _, into in _jam_verdicts(module, recorder))
+    assert _for_ranges(_source(module, recorder)) == ["range(3)", "range(16)"]
+
+
+def test_jammed_chains_round_and_wrap_per_copy():
+    # f32: each copy rounds 1 + 2**-24 back to 1 (a tie, to even), where
+    # one rounding of 1 + 3 * 2**-24 gives 1 + 2**-23; i32: 2**31 - 2 plus
+    # three 1s wraps in the second copy, each copy's store wrapping
+    f32 = _jam_nest("f32")
+    assert _jammed(f32)
+    want = _agree(f32, _jam_args("f32", [1.0] * 20, [2.0 ** -24] * 4, [1.0] * 20))
+    assert want[2][2].tolist()[:16] == [1.0] * 16
+    i32 = _jam_nest("i32")
+    assert _jammed(i32)
+    (form,), = _slice_forms(_source(i32))
+    assert form.count("& 4294967295") == 9   # the product, sum and store of each
+    want = _agree(i32, _jam_args("i32", [1] * 20, [1] * 4, [2 ** 31 - 2] * 20))
+    assert want[2][2].tolist()[:17] == [1 - 2 ** 31] * 16 + [2 ** 31 - 2]
+
+
+# conv_rows's output on seed-1 inputs, as the code for each tune point, the
+# canonicalized kernel and the outlined one left it before the filter nest
+# jammed: the first 16 hex digits of the SHA-256 of its bytes
+CONV_ROWS_OUT = "5c1e3cf012a9d73a"
+
+
+def _digest(buf):
+    return hashlib.sha256(buf.data.tobytes()).hexdigest()[:16]
+
+
+def _filter_nest_jammed(module):
+    """conv_rows's 3x3 filter nest as one slice statement, which it
+    returns: after the filter's nine elements are read, it zips nine
+    slices of the image and one of the output, and every loop left is one
+    over a parallel dimension or a thread id."""
+    source = _source(module)
+    (form,), = _slice_forms(source)
+    assert form.count("d2[") == 9 and form.count("d6[") == 2
+    reads = [m.start() for m in re.finditer(r"^ +v\d+ = d4\[", source, re.M)]
+    assert len(reads) == 9 and max(reads) < source.index(form)
+    loops = _for_ranges(source)
+    if "def f0(g0" in source:
+        assert loops == ["range(g0)", "range(g1)"]
+    else:
+        assert len(loops) == sum(dim[3] > 1 for op in module.walk_nested()
+                                 if op.name == "scf.parallel"
+                                 for dim in static_bounds(op))
+    return form
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
+def test_conv_rows_filter_nest_jams(pipeline):
+    with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
+        module, _ = run_pipeline(parse_module(fh.read(), create_context()), pipeline)
+    _filter_nest_jammed(module)
+    args = make_inputs(module, "conv_rows", 1)
+    run(module, "conv_rows", args, "gpu_emulated" if pipeline == GPU else "sequential")
+    assert _digest(args[2]) == CONV_ROWS_OUT
+
+
 # -- loop-unroll's copies rolled back into one loop ---------------------------------
 
 # ExecStats of conv_rows at every tune point (tiles, unroll factor) on
@@ -1733,8 +1980,8 @@ TUNE_STATS = {
 @pytest.mark.parametrize("tiles", itertools.product(*workloads.TILES), ids=str)
 def test_unrolled_tune_points_run_their_slice_form(tiles):
     # every unrolled point's loop is rolled back into the slice statement
-    # of its factor-1 point, leaves the same buffers and counts as its
-    # copies did
+    # of its factor-1 point, its filter nest jammed into it, and leaves the
+    # same buffers and counts as its copies did
     with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
         text = fh.read()
     first = None
@@ -1748,9 +1995,10 @@ def test_unrolled_tune_points_run_their_slice_form(tiles):
                 stats.stores, stats.bookkeeping) == (
             total, {"arith": arith, "memref": 415152, "scf": scf, "func": 1},
             arith, 311364, 103788, bookkeeping)
-        (form,), = _slice_forms(_source(module))
+        form = _filter_nest_jammed(module)
         if first is None:
             first = form, args[2].tolist()
+            assert _digest(args[2]) == CONV_ROWS_OUT
         else:
             assert (form, args[2].tolist()) == first
 
