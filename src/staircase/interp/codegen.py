@@ -10,10 +10,10 @@ except short ones over literal bounds, written once per trip (below). A
 parallel body's function loops over its points in the order
 ``itertools.product`` would visit them, and a parallel loop with a literal
 dimension of no trips writes nothing; worksharing mode runs it as
-sequential mode does and only records its worker count. Each buffer's
-``array`` is bound to a local once. A kernel takes its grid and block
-sizes and runs every thread in nested loops of its own, so a launch is
-one call.
+sequential mode does and only records its worker count. The ``array``
+of each buffer that a written load or store touches is bound to a local
+once. A kernel takes its grid and block sizes and runs every thread in
+nested loops of its own, so a launch is one call.
 
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
@@ -118,11 +118,6 @@ did, in the same order, and every rule above applies to it as to a loop
 never unrolled. Its counts are still those of the unrolled block. An error
 that would name the location of a copy's op other than run 0's (copies
 written by hand, not cloned) sends the loop back to its copies.
-
-``compile()`` holds about 2.4 KB per statement of the source it is given,
-so a straight-line run longer than SEGMENT statements is split into
-chained functions, and functions are compiled in batches of about SEGMENT
-lines.
 """
 from __future__ import annotations
 
@@ -152,7 +147,6 @@ from staircase.interp.stats import BOOKKEEPING, OP_SLOT
 from staircase.interp.tape import Program, module_functions
 from staircase.ir.core import Operation, Value, ancestors
 
-SEGMENT = 300   # statements per compiled unit in a long straight-line run
 MAX_DEPTH = 15  # indentation past which a loop or if gets a function of its own
 SLICE_TRIPS = 16  # trips from which an innermost loop runs over slices
 UNROLL_TRIPS = 4  # trips up to which a loop of a short nest is written per trip
@@ -441,17 +435,6 @@ def _copy_of(run: list, copy: list, iv: Value, offset: int,
 
 # -- code generation ------------------------------------------------------------
 
-class _Stmts:
-    """The statements of one flat op, and the locals they bind."""
-
-    __slots__ = ("op", "lines", "binds")
-
-    def __init__(self, op, lines, binds):
-        self.op = op
-        self.lines = lines
-        self.binds = binds
-
-
 class _Level:
     """An open loop level, and the statements that go around its loop."""
 
@@ -494,7 +477,7 @@ _HANDLERS = {
 
 class _FuncGen:
     """Source for one func.func or gpu.func, and the functions it calls
-    for its chained segments, parallel bodies and deep loops."""
+    for its parallel bodies and deep loops."""
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
                  extents, constants: list, recording: bool = False,
@@ -536,7 +519,6 @@ class _FuncGen:
         self.blocks: list = []      # (count, static counts per tally slot)
         self.counters: list = []
         self.bookkeeping: list = []  # counts of loop bodies and threads
-        self.binds: set = set()     # locals the current flat op assigns
         self.foldable: set = set()  # results written into their one use
         self.folded: set = set()    # Values written into their use
         self.linear: dict = {}      # integer Value -> ({induction local: coef}, k)
@@ -563,16 +545,20 @@ class _FuncGen:
         return name
 
     def bind(self, value: Value, prefix: str = "v") -> str:
-        name = self.local(prefix)
-        self.names[value] = name
-        self.binds.add(name)
+        name = self.names[value] = self.local(prefix)
         return name
 
-    def bind_array(self, value: Value) -> str:
-        """A local for a memref's ``data`` array, assigned where it is made."""
-        name = self.arrays[value] = self.local("d")
-        self.binds.add(name)
-        return f"{name} = {self.names[value]}.data"
+    def bind_array(self, value: Value) -> list:
+        """A local for a memref's ``data`` array, assigned where it is made;
+        none if no load or store that is written touches the memref. Its
+        name is taken either way: later locals are named alike whichever
+        arrays are bound."""
+        name = self.local("d")
+        if all(op.name not in _INDEX_FROM or op in self.dead
+               for op, _ in value.uses):
+            return []
+        self.arrays[value] = name
+        return [f"{name} = {self.names[value]}.data"]
 
     def alias(self, value: Value, source: Value) -> list:
         """``value`` always equals ``source``: reuse its name, no statement."""
@@ -690,12 +676,12 @@ class _FuncGen:
         body = self.op.body()
         params = []
         prologue = []
+        self.stores[self.op] = self.scan(body)  # a kernel's thread loops run it
         for arg in body.args:
             params.append(self.bind(arg, "a"))
             if arg.type.kind == "memref":
-                prologue.append(self.bind_array(arg))
+                prologue += self.bind_array(arg)
         arrays = len(prologue)
-        self.stores[self.op] = self.scan(body)  # a kernel's thread loops run it
         depth = 1
         count = (1, None)
         if self.is_kernel:   # its threads loop inside the function
@@ -724,6 +710,9 @@ class _FuncGen:
         self.close_loops(0)
         if self.is_kernel and self.recording:
             self.emit(1, "R.end_parallel()")
+        # a parameter that no written load or store touches may be any array
+        self.assumed = {(a, b) for a, b in self.assumed
+                        if a in self.arrays and b in self.arrays}
         if self.assumed:    # the alias-safe variant takes any other call
             pairs = sorted((a.index, b.index) for a, b in self.assumed)
             test = " or ".join(f"{self.arrays[body.args[a]]} is "
@@ -823,9 +812,7 @@ class _FuncGen:
             elif op in self.dead:
                 pass
             elif name in _HANDLERS:
-                self.binds = set()
-                lines = getattr(self, _HANDLERS[name])(op)
-                run.append(_Stmts(op, lines, self.binds))
+                run += getattr(self, _HANDLERS[name])(op)
         self.flush(run, depth)
 
     def scan(self, block) -> dict:
@@ -839,8 +826,8 @@ class _FuncGen:
         computing it there is unobservable. So is a load's read when no op
         before that point writes memory; its bounds check stays where the
         load is. For the same reason a pure op whose result nothing reads
-        but dead ops is dead: it writes no statement. So is every op of a
-        loop with a literal dimension of no trips.
+        but dead ops is dead: it writes no statement. So is
+        every op of a loop with a literal dimension of no trips.
 
         Unless a recorder is told of every load, it also finds the loads
         with the buffer and index values of an earlier load in the same
@@ -941,41 +928,15 @@ class _FuncGen:
             self.emit(depth, "pass")
 
     def flush(self, run: list, depth: int) -> None:
-        """Emit a straight-line run, split into chained segments if long."""
+        """Emit a straight-line run."""
         if self.offsets and not self.recording:
-            self.inline_offsets(run)
-        if sum(len(s.lines) for s in run) <= SEGMENT:
-            for s in run:
-                for line in s.lines:
-                    self.emit(depth, line)
-            return
-        segments, current, size = [], [], 0
-        for s in run:
-            if current and size + len(s.lines) > SEGMENT:
-                segments.append(current)
-                current, size = [], 0
-            current.append(s)
-            size += len(s.lines)
-        segments.append(current)
-        # a segment returns the locals it binds that later segments read
-        # (folded expressions included) or that ops after the run may read
-        # for a result of the run: its name, which an alias shares with an
-        # earlier result, or its array
-        in_run = {s.op for s in run}
-        later, outs = set(self.promoted.values()), []   # and accumulators
-        for s in run:
-            for r in s.op.results:
-                if any(user not in in_run for user, _ in r.uses):
-                    later.update((self.names[r], self.arrays.get(r)))
-        for seg in reversed(segments):
-            bound = set().union(*(s.binds for s in seg))
-            outs.append(sorted(bound & later))
-            later |= self.reads(line for s in seg for line in s.lines)
-        for seg, out in zip(segments, reversed(outs)):
-            self.segment(seg, out, depth)
+            run = self.inline_offsets(run)
+        for line in run:
+            self.emit(depth, line)
 
-    def inline_offsets(self, run: list) -> None:
-        """Write each offset this run binds and uses once into its use.
+    def inline_offsets(self, run: list) -> list:
+        """The run with each offset it binds and uses once written into its
+        use.
 
         The sum reads only locals that never change, so it has the same
         value wherever it is written.
@@ -983,33 +944,14 @@ class _FuncGen:
         single = {base: key for key, base in self.offsets.items()
                   if self.offset_uses[base] == 1}
         if not single:
-            return
-        for s in run:
-            for base in s.binds.intersection(single):
-                s.lines.remove(f"{base} = {single[base]}")
-            s.lines = [_OFFSET.sub(lambda m: single.get(m[0], m[0]), line)
-                       for line in s.lines]
+            return run
+        bound = {f"{base} = {key}" for base, key in single.items()}
+        return [_OFFSET.sub(lambda m: single.get(m[0], m[0]), line)
+                for line in run if line not in bound]
 
     def reads(self, lines) -> set:
         """The locals of this function that ``lines`` name."""
         return set(_NAME.findall("\n".join(lines))) & self.scope
-
-    def segment(self, seg: list, outs: list, depth: int) -> None:
-        """One chained function: takes the locals it reads, returns
-        ``outs``, the ones it binds that later code reads."""
-        bound = set().union(*(s.binds for s in seg))
-        read = self.reads(line for s in seg for line in s.lines)
-        # an accumulator may be read before the segment assigns it
-        ins = sorted(read - bound | read & set(self.promoted.values()))
-        name = self.fresh(f"{self.pyname}_s")
-        params = ", ".join(ins + ["T", "X"])
-        lines = [f"def {name}({params}):"]
-        lines += ["    " + line for s in seg for line in s.lines]
-        lines.append("    return (" + "".join(f"{o}, " for o in outs) + ")")
-        self.units.append("\n".join(lines) + "\n")
-        call = f"{name}({params})"
-        self.emit(depth, f"{''.join(o + ', ' for o in outs)}= {call}"
-                  if outs else call)
 
     # -- flat ops: each returns its statements ----------------------------------
 
@@ -1137,7 +1079,6 @@ class _FuncGen:
                 and self.offset_uses.get(off) != 2
         else:
             lines = []
-            self.binds.add(target)
         update = None
         if value in self.folded and not plain and not self.recording:
             update = self.update(value, target)
@@ -1196,7 +1137,6 @@ class _FuncGen:
                 if base is None:
                     base = self.offsets[key] = self.local("o")
                     self.offset_uses[base] = 0
-                    self.binds.add(base)
                     lines.append(f"{base} = {key}")
                 self.offset_uses[base] += 1
                 terms = [(base, 1)]
@@ -1509,7 +1449,7 @@ class _FuncGen:
         r = op.results[0]
         ty = r.type
         return [f"{self.bind(r)} = Buffer({ty.shape!r}, {ty.element.kind!r})",
-                self.bind_array(r)]
+                *self.bind_array(r)]
 
     def call(self, op: Operation) -> list:
         callee = self.pynames[op.attributes["callee"].value[0]]
@@ -1518,8 +1458,9 @@ class _FuncGen:
         if not op.results:
             return [call]
         lines = ["".join(f"{self.bind(r)}, " for r in op.results) + f"= {call}"]
-        lines += [self.bind_array(r) for r in op.results
-                  if r.type.kind == "memref"]
+        for r in op.results:
+            if r.type.kind == "memref":
+                lines += self.bind_array(r)
         return lines
 
     def launch(self, op: Operation) -> list:
@@ -1922,12 +1863,5 @@ def _generate(op: Operation, *args, **kwargs) -> _FuncGen:
 
 
 def _define(units: list, namespace: dict) -> None:
-    """Compile units in batches of about SEGMENT lines: few enough calls to
-    keep compile()'s per-call cost small, and a bounded source each."""
-    batch, lines = [], 0
-    for i, text in enumerate(units):
-        batch.append(text)
-        lines += text.count("\n")
-        if lines >= SEGMENT or i == len(units) - 1:
-            exec(compile("".join(batch), "<staircase>", "exec"), namespace)  # noqa: S102
-            batch, lines = [], 0
+    """Compile the units with one ``compile()`` and run their definitions."""
+    exec(compile("".join(units), "<staircase>", "exec"), namespace)  # noqa: S102

@@ -7,13 +7,17 @@ It uses the standard library alone, so any Python can run it:
 For each kernel of tests/kernels.py it prints the captured IR, each op's
 source line, and the ExecStats, results and buffers of a gpu_emulated run
 after each of canonicalize and lower-affine,loop-unroll{factor=2}, whose
-copies the generated code rolls back into one loop. test_pythons.py
-compares this output across interpreters.
+copies the generated code rolls back into one loop. Last, it runs a
+function of one straight-line run of about 4,060 statements, which
+generated code writes as one Python function, so each interpreter's
+compiler limits meet it. test_pythons.py compares this output across
+interpreters.
 """
 import os
 from itertools import chain
 
 import kernels
+from irgen import long_block_module
 from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
 from staircase.interp.machine import run
@@ -47,6 +51,14 @@ def where(op) -> str:
     return f"{os.path.basename(loc.file)}:{loc.line}" if loc else "-"
 
 
+def show(results, stats, args) -> None:
+    print("results", repr(results))
+    print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
+    for arg in args:
+        if isinstance(arg, Buffer):
+            print("buffer", repr(arg.tolist()))
+
+
 def main() -> None:
     for name, staged in sorted(vars(kernels).items()):
         if not isinstance(staged, StagedFunction):
@@ -62,11 +74,11 @@ def main() -> None:
             results, stats = run(work, name, args, "gpu_emulated")
             if pipeline == UNROLL:
                 print("after", pipeline)
-            print("results", repr(results))
-            print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
-            for arg in args:
-                if isinstance(arg, Buffer):
-                    print("buffer", repr(arg.tolist()))
+            show(results, stats, args)
+    print("== long")
+    module = long_block_module()
+    args = inputs([arg.type for arg in module.body().ops[0].body().args])
+    show(*run(module, "long", args), args)
 
 
 if __name__ == "__main__":

@@ -712,3 +712,22 @@ def literal_module(seed: int, ctx=None):
     create_op(loop.body(), len(loop.body().ops), "scf.yield")
     verify_or_raise(module)
     return module
+
+
+def long_block_module(length: int = 2000, width: int = 64, ctx=None):
+    """@long(A, B, x) -> f64: one straight-line block that loads each
+    element of A, then runs ``length`` rounds of ``b = A[k % width] - b``
+    (b starts as x), each stored to B[(7k + 3) % width], and returns the
+    last b. Generated code binds each load and each b, which are read
+    more than once: 2 * length + width statements."""
+    ty = f"memref<{width}xf64>"
+    lines = [f"    %c{k} = arith.constant {k} : index" for k in range(width)]
+    lines += [f"    %a{k} = memref.load %arg0[%c{k}] : {ty}" for k in range(width)]
+    b = "%arg2"
+    for k in range(length):
+        lines += [f"    %b{k} = arith.subf %a{k % width}, {b} : f64",
+                  f"    memref.store %b{k}, %arg1[%c{(7 * k + 3) % width}] : {ty}"]
+        b = f"%b{k}"
+    text = (f"module {{\n  func.func @long(%arg0: {ty}, %arg1: {ty}, %arg2: f64)"
+            f" -> (f64) {{\n" + "\n".join(lines) + f"\n    return {b} : f64\n  }}\n}}\n")
+    return parse_module(text, ctx or create_context())

@@ -27,6 +27,7 @@ from irgen import (
     JAM_BREAKS,
     index_module,
     jam_module,
+    long_block_module,
     random_inputs,
     random_module,
     slice_inputs,
@@ -173,19 +174,6 @@ def test_slice_corpus_agrees():
         forms["kernel"] += "def f0(g0" in gpu and bool(_slice_forms(gpu))
     print(f"slice corpus forms: {forms}")
     assert min(forms.values()) > len(seeds) // 10
-
-
-def test_chained_segments_agree(monkeypatch):
-    """Straight-line runs split every few statements still agree. A loop
-    of no trips and a pure op nothing reads write no statement, so the
-    seeds are enough to chain segments in more than 20 modules besides
-    such loops' bodies and such ops."""
-    monkeypatch.setattr(codegen, "SEGMENT", 2)
-    mismatches, _, _ = _irgen_runs(IRGEN_SEEDS)
-    assert not mismatches, "\n".join(mismatches[:5])
-    modules = [random_module(seed) for seed in IRGEN_SEEDS]
-    sources = [_source(m) for m in modules]
-    assert sum("_s" in source for source in sources) > 20
 
 
 def _sources():
@@ -422,11 +410,9 @@ def test_load_is_read_before_a_loop_that_stores():
     assert want[2][1].tolist() == [1.0, 0.0]
 
 
-def test_integer_identities(monkeypatch):
+def test_integer_identities():
     # x + 0, 0 + x, x - 0, x * 1 and 1 * x are x; x + 1, x - 1 and x * 2
-    # are not. %12 casts a folded sum and is stored after a loop, from a
-    # chained segment that must receive the sum's operands.
-    monkeypatch.setattr(codegen, "SEGMENT", 2)
+    # are not. %12 casts a sum bound before a loop and is stored after it.
     module = _module("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
@@ -577,10 +563,9 @@ def test_deeply_nested_loops():
     assert _agree(module, [Buffer((4,), "f64"), 2, 0])[0] == "returned"
 
 
-def test_index_split_across_segments(monkeypatch):
+def test_index_bound_in_an_earlier_run():
     # %5 and %6 are read in the inner loop as v4 + 1 and v4 + 2, where v4
-    # (%4) is bound in a chained segment that nothing later in its run reads
-    monkeypatch.setattr(codegen, "SEGMENT", 3)
+    # (%4) is bound in a straight-line run that nothing later in it reads
     module = _module("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
@@ -603,10 +588,9 @@ def test_index_split_across_segments(monkeypatch):
     assert _agree(module, [a])[2][0].tolist() == [1, 1, 1, 3, 3, 5, 6, 7]
 
 
-def test_alias_across_segments(monkeypatch):
-    # %3 is %0 under another name, bound in the first chained segment and
-    # read only after the run, by the return after a loop
-    monkeypatch.setattr(codegen, "SEGMENT", 2)
+def test_alias_read_after_the_run():
+    # %3 is %0 under another name, bound in the first straight-line run
+    # and read only after it, by the return after a loop
     module = _module("""\
     %0 = arith.muli %arg0, %arg1 : index
     %1 = arith.addi %0, %0 : index
@@ -619,8 +603,62 @@ def test_alias_across_segments(monkeypatch):
     }
     return %1, %2, %3 : index, index, i64""", "%arg0: index, %arg1: index",
                      " -> (index, index, i64)")
-    assert "_s" in _source(module)
+    assert _source(module).count("def ") == 1
     assert _agree(module, [3, 4])[1] == (24, 16, 12)
+
+
+def test_long_run_is_one_function():
+    # about 4,060 statements in one straight-line run: one def, whose
+    # loads, subtractions and stores do what the definitional interpreter
+    # does, in order
+    module = long_block_module()
+    source = _source(module)
+    assert source.count("def ") == 1
+    assert len(source.splitlines()) > 4000
+    args = [Buffer((64,), "f64", [(7 * k % 13) / 4.0 - 1.5 for k in range(64)]),
+            Buffer((64,), "f64"), 0.5]
+    want, problem = differ(module, "long", args)
+    assert problem is None, problem
+    assert want[0] == "returned" and want[3][0] == 4129
+
+
+def test_unused_parameter_array_is_not_bound():
+    # %arg1 is stored to only in a loop of no trips: its array is never
+    # bound, and the entry guard tests only %arg0 against %arg3, whose
+    # store the hoisted load of %arg0[0] is assumed not to reach
+    module = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 1.0 : f64
+    scf.for %arg4 = %0 to %arg2 step %1 {
+      %3 = memref.load %arg0[%0] : memref<4xf64>
+      %4 = arith.addf %3, %2 : f64
+      memref.store %4, %arg3[%arg4] : memref<4xf64>
+      affine.for %arg5 = 0 to 0 {
+        memref.store %2, %arg1[%0] : memref<4xf64>
+      }
+    }
+    return""", "%arg0: memref<4xf64>, %arg1: memref<4xf64>, %arg2: index, "
+                     "%arg3: memref<4xf64>")
+    source = _source(module)
+    assert "a3.data" not in source
+    assert "if d2 is d7: return f0_aliased(" in source
+    for shared in ((0, 3), (1, 3), (0, 1)):
+        args = [Buffer((4,), "f64") for _ in range(4)]
+        args[2] = 3
+        args[shared[1]] = args[shared[0]]
+        _agree(module, args)
+
+
+def test_unused_alloc_of_unknown_dtype_raises():
+    # an alloc nothing reads still makes its buffer, so an element type
+    # Buffer does not know raises as the definitional interpreter does
+    module = _module("""\
+    %0 = memref.alloc() : memref<4xi1>
+    return""", "")
+    want = _agree(module, [])
+    assert want[:2] == ("raised", TypeMismatch)
+    assert "unknown buffer dtype 'i1'" in want[2]
 
 
 def test_nested_functions_get_distinct_names():
@@ -735,13 +773,17 @@ def _unread(source):
 
 
 def test_locals_nothing_reads_over_irgen_seeds():
-    # what is left: the array of a buffer nothing reads or writes, and a
-    # load nothing reads whose bounds check is all it needs
+    # what is left: a load nothing reads whose bounds check is all it
+    # needs, the array of a buffer only loads read that nothing reads and
+    # that cannot raise, which write no statement, and a buffer that no
+    # written load or store touches, still made because making it can raise
     unread = [line for seed in IRGEN_SEEDS
               for line in _unread(_source(random_module(seed)))]
     arrays = [line for line in unread if line.endswith(".data")]
     loads = [line for line in unread if re.match(r"v\d+ = d\d+\[", line)]
-    assert (len(unread), len(arrays), len(loads)) == (227, 208, 19)
+    buffers = [line for line in unread if re.match(r"v\d+ = Buffer\(", line)]
+    assert (len(unread), len(arrays), len(loads), len(buffers)) == \
+        (125, 45, 19, 61)
 
 
 def test_out_of_bounds_under_hoisted_terms():
@@ -880,11 +922,10 @@ def test_deep_nest_indexed_by_outer_variables():
     assert _agree(module, [Buffer((2, 2, 3), "f64"), 0])[0] == "returned"
 
 
-def test_partial_sums_enter_chained_segments(monkeypatch):
-    # the inner run is split every two statements; its segments read the
-    # partial sums bound in the header of i's loop (j's 5 trips keep both
-    # loops: a nest of UNROLL_TRIPS trips or fewer is written per trip)
-    monkeypatch.setattr(codegen, "SEGMENT", 2)
+def test_partial_sums_read_in_the_inner_run():
+    # the inner run reads the partial sums bound in the header of i's loop
+    # (j's 5 trips keep both loops: a nest of UNROLL_TRIPS trips or fewer
+    # is written per trip)
     module = _module("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
@@ -905,7 +946,8 @@ def test_partial_sums_enter_chained_segments(monkeypatch):
     }
     return""", "%arg0: memref<3x5xf64>, %arg1: memref<5x3xf64>")
     source = _source(module)
-    assert re.search(r"^def f0_s\d+\(.*\bh\d+\b", source, re.M)
+    assert source.count("def ") == 1
+    assert re.search(r"^ +h\d+ = ", source, re.M)
     args = [Buffer((3, 5), "f64", [float(k) for k in range(15)]),
             Buffer((5, 3), "f64", [float(k) for k in range(15)])]
     want = _agree(module, args)
@@ -913,26 +955,26 @@ def test_partial_sums_enter_chained_segments(monkeypatch):
                                    for k in range(15)]
 
 
-def test_segment_parameters_are_read(monkeypatch):
-    """Every parameter of a chained segment is named in its body."""
-    monkeypatch.setattr(codegen, "SEGMENT", 2)
+def test_nested_parameters_are_read():
+    """Every parameter of a nested function, a parallel body's or that of
+    loops past MAX_DEPTH, is named in its body."""
     modules = [random_module(seed) for seed in range(120)]
     modules += [index_module(seed) for seed in range(40)]
     for path in _sources():
         with open(path, encoding="utf-8") as fh:
             modules.append(run_pipeline(parse_module(fh.read(), create_context()),
                                         CANON)[0])
-    unused, segments = [], 0
+    unused, nested = [], 0
     for module in modules:
         source = _source(module)
-        for m in re.finditer(r"^def (\w+_s\d+)\((.*)\):\n((?:    .*\n)*)",
+        for m in re.finditer(r"^def (\w+_[pn]\d+)\((.*)\):\n((?:    .*\n)*)",
                              source, re.M):
-            segments += 1
+            nested += 1
             read = set(re.findall(r"[A-Za-z_]\w*", m[3]))
             unused += [f"{m[1]}: {p}" for p in m[2].split(", ")
                        if p not in read and p not in ("T", "X")]
     assert not unused, unused[:5]
-    assert segments > 100
+    assert nested >= 30
 
 
 def test_kernel_indices_linear_in_thread_ids():
