@@ -104,7 +104,9 @@ after Carr and Kennedy, TOPLAS 1994): the copies write one slice
 assignment whose comprehension zips every copy's slices and chains their
 terms in copy order, a copy's load of the stored slice reading the value
 the copy before it stored, so each element's ops keep their order and
-their f32 rounding and integer wrapping.
+their f32 rounding and integer wrapping. One walk of the nest, ``nest``,
+tells a short nest, one that jams and any other apart, under one
+``raise_free`` and one UNROLL_OPS budget for both.
 
 An scf.for over literal bounds whose body ``loop-unroll`` made of copies
 is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
@@ -1545,14 +1547,14 @@ class _FuncGen:
     def counted(self, op: Operation, bounds: tuple, count: tuple,
                 depth: int) -> None:
         """A loop over literal bounds, written once per trip if it runs at
-        most once or ``unrolls``, else as a ``for`` loop; the elements it
-        keeps in locals are stored back after it.
+        most once or heads a short ``nest``, else as a ``for`` loop; the
+        elements it keeps in locals are stored back after it.
 
         A rolled body runs over the trips of the loop it was unrolled from;
-        its block's other counts are added per trip of ``op``. A loop that
-        ``jams`` is written once per trip too, and so is each loop of its
-        nest, but the loop it jams into: each copy of that one writes its
-        body into a slice statement that the last copy's store writes.
+        its block's other counts are added per trip of ``op``. A nest that
+        jams is written once per trip too, but the loop it jams into: each
+        copy of that one writes its body into a slice statement that the
+        last copy's store writes.
         """
         trips = range(*bounds)
         inner = _times(count, len(trips))
@@ -1575,9 +1577,9 @@ class _FuncGen:
             self.induction(iv, (trips[0], trips[-1]))
             self.block(block, inner, depth + 1)
             return
-        short = len(trips) < 2 or self.into or self.unrolls(op, trips, depth)
-        into = None if short else self.jams(op, trips, depth)
-        if not short and into is None:
+        into = len(trips) < 2 or self.into is not None \
+            or self.nest(op, trips, depth)
+        if into is None:
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
             promoted = [] if self.recording else self.promote(
@@ -1586,7 +1588,7 @@ class _FuncGen:
             self.close_loops(level)
         else:
             promoted, reads, copying = [], [], self.copying
-            if into:
+            if into is not True:
                 at, level = len(self.lines), len(self.headers)
                 self.into, self.slicing = into, (op, None, None, {})
             elif len(trips) > 1 and not self.into:
@@ -1600,7 +1602,7 @@ class _FuncGen:
                 self.bind_trip(iv, trip)
                 self.block(block, count, depth)
             self.copying = copying
-            if into:    # the last copy's statement takes the loop's place
+            if into is not True:    # the last copy's statement takes its place
                 line = self.stored[2]
                 if len(self.lines) > at + 1 \
                         or re.search(rf"\b{self.slicing[1]}\b", line):
@@ -1612,75 +1614,59 @@ class _FuncGen:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
 
-    def unrolls(self, loop: Operation, trips: range, depth: int) -> bool:
-        """Whether ``loop``, of ``trips``, heads a short nest, which is
-        written once per trip (MLIR's ``affine-loop-unroll`` in full): code
-        for no recorder, every loop of the nest over literal bounds and at
-        most UNROLL_TRIPS trips, its bodies of constants, pure ops, loads,
-        stores and such loops, nothing in it that can raise, and at most
-        UNROLL_OPS ops written in all."""
+    def nest(self, loop: Operation, trips: range, depth: int):
+        """How ``loop``, of ``trips``, is written in code for no recorder:
+        True if it heads a short nest, written once per trip (MLIR's
+        ``affine-loop-unroll`` in full); the loop over slices its copies jam
+        into (MLIR's ``affine-loop-unroll-jam``); or None, as a loop.
+
+        Every loop of the nest but the one it jams into is over literal
+        bounds and at most UNROLL_TRIPS trips, nothing in it can raise, and
+        its copies write at most UNROLL_OPS ops, at least one if it jams."""
         if self.recording or len(trips) > UNROLL_TRIPS:
-            return False
-        size = self.written(loop, len(trips))
+            return None
+        size, into = self.written(loop, len(trips))
+        if size is None or size > UNROLL_OPS \
+                or into is not None and (not size or loop in self.plain):
+            return None
         known = {loop.body().args[0]: (trips[0], trips[-1])}
-        return size is not None and size <= UNROLL_OPS and self.raise_free(
-            self.bodies[loop], depth, known, {}, set())
+        free = self.raise_free(self.bodies[loop], depth, known, {}, set())
+        return (into or True) if free else None
 
-    def written(self, loop: Operation, trips: int):
+    def written(self, loop: Operation, trips: int) -> tuple:
         """The ops but constants and yields that writing ``loop`` once per
-        trip writes, or None if it holds an op that no short nest may hold."""
-        size = 0
-        for op in self.bodies[loop].ops:
-            if op.name in ("scf.for", "affine.for"):
-                n = self.trip_count(op)
-                inner = None if n is None or n > UNROLL_TRIPS \
-                    else self.written(op, n)
-                if inner is None:
-                    return None
-                size += inner
-            elif op.name not in _SLICEABLE:
-                return None
-            elif op.name not in ("arith.constant", "scf.yield"):
+        trip writes, and the loop its copies jam into or None; (None, None)
+        if its nest holds an op no short nest may hold.
+
+        Its bodies hold constants, pure ops, loads, stores and loops over
+        literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
+        nest's last one, which the copies jam into: of SLICE_TRIPS or more
+        trips, its body of such ops holds one store and no loop."""
+        ops = [op for op in self.bodies[loop].ops
+               if op.name not in ("arith.constant", "scf.yield")]
+        size, into = 0, None
+        for op in ops:
+            if op.name not in ("scf.for", "affine.for"):
+                if op.name not in _SLICEABLE:
+                    return None, None
                 size += 1
-        return trips * size
-
-    def trip_count(self, loop: Operation):
-        """The trips of an scf.for or affine.for over literal bounds as it
-        is written, a rolled one's copies included, or None."""
-        bounds, body = static_bounds(loop), self.bodies[loop]
-        if bounds is None:
-            return None
-        return bounds[0][3] * (body.copies if isinstance(body, _Rolled) else 1)
-
-    def jams(self, loop: Operation, trips: range, depth: int):
-        """The loop over slices the copies of ``loop``, of ``trips``, jam
-        into (MLIR's ``affine-loop-unroll-jam``), or None. In code for no
-        recorder, ``loop`` must head a perfect nest, each body of constants
-        and the next loop, of loops over literal bounds and at most
-        UNROLL_TRIPS trips around one of SLICE_TRIPS or more, whose body
-        holds one store; nothing in the nest may raise, and the copies, at
-        least one, may write at most UNROLL_OPS ops of that body."""
-        if self.recording or len(trips) > UNROLL_TRIPS or loop in self.plain:
-            return None
-        inner, copies, n = loop, len(trips), 1
-        while n <= UNROLL_TRIPS:
-            copies *= n
-            ops = [op for op in self.bodies[inner].ops
-                   if op.name not in ("arith.constant", "scf.yield")]
-            if len(ops) != 1 or ops[0].name not in ("scf.for", "affine.for"):
-                return None
-            inner = ops[0]
-            n = self.trip_count(inner)
-            if n is None:
-                return None
-        names = [op.name for op in self.bodies[inner].ops]
-        size = len(names) - names.count("arith.constant") - 1   # and a yield
-        known = {loop.body().args[0]: (trips[0], trips[-1])}
-        if n < SLICE_TRIPS or names.count("memref.store") != 1 or not copies \
-                or not _SLICEABLE.issuperset(names) or copies * size > UNROLL_OPS \
-                or not self.raise_free(self.bodies[loop], depth, known, {}, set()):
-            return None
-        return inner
+                continue
+            # its trips as written, a rolled loop's copies included
+            bounds, body = static_bounds(op), self.bodies[op]
+            n = bounds and bounds[0][3] * (
+                body.copies if isinstance(body, _Rolled) else 1)
+            if n is not None and n <= UNROLL_TRIPS:
+                inner, into = self.written(op, n)
+            else:
+                names = [o.name for o in body.ops]
+                inner, into = len(names) - names.count("arith.constant") - 1, op
+                if n is None or n < SLICE_TRIPS or not _SLICEABLE.issuperset(
+                        names) or names.count("memref.store") != 1:
+                    inner = None
+            if inner is None or into is not None and len(ops) != 1:
+                return None, None
+            size += inner
+        return trips * size, into
 
     def forget(self, loop: Operation) -> None:
         """Drop what an earlier copy of ``loop``'s body noted of the values

@@ -1621,13 +1621,14 @@ def _writes_per_trip(module):
     """Whether the code ``run`` executes for the module writes some loop of
     more than one trip once per trip."""
     found = []
-    unrolls = codegen._FuncGen.unrolls
+    nest = codegen._FuncGen.nest
 
     def spy(gen, *args):
-        found.append(unrolls(gen, *args))
-        return found[-1]
+        verdict = nest(gen, *args)
+        found.append(verdict is True)
+        return verdict
 
-    with mock.patch.object(codegen._FuncGen, "unrolls", spy):
+    with mock.patch.object(codegen._FuncGen, "nest", spy):
         _source(module)
     return any(found)
 
@@ -1762,18 +1763,19 @@ def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
 # -- short nests jammed into the slice statement they enclose -----------------------
 
 def _jam_verdicts(module, recorder=None):
-    """What ``jams`` said of each loop it was asked about while the code
+    """What ``nest`` said of each loop it was asked about while the code
     for the module was generated, in order: (loop, the loop its nest jams
     into or None). A jam refused while written regenerates its function,
     which asks again."""
     verdicts = []
-    jams = codegen._FuncGen.jams
+    nest = codegen._FuncGen.nest
 
     def spy(gen, loop, *args):
-        verdicts.append((loop, jams(gen, loop, *args)))
-        return verdicts[-1][1]
+        verdict = nest(gen, loop, *args)
+        verdicts.append((loop, None if verdict is True else verdict))
+        return verdict
 
-    with mock.patch.object(codegen._FuncGen, "jams", spy):
+    with mock.patch.object(codegen._FuncGen, "nest", spy):
         _source(module, recorder)
     return verdicts
 
@@ -1864,7 +1866,7 @@ def test_filter_nest_jams_into_one_statement():
 _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%4]")
 
 
-@pytest.mark.parametrize("changes, refused_by_jams", [
+@pytest.mark.parametrize("changes, refused_by_nest", [
     ([_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
      False),
     ([("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
@@ -1877,15 +1879,15 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
      False),
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
         "access-can-raise", "stored-slice-read-twice"])
-def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_jams):
+def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_nest):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
     # its extent in the third copy; or D[i] * D[i] reads what the copy
-    # before stored twice, which would need a local. jams refuses the
+    # before stored twice, which would need a local. nest refuses the
     # second and fourth, writing the statement the others
     module = _jam_nest(changes=changes)
     verdicts = _jam_verdicts(module)
-    assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_jams
+    assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_nest
     assert "range(3)" in _for_ranges(_source(module))
     want = _agree_in_every_mode(module, "f", _jam_args())
     if changes[0][1].startswith("%9"):  # in the third copy, at i = 14
