@@ -1,19 +1,20 @@
 """Lower a verified module to Python source, and run what it compiles to.
 
-Each func.func, gpu.func and scf.parallel body becomes one Python
-function. SSA values become locals, integer constants become literals, and
-a result used once, later in the same straight-line run, is written into
-that use as an expression; a pure op that only such dead ops read, or
-ops of a loop with a literal dimension of no trips, or none, is written
-nowhere. Loops become ``for`` loops over ``range``,
-except short ones over literal bounds, written once per trip (below). A
-parallel body's function loops over its points in the order
-``itertools.product`` would visit them, and a parallel loop with a literal
-dimension of no trips writes nothing; worksharing mode runs it as
-sequential mode does and only records its worker count. The ``array``
-of each buffer that a written load or store touches is bound to a local
-once. A kernel takes its grid and block sizes and runs every thread in
-nested loops of its own, so a launch is one call.
+Each func.func and gpu.func becomes one Python function; only a region
+op whose loops would put its body past MAX_DEPTH + 1 runs in one of its
+own, as CPython compiles at most 20 nested blocks per function. SSA values
+become locals, integer constants become literals, and a result used once,
+later in the same straight-line run, is written into that use as an
+expression; a pure op that only such dead ops read, or ops of a loop with
+a literal dimension of no trips, or none, is written nowhere. Loops become
+``for`` loops over ``range``, except short ones over literal bounds,
+written once per trip (below). An scf.parallel is a nest of them in place
+(as MLIR's SCF-to-ControlFlow lowering writes one of scf.for), over its
+points in the order ``itertools.product`` would visit them; worksharing
+mode runs it as sequential mode does and only records its worker count.
+The ``array`` of each buffer that a written load or store touches is
+bound to a local once. A kernel takes its grid and block sizes and runs
+every thread in nested loops of its own, so a launch is one call.
 
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
@@ -149,7 +150,7 @@ from staircase.interp.stats import BOOKKEEPING, OP_SLOT
 from staircase.interp.tape import Program, module_functions
 from staircase.ir.core import Operation, Value, ancestors
 
-MAX_DEPTH = 15  # indentation past which a loop or if gets a function of its own
+MAX_DEPTH = 15  # a body indented past MAX_DEPTH + 1 gets a function of its own
 SLICE_TRIPS = 16  # trips from which an innermost loop runs over slices
 UNROLL_TRIPS = 4  # trips up to which a loop of a short nest is written per trip
 UNROLL_OPS = 96   # ops a nest written once per trip may write in all
@@ -479,7 +480,7 @@ _HANDLERS = {
 
 class _FuncGen:
     """Source for one func.func or gpu.func, and the functions it calls
-    for its parallel bodies and deep loops."""
+    for its region ops past MAX_DEPTH."""
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
                  extents, constants: list, recording: bool = False,
@@ -721,11 +722,11 @@ class _FuncGen:
                                f"{self.arrays[body.args[b]]}" for a, b in pairs)
             call = f"{self.pyname}_aliased({', '.join(params + ['T', 'X'])})"
             prologue.insert(arrays, f"if {test}: return {call}")
+        self.fold()
         self.unit(params, prologue)
 
     def unit(self, params: list, prologue: list) -> None:
-        """Define this function from its lines; its counts end it."""
-        self.fold()
+        """Define this function from its lines, its counts folded."""
         if self.returned is not None:
             self.emit(1, "return (" + "".join(f"{r}, " for r in self.returned)
                       .rstrip() + ")")
@@ -735,15 +736,15 @@ class _FuncGen:
         self.units.append("\n".join([head] + ["    " + p for p in prologue]
                                      + self.lines) + "\n")
 
-    def nested(self, tag: str) -> "_FuncGen":
-        """A generator for a function that runs part of this one.
+    def nested(self) -> "_FuncGen":
+        """A generator for a function that runs a region op past MAX_DEPTH.
 
         It shares the maps from values to names, intervals and arrays; its
         lines and counts are its own, and it returns nothing. It may read
         this one's locals, which become its parameters (``call_nested``).
         """
         # advance n before the copy: call_nested takes the child's n back
-        pyname = self.fresh(f"{self.pyname}_{tag}")
+        pyname = self.fresh(f"{self.pyname}_n")
         child = copy.copy(self)
         child.pyname = pyname
         child.lines, child.blocks, child.counters = [], [], []
@@ -755,13 +756,16 @@ class _FuncGen:
         return child
 
     def call_nested(self, child: "_FuncGen", depth: int) -> None:
-        """Define ``child`` and call it; its parameters are the locals of
-        this function its lines read."""
+        """Define ``child`` and call it, unless it writes nothing (a loop
+        of no trips); its parameters are the locals of this function its
+        lines read."""
         self.n = child.n
         child.close_loops(0)
-        free = sorted(self.reads(child.lines))
-        child.unit(free, [])
-        self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
+        child.fold()
+        if child.lines:
+            free = sorted(self.reads(child.lines))
+            child.unit(free, [])
+            self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
 
     def fold(self) -> None:
         """Add every block's static counts, times its count, to the tally."""
@@ -801,9 +805,11 @@ class _FuncGen:
             elif op.regions:
                 self.flush(run, depth)
                 run = []
-                if depth > MAX_DEPTH and name != "scf.parallel":
+                loops = sum(c is None or len(range(*c)) != 1 for c in
+                            self.dims(op)) if name == "scf.parallel" else 1
+                if depth + loops > MAX_DEPTH + 1:
                     # CPython compiles at most 20 nested loops per function
-                    child = self.nested("n")
+                    child = self.nested()
                     getattr(child, _HANDLERS[name])(op, (1, None), 1)
                     self.call_nested(child, depth)
                 else:
@@ -1310,8 +1316,9 @@ class _FuncGen:
 
     def raise_free(self, block, depth: int, known: dict, found: dict,
                    touched: set) -> bool:
-        """Whether no op of ``block`` can raise or needs a function of its
-        own (``depth`` is where its ops are written).
+        """Whether no op of ``block`` can raise or runs in a function of
+        its own, past MAX_DEPTH (``depth`` is where its ops are written);
+        its region ops are scf.for, affine.for and scf.if.
 
         Notes each buffer it touches, and drops from ``found`` each buffer
         it reads at another address. ``known`` holds the intervals of the
@@ -1713,67 +1720,59 @@ class _FuncGen:
     def affine_for(self, op: Operation, count: tuple, depth: int) -> None:
         self.counted(op, static_bounds(op)[0][:3], count, depth)
 
-    def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
-        """A call to the function its body becomes, which takes the locals
-        its body reads."""
+    def dims(self, op: Operation) -> list:
+        """Per dimension of a parallel loop, (lb, ub, step) if literal."""
         n = len(op.body().args)
-        lbs, ubs, steps = (op.operands[k * n:(k + 1) * n] for k in range(3))
-        unproven = [self.val(s) for s in steps if not self.step_proven(s)]
+        return [c if None not in c and c[2] > 0 else None for c in
+                (tuple(map(self.const, op.operands[k::n])) for k in range(n))]
+
+    def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
+        """Loops over the points, in the order ``itertools.product`` visits
+        them, around the body: per dimension over literal bounds, over a
+        literal range, or none for one trip; per other, over a range whose
+        length is counted on entry, as a runtime scf.for's is."""
+        n = len(op.body().args)
+        unproven = [self.val(s) for s in op.operands[2 * n:]
+                    if not self.step_proven(s)]
         if unproven:
             self.emit(depth, "if " + " or ".join(f"{s} <= 0" for s in unproven)
                       + ": bad_parallel_step()")
-        # per dimension, its literal (lb, ub, step), or None
-        literal = [(self.const(lb), self.const(ub), self.const(step))
-                   for lb, ub, step in zip(lbs, ubs, steps)]
-        literal = [None if None in c or c[2] < 1 else c for c in literal]
-        if any(c and not range(*c) for c in literal):
+        dims = self.dims(op)
+        if any(c and not range(*c) for c in dims):
             return      # no points: nothing to write, its counts are x0
-        child = self.nested("p")
-        child.parallel_body(op, lbs, ubs, steps, literal)
         if self.recording:
             self.emit(depth, "R.begin_parallel()")
-        self.call_nested(child, depth)
-        if self.recording:
-            self.emit(depth, "R.end_parallel()")
-
-    def parallel_body(self, op: Operation, lbs, ubs, steps, literal) -> None:
-        """The loops over the points, and the body inside them.
-
-        Dimensions with literal bounds (``literal``) loop over literal
-        ranges.
-        """
-        coef, sizes, loops = 1, [], []
-        for iv, lb, ub, step, c in zip(op.body().args, lbs, ubs, steps,
-                                       literal):
+        start, level, coef, sizes = depth, len(self.headers), 1, []
+        for k, c in enumerate(dims):
             if c:
                 coef *= len(range(*c))
-                loops.append((iv, c, None))
                 continue
-            rng = self.local("r")
-            self.emit(1, f"{rng} = range({self.val(lb)}, {self.val(ub)}, "
-                         f"{self.val(step)})")
-            sizes.append(f"len({rng})")
-            loops.append((iv, rng, self.iv_range(lb, ub)))
-        count = (coef, None)
+            dims[k] = self.fresh("r")
+            self.emit(depth, f"{dims[k]} = range("
+                             f"{', '.join(map(self.val, op.operands[k::n]))})")
+            sizes.append(f"len({dims[k]})")
+        inner = _times(count, coef)
         if sizes:
-            count = (coef, self.local("n"))
-            self.emit(1, f"{count[1]} = {' * '.join(sizes)}")
-        self.bookkeeping.append(count)
-        depth, innermost = 1, None
-        for iv, rng, interval in loops:
-            if isinstance(rng, tuple):
-                if len(range(*rng)) == 1:
-                    self.bind_trip(iv, rng[0])
-                else:
-                    depth = self.loop_header(op, iv, rng, depth)
-                    innermost = (iv, range(*rng))
-                continue
-            depth, innermost = self.loop(depth, self.bind(iv, "i"), rng, op), None
-            self.induction(iv, interval)
+            inner = (coef, self.counter())
+            self.emit(depth, f"{inner[1]} += {' * '.join(sizes)}")
+        self.bookkeeping.append(inner)
+        innermost = None
+        for k, (iv, c) in enumerate(zip(op.body().args, dims)):
+            if isinstance(c, str):
+                depth, innermost = self.loop(depth, self.bind(iv, "i"), c, op), None
+                self.induction(iv, self.iv_range(*op.operands[k::n][:2]))
+            elif len(range(*c)) == 1:
+                self.bind_trip(iv, c[0])
+            else:
+                depth = self.loop_header(op, iv, c, depth)
+                innermost = (iv, range(*c))
         if self.recording:
             point = "".join(self.val(iv) + ", " for iv in op.body().args)
             self.emit(depth, f"R.begin_point(({point.rstrip()}))")
-        self.loop_body(op, innermost, count, depth)
+        self.loop_body(op, innermost, inner, depth)
+        self.close_loops(level)
+        if self.recording:
+            self.emit(start, "R.end_parallel()")
 
     def scf_if(self, op: Operation, count: tuple, depth: int) -> None:
         taken = self.counter()

@@ -9,15 +9,17 @@ source line, and the ExecStats, results and buffers of a gpu_emulated run
 after each of canonicalize and lower-affine,loop-unroll{factor=2}, whose
 copies the generated code rolls back into one loop. Last, it runs a
 function of one straight-line run of about 4,060 statements, which
-generated code writes as one Python function, so each interpreter's
-compiler limits meet it. test_pythons.py compares this output across
-interpreters.
+generated code writes as one Python function, and three deep parallel
+loops: six dimensions under 9 and under 10 loops, which put the body at
+MAX_DEPTH + 1 and past it, and 20 dimensions, a function of its own with
+20 nested loops. So each interpreter's compiler limits meet them.
+test_pythons.py compares this output across interpreters.
 """
 import os
 from itertools import chain
 
 import kernels
-from irgen import long_block_module
+from irgen import deep_parallel_module, long_block_module
 from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
 from staircase.interp.machine import run
@@ -79,6 +81,10 @@ def main() -> None:
     module = long_block_module()
     args = inputs([arg.type for arg in module.body().ops[0].body().args])
     show(*run(module, "long", args), args)
+    for loops, dims in ((9, 6), (10, 6), (0, 20)):
+        print(f"== deep {loops} {dims}")
+        args = [Buffer((8,), "f64"), 1, 3]
+        show(*run(deep_parallel_module(loops, dims), "deep", args), args)
 
 
 if __name__ == "__main__":

@@ -731,3 +731,32 @@ def long_block_module(length: int = 2000, width: int = 64, ctx=None):
     text = (f"module {{\n  func.func @long(%arg0: {ty}, %arg1: {ty}, %arg2: f64)"
             f" -> (f64) {{\n" + "\n".join(lines) + f"\n    return {b} : f64\n  }}\n}}\n")
     return parse_module(text, ctx or create_context())
+
+
+def deep_parallel_module(loops: int, dims: int, ctx=None):
+    """@deep(A: memref<8xf64>, n: index, m: index): an scf.parallel of
+    ``dims`` dimensions under ``loops`` scf.for loops, all over runtime
+    bounds. The loops and every parallel dimension but the first two run
+    to n, those two to m; each point adds 1.0 to A at its first coordinate
+    plus the innermost loop's induction variable. Generated code runs a region
+    op whose loops would nest past MAX_DEPTH in a function of its own."""
+    lines = ["%c0 = arith.constant 0 : index", "%c1 = arith.constant 1 : index",
+             "%one = arith.constant 1.0 : f64"]
+    for k in range(loops):
+        lines.append("  " * k + f"scf.for %i{k} = %c0 to %arg1 step %c1 {{")
+    pad, at = "  " * loops, "%p0"
+    ivs = ", ".join(f"%p{k}" for k in range(dims))
+    ubs = ", ".join(["%arg2"] * 2 + ["%arg1"] * (dims - 2))
+    lines.append(pad + f"scf.parallel ({ivs}) = ({', '.join(['%c0'] * dims)}) to "
+                 f"({ubs}) step ({', '.join(['%c1'] * dims)}) {{")
+    if loops:
+        lines.append(pad + f"  %at = arith.addi %p0, %i{loops - 1} : index")
+        at = "%at"
+    lines += [pad + f"  %v = memref.load %arg0[{at}] : memref<8xf64>",
+              pad + "  %w = arith.addf %v, %one : f64",
+              pad + f"  memref.store %w, %arg0[{at}] : memref<8xf64>", pad + "}"]
+    lines += ["  " * k + "}" for k in reversed(range(loops))]
+    text = ("module {\n  func.func @deep(%arg0: memref<8xf64>, %arg1: index, "
+            "%arg2: index) {\n" + "".join(f"    {line}\n" for line in lines)
+            + "    return\n  }\n}\n")
+    return parse_module(text, ctx or create_context())

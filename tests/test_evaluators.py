@@ -25,6 +25,7 @@ import definterp
 from conftest import golden_path
 from irgen import (
     JAM_BREAKS,
+    deep_parallel_module,
     index_module,
     jam_module,
     long_block_module,
@@ -37,7 +38,7 @@ from staircase.errors import ArityMismatch, OutOfBounds, PassFailure, TypeMismat
 from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.machine import call, run
-from staircase.interp.tape import compile_module
+from staircase.interp.tape import compile_module, module_functions
 from staircase.ir.core import create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
@@ -661,22 +662,50 @@ def test_unused_alloc_of_unknown_dtype_raises():
     assert "unknown buffer dtype 'i1'" in want[2]
 
 
+def _under_loops(body, loops, params):
+    """``body`` under ``loops`` scf.for loops from 0 to %n, an index
+    parameter after ``params``, in a function @f."""
+    lines = ["%z = arith.constant 0 : index", "%u = arith.constant 1 : index"]
+    lines += [f"scf.for %l{k} = %z to %n step %u {{" for k in range(loops)]
+    lines += body.splitlines() + ["}"] * loops
+    return _module("\n".join(lines + ["return"]),
+                   ", ".join(filter(None, [params, "%n: index"])))
+
+
+def test_loop_of_no_trips_past_max_depth():
+    # a loop of no trips whose body would nest past MAX_DEPTH writes
+    # nothing: no function of its own, which would have no body
+    module = _under_loops("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 1.0 : f64
+    scf.for %arg1 = %0 to %0 step %1 {
+      memref.store %2, %arg0[%0] : memref<4xf64>
+    }""", codegen.MAX_DEPTH, "%arg0: memref<4xf64>")
+    assert _source(module).count("def ") == 1
+    for n in (0, 1):
+        assert _agree(module, [Buffer((4,), "f64"), n])[2][0].tolist() == [0.0] * 4
+
+
 def test_nested_functions_get_distinct_names():
-    # neither parallel body binds a local of its own; each must still be
-    # a function of its own, not one definition replacing the other
-    module = _module("""\
+    # two sibling nests past MAX_DEPTH, neither of which binds a local of
+    # its own; each must still be a function of its own, not one
+    # definition replacing the other
+    module = _under_loops("""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
     %2 = arith.constant 2 : index
-    scf.parallel (%arg2) = (%0) to (%1) step (%1) {
+    scf.for %arg2 = %0 to %1 step %1 {
       memref.store %arg1, %arg0[%0] : memref<4xf64>
     }
-    scf.parallel (%arg3) = (%0) to (%1) step (%1) {
+    scf.for %arg3 = %0 to %1 step %1 {
       memref.store %arg1, %arg0[%2] : memref<4xf64>
-    }
-    return""", "%arg0: memref<4xf64>, %arg1: f64")
-    want = _agree(module, [Buffer((4,), "f64"), 5.0])
+    }""", codegen.MAX_DEPTH, "%arg0: memref<4xf64>, %arg1: f64")
+    names = re.findall(r"^def (\w+)\(", _source(module), re.M)
+    assert len(set(names)) == len(names) == 3
+    want = _agree(module, [Buffer((4,), "f64"), 5.0, 1])
     assert want[2][0].tolist() == [5.0, 0.0, 5.0, 0.0]
+    assert _agree(module, [Buffer((4,), "f64"), 5.0, 0])[0] == "returned"
 
 
 # -- addresses from partial sums bound in loop headers --------------------------
@@ -955,19 +984,29 @@ def test_partial_sums_read_in_the_inner_run():
                                    for k in range(15)]
 
 
+def _deep_irgen(seed):
+    """irgen's module for ``seed``, its body put under 15 or 16 loops over
+    runtime bounds, so that it or each of its region ops runs in a
+    function of its own (MAX_DEPTH)."""
+    build = random_module if seed % 3 else index_module
+    text = print_module(build(seed))
+    head, rest = text.split(" {\n", 2)[1:]
+    params = re.search(r"\((.*)\)$", head)[1]
+    body = rest.rsplit("    return", 1)[0]
+    return _under_loops(body, codegen.MAX_DEPTH + seed % 2, params)
+
+
 def test_nested_parameters_are_read():
-    """Every parameter of a nested function, a parallel body's or that of
-    loops past MAX_DEPTH, is named in its body."""
-    modules = [random_module(seed) for seed in range(120)]
-    modules += [index_module(seed) for seed in range(40)]
-    for path in _sources():
-        with open(path, encoding="utf-8") as fh:
-            modules.append(run_pipeline(parse_module(fh.read(), create_context()),
-                                        CANON)[0])
+    """Every parameter of a nested function, that of loops past
+    MAX_DEPTH, is named in its body; each module runs as the definitional
+    interpreter does, its loops run once."""
     unused, nested = [], 0
-    for module in modules:
+    for seed in range(40):
+        module = _deep_irgen(seed)
+        params = [arg.type for arg in module.body().ops[0].body().args]
+        _agree(module, random_inputs(params[:-1], seed) + [1])
         source = _source(module)
-        for m in re.finditer(r"^def (\w+_[pn]\d+)\((.*)\):\n((?:    .*\n)*)",
+        for m in re.finditer(r"^def (\w+_n\d+)\((.*)\):\n((?:    .*\n)*)",
                              source, re.M):
             nested += 1
             read = set(re.findall(r"[A-Za-z_]\w*", m[3]))
@@ -975,6 +1014,74 @@ def test_nested_parameters_are_read():
                        if p not in read and p not in ("T", "X")]
     assert not unused, unused[:5]
     assert nested >= 30
+
+
+def _definitions(module):
+    """Per func.func and gpu.func of ``module``, in code for no recorder
+    and for one, with and without the entry guard (the alias-safe
+    variant): the names of the Python functions its source defines."""
+    entries = list(module_functions(module))
+    pynames = {key: f"f{i}" for i, (key, _, _) in enumerate(entries)}
+    extents = codegen._launch_extents(module)
+    return [re.findall(r"^def (\w+)\(", "".join(codegen._generate(
+                op, pynames[key], pynames, extents.get(key), [], recording,
+                guarded=guarded).units), re.M)
+            for key, op, _ in entries
+            for recording in (False, True) for guarded in (True, False)]
+
+
+def _function_corpus(name):
+    if name == "bench-inputs":
+        texts = []
+        for path in _sources():
+            with open(path, encoding="utf-8") as fh:
+                texts.append(fh.read())
+        return [run_pipeline(parse_module(text, create_context()), pipeline)[0]
+                for text in texts for pipeline in (CANON, GPU)]
+    if name == "kernels":
+        import kernels
+        from staircase.frontend.capture import StagedFunction
+
+        staged = [v.module for v in vars(kernels).values()
+                  if isinstance(v, StagedFunction)]
+        return staged + [run_pipeline(module, pipeline)[0]
+                         for module in staged for pipeline in (CANON, GPU)]
+    with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
+        text = fh.read()
+    return [run_pipeline(parse_module(text, create_context()),
+                         default_pipeline(list(tiles), unroll))[0]
+            for tiles in itertools.product(*workloads.TILES)
+            for unroll in workloads.UNROLLS]
+
+
+# loops, dimensions and the functions of its own past MAX_DEPTH
+DEEP_PARALLELS = {"parallel-under-9-loops": (9, 6, 0),
+                  "parallel-under-10-loops": (10, 6, 1),
+                  "parallel-of-20-dims": (0, 20, 1)}
+
+
+@pytest.mark.parametrize("corpus", ["bench-inputs", "kernels", "tune-points",
+                                    *DEEP_PARALLELS])
+def test_one_python_function_per_function(corpus):
+    """Each function's code, and its alias-safe variant's, defines one
+    Python function, its parallel loops written in place; only a region op
+    whose loops would nest past MAX_DEPTH + 1 runs in one of its own, as
+    CPython compiles at most 20 nested blocks per function."""
+    if corpus not in DEEP_PARALLELS:
+        for module in _function_corpus(corpus):
+            assert _definitions(module) == [
+                [f"f{i}"] for i, _ in enumerate(module_functions(module))
+                for _ in range(4)]
+        return
+    loops, dims, nested = DEEP_PARALLELS[corpus]
+    module = deep_parallel_module(loops, dims)
+    for names in _definitions(module):
+        assert names[-1] == "f0" and len(names) == 1 + nested
+        assert all(name.startswith("f0_n") for name in names[:-1])
+    want, problem = differ(module, "deep", [Buffer((8,), "f64"), 1, 3])
+    assert problem is None, problem
+    assert want[2][0].tolist() == [3.0] * 3 + [0.0] * 5
+    assert differ(module, "deep", [Buffer((8,), "f64"), 0, 2])[1] is None
 
 
 def test_kernel_indices_linear_in_thread_ids():

@@ -5,9 +5,10 @@ tests/every_python.py imports staircase, captures tests/kernels.py and
 prints each kernel's IR, each op's source line, and the ExecStats and
 buffers of a gpu_emulated run after canonicalize and after
 lower-affine,loop-unroll{factor=2}, whose copies generated code rolls
-back into one loop, and the run of a function of about 4,060 statements
+back into one loop, the run of a function of about 4,060 statements
 in one straight-line run, which generated code writes as one Python
-function, so each version's compiler limits meet it. Each python3.10 to
+function, and the runs of three parallel loops nested to MAX_DEPTH + 1
+and past it, so each version's compiler limits meet them. Each python3.10 to
 python3.13 on PATH runs it, and its output must equal what the
 interpreter running this suite (3.11 for tier-1) prints. Each runs with
 PYENV_VERSION set to its version, so a pyenv shim picks that version
