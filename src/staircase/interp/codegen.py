@@ -1627,9 +1627,9 @@ class _FuncGen:
         ``affine-loop-unroll`` in full); the loop over slices its copies jam
         into (MLIR's ``affine-loop-unroll-jam``); or None, as a loop.
 
-        Every loop of the nest but the one it jams into is over literal
-        bounds and at most UNROLL_TRIPS trips, nothing in it can raise, and
-        its copies write at most UNROLL_OPS ops, at least one if it jams."""
+        Its loops are over literal bounds, of at most UNROLL_TRIPS trips
+        but the one it jams into; nothing in it can raise, and its copies
+        write at most UNROLL_OPS ops, at least one if it jams."""
         if self.recording or len(trips) > UNROLL_TRIPS:
             return None
         size, into = self.written(loop, len(trips))
@@ -1637,8 +1637,8 @@ class _FuncGen:
                 or into is not None and (not size or loop in self.plain):
             return None
         known = {loop.body().args[0]: (trips[0], trips[-1])}
-        free = self.raise_free(self.bodies[loop], depth, known, {}, set())
-        return (into or True) if free else None
+        safe = self.raise_free(self.bodies[loop], depth, known, {}, set())
+        return (into or True) if safe else None
 
     def written(self, loop: Operation, trips: int) -> tuple:
         """The ops but constants and yields that writing ``loop`` once per

@@ -738,8 +738,9 @@ def deep_parallel_module(loops: int, dims: int, ctx=None):
     ``dims`` dimensions under ``loops`` scf.for loops, all over runtime
     bounds. The loops and every parallel dimension but the first two run
     to n, those two to m; each point adds 1.0 to A at its first coordinate
-    plus the innermost loop's induction variable. Generated code runs a region
-    op whose loops would nest past MAX_DEPTH in a function of its own."""
+    plus the innermost loop's induction variable. Generated code runs a
+    region op whose loops would nest past MAX_DEPTH in a function of its
+    own."""
     lines = ["%c0 = arith.constant 0 : index", "%c1 = arith.constant 1 : index",
              "%one = arith.constant 1.0 : f64"]
     for k in range(loops):
