@@ -12,9 +12,12 @@ written once per trip (below). An scf.parallel is a nest of them in place
 (as MLIR's SCF-to-ControlFlow lowering writes one of scf.for), over its
 points in the order ``itertools.product`` would visit them; worksharing
 mode runs it as sequential mode does and only records its worker count.
-The ``array`` of each buffer that a written load or store touches is
-bound to a local once. A kernel takes its grid and block sizes and runs
-every thread in nested loops of its own, so a launch is one call.
+A loop whose body writes no statement is not written, but for one whose
+step is checked at run time, which must iterate to raise. The ``array``
+of each buffer that a written load or store touches is bound to a local
+once; an alloc nothing reads is a bare ``Buffer(...)``, as making one
+can raise. A kernel takes its grid and block sizes and runs every thread
+in nested loops of its own, so a launch is one call.
 
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
@@ -35,8 +38,7 @@ the partial sum of the loops outside it plus its own terms (loop-invariant
 code motion). The innermost loop's terms and the constant stay in the
 statement. A nested function's entry is its outermost level, so the terms
 of variables it receives are summed there. An index value used only in
-addresses, directly or through integer ops, is never bound at all, and an
-offset used once is written into its use.
+addresses, directly or through integer ops, is never bound at all.
 
 Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
 except in code that reports to a recorder:
@@ -50,10 +52,7 @@ except in code that reports to a recorder:
 - a loop that reads and writes one element at indices defined outside
   it, touches no buffer that may hold it in any other way, and cannot
   raise (every index proven, no step checked at run time, no call) reads
-  the element into a local before it and stores it once after it;
-- ``x = (x) op e`` on f64 is written ``x op= e``, which reads and writes
-  in the same order and computes x's offset once; where that offset is a
-  plain name or literal, CPython runs the long form faster, so it stays.
+  the element into a local before it and stores it once after it.
 
 An alloc is a new array and a call's result may be any array, but two
 memref parameters may be one Buffer. So a function whose steps above
@@ -165,7 +164,6 @@ _IPREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
            "sge": ">="}
 _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
 _NAME = re.compile(r"[A-Za-z_]\w*")
-_OFFSET = re.compile(r"\bo\d+\b")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
 _MANY = object()    # a buffer stored to at more than one address
 _ALLOCS = frozenset({"memref.alloc", "memref.alloca"})
@@ -532,7 +530,6 @@ class _FuncGen:
         self.partials: dict = {}    # (outer partial sum, terms) -> its local
         self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
         self.offsets: dict = {}     # address sum -> its local, in this run
-        self.offset_uses: dict = {}  # that local -> the addresses it is in
         self.returned: tuple = ()
         self.scope: set = set()     # the locals this function can read
 
@@ -709,7 +706,9 @@ class _FuncGen:
                 self.emit(depth, f"R.begin_point(({', '.join(ids)}))")
             count = (1, "nt")
             self.bookkeeping.append(count)
-        self.body(body, count, depth)
+        self.body(body, count, depth, self.op)
+        if self.lines[-1:] == ["    if nt:"]:     # no thread writes a statement
+            self.lines.pop()
         self.close_loops(0)
         if self.is_kernel and self.recording:
             self.emit(1, "R.end_parallel()")
@@ -790,8 +789,7 @@ class _FuncGen:
         """Write a block's ops; ``count`` is how many times the block runs."""
         stat = [0] * BOOKKEEPING
         self.blocks.append((count, stat))
-        run: list = []
-        self.offsets, self.offset_uses = {}, {}
+        self.offsets = {}
         for op in block.ops:
             name = op.name
             if name not in OP_SLOT:
@@ -803,8 +801,6 @@ class _FuncGen:
                 if op.results[0] not in self.names:     # or an earlier copy's
                     self.constant_op(op)
             elif op.regions:
-                self.flush(run, depth)
-                run = []
                 loops = sum(c is None or len(range(*c)) != 1 for c in
                             self.dims(op)) if name == "scf.parallel" else 1
                 if depth + loops > MAX_DEPTH + 1:
@@ -814,14 +810,14 @@ class _FuncGen:
                     self.call_nested(child, depth)
                 else:
                     getattr(self, _HANDLERS[name])(op, count, depth)
-                self.offsets, self.offset_uses = {}, {}
+                self.offsets = {}
             elif name == "func.return":   # read after the run, not in it
                 self.returned = tuple(self.val(v) for v in op.operands)
             elif op in self.dead:
                 pass
             elif name in _HANDLERS:
-                run += getattr(self, _HANDLERS[name])(op)
-        self.flush(run, depth)
+                for line in getattr(self, _HANDLERS[name])(op):
+                    self.emit(depth, line)
 
     def scan(self, block) -> dict:
         """One pass over the ops of ``block``, and first of the blocks in
@@ -927,35 +923,24 @@ class _FuncGen:
                 self.foldable.add(op.results[0])
         return stores
 
-    def body(self, block, count: tuple, depth: int) -> None:
-        """A block that is the body of a Python compound statement, or at
-        depth 1 of a function, whose counts or return always end it."""
+    def body(self, block, count: tuple, depth: int, op) -> None:
+        """A block that the loops ``op`` opened last run, or a function's.
+        If it writes no statement, neither do those loops, as their counts
+        are static: the elements bound before each take its place. But a
+        loop whose step ``bad_step`` checks must iterate to raise, so with
+        ``op`` None the block is ``pass``."""
         start = len(self.lines)
         self.block(block, count, depth)
-        if len(self.lines) == start and depth > 1:
+        if len(self.lines) > start:
+            return
+        if op is None:
             self.emit(depth, "pass")
-
-    def flush(self, run: list, depth: int) -> None:
-        """Emit a straight-line run."""
-        if self.offsets and not self.recording:
-            run = self.inline_offsets(run)
-        for line in run:
-            self.emit(depth, line)
-
-    def inline_offsets(self, run: list) -> list:
-        """The run with each offset it binds and uses once written into its
-        use.
-
-        The sum reads only locals that never change, so it has the same
-        value wherever it is written.
-        """
-        single = {base: key for key, base in self.offsets.items()
-                  if self.offset_uses[base] == 1}
-        if not single:
-            return run
-        bound = {f"{base} = {key}" for base, key in single.items()}
-        return [_OFFSET.sub(lambda m: single.get(m[0], m[0]), line)
-                for line in run if line not in bound]
+            return
+        while self.headers[-1].op is op \
+                and self.headers[-1].at == len(self.lines):
+            lv = self.headers.pop()
+            self.lines[lv.at - 1:] = ["    " * (lv.depth - 1) + line
+                                      for line in lv.before]
 
     def reads(self, lines) -> set:
         """The locals of this function that ``lines`` name."""
@@ -1046,7 +1031,7 @@ class _FuncGen:
                 zipped[text] = self.local("x")
             self.names[r] = zipped[text]
             return []
-        lines, off, level, _ = self.address(op, buf, op.operands[1:])
+        lines, off, level = self.address(op, buf, op.operands[1:])
         element = f"{self.arrays[buf]}[{off}]"
         if self.recording:
             lines.append(f"R.on_read({self.val(buf)}, {off})")
@@ -1077,50 +1062,19 @@ class _FuncGen:
             bare = expr[1:-1] if value in self.folded and not wrap else expr
             self.stored = (text, bare, line)
             return []
-        target, plain, base = self.promoted.get(buf), False, None
-        if target is None:
-            lines, off, _, base = self.address(op, buf, op.operands[2:])
-            target = f"{self.arrays[buf]}[{off}]"
-            # x[o] op= e is slower than x[o] = (x[o]) op e when o is a name
-            # or literal; a bound offset only the read shares goes inline
-            plain = (off.isidentifier() or off.isdigit()) \
-                and self.offset_uses.get(off) != 2
-        else:
-            lines = []
-        update = None
-        if value in self.folded and not plain and not self.recording:
-            update = self.update(value, target)
-        if update is None:
-            lines.append(f"{target} = {expr}")
-        else:
-            lines.append(f"{target} {update}")
-            if base is not None:    # the read's use of the offset went
-                self.offset_uses[base] -= 1
+        target = self.promoted.get(buf)
+        if target is not None:
+            return [f"{target} = {expr}"]
+        lines, off, _ = self.address(op, buf, op.operands[2:])
+        lines.append(f"{self.arrays[buf]}[{off}] = {expr}")
         if self.recording:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
 
-    def update(self, value: Value, target: str):
-        """``op= e`` for a store of f64 ``(x) op e`` to ``target`` where x
-        reads ``target`` in this store's statement; None for any other.
-
-        The element and its offset name only locals that never change, so
-        one text is one element. Integers never qualify: a loaded element
-        has no interval, so a sum with one is wrapped.
-        """
-        op = value.defining_op
-        if op.name not in _FOPS or value.type.kind != "f64":
-            return None
-        x, e = op.operands
-        if self.names[x] != f"({target})":
-            return None
-        return f"{_FOPS[op.name]}= {self.val(e)}"
-
     def address(self, op: Operation, buf: Value, indices) -> tuple:
-        """Bounds checks for the unproven dimensions, the flat offset, the
-        innermost loop level the offset changes in (None if it is checked
-        or not linear), and the local of the run that holds part of the
-        offset, or None.
+        """Bounds checks for the unproven dimensions, the flat offset, and
+        the innermost loop level the offset changes in (None if it is
+        checked or not linear).
 
         The offset is linearised: the terms of loops outside the innermost
         one come from partial sums bound in their headers (``hoist``).
@@ -1137,18 +1091,16 @@ class _FuncGen:
         terms, level = self.hoist(coefs)
         if lines or rest:
             level = None
-        terms, base = terms + rest, None
+        terms = terms + rest
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
                 base = self.offsets.get(key)
                 if base is None:
                     base = self.offsets[key] = self.local("o")
-                    self.offset_uses[base] = 0
                     lines.append(f"{base} = {key}")
-                self.offset_uses[base] += 1
                 terms = [(base, 1)]
-        return lines, _sum(terms, fixed), level, base
+        return lines, _sum(terms, fixed), level
 
     def linearise(self, buf: Value, indices) -> tuple:
         """The flat offset of ``indices`` into ``buf``: {induction local:
@@ -1306,7 +1258,7 @@ class _FuncGen:
                     break
                 pairs.update(pair)
             else:
-                _, off, _, _ = self.address(store, buf, store.operands[2:])
+                _, off, _ = self.address(store, buf, store.operands[2:])
                 element = f"{self.arrays[buf]}[{off}]"
                 local = self.promoted[buf] = self.local("e")
                 reads.append(f"{local} = {element}")
@@ -1409,11 +1361,11 @@ class _FuncGen:
         arrays where that loop takes a slice form, else as it is."""
         form = innermost and self.sliceable(loop, *innermost, depth)
         if not form:
-            self.body(self.bodies[loop], count, depth)
+            self.body(self.bodies[loop], count, depth, loop)
             return
         at, name = len(self.lines), self.names[innermost[0]]
         self.slicing = (loop, name, innermost[1], {})
-        self.body(self.bodies[loop], count, depth)
+        self.body(self.bodies[loop], count, depth, loop)
         lines = self.lines[at:]
         if form == "map" and len(lines) != 1 \
                 or re.search(rf"\b{name}\b", "\n".join(lines)):
@@ -1457,8 +1409,11 @@ class _FuncGen:
     def alloc(self, op: Operation) -> list:
         r = op.results[0]
         ty = r.type
-        return [f"{self.bind(r)} = Buffer({ty.shape!r}, {ty.element.kind!r})",
-                *self.bind_array(r)]
+        make = f"Buffer({ty.shape!r}, {ty.element.kind!r})"
+        if all(use in self.dead or use.name == "memref.dealloc"
+               for use, _ in r.uses):   # made only for the error it may raise
+            return [make]
+        return [f"{self.bind(r)} = {make}", *self.bind_array(r)]
 
     def call(self, op: Operation) -> list:
         callee = self.pynames[op.attributes["callee"].value[0]]
@@ -1705,7 +1660,8 @@ class _FuncGen:
         l, u, s = (self.val(v) for v in op.operands)
         rng = self.fresh("r")
         inner = (1, self.counter())
-        if self.step_proven(step):
+        proven = self.step_proven(step)
+        if proven:
             self.emit(depth, f"{rng} = range({l}, {u}, {s})")
         else:
             self.emit(depth, f"{rng} = range({l}, {u}, {s}) if {s} > 0 "
@@ -1714,7 +1670,7 @@ class _FuncGen:
         depth = self.loop(depth, self.bind(iv, "i"), rng, op)
         self.induction(iv, self.iv_range(lb, ub))
         self.bookkeeping.append(inner)
-        self.body(op.body(), inner, depth)
+        self.body(op.body(), inner, depth, op if proven else None)
         self.close_loops(level)
 
     def affine_for(self, op: Operation, count: tuple, depth: int) -> None:

@@ -215,11 +215,21 @@ def test_recorder_calls_stay_out_of_run(path):
 
 def test_no_pass_before_another_statement():
     """A loop of one trip writes its body into the enclosing block, which
-    then needs no ``pass``; over irgen seeds as generated and after each
-    of test_passes' pipelines, in plain and recorder source."""
+    then needs no ``pass``, and a loop whose body writes nothing is not
+    written, but for one whose range ``bad_step`` checks, which iterates to
+    raise; over irgen seeds as generated and after each of test_passes'
+    pipelines, the gpu ones among them, in plain and recorder source."""
     from test_passes import PIPELINES
 
     pass_then_more = re.compile(r"^( *)pass\n\1\S", re.M)
+    idle = re.compile(r"^( *)(?:for \w+ in (.+)|if nt):\n\1    pass\n(?!\1    )",
+                      re.M)
+
+    def fault(source):
+        return pass_then_more.search(source) or any(
+            not re.search(rf"^ *{re.escape(m[2] or 'nt')} = .* else bad_step\(",
+                          source, re.M) for m in idle.finditer(source))
+
     found = []
     for seed in IRGEN_SEEDS:
         module = random_module(seed)
@@ -229,7 +239,7 @@ def test_no_pass_before_another_statement():
             except PassFailure:
                 continue
             for recorder in (None, object()):
-                if pass_then_more.search(_source(work, recorder)):
+                if fault(_source(work, recorder)):
                     found.append(f"seed {seed} {pipeline or 'as generated'}"
                                  f"{' recorder' if recorder else ''}")
     assert not found, found[:5]
@@ -287,6 +297,15 @@ def test_runtime_step_not_positive(step):
     }
     return""", "%arg0: index")
     assert _agree(empty, [step])[0] == "returned"
+    # a body that writes nothing keeps its loop, which raises on its step
+    idle = _module("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 3 : index
+    scf.for %arg1 = %0 to %1 step %arg0 {
+    }
+    return""", "%arg0: index")
+    assert re.search(r"^ +for i\d+ in (r\d+):\n +pass$", _source(idle), re.M)
+    assert _agree(idle, [step])[2] == "loop step must be positive at runtime"
 
 
 def test_parallel_with_runtime_step():
@@ -803,16 +822,18 @@ def _unread(source):
 
 def test_locals_nothing_reads_over_irgen_seeds():
     # what is left: a load nothing reads whose bounds check is all it
-    # needs, the array of a buffer only loads read that nothing reads and
-    # that cannot raise, which write no statement, and a buffer that no
-    # written load or store touches, still made because making it can raise
-    unread = [line for seed in IRGEN_SEEDS
-              for line in _unread(_source(random_module(seed)))]
+    # needs, and the array of a buffer only loads read that nothing reads
+    # and that cannot raise, which write no statement; an alloc nothing
+    # reads binds no local, but is still made, as making it can raise
+    sources = [_source(random_module(seed)) for seed in IRGEN_SEEDS]
+    unread = [line for source in sources for line in _unread(source)]
     arrays = [line for line in unread if line.endswith(".data")]
     loads = [line for line in unread if re.match(r"v\d+ = d\d+\[", line)]
     buffers = [line for line in unread if re.match(r"v\d+ = Buffer\(", line)]
     assert (len(unread), len(arrays), len(loads), len(buffers)) == \
-        (125, 45, 19, 61)
+        (64, 45, 19, 0)
+    made = sum(len(re.findall(r"^ +Buffer\(", s, re.M)) for s in sources)
+    assert made == 61
 
 
 def test_out_of_bounds_under_hoisted_terms():
@@ -1476,11 +1497,11 @@ def test_innermost_loops_read_no_invariant_element(path):
 
 
 def test_read_modify_write_reads_its_offset_once():
-    # copies of an update that are not rolled back (their step is one
-    # copy's) update d[i + k] in place; a plain offset keeps the long form,
-    # which CPython runs faster; saxpy's loop is one slice assignment,
-    # which reads its target through the one slice it stores
-    long_form = re.compile(r"(d\d+\[([^\]]*)\]) = \(\(\1\) ")
+    # every store is one assignment, target = expr: copies of an update
+    # that are not rolled back (their step is one copy's) read d[i + k] in
+    # the expression that d[i + k] is assigned; saxpy's loop is one slice
+    # assignment, which reads its target through the one slice it stores,
+    # at an offset bound once in the loop's header
     copies = [f"""\
       %o{k} = arith.constant {k} : index
       %i{k} = arith.addi %arg2, %o{k} : index
@@ -1498,9 +1519,7 @@ COPIES
     return""".replace("COPIES", "\n".join(copies)),
         "%arg0: memref<20xf64>, %arg1: memref<20xf64>")
     source = _source(module)
-    assert len(re.findall(r"^ +d\d+\[i\d+ \+ [123]\] \+= ", source, re.M)) == 3
-    (plain,) = long_form.finditer(source)
-    assert plain[2].isidentifier()
+    assert re.findall(r"^ +d\d+\[[^\]]*\] (\S*)= ", source, re.M) == [""] * 4
     _agree(module, [_ramp(n=20), _ramp(n=20, scale=0.5)])
     ((saxpy,),) = _slice_forms(_source(_canonical(os.path.join(INPUTS, "saxpy.sir"))))
     target = re.match(r"(d\d+\[(h\d+):\2 \+ 256\]) = ", saxpy)
@@ -1720,7 +1739,7 @@ def test_conv2d_filter_loops_are_written_per_trip(pipeline):
     output_loop = re.search(r"^( *)for \w+ in range\(62\):$", source, re.M)
     assert set(reads) == {output_loop[1]}
     assert source.rindex(f"= {kernel}[") < output_loop.start()
-    assert len(re.findall(r"^ +e\d+ \+= ", source, re.M)) == 9
+    assert len(re.findall(r"^ +(e\d+) = \(\(\1\) \+ ", source, re.M)) == 9
     assert _for_ranges(_source(module, recorder=object())) == loops + ["range(3)"] * 2
 
 
@@ -2013,12 +2032,13 @@ def test_unroll_ops_pin_what_jams(products, jams):
 
 def test_nest_with_a_loop_of_no_trips_writes_nothing():
     # the copies of the loop over k hold no copy of the loop over i: the
-    # loop over k is left with a body that does nothing
+    # loop over k is left with a body that writes nothing, so it is not
+    # written either
     module = _jam_nest(changes=[
         ("scf.for %arg5", "scf.for %arg6 = %0 to %0 step %1 {\n      scf.for %arg5"),
         ("    }\n    return", "    }\n    }\n    return")])
     assert not any(into for _, into in _jam_verdicts(module))
-    assert _for_ranges(_source(module)) == ["range(3)"] and not _slice_forms(_source(module))
+    assert _for_ranges(_source(module)) == [] and not _slice_forms(_source(module))
     _agree_in_every_mode(module, "f", _jam_args())
 
 
