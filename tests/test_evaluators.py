@@ -226,9 +226,9 @@ def test_no_pass_before_another_statement():
                       re.M)
 
     def fault(source):
+        checked = re.findall(r"^ *(r\d+) = .* else bad_step\(", source, re.M)
         return pass_then_more.search(source) or any(
-            not re.search(rf"^ *{re.escape(m[2] or 'nt')} = .* else bad_step\(",
-                          source, re.M) for m in idle.finditer(source))
+            m[2] not in checked for m in idle.finditer(source))
 
     found = []
     for seed in IRGEN_SEEDS:
