@@ -830,8 +830,8 @@ class _FuncGen:
         computing it there is unobservable. So is a load's read when no op
         before that point writes memory; its bounds check stays where the
         load is. For the same reason a pure op whose result nothing reads
-        but dead ops is dead: it writes no statement. So is
-        every op of a loop with a literal dimension of no trips.
+        but dead ops is dead: it writes no statement. So is every op of
+        a loop with a literal dimension of no trips, which stores nothing.
 
         Unless a recorder is told of every load, it also finds the loads
         with the buffer and index values of an earlier load in the same
@@ -860,6 +860,9 @@ class _FuncGen:
                 for arm in op.regions[1:]:      # an else-arm
                     for buf, stored in self.scan(arm).items():
                         _note(inner, buf, stored)
+                if name in _LOOPS and 0 in (b[3] for b in static_bounds(op) or ()):
+                    self.dead.update(op.walk_nested())  # it never runs
+                    inner.clear()
                 for buf, stored in inner.items():
                     _note(stores, buf, stored)
             elif name == "memref.load":
@@ -899,9 +902,6 @@ class _FuncGen:
             writes += name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
-            if op.name in _LOOPS and 0 in (b[3] for b in static_bounds(op) or ()):
-                self.dead.update(op.walk_nested())  # it never runs
-                continue
             if op.name in _PURE and all(u in self.dead
                                         for u, _ in op.results[0].uses):
                 self.dead.add(op)

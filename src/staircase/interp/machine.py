@@ -93,8 +93,8 @@ def run(module: Operation, func_name: str, args, mode="sequential",
         workers: int = 1):
     """Execute @func_name over args; returns (results, ExecStats).
 
-    Verifies the module first. What `run_pipeline` returns is verified
-    already, so it may go to `call(compile_module(m), ...)` as it is."""
+    Verifies the module first. A module `run_pipeline` has rewritten is
+    verified already, so it may go to `call(compile_module(m), ...)`."""
     mode, workers = normalize_mode(mode, workers)
     verify_or_raise(module)
     return call(compile_module(module), func_name, args, mode, workers)

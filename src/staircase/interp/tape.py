@@ -3,8 +3,8 @@
 ``compile_module`` generates and compiles one Python function per
 func.func and gpu.func kernel (see ``codegen``); the ``Program`` it returns
 holds them by symbol. A function called with one Buffer as two of its
-arguments may generate its alias-safe variant from the module then, so
-call a Program's functions before their module changes. Constants hold
+arguments generates its alias-safe variant from its module's ops then,
+so compile a module after the last pipeline that rewrites it. Constants hold
 what ``buffer.constant_value`` reads, as the passes read them.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ def module_functions(module: Operation):
 def compile_module(module: Operation) -> Program:
     """Generate and compile Python source for every function of the module.
 
-    Call the Program's functions before the module changes.
+    Compile after the last pipeline that rewrites the module in place.
     """
     from staircase.interp.codegen import lower_module  # imports this module
 

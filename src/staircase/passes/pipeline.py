@@ -16,7 +16,6 @@ from staircase.errors import ParseError, PassFailure, StaircaseError, UnknownPas
 from staircase.ir.core import (
     Operation,
     SymbolTable,
-    clone_module,
     count_ops,
     top_module,
 )
@@ -271,23 +270,17 @@ def _run_scope(op: Operation, scope: PassScope, stats: list[PassStats]) -> None:
 
 
 def run_pipeline(module: Operation, pipeline) -> tuple[Operation, list[PassStats]]:
-    """Apply `pipeline` (a Pipeline or its textual form) to a clone of
-    `module` and return (rewritten module, stats per pass application).
+    """Run `pipeline` (a Pipeline or its textual form) on `module` in
+    place, as MLIR's PassManager does; return (module, stats per pass).
 
-    The input module is never mutated. The input is verified, and the
-    clone after every pass; any pass error or verification break raises
-    PassFailure and discards the clone, so callers always hold a verified
-    module, which they may compile and call without verifying it again.
+    The module is verified first and after every pass, so callers may
+    compile and call it without verifying it again. A pass error or
+    verification break raises PassFailure and leaves the module as the
+    failing pass left it: a caller that needs the original clones it first.
     """
     if isinstance(pipeline, str):
         pipeline = pipeline_parse(pipeline)
     verify_or_raise(module)
-    work = clone_module(module)
     stats: list[PassStats] = []
-    try:
-        _run_scope(work, pipeline.root, stats)
-    except BaseException:
-        if work in module.ctx.modules:
-            module.ctx.modules.remove(work)
-        raise
-    return work, stats
+    _run_scope(module, pipeline.root, stats)
+    return module, stats

@@ -12,8 +12,9 @@ uniformly and independently.  ``one_plus_one_es`` keeps a parent point
 and mutates each coordinate with probability one half, moving only on
 strict improvement.  Both are pure functions of the seed.
 
-A trial verifies as ``run_pipeline`` takes the kernel and after each
-pass, then compiles and calls the verified result as it is.
+A trial runs the pipeline on a clone of the kernel, which ``run_pipeline``
+verifies first and after each pass, then compiles and calls the clone as
+it is; the kernel itself is never rewritten.
 """
 import math
 import random
@@ -29,7 +30,7 @@ from staircase.interp import Buffer, cost as model_cost
 from staircase.interp.buffer import copy_buffers
 from staircase.interp.machine import call
 from staircase.interp.tape import compile_module
-from staircase.ir.core import Operation, SymbolTable
+from staircase.ir.core import Operation, SymbolTable, clone_module
 from staircase.ir.verify import verify_or_raise
 from staircase.passes import run_pipeline
 from staircase.tuner.space import ParamSpace, Trial
@@ -168,17 +169,16 @@ class _Session:
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}
         spec = self.template(params["tiles"], params["unroll"])
+        work = clone_module(self.module)
         try:
-            work, _ = run_pipeline(self.module, spec)
+            run_pipeline(work, spec)
+            program = compile_module(work)
         except (PassFailure, VerificationFailed):
             return Trial(idx, params, None, "skipped", self.seed)
-        try:
-            args = copy_buffers(self.inputs)
-            results, stats = call(compile_module(work), self.func, args,
-                                  "sequential", 1)
         finally:
-            if work in self.module.ctx.modules:
-                self.module.ctx.modules.remove(work)
+            self.module.ctx.modules.remove(work)
+        args = copy_buffers(self.inputs)
+        results, stats = call(program, self.func, args, "sequential", 1)
         if not _state_matches(results, args, self.want_results, self.want_args):
             raise StaircaseError(
                 f"pipeline {spec!r} changed the results of @{self.func}; "

@@ -24,6 +24,7 @@ from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.interp.tape import compile_module
+from staircase.ir.core import clone_module
 from staircase.passes import run_pipeline
 from staircase.textio import print_module
 
@@ -71,7 +72,7 @@ def main() -> None:
         for op in chain((module,), module.walk_nested()):
             print(op.name, where(op))
         for pipeline in (CANON, UNROLL):
-            work, _ = run_pipeline(module, pipeline)
+            work, _ = run_pipeline(clone_module(module), pipeline)
             args = inputs(compile_module(work)[name].param_types)
             results, stats = run(work, name, args, "gpu_emulated")
             if pipeline == UNROLL:

@@ -39,7 +39,7 @@ from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module, module_functions
-from staircase.ir.core import create_context
+from staircase.ir.core import clone_module, create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
 from staircase.tuner import default_pipeline
@@ -208,7 +208,7 @@ def test_recorder_calls_stay_out_of_run(path):
         parsed = parse_module(fh.read(), create_context())
     recorder_call = re.compile(r"\bR\.\w+\(")
     for pipeline in (CANON, GPU):
-        module, _ = run_pipeline(parsed, pipeline)
+        module, _ = run_pipeline(clone_module(parsed), pipeline)
         assert not recorder_call.search(_source(module))
         assert recorder_call.search(_source(module, recorder=object()))
 
@@ -235,7 +235,8 @@ def test_no_pass_before_another_statement():
         module = random_module(seed)
         for pipeline in ("",) + PIPELINES:
             try:
-                work = run_pipeline(module, pipeline)[0] if pipeline else module
+                work = (run_pipeline(clone_module(module), pipeline)[0]
+                        if pipeline else module)
             except PassFailure:
                 continue
             for recorder in (None, object()):
@@ -256,7 +257,7 @@ def test_captured_kernels_agree(name):
             assert print_module(staged.module) == fh.read()
     cases = []
     for pipeline in (CANON, GPU):
-        module, _ = run_pipeline(staged.module, pipeline)
+        module, _ = run_pipeline(clone_module(staged.module), pipeline)
         cases.append((module, name,
                       random_inputs(_param_types(module, name), 3)))
     for want, problem in _agree_in_modes(*cases):
@@ -764,7 +765,7 @@ def test_innermost_addresses_multiply_nothing(name):
     # runs it over slices, matmul's 8 trips stay a loop
     import kernels
 
-    module, _ = run_pipeline(getattr(kernels, name).module, CANON)
+    module, _ = run_pipeline(clone_module(getattr(kernels, name).module), CANON)
     source = _source(module)
     forms = _slice_forms(source)
     assert bool(forms) == (name == "conv_rows")
@@ -812,6 +813,29 @@ def test_readers_that_write_nothing_bind_no_local():
     gpu = _source(run_pipeline(index_module(0), GPU)[0])
     assert not re.search(r"^ +\w+ = i\d+ - 3$", gpu, re.M)
     assert _irgen_runs([44])[0] == _irgen_runs([0], index_module)[0] == []
+
+
+def _unchanged_write_backs(source):
+    """Elements kept in a local around a loop, read before it and written
+    back after it, that no statement of the loop changes."""
+    found = []
+    for unit in re.split(r"^(?=def )", source, flags=re.M):
+        for local, element in re.findall(r"^ *(e\d+) = (\w+\[.+\])$", unit,
+                                         re.M):
+            if len(re.findall(rf"^ *{local} = ", unit, re.M)) == 1 and re.search(
+                    rf"^ *{re.escape(element)} = {local}$", unit, re.M):
+                found.append(element)
+    return found
+
+
+def test_stores_in_a_loop_of_no_trips_keep_no_element():
+    # gen53's 8-trip loop stores only inside a loop of 6 to 6, which writes
+    # nothing: d2[2] is neither read before the loop nor written back after
+    found = [(seed, element) for seed in IRGEN_SEEDS
+             for module in (random_module(seed),
+                            run_pipeline(random_module(seed), GPU)[0])
+             for element in _unchanged_write_backs(_source(module))]
+    assert found == []
 
 
 def _unread(source):
@@ -1065,7 +1089,7 @@ def _function_corpus(name):
 
         staged = [v.module for v in vars(kernels).values()
                   if isinstance(v, StagedFunction)]
-        return staged + [run_pipeline(module, pipeline)[0]
+        return staged + [run_pipeline(clone_module(module), pipeline)[0]
                          for module in staged for pipeline in (CANON, GPU)]
     with open(os.path.join(INPUTS, "conv_rows.sir"), encoding="utf-8") as fh:
         text = fh.read()
@@ -1434,7 +1458,7 @@ def test_recorder_sees_every_load_and_store(path):
     with open(path, encoding="utf-8") as fh:
         parsed = parse_module(fh.read(), create_context())
     for pipeline in (CANON, GPU):
-        module, _ = run_pipeline(parsed, pipeline)
+        module, _ = run_pipeline(clone_module(parsed), pipeline)
         ops = _written_names(module)
         source = _source(module, recorder=object())
         assert source.count("R.on_read(") == ops.count("memref.load")

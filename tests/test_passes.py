@@ -7,7 +7,8 @@ return the same results as the module it was given. Seeds whose
 untransformed run raises, and pipelines that refuse a module with
 PassFailure, are left out and counted. Every rewritten block's order
 numbers must agree with the positions of its ops, and every rewritten
-module must print, parse and print to the same text. Seeded random
+module must print, parse and print to the same text. A pipeline rewrites
+the module it is given, so each check runs on a clone. Seeded random
 compositions of two to five passes are checked the same way. Four pass
 outputs are pinned as goldens, and the passes' source is checked to
 build only through the dialect builders.
@@ -27,6 +28,7 @@ from staircase.errors import InvalidBound, PassFailure, StaircaseError
 from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.ir.core import (
+    clone_module,
     create_context,
     create_module,
     create_op,
@@ -34,7 +36,7 @@ from staircase.ir.core import (
     move_op,
     value_dominates_op,
 )
-from staircase.passes import PASSES, run_pipeline
+from staircase.passes import PASSES, PassOutcome, run_pipeline
 from staircase.textio import parse_module, print_module
 from staircase.tuner import default_pipeline
 
@@ -119,7 +121,7 @@ def _check(module, func, seed, pipelines=PIPELINES):
     mismatches, refused = [], 0
     for pipeline in pipelines:
         try:
-            rewritten, _ = run_pipeline(module, pipeline)
+            rewritten, _ = run_pipeline(clone_module(module), pipeline)
         except PassFailure:
             refused += 1
             continue
@@ -226,7 +228,8 @@ def test_canonicalize_folds_f32_constants_as_a_run_reads_them():
     %2 = arith.addf %0, %1 : f32
     %3 = arith.constant 0 : index
     memref.store %2, %arg0[%3] : memref<1xf32>""", "memref<1xf32>")
-    folded, _ = run_pipeline(module, "builtin.module(func.func(canonicalize))")
+    folded, _ = run_pipeline(clone_module(module),
+                             "builtin.module(func.func(canonicalize))")
     assert "arith.addf" not in print_module(folded)
     want = _outcome(module, "f", [Buffer((1,), "f32")])
     assert want == ((), [[-0.1456160545349121]])
@@ -259,7 +262,7 @@ def test_canonicalize_merges_constants_a_run_reads_alike(first, second,
     memref.store %3, %arg0[%1] : memref<2xf32>"""
     module = _parse(body, "memref<2xf32>")
     merged_module, stats = run_pipeline(
-        module, "builtin.module(func.func(canonicalize))")
+        clone_module(module), "builtin.module(func.func(canonicalize))")
     assert stats[0].rewrites == int(merged)
     text = print_module(merged_module)
     assert (f"arith.constant {second}" not in text) == merged
@@ -282,7 +285,8 @@ def test_tiling_reads_bounds_as_a_run_does():
       memref.store %5, %arg0[%arg1] : memref<8xf64>
     }""", "memref<8xf64>")
     tiled, stats = run_pipeline(
-        module, "builtin.module(func.func(scf-parallel-loop-tiling{sizes=[5]}))")
+        clone_module(module),
+        "builtin.module(func.func(scf-parallel-loop-tiling{sizes=[5]}))")
     ones = Buffer((8,), "f64", [1.0] * 8)
     want = _outcome(module, "f", [ones])
     assert want == ((), [[2.0] * 4 + [1.0] * 4])
@@ -308,11 +312,59 @@ def test_outlining_refuses_a_step_a_run_refuses(step):
         run_pipeline(module, PIPELINES[6])
 
 
+def test_a_pipeline_rewrites_the_module_it_is_given():
+    module = _parse("""\
+    %0 = arith.constant 1.5 : f64
+    %1 = arith.constant 1.5 : f64
+    %2 = arith.addf %0, %1 : f64
+    %3 = arith.constant 0 : index
+    memref.store %2, %arg0[%3] : memref<1xf64>""", "memref<1xf64>")
+    modules = list(module.ctx.modules)
+    rewritten, stats = run_pipeline(module, PIPELINES[0])
+    assert rewritten is module
+    assert module.ctx.modules == modules   # no clone made
+    assert stats[0].rewrites > 0
+    assert "arith.addf" not in print_module(module)
+
+
+def _drop_return(root, **_):
+    erase_op(root.body().ops[-1])
+    return PassOutcome(rewrites=1)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("builtin.module(func.func(scf-parallel-loop-tiling{sizes=[2,2,2]}))",
+     "scf-parallel-loop-tiling on func.func @conv_rows: 3 tile sizes for a "
+     "2-dimensional parallel loop"),
+    ("builtin.module(func.func(scf-parallel-loop-tiling{sizes=[3,2]},"
+     "lower-affine,loop-unroll{factor=0}))",
+     "loop-unroll on func.func @conv_rows: unroll factor must be an integer "
+     ">= 1, got 0"),
+    ("builtin.module(func.func(loop-unroll{nope=1}))",
+     "loop-unroll: loop_unroll() got an unexpected keyword argument 'nope'"),
+    ("builtin.module(func.func(canonicalize,drop-return))",
+     "drop-return on func.func @conv_rows broke verification: error: "
+     "'func.func' at <input>:2: region must end with func.return"),
+], ids=["refused", "refused-after-a-rewrite", "bad-parameter", "unverified"])
+def test_a_failing_pipeline_names_its_pass_and_anchor(monkeypatch, spec,
+                                                      message):
+    # the module is left as the failing pass left it, and no clone is left
+    # behind in its context
+    monkeypatch.setitem(PASSES, "drop-return", _drop_return)
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "inputs", "conv_rows.sir"), encoding="utf-8") as fh:
+        module = parse_module(fh.read(), create_context())
+    with pytest.raises(PassFailure) as info:
+        run_pipeline(module, spec)
+    assert str(info.value) == message
+    assert module.ctx.modules == [module]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINES))
 def test_pass_outputs_print_byte_for_byte(name):
     import kernels
 
-    module, _ = run_pipeline(getattr(kernels, name).module,
+    module, _ = run_pipeline(clone_module(getattr(kernels, name).module),
                              GOLDEN_PIPELINES[name])
     assert print_module(module) == golden_text(os.path.join("passes",
                                                             f"{name}.sir"))

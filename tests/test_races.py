@@ -9,7 +9,7 @@ from unittest import mock
 import definterp
 from irgen import index_module, random_inputs
 from staircase.interp import Buffer, check_races, races
-from staircase.ir.core import create_context
+from staircase.ir.core import clone_module, create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module
 
@@ -203,7 +203,7 @@ def test_index_corpus_matches_the_definitional_interpreter():
     for seed in range(60):
         built = index_module(seed)
         params = [a.type for a in built.body().ops[0].body().args]
-        for module in (built, run_pipeline(built, GPU)[0]):
+        for module in (built, run_pipeline(clone_module(built), GPU)[0]):
             args = random_inputs(params, seed)
             want = _conflicts(_reference_races, module, f"idx{seed}", args)
             got = _conflicts(check_races, module, f"idx{seed}", args)

@@ -11,8 +11,9 @@ from staircase.interp import Buffer
 from staircase.ir import verify
 from staircase.ir.core import create_context, int_attr
 from staircase.passes import PASSES, PassOutcome
-from staircase.textio import parse_module
-from staircase.tuner import ParamSpace, evaluate, load, persist, search
+from staircase.textio import parse_module, print_module
+from staircase.tuner import (ParamSpace, default_pipeline, evaluate, load,
+                              persist, search)
 from staircase.tuner.search import _buffers_close, _Session
 
 CONV_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -117,6 +118,20 @@ def _shorten_inner_loop(root, **_):
         if op.name == "arith.constant" and value == int_attr(62):
             op.attributes["value"] = int_attr(61)
     return PassOutcome(rewrites=1)
+
+
+def test_a_search_leaves_its_kernel_as_it_was():
+    # trials at factor 31 tile their clone, then refuse to unroll it
+    def refuse_factor_31(tiles, unroll):
+        return default_pipeline(tiles, 0 if unroll == 31 else unroll)
+
+    module = _conv_rows()
+    text, modules = print_module(module), len(module.ctx.modules)
+    _, log = search(module, refuse_factor_31, SPACE, budget=8, seed=1)
+    assert {t.status for t in log} == {"evaluated", "skipped"}
+    assert any(t.params["unroll"] == 2 and t.status == "evaluated" for t in log)
+    assert print_module(module) == text
+    assert len(module.ctx.modules) == modules
 
 
 def test_a_search_whose_every_trial_is_skipped_raises():
