@@ -348,8 +348,7 @@ def _drop_return(root, **_):
 ], ids=["refused", "refused-after-a-rewrite", "bad-parameter", "unverified"])
 def test_a_failing_pipeline_names_its_pass_and_anchor(monkeypatch, spec,
                                                       message):
-    # the module is left as the failing pass left it, and no clone is left
-    # behind in its context
+    # a failing pass leaves no clone behind in the module's context
     monkeypatch.setitem(PASSES, "drop-return", _drop_return)
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                            "inputs", "conv_rows.sir"), encoding="utf-8") as fh:
