@@ -1,9 +1,10 @@
 """The built-in dialects: every op's definition, written once.
 
 Each OpSchema holds what the rest of the system reads about its op, as
-an ODS record does in MLIR: its regions and terminator, a creation-time
-check (operands, attributes, results), an optional structure check that
-runs during verification once regions are populated, its syntax in the
+an ODS record does in MLIR: its regions and terminator, a check of its
+operands, attributes and results (run by create_op for builders and by
+verify for all IR), an optional structure check that runs during
+verification once regions are populated, its syntax in the
 text format (``form``), the rule that types its results (``result``),
 whether canonicalize may erase it unused (``pure``) and the ExecStats
 slot each execution counts in (``slot``). The dialects are built once,

@@ -243,7 +243,7 @@ class Operation:
     ):
         self.ctx = ctx
         self.name = name
-        self._operands: list[Value] = []
+        self._operands: list[Value] = list(operands)
         self.attributes: dict[str, Attribute] = dict(attributes)
         self.location = location
         self.parent: Block | None = None
@@ -254,8 +254,8 @@ class Operation:
             Value(ctx.new_value_id(), t, self, i) for i, t in enumerate(result_types)
         ]
         self.regions = [Block(self) for _ in range(region_count)]
-        for v in operands:
-            self._append_operand(v)
+        for i, v in enumerate(self._operands):
+            v.uses[self, i] = None
 
     # -- operand bookkeeping; all mutation goes through these so use lists
     #    stay consistent
@@ -263,12 +263,6 @@ class Operation:
     @property
     def operands(self) -> tuple:
         return tuple(self._operands)
-
-    def _append_operand(self, v: Value) -> None:
-        if not isinstance(v, Value):
-            raise TypeMismatch(f"operand of {self.name} is not a Value: {v!r}")
-        self._operands.append(v)
-        v.uses[self, len(self._operands) - 1] = None
 
     def set_operand(self, i: int, v: Value) -> None:
         old = self._operands[i]
@@ -430,12 +424,13 @@ class Block:
 class OpSchema:
     """One operation kind, defined once, as an ODS record defines an op in MLIR.
 
-    check_creation validates operands/attributes/result types at creation
-    time and returns a list of problem strings. check_structure runs at
-    verification time with regions fully populated. form is the op's
-    syntax (a textio.forms.Form; None is the generic form). result types
-    the results from the operands when create_op is given none, as
-    InferTypeOpInterface does, and gives [] for operands it cannot type.
+    check_creation judges operands/attributes/result types and returns a
+    list of problem strings; create_op runs it for builders, and verify
+    for all IR. check_structure runs at verification time with regions
+    fully populated. form is the op's syntax (a textio.forms.Form; None
+    is the generic form). result types the results from the operands
+    when create_op or the text gives none, as InferTypeOpInterface does,
+    and gives [] for operands it cannot type.
     pure lets canonicalize erase the op when no result is used. slot is
     the ExecStats slot a run of the op counts in ("" for none); None marks
     an op the interpreter does not run.
@@ -575,11 +570,15 @@ def create_op(
     region_count: int = 0,
     location: Location | None = None,
 ) -> Operation:
-    """Create an operation and insert it at `insert_index` in `block`.
+    """Create an operation and insert it at `insert_index` in `block`:
+    the checked builder, so a builder's mistake fails where it is made.
 
     Without result_types, the schema's result rule gives them from the
-    operands. The schema's creation checks run after construction; on
-    failure the half-built op is detached so the IR is unchanged.
+    operands. Each operand must be a Value that dominates the insertion
+    point, and the schema's creation checks run after construction; on
+    failure the half-built op is detached so the IR is unchanged. The
+    parser and clone_op build with Operation and Block.insert instead,
+    and verify judges what they build.
     """
     ctx = block.ctx
     schema = ctx.registry.ops.get(name)
@@ -743,19 +742,15 @@ def clone_op(
 
     `value_map` maps old values to replacements; operands not in the map
     are used as-is (values defined outside the cloned subtree). The map is
-    extended with the clone's results and block args.
+    extended with the clone's results and block args. The copy is built
+    unchecked, so verify it before use: an operand that does not dominate
+    `index` is caught there, not here.
     """
     vmap = value_map if value_map is not None else {}
-    new = create_op(
-        block,
-        index,
-        op.name,
-        [vmap.get(v, v) for v in op._operands],
-        dict(op.attributes),
-        [r.type for r in op.results],
-        len(op.regions),
-        op.location,
-    )
+    new = Operation(block.ctx, op.name, [vmap.get(v, v) for v in op._operands],
+                    op.attributes, [r.type for r in op.results], len(op.regions),
+                    op.location)
+    block.insert(index, new)
     for old_r, new_r in zip(op.results, new.results):
         vmap[old_r] = new_r
     for old_block, new_block in zip(op.regions, new.regions):
@@ -767,7 +762,8 @@ def clone_op(
 
 
 def clone_module(module: Operation) -> Operation:
-    """Deep-copy a top-level module within its context."""
+    """Deep-copy a top-level module within its context, unchecked as
+    clone_op builds."""
     clone = create_module(module.ctx, module.location)
     clone.attributes = dict(module.attributes)
     vmap: dict = {}

@@ -9,8 +9,8 @@ is on its OpSchema (``dialects/schemas.py`` holds the built-in ones); an
 op whose schema has none takes GENERIC, ``name(operands) {attrs} :
 (types) -> (types)`` and an optional region. Operand directives take
 operands in order, so they all come before the op's regions. No
-directive reads a result type the text leaves out: create_op gives it
-from the schema's result rule.
+directive reads a result type the text leaves out: parser.Reader.create
+gives it from the schema's result rule.
 
 Each directive's ``line`` gives its part of a regionless op written on
 one line: a regex fragment, a ``take`` that reads the fragment's groups

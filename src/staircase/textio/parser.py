@@ -10,13 +10,14 @@ generates (Form.line), without lexing the line. The token reader
 the reader's offset; it reads every other op and each line the line
 reader declines, and it alone raises ParseErrors, so their positions do
 not depend on the reader. As when the whole text was lexed first, an
-unexpected character anywhere is the error reported. A result type the
-text leaves out comes from the schema's result rule, in create_op. The
-parser is syntax-only: it reconstructs the always-elided scf.yield
-terminators of loop and branch bodies but will happily return a
-function with no return; verify() owns semantic judgments. A 1-based
-line:column is worked out from the offsets of the newlines, once per op
-for its Location and when an error is raised.
+unexpected character anywhere is the error reported. Both readers build
+each op in Reader.create, which gives a result type the text leaves out
+from the schema's result rule. The parser is syntax-only: it builds
+each op unchecked, reconstructs the always-elided scf.yield terminators
+of loop and branch bodies and will happily return a function with no
+return or a value used out of its scope; verify() owns semantic
+judgments. A 1-based line:column is worked out from the offsets of the
+newlines, once per op for its Location and when an error is raised.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from staircase.ir.core import (
     Value,
     array_attr,
     create_module,
-    create_op,
     dict_attr,
     float_attr,
     int_attr,
@@ -285,7 +285,8 @@ class Reader:
     def line(self, block: Block) -> bool:
         """The next op, appended to block, if its form's regex reads its
         line and the token reader would build the same op from it; False,
-        having read nothing, if not."""
+        having read nothing, if not. Names that do not fit the op built
+        leave it in block for the token reader to fail on."""
         head = _HEAD_RE.match(self.text, self.at)
         registry = self.ctx.registry
         schema = head and (registry.ops.get(head[2]) or registry.mnemonics.get(head[2]))
@@ -301,15 +302,12 @@ class Reader:
                 take(self, p, got)
         except Decline:
             return False
-        if p.result_types is None:
-            p.result_types = schema.result(p.operands) if schema.result else []
+        self.create(p, 0)
         names = head[1].split(", ") if head[1] else ()
-        if len(names) != len(p.result_types) or len(set(names)) < len(names) \
+        if len(names) != len(p.op.results) or len(set(names)) < len(names) \
                 or not self.values.keys().isdisjoint(names):
-            return False
-        op = create_op(block, len(block.ops), schema.name, p.operands, p.attrs,
-                       p.result_types, 0, p.loc)
-        self.values.update(zip(names, op.results))
+            return False  # the token reader raises for these names
+        self.values.update(zip(names, p.op.results))
         self.at, self.tok = m.end(), None
         return True
 
@@ -346,15 +344,17 @@ class Reader:
         return op
 
     def create(self, p: _Pending, region_count: int) -> None:
-        """Build the op from what its form has read so far."""
+        """Build the op from what its form has read so far, at the end of
+        its block, unchecked."""
         if p.block is None:
             op = create_module(self.ctx, location=p.loc)
             op.attributes.update(p.attrs)
         else:
-            op = create_op(p.block, len(p.block.ops), p.schema.name,
-                           operands=p.operands, attributes=p.attrs,
-                           result_types=p.result_types,
-                           region_count=region_count, location=p.loc)
+            if p.result_types is None:
+                p.result_types = p.schema.result(p.operands) if p.schema.result else []
+            op = Operation(self.ctx, p.schema.name, p.operands, p.attrs,
+                           p.result_types, region_count, p.loc)
+            p.block.insert(len(p.block.ops), op)
         for tok, ty in p.args:
             self.define(tok, op.body().add_arg(ty))
         p.op = op
@@ -370,7 +370,7 @@ class Reader:
                 self.op(block)
         self.expect("}")
         if elide_yield and not (block.ops and block.ops[-1].name == "scf.yield"):
-            create_op(block, len(block.ops), "scf.yield")
+            self.create(_Pending(self.ctx.registry.ops["scf.yield"], block, None), 0)
 
 
 def parse_module(text: str, ctx: Context) -> Operation:

@@ -152,6 +152,15 @@ class TestSSA:
             create_op(body, 0, "arith.addf", operands=[a, a],
                       result_types=[F64])
 
+    def test_non_value_operand_rejected_at_creation(self, ctx):
+        _, _, body = _func(ctx)
+        a = build_constant(body, 1.0)
+        ops = list(body.ops)
+        with pytest.raises(TypeMismatch) as info:
+            create_op(body, 1, "arith.addf", operands=[a, 2.0], result_types=[F64])
+        assert str(info.value) == "operand of arith.addf is not a Value: 2.0"
+        assert body.ops == ops and not a.uses
+
     def test_value_from_closed_region_rejected(self, ctx):
         _, _, body = _func(ctx)
         lb = build_index_constant(body, 0)

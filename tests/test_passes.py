@@ -29,6 +29,7 @@ from staircase.interp import Buffer
 from staircase.interp.machine import run
 from staircase.ir.core import (
     clone_module,
+    clone_op,
     create_context,
     create_module,
     create_op,
@@ -357,6 +358,28 @@ def test_a_failing_pipeline_names_its_pass_and_anchor(monkeypatch, spec,
         run_pipeline(module, spec)
     assert str(info.value) == message
     assert module.ctx.modules == [module]
+
+
+def test_a_clone_above_its_operand_breaks_verification(monkeypatch):
+    # clone_op builds unchecked, so the check after the pass catches it
+    def clone_early(root, **_):
+        body = root.body()
+        clone_op(body.ops[1], body, 0)   # the addf, above the constant it reads
+        return PassOutcome(rewrites=1)
+
+    monkeypatch.setitem(PASSES, "clone-early", clone_early)
+    module = _parse("""\
+    %0 = arith.constant 1.5 : f64
+    %1 = arith.addf %0, %0 : f64
+    %2 = arith.constant 0 : index
+    memref.store %1, %arg0[%2] : memref<1xf64>""", "memref<1xf64>")
+    with pytest.raises(PassFailure) as info:
+        run_pipeline(module, "builtin.module(func.func(clone-early))")
+    where = "error: 'arith.addf' at <input>:4"
+    assert str(info.value) == (
+        "clone-early on func.func @f broke verification: "
+        f"{where}: operand 0 is not visible at this point; "
+        f"{where}: operand 1 is not visible at this point")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PIPELINES))

@@ -1,6 +1,8 @@
 """The text format: print -> parse -> print is a fixed point, the goldens
 print byte for byte, malformed input fails with its class and position,
-and the line reader builds what the token reader builds."""
+well-formed input that breaks an op's rules parses and is refused by
+verify at the op's line, and the line reader builds what the token
+reader builds."""
 import glob
 import os
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, context_with_test_ops, golden_text
 from irgen import literal_module, random_module
+from staircase import cli
 from staircase.dialects.builders import build_func, build_scf_for
 from staircase.errors import ParseError, TypeMismatch, UnknownOperation
 from staircase.ir.core import (
@@ -24,6 +27,7 @@ from staircase.ir.core import (
     register_dialect,
     str_attr,
 )
+from staircase.ir.verify import verify
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, parser, print_module
 from staircase.textio.forms import Form, attr, attrs, default, operands, optional
@@ -150,9 +154,71 @@ def test_parse_errors_keep_class_and_position(text, line, column, message):
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
 def test_non_finite_constants_are_refused(literal):
     # they would print as inf, which reads back as no attribute value
-    with pytest.raises(TypeMismatch, match="arith.constant: float value must be finite"):
-        parse_module(_func(f"    %0 = arith.constant {literal} : f64"),
-                     context_with_test_ops())
+    module = parse_module(_func(f"    %0 = arith.constant {literal} : f64"),
+                          context_with_test_ops())
+    assert [str(d) for d in verify(module)] == [
+        "error: 'arith.constant' at <input>:3: float value must be finite"]
+
+
+def _scoped(body):
+    return ("module {\n  func.func @f(%arg0: f64, %arg1: i64, %arg2: memref<4xf64>, "
+            f"%arg3: index) {{\n{body}\n    return\n  }}\n}}\n")
+
+
+# Texts that parse, since the parser builds unchecked, and that verify,
+# opt and run refuse at the op's line: each breaks its op's schema check
+# or, in the last two, dominance.
+@pytest.mark.parametrize("body, name, line, message", [
+    ("    scf.for %arg4 = %arg0 to %arg3 step %arg3 {\n    }", "scf.for", 3,
+     "lower bound must be index, got f64"),
+    ("    scf.if %arg1 {\n    }", "scf.if", 3, "condition must be a single i1 value"),
+    ("    scf.parallel (%arg4) = (%arg0) to (%arg3) step (%arg3) {\n    }",
+     "scf.parallel", 3, "bounds and steps must be index, got f64"),
+    ("    affine.for %arg4 = 0 to 4 step 0 {\n    }", "affine.for", 3,
+     "step must be >= 1"),
+    ("    affine.for %arg4 = 4 to 0 {\n    }", "affine.for", 3,
+     "upper bound must be >= lower bound"),
+    ("    %0 = memref.load %arg2[%arg3, %arg3] : memref<4xf64>", "memref.load", 3,
+     "expects 1 indices for memref<4xf64>, got 2"),
+    ("    %0 = memref.load %arg2[%arg0] : memref<4xf64>", "memref.load", 3,
+     "indices must be index-typed"),
+    ("    memref.store %arg1, %arg2[%arg3] : memref<4xf64>", "memref.store", 3,
+     "stored value is i64, buffer elements are f64"),
+    ("    %0 = arith.index_cast %arg0 : f64 to i64", "arith.index_cast", 3,
+     "casts between index and i32/i64 only, got f64 to i64"),
+    ("    %0 = arith.cmpf olt, %arg1, %arg1 : i64", "arith.cmpf", 3,
+     "expects two identical float operands, got i64, i64"),
+    ("    %0 = arith.cmpf lt, %arg0, %arg0 : f64", "arith.cmpf", 3,
+     "requires a 'predicate' attribute in ('oeq', 'one', 'olt', 'ole', 'ogt', 'oge')"),
+    ("    %0 = arith.constant 1e999 : f64", "arith.constant", 3,
+     "float value must be finite"),
+    ("    %0 = arith.constant 2 : i1", "arith.constant", 3,
+     "i1 constant must be 0 or 1"),
+    ("    %0 = arith.constant 1.0 : i64", "arith.constant", 3,
+     "integer result i64 requires an integer value"),
+    ("    scf.for %arg4 = %arg3 to %arg3 step %arg3 {\n"
+     "      %0 = arith.addf %arg0, %arg0 : f64\n    }\n"
+     "    %1 = arith.addf %0, %0 : f64", "arith.addf", 6,
+     "operand 0 is not visible at this point"),
+    ("    scf.for %arg4 = %arg3 to %arg3 step %arg3 {\n    }\n"
+     "    %0 = arith.addi %arg4, %arg4 : index", "arith.addi", 5,
+     "operand 0 is not visible at this point"),
+], ids=["scf.for", "scf.if", "scf.parallel", "affine.for-step", "affine.for-bounds",
+        "load-indices", "load-index-type", "store-value", "index_cast", "cmpf-type",
+        "cmpf-predicate", "constant-non-finite", "constant-i1", "constant-kind",
+        "dominance-result", "dominance-argument"])
+def test_verify_refuses_what_the_parser_builds(capsys, tmp_path, body, name, line,
+                                               message):
+    text = _scoped(body)
+    want = f"error: '{name}' at <input>:{line}: {message}"
+    assert str(verify(parse_module(text, context_with_test_ops()))[0]) == want
+    path = tmp_path / "in.sir"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["verify"], ["opt", "--pipeline", PIPELINES[1]],
+                 ["run", "--func", "f", "--out", str(tmp_path)]):
+        assert cli.main([argv[0], "--input", str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(want if argv[0] == "verify" else "error: " + want)
 
 
 def _parsed_locations():
@@ -326,7 +392,7 @@ def _failure(text):
     ("    %0 = arith.addf %1, %1 : f64",
      (ParseError, "3:21: use of undefined value %1"), 3),
     ("    %0 = arith.addf %arg0, %arg0 : f64\n    , f64",
-     (TypeMismatch, "arith.addf: expects two operands and one result"), 3),
+     (ParseError, "3:10: arith.addf produces 2 result(s), 1 named"), 3),
     ("    %0 = arith.addf %arg0, %arg0 : f64\n    %0 = arith.mulf %arg0, %arg0 : f64",
      (ParseError, "4:5: redefinition of value %0"), 4),
     ("    %0 = arith.index_cast %arg0 : index to i64",
