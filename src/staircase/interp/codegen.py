@@ -95,31 +95,31 @@ it can raise (``raise_free``), and its copies write at most UNROLL_OPS ops.
 The copies open no level, so every open level's terms are in partial sums
 in the headers; an element read and written at one address is kept in a
 local around all copies, and a load no open loop moves is bound before
-them. Each copy adds its block's counts. Before each, what an earlier one
-noted of the body's values (names, intervals, linear forms, folds) is
-dropped; offsets are a block's own. A perfect nest of such loops around
-one loop that takes the first slice form above, whose store writes one
-slice in every copy, jams into it (MLIR's ``affine-loop-unroll-jam``,
-after Carr and Kennedy, TOPLAS 1994): the copies write one slice
-assignment whose comprehension zips every copy's slices and chains their
-terms in copy order, a copy's load of the stored slice reading the value
-the copy before it stored, so each element's ops keep their order and
-their f32 rounding and integer wrapping. One walk of the nest, ``nest``,
-tells a short nest, one that jams and any other apart, under one
-``raise_free`` and one UNROLL_OPS budget for both.
+them. Each copy adds its block's counts, and drops what the copy before
+noted of the body's values (``forget``); offsets are a block's own. A
+perfect nest of such loops around one loop that takes the first slice
+form above, whose store's indices move with none of them, jams into it
+(MLIR's ``affine-loop-unroll-jam``, after Carr and Kennedy, TOPLAS 1994):
+its body is written once, with the nest's induction variables as terms of
+the linear forms, and each copy's slices and elements are its reads'
+with their constant terms moved by coefficient x trip. One slice
+assignment zips every copy's slices and chains their terms in copy order,
+a copy's read of the stored slice reading what the copy before stored,
+so each element's ops keep their order, f32 rounding and integer
+wrapping. ``nest`` tells a short nest, one that jams and any other apart.
 
 An scf.for over literal bounds whose body ``loop-unroll`` made of copies
 is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
 Larsen and Amarasinghe's packing of isomorphic statements). Constants
-aside, which compare by value, its body must split into F >= 2 runs: run
-k >= 1 opens with ``iv + k*s``, where F*s is the loop's step, and is run 0
-op for op with iv replaced by that sum, using no value of another run. The
-loop is then written over run 0 alone, ``for iv in range(lb, lb +
-trips*F*s, s)``, so rolled iteration t*F + k does what copy k of trip t
-did, in the same order, and every rule above applies to it as to a loop
-never unrolled. Its counts are still those of the unrolled block. An error
-that would name the location of a copy's op other than run 0's (copies
-written by hand, not cloned) sends the loop back to its copies.
+aside, its body must split into F >= 2 runs: run k >= 1 opens with
+``iv + k*s``, where F*s is the loop's step, and has run 0's value-numbered
+signature with that sum for iv (``_signature``), so it uses no value of
+another run. The loop is then written over run 0 alone, ``for iv in
+range(lb, lb + trips*F*s, s)``, so rolled iteration t*F + k does what copy
+k of trip t did, in order, and every rule above applies to it as to a loop
+never unrolled. Its counts are those of the unrolled block. An error that
+would name the location of a copy's op other than run 0's (copies written
+by hand, not cloned) sends the loop back to its copies.
 """
 from __future__ import annotations
 
@@ -163,6 +163,7 @@ _FPREDS = {"oeq": "{a} == {b}", "one": "{a} == {a} and {b} == {b} and {a} != {b}
 _IPREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
            "sge": ">="}
 _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
+_MARK = re.compile("\x01(\\d+)\x01")  # a read of a jammed body, by its slot
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
 _MANY = object()    # a buffer stored to at more than one address
@@ -319,6 +320,20 @@ def _defined_in(value: Value, loop: Operation) -> bool:
     return op is loop or any(a is loop for a in ancestors(op))
 
 
+def _moves_with(body, ivs: set) -> bool:
+    """Whether the one store of ``body`` writes at an index computed, by
+    integer ops, from one of ``ivs``."""
+    stack = [v for op in body.ops if op.name == "memref.store"
+             for v in op.operands[2:]]
+    while stack:
+        v = stack.pop()
+        if v in ivs:
+            return True
+        if not v.is_block_arg and v.owner.name in _LINEAR_OPS:
+            stack += v.owner.operands
+    return False
+
+
 def _element_key(indices) -> list:
     """Indices that name one element alike: a constant by its value."""
     return [v if c is None else c
@@ -364,9 +379,10 @@ def _rolled(loop: Operation):
     ``_Rolled``, or None (LLVM's ``LoopRerollPass``).
 
     Constants aside, the body must split into F >= 2 runs: each run k >= 1
-    opens with ``iv + k*s``, where F*s is the step, and is run 0 op for op
-    with iv replaced by that sum, using no value of another run. Rolled
-    iteration t*F + k then does what copy k of trip t did, in order.
+    opens with ``iv + k*s``, where F*s is the step, and has run 0's
+    ``_signature`` with that sum for iv; runs are compared in order up to
+    the first that differs. Rolled iteration t*F + k then does what copy k
+    of trip t did, in order.
     """
     bounds = loop.name == "scf.for" and static_bounds(loop)
     if not bounds:
@@ -375,7 +391,6 @@ def _rolled(loop: Operation):
     block = loop.body()
     iv = block.args[0]
     ops = [op for op in block.ops[:-1] if op.name != "arith.constant"]
-    moved: set = set()
     for at, head in enumerate(ops):
         if not at or head.name != "arith.addi" or head.operands[0] is not iv:
             continue
@@ -383,11 +398,18 @@ def _rolled(loop: Operation):
         copies, extra = divmod(len(ops) + 1, size)
         s = constant_of(head.operands[1])
         if extra or s is None or copies * s != step \
-                or not _fits(lb, lb + trips * step - s, "index") \
-                or not all(_copy_of(ops[:at], ops[k * size - 1:(k + 1) * size - 1],
-                                    iv, k * s, moved) for k in range(1, copies)):
-            moved.clear()
+                or not _fits(lb, lb + trips * step - s, "index"):
             continue
+        first = _signature(ops[:at], iv)
+        if first is None or not all(
+                op.name == "arith.addi" and op.operands[0] is iv
+                and constant_of(op.operands[1]) == k * s and _signature(
+                    ops[k * size:(k + 1) * size - 1], op.results[0]) == first
+                for k, op in enumerate(ops[at::size], 1)):
+            continue
+        moved = {a for k in range(1, copies)
+                 for a, b in zip(ops[:at], ops[k * size:])
+                 if a.location is not b.location and a.location != b.location}
         view = block.ops[:block.ops.index(head)] + block.ops[-1:]
         rest = [0] * BOOKKEEPING
         for part, n in ((block.ops, 1), (view, -copies)):
@@ -398,40 +420,31 @@ def _rolled(loop: Operation):
     return None
 
 
-def _key(value: Value):
-    """What a value compares by: a constant by its type and value, any
-    other value by itself."""
-    op = value.defining_op
-    if op is None or op.name != "arith.constant":
-        return value
-    return value.type, repr(constant_value(op))
-
-
-def _copy_of(run: list, copy: list, iv: Value, offset: int,
-             moved: set) -> bool:
-    """Whether ``copy`` is ``iv + offset`` followed by the ops of ``run``
-    with ``iv`` replaced by that sum; operands defined outside the runs are
-    shared, constants compare by value. Adds to ``moved`` each op of
-    ``run`` whose copy has another location."""
-    head, *copy = copy
-    if head.name != "arith.addi" or head.operands[0] is not iv \
-            or constant_of(head.operands[1]) != offset:
-        return False
-    remap = {iv: head.results[0]}
-    for a, b in zip(run, copy):
-        xs, ys = a.operands, b.operands
-        if a.name != b.name or a.regions or b.regions or len(xs) != len(ys) \
-                or a.attributes != b.attributes \
-                or [r.type for r in a.results] != [r.type for r in b.results]:
-            return False
-        for x, y in zip(xs, ys):
-            if remap[x] is not y if x in remap else \
-                    x is not y and _key(x) != _key(y):
-                return False
-        remap.update(zip(a.results, b.results))
-        if a.location is not b.location and a.location != b.location:
-            moved.add(a)
-    return True
+def _signature(run: list, iv: Value):
+    """Per op of a run, its name, attributes, operands and result types,
+    equal for two runs exactly when one is the other with its own ``iv``
+    (value numbering, after Rosen, Wegman and Zadeck, POPL 1988): an
+    operand by its place among the run's results, as ``iv``, a constant by
+    its type and literal, else by itself. None if an op has regions."""
+    number = {iv: -1}
+    signature = []
+    for op in run:
+        if op.regions:
+            return None
+        key = [op.name, op.attributes]
+        for v in op.operands:
+            at = number.get(v)
+            if at is None:
+                owner = v.owner
+                at = (v.type, repr(owner.attributes["value"].value)) \
+                    if owner.__class__ is Operation \
+                    and owner.name == "arith.constant" else v
+            key.append(at)
+        for r in op.results:
+            key.append(r.type)
+            number[r] = len(number)
+        signature.append(key)
+    return signature
 
 
 # -- code generation ------------------------------------------------------------
@@ -498,10 +511,11 @@ class _FuncGen:
         # {slice: the local each of its elements is read into}); for a nest
         # that jams, the loop is the nest's head
         self.slicing = None
-        self.into = None            # while a nest jams: the loop it jams into
-        # and the slice its copies store to, the value the last one stored
-        # there, and that copy's statement
-        self.stored = None
+        self.into = None            # the loop written as one slice statement,
+        self.slots: list = []       # its body's reads and store (``jam``),
+        self.moving: list = []      # a jammed nest's loops of 2 or more trips,
+        self.points = [()]          # by name, and their trips in each copy
+        self.stored = None          # the slice stored to, and what is there
         # region op -> what it stores to: per buffer, the indices and one
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
@@ -1022,25 +1036,43 @@ class _FuncGen:
         if op in self.reused:   # its indices were checked for the first
             self.names[r] = self.names[self.reused[op].results[0]]
             return []
-        text = self.slicing and self.slice_of(buf, op.operands[1:])
-        if text and self.stored and text == self.stored[0]:
-            return self.assign(r, self.stored[1])   # the copy before stored it
-        if text:
+        lines, lv = [], None
+        at = self.slicing and self.slice_of(buf, op.operands[1:])
+        if not at:  # an element: bound before a loop, or read where it is used
+            lines, at, level = self.address(op, buf, op.operands[1:])
+            lv = False
+            if self.recording:
+                lines.append(f"R.on_read({self.val(buf)}, {at[0]})")
+            elif level is not None and level + 1 < len(self.headers) and r.uses:
+                lv = self.invariant(buf, level + 1) or False
+        lines += self.place(r, buf, at, lv)
+        if self.into is not None:   # each copy's name replaces a mark (``jam``)
+            self.slots.append((r, buf, at, lv))
+            self.names[r] = f"\x01{len(self.slots) - 1}\x01"
+        return lines
+
+    def place(self, r: Value, buf: Value, at: list, lv, copy=0) -> list:
+        """Name ``r``, read at ``at`` of ``buf`` in copy ``copy``:
+        over a slice (``lv`` None) by its local, or by what the copy before
+        stored there; from a local bound before the loop of level ``lv``;
+        or as the element, where it is used (``lv`` False)."""
+        text = at[copy]
+        if lv is None:
+            if self.stored and text == self.stored[0]:
+                return self.assign(r, self.stored[1])
             zipped = self.slicing[3]
             if text not in zipped:
                 zipped[text] = self.local("x")
             self.names[r] = zipped[text]
             return []
-        lines, off, level = self.address(op, buf, op.operands[1:])
-        element = f"{self.arrays[buf]}[{off}]"
-        if self.recording:
-            lines.append(f"R.on_read({self.val(buf)}, {off})")
-        elif level is not None and level + 1 < len(self.headers) and r.uses:
-            local = self.invariant(op, element, level + 1)
-            if local is not None:
-                self.names[r] = local
-                return lines
-        return lines + self.assign(r, element)
+        element = f"{self.arrays[buf]}[{text}]"
+        if not lv:
+            return self.assign(r, element)
+        if element not in lv.loads:
+            lv.loads[element] = self.local("v")
+            lv.before.append(f"{lv.loads[element]} = {element}")
+        self.names[r] = lv.loads[element]
+        return []
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
@@ -1050,31 +1082,27 @@ class _FuncGen:
         if wrap:
             expr = _wrap_expr(expr, kind)
         if self.slicing is not None and buf not in self.promoted:
-            text = self.slice_of(buf, op.operands[2:])
-            if text is None or self.stored and text != self.stored[0]:
+            at = self.slice_of(buf, op.operands[2:])
+            if at is None or len(set(at)) > 1:  # copies store elsewhere
                 raise _Plain(self.slicing[0])
-            line = (f"{text} = array({self.arrays[buf]}.typecode, "
-                    f"[{expr} {self.zip_clause()}])")
-            if self.into is None:
-                return [line]
-            # a copy of a nest that jams: the next one reads the value, as
-            # assign names it, and the last one's statement is written
-            bare = expr[1:-1] if value in self.folded and not wrap else expr
-            self.stored = (text, bare, line)
+            # ``jam`` writes the statement, with each copy's expression
+            self.slots.append((None, value, expr, wrap, f"{at[0]} = array("
+                               f"{self.arrays[buf]}.typecode, ["))
+            self.stored = (at[0], expr)
             return []
         target = self.promoted.get(buf)
         if target is not None:
             return [f"{target} = {expr}"]
-        lines, off, _ = self.address(op, buf, op.operands[2:])
+        lines, (off,), _ = self.address(op, buf, op.operands[2:])
         lines.append(f"{self.arrays[buf]}[{off}] = {expr}")
         if self.recording:
             lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
 
     def address(self, op: Operation, buf: Value, indices) -> tuple:
-        """Bounds checks for the unproven dimensions, the flat offset, and
-        the innermost loop level the offset changes in (None if it is
-        checked or not linear).
+        """Bounds checks for the unproven dimensions, the flat offset (in
+        each copy of a jammed body), and the innermost loop level the offset
+        changes in (None if it is checked or not linear).
 
         The offset is linearised: the terms of loops outside the innermost
         one come from partial sums bound in their headers (``hoist``).
@@ -1100,11 +1128,13 @@ class _FuncGen:
                     base = self.offsets[key] = self.local("o")
                     lines.append(f"{base} = {key}")
                 terms = [(base, 1)]
-        return lines, _sum(terms, fixed), level
+        return lines, [_sum(terms, k) for k in fixed], level
 
     def linearise(self, buf: Value, indices) -> tuple:
         """The flat offset of ``indices`` into ``buf``: {induction local:
-        coef}, a constant, and (expression, stride) per nonlinear index."""
+        coef}, the constant in each copy of a jammed body (the jammed
+        loops' terms moved into it), and (expression, stride) per
+        nonlinear index."""
         shape = buf.type.shape
         strides = self.strides.get(shape)
         if strides is None:
@@ -1122,7 +1152,11 @@ class _FuncGen:
             for name, coef in form[0].items():
                 coefs[name] = coefs.get(name, 0) + coef * stride
             fixed += form[1] * stride
-        return coefs, fixed, rest
+        if not self.moving:
+            return coefs, [fixed], rest
+        moves = [coefs.pop(v, 0) for v in self.moving]
+        return coefs, [fixed + sum(c * t for c, t in zip(moves, point))
+                       for point in self.points], rest
 
     def hoist(self, coefs: dict) -> tuple:
         """Σ coef·var as terms of the current loop level, led by the partial
@@ -1201,15 +1235,11 @@ class _FuncGen:
             pairs.update(pair)
         return pairs
 
-    def invariant(self, load: Operation, element: str, level: int):
-        """The local the element ``load`` reads is bound to just before the
-        outermost loop, from ``level`` in, that does not define its buffer
-        and stores to no array that may be its buffer's; None if there is
-        no such loop.
-
-        ``element`` names only locals bound outside the loop at ``level``.
-        """
-        buf = load.operands[0]
+    def invariant(self, buf: Value, level: int):
+        """The level of the outermost loop, from ``level`` in, that does
+        not define ``buf`` and stores to no array that may be its array:
+        an element read from it there is bound just before that loop. None
+        if there is no such loop."""
         if self.unaffected(buf, self.headers[-1].op) is None:
             return None     # nor can any loop around that one
         for lv in self.headers[level:]:
@@ -1219,11 +1249,7 @@ class _FuncGen:
         else:
             return None
         self.assumed.update(pairs)
-        local = lv.loads.get(element)
-        if local is None:
-            local = lv.loads[element] = self.local("v")
-            lv.before.append(f"{local} = {element}")
-        return local
+        return lv
 
     def promote(self, loop: Operation, depth: int, reads: list) -> list:
         """The elements ``loop`` reads and writes at one address it never
@@ -1258,7 +1284,7 @@ class _FuncGen:
                     break
                 pairs.update(pair)
             else:
-                _, off, _ = self.address(store, buf, store.operands[2:])
+                _, (off,), _ = self.address(store, buf, store.operands[2:])
                 element = f"{self.arrays[buf]}[{off}]"
                 local = self.promoted[buf] = self.local("e")
                 reads.append(f"{local} = {element}")
@@ -1358,29 +1384,39 @@ class _FuncGen:
                   depth: int) -> None:
         """The body of ``loop``; ``innermost`` is (iv, trips) if the last
         loop opened, ``for iv in trips``, runs it. Over slices of its
-        arrays where that loop takes a slice form, else as it is."""
+        arrays where that loop takes a slice form, else as it is; the loop
+        a nest jams into takes the first form, its statement the copies'."""
         form = innermost and self.sliceable(loop, *innermost, depth)
+        head = self.slicing[0] if self.into is loop else loop
+        if self.into is loop and form != "map":
+            raise _Plain(head)
         if not form:
             self.body(self.bodies[loop], count, depth, loop)
             return
         at, name = len(self.lines), self.names[innermost[0]]
-        self.slicing = (loop, name, innermost[1], {})
-        self.body(self.bodies[loop], count, depth, loop)
-        lines = self.lines[at:]
-        if form == "map" and len(lines) != 1 \
-                or re.search(rf"\b{name}\b", "\n".join(lines)):
-            raise _Plain(loop)
-        head = "    " * (depth - 1)
-        if form == "map":   # the store wrote the one statement
-            self.lines[at - 1:] = [head + lines[0].lstrip()]
+        self.slicing = (head, name, innermost[1], {})
+        if form == "map":   # its body once, then the statement (``jam``)
+            self.into, self.slots = loop, []
+            self.block(self.bodies[loop], count, depth)
+            if len(self.lines) > at:
+                raise _Plain(head)
+            self.lines.append(self.jam())
+            self.into = None
         else:
-            self.lines[at - 1] = head + self.zip_clause() + ":"
+            self.body(self.bodies[loop], count, depth, loop)
+        if re.search(rf"\b{name}\b|\x00", "\n".join(self.lines[at:])):
+            raise _Plain(head)
+        if form == "map":
+            self.lines[at - 1:] = ["    " * (depth - 1) + self.lines[at]]
+        else:
+            self.lines[at - 1] = "    " * (depth - 1) + self.zip_clause() + ":"
         self.slicing = None
 
     def slice_of(self, buf: Value, indices):
         """The elements of ``buf`` at ``indices`` over the trips of the loop
-        being sliced, as a slice of its array; None for an address that
-        does not move, whose element the loop form's load reads."""
+        being sliced, as a slice of its array in each copy of a jammed
+        body; None for an address that does not move, whose element the
+        loop form's load reads."""
         loop, name, trips, _ = self.slicing
         coefs, fixed, rest = self.linearise(buf, indices)
         coef = coefs.pop(name, 0)
@@ -1390,11 +1426,13 @@ class _FuncGen:
         if rest or step < 1:
             raise _Plain(loop)
         terms, _ = self.hoist(coefs)
-        start = _sum(terms, fixed + coef * trips[0])
-        span = len(trips) * step
-        stop = f"{start} + {span}" if terms else str(int(start) + span)
-        return (f"{self.arrays[buf]}[{start}:{stop}"
-                + (f":{step}]" if step > 1 else "]"))
+        span, slices = len(trips) * step, []
+        for k in fixed:
+            start = _sum(terms, k + coef * trips[0])
+            stop = f"{start} + {span}" if terms else str(int(start) + span)
+            slices.append(f"{self.arrays[buf]}[{start}:{stop}"
+                          + (f":{step}]" if step > 1 else "]"))
+        return slices
 
     def zip_clause(self) -> str:
         """``for`` over the elements of the slices the sliced body reads."""
@@ -1514,9 +1552,7 @@ class _FuncGen:
 
         A rolled body runs over the trips of the loop it was unrolled from;
         its block's other counts are added per trip of ``op``. A nest that
-        jams is written once per trip too, but the loop it jams into: each
-        copy of that one writes its body into a slice statement that the
-        last copy's store writes.
+        jams is written once, with the counts of all its copies (``jam``).
         """
         trips = range(*bounds)
         inner = _times(count, len(trips))
@@ -1528,20 +1564,20 @@ class _FuncGen:
                       bounds[2] // block.copies)
             trips = range(*bounds)
             inner = _times(count, len(trips))
-        if op is self.into:     # a copy of the loop a nest jams into
-            head, name, _, zipped = self.slicing
-            if name is None:    # the first copy opens it
-                self.loop_header(op, iv, bounds, depth)
-                if self.sliceable(op, iv, trips, depth + 1) != "map":
-                    raise _Plain(head)
-                self.slicing = (head, self.names[iv], trips, zipped)
-            self.names[iv] = self.slicing[1]
-            self.induction(iv, (trips[0], trips[-1]))
-            self.block(block, inner, depth + 1)
+        into = self.into or len(trips) < 2 or self.nest(op, trips, depth)
+        if into not in (None, True, op):    # a loop of a nest that jams
+            if self.into is None:
+                self.into, self.slicing = into, (op,)
+            if len(trips) > 1:  # a term of the linear forms ``jam`` moves
+                self.names[iv] = f"\x00{len(self.moving)}"
+                self.moving = self.moving + [self.names[iv]]
+                self.points = [p + (t,) for p in self.points for t in trips]
+                self.induction(iv, (trips[0], trips[-1]))
+            else:
+                self.bind_trip(iv, trips[0])
+            self.block(block, inner, depth)
             return
-        into = len(trips) < 2 or self.into is not None \
-            or self.nest(op, trips, depth)
-        if into is None:
+        if into in (None, op):
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
             promoted = [] if self.recording else self.promote(
@@ -1550,10 +1586,7 @@ class _FuncGen:
             self.close_loops(level)
         else:
             promoted, reads, copying = [], [], self.copying
-            if into is not True:
-                at, level = len(self.lines), len(self.headers)
-                self.into, self.slicing = into, (op, None, None, {})
-            elif len(trips) > 1 and not self.into:
+            if len(trips) > 1:
                 self.copying = True
                 self.ranges[iv] = (trips[0], trips[-1])  # for promote
                 promoted = self.promote(op, depth, reads)
@@ -1564,17 +1597,30 @@ class _FuncGen:
                 self.bind_trip(iv, trip)
                 self.block(block, count, depth)
             self.copying = copying
-            if into is not True:    # the last copy's statement takes its place
-                line = self.stored[2]
-                if len(self.lines) > at + 1 \
-                        or re.search(rf"\b{self.slicing[1]}\b", line):
-                    raise _Plain(op)
-                self.lines[at:] = ["    " * depth + line]
-                self.close_loops(level)
-                self.into = self.slicing = self.stored = None
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
+
+    def jam(self) -> str:
+        """The slice statement of the body just written: each copy of a
+        nest that jams, in order, places its reads, their offsets' constant
+        terms moved by coefficient x trip, and its store's value becomes
+        the next copy's read of that slice."""
+        text, self.stored = self.stored[0], None
+        for copy in range(len(self.points)):
+            for r, *slot in self.slots:
+                if r is None:   # the store: this copy's expression
+                    value, expr, wrap, head = slot
+                    expr = _MARK.sub(lambda m: self.names[
+                        self.slots[int(m[1])][0]], expr)
+                    self.stored = (text, expr[1:-1] if value in self.folded
+                                   and not wrap else expr)
+                    if copy == len(self.points) - 1:
+                        line = f"{head}{expr} {self.zip_clause()}])"
+                elif self.place(r, *slot, copy):    # it needs a statement
+                    raise _Plain(self.slicing[0])
+        self.moving, self.points, self.stored = [], [()], None
+        return line
 
     def nest(self, loop: Operation, trips: range, depth: int):
         """How ``loop``, of ``trips``, is written in code for no recorder:
@@ -1595,7 +1641,7 @@ class _FuncGen:
         safe = self.raise_free(self.bodies[loop], depth, known, {}, set())
         return (into or True) if safe else None
 
-    def written(self, loop: Operation, trips: int) -> tuple:
+    def written(self, loop: Operation, trips: int, ivs=frozenset()) -> tuple:
         """The ops but constants and yields that writing ``loop`` once per
         trip writes, and the loop its copies jam into or None; (None, None)
         if its nest holds an op no short nest may hold.
@@ -1603,7 +1649,11 @@ class _FuncGen:
         Its bodies hold constants, pure ops, loads, stores and loops over
         literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
         nest's last one, which the copies jam into: of SLICE_TRIPS or more
-        trips, its body of such ops holds one store and no loop."""
+        trips, its body of such ops holds one store and no loop, and the
+        store's indices move with none of the nest's induction variables
+        (``ivs``, of its loops of two or more trips)."""
+        if trips > 1:
+            ivs = ivs | {loop.body().args[0]}
         ops = [op for op in self.bodies[loop].ops
                if op.name not in ("arith.constant", "scf.yield")]
         size, into = 0, None
@@ -1618,12 +1668,13 @@ class _FuncGen:
             n = bounds and bounds[0][3] * (
                 body.copies if isinstance(body, _Rolled) else 1)
             if n is not None and n <= UNROLL_TRIPS:
-                inner, into = self.written(op, n)
+                inner, into = self.written(op, n, ivs)
             else:
                 names = [o.name for o in body.ops]
                 inner, into = len(names) - names.count("arith.constant") - 1, op
                 if n is None or n < SLICE_TRIPS or not _SLICEABLE.issuperset(
-                        names) or names.count("memref.store") != 1:
+                        names) or names.count("memref.store") != 1 \
+                        or _moves_with(body, ivs):
                     inner = None
             if inner is None or into is not None and len(ops) != 1:
                 return None, None
@@ -1631,9 +1682,10 @@ class _FuncGen:
         return trips * size, into
 
     def forget(self, loop: Operation) -> None:
-        """Drop what an earlier copy of ``loop``'s body noted of the values
-        the body defines but its constants, literals in every copy: names,
-        intervals, linear forms and folds."""
+        """Drop what the copy before of a short nest's ``loop`` noted of
+        the values its body defines but its constants, literals in every
+        copy: names, intervals, linear forms and folds. (A nest that jams
+        writes its body once.)"""
         ops = list(self.bodies[loop].ops)
         while ops:
             op = ops.pop()

@@ -39,7 +39,7 @@ from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.machine import call, run
 from staircase.interp.tape import compile_module, module_functions
-from staircase.ir.core import clone_module, create_context
+from staircase.ir.core import Location, clone_module, create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
 from staircase.tuner import default_pipeline
@@ -2018,7 +2018,7 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
 
 @pytest.mark.parametrize("changes, refused_by_nest", [
     ([_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
-     False),
+     True),
     ([("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
        "        memref.store %8,")], True),
     ([_READ_D_AT_I_PLUS_K], False),
@@ -2027,14 +2027,19 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
      True),
     ([("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
      False),
+    ([("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
+       "%11 = arith.muli %arg4, %arg4 : index\n"
+       "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
+     False),
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
-        "access-can-raise", "stored-slice-read-twice"])
+        "access-can-raise", "stored-slice-read-twice", "read-at-k-squared"])
 def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_nest):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
-    # its extent in the third copy; or D[i] * D[i] reads what the copy
-    # before stored twice, which would need a local. nest refuses the
-    # second and fourth, writing the statement the others
+    # its extent in the third copy; D[i] * D[i] reads what the copy before
+    # stored twice, which would need a local; or X is read at k*k, which
+    # no copy's constant term can take, as the body is written once. nest
+    # refuses the first, second and fourth, writing the statement the others
     module = _jam_nest(changes=changes)
     verdicts = _jam_verdicts(module)
     assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_nest
@@ -2310,3 +2315,164 @@ def test_error_in_a_rolled_copy_is_the_copys(by):
     assert source.count("oob(") == 1
     assert _for_ranges(source) == (["range(20)"] if by == "loop-unroll"
                                    else ["range(0, 20, 4)"])
+
+
+def _runs(runs, trips=5, extent=20):
+    """@f(A, B): a loop of ``trips`` by len(runs) over the runs, each a
+    text of ops in which {k} is the run's number and {i} its index value
+    (the loop's induction variable, or its sum with k)."""
+    lines = []
+    for k, run in enumerate(runs):
+        index = "%arg2"
+        if k:
+            lines += [f"%o{k} = arith.constant {k} : index",
+                      f"%h{k} = arith.addi %arg2, %o{k} : index"]
+            index = f"%h{k}"
+        lines += run.format(k=k, i=index).splitlines()
+    body = "\n".join("      " + line for line in lines)
+    return _module(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant {trips * len(runs)} : index
+    %2 = arith.constant {len(runs)} : index
+    scf.for %arg2 = %0 to %1 step %2 {{
+{body}
+    }}
+    return""", f"%arg0: memref<{extent}xf64>, %arg1: memref<20xf64>")
+
+
+_SCALE = """\
+%a{k} = memref.load %arg0[{i}] : memref<20xf64>
+%s{k} = arith.constant 2.0 : f64
+%p{k} = arith.mulf %a{k}, %s{k} : f64
+memref.store %p{k}, %arg1[{i}] : memref<20xf64>"""
+_SHIFTED = """\
+%c{k} = arith.constant 1 : {ty}
+%x{k} = arith.index_cast %c{k} : {ty} to index
+%j{k} = arith.addi {i}, %x{k} : index
+%a{k} = memref.load %arg0[%j{k}] : memref<21xf64>
+memref.store %a{k}, %arg1[{i}] : memref<20xf64>"""
+_COMPARED = _SCALE + "\n%q{k} = arith.cmpf {pred}, %a{k}, %s{k} : f64"
+
+
+def _moved_copy():
+    # loop-unroll's copies share their ops' locations; one is moved
+    module, _ = run_pipeline(_runs([_SCALE], trips=10),
+                             "builtin.module(func.func(loop-unroll{factor=2}))")
+    loop, = (op for op in module.walk_nested() if op.name == "scf.for")
+    copy = [op for op in loop.body().ops if op.name == "arith.mulf"][1]
+    copy.location = Location("<moved>", 99)
+    return module
+
+
+# Per case: the rolled loop's copies (or None), and the first 16 hex digits
+# of the SHA-256 of the code for no recorder, as taken before runs were
+# compared by signature
+SIGNATURE_CASES = {
+    "read-of-another-run": (
+        lambda: _runs([_SCALE, _SCALE, _SCALE.replace("[{i}] : memref<20xf64>\n%s",
+                                                      "[%h1] : memref<20xf64>\n%s")]),
+        None, "359b9149aed42839"),
+    "constant-of-another-type": (
+        lambda: _runs([_SHIFTED.replace("{ty}", "i64"), _SHIFTED.replace("{ty}", "i32")],
+                      extent=21),
+        None, "b170f153becce2fa"),
+    "attribute-differs": (
+        lambda: _runs([_COMPARED.replace("{pred}", "olt"),
+                       _COMPARED.replace("{pred}", "ogt")]),
+        None, "d9141010f28cb5f0"),
+    "copy-at-another-location": (_moved_copy, 2, "a610b328ed46856c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIGNATURE_CASES))
+def test_runs_are_rolled_by_signature(case):
+    # a run that reads another run's value, holds a constant of another
+    # type with the same literal, or an op with another attribute is no
+    # copy of run 0; a copy at another location is, its op moved
+    build, copies, digest = SIGNATURE_CASES[case]
+    module = build()
+    rolled, = _rolled_loops(module)
+    assert (rolled and rolled.copies) == copies
+    if copies:
+        moved, = rolled.moved
+        assert moved.name == "arith.mulf" and moved.location.line != 99
+    source = _source(module)
+    assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
+    extent = 21 if case == "constant-of-another-type" else 20
+    want = _agree(module, [_ramp(n=extent), Buffer((20,), "f64")])
+    assert want[0] == "returned"
+
+
+# -- code generation in proportion to what runs -------------------------------------
+
+def _bench_sources(group):
+    """The modules of the benchmark whose loops code generation rolls,
+    slices or jams: the 32 tune points, the 8 kernels modules (four
+    inputs, canonicalized and outlined), and conv_rows_strip under both
+    bigblocks pipelines."""
+    def parsed(path):
+        with open(path, encoding="utf-8") as fh:
+            return parse_module(fh.read(), create_context())
+
+    conv_rows = os.path.join(INPUTS, "conv_rows.sir")
+    if group == "tune":
+        return [run_pipeline(parsed(conv_rows), default_pipeline(tiles, unroll))[0]
+                for tiles in itertools.product(*workloads.TILES)
+                for unroll in workloads.UNROLLS]
+    if group == "kernels":
+        paths = [conv_rows, golden_path("conv2d.sir"),
+                 os.path.join(INPUTS, "matmul.sir"), os.path.join(INPUTS, "saxpy.sir")]
+        return [run_pipeline(parsed(path), pipeline)[0]
+                for path in paths for pipeline in (CANON, GPU)]
+    return [run_pipeline(parsed(os.path.join(INPUTS, "conv_rows_strip.sir")), pipeline)[0]
+            for pipeline in (CANON, workloads.UNROLL)]
+
+
+# the first 16 hex digits of the SHA-256 of their code, for no recorder and
+# for one, as generated before runs were compared by signature and a
+# jammed body was written once
+BENCH_SOURCE_DIGESTS = {"kernels": "fbb237c4fe85e40a", "strip": "7ab5c886e05abe1b",
+                        "tune": "352e151ddcc247e7"}
+
+
+@pytest.mark.parametrize("group", sorted(BENCH_SOURCE_DIGESTS))
+def test_bench_modules_generate_the_same_source(group):
+    digest = hashlib.sha256()
+    for module in _bench_sources(group):
+        for recorder in (None, object()):
+            digest.update(_source(module, recorder).encode())
+    assert digest.hexdigest()[:16] == BENCH_SOURCE_DIGESTS[group]
+
+
+def _generated_twice(module):
+    """Whether writing the module's code wrote a function more than once:
+    a loop refused only while it was written regenerates its function."""
+    calls = []
+    generate, first = codegen._FuncGen.generate, codegen._generate
+
+    def spy_generate(gen):
+        calls[-1] += 1
+        return generate(gen)
+
+    def spy(*args, **kwargs):
+        calls.append(0)
+        return first(*args, **kwargs)
+
+    with mock.patch.object(codegen._FuncGen, "generate", spy_generate), \
+            mock.patch.object(codegen, "_generate", spy):
+        _source(module)
+    return max(calls) > 1
+
+
+def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
+    # a nest whose store moves with one of its loops of two or more trips
+    # is refused by nest, before any of its code is written; the parent
+    # found out while writing the copies and regenerated the function for
+    # 20 of these 180 slice modules and 126 of these 480 jam modules
+    counts = {}
+    for name, build, seeds, parent in (("slice", slice_module, range(90), 20),
+                                       ("jam", jam_module, range(240), 126)):
+        counts[name] = sum(_generated_twice(module) for seed in seeds
+                           for module in (build(seed), run_pipeline(build(seed), GPU)[0]))
+        assert counts[name] < parent
+    print(f"modules whose code was generated twice: {counts}")
