@@ -163,7 +163,6 @@ _FPREDS = {"oeq": "{a} == {b}", "one": "{a} == {a} and {b} == {b} and {a} != {b}
 _IPREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
            "sge": ">="}
 _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
-_MARK = re.compile("\x01(\\d+)\x01")  # a read of a jammed body, by its slot
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
 _MANY = object()    # a buffer stored to at more than one address
@@ -512,10 +511,11 @@ class _FuncGen:
         # that jams, the loop is the nest's head
         self.slicing = None
         self.into = None            # the loop written as one slice statement,
-        self.slots: list = []       # its body's reads and store (``jam``),
+        self.slots: dict = {}       # its loads -> (place per copy, sliced, level),
         self.moving: list = []      # a jammed nest's loops of 2 or more trips,
-        self.points = [()]          # by name, and their trips in each copy
-        self.stored = None          # the slice stored to, and what is there
+        self.points = [()]          # by name, and their trips in each copy,
+        self.copy = 0               # the copy being written
+        self.stored = None          # the slice stored to, what is there, its line
         # region op -> what it stores to: per buffer, the indices and one
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
@@ -1036,28 +1036,22 @@ class _FuncGen:
         if op in self.reused:   # its indices were checked for the first
             self.names[r] = self.names[self.reused[op].results[0]]
             return []
-        lines, lv = [], None
-        at = self.slicing and self.slice_of(buf, op.operands[1:])
-        if not at:  # an element: bound before a loop, or read where it is used
-            lines, at, level = self.address(op, buf, op.operands[1:])
-            lv = False
-            if self.recording:
-                lines.append(f"R.on_read({self.val(buf)}, {at[0]})")
-            elif level is not None and level + 1 < len(self.headers) and r.uses:
-                lv = self.invariant(buf, level + 1) or False
-        lines += self.place(r, buf, at, lv)
-        if self.into is not None:   # each copy's name replaces a mark (``jam``)
-            self.slots.append((r, buf, at, lv))
-            self.names[r] = f"\x01{len(self.slots) - 1}\x01"
-        return lines
-
-    def place(self, r: Value, buf: Value, at: list, lv, copy=0) -> list:
-        """Name ``r``, read at ``at`` of ``buf`` in copy ``copy``:
-        over a slice (``lv`` None) by its local, or by what the copy before
-        stored there; from a local bound before the loop of level ``lv``;
-        or as the element, where it is used (``lv`` False)."""
-        text = at[copy]
-        if lv is None:
+        lines = []
+        if op in self.slots:    # a later copy of a body that jams (``jam``)
+            at, sliced, lv = self.slots[op]
+        else:
+            at, lv = self.slicing and self.slice_of(buf, op.operands[1:]), None
+            sliced = bool(at)
+            if not sliced:  # an element: bound before a loop, or read where used
+                lines, at, level = self.address(op, buf, op.operands[1:])
+                if self.recording:
+                    lines.append(f"R.on_read({self.val(buf)}, {at[0]})")
+                elif level is not None and level + 1 < len(self.headers) and r.uses:
+                    lv = self.invariant(buf, level + 1)
+            if self.into is not None:
+                self.slots[op] = (at, sliced, lv)
+        text = at[self.copy]
+        if sliced:  # by its local, or by what the copy before stored there
             if self.stored and text == self.stored[0]:
                 return self.assign(r, self.stored[1])
             zipped = self.slicing[3]
@@ -1066,13 +1060,13 @@ class _FuncGen:
             self.names[r] = zipped[text]
             return []
         element = f"{self.arrays[buf]}[{text}]"
-        if not lv:
-            return self.assign(r, element)
-        if element not in lv.loads:
+        if lv is None:
+            return lines + self.assign(r, element)
+        if element not in lv.loads:     # bound just before the loop of ``lv``
             lv.loads[element] = self.local("v")
             lv.before.append(f"{lv.loads[element]} = {element}")
         self.names[r] = lv.loads[element]
-        return []
+        return lines
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
@@ -1082,13 +1076,15 @@ class _FuncGen:
         if wrap:
             expr = _wrap_expr(expr, kind)
         if self.slicing is not None and buf not in self.promoted:
-            at = self.slice_of(buf, op.operands[2:])
-            if at is None or len(set(at)) > 1:  # copies store elsewhere
-                raise _Plain(self.slicing[0])
-            # ``jam`` writes the statement, with each copy's expression
-            self.slots.append((None, value, expr, wrap, f"{at[0]} = array("
-                               f"{self.arrays[buf]}.typecode, ["))
-            self.stored = (at[0], expr)
+            if self.stored is None:     # the first copy: the slice of all
+                at = self.slice_of(buf, op.operands[2:])
+                if at is None or len(set(at)) > 1:  # copies store elsewhere
+                    raise _Plain(self.slicing[0])
+            # the next copy's read of the slice, and the statement ``jam`` ends
+            text = self.stored[0] if self.stored else at[0]
+            self.stored = (text, expr[1:-1] if value in self.folded and not wrap
+                           else expr, f"{text} = array({self.arrays[buf]}"
+                           f".typecode, [{expr}")
             return []
         target = self.promoted.get(buf)
         if target is not None:
@@ -1396,21 +1392,20 @@ class _FuncGen:
         at, name = len(self.lines), self.names[innermost[0]]
         self.slicing = (head, name, innermost[1], {})
         if form == "map":   # its body once, then the statement (``jam``)
-            self.into, self.slots = loop, []
+            self.into = loop
             self.block(self.bodies[loop], count, depth)
             if len(self.lines) > at:
                 raise _Plain(head)
-            self.lines.append(self.jam())
-            self.into = None
+            self.lines[at - 1:] = ["    " * (depth - 1) + self.jam(loop)]
         else:
             self.body(self.bodies[loop], count, depth, loop)
-        if re.search(rf"\b{name}\b|\x00", "\n".join(self.lines[at:])):
-            raise _Plain(head)
-        if form == "map":
-            self.lines[at - 1:] = ["    " * (depth - 1) + self.lines[at]]
-        else:
             self.lines[at - 1] = "    " * (depth - 1) + self.zip_clause() + ":"
-        self.slicing = None
+        # no induction variable of the loop or the nest may be left named
+        if re.search(rf"\b(?:{'|'.join([name, *self.moving])})\b",
+                     "\n".join(self.lines[at - 1:])):
+            raise _Plain(head)
+        self.slicing = self.into = self.stored = None
+        self.moving, self.points, self.slots, self.copy = [], [()], {}, 0
 
     def slice_of(self, buf: Value, indices):
         """The elements of ``buf`` at ``indices`` over the trips of the loop
@@ -1567,9 +1562,9 @@ class _FuncGen:
         into = self.into or len(trips) < 2 or self.nest(op, trips, depth)
         if into not in (None, True, op):    # a loop of a nest that jams
             if self.into is None:
-                self.into, self.slicing = into, (op,)
+                self.into, self.slicing = into, (op, None, None, {})
             if len(trips) > 1:  # a term of the linear forms ``jam`` moves
-                self.names[iv] = f"\x00{len(self.moving)}"
+                self.names[iv] = f"j{len(self.moving)}"     # no local's name
                 self.moving = self.moving + [self.names[iv]]
                 self.points = [p + (t,) for p in self.points for t in trips]
                 self.induction(iv, (trips[0], trips[-1]))
@@ -1577,10 +1572,10 @@ class _FuncGen:
                 self.bind_trip(iv, trips[0])
             self.block(block, inner, depth)
             return
-        if into in (None, op):
+        if into in (None, op):  # the loop a nest jams into keeps no element
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
-            promoted = [] if self.recording else self.promote(
+            promoted = [] if self.recording or into is op else self.promote(
                 op, body, self.headers[-1].before)
             self.loop_body(op, (iv, trips), inner, body)
             self.close_loops(level)
@@ -1601,26 +1596,23 @@ class _FuncGen:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
 
-    def jam(self) -> str:
-        """The slice statement of the body just written: each copy of a
-        nest that jams, in order, places its reads, their offsets' constant
-        terms moved by coefficient x trip, and its store's value becomes
-        the next copy's read of that slice."""
-        text, self.stored = self.stored[0], None
-        for copy in range(len(self.points)):
-            for r, *slot in self.slots:
-                if r is None:   # the store: this copy's expression
-                    value, expr, wrap, head = slot
-                    expr = _MARK.sub(lambda m: self.names[
-                        self.slots[int(m[1])][0]], expr)
-                    self.stored = (text, expr[1:-1] if value in self.folded
-                                   and not wrap else expr)
-                    if copy == len(self.points) - 1:
-                        line = f"{head}{expr} {self.zip_clause()}])"
-                elif self.place(r, *slot, copy):    # it needs a statement
-                    raise _Plain(self.slicing[0])
-        self.moving, self.points, self.stored = [], [()], None
-        return line
+    def jam(self, loop: Operation) -> str:
+        """The slice statement of the body of ``loop`` just written as the
+        first copy of a nest that jams into it. Each other copy, in order,
+        writes again what it names anew: its loads, at their own places
+        (``slots``), the ops that read them, and its store, whose value the
+        next copy reads of the stored slice."""
+        ops = [op for op in self.bodies[loop].ops
+               if op.name in _HANDLERS and op not in self.dead]
+        for copy in range(1, len(self.points)):
+            self.copy, fresh = copy, set()  # fresh: the values named anew
+            for op in ops:
+                if op in self.slots or op in self.reused \
+                        or not fresh.isdisjoint(op.operands):
+                    if getattr(self, _HANDLERS[op.name])(op):
+                        raise _Plain(self.slicing[0])   # a statement of its own
+                    fresh.update(op.results)
+        return f"{self.stored[2]} {self.zip_clause()}])"
 
     def nest(self, loop: Operation, trips: range, depth: int):
         """How ``loop``, of ``trips``, is written in code for no recorder:
@@ -1650,8 +1642,8 @@ class _FuncGen:
         literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
         nest's last one, which the copies jam into: of SLICE_TRIPS or more
         trips, its body of such ops holds one store and no loop, and the
-        store's indices move with none of the nest's induction variables
-        (``ivs``, of its loops of two or more trips)."""
+        store's indices move with its own induction variable but none of
+        the nest's (``ivs``, of its loops of two or more trips)."""
         if trips > 1:
             ivs = ivs | {loop.body().args[0]}
         ops = [op for op in self.bodies[loop].ops
@@ -1674,7 +1666,8 @@ class _FuncGen:
                 inner, into = len(names) - names.count("arith.constant") - 1, op
                 if n is None or n < SLICE_TRIPS or not _SLICEABLE.issuperset(
                         names) or names.count("memref.store") != 1 \
-                        or _moves_with(body, ivs):
+                        or _moves_with(body, ivs) \
+                        or not _moves_with(body, {op.body().args[0]}):
                     inner = None
             if inner is None or into is not None and len(ops) != 1:
                 return None, None

@@ -2031,15 +2031,20 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
        "%11 = arith.muli %arg4, %arg4 : index\n"
        "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
      False),
+    ([("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
+      ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")], True),
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
-        "access-can-raise", "stored-slice-read-twice", "read-at-k-squared"])
+        "access-can-raise", "stored-slice-read-twice", "read-at-k-squared",
+        "store-at-one-element"])
 def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_nest):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
     # its extent in the third copy; D[i] * D[i] reads what the copy before
-    # stored twice, which would need a local; or X is read at k*k, which
-    # no copy's constant term can take, as the body is written once. nest
-    # refuses the first, second and fourth, writing the statement the others
+    # stored twice, which would need a local; X is read at k*k, which no
+    # copy's constant term can take, as the body is written once; or D[0]
+    # is a sum over i, which the loop over i cannot store as a slice. nest
+    # refuses the first, second, fourth and last, writing the statement the
+    # others
     module = _jam_nest(changes=changes)
     verdicts = _jam_verdicts(module)
     assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_nest
@@ -2465,14 +2470,16 @@ def _generated_twice(module):
 
 
 def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
-    # a nest whose store moves with one of its loops of two or more trips
-    # is refused by nest, before any of its code is written; the parent
-    # found out while writing the copies and regenerated the function for
-    # 20 of these 180 slice modules and 126 of these 480 jam modules
+    # a nest whose store moves with one of its loops of two or more trips,
+    # or not with the loop it jams into, is refused by nest, before any of
+    # its code is written. Found out while writing the copies instead, it
+    # regenerated the function for 20 of these 180 slice modules and 126 of
+    # these 480 jam modules; what is left regenerates for a loop over slices
+    # that is refused only as its body is written
     counts = {}
-    for name, build, seeds, parent in (("slice", slice_module, range(90), 20),
-                                       ("jam", jam_module, range(240), 126)):
+    for name, build, seeds, most in (("slice", slice_module, range(90), 12),
+                                     ("jam", jam_module, range(240), 50)):
         counts[name] = sum(_generated_twice(module) for seed in seeds
                            for module in (build(seed), run_pipeline(build(seed), GPU)[0]))
-        assert counts[name] < parent
+        assert counts[name] <= most
     print(f"modules whose code was generated twice: {counts}")
