@@ -101,12 +101,13 @@ perfect nest of such loops around one loop that takes the first slice
 form above, whose store's indices move with none of them, jams into it
 (MLIR's ``affine-loop-unroll-jam``, after Carr and Kennedy, TOPLAS 1994):
 its body is written once, with the nest's induction variables as terms of
-the linear forms, and each copy's slices and elements are its reads'
-with their constant terms moved by coefficient x trip. One slice
-assignment zips every copy's slices and chains their terms in copy order,
-a copy's read of the stored slice reading what the copy before stored,
-so each element's ops keep their order, f32 rounding and integer
-wrapping. ``nest`` tells a short nest, one that jams and any other apart.
+the linear forms; each other copy reads at its slices and elements, whose
+constant terms move by coefficient x trip, and writes again only the ops
+that read them (``jam``). One slice assignment zips every copy's slices
+and chains their terms in copy order, a copy's read of the stored slice
+reading what the copy before stored, so each element's ops keep their
+order, f32 rounding and integer wrapping. ``nest`` tells a short nest,
+one that jams and any other apart.
 
 An scf.for over literal bounds whose body ``loop-unroll`` made of copies
 is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
