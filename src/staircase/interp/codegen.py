@@ -1573,10 +1573,10 @@ class _FuncGen:
                 self.bind_trip(iv, trips[0])
             self.block(block, inner, depth)
             return
-        if into in (None, op):  # the loop a nest jams into keeps no element
+        if into in (None, op):
             level = len(self.headers)
             body = self.loop_header(op, iv, bounds, depth)
-            promoted = [] if self.recording or into is op else self.promote(
+            promoted = [] if self.recording else self.promote(
                 op, body, self.headers[-1].before)
             self.loop_body(op, (iv, trips), inner, body)
             self.close_loops(level)

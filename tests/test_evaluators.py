@@ -2013,6 +2013,21 @@ def test_filter_nest_jams_into_one_statement():
     _agree_in_every_mode(module, "f", shared)
 
 
+
+def test_jammed_copies_read_their_own_repeated_load():
+    # X[i + k] is loaded twice in the body; the second load reads the
+    # first's value, so each copy's second read must be that copy's slice
+    module = _jam_nest(changes=[
+        ("%7 = memref.load %arg2[%arg5]",
+         "%9 = memref.load %arg0[%4] : memref<20xf64>\n"
+         "        %10 = arith.mulf %9, %p0 : f64\n"
+         "        %7 = memref.load %arg2[%arg5]"),
+        ("%8 = arith.addf %7, %p0", "%8 = arith.addf %7, %10")])
+    assert _jammed(module) and _for_ranges(_source(module)) == []
+    (form,), = _slice_forms(_source(module))
+    assert form.count("d2[") == 3   # one slice of X per copy, read twice
+    _agree_in_every_mode(module, "f", _jam_args())
+
 _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%4]")
 
 
