@@ -2486,11 +2486,9 @@ def _generated_twice(module):
 
 def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
     # a nest whose store moves with one of its loops of two or more trips,
-    # or not with the loop it jams into, is refused by nest, before any of
-    # its code is written. Found out while writing the copies instead, it
-    # regenerated the function for 20 of these 180 slice modules and 126 of
-    # these 480 jam modules; what is left regenerates for a loop over slices
-    # that is refused only as its body is written
+    # or not with the loop it jams into, is refused by nest before any of
+    # its code is written; what still regenerates is a loop over slices
+    # refused only as its body is written
     counts = {}
     for name, build, seeds, most in (("slice", slice_module, range(90), 12),
                                      ("jam", jam_module, range(240), 50)):
