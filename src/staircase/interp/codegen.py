@@ -46,9 +46,6 @@ except in code that reports to a recorder:
 - a load whose indices are proven, whose address does not change in a
   loop and whose buffer is defined outside it is bound once just before
   the outermost such loop that stores to no buffer that may be its own;
-- a load with the buffer and index values of an earlier load in the same
-  straight-line run, with no store between that may reach that element,
-  reads the earlier load's local;
 - a loop that reads and writes one element at indices defined outside
   it, touches no buffer that may hold it in any other way, and cannot
   raise (every index proven, no step checked at run time, no call) reads
@@ -340,6 +337,14 @@ def _element_key(indices) -> list:
             for v, c in zip(indices, map(constant_of, indices))]
 
 
+def _reads_elsewhere(body) -> bool:
+    """Whether ``body`` loads the buffer of its one store at another element."""
+    store, = (op for op in body.ops if op.name == "memref.store")
+    buf, at = store.operands[1], _element_key(store.operands[2:])
+    return any(op.name == "memref.load" and op.operands[0] is buf
+               and _element_key(op.operands[1:]) != at for op in body.ops)
+
+
 # A block's execution count is coef * var: var is None (a literal count),
 # a counter, "nt" (a kernel's thread count) or an else-arm difference.
 
@@ -521,9 +526,7 @@ class _FuncGen:
         # store of all its stores, or _MANY; a call's key is None
         self.stores: dict = {}
         self.bodies: dict = {}      # region op -> its body as written
-        self.reused: dict = {}      # load -> the earlier load it reads again
         self.dead: set = set()      # pure ops only such ops read: no statement
-        self.kept: set = set()      # loads whose value a later load reads
         self.promoted: dict = {}    # buffer -> the local its element is in
         self.units: list = []       # source of every compiled unit
         self.names: dict = {}       # Value -> Python expression
@@ -847,28 +850,16 @@ class _FuncGen:
         load is. For the same reason a pure op whose result nothing reads
         but dead ops is dead: it writes no statement. So is every op of
         a loop with a literal dimension of no trips, which stores nothing.
-
-        Unless a recorder is told of every load, it also finds the loads
-        with the buffer and index values of an earlier load in the same
-        run, with no store between them that may reach that element: the
-        earlier load binds its value, and each later one reads that local,
-        assuming the pairs of parameters under which each store between
-        them is to another array.
         """
         stores: dict = {}
         run, writes = 0, 0
         where = {}          # op -> (run, memory writes before it)
-        first: dict = {}    # buffer -> {indices: (its first load, where)}
-        crossed: dict = {}  # buffer -> {buffer stored to: where it last was}
-        known: dict = {}    # (buffer, buffer stored to) -> separate()
-        reuse = not self.recording
-        for at, op in enumerate(block.ops):
+        for op in block.ops:
             name = op.name
             if name == "arith.constant":    # neither folds nor takes a fold
                 continue
             if op.regions:
                 run += 1
-                first, crossed = {}, {}
                 body = self.bodies[op] = (op not in self.plain
                                           and _rolled(op)) or op.body()
                 inner = self.stores[op] = self.scan(body)
@@ -880,39 +871,10 @@ class _FuncGen:
                     inner.clear()
                 for buf, stored in inner.items():
                     _note(stores, buf, stored)
-            elif name == "memref.load":
-                if reuse:
-                    operands = op.operands
-                    buf, indices = operands[0], operands[1:]
-                    loads = first.get(buf)
-                    if loads is None:
-                        loads = first[buf] = {}
-                    hit = loads.get(indices)
-                    if hit is None:
-                        loads[indices] = (op, at)
-                    elif op.results[0].uses:    # something reads the local
-                        load, since = hit
-                        self.reused[op] = load
-                        self.kept.add(load)
-                        for other, when in crossed.get(buf, {}).items():
-                            if when > since:
-                                self.assumed.update(known[buf, other])
             elif name == "memref.store":
-                operands = op.operands
-                target = operands[1]
-                _note(stores, target, (operands[2:], op))
-                for buf in list(first):
-                    if (buf, target) not in known:
-                        known[buf, target] = self.separate(buf, target)
-                    pair = known[buf, target]
-                    if pair is None:
-                        del first[buf]
-                        crossed.pop(buf, None)
-                    elif pair:
-                        crossed.setdefault(buf, {})[target] = at
+                _note(stores, op.operands[1], (op.operands[2:], op))
             elif name in _CALLS:    # a call may store to any buffer
                 stores[None] = _MANY
-                first, crossed = {}, {}
             where[op] = (run, writes)
             writes += name in _WRITES
         point = {}      # folded op -> the op whose statement evaluates it
@@ -921,8 +883,7 @@ class _FuncGen:
                                         for u, _ in op.results[0].uses):
                 self.dead.add(op)
                 continue
-            if op.name not in _PURE and (op.name != "memref.load"
-                                         or op in self.kept):
+            if op.name not in _PURE and op.name != "memref.load":
                 continue
             uses = op.results[0].uses
             if len(uses) != 1:
@@ -1029,14 +990,11 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not (r.uses or self.recording or op in self.kept) and all(
+        if not (r.uses or self.recording) and all(
                 map(self.within, op.operands[1:], buf.type.shape)):
             return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
-        if op in self.reused:   # its indices were checked for the first
-            self.names[r] = self.names[self.reused[op].results[0]]
-            return []
         lines = []
         if op in self.slots:    # a later copy of a body that jams (``jam``)
             at, sliced, lv = self.slots[op]
@@ -1608,8 +1566,7 @@ class _FuncGen:
         for copy in range(1, len(self.points)):
             self.copy, fresh = copy, set()  # fresh: the values named anew
             for op in ops:
-                if op in self.slots or op in self.reused \
-                        or not fresh.isdisjoint(op.operands):
+                if op in self.slots or not fresh.isdisjoint(op.operands):
                     if getattr(self, _HANDLERS[op.name])(op):
                         raise _Plain(self.slicing[0])   # a statement of its own
                     fresh.update(op.results)
@@ -1642,9 +1599,10 @@ class _FuncGen:
         Its bodies hold constants, pure ops, loads, stores and loops over
         literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
         nest's last one, which the copies jam into: of SLICE_TRIPS or more
-        trips, its body of such ops holds one store and no loop, and the
+        trips, its body of such ops holds one store and no loop, the
         store's indices move with its own induction variable but none of
-        the nest's (``ivs``, of its loops of two or more trips)."""
+        the nest's (``ivs``, of its loops of two or more trips), and it
+        reads the stored buffer only where it stores (as ``sliceable``)."""
         if trips > 1:
             ivs = ivs | {loop.body().args[0]}
         ops = [op for op in self.bodies[loop].ops
@@ -1668,7 +1626,8 @@ class _FuncGen:
                 if n is None or n < SLICE_TRIPS or not _SLICEABLE.issuperset(
                         names) or names.count("memref.store") != 1 \
                         or _moves_with(body, ivs) \
-                        or not _moves_with(body, {op.body().args[0]}):
+                        or not _moves_with(body, {op.body().args[0]}) \
+                        or _reads_elsewhere(body):
                     inner = None
             if inner is None or into is not None and len(ops) != 1:
                 return None, None

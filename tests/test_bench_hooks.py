@@ -7,11 +7,14 @@
 ``ExecContext``, and every ``PASSES`` entry) by name, and
 ``run._doubling_probe`` reads ``run_pipeline``'s stats. A change that
 renames one of them, or changes what it returns, breaks only that run.
-This test goes down the same path: ``opt`` and ``run`` through the CLI and
-a two-trial tuner search under an installed Tracer, then the probe.
+This test goes down the same path: ``opt`` and ``run`` through the CLI
+(matmul, and the two shapes of ``bigblocks`` job: a straight-line block
+under canonicalize and the conv strip unrolled 62 times) and a two-trial
+tuner search under an installed Tracer, then the probe.
 """
 import importlib.util
 import os
+import random
 import sys
 
 import pytest
@@ -19,6 +22,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
+import oracle  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -26,7 +30,8 @@ from staircase.ir.core import create_context  # noqa: E402
 from staircase.textio import parse_module  # noqa: E402
 
 LAYERS = ("textio.parse", "ir.verify", "passes.pipeline", "interp.compile",
-          "interp.run", "interp.eval", "tuner.trial")
+          "interp.run", "interp.eval", "tuner.trial", "passes.canonicalize",
+          "passes.lower-affine", "passes.loop-unroll")
 
 
 @pytest.fixture(scope="module")
@@ -40,20 +45,44 @@ def bench_run():
 
 
 def _cli_jobs(work, tracer):
-    """``opt`` then ``run`` of matmul on 32x32 buffers in ``work``, as a
-    CliUnit runs them; returns the output buffer's data."""
+    """``opt`` then ``run`` in ``work``, as a CliUnit runs them, of matmul
+    on 32x32 buffers, a 200-op straight-line block under canonicalize and
+    the conv strip unrolled; returns each output buffer's data, and what
+    the oracle computes for it (None for matmul)."""
     work.mkdir()
-    source = os.path.join(PERFBENCH, "inputs", "matmul.sir")
+    inputs = os.path.join(PERFBENCH, "inputs")
     args = []
     for i in range(3):
         path = str(work / f"arg{i}.json")
         workloads._write_buffer(path, (32, 32), [(k % 5) / 4 for k in range(1024)])
         args.append(path)
-    unit = workloads.CliUnit("matmul", source, "matmul", workloads.CANON,
-                             "sequential", args, [], str(work))
-    job, = unit.run(tracer)
-    assert job.ok, job.error
-    return workloads._read_data(unit.outputs[2])
+    block = oracle.straight_line_block("block200", 200, 7)
+    sir = str(work / "block200.sir")
+    with open(sir, "w", encoding="utf-8") as fh:
+        fh.write(block.text)
+    block_args = [str(work / f"block-arg{i}.json") for i in (0, 1)]
+    for path, data in zip(block_args, block.inputs):
+        workloads._write_buffer(path, (block.width,), data)
+    strip_args, strip_want = workloads._conv_inputs(random.Random(7), str(work),
+                                                    "strip", 4, 3, 2)
+    units = [
+        (workloads.CliUnit("matmul", os.path.join(inputs, "matmul.sir"), "matmul",
+                           workloads.CANON, "sequential", args, [], str(work)),
+         2, None),
+        (workloads.CliUnit("block200", sir, "block200", workloads.CANON,
+                           "sequential", block_args, [], str(work)),
+         1, block.expected),
+        (workloads.CliUnit("strip", os.path.join(inputs, "conv_rows_strip.sir"),
+                           "conv_rows_strip", workloads.UNROLL, "sequential",
+                           strip_args, [], str(work)),
+         2, strip_want[2]),
+    ]
+    outputs = []
+    for unit, at, want in units:
+        job, = unit.run(tracer)
+        assert job.ok, job.error
+        outputs.append((workloads._read_data(unit.outputs[at]), want))
+    return outputs
 
 
 def test_traced_run_nests_its_spans_and_uninstalls(tmp_path, bench_run):
@@ -73,6 +102,8 @@ def test_traced_run_nests_its_spans_and_uninstalls(tmp_path, bench_run):
     finally:
         tracer.uninstall()
     assert traced == plain
+    for got, want in traced:
+        assert want is None or oracle.close(got, want)
     assert len(jobs) == 2 and all(j.ok for j in jobs), [j.error for j in jobs]
     # every global the tracer rebound is the original object again
     assert all((owner[attr] if isinstance(owner, dict)
