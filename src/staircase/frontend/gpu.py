@@ -80,10 +80,9 @@ _KERNEL_BINDINGS = {
 
 
 class _KernelLauncher:
-    def __init__(self, owner: "GPUModule", name: str, fn):
+    def __init__(self, owner: "GPUModule", name: str):
         self._owner = owner
         self._name = name
-        self._fn = fn
 
     def __repr__(self) -> str:
         return f"<kernel {type(self._owner).__name__}.{self._name}>"
@@ -137,8 +136,8 @@ class GPUModule:
         }
         self._range_ctor = range_ctor
         self._bound_module = None
-        for name, fn in self._kernel_fns.items():
-            setattr(self, name, _KernelLauncher(self, name, fn))
+        for name in self._kernel_fns:
+            setattr(self, name, _KernelLauncher(self, name))
         if state._ACTIVE is not None:
             self._materialize(state._ACTIVE)
 

@@ -12,15 +12,14 @@ __all__ = [
     "cost",
     "run",
     "check_races",
-    "ENGINE_NAME",
 ]
 
 
 def __getattr__(name):
-    if name in ("run", "ENGINE_NAME"):
-        from staircase.interp import machine
+    if name == "run":
+        from staircase.interp.machine import run
 
-        return getattr(machine, name)
+        return run
     if name == "check_races":
         from staircase.interp.races import check_races
 

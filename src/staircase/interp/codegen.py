@@ -144,8 +144,7 @@ from staircase.interp.buffer import (
     wrap_int,
 )
 from staircase.interp.stats import BOOKKEEPING, OP_SLOT
-from staircase.interp.tape import Program, module_functions
-from staircase.ir.core import Operation, Value, ancestors
+from staircase.ir.core import Operation, SymbolTable, Value, ancestors
 
 MAX_DEPTH = 15  # a body indented past MAX_DEPTH + 1 gets a function of its own
 SLICE_TRIPS = 16  # trips from which an innermost loop runs over slices
@@ -189,16 +188,15 @@ class _Plain(Exception):
 
 
 class ExecContext:
-    """Per-run execution knobs: the mode, and the worker count."""
+    """What generated code reads of a run: its mode, as ``X.mode``."""
 
-    __slots__ = ("mode", "workers")
+    __slots__ = ("mode",)
 
-    def __init__(self, mode="sequential", workers=1):
+    def __init__(self, mode="sequential"):
         self.mode = mode
-        self.workers = workers
 
 
-def run_tape(program, func, values, tally, ctx):
+def run_tape(func, values, tally, ctx):
     """Call the compiled entry function; returns its results."""
     return func.fn(*values, tally, ctx)
 
@@ -1749,8 +1747,24 @@ class _FuncGen:
                 self.lines.pop()
 
 
-def lower_module(module: Operation, recorder=None) -> Program:
+def module_functions(module: Operation):
+    """(key, op, is_kernel) for each func.func and each gpu.func kernel."""
+    for name, op in SymbolTable(module).symbols.items():
+        if op.name == "func.func":
+            yield name, op, False
+        elif op.name == "gpu.module":
+            for kernel_name, kernel in SymbolTable(op).symbols.items():
+                if kernel.name == "gpu.func":
+                    yield f"{name}::{kernel_name}", kernel, True
+
+
+def lower_module(module: Operation, recorder=None) -> dict:
     """Generate, compile and bind one Python function per func and kernel.
+
+    The program returned is a dict of each ``Function`` by symbol, a
+    kernel's keyed ``module::kernel``. It is valid while its module is
+    unchanged: an aliased call generates code from the module then, so
+    compile after the last pipeline.
 
     With a ``recorder`` (``races``), the code also reports every load and
     store, and the points of each parallel loop and launch, to it. A
@@ -1771,7 +1785,7 @@ def lower_module(module: Operation, recorder=None) -> Program:
             namespace[f"{gen.pyname}_aliased"] = functools.partial(
                 _alias_safe, namespace, op, gen.pyname, pynames, gen.extents)
     _define(units, namespace)
-    program = Program()
+    program = {}
     for key, op, is_kernel in entries:
         program[key] = Function(
             name=key,

@@ -1,10 +1,10 @@
 """Run entry points: argument checking, execution, stats assembly.
 
-``run`` compiles the module to Python source (``tape.compile_module``) and
-calls the entry function through ``_engine``. What a run means is defined
-by the interpreter in ``tests/definterp.py``, a recursive walk over the
-ops: ``run`` is tested to return the same results, leave the same buffers,
-raise the same errors and count the same ExecStats.
+``run`` compiles the module to Python source (``codegen.lower_module``)
+and calls the entry function through ``_engine``. What a run means is
+defined by the interpreter in ``tests/definterp.py``, a recursive walk over
+the ops: ``run`` is tested to return the same results, leave the same
+buffers, raise the same errors and count the same ExecStats.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from staircase.errors import (
 from staircase.interp import codegen
 from staircase.interp.buffer import Buffer, to_f32, wrap_int
 from staircase.interp.stats import ExecStats, cost, fold_tally, new_tally
-from staircase.interp.tape import Program, compile_module
 from staircase.ir.core import Operation
 from staircase.ir.verify import verify_or_raise
 
@@ -42,7 +41,7 @@ def normalize_mode(mode, workers: int) -> tuple:
     return mode, workers
 
 
-def _entry(program: Program, func_name: str):
+def _entry(program: dict, func_name: str):
     if func_name not in program or program[func_name].is_kernel:
         raise MissingMain(f"no function @{func_name} in this module")
     return program[func_name]
@@ -94,20 +93,20 @@ def run(module: Operation, func_name: str, args, mode="sequential",
     """Execute @func_name over args; returns (results, ExecStats).
 
     Verifies the module first. A module `run_pipeline` has rewritten is
-    verified already, so it may go to `call(compile_module(m), ...)`."""
+    verified already, so it may go to `call(codegen.lower_module(m), ...)`."""
     mode, workers = normalize_mode(mode, workers)
     verify_or_raise(module)
-    return call(compile_module(module), func_name, args, mode, workers)
+    return call(codegen.lower_module(module), func_name, args, mode, workers)
 
 
-def call(program: Program, func_name: str, args, mode: str, workers: int):
+def call(program: dict, func_name: str, args, mode: str, workers: int):
     """Run @func_name of a compiled module; returns (results, ExecStats)."""
     func = _entry(program, func_name)
     values = check_args(func.name, func.param_types, args)
     tally = new_tally()
-    ctx = _engine.ExecContext(mode, workers)
+    ctx = _engine.ExecContext(mode)
     start = time.perf_counter()
-    rets = _engine.run_tape(program, func, values, tally, ctx)
+    rets = _engine.run_tape(func, values, tally, ctx)
     wall = time.perf_counter() - start
     return tuple(rets or ()), fold_tally(tally, wall, mode, workers)
 

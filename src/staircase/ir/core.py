@@ -196,10 +196,9 @@ class Location:
 class Value:
     """An SSA value: the result of an operation or a block argument."""
 
-    __slots__ = ("id", "type", "owner", "index", "uses")
+    __slots__ = ("type", "owner", "index", "uses")
 
-    def __init__(self, vid: int, ty: IRType, owner: Union["Operation", "Block"], index: int):
-        self.id = vid
+    def __init__(self, ty: IRType, owner: Union["Operation", "Block"], index: int):
         self.type = ty
         self.owner = owner
         self.index = index
@@ -217,8 +216,9 @@ class Value:
         return self.owner if isinstance(self.owner, Operation) else None
 
     def __repr__(self) -> str:
-        where = "arg" if self.is_block_arg else "result"
-        return f"<Value %{self.id} {self.type} ({where})>"
+        if self.is_block_arg:
+            return f"<Value {self.type} (arg {self.index})>"
+        return f"<Value {self.type} (result {self.index} of {self.owner.name})>"
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ class Operation:
         self._order = 0
         self.erased = False
         self.results = [
-            Value(ctx.new_value_id(), t, self, i) for i, t in enumerate(result_types)
+            Value(t, self, i) for i, t in enumerate(result_types)
         ]
         self.regions = [Block(self) for _ in range(region_count)]
         for i, v in enumerate(self._operands):
@@ -398,7 +398,7 @@ class Block:
         return self.parent_op.ctx
 
     def add_arg(self, ty: IRType) -> Value:
-        v = Value(self.ctx.new_value_id(), ty, self, len(self.args))
+        v = Value(ty, self, len(self.args))
         self.args.append(v)
         return v
 
@@ -481,21 +481,15 @@ class DialectRegistry:
 
 
 class Context:
-    """Owns dialect registrations, top-level modules, and value ids."""
+    """Owns dialect registrations and top-level modules."""
 
     def __init__(self):
         self.registry = DialectRegistry()
         self.modules: list[Operation] = []
-        self._next_value_id = 0
         from staircase.dialects.schemas import BUILTIN_DIALECTS
 
         for dialect in BUILTIN_DIALECTS:
             self.registry.register(dialect)
-
-    def new_value_id(self) -> int:
-        vid = self._next_value_id
-        self._next_value_id += 1
-        return vid
 
 
 def create_context() -> Context:
@@ -699,7 +693,7 @@ def erase_op(op: Operation) -> None:
     for r in op.results:
         if r.uses:
             raise HasUses(
-                f"cannot erase {op.name}: result %{r.id} still has {len(r.uses)} use(s)"
+                f"cannot erase {op.name}: result {r.index} still has {len(r.uses)} use(s)"
             )
     _detach_tree(op)
     if op.parent is not None:

@@ -87,9 +87,9 @@ class operands:
         w.k += len(values)
         names = w.names
         if self.typed:
-            w.out.append(", ".join([f"{names[v.id]} : {v.type}" for v in values]))
+            w.out.append(", ".join([f"{names[v]} : {v.type}" for v in values]))
         else:
-            w.out.append(", ".join([names[v.id] for v in values]))
+            w.out.append(", ".join([names[v] for v in values]))
 
     def read(self, r, p) -> None:
         if self.n == 1:

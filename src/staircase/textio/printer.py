@@ -4,7 +4,7 @@ Each op's syntax is the Form on its OpSchema (GENERIC when it has none);
 the Writer here runs forms and owns numbering, indentation and attribute
 literals. Numbering is positional: results are %0, %1, ... and block
 arguments are %arg0, %arg1, ... in pre-order, with both counters reset
-at each function so nothing leaks from the Context's id counter.
+at each function; the Writer keys each name by its Value.
 Attribute dictionaries are sorted by key. Loop and branch bodies never
 show their scf.yield (it is always empty in this dialect subset); return
 and gpu.return are explicit.
@@ -23,7 +23,7 @@ class Writer:
     def __init__(self, schemas: dict):
         self.schemas = schemas  # op name -> OpSchema
         self.out: list[str] = []
-        self.names: dict[int, str] = {}
+        self.names: dict[Value, str] = {}
         self.next_result = 0
         self.next_arg = 0
         self.indent = ""
@@ -33,7 +33,7 @@ class Writer:
     def def_arg(self, v: Value) -> str:
         name = f"%arg{self.next_arg}"
         self.next_arg += 1
-        self.names[v.id] = name
+        self.names[v] = name
         return name
 
     def attr_value(self, attr: Attribute) -> str:
@@ -80,7 +80,7 @@ class Writer:
             for r in op.results:
                 label = f"%{self.next_result}"
                 self.next_result += 1
-                self.names[r.id] = label
+                self.names[r] = label
                 labels.append(label)
             head += ", ".join(labels) + " = "
         self.out.append(head + (form.mnemonic or op.name))

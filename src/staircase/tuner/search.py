@@ -28,8 +28,8 @@ from staircase.errors import (
 )
 from staircase.interp import Buffer, cost as model_cost
 from staircase.interp.buffer import copy_buffers
+from staircase.interp.codegen import lower_module
 from staircase.interp.machine import call
-from staircase.interp.tape import compile_module
 from staircase.ir.core import Operation, SymbolTable, clone_module
 from staircase.ir.verify import verify_or_raise
 from staircase.passes import run_pipeline
@@ -163,7 +163,7 @@ class _Session:
         self.template = pipeline_template or default_pipeline
         self.inputs = make_inputs(module, self.func, seed)
         self.want_args = copy_buffers(self.inputs)
-        self.want_results, _ = call(compile_module(module), self.func,
+        self.want_results, _ = call(lower_module(module), self.func,
                                     self.want_args, "sequential", 1)
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
@@ -172,7 +172,7 @@ class _Session:
         work = clone_module(self.module)
         try:
             run_pipeline(work, spec)
-            program = compile_module(work)
+            program = lower_module(work)
         except (PassFailure, VerificationFailed):
             return Trial(idx, params, None, "skipped", self.seed)
         finally:

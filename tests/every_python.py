@@ -22,8 +22,8 @@ import kernels
 from irgen import deep_parallel_module, long_block_module
 from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
+from staircase.interp.codegen import lower_module
 from staircase.interp.machine import run
-from staircase.interp.tape import compile_module
 from staircase.ir.core import clone_module
 from staircase.passes import run_pipeline
 from staircase.textio import print_module
@@ -73,7 +73,7 @@ def main() -> None:
             print(op.name, where(op))
         for pipeline in (CANON, UNROLL):
             work, _ = run_pipeline(clone_module(module), pipeline)
-            args = inputs(compile_module(work)[name].param_types)
+            args = inputs(lower_module(work)[name].param_types)
             results, stats = run(work, name, args, "gpu_emulated")
             if pipeline == UNROLL:
                 print("after", pipeline)

@@ -3,7 +3,7 @@
 ``perfbench/run.py --trace 1`` is the only caller of two program surfaces:
 ``perfbench/tracing.py`` rebinds the layer entry points (``parse_module``,
 ``print_module``, ``verify``, ``clone_module``, ``run_pipeline``,
-``compile_module``, ``machine.run``, the evaluator's ``run_tape`` and
+``tape.compile_module``, ``machine.run``, the evaluator's ``run_tape`` and
 ``ExecContext``, and every ``PASSES`` entry) by name, and
 ``run._doubling_probe`` reads ``run_pipeline``'s stats. A change that
 renames one of them, or changes what it returns, breaks only that run.
@@ -26,12 +26,22 @@ import oracle  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+from staircase.interp import codegen, tape  # noqa: E402
 from staircase.ir.core import create_context  # noqa: E402
 from staircase.textio import parse_module  # noqa: E402
 
 LAYERS = ("textio.parse", "ir.verify", "passes.pipeline", "interp.compile",
           "interp.run", "interp.eval", "tuner.trial", "passes.canonicalize",
           "passes.lower-affine", "passes.loop-unroll")
+
+
+def test_tracer_times_the_compiler_itself():
+    """The tracer wraps ``tape.compile_module`` and rebinds every global
+    that is that object; ``tape`` keeps the name only as an alias, so
+    ``interp.compile`` covers each call of ``codegen.lower_module``."""
+    assert tape.compile_module is codegen.lower_module, (
+        "perfbench/tracing.py times interp.compile through "
+        "tape.compile_module, which must be codegen.lower_module")
 
 
 @pytest.fixture(scope="module")

@@ -293,11 +293,15 @@ class TestDominance:
 
 class TestMutation:
     def test_erase_requires_no_uses(self, ctx):
-        _, _, body = _func(ctx)
+        _, _, body = _func(ctx, [F64])
         a = build_constant(body, 1.0)
         add = build_arith_binop(body, "arith.addf", a, a).defining_op
-        with pytest.raises(HasUses):
+        assert repr(a) == "<Value f64 (result 0 of arith.constant)>"
+        assert repr(body.args[0]) == "<Value f64 (arg 0)>"
+        with pytest.raises(HasUses) as info:
             erase_op(a.defining_op)
+        assert str(info.value) == (
+            "cannot erase arith.constant: result 0 still has 2 use(s)")
         const = a.defining_op
         erase_op(add)
         erase_op(const)
