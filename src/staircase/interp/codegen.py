@@ -73,15 +73,16 @@ threads; the code ``run`` executes has none of these calls.
 
 An innermost loop of SLICE_TRIPS or more literal trips, whose body is one
 store, loads and pure ops, and whose induction variable is used only in
-proven addresses that move by a constant positive stride or not at all,
-runs over slices of its arrays (MLIR's ``affine-super-vectorize``). If
-the store is to a buffer read only at the element it stores and
-``separate`` from the others it reads, the body becomes one slice
-assignment of a comprehension over the zipped slices; if it adds into an
-element kept in a local, a loop over them, adding in order (``sum`` rounds
-otherwise from 3.12). Slices cost set-up: on CPython 3.11 the first form
-overtakes the loop at 16 to 20 trips, the second at 8 to 12. Code for a
-recorder keeps every loop.
+proven, linear addresses that move by a constant positive stride or not at
+all, a load's among them, runs over slices of its arrays (MLIR's
+``affine-super-vectorize``). If the store moves, is to a buffer read only
+at the element it stores and ``separate`` from the others it reads, and
+each pure op folds into its use or names only an address, the body becomes
+one slice assignment of a comprehension over the zipped slices; if it adds
+into an element kept in a local, a loop over them, adding in order
+(``sum`` rounds otherwise from 3.12). Slices cost set-up: on CPython 3.11
+the first form overtakes the loop at 16 to 20 trips, the second at 8 to
+12. Code for a recorder keeps every loop.
 
 A loop over literal bounds that runs at most once, or heads a short nest,
 is written once per trip, its induction variable named by the trip's
@@ -115,9 +116,15 @@ signature with that sum for iv (``_signature``), so it uses no value of
 another run. The loop is then written over run 0 alone, ``for iv in
 range(lb, lb + trips*F*s, s)``, so rolled iteration t*F + k does what copy
 k of trip t did, in order, and every rule above applies to it as to a loop
-never unrolled. Its counts are those of the unrolled block. An error that
-would name the location of a copy's op other than run 0's (copies written
-by hand, not cloned) sends the loop back to its copies.
+never unrolled. Its counts are those of the unrolled block. Copies written
+by hand, not cloned, stay if an error in run 0 could name a location, as
+a copy's would name its own.
+
+Each loop's form is decided from the IR before any of its code is
+written (as MLIR's SuperVectorize asks ``isVectorizableLoopBody``):
+``scan`` notes the interval and linear form each integer value has where
+every loop is written as a loop (``learn``), so a function is generated
+once.
 """
 from __future__ import annotations
 
@@ -179,12 +186,6 @@ class Function:
     param_types: tuple
     is_kernel: bool
     fn: object = None
-
-
-class _Plain(Exception):
-    """Write the loop ``args[0]`` as the IR has it: written over slices, it
-    fits no slice form; rolled, an error of a copy would name the location
-    of the first run's op; jammed, its copies fit no one statement."""
 
 
 class ExecContext:
@@ -265,6 +266,42 @@ def _linear(sign: str, a: tuple, b: tuple):
     return {v: c for v, c in terms.items() if c}, ka + s * kb
 
 
+def _facts(op: Operation, fact) -> tuple:
+    """The interval and linear form of the result of an addi, subi, muli or
+    index_cast, each None if unknown, from ``fact`` of its operands, the same
+    pair (a point's form is its constant), as ``int_binop`` and ``cast``."""
+    (ra, fa), kind = fact(op.operands[0]), op.results[0].type.kind
+    if op.name == "arith.index_cast":   # to i32, it wraps unless it fits
+        return (None, None) if kind == "i32" and not (ra and _fits(*ra, kind)) \
+            else (ra, fa)
+    (rb, fb), sign = fact(op.operands[1]), _IOPS[op.name]
+    if sign == "*" and (0, 0) in (ra, rb):
+        return (0, 0), ({}, 0)
+    if ra is None or rb is None:
+        return None, None
+    lo, hi = _combine(sign, ra, rb)
+    if lo == hi:    # a constant, wrapped as a run wraps it
+        lo = wrap_int(lo, "i32" if kind == "i32" else "i64")
+        return (lo, lo), ({}, lo)
+    if not _fits(lo, hi, kind):
+        return None, None
+    return (lo, hi), fa and fb and _linear(sign, fa, fb)
+
+
+def _iv_range(lb, ub):
+    """The interval a runtime-bounded induction variable stays in, from its
+    bounds': lb <= iv < ub, as a step that is not positive runs only lb."""
+    return lb and ub and (lb[0], max(ub[1] - 1, lb[0]))
+
+
+def _unproven(op: Operation, interval) -> bool:
+    """Whether a load or store has an index that ``interval`` does not prove
+    inside its extent: its bounds check stays."""
+    at = _INDEX_FROM[op.name]
+    return not all(r is not None and 0 <= r[0] and r[1] < n for r, n in zip(
+        map(interval, op.operands[at:]), op.operands[at - 1].type.shape))
+
+
 def _sum(terms, const: int = 0) -> str:
     """Σ name*coef + const as Python source; ``terms`` are (name, coef) pairs."""
     text = ""
@@ -315,32 +352,16 @@ def _defined_in(value: Value, loop: Operation) -> bool:
     return op is loop or any(a is loop for a in ancestors(op))
 
 
-def _moves_with(body, ivs: set) -> bool:
-    """Whether the one store of ``body`` writes at an index computed, by
-    integer ops, from one of ``ivs``."""
-    stack = [v for op in body.ops if op.name == "memref.store"
-             for v in op.operands[2:]]
-    while stack:
-        v = stack.pop()
-        if v in ivs:
-            return True
-        if not v.is_block_arg and v.owner.name in _LINEAR_OPS:
-            stack += v.owner.operands
-    return False
+def _gpu_dim(op: Operation) -> int:
+    """The index in _GPU_IDS of the id a gpu.block_id or gpu.thread_id reads."""
+    dim = "xyz".index(op.attributes["dimension"].value)
+    return dim + 3 if op.name == "gpu.thread_id" else dim
 
 
 def _element_key(indices) -> list:
     """Indices that name one element alike: a constant by its value."""
     return [v if c is None else c
             for v, c in zip(indices, map(constant_of, indices))]
-
-
-def _reads_elsewhere(body) -> bool:
-    """Whether ``body`` loads the buffer of its one store at another element."""
-    store, = (op for op in body.ops if op.name == "memref.store")
-    buf, at = store.operands[1], _element_key(store.operands[2:])
-    return any(op.name == "memref.load" and op.operands[0] is buf
-               and _element_key(op.operands[1:]) != at for op in body.ops)
 
 
 # A block's execution count is coef * var: var is None (a literal count),
@@ -498,7 +519,7 @@ class _FuncGen:
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
                  extents, constants: list, recording: bool = False,
-                 guarded: bool = True, plain=frozenset()):
+                 guarded: bool = True):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
@@ -508,11 +529,9 @@ class _FuncGen:
         self.recording = recording  # call the race recorder R
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
-        self.plain = plain          # loops neither sliced nor rolled
         self.copying = False        # writing a nest per trip: no level innermost
-        # while a body is written over slices: (loop, induction local, trips,
-        # {slice: the local each of its elements is read into}); for a nest
-        # that jams, the loop is the nest's head
+        # while a body is written over slices: (induction local, trips,
+        # {slice: the local each of its elements is read into})
         self.slicing = None
         self.into = None            # the loop written as one slice statement,
         self.slots: dict = {}       # its loads -> (place per copy, sliced, level),
@@ -539,6 +558,8 @@ class _FuncGen:
         self.foldable: set = set()  # results written into their one use
         self.folded: set = set()    # Values written into their use
         self.linear: dict = {}      # integer Value -> ({induction local: coef}, k)
+        self.bounds: dict = {}      # integer Value -> (lo, hi), as ``learn`` finds
+        self.forms: dict = {}       # it -> ({induction Value: coef}, k), as well
         self.indexing: dict = {}    # Value -> whether it is used only in addresses
         # Loop levels: 0 is the function's entry, each ``for`` opens one.
         self.levels: dict = {}      # induction local -> the level its loop opens
@@ -648,9 +669,7 @@ class _FuncGen:
 
     def const(self, value: Value):
         r = self.ranges.get(value)
-        if r is not None and r[0] == r[1]:
-            return r[0]
-        return None
+        return r[0] if r is not None and r[0] == r[1] else None
 
     def within(self, value: Value, extent: int) -> bool:
         """Whether an index is proven to lie in [0, extent)."""
@@ -665,13 +684,6 @@ class _FuncGen:
         name = self.local("c")
         self.counters.append(name)
         return name
-
-    def location(self, op: Operation) -> str:
-        """The K entry of the location an error at ``op`` names."""
-        body = self.bodies.get(op.parent.parent_op)
-        if isinstance(body, _Rolled) and op in body.moved:
-            raise _Plain(op.parent.parent_op)
-        return self.constant(op.location)
 
     def constant(self, obj) -> str:
         self.constants.append(obj)
@@ -837,7 +849,9 @@ class _FuncGen:
 
     def scan(self, block) -> dict:
         """One pass over the ops of ``block``, and first of the blocks in
-        them; returns what the block stores to (the form of ``stores``).
+        them, which rolls each loop that may roll (``rolled``) and notes
+        what the handlers will find of each integer (``learn``); returns
+        what the block stores to (the form of ``stores``).
 
         It finds the results used once, later in the same straight-line
         run. Such a result is written into its use as an expression, which
@@ -854,12 +868,12 @@ class _FuncGen:
         where = {}          # op -> (run, memory writes before it)
         for op in block.ops:
             name = op.name
+            self.learn(op)
             if name == "arith.constant":    # neither folds nor takes a fold
                 continue
             if op.regions:
                 run += 1
-                body = self.bodies[op] = (op not in self.plain
-                                          and _rolled(op)) or op.body()
+                body = self.bodies[op] = self.rolled(op) or op.body()
                 inner = self.stores[op] = self.scan(body)
                 for arm in op.regions[1:]:      # an else-arm
                     for buf, stored in self.scan(arm).items():
@@ -896,6 +910,51 @@ class _FuncGen:
                 point[op] = at
                 self.foldable.add(op.results[0])
         return stores
+
+    def rolled(self, loop: Operation):
+        """``_rolled(loop)``, unless an op of its first run may name its
+        location in an error where a copy's is another: a launch, or an
+        access ``bounds`` do not prove inside its buffer. A rolled loop's
+        induction variables are learnt anew, over its rolled trips."""
+        rolled = _rolled(loop)
+        if rolled:
+            for op in (loop, *rolled.ops):
+                self.learn(op, rolled.copies)
+            if any(op.name == "gpu.launch_func" or op.name in _INDEX_FROM
+                   and _unproven(op, self.bounds.get) for op in rolled.moved):
+                self.learn(loop)    # it keeps its copies
+                return None
+        return rolled
+
+    def learn(self, op: Operation, copies: int = 1) -> None:
+        """Note in ``bounds`` and ``forms`` what the handlers find of the
+        integer result of ``op``, or the induction variables of a loop (a
+        rolled one of ``copies`` runs), where every loop is written as one."""
+        name = op.name
+        if name in _LINEAR_OPS:
+            self.note(op.results[0], *_facts(op, lambda v: (
+                self.bounds.get(v), self.forms.get(v))))
+        elif name == "arith.constant" and isinstance(c := constant_value(op), int):
+            self.note(op.results[0], (c, c))
+        elif name in ("gpu.block_id", "gpu.thread_id") and self.extents:
+            r = op.results[0]
+            self.note(r, (0, max(self.extents[_gpu_dim(op)] - 1, 0)), ({r: 1}, 0))
+        elif name in _LOOPS:
+            args, bounds = op.body().args, static_bounds(op)
+            for k, iv in enumerate(args):
+                if bounds:
+                    lb, _, step, trips = bounds[k]
+                    interval = trips and (lb, lb + trips * step - step // copies)
+                else:
+                    interval = _iv_range(*map(self.bounds.get,
+                                              op.operands[k::len(args)][:2]))
+                self.note(iv, interval, ({iv: 1}, 0))
+
+    def note(self, value: Value, interval, form=None) -> None:
+        """Note a known interval and its form; a point's is its constant."""
+        if interval:
+            lo, hi = self.bounds[value] = interval
+            self.forms[value] = form if lo < hi else ({}, lo)
 
     def body(self, block, count: tuple, depth: int, op) -> None:
         """A block that the loops ``op`` opened last run, or a function's.
@@ -940,34 +999,23 @@ class _FuncGen:
     def int_binop(self, op: Operation) -> list:
         sign = _IOPS[op.name]
         (a, b), r = op.operands, op.results[0]
-        kind = r.type.kind
         ca, cb = self.const(a), self.const(b)
-        if sign == "*" and 0 in (ca, cb):
-            self.names[r] = "0"
-            self.ranges[r] = (0, 0)
-            return []
         if cb == 0 and sign != "*" or cb == 1 and sign == "*":
             return self.alias(r, a)
         if ca == 0 and sign == "+" or ca == 1 and sign == "*":
             return self.alias(r, b)
-        ra, rb = self.ranges.get(a), self.ranges.get(b)
-        if ra is not None and rb is not None:
-            lo, hi = _combine(sign, ra, rb)
-            if lo == hi:    # a constant: fold it
-                value = wrap_int(lo, "i32" if kind == "i32" else "i64")
-                self.names[r] = self.literal(value)
-                self.ranges[r] = (value, value)
+        interval, form = _facts(op, lambda v: (self.ranges.get(v), self.form(v)))
+        expr = f"{self.val(a)} {sign} {self.val(b)}"
+        if interval is None:
+            return self.assign(r, _wrap_expr(expr, r.type.kind))
+        self.ranges[r] = interval
+        if interval[0] == interval[1]:  # a constant: fold it
+            self.names[r] = self.literal(interval[0])
+            return []
+        if form:
+            self.linear[r] = form
+            if self.fold_linear(r):
                 return []
-            if _fits(lo, hi, kind):
-                self.ranges[r] = (lo, hi)
-                fa, fb = self.form(a), self.form(b)
-                form = fa and fb and _linear(sign, fa, fb)
-                if form:
-                    self.linear[r] = form
-                    if self.fold_linear(r):
-                        return []
-                return self.assign(r, f"{self.val(a)} {sign} {self.val(b)}")
-        expr = _wrap_expr(f"{self.val(a)} {sign} {self.val(b)}", kind)
         return self.assign(r, expr)
 
     def cmpf(self, op: Operation) -> list:
@@ -988,8 +1036,7 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not (r.uses or self.recording) and all(
-                map(self.within, op.operands[1:], buf.type.shape)):
+        if not (r.uses or self.recording or _unproven(op, self.ranges.get)):
             return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
@@ -1011,7 +1058,7 @@ class _FuncGen:
         if sliced:  # by its local, or by what the copy before stored there
             if self.stored and text == self.stored[0]:
                 return self.assign(r, self.stored[1])
-            zipped = self.slicing[3]
+            zipped = self.slicing[2]
             if text not in zipped:
                 zipped[text] = self.local("x")
             self.names[r] = zipped[text]
@@ -1033,12 +1080,8 @@ class _FuncGen:
         if wrap:
             expr = _wrap_expr(expr, kind)
         if self.slicing is not None and buf not in self.promoted:
-            if self.stored is None:     # the first copy: the slice of all
-                at = self.slice_of(buf, op.operands[2:])
-                if at is None or len(set(at)) > 1:  # copies store elsewhere
-                    raise _Plain(self.slicing[0])
-            # the next copy's read of the slice, and the statement ``jam`` ends
-            text = self.stored[0] if self.stored else at[0]
+            # every copy's slice, the next one's read of it, and the statement
+            text = (self.stored or self.slice_of(buf, op.operands[2:]))[0]
             self.stored = (text, expr[1:-1] if value in self.folded and not wrap
                            else expr, f"{text} = array({self.arrays[buf]}"
                            f".typecode, [{expr}")
@@ -1065,14 +1108,14 @@ class _FuncGen:
         for v, extent in zip(indices, buf.type.shape):
             if not self.within(v, extent):
                 expr = self.val(v)
-                where = where or self.location(op)
+                where = where or self.constant(op.location)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
         coefs, fixed, rest = self.linearise(buf, indices)
         terms, level = self.hoist(coefs)
         if lines or rest:
             level = None
-        terms = terms + rest
+        terms = terms + [(self.val(v), stride) for v, stride in rest]
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
             key = _sum(terms)
             if "[" not in key:  # reads no memory: reusable in this run
@@ -1083,24 +1126,20 @@ class _FuncGen:
                 terms = [(base, 1)]
         return lines, [_sum(terms, k) for k in fixed], level
 
-    def linearise(self, buf: Value, indices) -> tuple:
+    def linearise(self, buf: Value, indices, forms=None) -> tuple:
         """The flat offset of ``indices`` into ``buf``: {induction local:
         coef}, the constant in each copy of a jammed body (the jammed
-        loops' terms moved into it), and (expression, stride) per
-        nonlinear index."""
+        loops' terms moved into it), and (index, stride) per nonlinear
+        index; by the linear forms ``forms`` gives, else those written."""
         shape = buf.type.shape
         strides = self.strides.get(shape)
         if strides is None:
             strides = self.strides[shape] = row_major_strides(shape)
         coefs, fixed, rest = {}, 0, []
         for v, stride in zip(indices, strides):
-            point = self.const(v)
-            if point is not None:
-                fixed += point * stride
-                continue
-            form = self.linear.get(v)
+            form = (forms or self.form)(v)
             if form is None:
-                rest.append((self.val(v), stride))
+                rest.append((v, stride))
                 continue
             for name, coef in form[0].items():
                 coefs[name] = coefs.get(name, 0) + coef * stride
@@ -1225,8 +1264,8 @@ class _FuncGen:
                  and buf in self.arrays and iv not in where[0]
                  and None not in map(self.form, where[0])}
         touched: set = set()
-        if not found or not self.raise_free(self.bodies[loop], depth, {},
-                                            found, touched):
+        if not found or not self.raise_free(self.bodies[loop], depth, found,
+                                            touched):
             return []
         promoted = []
         for buf, (_, store) in found.items():
@@ -1245,91 +1284,87 @@ class _FuncGen:
                 promoted.append((buf, local, element))
         return promoted
 
-    def raise_free(self, block, depth: int, known: dict, found: dict,
-                   touched: set) -> bool:
+    def raise_free(self, block, depth: int, found: dict, touched: set) -> bool:
         """Whether no op of ``block`` can raise or runs in a function of
         its own, past MAX_DEPTH (``depth`` is where its ops are written);
         its region ops are scf.for, affine.for and scf.if.
 
         Notes each buffer it touches, and drops from ``found`` each buffer
-        it reads at another address. ``known`` holds the intervals of the
-        integers defined inside the loop.
+        it reads at another address. A value not yet written has the
+        interval ``scan`` noted.
         """
         def interval(v):
-            return known.get(v) or self.ranges.get(v)
+            return self.ranges.get(v) if v in self.names else self.bounds.get(v)
 
         for op in block.ops:
-            name = op.name
-            if name in _INDEX_FROM:
-                at = _INDEX_FROM[name]
+            at = _INDEX_FROM.get(op.name)
+            if at:
                 buf = op.operands[at - 1]
-                for v, extent in zip(op.operands[at:], buf.type.shape):
-                    r = interval(v)
-                    if r is None or r[0] < 0 or r[1] >= extent:
-                        return False
+                if _unproven(op, interval):
+                    return False
                 touched.add(buf)
                 if buf in found and op.operands[at:] != found[buf][0]:
                     del found[buf]
-            elif name == "arith.constant":
-                c = constant_value(op)
-                if isinstance(c, int):
-                    known[op.results[0]] = (c, c)
-            elif name in _LINEAR_OPS:
-                r, kind = op.results[0], op.results[0].type.kind
-                a = interval(op.operands[0])
-                if name in _IOPS:
-                    b = interval(op.operands[1])
-                    a = a and b and _combine(_IOPS[name], a, b)
-                if a and _fits(*a, kind):
-                    known[r] = a
             elif op.regions:
-                if depth > MAX_DEPTH or name not in ("scf.for", "affine.for",
-                                                     "scf.if"):
+                step = interval(op.operands[2]) if op.name == "scf.for" else (1, 1)
+                if depth > MAX_DEPTH or step is None or step[0] < 1 or op.name \
+                        not in ("scf.for", "affine.for", "scf.if") or not all(
+                            self.raise_free(body, depth + 1, found, touched)
+                            for body in (self.bodies[op], *op.regions[1:])):
                     return False
-                if name == "scf.for":
-                    lb, ub, step = map(interval, op.operands)
-                    if step is None or step[0] < 1:
-                        return False
-                    if lb and ub:
-                        known[op.body().args[0]] = (lb[0], max(ub[1] - 1, lb[0]))
-                elif name == "affine.for":
-                    trips = range(*static_bounds(op)[0][:3])
-                    if trips:
-                        known[op.body().args[0]] = (trips[0], trips[-1])
-                for body in (self.bodies[op], *op.regions[1:]):
-                    if not self.raise_free(body, depth + 1, known, found,
-                                           touched):
-                        return False
         return True
 
     # -- loops over slices ---------------------------------------------------
 
-    def sliceable(self, loop: Operation, iv: Value, trips: range, depth: int):
-        """The slice form the innermost loop just opened, ``for iv in
-        trips``, may take: "reduce", "map", or None. What only writing its
-        body shows (strides, one statement) raises ``_Plain`` there."""
-        if self.recording or len(trips) < SLICE_TRIPS \
-                or loop in self.plain or not self.index_only(iv):
+    def sliceable(self, loop: Operation, iv: Value, head=None):
+        """The slice form the innermost loop ``loop`` over ``iv``, of
+        SLICE_TRIPS or more trips, may take: "reduce", "map" or None; ``head``
+        heads the nest that jams into it, if one does. Decided from the IR
+        before its body is written: every address is linear (``forms``) and
+        moves by a stride of at least 1 or not at all, a used load's moves;
+        in the map form the store's moves with ``iv`` and no other nest
+        variable, and no op needs a statement: each pure op, and each read
+        of what a store before it wrote, folds or names only an address."""
+        if self.recording or not self.index_only(iv):
             return None
         block = self.bodies[loop]
         loads = [op for op in block.ops if op.name == "memref.load"]
         stores = [op for op in block.ops if op.name == "memref.store"]
-        if len(stores) != 1 or not loads \
-                or any(op.name not in _SLICEABLE for op in block.ops) \
-                or not self.raise_free(block, depth, {}, {}, set()):
+        if len(stores) != 1 or any(op.name not in _SLICEABLE for op in block.ops) \
+                or not self.raise_free(block, 0, {}, set()):
             return None
         (store,) = stores
-        buf = store.operands[1]
+        buf, offsets = store.operands[1], {}
+        for op in loads + stores:   # their terms over induction Values
+            at = _INDEX_FROM[op.name]
+            coefs, _, rest = self.linearise(op.operands[at - 1], op.operands[at:],
+                                            self.forms.get)
+            if rest or coefs.get(iv, 0) < 0:
+                return None
+            offsets[op] = coefs
+        if not any(offsets[op].get(iv) and op.results[0].uses
+                   and op.operands[0] not in self.promoted for op in loads):
+            return None
         if buf in self.promoted:    # promote checked the buffers it reads
             return "reduce"
+        if not offsets[store].get(iv) or head and any(
+                v is not iv and _defined_in(v, head) for v in offsets[store]):
+            return None
         pairs, at = set(), _element_key(store.operands[2:])
         for load in loads:
-            other = load.operands[0]
+            other, r = load.operands[0], load.results[0]
             pair = self.separate(other, buf, loop)
             if pair is None and (other is not buf
-                                 or _element_key(load.operands[1:]) != at):
+                                 or _element_key(load.operands[1:]) != at) \
+                    or other is buf and r.uses and r not in self.foldable and (
+                        head or block.ops.index(load) > block.ops.index(store)):
                 return None
             pairs.update(pair or ())
+        if any(r not in self.foldable and not (self.index_only(r)
+                                                and self.forms.get(r))
+               for r in (op.results[0] for op in block.ops
+                         if op.name in _PURE and op not in self.dead)):
+            return None
         self.assumed.update(pairs)
         return "map"
 
@@ -1339,28 +1374,20 @@ class _FuncGen:
         loop opened, ``for iv in trips``, runs it. Over slices of its
         arrays where that loop takes a slice form, else as it is; the loop
         a nest jams into takes the first form, its statement the copies'."""
-        form = innermost and self.sliceable(loop, *innermost, depth)
-        head = self.slicing[0] if self.into is loop else loop
-        if self.into is loop and form != "map":
-            raise _Plain(head)
+        form = "map" if self.into is loop else innermost and len(
+            innermost[1]) >= SLICE_TRIPS and self.sliceable(loop, innermost[0])
         if not form:
             self.body(self.bodies[loop], count, depth, loop)
             return
-        at, name = len(self.lines), self.names[innermost[0]]
-        self.slicing = (head, name, innermost[1], {})
+        at = len(self.lines)
+        self.slicing = (self.names[innermost[0]], innermost[1], {})
         if form == "map":   # its body once, then the statement (``jam``)
             self.into = loop
             self.block(self.bodies[loop], count, depth)
-            if len(self.lines) > at:
-                raise _Plain(head)
             self.lines[at - 1:] = ["    " * (depth - 1) + self.jam(loop)]
         else:
             self.body(self.bodies[loop], count, depth, loop)
             self.lines[at - 1] = "    " * (depth - 1) + self.zip_clause() + ":"
-        # no induction variable of the loop or the nest may be left named
-        if re.search(rf"\b(?:{'|'.join([name, *self.moving])})\b",
-                     "\n".join(self.lines[at - 1:])):
-            raise _Plain(head)
         self.slicing = self.into = self.stored = None
         self.moving, self.points, self.slots, self.copy = [], [()], {}, 0
 
@@ -1369,14 +1396,12 @@ class _FuncGen:
         being sliced, as a slice of its array in each copy of a jammed
         body; None for an address that does not move, whose element the
         loop form's load reads."""
-        loop, name, trips, _ = self.slicing
-        coefs, fixed, rest = self.linearise(buf, indices)
+        name, trips, _ = self.slicing
+        coefs, fixed, _ = self.linearise(buf, indices)
         coef = coefs.pop(name, 0)
         if not coef:
             return None
         step = coef * trips.step
-        if rest or step < 1:
-            raise _Plain(loop)
         terms, _ = self.hoist(coefs)
         span, slices = len(trips) * step, []
         for k in fixed:
@@ -1388,9 +1413,7 @@ class _FuncGen:
 
     def zip_clause(self) -> str:
         """``for`` over the elements of the slices the sliced body reads."""
-        loop, _, _, zipped = self.slicing
-        if not zipped:
-            raise _Plain(loop)
+        zipped = self.slicing[2]
         if len(zipped) == 1:
             ((text, name),) = zipped.items()
             return f"for {name} in {text}"
@@ -1418,7 +1441,7 @@ class _FuncGen:
         return lines
 
     def launch(self, op: Operation) -> list:
-        where = self.location(op)
+        where = self.constant(op.location)
         kernel = self.pynames["::".join(op.attributes["kernel"].value)]
         args = [self.val(v) for v in op.operands] + ["T", "X"]
         return [f"if X.mode != 'gpu_emulated': "
@@ -1426,17 +1449,12 @@ class _FuncGen:
                 f"{kernel}({', '.join(args)})"]
 
     def gpu_id(self, op: Operation) -> list:
-        dim = "xyz".index(op.attributes["dimension"].value)
-        dim += 3 if op.name == "gpu.thread_id" else 0
         r = op.results[0]
-        self.names[r] = _GPU_IDS[dim]
-        if self.extents:
-            top = max(self.extents[dim] - 1, 0)
-            if top == 0:    # its thread loop is left out
-                self.names[r] = "0"
-                self.ranges[r] = (0, 0)
-            else:
-                self.induction(r, (0, top))
+        self.names[r] = _GPU_IDS[_gpu_dim(op)]
+        if self.bounds.get(r) == (0, 0):    # its thread loop is left out
+            self.bind_trip(r, 0)
+        else:   # from the launch sizes, if constant (``learn``)
+            self.induction(r, self.bounds.get(r))
         return []
 
     # -- region ops: each writes its statements ---------------------------------
@@ -1467,17 +1485,6 @@ class _FuncGen:
         if interval is not None:
             self.ranges[iv] = interval
             self.linear[iv] = ({self.names[iv]: 1}, 0)
-
-    def iv_range(self, lb: Value, ub: Value):
-        """The interval a runtime-bounded induction variable stays in.
-
-        Inside the body lb <= iv < ub, whatever the step: a step that is
-        not positive runs the body once, at lb.
-        """
-        rl, ru = self.ranges.get(lb), self.ranges.get(ub)
-        if rl is None or ru is None:
-            return None
-        return rl[0], max(ru[1] - 1, rl[0])
 
     def step_proven(self, step: Value) -> bool:
         r = self.ranges.get(step)
@@ -1518,8 +1525,7 @@ class _FuncGen:
             inner = _times(count, len(trips))
         into = self.into or len(trips) < 2 or self.nest(op, trips, depth)
         if into not in (None, True, op):    # a loop of a nest that jams
-            if self.into is None:
-                self.into, self.slicing = into, (op, None, None, {})
+            self.into = into
             if len(trips) > 1:  # a term of the linear forms ``jam`` moves
                 self.names[iv] = f"j{len(self.moving)}"     # no local's name
                 self.moving = self.moving + [self.names[iv]]
@@ -1565,8 +1571,7 @@ class _FuncGen:
             self.copy, fresh = copy, set()  # fresh: the values named anew
             for op in ops:
                 if op in self.slots or not fresh.isdisjoint(op.operands):
-                    if getattr(self, _HANDLERS[op.name])(op):
-                        raise _Plain(self.slicing[0])   # a statement of its own
+                    getattr(self, _HANDLERS[op.name])(op)   # writes none
                     fresh.update(op.results)
         return f"{self.stored[2]} {self.zip_clause()}])"
 
@@ -1577,32 +1582,25 @@ class _FuncGen:
         into (MLIR's ``affine-loop-unroll-jam``); or None, as a loop.
 
         Its loops are over literal bounds, of at most UNROLL_TRIPS trips
-        but the one it jams into; nothing in it can raise, and its copies
-        write at most UNROLL_OPS ops, at least one if it jams."""
+        but the one it jams into, which takes the map form (``sliceable``);
+        nothing in it can raise, and its copies write at most UNROLL_OPS ops."""
         if self.recording or len(trips) > UNROLL_TRIPS:
             return None
         size, into = self.written(loop, len(trips))
         if size is None or size > UNROLL_OPS \
-                or into is not None and (not size or loop in self.plain):
+                or not self.raise_free(self.bodies[loop], depth, {}, set()):
             return None
-        known = {loop.body().args[0]: (trips[0], trips[-1])}
-        safe = self.raise_free(self.bodies[loop], depth, known, {}, set())
-        return (into or True) if safe else None
+        return True if into is None else self.sliceable(
+            into, into.body().args[0], loop) == "map" and into or None
 
-    def written(self, loop: Operation, trips: int, ivs=frozenset()) -> tuple:
+    def written(self, loop: Operation, trips: int) -> tuple:
         """The ops but constants and yields that writing ``loop`` once per
         trip writes, and the loop its copies jam into or None; (None, None)
         if its nest holds an op no short nest may hold.
 
         Its bodies hold constants, pure ops, loads, stores and loops over
         literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
-        nest's last one, which the copies jam into: of SLICE_TRIPS or more
-        trips, its body of such ops holds one store and no loop, the
-        store's indices move with its own induction variable but none of
-        the nest's (``ivs``, of its loops of two or more trips), and it
-        reads the stored buffer only where it stores (as ``sliceable``)."""
-        if trips > 1:
-            ivs = ivs | {loop.body().args[0]}
+        nest's last one, which the copies jam into."""
         ops = [op for op in self.bodies[loop].ops
                if op.name not in ("arith.constant", "scf.yield")]
         size, into = 0, None
@@ -1617,16 +1615,11 @@ class _FuncGen:
             n = bounds and bounds[0][3] * (
                 body.copies if isinstance(body, _Rolled) else 1)
             if n is not None and n <= UNROLL_TRIPS:
-                inner, into = self.written(op, n, ivs)
-            else:
-                names = [o.name for o in body.ops]
-                inner, into = len(names) - names.count("arith.constant") - 1, op
-                if n is None or n < SLICE_TRIPS or not _SLICEABLE.issuperset(
-                        names) or names.count("memref.store") != 1 \
-                        or _moves_with(body, ivs) \
-                        or not _moves_with(body, {op.body().args[0]}) \
-                        or _reads_elsewhere(body):
-                    inner = None
+                inner, into = self.written(op, n)
+            else:   # the loop its copies jam into
+                into = op
+                inner = sum(o.name != "arith.constant" for o in body.ops) - 1 \
+                    if n and n >= SLICE_TRIPS else None
             if inner is None or into is not None and len(ops) != 1:
                 return None, None
             size += inner
@@ -1671,7 +1664,7 @@ class _FuncGen:
                              f"else bad_step({l}, {u})")
         self.emit(depth, f"{inner[1]} += len({rng})")
         depth = self.loop(depth, self.bind(iv, "i"), rng, op)
-        self.induction(iv, self.iv_range(lb, ub))
+        self.induction(iv, _iv_range(self.ranges.get(lb), self.ranges.get(ub)))
         self.bookkeeping.append(inner)
         self.body(op.body(), inner, depth, op if proven else None)
         self.close_loops(level)
@@ -1719,7 +1712,8 @@ class _FuncGen:
         for k, (iv, c) in enumerate(zip(op.body().args, dims)):
             if isinstance(c, str):
                 depth, innermost = self.loop(depth, self.bind(iv, "i"), c, op), None
-                self.induction(iv, self.iv_range(*op.operands[k::n][:2]))
+                self.induction(iv, _iv_range(*map(self.ranges.get,
+                                                  op.operands[k::n][:2])))
             elif len(range(*c)) == 1:
                 self.bind_trip(iv, c[0])
             else:
@@ -1778,8 +1772,9 @@ def lower_module(module: Operation, recorder=None) -> dict:
     namespace = dict(_RUNTIME, K=constants, R=recorder)
     units = []
     for key, op, _ in entries:
-        gen = _generate(op, pynames[key], pynames, extents.get(key), constants,
-                        recorder is not None)
+        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
+                       recorder is not None)
+        gen.generate()
         units += gen.units
         if gen.assumed:
             namespace[f"{gen.pyname}_aliased"] = functools.partial(
@@ -1800,26 +1795,11 @@ def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
                 extents, *args):
     """Generate and compile the alias-safe variant of ``op``, which takes
     the place of this stand-in in ``namespace``, and call it."""
-    gen = _generate(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
-                    namespace["R"] is not None, guarded=False)
+    gen = _FuncGen(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
+                   namespace["R"] is not None, guarded=False)
+    gen.generate()
     _define(gen.units, namespace)
     return namespace[gen.pyname](*args)
-
-
-def _generate(op: Operation, *args, **kwargs) -> _FuncGen:
-    """A generator that has written ``op``. A loop it found not to fit the
-    slice form it took, or not to roll, is written as the IR has it by a
-    fresh one."""
-    plain: set = set()
-    while True:
-        gen = _FuncGen(op, *args, **kwargs, plain=plain)
-        mark = len(gen.constants)
-        try:
-            gen.generate()
-            return gen
-        except _Plain as exc:
-            plain.add(exc.args[0])
-            del gen.constants[mark:]
 
 
 def _define(units: list, namespace: dict) -> None:

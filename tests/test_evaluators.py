@@ -10,6 +10,7 @@ sequential one, it is checked against the sequential reference: the
 definitional interpreter reads the mode only in the stats and at
 gpu.launch_func, which both modes refuse with a message naming the mode.
 """
+import functools
 import hashlib
 import itertools
 import math
@@ -1063,18 +1064,44 @@ def test_nested_parameters_are_read():
     assert nested >= 30
 
 
-def _definitions(module):
-    """Per func.func and gpu.func of ``module``, in code for no recorder
-    and for one, with and without the entry guard (the alias-safe
-    variant): the names of the Python functions its source defines."""
+VARIANTS = [(recording, guarded) for recording in (False, True)
+            for guarded in (True, False)]
+
+
+def _variants(module):
+    """Per (recording, guarded) in VARIANTS: the code of each func.func and
+    gpu.func of ``module``, for no recorder or for one, as ``lower_module``
+    generates it (guarded) or as its alias-safe variant is generated, under
+    the guarded name; and whether ``_FuncGen.generate`` ran more than once
+    for one function."""
     entries = list(module_functions(module))
     pynames = {key: f"f{i}" for i, (key, _, _) in enumerate(entries)}
     extents = codegen._launch_extents(module)
-    return [re.findall(r"^def (\w+)\(", "".join(codegen._generate(
-                op, pynames[key], pynames, extents.get(key), [], recording,
-                guarded=guarded).units), re.M)
-            for key, op, _ in entries
-            for recording in (False, True) for guarded in (True, False)]
+    generate, calls, out = codegen._FuncGen.generate, [], {}
+
+    def spy(gen):
+        calls.append(gen.op)
+        return generate(gen)
+
+    with mock.patch.object(codegen._FuncGen, "generate", spy):
+        for recording, guarded in VARIANTS:
+            calls.clear()
+            sources = []
+            for key, op, _ in entries:
+                gen = codegen._FuncGen(op, pynames[key], pynames, extents.get(key),
+                                       [], recording, guarded=guarded)
+                gen.generate()
+                sources.append("".join(gen.units))
+            out[recording, guarded] = sources, len(calls) > len(set(calls))
+    return out
+
+
+def _definitions(module):
+    """Per func.func and gpu.func of ``module``, in each of VARIANTS: the
+    names of the Python functions its source defines."""
+    variants = _variants(module)
+    return [re.findall(r"^def (\w+)\(", variants[variant][0][i], re.M)
+            for i, _ in enumerate(module_functions(module)) for variant in VARIANTS]
 
 
 def _function_corpus(name):
@@ -1639,6 +1666,59 @@ def test_read_of_another_trips_element_keeps_the_loop():
     assert want[2][0].tolist()[-1] == 2.0 ** 32
 
 
+# Innermost loops of 16 trips over X, of 256 elements, and D, of 16, that no
+# slice form fits: X is read backwards, or at i*i beside i; a product is
+# read twice, so it needs a local; D is stored at i*0, which does not move;
+# or D[0] sums X[0], the one read of X that moves being unused. Each is
+# refused from the IR, before any of its body is written
+_NO_SLICE_FORM = {
+    "stride-below-one": """\
+      %5 = arith.subi %3, %arg2 : index
+      %6 = memref.load %arg0[%5] : memref<256xf64>
+      memref.store %6, %arg1[%arg2] : memref<16xf64>""",
+    "nonlinear-address": """\
+      %5 = arith.muli %arg2, %arg2 : index
+      %6 = memref.load %arg0[%5] : memref<256xf64>
+      %7 = memref.load %arg0[%arg2] : memref<256xf64>
+      %8 = arith.addf %6, %7 : f64
+      memref.store %8, %arg1[%arg2] : memref<16xf64>""",
+    "value-read-twice": """\
+      %5 = memref.load %arg0[%arg2] : memref<256xf64>
+      %6 = arith.mulf %5, %4 : f64
+      %7 = arith.addf %6, %6 : f64
+      memref.store %7, %arg1[%arg2] : memref<16xf64>""",
+    "store-that-does-not-move": """\
+      %5 = memref.load %arg0[%arg2] : memref<256xf64>
+      %6 = arith.mulf %5, %4 : f64
+      %7 = arith.muli %arg2, %0 : index
+      memref.store %6, %arg1[%7] : memref<16xf64>""",
+    "no-read-moves": """\
+      %5 = memref.load %arg1[%0] : memref<16xf64>
+      %6 = memref.load %arg0[%0] : memref<256xf64>
+      %7 = memref.load %arg0[%arg2] : memref<256xf64>
+      %8 = arith.addf %5, %6 : f64
+      memref.store %8, %arg1[%0] : memref<16xf64>""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_SLICE_FORM))
+def test_loop_no_slice_form_fits_is_refused_up_front(case):
+    module = _module(f"""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 16 : index
+    %3 = arith.constant 15 : index
+    %4 = arith.constant 2.0 : f64
+    scf.for %arg2 = %0 to %2 step %1 {{
+{_NO_SLICE_FORM[case]}
+    }}
+    return""", "%arg0: memref<256xf64>, %arg1: memref<16xf64>")
+    for variant, (sources, again) in _variants(module).items():
+        assert not again, variant
+        assert _for_ranges("".join(sources)) == ["range(16)"], variant
+    _agree_in_every_mode(module, "f", [_ramp(n=256), _ramp(n=16)])
+
+
 def test_one_buffer_as_source_and_destination_keeps_loops():
     # C[i] = A[i] + B[i] assumes A and B are not C's array; one Buffer
     # passed as all three goes to the alias-safe variant, whose loop reads
@@ -2046,6 +2126,9 @@ def test_filter_nest_jams_into_one_statement():
     shared = _jam_args()
     shared[2] = shared[0]   # X is D: the alias-safe variant keeps the loops
     _agree_in_every_mode(module, "f", shared)
+    # nest refuses the jam there before writing any of it: X may be D
+    sources, again = _variants(module)[False, False]
+    assert not again and _for_ranges("".join(sources)) == ["range(3)", "range(16)"]
 
 
 
@@ -2076,11 +2159,11 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
        "%9 = arith.muli %arg4, %2 : index\n        %4 = arith.addi %arg5, %9 : index")],
      True),
     ([("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
-     False),
+     True),
     ([("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
        "%11 = arith.muli %arg4, %arg4 : index\n"
        "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
-     False),
+     True),
     ([("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
       ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")], True),
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
@@ -2093,8 +2176,7 @@ def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_ne
     # stored twice, which would need a local; X is read at k*k, which no
     # copy's constant term can take, as the body is written once; or D[0]
     # is a sum over i, which the loop over i cannot store as a slice. nest
-    # refuses all but the fifth and sixth, whose statement is refused as it
-    # is written
+    # refuses each before any of its code is written
     module = _jam_nest(changes=changes)
     verdicts = _jam_verdicts(module)
     assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_nest
@@ -2372,6 +2454,17 @@ def test_error_in_a_rolled_copy_is_the_copys(by):
                                    else ["range(0, 20, 4)"])
 
 
+def test_hand_copies_no_error_can_tell_apart_are_rolled():
+    # copies written by hand name their own lines, but with every access
+    # proven inside its buffer no error names one: the loop rolls, and
+    # its one run is a slice assignment
+    module = _copies(_FOUR_RUNS, 4, extent=20)
+    source = _source(module)
+    assert "oob(" not in source and len(_slice_forms(source)) == 1
+    assert _variants(module)[False, True][0] == [source]
+    _agree_in_every_mode(module, "f", [_ramp(n=20), Buffer((20,), "f64")])
+
+
 def _runs(runs, trips=5, extent=20):
     """@f(A, B): a loop of ``trips`` by len(runs) over the runs, each a
     text of ops in which {k} is the run's number and {i} its index value
@@ -2490,47 +2583,62 @@ def _bench_sources(group):
 # jammed body was written once
 BENCH_SOURCE_DIGESTS = {"kernels": "fbb237c4fe85e40a", "strip": "7ab5c886e05abe1b",
                         "tune": "352e151ddcc247e7"}
+# the same of their alias-safe variants, and of the code of IRGEN_CORPUS in
+# all four VARIANTS, as generated while a loop refused as its body was
+# written sent its function back to be generated again
+ALIAS_SAFE_DIGESTS = {"kernels": "2a24d85b95b93acf", "strip": "0ec2b0fe42c87d2e",
+                      "tune": "33684aaaad7b7b0b"}
+IRGEN_DIGESTS = {"index": "c34a9b491c252632", "jam": "e115844a0c45f5a6",
+                 "random": "0ccc9452aaba2cbe", "slice": "06af1698cb2955e8"}
+IRGEN_CORPUS = {"random": (random_module, range(240)), "index": (index_module, range(80)),
+                "slice": (slice_module, range(90)), "jam": (jam_module, range(240))}
 
 
 @pytest.mark.parametrize("group", sorted(BENCH_SOURCE_DIGESTS))
 def test_bench_modules_generate_the_same_source(group):
-    digest = hashlib.sha256()
+    digest, alias_safe = hashlib.sha256(), hashlib.sha256()
     for module in _bench_sources(group):
         for recorder in (None, object()):
             digest.update(_source(module, recorder).encode())
+        variants = _variants(module)
+        for recording in (False, True):
+            alias_safe.update("".join(variants[recording, False][0]).encode())
     assert digest.hexdigest()[:16] == BENCH_SOURCE_DIGESTS[group]
+    assert alias_safe.hexdigest()[:16] == ALIAS_SAFE_DIGESTS[group]
 
 
-def _generated_twice(module):
-    """Whether writing the module's code wrote a function more than once:
-    a loop refused only while it was written regenerates its function."""
-    calls = []
-    generate, first = codegen._FuncGen.generate, codegen._generate
+@functools.lru_cache(maxsize=None)
+def _irgen_code(family):
+    """The first 16 hex digits of the SHA-256 of the code of the family's
+    modules, each plain and after the GPU pipeline, in all four VARIANTS;
+    and how many of those module-variants generated a function twice."""
+    build, seeds = IRGEN_CORPUS[family]
+    digest, twice = hashlib.sha256(), 0
+    for seed in seeds:
+        module = build(seed)
+        for outlined in (False, True):
+            if outlined:    # in place: code generation leaves the module as is
+                run_pipeline(module, GPU)
+            for sources, again in _variants(module).values():
+                digest.update("".join(sources).encode())
+                twice += again
+    return digest.hexdigest()[:16], twice
 
-    def spy_generate(gen):
-        calls[-1] += 1
-        return generate(gen)
 
-    def spy(*args, **kwargs):
-        calls.append(0)
-        return first(*args, **kwargs)
-
-    with mock.patch.object(codegen._FuncGen, "generate", spy_generate), \
-            mock.patch.object(codegen, "_generate", spy):
-        _source(module)
-    return max(calls) > 1
+@pytest.mark.parametrize("family", sorted(IRGEN_CORPUS))
+def test_irgen_modules_generate_the_same_source(family):
+    assert _irgen_code(family)[0] == IRGEN_DIGESTS[family]
 
 
 def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
-    # a nest whose store moves with one of its loops of two or more trips,
-    # or not with the loop it jams into, or whose body reads the stored
-    # buffer at another element, is refused by nest before any of its code
-    # is written; what still regenerates is a loop over slices refused only
-    # as its body is written
-    counts = {}
-    for name, build, seeds, most in (("slice", slice_module, range(90), 8),
-                                     ("jam", jam_module, range(240), 0)):
-        counts[name] = sum(_generated_twice(module) for seed in seeds
-                           for module in (build(seed), run_pipeline(build(seed), GPU)[0]))
-        assert counts[name] <= most
-    print(f"modules whose code was generated twice: {counts}")
+    # every loop's form is decided before any of its code is written: a
+    # nest that would not jam, a loop whose body fits no slice form and a
+    # rolled loop whose copy's error would name another location are each
+    # written as loops at once, so no function is generated twice, in code
+    # for a recorder or not, guarded or alias-safe
+    counts = {family: _irgen_code(family)[1] for family in IRGEN_CORPUS}
+    for corpus in ("bench-inputs", "kernels", "tune-points"):
+        counts[corpus] = sum(again for module in _function_corpus(corpus)
+                             for _, again in _variants(module).values())
+    print(f"module-variants whose code was generated twice: {counts}")
+    assert counts == dict.fromkeys(counts, 0)
