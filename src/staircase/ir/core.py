@@ -30,35 +30,46 @@ if TYPE_CHECKING:
 
 
 _KINDS = ("index", "i1", "i32", "i64", "f32", "f64", "memref")
+_UNIQUED: dict = {}  # (kind, shape, element) -> the one IRType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IRType:
     """Structural type: a scalar kind or a static-shaped memref of one.
 
-    Equality is structural. Memref extents must be static and >= 1; the
-    element must be a scalar kind (no nested memrefs).
+    Types are uniqued, as in an MLIR context, so equality is identity.
+    Memref extents must be static and >= 1; the element must be a scalar
+    kind (no nested memrefs).
     """
 
     kind: str
     shape: tuple = ()
     element: "IRType | None" = None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise TypeMismatch(f"unknown type kind {self.kind!r}")
-        if self.kind == "memref":
-            if self.element is None or self.element.kind == "memref":
+    def __new__(cls, kind: str, shape: tuple = (), element=None):
+        if kind not in _KINDS:
+            raise TypeMismatch(f"unknown type kind {kind!r}")
+        if kind == "memref":
+            if element is None or element.kind == "memref":
                 raise TypeMismatch("memref element must be a scalar type")
-            if len(self.shape) < 1:
+            if len(shape) < 1:
                 raise TypeMismatch("memref requires at least one extent")
-            for d in self.shape:
-                if not isinstance(d, int) or d < 1:
-                    raise TypeMismatch(
-                        f"memref extents must be static integers >= 1, got {d!r}"
-                    )
-        elif self.shape or self.element is not None:
-            raise TypeMismatch(f"scalar type {self.kind} takes no shape/element")
+            for d in shape:
+                if type(d) is not int or d < 1:  # True would key as 1
+                    raise TypeMismatch("memref extents must be static integers "
+                                       f">= 1, got {d!r}")
+        elif shape or element is not None:
+            raise TypeMismatch(f"scalar type {kind} takes no shape/element")
+        ty = _UNIQUED.get((kind, shape, element))
+        if ty is None:
+            ty = object.__new__(cls)
+            vars(ty).update(kind=kind, shape=shape, element=element)
+            # one dict step, so two threads building one new type share one
+            ty = _UNIQUED.setdefault((kind, shape, element), ty)
+        return ty
+
+    def __reduce__(self):  # copies and pickles come back uniqued
+        return IRType, (self.kind, self.shape, self.element)
 
     @property
     def is_float(self) -> bool:
@@ -243,7 +254,7 @@ class Operation:
     ):
         self.ctx = ctx
         self.name = name
-        self._operands: list[Value] = list(operands)
+        self._operands: tuple[Value, ...] = tuple(operands)
         self.attributes: dict[str, Attribute] = dict(attributes)
         self.location = location
         self.parent: Block | None = None
@@ -262,18 +273,18 @@ class Operation:
 
     @property
     def operands(self) -> tuple:
-        return tuple(self._operands)
+        return self._operands
 
     def set_operand(self, i: int, v: Value) -> None:
-        old = self._operands[i]
-        del old.uses[self, i]
-        self._operands[i] = v
+        ops = self._operands
+        del ops[i].uses[self, i]
+        self._operands = ops[:i] + (v,) + ops[i + 1:]
         v.uses[self, i] = None
 
     def drop_operand_uses(self) -> None:
         for i, v in enumerate(self._operands):
             del v.uses[self, i]
-        self._operands = []
+        self._operands = ()
 
     # -- structure helpers
 
@@ -333,9 +344,9 @@ class Block:
     apart, and an op inserted between two others takes a number in the
     gap (before the last op, the last op's number moves up instead).
     Only when no gap is left is the block marked for renumbering, which
-    happens at the next query. Removing an op keeps the numbering. Ops
-    must enter and leave `ops` through `insert`, `remove` and
-    `merge_block`.
+    happens at the next query, as it is after a `splice` of many ops at
+    once. Removing an op keeps the numbering. Ops must enter and leave
+    `ops` through `insert`, `splice` and `remove`.
     """
 
     def __init__(self, parent_op: Operation):
@@ -387,6 +398,13 @@ class Block:
             op._order = (prev + nxt._order) // 2
         else:
             self._order_valid = False
+
+    def splice(self, index: int, ops: list) -> None:
+        """Put the detached `ops` at `index` as `list.insert` would, in order."""
+        self.ops[index:index] = ops
+        for op in ops:
+            op.parent = self
+        self._order_valid = False
 
     def remove(self, op: Operation) -> None:
         """Take `op` out of this block; the numbering stays valid."""
@@ -717,22 +735,18 @@ def merge_block(source: Block, dest: Block, values=()) -> None:
                            f"{len(source.args)} argument(s)")
     moved = source.ops[:source.insertion_index()]
     del source.ops[:len(moved)]
-    at = dest.insertion_index()
-    dest.ops[at:at] = moved
-    for op in moved:
-        op.parent = dest
-    dest._order_valid = False
+    dest.splice(dest.insertion_index(), moved)
     for arg, value in zip(source.args, values):
         replace_all_uses_with(arg, value)
 
 
 def clone_op(
     op: Operation,
-    block: Block,
-    index: int,
+    block: Block | None = None,
+    index: int = 0,
     value_map: dict | None = None,
 ) -> Operation:
-    """Deep-copy `op` into `block` at `index`.
+    """Deep-copy `op` into `block` at `index`, or detached without a block.
 
     `value_map` maps old values to replacements; operands not in the map
     are used as-is (values defined outside the cloned subtree). The map is
@@ -741,27 +755,23 @@ def clone_op(
     `index` is caught there, not here.
     """
     vmap = value_map if value_map is not None else {}
-    new = Operation(block.ctx, op.name, [vmap.get(v, v) for v in op._operands],
+    new = Operation(op.ctx, op.name, [vmap.get(v, v) for v in op._operands],
                     op.attributes, [r.type for r in op.results], len(op.regions),
                     op.location)
-    block.insert(index, new)
+    if block is not None:
+        block.insert(index, new)
     for old_r, new_r in zip(op.results, new.results):
         vmap[old_r] = new_r
     for old_block, new_block in zip(op.regions, new.regions):
         for arg in old_block.args:
             vmap[arg] = new_block.add_arg(arg.type)
-        for child in old_block.ops:
-            clone_op(child, new_block, len(new_block.ops), vmap)
+        new_block.splice(0, [clone_op(c, value_map=vmap) for c in old_block.ops])
     return new
 
 
 def clone_module(module: Operation) -> Operation:
     """Deep-copy a top-level module within its context, unchecked as
     clone_op builds."""
-    clone = create_module(module.ctx, module.location)
-    clone.attributes = dict(module.attributes)
-    vmap: dict = {}
-    body = clone.body()
-    for op in module.body().ops:
-        clone_op(op, body, len(body.ops), vmap)
+    clone = clone_op(module)
+    module.ctx.modules.append(clone)
     return clone

@@ -47,6 +47,9 @@ class PassScope:
     # (name, params) tuples and nested PassScopes, in execution order
     items: list = field(default_factory=list)
 
+    def names_a_pass(self) -> bool:
+        return any(not isinstance(i, PassScope) or i.names_a_pass() for i in self.items)
+
 
 @dataclass
 class Pipeline:

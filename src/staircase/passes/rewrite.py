@@ -4,8 +4,9 @@ and the list of ops a pass visits, read before it rewrites any.
 Passes read constants and loop bounds through ``interp.buffer``
 (``constant_of``, ``static_bounds``), as a run reads them, so a pass
 decides on the values the interpreter computes with. They make ops
-through `dialects/builders.py` and splice bodies with
-`ir.core.merge_block`; nothing here creates IR.
+through `dialects/builders.py`; only `loop-unroll` builds its copies
+unchecked, as the parser does, for the verify after the pass to judge.
+They splice bodies with `ir.core.merge_block`; nothing here creates IR.
 """
 from __future__ import annotations
 

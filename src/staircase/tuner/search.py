@@ -14,7 +14,8 @@ strict improvement.  Both are pure functions of the seed.
 
 A trial runs the pipeline on a clone of the kernel, which ``run_pipeline``
 verifies first and after each pass, then compiles and calls the clone as
-it is; the kernel itself is never rewritten.
+it is; the kernel itself is never rewritten.  A trial whose pipeline names
+no pass, as the identity point's does, runs the baseline's program.
 """
 import math
 import random
@@ -32,7 +33,7 @@ from staircase.interp.codegen import lower_module
 from staircase.interp.machine import call
 from staircase.ir.core import Operation, SymbolTable, clone_module
 from staircase.ir.verify import verify_or_raise
-from staircase.passes import run_pipeline
+from staircase.passes import pipeline_parse, run_pipeline
 from staircase.tuner.space import ParamSpace, Trial
 
 __all__ = ["default_pipeline", "evaluate", "search"]
@@ -163,20 +164,24 @@ class _Session:
         self.template = pipeline_template or default_pipeline
         self.inputs = make_inputs(module, self.func, seed)
         self.want_args = copy_buffers(self.inputs)
-        self.want_results, _ = call(lower_module(module), self.func,
-                                    self.want_args, "sequential", 1)
+        self.program = lower_module(module)
+        self.want_results, _ = call(self.program, self.func, self.want_args,
+                                    "sequential", 1)
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}
         spec = self.template(params["tiles"], params["unroll"])
-        work = clone_module(self.module)
-        try:
-            run_pipeline(work, spec)
-            program = lower_module(work)
-        except (PassFailure, VerificationFailed):
-            return Trial(idx, params, None, "skipped", self.seed)
-        finally:
-            self.module.ctx.modules.remove(work)
+        pipeline = pipeline_parse(spec)
+        program = self.program
+        if pipeline.root.names_a_pass():
+            work = clone_module(self.module)
+            try:
+                run_pipeline(work, pipeline)
+                program = lower_module(work)
+            except (PassFailure, VerificationFailed):
+                return Trial(idx, params, None, "skipped", self.seed)
+            finally:
+                self.module.ctx.modules.remove(work)
         args = copy_buffers(self.inputs)
         results, stats = call(program, self.func, args, "sequential", 1)
         if not _state_matches(results, args, self.want_results, self.want_args):

@@ -1,6 +1,8 @@
 """Core IR: types, SSA bookkeeping, mutation helpers, verifier."""
+import copy
 import glob
 import os
+import pickle
 
 import pytest
 
@@ -39,6 +41,7 @@ from staircase.ir.core import (
     Block,
     DialectDef,
     IRType,
+    Operation,
     OpSchema,
     array_attr,
     attr_from,
@@ -64,6 +67,7 @@ from staircase.ir.core import (
     value_dominates_op,
     value_visible_at,
 )
+from staircase.ir import core
 from staircase.ir.verify import verify, verify_or_raise
 from staircase.passes.canonicalize import canonicalize
 from staircase.textio import parse_module, print_module
@@ -80,7 +84,7 @@ class TestTypes:
     def test_scalar_identity(self):
         assert F64.kind == "f64" and F64.is_float and not F64.is_int
         assert INDEX.is_int and str(INDEX) == "index"
-        assert IRType("f64") == F64
+        assert IRType("f64") is F64
 
     def test_memref_structure(self):
         ty = memref_type((4, 8), F64)
@@ -98,6 +102,40 @@ class TestTypes:
             IRType("f64", shape=(2,))
         with pytest.raises(TypeMismatch):
             IRType("quaternion")
+
+    def test_types_are_uniqued(self):
+        ty = memref_type((4, 8), F64)
+        assert memref_type([4, 8], F64) is ty
+        assert IRType("memref", (4, 8), IRType("f64")) is ty
+        assert memref_type((8, 4), F64) is not ty and ty != memref_type((8, 4), F64)
+        assert copy.copy(ty) is ty and copy.deepcopy(ty) is ty
+        assert pickle.loads(pickle.dumps(ty)) is ty
+
+    @pytest.mark.parametrize("kind, shape, element, message", [
+        ("quaternion", (), None, "unknown type kind 'quaternion'"),
+        ("memref", (0,), F64, "memref extents must be static integers >= 1, got 0"),
+        ("memref", (4.0,), F64, "memref extents must be static integers >= 1, got 4.0"),
+        ("memref", (True,), F64, "memref extents must be static integers >= 1, got True"),
+        ("memref", (), F64, "memref requires at least one extent"),
+        ("f64", (2,), None, "scalar type f64 takes no shape/element"),
+    ], ids=["kind", "zero-extent", "float-extent", "bool-extent", "no-extent",
+            "scalar-shape"])
+    def test_an_invalid_type_is_refused_every_time_and_kept_nowhere(
+            self, kind, shape, element, message):
+        memref_type((4,), F64)  # valid types equal to the float and bool extents
+        memref_type((1,), F64)
+        table = dict(core._UNIQUED)
+        for _ in range(2):
+            with pytest.raises(TypeMismatch) as info:
+                IRType(kind, shape, element)
+            assert str(info.value) == message
+        assert core._UNIQUED == table
+
+    def test_types_are_dict_keys(self):
+        sizes = {F64: 8, memref_type((2, 3), F64): 48}
+        assert sizes[IRType("f64")] == 8
+        assert sizes[memref_type((2, 3), IRType("f64"))] == 48
+        assert memref_type((3, 2), F64) not in sizes
 
 
 class TestAttributes:
@@ -140,10 +178,12 @@ class TestSSA:
         a = build_constant(body, 1.0)
         b = build_constant(body, 2.0)
         add = build_arith_binop(body, "arith.addf", a, a).defining_op
+        operands = add.operands
+        assert add.operands is operands  # no copy per read
         add.set_operand(1, b)
         assert len(a.uses) == 1
         assert len(b.uses) == 1
-        assert add.operands == (a, b)
+        assert add.operands == (a, b) and operands == (a, a)
 
     def test_dominance_checked_at_creation(self, ctx):
         _, _, body = _func(ctx)
@@ -356,7 +396,7 @@ class TestMutation:
         assert loop.body().ops[0] is c
         assert c not in body.ops
 
-    def test_merge_block(self, ctx):
+    def test_merge_block(self, ctx, monkeypatch):
         module, _, body = _func(ctx)
         lb, ub, st = (build_index_constant(body, v) for v in (0, 4, 1))
         source = build_scf_for(body, lb, ub, st)
@@ -368,7 +408,12 @@ class TestMutation:
         kept = build_constant(dest.body(), 1.0).defining_op
         with pytest.raises(ArityMismatch):
             merge_block(source.body(), dest.body())
+        spliced = []
+        splice = Block.splice
+        monkeypatch.setattr(Block, "splice", lambda block, index, ops: (
+            spliced.append((block, index, len(ops))), splice(block, index, ops)))
         merge_block(source.body(), dest.body(), [j])
+        assert spliced == [(dest.body(), 1, 3)]  # one splice, before the yield
         assert [op.name for op in source.body().ops] == ["scf.yield"]
         moved = dest.body().ops
         assert moved[0] is kept and moved[-1].name == "scf.yield"
@@ -436,6 +481,32 @@ class TestOrderIndex:
         canonicalize(func)
         assert len(inserted) == 800
         assert body.renumbers <= len(inserted) // 100
+        assert verify(module) == []
+
+    @pytest.mark.parametrize("at", [2, -1], ids=["middle", "before-terminator"])
+    def test_a_splice_is_renumbered_once_in_list_order(self, ctx, at):
+        module, _, body = _func(ctx, [F64])
+        x = body.args[0]
+        for _ in range(3):
+            x = build_arith_binop(body, "arith.addf", x, x)
+        assert [body.order_of(op) for op in body.ops]  # numbering valid
+        renumbers = body.renumbers
+        source = body.ops[at - 1].results[0]
+        made = []
+        for _ in range(3):
+            made.append(Operation(ctx, "arith.mulf", [source, source], {},
+                                  [F64], 0, None))
+            source = made[-1].results[0]
+        ops = list(body.ops)
+        ops[at:at] = made
+        body.splice(at, made)
+        assert body.ops == ops and body.renumbers == renumbers
+        for i, op in enumerate(ops):
+            assert op.parent is body and body.position(op) == i
+            assert value_visible_at(source, body, i) == (i > ops.index(made[-1]))
+        orders = [body.order_of(op) for op in ops]
+        assert orders == sorted(set(orders))
+        assert body.renumbers == renumbers + 1
         assert verify(module) == []
 
     def test_ops_built_before_the_terminator_are_not_renumbered(self, ctx):

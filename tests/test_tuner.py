@@ -1,5 +1,6 @@
 """The tuner: searches replay their golden logs, skipped and wrong trials
 are told apart, and transformed buffers are compared as the tuner says."""
+import importlib
 import json
 import os
 
@@ -20,6 +21,8 @@ CONV_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "inputs", "conv_rows.sir")
 SPACE = ParamSpace(tile_sizes=((1, 3), (1, 2, 31)), unroll_factors=(1, 2, 31))
 GOLDEN = os.path.join("tuner", "conv_rows.jsonl")
+# the module, which the function ``search`` shadows as a package attribute
+search_module = importlib.import_module("staircase.tuner.search")
 
 
 def _conv_rows():
@@ -101,6 +104,9 @@ def test_a_point_the_pipeline_rejects_is_skipped():
 ])
 def test_a_trial_verifies_its_input_and_each_pass(monkeypatch, tiles, unroll,
                                                   passes):
+    """A trial that runs passes verifies its clone first and after each
+    pass; the identity trial verifies nothing, because it runs the program
+    of the module the session verified as it started."""
     session = _Session(_conv_rows(), seed=3)
     roots = []
     real = verify.verify
@@ -108,7 +114,33 @@ def test_a_trial_verifies_its_input_and_each_pass(monkeypatch, tiles, unroll,
                         lambda root: roots.append(root) or real(root))
     trial = session.trial(1, tiles, unroll)
     assert trial.status == "evaluated"
-    assert len(roots) == 1 + passes
+    assert len(roots) == (1 + passes if passes else 0)
+
+
+@pytest.mark.parametrize("tiles, unroll, builds", [
+    ([1, 1], 1, 0), ([3, 2], 1, 1), ([1, 1], 2, 1),
+])
+def test_only_a_trial_that_runs_passes_clones_and_compiles(monkeypatch, tiles,
+                                                           unroll, builds):
+    """The identity trial runs the baseline program; it agrees with a
+    trial that compiles a clone whose pipeline changes nothing."""
+    session = _Session(_conv_rows(), seed=3)
+    calls = []
+    for name in ("clone_module", "lower_module"):
+        real = getattr(search_module, name)
+        monkeypatch.setattr(search_module, name, lambda m, name=name, real=real:
+                            calls.append(name) or real(m))
+    trial = session.trial(1, tiles, unroll)
+    assert trial.status == "evaluated"
+    assert calls == ["clone_module", "lower_module"] * builds
+    if not builds:
+        monkeypatch.setitem(PASSES, "nothing", lambda root: PassOutcome())
+        session.template = lambda tiles, unroll: \
+            "builtin.module(func.func(nothing))"
+        compiled = session.trial(1, tiles, unroll)
+        assert calls == ["clone_module", "lower_module"]
+        assert (compiled.cost, compiled.stats["total"]) == (
+            trial.cost, trial.stats["total"])
 
 
 def _shorten_inner_loop(root, **_):
