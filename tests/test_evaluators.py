@@ -35,7 +35,13 @@ from irgen import (
     slice_inputs,
     slice_module,
 )
-from staircase.errors import ArityMismatch, OutOfBounds, PassFailure, TypeMismatch
+from staircase.errors import (
+    ArityMismatch,
+    OutOfBounds,
+    PassFailure,
+    TypeMismatch,
+    UnknownOperation,
+)
 from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.codegen import lower_module, module_functions
@@ -2642,3 +2648,160 @@ def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
                              for _, again in _variants(module).values())
     print(f"module-variants whose code was generated twice: {counts}")
     assert counts == dict.fromkeys(counts, 0)
+
+
+# -- integer facts: branches no other test reaches -----------------------------------
+
+def _kernel_module(kernel, params, launch, args):
+    """A module whose @f launches the kernel @g::@k once."""
+    return parse_module(f"""\
+module attributes {{gpu.container_module}} {{
+  gpu.module @g {{
+    gpu.func @k({params}) kernel {{
+{kernel}
+      gpu.return
+    }}
+  }}
+  func.func @f({args}) {{
+    %0 = arith.constant 1 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 16 : index
+    gpu.launch_func @g::@k {launch}
+    return
+  }}
+}}
+""", create_context())
+
+
+_WRAPPED_SUM = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 16 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 2147483640 : i32
+    scf.for %arg1 = %0 to %1 step %2 {
+      %4 = arith.index_cast %arg1 : index to i32
+      %5 = arith.addi %3, %4 : i32
+      memref.store %5, %arg0[%arg1] : memref<16xi32>
+    }
+    return"""
+
+_INF_CONSTANT = """\
+    %0 = arith.constant 1.0e39 : f32
+    %1 = arith.addf %arg0, %0 : f32
+    return %0, %1 : f32, f32"""
+
+_COPY_THROUGH_ALLOC = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 20 : index
+    %2 = arith.constant 1 : index
+    %3 = memref.alloc() : memref<20xf64>
+    scf.for %arg2 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%arg2] : memref<20xf64>
+      memref.store %4, %3[%arg2] : memref<20xf64>
+    }
+    scf.for %arg3 = %0 to %1 step %2 {
+      %5 = memref.load %3[%arg3] : memref<20xf64>
+      %6 = arith.addf %5, %5 : f64
+      memref.store %6, %arg1[%arg3] : memref<20xf64>
+    }
+    return"""
+
+# each block's four threads double A[4*bx + tx]
+_DOUBLE_PER_THREAD = """\
+      %0 = gpu.block_id x
+      %1 = gpu.thread_id x
+      %2 = arith.constant 4 : index
+      %3 = arith.muli %0, %2 : index
+      %4 = arith.addi %3, %1 : index
+      %5 = memref.load %arg0[%4] : memref<8xf64>
+      %6 = arith.addf %5, %5 : f64
+      memref.store %6, %arg0[%4] : memref<8xf64>"""
+
+# B[tx + tx] = A[tx - tx], the two tx read by two ops
+_TWO_THREAD_IDS = """\
+      %0 = gpu.thread_id x
+      %1 = gpu.thread_id x
+      %2 = arith.subi %0, %1 : index
+      %3 = arith.addi %0, %1 : index
+      %4 = memref.load %arg0[%2] : memref<16xf64>
+      memref.store %4, %arg1[%3] : memref<32xf64>"""
+
+
+# Per case: the module, its arguments per run, the mode, and the first 16
+# hex digits of the SHA-256 of its code for no recorder and for one, as
+# generated while the handlers kept their own record of integer facts
+FACT_CASES = {
+    # 2147483640 + i is no i32 interval: the sum wraps, and so does its store
+    "i32-sum-past-its-width": (
+        lambda: _module(_WRAPPED_SUM, "%arg0: memref<16xi32>"),
+        [[Buffer((16,), "i32")]], "sequential", "76ac67a1e4a9ebed"),
+    # 1.0e39 rounds to an f32 inf, which has no literal: it is read from K
+    "f32-constant-rounds-to-inf": (
+        lambda: _module(_INF_CONSTANT, "%arg0: f32", " -> (f32, f32)"),
+        [[1.0], [-3.0e38]], "sequential", "02174e70f699f37c"),
+    # an alloc is another array than a parameter: both loops take the map form
+    "parameter-copied-through-an-alloc": (
+        lambda: _module(_COPY_THROUGH_ALLOC, "%arg0: memref<20xf64>, %arg1: memref<20xf64>"),
+        [[_ramp(n=20), Buffer((20,), "f64")]], "sequential", "a71e2ec139dcf25d"),
+    # a grid size from a parameter bounds no id: every index keeps its check
+    "grid-size-from-a-parameter": (
+        lambda: _kernel_module(
+            _DOUBLE_PER_THREAD, "%arg0: memref<8xf64>",
+            "blocks in (%arg1, %0, %0) threads in (%1, %0, %0) "
+            "args(%arg0 : memref<8xf64>)", "%arg0: memref<8xf64>, %arg1: index"),
+        [[_counting(8), 2], [_counting(8), 3]], "gpu_emulated", "0dca9ad2bb6c2ccf"),
+    # tx - tx has the form 0 but the interval [-15, 15]; tx + tx is tx*2
+    "two-ids-of-one-thread-dimension": (
+        lambda: _kernel_module(
+            _TWO_THREAD_IDS, "%arg0: memref<16xf64>, %arg1: memref<32xf64>",
+            "blocks in (%0, %0, %0) threads in (%2, %0, %0) "
+            "args(%arg0 : memref<16xf64>, %arg1 : memref<32xf64>)",
+            "%arg0: memref<16xf64>, %arg1: memref<32xf64>"),
+        [[_counting(16), Buffer((32,), "f64")]], "gpu_emulated", "114114e9b25d2341"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACT_CASES))
+def test_integer_fact_branches_agree_and_keep_their_source(case):
+    build, runs, mode, digest = FACT_CASES[case]
+    module = build()
+    for args in runs:
+        _agree(module, args, mode)
+    source = _source(module) + _source(module, object())
+    assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
+
+
+def test_facts_of_two_ids_of_one_thread_dimension():
+    build, runs, _, _ = FACT_CASES["two-ids-of-one-thread-dimension"]
+    module = build()
+    source = _source(module)
+    assert "if not 0 <= (0) < 16: oob((0), 16, a" in source
+    assert re.search(r"^ +o\d+ = tx\*2$", source, re.M)
+    want = _agree(module, runs[0], "gpu_emulated")
+    assert want[2][1].tolist() == [1.0 * (k % 2 == 0) for k in range(32)]
+
+
+def test_grid_size_from_a_parameter_checks_every_index():
+    build, runs, _, _ = FACT_CASES["grid-size-from-a-parameter"]
+    module = build()
+    assert codegen._launch_extents(module) == {"g::k": None}
+    assert _source(module).count("oob(") == 2   # the load's and the store's
+    assert _agree(module, runs[0], "gpu_emulated")[2][0].tolist() == [
+        2.0 * (k + 1) for k in range(8)]
+    assert _agree(module, runs[1], "gpu_emulated")[:2] == ("raised", OutOfBounds)
+
+
+def test_registered_op_the_interpreter_does_not_run():
+    from conftest import context_with_test_ops
+
+    module = parse_module("""\
+module {
+  func.func @f(%arg0: f64) -> (f64) {
+    %0 = test.op(%arg0) : (f64) -> (f64)
+    return %0 : f64
+  }
+}
+""", context_with_test_ops())
+    want = _agree(module, [1.0])
+    assert want[:3] == ("raised", UnknownOperation,
+                        "the interpreter cannot execute 'test.op'")

@@ -338,3 +338,64 @@ def test_gpu_func_attributes_land_on_every_kernel():
     definterp.run(module, "tagged", [want], "gpu_emulated")
     assert buf == want
     assert buf.tolist() == [1.0] * 4 + [0.0] * 4
+
+
+# -- names a capture reads from outside the function -------------------------------
+
+SCALE_IR = """\
+module {
+  func.func @scale(%arg0: memref<4xf64>, %arg1: f64, %arg2: index) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    scf.for %arg3 = %0 to %arg2 step %1 {
+      %2 = memref.load %arg0[%arg3] : memref<4xf64>
+      %3 = arith.mulf %2, %arg1 : f64
+      memref.store %3, %arg0[%arg3] : memref<4xf64>
+    }
+    return
+  }
+}
+"""
+
+FILL_IR = """\
+module {
+  func.func @fill(%arg0: memref<8xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 5 : index
+    %2 = arith.constant 1 : index
+    scf.for %arg1 = %0 to %1 step %2 {
+      %3 = arith.constant 1.0 : f64
+      memref.store %3, %arg0[%arg1] : memref<8xf64>
+    }
+    return
+  }
+}
+"""
+
+
+def test_string_annotations_are_read_in_the_functions_globals():
+    import postponed_kernels
+
+    assert postponed_kernels.scale.__annotations__["a"] == "MemRef[(4,), F64]"
+    module = capture(postponed_kernels.scale).parent.parent_op
+    assert print_module(module) == SCALE_IR
+    buf = Buffer((4,), "f64", [1.0, 2.0, 3.0, 4.0])
+    run(module, "scale", [buf, 2.0, 3])
+    assert buf.tolist() == [2.0, 4.0, 6.0, 4.0]
+
+
+def _filler(n):
+    def fill(a: MemRef[(8,), F64]):
+        for i in range(n):
+            a[i] = 1.0
+    return fill
+
+
+def test_kernel_built_in_a_function_reads_its_enclosing_int():
+    fill = _filler(5)
+    assert fill.__code__.co_freevars == ("n",)
+    module = capture(fill).parent.parent_op
+    assert print_module(module) == FILL_IR
+    buf = Buffer((8,), "f64")
+    run(module, "fill", [buf])
+    assert buf.tolist() == [1.0] * 5 + [0.0] * 3
