@@ -121,10 +121,12 @@ by hand, not cloned, stay if an error in run 0 could name a location, as
 a copy's would name its own.
 
 Each loop's form is decided from the IR before any of its code is
-written (as MLIR's SuperVectorize asks ``isVectorizableLoopBody``):
-``scan`` notes the interval and linear form each integer value has where
-every loop is written as a loop (``learn``), so a function is generated
-once.
+written (as MLIR's SuperVectorize asks ``isVectorizableLoopBody``), so a
+function is generated once. ``scan`` notes the interval and linear form of
+each integer value (``learn``): that one record is what every decision
+and every handler reads, as MLIR's rewrites query the ranges its dataflow
+solver found. Only a copy written once per trip learns again: it pins its
+induction variable to the trip (``bind_trip``), then learns its body anew.
 """
 from __future__ import annotations
 
@@ -252,7 +254,7 @@ def _combine(sign: str, a: tuple, b: tuple) -> tuple:
 
 def _linear(sign: str, a: tuple, b: tuple):
     """The linear form of ``a sign b``, or None for a product of two
-    variable forms. A form is ({induction local: coefficient}, constant)."""
+    variable forms. A form is ({induction Value: coefficient}, constant)."""
     (ta, ka), (tb, kb) = a, b
     if sign == "*":
         if ta and tb:
@@ -269,7 +271,7 @@ def _linear(sign: str, a: tuple, b: tuple):
 def _facts(op: Operation, fact) -> tuple:
     """The interval and linear form of the result of an addi, subi, muli or
     index_cast, each None if unknown, from ``fact`` of its operands, the same
-    pair (a point's form is its constant), as ``int_binop`` and ``cast``."""
+    pair (a point's form is its constant), for ``learn`` to note."""
     (ra, fa), kind = fact(op.operands[0]), op.results[0].type.kind
     if op.name == "arith.index_cast":   # to i32, it wraps unless it fits
         return (None, None) if kind == "i32" and not (ra and _fits(*ra, kind)) \
@@ -530,13 +532,13 @@ class _FuncGen:
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
         self.copying = False        # writing a nest per trip: no level innermost
-        # while a body is written over slices: (induction local, trips,
+        # while a body is written over slices: (induction Value, trips,
         # {slice: the local each of its elements is read into})
         self.slicing = None
         self.into = None            # the loop written as one slice statement,
         self.slots: dict = {}       # its loads -> (place per copy, sliced, level),
         self.moving: list = []      # a jammed nest's loops of 2 or more trips,
-        self.points = [()]          # by name, and their trips in each copy,
+        self.points = [()]          # by induction Value, their trips per copy,
         self.copy = 0               # the copy being written
         self.stored = None          # the slice stored to, what is there, its line
         # region op -> what it stores to: per buffer, the indices and one
@@ -547,7 +549,6 @@ class _FuncGen:
         self.promoted: dict = {}    # buffer -> the local its element is in
         self.units: list = []       # source of every compiled unit
         self.names: dict = {}       # Value -> Python expression
-        self.ranges: dict = {}      # integer Value -> (lo, hi)
         self.arrays: dict = {}      # memref Value -> local bound to .data
         self.strides: dict = {}     # memref shape -> its row-major strides
         self.n = 0
@@ -557,9 +558,10 @@ class _FuncGen:
         self.bookkeeping: list = []  # counts of loop bodies and threads
         self.foldable: set = set()  # results written into their one use
         self.folded: set = set()    # Values written into their use
-        self.linear: dict = {}      # integer Value -> ({induction local: coef}, k)
-        self.bounds: dict = {}      # integer Value -> (lo, hi), as ``learn`` finds
-        self.forms: dict = {}       # it -> ({induction Value: coef}, k), as well
+        # the one record of integer facts, noted by ``learn`` before any
+        # code is written, and again for each copy written once per trip
+        self.bounds: dict = {}      # integer Value -> (lo, hi)
+        self.forms: dict = {}       # it -> ({induction Value: coef}, k)
         self.indexing: dict = {}    # Value -> whether it is used only in addresses
         # Loop levels: 0 is the function's entry, each ``for`` opens one.
         self.levels: dict = {}      # induction local -> the level its loop opens
@@ -599,12 +601,8 @@ class _FuncGen:
 
     def alias(self, value: Value, source: Value) -> list:
         """``value`` always equals ``source``: reuse its name, no statement."""
-        if source in self.ranges:
-            self.ranges[value] = self.ranges[source]
-        if source in self.linear:
-            self.linear[value] = self.linear[source]
-            if self.fold_linear(value):
-                return []
+        if self.fold_linear(value):
+            return []
         if source in self.folded:   # its uses may be anywhere: bind it
             return self.assign(value, self.val(source))
         self.names[value] = self.names[source]
@@ -622,14 +620,24 @@ class _FuncGen:
         """Name an index value used only in addresses by its linear form.
 
         Addresses read the form itself, so nothing binds the value; the
-        expression serves a bounds check or a use that is not linear.
+        expression serves a bounds check or a use that is not linear. A
+        point is named by its literal instead.
         """
-        form = self.linear.get(value)
-        if form is None or not self.index_only(value):
+        form = self.forms.get(value)
+        if form is None or self.const(value) is not None \
+                or not self.index_only(value):
             return False
-        self.names[value] = f"({_sum(form[0].items(), form[1])})"
+        self.names[value] = f"({_sum(self.named(form[0]).items(), form[1])})"
         self.folded.add(value)
         return True
+
+    def named(self, coefs: dict) -> dict:
+        """Terms over induction Values as terms over the locals that name
+        them, summed per local (two ids of one thread dimension are one)."""
+        terms: dict = {}
+        for v, coef in coefs.items():
+            terms[self.names[v]] = terms.get(self.names[v], 0) + coef
+        return {name: coef for name, coef in terms.items() if coef}
 
     def index_only(self, value: Value) -> bool:
         """Whether every use of ``value`` is a memref index, directly or
@@ -655,11 +663,6 @@ class _FuncGen:
                 for u, slot in uses)
         return memo[value]
 
-    def form(self, value: Value):
-        """The linear form of an integer value, or None."""
-        c = self.const(value)
-        return ({}, c) if c is not None else self.linear.get(value)
-
     def val(self, value: Value) -> str:
         """The expression for a value.
 
@@ -668,16 +671,16 @@ class _FuncGen:
         return self.names[value]
 
     def const(self, value: Value):
-        r = self.ranges.get(value)
+        r = self.bounds.get(value)
         return r[0] if r is not None and r[0] == r[1] else None
 
     def within(self, value: Value, extent: int) -> bool:
         """Whether an index is proven to lie in [0, extent)."""
-        r = self.ranges.get(value)
+        r = self.bounds.get(value)
         return r is not None and 0 <= r[0] and r[1] < extent
 
     def proven(self, value: Value, kind: str) -> bool:
-        r = self.ranges.get(value)
+        r = self.bounds.get(value)
         return r is not None and _fits(r[0], r[1], kind)
 
     def counter(self) -> str:
@@ -827,7 +830,7 @@ class _FuncGen:
                 stat[OP_SLOT[name]] += 1
             if name == "arith.constant":    # a literal: no statement
                 if op.results[0] not in self.names:     # or an earlier copy's
-                    self.constant_op(op)
+                    self.names[op.results[0]] = self.literal(constant_value(op))
             elif op.regions:
                 loops = sum(c is None or len(range(*c)) != 1 for c in
                             self.dims(op)) if name == "scf.parallel" else 1
@@ -850,7 +853,7 @@ class _FuncGen:
     def scan(self, block) -> dict:
         """One pass over the ops of ``block``, and first of the blocks in
         them, which rolls each loop that may roll (``rolled``) and notes
-        what the handlers will find of each integer (``learn``); returns
+        the facts the handlers read of each integer (``learn``); returns
         what the block stores to (the form of ``stores``).
 
         It finds the results used once, later in the same straight-line
@@ -927,9 +930,11 @@ class _FuncGen:
         return rolled
 
     def learn(self, op: Operation, copies: int = 1) -> None:
-        """Note in ``bounds`` and ``forms`` what the handlers find of the
-        integer result of ``op``, or the induction variables of a loop (a
-        rolled one of ``copies`` runs), where every loop is written as one."""
+        """Note in ``bounds`` and ``forms``, the one record of integer facts,
+        the interval and linear form of the integer result of ``op``, or of
+        the induction variables of a loop (a rolled one of ``copies`` runs),
+        from what they hold of its operands. A dimension whose bounds are
+        points and whose step is positive is one of literal bounds."""
         name = op.name
         if name in _LINEAR_OPS:
             self.note(op.results[0], *_facts(op, lambda v: (
@@ -940,10 +945,13 @@ class _FuncGen:
             r = op.results[0]
             self.note(r, (0, max(self.extents[_gpu_dim(op)] - 1, 0)), ({r: 1}, 0))
         elif name in _LOOPS:
-            args, bounds = op.body().args, static_bounds(op)
-            for k, iv in enumerate(args):
-                if bounds:
-                    lb, _, step, trips = bounds[k]
+            args = op.body().args
+            dims = [static_bounds(op)[0][:3]] if name == "affine.for" \
+                else self.dims(op)
+            for k, (iv, c) in enumerate(zip(args, dims)):
+                if c:
+                    lb, ub, step = c
+                    trips = max(0, -((lb - ub) // step))
                     interval = trips and (lb, lb + trips * step - step // copies)
                 else:
                     interval = _iv_range(*map(self.bounds.get,
@@ -981,13 +989,6 @@ class _FuncGen:
 
     # -- flat ops: each returns its statements ----------------------------------
 
-    def constant_op(self, op: Operation) -> None:
-        value = constant_value(op)
-        r = op.results[0]
-        self.names[r] = self.literal(value)
-        if isinstance(value, int):
-            self.ranges[r] = (value, value)
-
     def float_binop(self, op: Operation) -> list:
         a, b = (self.val(v) for v in op.operands)
         expr = (f"fdiv({a}, {b})" if op.name == "arith.divf"
@@ -1004,18 +1005,15 @@ class _FuncGen:
             return self.alias(r, a)
         if ca == 0 and sign == "+" or ca == 1 and sign == "*":
             return self.alias(r, b)
-        interval, form = _facts(op, lambda v: (self.ranges.get(v), self.form(v)))
+        interval = self.bounds.get(r)
         expr = f"{self.val(a)} {sign} {self.val(b)}"
         if interval is None:
             return self.assign(r, _wrap_expr(expr, r.type.kind))
-        self.ranges[r] = interval
         if interval[0] == interval[1]:  # a constant: fold it
             self.names[r] = self.literal(interval[0])
             return []
-        if form:
-            self.linear[r] = form
-            if self.fold_linear(r):
-                return []
+        if self.fold_linear(r):
+            return []
         return self.assign(r, expr)
 
     def cmpf(self, op: Operation) -> list:
@@ -1036,7 +1034,7 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not (r.uses or self.recording or _unproven(op, self.ranges.get)):
+        if not (r.uses or self.recording or _unproven(op, self.bounds.get)):
             return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
@@ -1126,23 +1124,23 @@ class _FuncGen:
                 terms = [(base, 1)]
         return lines, [_sum(terms, k) for k in fixed], level
 
-    def linearise(self, buf: Value, indices, forms=None) -> tuple:
-        """The flat offset of ``indices`` into ``buf``: {induction local:
-        coef}, the constant in each copy of a jammed body (the jammed
-        loops' terms moved into it), and (index, stride) per nonlinear
-        index; by the linear forms ``forms`` gives, else those written."""
+    def linearise(self, buf: Value, indices) -> tuple:
+        """The flat offset of ``indices`` into ``buf``, by their linear
+        forms: {induction Value: coef}, the constant in each copy of a
+        jammed body (the jammed loops' terms moved into it), and (index,
+        stride) per nonlinear index."""
         shape = buf.type.shape
         strides = self.strides.get(shape)
         if strides is None:
             strides = self.strides[shape] = row_major_strides(shape)
         coefs, fixed, rest = {}, 0, []
         for v, stride in zip(indices, strides):
-            form = (forms or self.form)(v)
+            form = self.forms.get(v)
             if form is None:
                 rest.append((v, stride))
                 continue
-            for name, coef in form[0].items():
-                coefs[name] = coefs.get(name, 0) + coef * stride
+            for iv, coef in form[0].items():
+                coefs[iv] = coefs.get(iv, 0) + coef * stride
             fixed += form[1] * stride
         if not self.moving:
             return coefs, [fixed], rest
@@ -1151,24 +1149,23 @@ class _FuncGen:
                        for point in self.points], rest
 
     def hoist(self, coefs: dict) -> tuple:
-        """Σ coef·var as terms of the current loop level, led by the partial
-        sum of the outer levels' terms, and the innermost level it changes
-        in.
+        """Σ coef·iv, over induction Values, as terms of the current loop
+        level, led by the partial sum of the outer levels' terms, and the
+        innermost level it changes in; each term by its local (``named``),
+        as each copy written per trip names its own.
 
         Each outer level's partial sum adds its terms to the one before it
         and is bound once, in the header of the loop that binds its
         variables; a bare name binds nothing. While a nest is written per
         trip, every open level is an outer one.
         """
-        current = len(self.headers) - (not self.copying)
+        current, coefs = len(self.headers) - (not self.copying), self.named(coefs)
         key = (current, tuple(coefs.items()))
         if key in self.hoisted:
             return self.hoisted[key]
         by_level: dict = {}
         for name, coef in coefs.items():
-            if coef:
-                by_level.setdefault(self.levels.get(name, 0), []).append(
-                    (name, coef))
+            by_level.setdefault(self.levels.get(name, 0), []).append((name, coef))
         inner = by_level.pop(current, [])
         partial = None
         for level in sorted(by_level):
@@ -1257,12 +1254,12 @@ class _FuncGen:
         if None in stores:
             return []
         # a buffer or index named already is defined outside the loop, but
-        # for the loop's own induction variable
+        # for the loop's own induction variable; each index must be linear
         iv = loop.body().args[0]
         found = {buf: where for buf, where in stores.items()
                  if where is not _MANY and buf not in self.promoted
-                 and buf in self.arrays and iv not in where[0]
-                 and None not in map(self.form, where[0])}
+                 and buf in self.arrays and iv not in where[0] and all(
+                     v in self.names and self.forms.get(v) for v in where[0])}
         touched: set = set()
         if not found or not self.raise_free(self.bodies[loop], depth, found,
                                             touched):
@@ -1290,23 +1287,20 @@ class _FuncGen:
         its region ops are scf.for, affine.for and scf.if.
 
         Notes each buffer it touches, and drops from ``found`` each buffer
-        it reads at another address. A value not yet written has the
-        interval ``scan`` noted.
+        it reads at another address.
         """
-        def interval(v):
-            return self.ranges.get(v) if v in self.names else self.bounds.get(v)
-
         for op in block.ops:
             at = _INDEX_FROM.get(op.name)
             if at:
                 buf = op.operands[at - 1]
-                if _unproven(op, interval):
+                if _unproven(op, self.bounds.get):
                     return False
                 touched.add(buf)
                 if buf in found and op.operands[at:] != found[buf][0]:
                     del found[buf]
             elif op.regions:
-                step = interval(op.operands[2]) if op.name == "scf.for" else (1, 1)
+                step = self.bounds.get(op.operands[2]) if op.name == "scf.for" \
+                    else (1, 1)
                 if depth > MAX_DEPTH or step is None or step[0] < 1 or op.name \
                         not in ("scf.for", "affine.for", "scf.if") or not all(
                             self.raise_free(body, depth + 1, found, touched)
@@ -1337,8 +1331,7 @@ class _FuncGen:
         buf, offsets = store.operands[1], {}
         for op in loads + stores:   # their terms over induction Values
             at = _INDEX_FROM[op.name]
-            coefs, _, rest = self.linearise(op.operands[at - 1], op.operands[at:],
-                                            self.forms.get)
+            coefs, _, rest = self.linearise(op.operands[at - 1], op.operands[at:])
             if rest or coefs.get(iv, 0) < 0:
                 return None
             offsets[op] = coefs
@@ -1380,7 +1373,7 @@ class _FuncGen:
             self.body(self.bodies[loop], count, depth, loop)
             return
         at = len(self.lines)
-        self.slicing = (self.names[innermost[0]], innermost[1], {})
+        self.slicing = (*innermost, {})
         if form == "map":   # its body once, then the statement (``jam``)
             self.into = loop
             self.block(self.bodies[loop], count, depth)
@@ -1396,9 +1389,9 @@ class _FuncGen:
         being sliced, as a slice of its array in each copy of a jammed
         body; None for an address that does not move, whose element the
         loop form's load reads."""
-        name, trips, _ = self.slicing
+        iv, trips, _ = self.slicing
         coefs, fixed, _ = self.linearise(buf, indices)
-        coef = coefs.pop(name, 0)
+        coef = coefs.pop(iv, 0)
         if not coef:
             return None
         step = coef * trips.step
@@ -1449,12 +1442,9 @@ class _FuncGen:
                 f"{kernel}({', '.join(args)})"]
 
     def gpu_id(self, op: Operation) -> list:
-        r = op.results[0]
-        self.names[r] = _GPU_IDS[_gpu_dim(op)]
-        if self.bounds.get(r) == (0, 0):    # its thread loop is left out
-            self.bind_trip(r, 0)
-        else:   # from the launch sizes, if constant (``learn``)
-            self.induction(r, self.bounds.get(r))
+        r = op.results[0]    # 0 where its thread loop is left out
+        self.names[r] = "0" if self.bounds.get(r) == (0, 0) \
+            else _GPU_IDS[_gpu_dim(op)]
         return []
 
     # -- region ops: each writes its statements ---------------------------------
@@ -1479,29 +1469,15 @@ class _FuncGen:
                 self.lines[lv.at - 1:lv.at - 1] = [
                     "    " * (lv.depth - 1) + line for line in lv.before]
 
-    def induction(self, iv: Value, interval) -> None:
-        """Note the interval of a bound induction variable, if known, and
-        with it its linear form."""
-        if interval is not None:
-            self.ranges[iv] = interval
-            self.linear[iv] = ({self.names[iv]: 1}, 0)
-
     def step_proven(self, step: Value) -> bool:
-        r = self.ranges.get(step)
+        r = self.bounds.get(step)
         return r is not None and r[0] >= 1
 
-    def loop_header(self, op: Operation, iv: Value, bounds: tuple,
-                    depth: int) -> int:
-        """``for`` over literal bounds; returns the depth of the body."""
-        trips = range(*bounds)
-        depth = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
-        self.induction(iv, (trips[0], trips[-1]) if trips else None)
-        return depth
-
     def bind_trip(self, iv: Value, trip: int) -> None:
-        """Name an induction variable by the literal of its one trip."""
+        """Name an induction variable by the literal of its one trip, and
+        pin its interval there, for ``forget`` to learn its body anew."""
         self.names[iv] = self.literal(trip)
-        self.ranges[iv] = (trip, trip)
+        self.note(iv, (trip, trip))
 
     def counted(self, op: Operation, bounds: tuple, count: tuple,
                 depth: int) -> None:
@@ -1528,16 +1504,15 @@ class _FuncGen:
             self.into = into
             if len(trips) > 1:  # a term of the linear forms ``jam`` moves
                 self.names[iv] = f"j{len(self.moving)}"     # no local's name
-                self.moving = self.moving + [self.names[iv]]
+                self.moving = self.moving + [iv]
                 self.points = [p + (t,) for p in self.points for t in trips]
-                self.induction(iv, (trips[0], trips[-1]))
             else:
                 self.bind_trip(iv, trips[0])
             self.block(block, inner, depth)
             return
         if into in (None, op):
             level = len(self.headers)
-            body = self.loop_header(op, iv, bounds, depth)
+            body = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
             promoted = [] if self.recording else self.promote(
                 op, body, self.headers[-1].before)
             self.loop_body(op, (iv, trips), inner, body)
@@ -1546,13 +1521,12 @@ class _FuncGen:
             promoted, reads, copying = [], [], self.copying
             if len(trips) > 1:
                 self.copying = True
-                self.ranges[iv] = (trips[0], trips[-1])  # for promote
                 promoted = self.promote(op, depth, reads)
             for line in reads:
                 self.emit(depth, line)
             for trip in trips:
-                self.forget(op)
                 self.bind_trip(iv, trip)
+                self.forget(block)
                 self.block(block, count, depth)
             self.copying = copying
         for buf, local, element in promoted:
@@ -1625,30 +1599,32 @@ class _FuncGen:
             size += inner
         return trips * size, into
 
-    def forget(self, loop: Operation) -> None:
-        """Drop what the copy before of a short nest's ``loop`` noted of
-        the values its body defines but its constants, literals in every
-        copy: names, intervals, linear forms and folds. (A nest that jams
-        writes its body once.)"""
-        ops = list(self.bodies[loop].ops)
-        while ops:
-            op = ops.pop()
+    def forget(self, block) -> None:
+        """Before a copy of a loop written once per trip, whose induction
+        variable ``bind_trip`` pinned, drop what was noted of the values its
+        body ``block`` defines but its constants, literals in every copy:
+        names, folds and facts; and learn each op again, in program order,
+        rolled bodies and else-arms included. (A nest that jams writes its
+        body once.)"""
+        for op in block.ops:
             if op.name == "arith.constant":
                 continue
             for v in (*op.results, *(a for b in op.regions for a in b.args)):
                 self.names.pop(v, None)
-                self.ranges.pop(v, None)
-                self.linear.pop(v, None)
+                self.bounds.pop(v, None)
+                self.forms.pop(v, None)
                 self.folded.discard(v)
-            if op.regions:
-                ops += self.bodies[op].ops
-                for body in op.regions[1:]:
-                    ops += body.ops
+            if not op.regions:
+                self.learn(op)
+                continue
+            body = self.bodies[op]
+            self.learn(op, body.copies if isinstance(body, _Rolled) else 1)
+            for inner in (body, *op.regions[1:]):
+                self.forget(inner)
 
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
-        lb, ub, step = op.operands
-        bounds = (self.const(lb), self.const(ub), self.const(step))
-        if None not in bounds and bounds[2] > 0:
+        bounds, = self.dims(op)
+        if bounds:
             self.counted(op, bounds, count, depth)
             return
         iv = op.body().args[0]
@@ -1656,7 +1632,7 @@ class _FuncGen:
         l, u, s = (self.val(v) for v in op.operands)
         rng = self.fresh("r")
         inner = (1, self.counter())
-        proven = self.step_proven(step)
+        proven = self.step_proven(op.operands[2])
         if proven:
             self.emit(depth, f"{rng} = range({l}, {u}, {s})")
         else:
@@ -1664,7 +1640,6 @@ class _FuncGen:
                              f"else bad_step({l}, {u})")
         self.emit(depth, f"{inner[1]} += len({rng})")
         depth = self.loop(depth, self.bind(iv, "i"), rng, op)
-        self.induction(iv, _iv_range(self.ranges.get(lb), self.ranges.get(ub)))
         self.bookkeeping.append(inner)
         self.body(op.body(), inner, depth, op if proven else None)
         self.close_loops(level)
@@ -1673,7 +1648,8 @@ class _FuncGen:
         self.counted(op, static_bounds(op)[0][:3], count, depth)
 
     def dims(self, op: Operation) -> list:
-        """Per dimension of a parallel loop, (lb, ub, step) if literal."""
+        """Per dimension of an scf.for or scf.parallel, (lb, ub, step) if
+        each is a point and the step is positive, else None."""
         n = len(op.body().args)
         return [c if None not in c and c[2] > 0 else None for c in
                 (tuple(map(self.const, op.operands[k::n])) for k in range(n))]
@@ -1709,15 +1685,13 @@ class _FuncGen:
             self.emit(depth, f"{inner[1]} += {' * '.join(sizes)}")
         self.bookkeeping.append(inner)
         innermost = None
-        for k, (iv, c) in enumerate(zip(op.body().args, dims)):
+        for iv, c in zip(op.body().args, dims):
             if isinstance(c, str):
                 depth, innermost = self.loop(depth, self.bind(iv, "i"), c, op), None
-                self.induction(iv, _iv_range(*map(self.ranges.get,
-                                                  op.operands[k::n][:2])))
             elif len(range(*c)) == 1:
                 self.bind_trip(iv, c[0])
             else:
-                depth = self.loop_header(op, iv, c, depth)
+                depth = self.loop(depth, self.bind(iv, "i"), _range(*c), op)
                 innermost = (iv, range(*c))
         if self.recording:
             point = "".join(self.val(iv) + ", " for iv in op.body().args)
