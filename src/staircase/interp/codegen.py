@@ -268,15 +268,16 @@ def _linear(sign: str, a: tuple, b: tuple):
     return {v: c for v, c in terms.items() if c}, ka + s * kb
 
 
-def _facts(op: Operation, fact) -> tuple:
+def _facts(op: Operation, bounds: dict, forms: dict) -> tuple:
     """The interval and linear form of the result of an addi, subi, muli or
-    index_cast, each None if unknown, from ``fact`` of its operands, the same
-    pair (a point's form is its constant), for ``learn`` to note."""
-    (ra, fa), kind = fact(op.operands[0]), op.results[0].type.kind
+    index_cast, each None if unknown, from what ``bounds`` and ``forms`` hold
+    of its operands (a point's form is its constant); ``learn`` notes them."""
+    (a, *b), kind = op.operands, op.results[0].type.kind
+    ra, fa = bounds.get(a), forms.get(a)
     if op.name == "arith.index_cast":   # to i32, it wraps unless it fits
         return (None, None) if kind == "i32" and not (ra and _fits(*ra, kind)) \
             else (ra, fa)
-    (rb, fb), sign = fact(op.operands[1]), _IOPS[op.name]
+    rb, fb, sign = bounds.get(b[0]), forms.get(b[0]), _IOPS[op.name]
     if sign == "*" and (0, 0) in (ra, rb):
         return (0, 0), ({}, 0)
     if ra is None or rb is None:
@@ -937,8 +938,7 @@ class _FuncGen:
         points and whose step is positive is one of literal bounds."""
         name = op.name
         if name in _LINEAR_OPS:
-            self.note(op.results[0], *_facts(op, lambda v: (
-                self.bounds.get(v), self.forms.get(v))))
+            self.note(op.results[0], *_facts(op, self.bounds, self.forms))
         elif name == "arith.constant" and isinstance(c := constant_value(op), int):
             self.note(op.results[0], (c, c))
         elif name in ("gpu.block_id", "gpu.thread_id") and self.extents:
@@ -1614,13 +1614,11 @@ class _FuncGen:
                 self.bounds.pop(v, None)
                 self.forms.pop(v, None)
                 self.folded.discard(v)
-            if not op.regions:
-                self.learn(op)
-                continue
-            body = self.bodies[op]
+            body = self.bodies.get(op)  # a region op's, as scan found it
             self.learn(op, body.copies if isinstance(body, _Rolled) else 1)
-            for inner in (body, *op.regions[1:]):
-                self.forget(inner)
+            if body is not None:
+                for inner in (body, *op.regions[1:]):
+                    self.forget(inner)
 
     def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
         bounds, = self.dims(op)
