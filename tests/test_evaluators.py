@@ -2706,6 +2706,18 @@ _COPY_THROUGH_ALLOC = """\
     }
     return"""
 
+# i takes 0, 3, ..., 12, below 11 + 3, a bound no arith.constant holds
+_FOLDED_BOUND = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 11 : index
+    %2 = arith.constant 3 : index
+    %3 = arith.addi %1, %2 : index
+    %4 = arith.constant 1.0 : f64
+    scf.for %arg1 = %0 to %3 step %2 {
+      memref.store %4, %arg0[%arg1] : memref<13xf64>
+    }
+    return"""
+
 # each block's four threads double A[4*bx + tx]
 _DOUBLE_PER_THREAD = """\
       %0 = gpu.block_id x
@@ -2743,6 +2755,11 @@ FACT_CASES = {
     "parameter-copied-through-an-alloc": (
         lambda: _module(_COPY_THROUGH_ALLOC, "%arg0: memref<20xf64>, %arg1: memref<20xf64>"),
         [[_ramp(n=20), Buffer((20,), "f64")]], "sequential", "a71e2ec139dcf25d"),
+    # a loop whose bounds are points is one over literal bounds: its last
+    # trip, 12, proves the store's index, where ub - 1 would not
+    "loop-bound-folded-to-a-point": (
+        lambda: _module(_FOLDED_BOUND, "%arg0: memref<13xf64>"),
+        [[Buffer((13,), "f64")]], "sequential", "b4455fe04ae8df4c"),
     # a grid size from a parameter bounds no id: every index keeps its check
     "grid-size-from-a-parameter": (
         lambda: _kernel_module(
