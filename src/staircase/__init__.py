@@ -47,12 +47,12 @@ _FRONTEND = {
     "scf_endif": ("staircase.frontend.markers", "scf_endif"),
     "GPUModule": ("staircase.frontend.gpu", "GPUModule"),
     "spirv": ("staircase.frontend.gpu", "spirv"),
-    "block_id_x": ("staircase.frontend.gpu", "block_id_x"),
-    "block_id_y": ("staircase.frontend.gpu", "block_id_y"),
-    "block_id_z": ("staircase.frontend.gpu", "block_id_z"),
-    "thread_id_x": ("staircase.frontend.gpu", "thread_id_x"),
-    "thread_id_y": ("staircase.frontend.gpu", "thread_id_y"),
-    "thread_id_z": ("staircase.frontend.gpu", "thread_id_z"),
+    "block_id_x": ("staircase.frontend.markers", "block_id_x"),
+    "block_id_y": ("staircase.frontend.markers", "block_id_y"),
+    "block_id_z": ("staircase.frontend.markers", "block_id_z"),
+    "thread_id_x": ("staircase.frontend.markers", "thread_id_x"),
+    "thread_id_y": ("staircase.frontend.markers", "thread_id_y"),
+    "thread_id_z": ("staircase.frontend.markers", "thread_id_z"),
     "Pipeline": ("staircase.passes", "Pipeline"),
     "PassStats": ("staircase.passes", "PassStats"),
     "pipeline_parse": ("staircase.passes", "pipeline_parse"),

@@ -42,8 +42,9 @@ _RANGE_CTORS = {
     "affine_range": "affine_range",
 }
 
-# A rewritten body calls the markers insert_markers emits and constant(), and
-# names the annotation types; these bind over the function's own globals.
+# A rewritten body calls the markers insert_markers emits, constant() and
+# a kernel's id functions, and names the annotation types; these bind over
+# the function's own globals.
 _STAGED_BINDINGS = {
     name: getattr(staircase, name)
     for name, (module, _) in staircase._FRONTEND.items()
@@ -98,7 +99,7 @@ def load_function_def(fn) -> tuple[ast.FunctionDef, str]:
     return fn_def, filename
 
 
-def build_executable(fn, *, range_name: str, extra_bindings=None):
+def build_executable(fn, *, range_name: str):
     """Compile fn's rewritten form; returns the callable to trace with."""
     fn_def, filename = load_function_def(fn)
     astrewrite.check_supported(fn_def)
@@ -111,8 +112,6 @@ def build_executable(fn, *, range_name: str, extra_bindings=None):
                 (c.cell_contents for c in fn.__closure__))
         )
     namespace.update(_STAGED_BINDINGS)
-    if extra_bindings:
-        namespace.update(extra_bindings)
 
     module = ast.Module(body=[fn_def], type_ignores=[])
     ast.fix_missing_locations(module)

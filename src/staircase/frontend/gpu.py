@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from staircase.dialects.builders import (
     build_gpu_func,
-    build_gpu_id,
     build_gpu_launch,
     build_gpu_module,
     build_index_constant,
@@ -33,50 +32,6 @@ class spirv:
     @staticmethod
     def entry_point_abi(workgroup_size):
         return attr_from({"workgroup_size": list(workgroup_size)})
-
-
-def _id_value(which: str, dim: str) -> ValueProxy:
-    cap = state.active()
-    if not cap.in_kernel():
-        raise UnsupportedConstruct(
-            f"{which}_{dim}() is only valid inside a GPU kernel body"
-        )
-    block, location = cap.insertion()
-    return ValueProxy(build_gpu_id(block, which, dim, location=location))
-
-
-def block_id_x() -> ValueProxy:
-    return _id_value("block_id", "x")
-
-
-def block_id_y() -> ValueProxy:
-    return _id_value("block_id", "y")
-
-
-def block_id_z() -> ValueProxy:
-    return _id_value("block_id", "z")
-
-
-def thread_id_x() -> ValueProxy:
-    return _id_value("thread_id", "x")
-
-
-def thread_id_y() -> ValueProxy:
-    return _id_value("thread_id", "y")
-
-
-def thread_id_z() -> ValueProxy:
-    return _id_value("thread_id", "z")
-
-
-_KERNEL_BINDINGS = {
-    "block_id_x": block_id_x,
-    "block_id_y": block_id_y,
-    "block_id_z": block_id_z,
-    "thread_id_x": thread_id_x,
-    "thread_id_y": thread_id_y,
-    "thread_id_z": thread_id_z,
-}
 
 
 class _KernelLauncher:
@@ -160,8 +115,7 @@ class GPUModule:
                                       [t for _, t in params],
                                       dict(self._func_attributes),
                                       location=cap.location())
-            staged_fn = build_executable(fn, range_name=range_name,
-                                         extra_bindings=_KERNEL_BINDINGS)
+            staged_fn = build_executable(fn, range_name=range_name)
             base_depth = cap.depth
             cap.push(state.Frame("kernel", gpu_func, gpu_func.body(),
                                  filename=fn.__code__.co_filename))

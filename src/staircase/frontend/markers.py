@@ -3,13 +3,16 @@
 scf_range/affine_range/parallel open a loop region, built by the dialect
 builders, and yield induction proxies exactly once; scf_endfor closes it.
 scf_if opens a branch region and scf_endif_branch / scf_else / scf_endif
-walk the arms. Misordered calls raise UnbalancedMarkers.
+walk the arms. Misordered calls raise UnbalancedMarkers. block_id_* and
+thread_id_* read a GPU kernel's ids, and raise UnsupportedConstruct
+outside one.
 """
 from __future__ import annotations
 
 from staircase.dialects.builders import (
     append_terminator,
     build_affine_for,
+    build_gpu_id,
     build_scf_for,
     build_scf_if,
     build_scf_parallel,
@@ -22,7 +25,8 @@ from staircase.ir.core import INDEX, I1, Block, Value
 __all__ = [
     "scf_range", "affine_range", "scf_for", "affine_for", "parallel",
     "scf_endfor", "scf_if", "scf_else", "scf_endif_branch", "scf_endif",
-    "constant",
+    "constant", "block_id_x", "block_id_y", "block_id_z", "thread_id_x",
+    "thread_id_y", "thread_id_z",
 ]
 
 
@@ -129,3 +133,37 @@ def scf_endif() -> None:
     frame = cap.pop(("if",))
     if not frame.arm_ended:
         raise UnbalancedMarkers("conditional arm not closed before endif")
+
+
+def _id_value(which: str, dim: str) -> ValueProxy:
+    cap = state.active()
+    if not cap.in_kernel():
+        raise UnsupportedConstruct(
+            f"{which}_{dim}() is only valid inside a GPU kernel body"
+        )
+    block, location = cap.insertion()
+    return ValueProxy(build_gpu_id(block, which, dim, location=location))
+
+
+def block_id_x() -> ValueProxy:
+    return _id_value("block_id", "x")
+
+
+def block_id_y() -> ValueProxy:
+    return _id_value("block_id", "y")
+
+
+def block_id_z() -> ValueProxy:
+    return _id_value("block_id", "z")
+
+
+def thread_id_x() -> ValueProxy:
+    return _id_value("thread_id", "x")
+
+
+def thread_id_y() -> ValueProxy:
+    return _id_value("thread_id", "y")
+
+
+def thread_id_z() -> ValueProxy:
+    return _id_value("thread_id", "z")

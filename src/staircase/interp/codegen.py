@@ -22,12 +22,13 @@ in nested loops of its own, so a launch is one call.
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
 f32 rounding), which shares the scalar helpers and error raisers of
-``buffer``. Two things are proved at
-generation time from integer intervals (constants, loop and parallel
-induction variables, gpu ids whose launch sizes are constant, and
-addi/subi/muli over those): an index that is always inside its extent
-needs no bounds check, and a result that always fits its width needs no
-wrap. Everything else is checked at run time, in op order.
+``buffer``. Two things are proved at generation time from integer
+intervals (constants, loop and parallel induction variables, gpu ids whose
+launch sizes are constant, and addi/subi/muli over those): an index that
+is always inside its extent needs no bounds check, and a result that
+always fits its width needs no wrap. Everything else is checked at run
+time, in op order: an index once per straight-line run and extent. A
+store writes its value as it is: ops, loads and parameters are all wrapped.
 
 The same values have a linear form, Σ coef·iv + constant over the loop,
 parallel and thread induction variables, and an address is computed from
@@ -125,8 +126,12 @@ written (as MLIR's SuperVectorize asks ``isVectorizableLoopBody``), so a
 function is generated once. ``scan`` notes the interval and linear form of
 each integer value (``learn``): that one record is what every decision
 and every handler reads, as MLIR's rewrites query the ranges its dataflow
-solver found. Only a copy written once per trip learns again: it pins its
-induction variable to the trip (``bind_trip``), then learns its body anew.
+solver found, each fact through one reader: ``dims`` for literal loop
+bounds, an affine.for's attributes too; ``within`` for a proven index; and
+``linearise`` for an address, so two proven accesses are at one element
+when their offsets are equal. Only a copy written once per trip learns
+again: it pins its induction variable to the trip (``bind_trip``), then
+learns its body anew.
 """
 from __future__ import annotations
 
@@ -297,12 +302,9 @@ def _iv_range(lb, ub):
     return lb and ub and (lb[0], max(ub[1] - 1, lb[0]))
 
 
-def _unproven(op: Operation, interval) -> bool:
-    """Whether a load or store has an index that ``interval`` does not prove
-    inside its extent: its bounds check stays."""
-    at = _INDEX_FROM[op.name]
-    return not all(r is not None and 0 <= r[0] and r[1] < n for r, n in zip(
-        map(interval, op.operands[at:]), op.operands[at - 1].type.shape))
+def _trips(lb: int, ub: int, step: int) -> int:
+    """ceil((ub - lb) / step), or 0, which ``len(range(...))`` may overflow."""
+    return max(0, -((lb - ub) // step))
 
 
 def _sum(terms, const: int = 0) -> str:
@@ -361,12 +363,6 @@ def _gpu_dim(op: Operation) -> int:
     return dim + 3 if op.name == "gpu.thread_id" else dim
 
 
-def _element_key(indices) -> list:
-    """Indices that name one element alike: a constant by its value."""
-    return [v if c is None else c
-            for v, c in zip(indices, map(constant_of, indices))]
-
-
 # A block's execution count is coef * var: var is None (a literal count),
 # a counter, "nt" (a kernel's thread count) or an else-arm difference.
 
@@ -401,9 +397,10 @@ class _Rolled:
     moved: set
 
 
-def _rolled(loop: Operation):
-    """The body of ``loop`` as the loop ``loop-unroll`` made it from, a
-    ``_Rolled``, or None (LLVM's ``LoopRerollPass``).
+def _rolled(loop: Operation, lb: int, ub: int, step: int):
+    """The body of the scf.for ``loop`` over literal bounds as the loop
+    ``loop-unroll`` made it from, a ``_Rolled``, or None (LLVM's
+    ``LoopRerollPass``).
 
     Constants aside, the body must split into F >= 2 runs: each run k >= 1
     opens with ``iv + k*s``, where F*s is the step, and has run 0's
@@ -411,10 +408,7 @@ def _rolled(loop: Operation):
     the first that differs. Rolled iteration t*F + k then does what copy k
     of trip t did, in order.
     """
-    bounds = loop.name == "scf.for" and static_bounds(loop)
-    if not bounds:
-        return None
-    lb, _, step, trips = bounds[0]
+    trips = _trips(lb, ub, step)
     block = loop.body()
     iv = block.args[0]
     ops = [op for op in block.ops[:-1] if op.name != "arith.constant"]
@@ -509,7 +503,7 @@ _HANDLERS = {
     "memref.alloca": "alloc",
     "func.call": "call", "gpu.launch_func": "launch",
     "gpu.block_id": "gpu_id", "gpu.thread_id": "gpu_id",
-    "scf.for": "scf_for", "affine.for": "affine_for",
+    "scf.for": "for_loop", "affine.for": "for_loop",
     "scf.parallel": "scf_parallel", "scf.if": "scf_if",
     **{name: "float_binop" for name in _FOPS},
     **{name: "int_binop" for name in _IOPS},
@@ -569,7 +563,7 @@ class _FuncGen:
         self.headers: list = [_Level(0, 1, None)]  # per open level
         self.partials: dict = {}    # (outer partial sum, terms) -> its local
         self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
-        self.offsets: dict = {}     # address sum -> its local, in this run
+        self.offsets: dict = {}     # per run: sum -> local, (index, extent) checked
         self.returned: tuple = ()
         self.scope: set = set()     # the locals this function can read
 
@@ -665,10 +659,7 @@ class _FuncGen:
         return memo[value]
 
     def val(self, value: Value) -> str:
-        """The expression for a value.
-
-        A value whose interval is one point is named by its literal.
-        """
+        """The expression for a value, as its op named it."""
         return self.names[value]
 
     def const(self, value: Value):
@@ -680,9 +671,12 @@ class _FuncGen:
         r = self.bounds.get(value)
         return r is not None and 0 <= r[0] and r[1] < extent
 
-    def proven(self, value: Value, kind: str) -> bool:
-        r = self.bounds.get(value)
-        return r is not None and _fits(r[0], r[1], kind)
+    def in_bounds(self, op: Operation) -> bool:
+        """Whether every index of a load or store is ``within`` its extent:
+        no bounds check stays."""
+        at = _INDEX_FROM[op.name]
+        return all(map(self.within, op.operands[at:],
+                       op.operands[at - 1].type.shape))
 
     def counter(self) -> str:
         name = self.local("c")
@@ -882,7 +876,7 @@ class _FuncGen:
                 for arm in op.regions[1:]:      # an else-arm
                     for buf, stored in self.scan(arm).items():
                         _note(inner, buf, stored)
-                if name in _LOOPS and 0 in (b[3] for b in static_bounds(op) or ()):
+                if name in _LOOPS and any(c and not range(*c) for c in self.dims(op)):
                     self.dead.update(op.walk_nested())  # it never runs
                     inner.clear()
                 for buf, stored in inner.items():
@@ -916,16 +910,18 @@ class _FuncGen:
         return stores
 
     def rolled(self, loop: Operation):
-        """``_rolled(loop)``, unless an op of its first run may name its
-        location in an error where a copy's is another: a launch, or an
-        access ``bounds`` do not prove inside its buffer. A rolled loop's
-        induction variables are learnt anew, over its rolled trips."""
-        rolled = _rolled(loop)
+        """``_rolled`` of an scf.for over literal bounds (``dims``), unless
+        an op of its first run may name its location in an error where a
+        copy's is another: a launch, or an access ``within`` does not prove.
+        A rolled loop's induction variables are learnt anew, over its
+        rolled trips."""
+        bounds = loop.name == "scf.for" and self.dims(loop)[0]
+        rolled = bounds and _rolled(loop, *bounds)
         if rolled:
             for op in (loop, *rolled.ops):
                 self.learn(op, rolled.copies)
             if any(op.name == "gpu.launch_func" or op.name in _INDEX_FROM
-                   and _unproven(op, self.bounds.get) for op in rolled.moved):
+                   and not self.in_bounds(op) for op in rolled.moved):
                 self.learn(loop)    # it keeps its copies
                 return None
         return rolled
@@ -934,8 +930,7 @@ class _FuncGen:
         """Note in ``bounds`` and ``forms``, the one record of integer facts,
         the interval and linear form of the integer result of ``op``, or of
         the induction variables of a loop (a rolled one of ``copies`` runs),
-        from what they hold of its operands. A dimension whose bounds are
-        points and whose step is positive is one of literal bounds."""
+        from what they hold of its operands, its literal bounds by ``dims``."""
         name = op.name
         if name in _LINEAR_OPS:
             self.note(op.results[0], *_facts(op, self.bounds, self.forms))
@@ -946,12 +941,10 @@ class _FuncGen:
             self.note(r, (0, max(self.extents[_gpu_dim(op)] - 1, 0)), ({r: 1}, 0))
         elif name in _LOOPS:
             args = op.body().args
-            dims = [static_bounds(op)[0][:3]] if name == "affine.for" \
-                else self.dims(op)
-            for k, (iv, c) in enumerate(zip(args, dims)):
+            for k, (iv, c) in enumerate(zip(args, self.dims(op))):
                 if c:
-                    lb, ub, step = c
-                    trips = max(0, -((lb - ub) // step))
+                    lb, _, step = c
+                    trips = _trips(*c)
                     interval = trips and (lb, lb + trips * step - step // copies)
                 else:
                     interval = _iv_range(*map(self.bounds.get,
@@ -1028,13 +1021,13 @@ class _FuncGen:
 
     def cast(self, op: Operation) -> list:
         src, r = op.operands[0], op.results[0]
-        if r.type.kind != "i32" or self.proven(src, "i32"):
+        if r.type.kind != "i32" or r in self.bounds:  # learnt: it fits
             return self.alias(r, src)
         return self.assign(r, _wrap_expr(self.val(src), "i32"))
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not (r.uses or self.recording or _unproven(op, self.bounds.get)):
+        if not r.uses and not self.recording and self.in_bounds(op):
             return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
@@ -1072,17 +1065,12 @@ class _FuncGen:
 
     def store(self, op: Operation) -> list:
         value, buf = op.operands[:2]
-        expr = self.val(value)
-        kind = buf.type.element.kind
-        wrap = kind in ("i32", "i64") and not self.proven(value, kind)
-        if wrap:
-            expr = _wrap_expr(expr, kind)
+        expr = self.val(value)  # in its width: ops, loads and parameters wrap
         if self.slicing is not None and buf not in self.promoted:
             # every copy's slice, the next one's read of it, and the statement
             text = (self.stored or self.slice_of(buf, op.operands[2:]))[0]
-            self.stored = (text, expr[1:-1] if value in self.folded and not wrap
-                           else expr, f"{text} = array({self.arrays[buf]}"
-                           f".typecode, [{expr}")
+            self.stored = (text, expr[1:-1] if value in self.folded else expr,
+                           f"{text} = array({self.arrays[buf]}.typecode, [{expr}")
             return []
         target = self.promoted.get(buf)
         if target is not None:
@@ -1098,20 +1086,25 @@ class _FuncGen:
         each copy of a jammed body), and the innermost loop level the offset
         changes in (None if it is checked or not linear).
 
-        The offset is linearised: the terms of loops outside the innermost
-        one come from partial sums bound in their headers (``hoist``).
+        An index is checked against an extent once per run: a second check
+        cannot fail once the first passed. The offset is linearised: the
+        terms of loops outside the innermost one come from partial sums
+        bound in their headers (``hoist``).
         """
-        lines = []
-        where = None
+        lines, where, checked = [], None, False
         for v, extent in zip(indices, buf.type.shape):
-            if not self.within(v, extent):
+            if self.within(v, extent):
+                continue
+            checked = True
+            if (v, extent) not in self.offsets:
+                self.offsets[v, extent] = None
                 expr = self.val(v)
                 where = where or self.constant(op.location)
                 lines.append(f"if not 0 <= {expr} < {extent}: "
                              f"oob({expr}, {extent}, {self.val(buf)}, {where})")
         coefs, fixed, rest = self.linearise(buf, indices)
         terms, level = self.hoist(coefs)
-        if lines or rest:
+        if checked or rest:
             level = None
         terms = terms + [(self.val(v), stride) for v, stride in rest]
         if len(terms) > 1 or any(coef != 1 for _, coef in terms):
@@ -1291,9 +1284,11 @@ class _FuncGen:
         """
         for op in block.ops:
             at = _INDEX_FROM.get(op.name)
+            if op in self.dead:     # it never runs
+                continue
             if at:
                 buf = op.operands[at - 1]
-                if _unproven(op, self.bounds.get):
+                if not self.in_bounds(op):
                     return False
                 touched.add(buf)
                 if buf in found and op.operands[at:] != found[buf][0]:
@@ -1314,11 +1309,12 @@ class _FuncGen:
         """The slice form the innermost loop ``loop`` over ``iv``, of
         SLICE_TRIPS or more trips, may take: "reduce", "map" or None; ``head``
         heads the nest that jams into it, if one does. Decided from the IR
-        before its body is written: every address is linear (``forms``) and
-        moves by a stride of at least 1 or not at all, a used load's moves;
-        in the map form the store's moves with ``iv`` and no other nest
-        variable, and no op needs a statement: each pure op, and each read
-        of what a store before it wrote, folds or names only an address."""
+        before its body is written: every address is linear (``linearise``)
+        and moves by a stride of at least 1 or not at all, a used load's
+        moves; in the map form the store's moves with ``iv`` and no other
+        nest variable, the stored buffer is read only at the stored offset,
+        and no op needs a statement: each pure op, and each read of what a
+        store before it wrote, folds or names only an address."""
         if self.recording or not self.index_only(iv):
             return None
         block = self.bodies[loop]
@@ -1329,26 +1325,26 @@ class _FuncGen:
             return None
         (store,) = stores
         buf, offsets = store.operands[1], {}
-        for op in loads + stores:   # their terms over induction Values
+        for op in loads + stores:   # their offsets, terms over induction Values
             at = _INDEX_FROM[op.name]
-            coefs, _, rest = self.linearise(op.operands[at - 1], op.operands[at:])
+            coefs, _, rest = offsets[op] = self.linearise(
+                op.operands[at - 1], op.operands[at:])
             if rest or coefs.get(iv, 0) < 0:
                 return None
-            offsets[op] = coefs
-        if not any(offsets[op].get(iv) and op.results[0].uses
+        if not any(offsets[op][0].get(iv) and op.results[0].uses
                    and op.operands[0] not in self.promoted for op in loads):
             return None
         if buf in self.promoted:    # promote checked the buffers it reads
             return "reduce"
-        if not offsets[store].get(iv) or head and any(
-                v is not iv and _defined_in(v, head) for v in offsets[store]):
+        if not offsets[store][0].get(iv) or head and any(
+                v is not iv and _defined_in(v, head) for v in offsets[store][0]):
             return None
-        pairs, at = set(), _element_key(store.operands[2:])
-        for load in loads:
+        pairs = set()
+        for load in loads:    # proven, so one offset is one element
             other, r = load.operands[0], load.results[0]
             pair = self.separate(other, buf, loop)
             if pair is None and (other is not buf
-                                 or _element_key(load.operands[1:]) != at) \
+                                 or offsets[load] != offsets[store]) \
                     or other is buf and r.uses and r not in self.foldable and (
                         head or block.ops.index(load) > block.ops.index(store)):
                 return None
@@ -1585,8 +1581,8 @@ class _FuncGen:
                 size += 1
                 continue
             # its trips as written, a rolled loop's copies included
-            bounds, body = static_bounds(op), self.bodies[op]
-            n = bounds and bounds[0][3] * (
+            (bounds,), body = self.dims(op), self.bodies[op]
+            n = bounds and _trips(*bounds) * (
                 body.copies if isinstance(body, _Rolled) else 1)
             if n is not None and n <= UNROLL_TRIPS:
                 inner, into = self.written(op, n)
@@ -1620,7 +1616,7 @@ class _FuncGen:
                 for inner in (body, *op.regions[1:]):
                     self.forget(inner)
 
-    def scf_for(self, op: Operation, count: tuple, depth: int) -> None:
+    def for_loop(self, op: Operation, count: tuple, depth: int) -> None:
         bounds, = self.dims(op)
         if bounds:
             self.counted(op, bounds, count, depth)
@@ -1642,12 +1638,12 @@ class _FuncGen:
         self.body(op.body(), inner, depth, op if proven else None)
         self.close_loops(level)
 
-    def affine_for(self, op: Operation, count: tuple, depth: int) -> None:
-        self.counted(op, static_bounds(op)[0][:3], count, depth)
-
     def dims(self, op: Operation) -> list:
-        """Per dimension of an scf.for or scf.parallel, (lb, ub, step) if
-        each is a point and the step is positive, else None."""
+        """Per dimension of a loop, (lb, ub, step) if each is a point and
+        the step is positive, else None: the one reader of literal loop
+        bounds. An affine.for's are its attributes, as a run reads them."""
+        if op.name == "affine.for":
+            return [static_bounds(op)[0][:3]]
         n = len(op.body().args)
         return [c if None not in c and c[2] > 0 else None for c in
                 (tuple(map(self.const, op.operands[k::n])) for k in range(n))]

@@ -15,7 +15,9 @@ strict improvement.  Both are pure functions of the seed.
 A trial runs the pipeline on a clone of the kernel, which ``run_pipeline``
 verifies first and after each pass, then compiles and calls the clone as
 it is; the kernel itself is never rewritten.  A trial whose pipeline names
-no pass, as the identity point's does, runs the baseline's program.
+no pass, as the identity point's does, runs the baseline's program.  Its
+results and buffers must equal the baseline's exactly: every registered
+pass preserves them bit for bit.
 """
 import math
 import random
@@ -37,10 +39,6 @@ from staircase.passes import pipeline_parse, run_pipeline
 from staircase.tuner.space import ParamSpace, Trial
 
 __all__ = ["default_pipeline", "evaluate", "search"]
-
-_REL_TOL = 1e-6
-_ABS_TOL = 1e-9
-
 
 def default_pipeline(tiles, unroll: int) -> str:
     """Render the pipeline spec for one parameter point.
@@ -110,38 +108,6 @@ def make_inputs(module: Operation, func: str | None, seed: int) -> list:
     return [_fresh_argument(arg.type, rng) for arg in func_op.body().args]
 
 
-def _values_close(got, want) -> bool:
-    if isinstance(want, float):
-        return math.isclose(got, want, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-    return got == want
-
-
-def _state_matches(got_results, got_args, want_results, want_args) -> bool:
-    if len(got_results) != len(want_results):
-        return False
-    for g, w in zip(got_results, want_results):
-        if isinstance(w, Buffer):
-            if not _buffers_close(g, w):
-                return False
-        elif not _values_close(g, w):
-            return False
-    for g, w in zip(got_args, want_args):
-        if isinstance(w, Buffer) and not _buffers_close(g, w):
-            return False
-    return True
-
-
-def _buffers_close(got, want) -> bool:
-    if not isinstance(got, Buffer) or got.shape != want.shape:
-        return False
-    if got.data == want.data:
-        return True
-    return want.dtype in ("f32", "f64") and all(
-        math.isclose(g, w, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-        for g, w in zip(got.data, want.data)
-    )
-
-
 def _digest(stats) -> dict:
     return {
         "total": stats.total,
@@ -184,7 +150,7 @@ class _Session:
                 self.module.ctx.modules.remove(work)
         args = copy_buffers(self.inputs)
         results, stats = call(program, self.func, args, "sequential", 1)
-        if not _state_matches(results, args, self.want_results, self.want_args):
+        if results != self.want_results or args != self.want_args:
             raise StaircaseError(
                 f"pipeline {spec!r} changed the results of @{self.func}; "
                 "transformed kernels must match the untransformed run"

@@ -10,6 +10,7 @@ sequential one, it is checked against the sequential reference: the
 definitional interpreter reads the mode only in the stats and at
 gpu.launch_func, which both modes refuse with a message naming the mode.
 """
+import ast
 import functools
 import hashlib
 import itertools
@@ -787,9 +788,10 @@ def test_bounds_checks_over_irgen_seeds():
     # linear forms prove nothing new and drop no check; a loop written once
     # per trip has none, and a loop or parallel loop of no trips writes none
     # (36 and then 32 checks in such bodies, run by no trip, were written
-    # until each wrote nothing)
+    # until each wrote nothing); an index is checked against an extent once
+    # per straight-line run (seed 150 checked one twice)
     sources = [_source(random_module(seed)) for seed in IRGEN_SEEDS]
-    assert sum(source.count("oob(") for source in sources) == 37
+    assert sum(source.count("oob(") for source in sources) == 36
     literal = re.compile(r"^ *for \w+ in range\(([-\d, ]+)\):$", re.M)
     assert all(range(*map(int, m[1].split(",")))
                for source in sources for m in literal.finditer(source))
@@ -1507,9 +1509,15 @@ def _written_names(module):
     while blocks:
         for op in blocks.pop().ops:
             names.append(op.name)
-            blocks += [at == 0 and codegen._rolled(op) or body
+            blocks += [at == 0 and _rolled(op) or body
                        for at, body in enumerate(op.regions)]
     return names
+
+
+def _rolled(op):
+    """``codegen._rolled`` of an scf.for over constant bounds, else None."""
+    bounds = op.name == "scf.for" and static_bounds(op)
+    return codegen._rolled(op, *bounds[0][:3]) if bounds else None
 
 
 def _innermost_body(source):
@@ -2193,6 +2201,19 @@ def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_ne
             "index 20 out of bounds for extent 20 of Buffer<20xf64> at ")
 
 
+def test_read_at_the_stored_element_by_another_value_jams():
+    # D is stored at i + l, where l's loop has one trip, 0: the same element
+    # as the read of D[i] by its linear form, though another index value
+    module = _jam_nest(changes=[
+        ("scf.for %arg5", "scf.for %arg6 = %0 to %1 step %1 {\n      scf.for %arg5"),
+        ("memref.store %8, %arg2[%arg5]",
+         "%9 = arith.addi %arg5, %arg6 : index\n        memref.store %8, %arg2[%9]"),
+        ("    }\n    return", "    }\n    }\n    return")])
+    assert _jammed(module) and _for_ranges(_source(module)) == []
+    want = _agree_in_every_mode(module, "f", _jam_args())
+    assert want[2][2].tolist()[:3] == [2.0 + 9 + 4 + 1, 1.0 + 6 + 2 + 0, 0.0 + 3 + 0 - 1]
+
+
 @pytest.mark.parametrize("products, jams", [(17, True), (18, False)],
                          ids=["at-budget", "over-budget"])
 def test_unroll_ops_pin_what_jams(products, jams):
@@ -2225,7 +2246,7 @@ def test_code_for_a_recorder_does_not_jam():
 def test_jammed_chains_round_and_wrap_per_copy():
     # f32: each copy rounds 1 + 2**-24 back to 1 (a tie, to even), where
     # one rounding of 1 + 3 * 2**-24 gives 1 + 2**-23; i32: 2**31 - 2 plus
-    # three 1s wraps in the second copy, each copy's store wrapping
+    # three 1s wraps in the second copy, each copy's sum wrapping
     f32 = _jam_nest("f32")
     assert _jammed(f32)
     want = _agree(f32, _jam_args("f32", [1.0] * 20, [2.0 ** -24] * 4, [1.0] * 20))
@@ -2233,7 +2254,7 @@ def test_jammed_chains_round_and_wrap_per_copy():
     i32 = _jam_nest("i32")
     assert _jammed(i32)
     (form,), = _slice_forms(_source(i32))
-    assert form.count("& 4294967295") == 9   # the product, sum and store of each
+    assert form.count("& 4294967295") == 6   # the product and sum of each
     want = _agree(i32, _jam_args("i32", [1] * 20, [1] * 4, [2 ** 31 - 2] * 20))
     assert want[2][2].tolist()[:17] == [1 - 2 ** 31] * 16 + [2 ** 31 - 2]
 
@@ -2375,8 +2396,7 @@ def _copies(runs, step, trips=5, extent=20):
 
 
 def _rolled_loops(module):
-    return [codegen._rolled(op) for op in module.walk_nested()
-            if op.name == "scf.for"]
+    return [_rolled(op) for op in module.walk_nested() if op.name == "scf.for"]
 
 
 _FOUR_RUNS = [(k, 2.0, "own") for k in range(4)]
@@ -2594,8 +2614,12 @@ BENCH_SOURCE_DIGESTS = {"kernels": "fbb237c4fe85e40a", "strip": "7ab5c886e05abe1
 # written sent its function back to be generated again
 ALIAS_SAFE_DIGESTS = {"kernels": "2a24d85b95b93acf", "strip": "0ec2b0fe42c87d2e",
                       "tune": "33684aaaad7b7b0b"}
-IRGEN_DIGESTS = {"index": "c34a9b491c252632", "jam": "e115844a0c45f5a6",
-                 "random": "0ccc9452aaba2cbe", "slice": "06af1698cb2955e8"}
+# IRGEN_DIGESTS as generated once a store wrote its value as it is, a loop
+# of no trips over folded bounds was dead and could not raise, an index was
+# checked once per run and a read of the stored element was told by its
+# linear form
+IRGEN_DIGESTS = {"index": "a9e78d5d93d72462", "jam": "fde51e5be1008b53",
+                 "random": "acf8eab9da6b6e54", "slice": "c25b2483f7dc722e"}
 IRGEN_CORPUS = {"random": (random_module, range(240)), "index": (index_module, range(80)),
                 "slice": (slice_module, range(90)), "jam": (jam_module, range(240))}
 
@@ -2651,6 +2675,33 @@ def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
 
 
 # -- integer facts: branches no other test reaches -----------------------------------
+
+def test_codegen_reads_each_integer_fact_one_way():
+    """Literal loop bounds come only from ``dims``, which reads an
+    affine.for's attributes through static_bounds; an arith.constant is
+    read behind its value only for launch sizes and for the offsets
+    loop-unroll gave its copies (``_rolled``); whether an index is proven
+    (``within``) and whether two accesses are at one element (``linearise``)
+    have no second reader."""
+    with open(codegen.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    callers = {"static_bounds": set(), "constant_of": set()}
+
+    def visit(node, owner):     # owner: the function the node is in
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name in callers:
+                    callers[name].add(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    assert callers == {"static_bounds": {"dims"},
+                       "constant_of": {"_launch_extents", "_rolled"}}
+    names = {getattr(node, "id", getattr(node, "name", None)) for node in ast.walk(tree)}
+    assert not names & {"_element_key", "_unproven"}
+
 
 def _kernel_module(kernel, params, launch, args):
     """A module whose @f launches the kernel @g::@k once."""
@@ -2741,12 +2792,15 @@ _TWO_THREAD_IDS = """\
 
 # Per case: the module, its arguments per run, the mode, and the first 16
 # hex digits of the SHA-256 of its code for no recorder and for one, as
-# generated while the handlers kept their own record of integer facts
+# generated while the handlers kept their own record of integer facts (the
+# first and the fifth once a store wrote its value as it is and an index
+# was checked once per run)
 FACT_CASES = {
-    # 2147483640 + i is no i32 interval: the sum wraps, and so does its store
+    # 2147483640 + i is no i32 interval: the sum wraps, once, and its store
+    # writes it as it is
     "i32-sum-past-its-width": (
         lambda: _module(_WRAPPED_SUM, "%arg0: memref<16xi32>"),
-        [[Buffer((16,), "i32")]], "sequential", "76ac67a1e4a9ebed"),
+        [[Buffer((16,), "i32")]], "sequential", "cbccc34442111fe8"),
     # 1.0e39 rounds to an f32 inf, which has no literal: it is read from K
     "f32-constant-rounds-to-inf": (
         lambda: _module(_INF_CONSTANT, "%arg0: f32", " -> (f32, f32)"),
@@ -2760,13 +2814,13 @@ FACT_CASES = {
     "loop-bound-folded-to-a-point": (
         lambda: _module(_FOLDED_BOUND, "%arg0: memref<13xf64>"),
         [[Buffer((13,), "f64")]], "sequential", "b4455fe04ae8df4c"),
-    # a grid size from a parameter bounds no id: every index keeps its check
+    # a grid size from a parameter bounds no id: each index is checked, once
     "grid-size-from-a-parameter": (
         lambda: _kernel_module(
             _DOUBLE_PER_THREAD, "%arg0: memref<8xf64>",
             "blocks in (%arg1, %0, %0) threads in (%1, %0, %0) "
             "args(%arg0 : memref<8xf64>)", "%arg0: memref<8xf64>, %arg1: index"),
-        [[_counting(8), 2], [_counting(8), 3]], "gpu_emulated", "0dca9ad2bb6c2ccf"),
+        [[_counting(8), 2], [_counting(8), 3]], "gpu_emulated", "2074a4557526f0c9"),
     # tx - tx has the form 0 but the interval [-15, 15]; tx + tx is tx*2
     "two-ids-of-one-thread-dimension": (
         lambda: _kernel_module(
@@ -2802,10 +2856,101 @@ def test_grid_size_from_a_parameter_checks_every_index():
     build, runs, _, _ = FACT_CASES["grid-size-from-a-parameter"]
     module = build()
     assert codegen._launch_extents(module) == {"g::k": None}
-    assert _source(module).count("oob(") == 2   # the load's and the store's
+    # the load's check; the store's of the same index could not fail after it
+    assert _source(module).count("oob(") == 1
     assert _agree(module, runs[0], "gpu_emulated")[2][0].tolist() == [
         2.0 * (k + 1) for k in range(8)]
-    assert _agree(module, runs[1], "gpu_emulated")[:2] == ("raised", OutOfBounds)
+    assert _agree(module, runs[1], "gpu_emulated")[:3] == (    # at the load
+        "raised", OutOfBounds, "index 8 out of bounds for extent 8 of Buffer<8xf64> "
+        "at <input>:9")
+
+
+# the inner loop runs from 11 + 3 to 11 + 3: no trips, and dead, so its
+# store of A[1] does not keep A[0] out of a local around the loop over i
+_DEAD_BY_FOLDED_BOUNDS = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 16 : index
+    %3 = arith.constant 11 : index
+    %4 = arith.constant 3 : index
+    %5 = arith.addi %3, %4 : index
+    %6 = arith.constant 0.0 : f64
+    scf.for %arg2 = %0 to %2 step %1 {
+      %7 = memref.load %arg1[%arg2] : memref<16xf64>
+      %8 = memref.load %arg0[%0] : memref<4xf64>
+      %9 = arith.addf %8, %7 : f64
+      memref.store %9, %arg0[%0] : memref<4xf64>
+      scf.for %arg3 = %5 to %5 step %1 {
+        memref.store %6, %arg0[%1] : memref<4xf64>
+      }
+    }
+    return"""
+
+
+def test_loop_of_no_trips_over_folded_bounds_is_dead():
+    module = _module(_DEAD_BY_FOLDED_BOUNDS, "%arg0: memref<4xf64>, %arg1: memref<16xf64>")
+    source = _source(module)
+    assert re.search(r"^ +e\d+ = d2\[0\]$", source, re.M)
+    assert re.search(r"^ +d2\[0\] = e\d+$", source, re.M)
+    want = _agree(module, [_counting(), _ramp(n=16)])
+    assert want[2][0].tolist() == [1.0 + sum(k - 5 for k in range(16)), 2.0, 3.0, 4.0]
+
+
+# A[2i + j] = B[2i + j] * 2 over i < 4 and j < 1 + 1, a bound no
+# arith.constant holds: a short nest, written once per trip
+_SHORT_NEST_OVER_A_FOLDED_BOUND = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+    %3 = arith.addi %1, %1 : index
+    %4 = arith.constant 2.0 : f64
+    scf.for %arg2 = %0 to %2 step %1 {
+      scf.for %arg3 = %0 to %3 step %1 {
+        %5 = arith.muli %arg2, %3 : index
+        %6 = arith.addi %5, %arg3 : index
+        %7 = memref.load %arg1[%6] : memref<8xf64>
+        %8 = arith.mulf %7, %4 : f64
+        memref.store %8, %arg0[%6] : memref<8xf64>
+      }
+    }
+    return"""
+
+
+def test_short_nest_over_a_folded_bound_is_written_per_trip():
+    module = _module(_SHORT_NEST_OVER_A_FOLDED_BOUND,
+                     "%arg0: memref<8xf64>, %arg1: memref<8xf64>")
+    assert _writes_per_trip(module) and _for_ranges(_source(module)) == []
+    want = _agree(module, [Buffer((8,), "f64"), _ramp(n=8)])
+    assert want[2][0].tolist() == [2.0 * (k - 2) for k in range(8)]
+
+
+# i + 5 runs past A's extent: A[i + 5] is checked, and B[i + 5], checked
+# once with it, is still read in the loop over j, after the check
+_ONE_CHECK_FOR_TWO_LOADS = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+    %3 = arith.constant 5 : index
+    %4 = arith.constant 20 : index
+    scf.for %arg3 = %0 to %2 step %1 {
+      %5 = arith.addi %arg3, %3 : index
+      scf.for %arg4 = %0 to %4 step %1 {
+        %6 = memref.load %arg0[%5] : memref<8xf64>
+        %7 = memref.load %arg1[%5] : memref<8xf64>
+        %8 = arith.addf %6, %7 : f64
+        memref.store %8, %arg2[%arg4] : memref<20xf64>
+      }
+    }
+    return"""
+
+
+def test_a_load_checked_with_another_stays_after_the_check():
+    module = _module(_ONE_CHECK_FOR_TWO_LOADS, "%arg0: memref<8xf64>, "
+                     "%arg1: memref<8xf64>, %arg2: memref<20xf64>")
+    assert _source(module).count("oob(") == 1
+    want = _agree(module, [_counting(8), _counting(8), Buffer((20,), "f64")])
+    assert want[:3] == ("raised", OutOfBounds, "index 8 out of bounds for "
+                        "extent 8 of Buffer<8xf64> at <input>:11")
 
 
 def test_registered_op_the_interpreter_does_not_run():

@@ -196,6 +196,10 @@ def star_args(*xs: F64):
     pass
 
 
+def host_thread_id(a: MemRef[(8,), F64]):
+    a[thread_id_x()] = 0.0
+
+
 @pytest.mark.parametrize("fn, range_ctor, error, message", [
     (leak, "scf_for", CaptureLeak,
      "a value defined in an already-closed region is used at {file}:{line3}"),
@@ -241,11 +245,14 @@ def star_args(*xs: F64):
      "line {line1}: AnnAssign cannot be staged"),
     (star_args, "scf_for", UnsupportedConstruct,
      "line {line0}: only plain positional parameters can be staged"),
+    (host_thread_id, "scf_for", UnsupportedConstruct,
+     "thread_id_x() is only valid inside a GPU kernel body"),
 ], ids=["leak", "rank", "affine-bound", "float-subscript", "store-i1",
         "parallel-arity", "launch-leak", "host-return", "banned-statement",
         "banned-expression", "chained", "unary", "early-return", "for-else",
         "host-loop", "subscript-target", "two-targets", "attribute-target",
-        "floor-div", "bare-expression", "annotated", "star-args"])
+        "floor-div", "bare-expression", "annotated", "star-args",
+        "id-outside-a-kernel"])
 def test_capture_errors_keep_type_and_message(fn, range_ctor, error, message):
     code = fn.__code__
     first = code.co_firstlineno
@@ -258,6 +265,14 @@ def test_capture_errors_keep_type_and_message(fn, range_ctor, error, message):
 
 
 # -- GPU kernels --------------------------------------------------------------------
+
+def test_gpu_ids_are_bound_like_every_dsl_name():
+    # a host body and a kernel body see one table of DSL names, the ids in it
+    from staircase.frontend.capture import _STAGED_BINDINGS
+
+    ids = [f"{kind}_id_{dim}" for kind in ("block", "thread") for dim in "xyz"]
+    assert all(_STAGED_BINDINGS[name] is getattr(staircase, name) for name in ids)
+
 
 
 def test_gpu_module_captures_and_runs():

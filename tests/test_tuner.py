@@ -1,7 +1,8 @@
 """The tuner: searches replay their golden logs, skipped and wrong trials
-are told apart, and transformed buffers are compared as the tuner says."""
+are told apart, and transformed buffers must equal the baseline's."""
 import importlib
 import json
+import math
 import os
 
 import pytest
@@ -10,12 +11,12 @@ from conftest import golden_text
 from staircase.errors import MalformedLine, StaircaseError
 from staircase.interp import Buffer
 from staircase.ir import verify
-from staircase.ir.core import create_context, int_attr
+from staircase.ir.core import create_context, float_attr, int_attr
 from staircase.passes import PASSES, PassOutcome
 from staircase.textio import parse_module, print_module
 from staircase.tuner import (ParamSpace, default_pipeline, evaluate, load,
                               persist, search)
-from staircase.tuner.search import _buffers_close, _Session
+from staircase.tuner.search import _Session
 
 CONV_ROWS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                          "inputs", "conv_rows.sir")
@@ -183,10 +184,40 @@ def test_a_pipeline_that_changes_results_raises(monkeypatch):
                  params={"tiles": [1, 1], "unroll": 1})
 
 
+def _nudge_one(root, **_):
+    """Move the constant 1.0 of ``_STORE_ONE`` up by one ulp."""
+    for op in root.walk_nested():
+        if op.name == "arith.constant" and op.attributes["value"] == float_attr(1.0):
+            op.attributes["value"] = float_attr(math.nextafter(1.0, 2.0))
+    return PassOutcome(rewrites=1)
+
+
+_STORE_ONE = """\
+module {
+  func.func @one(%arg0: memref<4xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1.0 : f64
+    memref.store %1, %arg0[%0] : memref<4xf64>
+    return
+  }
+}
+"""
+
+
+def test_a_trial_one_ulp_off_raises(monkeypatch):
+    # a trial is compared with its baseline exactly, not within a tolerance
+    monkeypatch.setitem(PASSES, "nudge", _nudge_one)
+    with pytest.raises(StaircaseError, match="changed the results of @one"):
+        evaluate(parse_module(_STORE_ONE, create_context()), lambda tiles, unroll:
+                 "builtin.module(func.func(nudge))",
+                 params={"tiles": [1, 1], "unroll": 1})
+
+
+# the tuner compares a trial's buffers with its baseline's by ``==``
 @pytest.mark.parametrize("dtype, got, want, close", [
     ("f64", [float("nan"), 1.0], [float("nan"), 1.0], False),
     ("f64", [-0.0, 2.0], [0.0, 2.0], True),
-    ("f64", [1.0 + 1e-9, 2.0], [1.0, 2.0], True),
+    ("f64", [1.0 + 1e-9, 2.0], [1.0, 2.0], False),
     ("f64", [1.001, 2.0], [1.0, 2.0], False),
     ("f32", [0.5, 2.0], [0.5, 2.0], True),
     ("i64", [10**15 + 1, 2], [10**15, 2], False),
@@ -196,11 +227,11 @@ def test_a_pipeline_that_changes_results_raises(monkeypatch):
         "integer-exact", "integer-equal", "i32"])
 def test_buffers_close(dtype, got, want, close):
     got, want = Buffer((2,), dtype, got), Buffer((2,), dtype, want)
-    assert _buffers_close(got, want) is close
+    assert (got == want) is close
 
 
 def test_buffers_of_another_shape_or_kind_differ():
     want = Buffer((2,), "f64", [1.0, 2.0])
-    assert not _buffers_close(Buffer((1, 2), "f64", [1.0, 2.0]), want)
-    assert not _buffers_close([1.0, 2.0], want)
+    assert Buffer((1, 2), "f64", [1.0, 2.0]) != want
+    assert [1.0, 2.0] != want
 
