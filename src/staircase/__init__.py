@@ -53,7 +53,6 @@ _FRONTEND = {
     "thread_id_x": ("staircase.frontend.markers", "thread_id_x"),
     "thread_id_y": ("staircase.frontend.markers", "thread_id_y"),
     "thread_id_z": ("staircase.frontend.markers", "thread_id_z"),
-    "Pipeline": ("staircase.passes", "Pipeline"),
     "PassStats": ("staircase.passes", "PassStats"),
     "pipeline_parse": ("staircase.passes", "pipeline_parse"),
     "run_pipeline": ("staircase.passes", "run_pipeline"),

@@ -1,8 +1,10 @@
 """Lower a verified module to Python source, and run what it compiles to.
 
 Each func.func and gpu.func becomes one Python function; only a region
-op whose loops would put its body past MAX_DEPTH + 1 runs in one of its
-own, as CPython compiles at most 20 nested blocks per function. SSA values
+op whose loops would put its body past MAX_DEPTH + 1 runs in a closure of
+its own, as CPython compiles at most 20 nested blocks per function: it is
+defined at its function's entry and called with no arguments, and CPython
+resolves the locals it reads from the function around it. SSA values
 become locals, integer constants become literals, and a result used once,
 later in the same straight-line run, is written into that use as an
 expression; a pure op that only such dead ops read, or ops of a loop with
@@ -31,15 +33,17 @@ time, in op order: an index once per straight-line run and extent. A
 store writes its value as it is: ops, loads and parameters are all wrapped.
 
 The same values have a linear form, Σ coef·iv + constant over the loop,
-parallel and thread induction variables, and an address is computed from
-the forms of its indices, not from their locals. Its terms are grouped by
-the loop that binds each variable: the terms of each loop outside the
-innermost one go into a partial sum bound once, in that loop's header, as
-the partial sum of the loops outside it plus its own terms (loop-invariant
-code motion). The innermost loop's terms and the constant stay in the
-statement. A nested function's entry is its outermost level, so the terms
-of variables it receives are summed there. An index value used only in
-addresses, directly or through integer ops, is never bound at all.
+parallel and thread induction variables (the ids of one dimension are one
+variable, and a form of no terms pins its value), and an address is
+computed from the forms of its indices, not from their locals. Its terms
+are grouped by the loop that binds each variable: the terms of each loop
+outside the innermost one go into a partial sum bound once, in that
+loop's header, as the partial sum of the loops outside it plus its own
+terms (loop-invariant code motion). The innermost loop's terms and the
+constant stay in the statement. A closure's entry is its outermost level,
+so the terms of the variables of the function around it are summed there.
+An index value used only in addresses, directly or through integer ops,
+is never bound.
 
 Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
 except in code that reports to a recorder:
@@ -138,7 +142,6 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import re
 from array import array
 from dataclasses import dataclass
 
@@ -174,7 +177,6 @@ _FPREDS = {"oeq": "{a} == {b}", "one": "{a} == {a} and {b} == {b} and {a} != {b}
 _IPREDS = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">",
            "sge": ">="}
 _GPU_IDS = ("bx", "by", "bz", "tx", "ty", "tz")
-_NAME = re.compile(r"[A-Za-z_]\w*")
 _CALLS = frozenset({"func.call", "gpu.launch_func"})
 _MANY = object()    # a buffer stored to at more than one address
 _ALLOCS = frozenset({"memref.alloc", "memref.alloca"})
@@ -542,7 +544,6 @@ class _FuncGen:
         self.bodies: dict = {}      # region op -> its body as written
         self.dead: set = set()      # pure ops only such ops read: no statement
         self.promoted: dict = {}    # buffer -> the local its element is in
-        self.units: list = []       # source of every compiled unit
         self.names: dict = {}       # Value -> Python expression
         self.arrays: dict = {}      # memref Value -> local bound to .data
         self.strides: dict = {}     # memref shape -> its row-major strides
@@ -557,6 +558,7 @@ class _FuncGen:
         # code is written, and again for each copy written once per trip
         self.bounds: dict = {}      # integer Value -> (lo, hi)
         self.forms: dict = {}       # it -> ({induction Value: coef}, k)
+        self.ids: dict = {}         # gpu id dimension -> the Value its forms are over
         self.indexing: dict = {}    # Value -> whether it is used only in addresses
         # Loop levels: 0 is the function's entry, each ``for`` opens one.
         self.levels: dict = {}      # induction local -> the level its loop opens
@@ -565,7 +567,7 @@ class _FuncGen:
         self.hoisted: dict = {}     # (level, coefs) -> an address's terms there
         self.offsets: dict = {}     # per run: sum -> local, (index, extent) checked
         self.returned: tuple = ()
-        self.scope: set = set()     # the locals this function can read
+        self.closures: list = []    # lines defining its closures, at entry
 
     # -- names and values ---------------------------------------------------
 
@@ -573,13 +575,8 @@ class _FuncGen:
         self.n += 1
         return f"{prefix}{self.n}"
 
-    def local(self, prefix: str) -> str:
-        name = self.fresh(prefix)
-        self.scope.add(name)
-        return name
-
     def bind(self, value: Value, prefix: str = "v") -> str:
-        name = self.names[value] = self.local(prefix)
+        name = self.names[value] = self.fresh(prefix)
         return name
 
     def bind_array(self, value: Value) -> list:
@@ -587,7 +584,7 @@ class _FuncGen:
         none if no load or store that is written touches the memref. Its
         name is taken either way: later locals are named alike whichever
         arrays are bound."""
-        name = self.local("d")
+        name = self.fresh("d")
         if all(op.name not in _INDEX_FROM or op in self.dead
                for op, _ in value.uses):
             return []
@@ -679,7 +676,7 @@ class _FuncGen:
                        op.operands[at - 1].type.shape))
 
     def counter(self) -> str:
-        name = self.local("c")
+        name = self.fresh("c")
         self.counters.append(name)
         return name
 
@@ -698,7 +695,7 @@ class _FuncGen:
 
     # -- functions ----------------------------------------------------------
 
-    def generate(self) -> None:
+    def generate(self) -> str:
         body = self.op.body()
         params = []
         prologue = []
@@ -724,7 +721,6 @@ class _FuncGen:
                 self.emit(depth, "if nt:")
                 depth += 1
             for d in looped:
-                self.scope.add(_GPU_IDS[d])
                 depth = self.loop(depth, _GPU_IDS[d], f"range({sizes[d]})",
                                   self.op)
             if self.recording:  # each thread is a point
@@ -741,39 +737,41 @@ class _FuncGen:
         # a parameter that no written load or store touches may be any array
         self.assumed = {(a, b) for a, b in self.assumed
                         if a in self.arrays and b in self.arrays}
+        params += ["T", "X"]
         if self.assumed:    # the alias-safe variant takes any other call
             pairs = sorted((a.index, b.index) for a, b in self.assumed)
             test = " or ".join(f"{self.arrays[body.args[a]]} is "
                                f"{self.arrays[body.args[b]]}" for a, b in pairs)
-            call = f"{self.pyname}_aliased({', '.join(params + ['T', 'X'])})"
+            call = f"{self.pyname}_aliased({', '.join(params)})"
             prologue.insert(arrays, f"if {test}: return {call}")
         self.fold()
-        self.unit(params, prologue)
+        return "\n".join(self.unit(params, prologue)) + "\n"
 
-    def unit(self, params: list, prologue: list) -> None:
-        """Define this function from its lines, its counts folded."""
+    def unit(self, params: list, prologue: list) -> list:
+        """The lines defining this function, its counts folded and its
+        closures defined at its entry, after ``prologue``."""
         if self.returned is not None:
             self.emit(1, "return (" + "".join(f"{r}, " for r in self.returned)
                       .rstrip() + ")")
         if self.counters:
             prologue.insert(0, " = ".join(self.counters) + " = 0")
-        head = f"def {self.pyname}({', '.join(params + ['T', 'X'])}):"
-        self.units.append("\n".join([head] + ["    " + p for p in prologue]
-                                     + self.lines) + "\n")
+        return [f"def {self.pyname}({', '.join(params)}):"] + [
+            "    " + line for line in prologue + self.closures] + self.lines
 
     def nested(self) -> "_FuncGen":
-        """A generator for a function that runs a region op past MAX_DEPTH.
+        """A generator for the closure that runs a region op past MAX_DEPTH.
 
         It shares the maps from values to names, intervals and arrays; its
-        lines and counts are its own, and it returns nothing. It may read
-        this one's locals, which become its parameters (``call_nested``).
+        lines, counts and closures are its own, and it returns nothing. It
+        reads this function's locals as a Python closure does: by name,
+        when it is called (``call_nested``).
         """
         # advance n before the copy: call_nested takes the child's n back
         pyname = self.fresh(f"{self.pyname}_n")
         child = copy.copy(self)
         child.pyname = pyname
         child.lines, child.blocks, child.counters = [], [], []
-        child.bookkeeping, child.scope = [], set(self.scope)
+        child.bookkeeping, child.closures = [], []
         child.returned = None
         # its entry is its level 0: every local it reads from here is there
         child.levels, child.headers = {}, [_Level(0, 1, None)]
@@ -781,16 +779,15 @@ class _FuncGen:
         return child
 
     def call_nested(self, child: "_FuncGen", depth: int) -> None:
-        """Define ``child`` and call it, unless it writes nothing (a loop
-        of no trips); its parameters are the locals of this function its
-        lines read."""
+        """Define ``child`` at this function's entry, a closure of no
+        parameters, and call it here, unless it writes nothing (a loop of
+        no trips)."""
         self.n = child.n
         child.close_loops(0)
         child.fold()
         if child.lines:
-            free = sorted(self.reads(child.lines))
-            child.unit(free, [])
-            self.emit(depth, f"{child.pyname}({', '.join(free + ['T', 'X'])})")
+            self.closures += child.unit([], [])
+            self.emit(depth, f"{child.pyname}()")
 
     def fold(self) -> None:
         """Add every block's static counts, times its count, to the tally."""
@@ -937,8 +934,9 @@ class _FuncGen:
         elif name == "arith.constant" and isinstance(c := constant_value(op), int):
             self.note(op.results[0], (c, c))
         elif name in ("gpu.block_id", "gpu.thread_id") and self.extents:
-            r = op.results[0]
-            self.note(r, (0, max(self.extents[_gpu_dim(op)] - 1, 0)), ({r: 1}, 0))
+            r, dim = op.results[0], _gpu_dim(op)    # one variable per dimension
+            self.note(r, (0, max(self.extents[dim] - 1, 0)),
+                      ({self.ids.setdefault(dim, r): 1}, 0))
         elif name in _LOOPS:
             args = op.body().args
             for k, (iv, c) in enumerate(zip(args, self.dims(op))):
@@ -952,7 +950,10 @@ class _FuncGen:
                 self.note(iv, interval, ({iv: 1}, 0))
 
     def note(self, value: Value, interval, form=None) -> None:
-        """Note a known interval and its form; a point's is its constant."""
+        """Note a known interval and its form; a point's is its constant,
+        and a form of no terms pins the interval to its constant."""
+        if form and not form[0]:
+            interval = (form[1], form[1])
         if interval:
             lo, hi = self.bounds[value] = interval
             self.forms[value] = form if lo < hi else ({}, lo)
@@ -975,10 +976,6 @@ class _FuncGen:
             lv = self.headers.pop()
             self.lines[lv.at - 1:] = ["    " * (lv.depth - 1) + line
                                       for line in lv.before]
-
-    def reads(self, lines) -> set:
-        """The locals of this function that ``lines`` name."""
-        return set(_NAME.findall("\n".join(lines))) & self.scope
 
     # -- flat ops: each returns its statements ----------------------------------
 
@@ -1051,14 +1048,14 @@ class _FuncGen:
                 return self.assign(r, self.stored[1])
             zipped = self.slicing[2]
             if text not in zipped:
-                zipped[text] = self.local("x")
+                zipped[text] = self.fresh("x")
             self.names[r] = zipped[text]
             return []
         element = f"{self.arrays[buf]}[{text}]"
         if lv is None:
             return lines + self.assign(r, element)
         if element not in lv.loads:     # bound just before the loop of ``lv``
-            lv.loads[element] = self.local("v")
+            lv.loads[element] = self.fresh("v")
             lv.before.append(f"{lv.loads[element]} = {element}")
         self.names[r] = lv.loads[element]
         return lines
@@ -1112,7 +1109,7 @@ class _FuncGen:
             if "[" not in key:  # reads no memory: reusable in this run
                 base = self.offsets.get(key)
                 if base is None:
-                    base = self.offsets[key] = self.local("o")
+                    base = self.offsets[key] = self.fresh("o")
                     lines.append(f"{base} = {key}")
                 terms = [(base, 1)]
         return lines, [_sum(terms, k) for k in fixed], level
@@ -1168,7 +1165,7 @@ class _FuncGen:
                 continue
             name = self.partials.get((partial, tuple(terms)))
             if name is None:
-                name = self.partials[partial, tuple(terms)] = self.local("h")
+                name = self.partials[partial, tuple(terms)] = self.fresh("h")
                 head = [(partial, 1)] if partial else []
                 self.headers[level].sums.append(f"{name} = {_sum(head + terms)}")
             partial = name
@@ -1268,7 +1265,7 @@ class _FuncGen:
             else:
                 _, (off,), _ = self.address(store, buf, store.operands[2:])
                 element = f"{self.arrays[buf]}[{off}]"
-                local = self.promoted[buf] = self.local("e")
+                local = self.promoted[buf] = self.fresh("e")
                 reads.append(f"{local} = {element}")
                 self.assumed.update(pairs)
                 promoted.append((buf, local, element))
@@ -1294,9 +1291,8 @@ class _FuncGen:
                 if buf in found and op.operands[at:] != found[buf][0]:
                     del found[buf]
             elif op.regions:
-                step = self.bounds.get(op.operands[2]) if op.name == "scf.for" \
-                    else (1, 1)
-                if depth > MAX_DEPTH or step is None or step[0] < 1 or op.name \
+                proven = op.name != "scf.for" or self.step_proven(op.operands[2])
+                if depth > MAX_DEPTH or not proven or op.name \
                         not in ("scf.for", "affine.for", "scf.if") or not all(
                             self.raise_free(body, depth + 1, found, touched)
                             for body in (self.bodies[op], *op.regions[1:])):
@@ -1438,9 +1434,11 @@ class _FuncGen:
                 f"{kernel}({', '.join(args)})"]
 
     def gpu_id(self, op: Operation) -> list:
-        r = op.results[0]    # 0 where its thread loop is left out
-        self.names[r] = "0" if self.bounds.get(r) == (0, 0) \
-            else _GPU_IDS[_gpu_dim(op)]
+        """Name the id and the Value its dimension's forms are over, which
+        may be dead, by its thread loop's variable, or 0 if there is none."""
+        r, dim = op.results[0], _gpu_dim(op)
+        self.names[r] = self.names[self.ids.get(dim, r)] = \
+            "0" if self.const(r) == 0 else _GPU_IDS[dim]
         return []
 
     # -- region ops: each writes its statements ---------------------------------
@@ -1742,8 +1740,7 @@ def lower_module(module: Operation, recorder=None) -> dict:
     for key, op, _ in entries:
         gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
                        recorder is not None)
-        gen.generate()
-        units += gen.units
+        units.append(gen.generate())
         if gen.assumed:
             namespace[f"{gen.pyname}_aliased"] = functools.partial(
                 _alias_safe, namespace, op, gen.pyname, pynames, gen.extents)
@@ -1765,8 +1762,7 @@ def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
     the place of this stand-in in ``namespace``, and call it."""
     gen = _FuncGen(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
                    namespace["R"] is not None, guarded=False)
-    gen.generate()
-    _define(gen.units, namespace)
+    _define([gen.generate()], namespace)
     return namespace[gen.pyname](*args)
 
 

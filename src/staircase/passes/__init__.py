@@ -7,7 +7,6 @@ from .outline import gpu_kernel_outlining
 from .pipeline import (
     ANCHORS,
     PASSES,
-    Pipeline,
     PassScope,
     PassStats,
     pipeline_parse,
@@ -23,7 +22,6 @@ __all__ = [
     "PassOutcome",
     "PassScope",
     "PassStats",
-    "Pipeline",
     "canonicalize",
     "gpu_kernel_outlining",
     "gpu_map_parallel_loops",

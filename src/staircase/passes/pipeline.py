@@ -5,6 +5,8 @@ an ordered mix of passes and child scopes; a pass runs once per op
 matching the anchor, in pre-order. The textual form is
 ``anchor(item,item,...)`` where an item is ``pass-name{key=val,...}`` or
 a nested ``anchor(...)`` — the same grammar the command line accepts.
+``pipeline_parse`` returns the root scope, anchored on builtin.module,
+which prints as that form.
 """
 from __future__ import annotations
 
@@ -43,6 +45,8 @@ ANCHORS = ("builtin.module", "func.func", "gpu.module", "gpu.func")
 
 @dataclass
 class PassScope:
+    """A scope of a pipeline, printed in its textual form."""
+
     anchor: str
     # (name, params) tuples and nested PassScopes, in execution order
     items: list = field(default_factory=list)
@@ -50,13 +54,19 @@ class PassScope:
     def names_a_pass(self) -> bool:
         return any(not isinstance(i, PassScope) or i.names_a_pass() for i in self.items)
 
-
-@dataclass
-class Pipeline:
-    root: PassScope
-
     def __str__(self) -> str:
-        return _render_scope(self.root)
+        parts = []
+        for item in self.items:
+            if isinstance(item, PassScope):
+                parts.append(str(item))
+            else:
+                name, params = item
+                if params:
+                    kv = ",".join(f"{k}={_render_value(v)}" for k, v in params.items())
+                    parts.append(f"{name}{{{kv}}}")
+                else:
+                    parts.append(name)
+        return f"{self.anchor}({','.join(parts)})"
 
 
 @dataclass
@@ -76,21 +86,6 @@ def _render_value(value) -> str:
     if isinstance(value, list):
         return "[" + ",".join(str(v) for v in value) + "]"
     return str(value)
-
-
-def _render_scope(scope: PassScope) -> str:
-    parts = []
-    for item in scope.items:
-        if isinstance(item, PassScope):
-            parts.append(_render_scope(item))
-        else:
-            name, params = item
-            if params:
-                kv = ",".join(f"{k}={_render_value(v)}" for k, v in params.items())
-                parts.append(f"{name}{{{kv}}}")
-            else:
-                parts.append(name)
-    return f"{scope.anchor}({','.join(parts)})"
 
 
 _TOKEN = re.compile(r"\s*([A-Za-z0-9_.\-]+|[(){}=\[\],])")
@@ -134,71 +129,44 @@ class _Parser:
             raise ParseError(f"pipeline: expected {what}, got {token!r}")
         return token
 
-    def scope(self) -> PassScope:
-        name = self.take()
-        if name not in ANCHORS:
+    def listed(self, read_one, close: str, empty: bool) -> list:
+        """What ``read_one`` reads, once per comma-separated item, up to and
+        including ``close``; no item only if ``empty``."""
+        items = [] if empty and self.peek() == close else [read_one()]
+        while self.peek() == ",":
+            self.take()
+            items.append(read_one())
+        self.take(close)
+        return items
+
+    def scope(self, anchor: str) -> PassScope:
+        if anchor not in ANCHORS:
             raise ParseError(
-                f"pipeline: unknown anchor {name!r}; expected one of "
+                f"pipeline: unknown anchor {anchor!r}; expected one of "
                 + ", ".join(ANCHORS)
             )
-        return self.scope_body(name)
-
-    def scope_body(self, anchor: str) -> PassScope:
         self.take("(")
-        scope = PassScope(anchor)
-        if self.peek() == ")":
-            self.take()
-            return scope
-        while True:
-            scope.items.append(self.item())
-            if self.peek() == ",":
-                self.take()
-                continue
-            self.take(")")
-            return scope
+        return PassScope(anchor, self.listed(self.item, ")", True))
 
     def item(self):
         name = self.word("a pass or scope")
         if self.peek() == "(":
-            if name not in ANCHORS:
-                raise ParseError(
-                    f"pipeline: unknown anchor {name!r}; expected one of "
-                    + ", ".join(ANCHORS)
-                )
-            return self.scope_body(name)
-        params = self.params() if self.peek() == "{" else {}
+            return self.scope(name)
+        params = {}
+        if self.peek() == "{":
+            self.take()
+            params = dict(self.listed(self.param, "}", False))
         if name not in PASSES:
             raise UnknownPass(f"unknown pass {name!r}")
         return (name, params)
 
-    def params(self) -> dict:
-        self.take("{")
-        params: dict = {}
-        while True:
-            key = self.word("a parameter name")
-            self.take("=")
-            params[key] = self.value()
-            if self.peek() == ",":
-                self.take()
-                continue
-            self.take("}")
-            return params
-
-    def value(self):
-        if self.peek() == "[":
-            self.take()
-            items = []
-            if self.peek() == "]":
-                self.take()
-                return items
-            while True:
-                items.append(self.scalar())
-                if self.peek() == ",":
-                    self.take()
-                    continue
-                self.take("]")
-                return items
-        return self.scalar()
+    def param(self) -> tuple:
+        key = self.word("a parameter name")
+        self.take("=")
+        if self.peek() != "[":
+            return key, self.scalar()
+        self.take()
+        return key, self.listed(self.scalar, "]", True)
 
     def scalar(self):
         token = self.word("a value")
@@ -208,17 +176,19 @@ class _Parser:
             return token
 
 
-def pipeline_parse(spec: str) -> Pipeline:
+def pipeline_parse(spec: str) -> PassScope:
+    """The root scope of the textual pipeline ``spec``, anchored on
+    builtin.module: a spec rooted at another anchor is its one item."""
     tokens = _tokenize(spec.strip())
     if not tokens:
         raise ParseError("pipeline: empty specification")
     parser = _Parser(tokens)
-    scope = parser.scope()
+    scope = parser.scope(parser.take())
     if parser.peek() is not None:
         raise ParseError(f"pipeline: trailing input {parser.peek()!r}")
     if scope.anchor != "builtin.module":
         scope = PassScope("builtin.module", [scope])
-    return Pipeline(scope)
+    return scope
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +243,9 @@ def _run_scope(op: Operation, scope: PassScope, stats: list[PassStats]) -> None:
 
 
 def run_pipeline(module: Operation, pipeline) -> tuple[Operation, list[PassStats]]:
-    """Run `pipeline` (a Pipeline or its textual form) on `module` in
-    place, as MLIR's PassManager does; return (module, stats per pass).
+    """Run `pipeline` (the root scope ``pipeline_parse`` returns, or its
+    textual form) on `module` in place, as MLIR's PassManager does;
+    return (module, stats per pass).
 
     The module is verified first and after every pass, so callers may
     compile and call it without verifying it again. A pass error or
@@ -285,5 +256,5 @@ def run_pipeline(module: Operation, pipeline) -> tuple[Operation, list[PassStats
         pipeline = pipeline_parse(pipeline)
     verify_or_raise(module)
     stats: list[PassStats] = []
-    _run_scope(module, pipeline.root, stats)
+    _run_scope(module, pipeline, stats)
     return module, stats

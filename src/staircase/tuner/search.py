@@ -139,7 +139,7 @@ class _Session:
         spec = self.template(params["tiles"], params["unroll"])
         pipeline = pipeline_parse(spec)
         program = self.program
-        if pipeline.root.names_a_pass():
+        if pipeline.names_a_pass():
             work = clone_module(self.module)
             try:
                 run_pipeline(work, pipeline)

@@ -1,8 +1,10 @@
 """The frontend imports on this Python, captures the kernel corpus exactly
 (text and source locations), and raises its documented errors."""
 import importlib
+import math
 import os
 import pkgutil
+import traceback
 from itertools import chain
 
 import pytest
@@ -11,20 +13,33 @@ import definterp
 import staircase
 from conftest import golden_text
 from staircase import (
+    F32,
     F64,
     GPUModule,
     I64,
     MemRef,
+    affine_range,
+    block_id_y,
+    block_id_z,
     parallel,
+    scf_else,
+    scf_endif,
+    scf_if,
+    scf_range,
     spirv,
     thread_id_x,
+    thread_id_y,
+    thread_id_z,
 )
 from staircase.errors import (
+    ArityMismatch,
+    CaptureError,
     CaptureLeak,
     InvalidBound,
     RankMismatch,
     TypeMismatch,
     UnbalancedMarkers,
+    UnknownSymbol,
     UnsupportedConstruct,
 )
 from staircase.frontend.capture import capture
@@ -262,6 +277,175 @@ def test_capture_errors_keep_type_and_message(fn, range_ctor, error, message):
         capture(fn, range_ctor=range_ctor)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# -- paths no other test reaches: each runs, or is refused at its line -------------
+# Capture reads each function's source, so these live at module level.
+
+
+def host_number_stored(a: MemRef[16, F32]):
+    for i in range(2, 4):
+        a[i] = -2.5     # a negated literal is no constant(): stored as f32
+
+
+def through_the_heap(a: MemRef[(4,), F64]):
+    b = MemRef.alloc([4], F64)
+    for i in range(4):
+        b[i] = a[i] * 2.0
+    for i in range(4):
+        a[i] = b[i] + a[i]
+
+
+class IdsYZ(GPUModule):
+    def mark(self, a: MemRef[(2, 2, 2, 2), F64]):
+        a[block_id_y(), block_id_z(), thread_id_y(), thread_id_z()] = 1.0
+
+
+def launch_ids_yz(a: MemRef[(2, 2, 2, 2), F64]):
+    IdsYZ().mark(a, grid_size=[1, 2, 2], block_size=[1, 2, 2])
+
+
+def step_not_positive(a: MemRef[(4,), F64]):
+    for i in range(3, 0, -1):
+        a[i] = 1.0
+
+
+def i64_bound(a: MemRef[(4,), F64], n: I64):
+    for i in range(n):
+        a[i] = 1.0
+
+
+def f64_condition(x: F64):
+    if x:
+        pass
+
+
+def else_first(x: F64):
+    scf_else()
+
+
+def endif_in_the_arm(x: F64):
+    scf_if(x < 1.0)
+    scf_endif()
+
+
+def host_truth(x: F64):
+    y = bool(x)
+
+
+def integer_division(x: I64):
+    y = x / 2
+
+
+def scalar_subscript(x: F64):
+    y = x[0]
+
+
+def nested_capture(x: F64):
+    capture(one_result)
+
+
+def bare_gpu_module(x: F64):
+    GPUModule()
+
+
+class NoKernels(GPUModule):
+    pass
+
+
+def no_kernels(x: F64):
+    NoKernels()
+
+
+def two_grid_sizes(a: MemRef[(8,), F64]):
+    Zero().zero(a, grid_size=[1, 1], block_size=[8, 1, 1])
+
+
+SHARED = Zero()
+
+
+def shared_instance(a: MemRef[(8,), F64]):
+    SHARED.zero(a, grid_size=[1, 1, 1], block_size=[8, 1, 1])
+
+
+class Returns(GPUModule):
+    def first(self, a: MemRef[(8,), F64]):
+        return a[0]
+
+
+def kernel_returns(a: MemRef[(8,), F64]):
+    Returns().first(a, grid_size=[1, 1, 1], block_size=[8, 1, 1])
+
+
+# (function, range_ctor, and what it does: a list of the buffers a
+# gpu_emulated run over buffers of 1, 2, ... leaves, or the error type, its
+# message and the line it is raised at, counted from the def)
+FRONTEND_PATHS = {
+    "host-number-stored": (host_number_stored, affine_range,
+                           [[1.0, 2.0, -2.5, -2.5] + [float(k) for k in range(5, 17)]]),
+    "through-the-heap": (through_the_heap, scf_range, [[3.0, 6.0, 9.0, 12.0]]),
+    "ids-y-and-z": (launch_ids_yz, "scf_for", [[1.0] * 16]),
+    "step-not-positive": (step_not_positive, "scf_for", (
+        UnsupportedConstruct, "loop steps must be positive", 1)),
+    "i64-bound": (i64_bound, "scf_for", (
+        TypeMismatch, "loop bounds must be index values, got i64", 1)),
+    "f64-condition": (f64_condition, "scf_for", (
+        TypeMismatch, "if conditions must be staged i1 values, got f64", 1)),
+    "else-first": (else_first, "scf_for", (
+        UnbalancedMarkers, "else marker without a finished then arm", 1)),
+    "endif-in-the-arm": (endif_in_the_arm, "scf_for", (
+        UnbalancedMarkers, "conditional arm not closed before endif", 2)),
+    "host-truth": (host_truth, "scf_for", (
+        UnsupportedConstruct, "a staged value has no host truth value; "
+        "conditions must go through the if rewrite", 1)),
+    "integer-division": (integer_division, "scf_for", (
+        TypeMismatch, "no '/' operation on i64", 1)),
+    "scalar-subscript": (scalar_subscript, "scf_for", (
+        TypeMismatch, "f64 values are not subscriptable", 1)),
+    "nested-capture": (nested_capture, "scf_for", (
+        CaptureError, "captures do not nest", 1)),
+    "bare-gpu-module": (bare_gpu_module, "scf_for", (
+        TypeError, "subclass GPUModule and define kernel methods", 1)),
+    "no-kernels": (no_kernels, "scf_for", (
+        UnsupportedConstruct, "NoKernels defines no kernel methods", 1)),
+    "two-grid-sizes": (two_grid_sizes, "scf_for", (
+        ArityMismatch, "grid_size must be three host integers", 1)),
+    "instance-reused": (shared_instance, "scf_for", (
+        UnknownSymbol, "gpu.module @Zero was captured into a different module; "
+        "create a fresh instance per capture", 1)),
+    "kernel-returns": (kernel_returns, "scf_for", (
+        UnsupportedConstruct, "GPU kernels cannot return values", 1)),
+}
+
+
+@pytest.mark.parametrize("case", FRONTEND_PATHS)
+def test_frontend_path_runs_or_is_refused_at_its_line(case):
+    """A range_ctor passed as a callable (nelli's spelling), MemRef[16, F32],
+    MemRef.alloc, the y and z ids and a host number stored into a memref
+    capture and run as the reference does; each refusal raises its error
+    type and message at the line of the function that asks for it."""
+    fn, range_ctor, want = FRONTEND_PATHS[case]
+    if isinstance(want, list):
+        func = capture(fn, range_ctor=range_ctor)
+        module = func.parent.parent_op
+        args = [Buffer(a.type.shape, a.type.element.kind,
+                       [float(k) for k in range(1, math.prod(a.type.shape) + 1)])
+                for a in func.body().args]
+        ref = [buf.copy() for buf in args]
+        run(module, fn.__name__, args, "gpu_emulated")
+        definterp.run(module, fn.__name__, ref, "gpu_emulated")
+        assert args == ref and [buf.tolist() for buf in args] == want
+        return
+    error, message, line = want
+    with pytest.raises(error) as info:
+        # twice: the second capture meets an instance the first one bound
+        capture(fn, range_ctor=range_ctor)
+        capture(fn, range_ctor=range_ctor)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    raised_at = [at for frame, at in traceback.walk_tb(info.tb)
+                 if frame.f_code.co_name == fn.__name__][-1]
+    assert raised_at == fn.__code__.co_firstlineno + line
 
 
 # -- GPU kernels --------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Pipeline specs: every parse message, and printing.
 
-A spec parsed, printed and parsed again gives the same Pipeline, for the
+A spec parsed, printed and parsed again gives the same root scope, for the
 tuner's and the benchmark's specs; and each of those specs, and one written
 by hand, prints exactly as written once its blanks are dropped.
 """
