@@ -121,7 +121,7 @@ def scf_else() -> None:
         raise UnbalancedMarkers("else marker without a finished then arm")
     op = frame.op
     else_block = Block(op)
-    op.regions.append(else_block)
+    op.regions += (else_block,)
     append_terminator(else_block, "scf.yield", location=cap.location())
     frame.block = else_block
     frame.arm = "else"

@@ -3,7 +3,9 @@
 Structure mirrors the usual region-based IR nesting, with one level
 folded away: only structured control flow is supported, so every region
 holds exactly one block, and an operation's `regions` are those blocks.
-Blocks contain argument values and operations.
+Blocks contain argument values and operations. An operation's `results`
+and `regions` are tuples, the shared () when it has none. Attributes and
+Locations are immutable slotted values.
 """
 from __future__ import annotations
 
@@ -106,11 +108,37 @@ def memref_type(shape: Iterable[int], element: IRType) -> IRType:
 # Attributes
 
 
+class _Frozen:
+    """A value equal and hashed by its __slots__, which are set once, each
+    through its descriptor: half the cost of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __reduce__(self):  # copies and pickles are built by __init__
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if not isinstance(other, _Frozen):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self.__reduce__()[1])
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
 _ATTR_KINDS = ("int", "float", "str", "type", "array", "dict", "symbol", "unit")
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(_Frozen):
     """Immutable tagged union attached to operations by name.
 
     kinds: int, float, str, type (IRType), array (tuple of Attribute),
@@ -118,12 +146,16 @@ class Attribute:
     components, e.g. ("Mod", "kern") prints @Mod::@kern), unit.
     """
 
-    kind: str
-    value: object = None
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in _ATTR_KINDS:
-            raise ValueError(f"unknown attribute kind {self.kind!r}")
+    def __init__(self, kind: str, value: object = None):
+        if kind not in _ATTR_KINDS:
+            raise ValueError(f"unknown attribute kind {kind!r}")
+        _set_kind(self, kind)
+        _set_value(self, value)
+
+
+_set_kind, _set_value = Attribute.kind.__set__, Attribute.value.__set__
 
 
 def int_attr(v: int) -> Attribute:
@@ -186,18 +218,24 @@ def attr_from(obj) -> Attribute:
 # Locations
 
 
-@dataclass(frozen=True)
-class Location:
-    file: str
-    line: int = 1
-    column: int = 0
+class Location(_Frozen):
+    """A source position; it prints as file:line."""
 
-    def __post_init__(self):
-        if self.line < 1 or self.column < 0:
+    __slots__ = ("file", "line", "column")
+
+    def __init__(self, file: str, line: int = 1, column: int = 0):
+        if line < 1 or column < 0:
             raise ValueError("location line must be >= 1 and column >= 0")
+        _set_file(self, file)
+        _set_line(self, line)
+        _set_column(self, column)
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}"
+
+
+_set_file, _set_line, _set_column = (
+    Location.file.__set__, Location.line.__set__, Location.column.__set__)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +299,10 @@ class Operation:
         # position in the parent block, as Block numbers it
         self._order = 0
         self.erased = False
-        self.results = [
-            Value(t, self, i) for i, t in enumerate(result_types)
-        ]
-        self.regions = [Block(self) for _ in range(region_count)]
+        self.results = (tuple([Value(t, self, i) for i, t in enumerate(result_types)])
+                        if result_types else ())
+        self.regions = (tuple([Block(self) for _ in range(region_count)])
+                        if region_count else ())
         for i, v in enumerate(self._operands):
             v.uses[self, i] = None
 
@@ -378,16 +416,19 @@ class Block:
     def insert(self, index: int, op: Operation) -> None:
         """Put the detached `op` at `index` (read as `list.insert` does)."""
         ops = self.ops
+        op.parent = self
+        if index >= len(ops) or not ops:  # at the end: no gap to look for
+            if self._order_valid:
+                op._order = ops[-1]._order + _ORDER_STRIDE if ops else 0
+            ops.append(op)
+            return
         index = _list_position(index, len(ops))
         ops.insert(index, op)
-        op.parent = self
         if not self._order_valid:
             return
         prev = ops[index - 1]._order if index else None
-        nxt = ops[index + 1] if index + 1 < len(ops) else None
-        if nxt is None:
-            op._order = 0 if prev is None else prev + _ORDER_STRIDE
-        elif prev is None:
+        nxt = ops[index + 1]
+        if prev is None:
             op._order = nxt._order - _ORDER_STRIDE
         elif nxt is ops[-1]:
             # nothing follows the last op (often the terminator), so it can

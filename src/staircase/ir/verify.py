@@ -92,6 +92,8 @@ def verify(root: Operation) -> list[Diagnostic]:
         out.append(Diagnostic(f"duplicate symbol @{SymbolTable.name_of(op)}",
                               op.name, op.location))
 
+    terminators = {name for name, schema in registry.ops.items()
+                   if schema.is_terminator}
     for op in chain((root,), root.walk_nested()):
         schema = registry.ops.get(op.name)
         if schema is None:
@@ -114,10 +116,8 @@ def verify(root: Operation) -> list[Diagnostic]:
                     out.append(Diagnostic(
                         f"region must end with {schema.terminator}",
                         op.name, op.location))
-            for i, inner in enumerate(block.ops):
-                inner_schema = registry.ops.get(inner.name)
-                if inner_schema and inner_schema.is_terminator \
-                        and i != len(block.ops) - 1:
+            for inner in block.ops[:-1]:
+                if inner.name in terminators:
                     out.append(Diagnostic(
                         "terminator is not the last operation in its block",
                         inner.name, inner.location))
@@ -126,12 +126,18 @@ def verify(root: Operation) -> list[Diagnostic]:
             for problem in schema.check_structure(op):
                 out.append(Diagnostic(problem, op.name, op.location))
 
+        parent = op.parent
         for i, operand in enumerate(op.operands):
             if (op, i) not in operand.uses:
                 out.append(Diagnostic(
                     f"operand {i} use-list does not record this use",
                     op.name, op.location))
-            if not value_dominates_op(operand, op):
+            owner = operand.owner
+            if owner.__class__ is Operation and owner.parent is parent is not None:
+                visible = parent.order_of(owner) < op._order  # defined in op's block
+            else:
+                visible = value_dominates_op(operand, op)
+            if not visible:
                 out.append(Diagnostic(
                     f"operand {i} is not visible at this point",
                     op.name, op.location))

@@ -12,12 +12,14 @@ reader declines, and it alone raises ParseErrors, so their positions do
 not depend on the reader. As when the whole text was lexed first, an
 unexpected character anywhere is the error reported. Both readers build
 each op in Reader.create, which gives a result type the text leaves out
-from the schema's result rule. The parser is syntax-only: it builds
-each op unchecked, reconstructs the always-elided scf.yield terminators
-of loop and branch bodies and will happily return a function with no
-return or a value used out of its scope; verify() owns semantic
-judgments. A 1-based line:column is worked out from the offsets of the
-newlines, once per op for its Location and when an error is raised.
+from the schema's result rule. An op's results and regions are tuples:
+Reader.region adds a region of the generic form's variadic op by
+rebinding them. The parser is syntax-only: it builds each op unchecked,
+reconstructs the always-elided scf.yield terminators of loop and branch
+bodies and will happily return a function with no return or a value
+used out of its scope; verify() owns semantic judgments. A 1-based
+line:column is worked out from the offsets of the newlines, once per op
+for its immutable Location and when an error is raised.
 """
 from __future__ import annotations
 
@@ -106,7 +108,7 @@ class _Pending:
         self.operands: list[Value] = []
         self.attrs: dict[str, Attribute] = {}
         self.result_types: list[IRType] | None = None  # None: not written
-        self.args: list = []  # (name token, type) per block argument
+        self.args: list | tuple = ()  # (name token, type) per block argument
         self.op: Operation | None = None
 
 
@@ -303,11 +305,15 @@ class Reader:
         except Decline:
             return False
         self.create(p, 0)
-        names = head[1].split(", ") if head[1] else ()
-        if len(names) != len(p.op.results) or len(set(names)) < len(names) \
-                or not self.values.keys().isdisjoint(names):
-            return False  # the token reader raises for these names
-        self.values.update(zip(names, p.op.results))
+        names, results = head[1], p.op.results
+        if names and "," not in names and len(results) == 1 and names not in self.values:
+            self.values[names] = results[0]  # one name, not yet defined
+        else:
+            names = names.split(", ") if names else ()
+            if len(names) != len(results) or len(set(names)) < len(names) \
+                    or not self.values.keys().isdisjoint(names):
+                return False  # the token reader raises for these names
+            self.values.update(zip(names, results))
         self.at, self.tok = m.end(), None
         return True
 
@@ -362,7 +368,7 @@ class Reader:
     def region(self, op: Operation, i: int, elide_yield: bool) -> None:
         """Region i of op, added when op has only i regions so far."""
         if i == len(op.regions):
-            op.regions.append(Block(op))
+            op.regions += (Block(op),)
         block = op.regions[i]
         self.expect("{")
         while self.line(block) or self.peek()[1] != "}":

@@ -4,15 +4,18 @@ It uses the standard library alone, so any Python can run it:
 
     PYTHONPATH=src:tests python tests/every_python.py
 
-For each kernel of tests/kernels.py it prints the captured IR, each op's
-source line, and the ExecStats, results and buffers of a gpu_emulated run
-after each of canonicalize and lower-affine,loop-unroll{factor=2}, whose
+For each kernel of tests/kernels.py it prints the captured IR, whether
+print -> parse_module -> print gives that text back, each op's source
+line, and the ExecStats, results and buffers of a gpu_emulated run after
+each of canonicalize and lower-affine,loop-unroll{factor=2}, whose
 copies the generated code rolls back into one loop. Last, it runs a
 function of one straight-line run of about 4,060 statements, which
 generated code writes as one Python function, and three deep parallel
 loops: six dimensions under 9 and under 10 loops, which put the body at
 MAX_DEPTH + 1 and past it, and 20 dimensions, a function of its own with
-20 nested loops. So each interpreter's compiler limits meet them.
+20 nested loops, each of which it also prints and parses back. So each
+interpreter's compiler limits meet them, and its parser reads every
+module through the line reader and the token reader alike.
 test_pythons.py compares this output across interpreters.
 """
 import os
@@ -24,9 +27,9 @@ from staircase.frontend.capture import StagedFunction
 from staircase.interp import Buffer
 from staircase.interp.codegen import lower_module
 from staircase.interp.machine import run
-from staircase.ir.core import clone_module
+from staircase.ir.core import clone_module, create_context
 from staircase.passes import run_pipeline
-from staircase.textio import print_module
+from staircase.textio import parse_module, print_module
 
 CANON = "builtin.module(func.func(canonicalize))"
 UNROLL = "builtin.module(func.func(lower-affine,loop-unroll{factor=2}))"
@@ -54,6 +57,12 @@ def where(op) -> str:
     return f"{os.path.basename(loc.file)}:{loc.line}" if loc else "-"
 
 
+def round_trip(module) -> None:
+    """Print whether print -> parse -> print is a fixed point for module."""
+    text = print_module(module)
+    print("fixed point", print_module(parse_module(text, create_context())) == text)
+
+
 def show(results, stats, args) -> None:
     print("results", repr(results))
     print("stats", repr([getattr(stats, f) for f in STAT_FIELDS]))
@@ -69,6 +78,7 @@ def main() -> None:
         module = staged.module
         print(f"== {name}")
         print(print_module(module), end="")
+        round_trip(module)
         for op in chain((module,), module.walk_nested()):
             print(op.name, where(op))
         for pipeline in (CANON, UNROLL):
@@ -80,12 +90,15 @@ def main() -> None:
             show(results, stats, args)
     print("== long")
     module = long_block_module()
+    round_trip(module)
     args = inputs([arg.type for arg in module.body().ops[0].body().args])
     show(*run(module, "long", args), args)
     for loops, dims in ((9, 6), (10, 6), (0, 20)):
         print(f"== deep {loops} {dims}")
+        module = deep_parallel_module(loops, dims)
+        round_trip(module)
         args = [Buffer((8,), "f64"), 1, 3]
-        show(*run(deep_parallel_module(loops, dims), "deep", args), args)
+        show(*run(module, "deep", args), args)
 
 
 if __name__ == "__main__":

@@ -459,6 +459,17 @@ def test_gpu_ids_are_bound_like_every_dsl_name():
 
 
 
+def test_an_else_marker_adds_the_second_region():
+    import kernels
+
+    branch, = [op for op in kernels.ifs.module.walk_nested() if op.name == "scf.if"]
+    assert type(branch.regions) is tuple and len(branch.regions) == 2
+    assert [[op.name for op in block.ops] for block in branch.regions] == [
+        ["arith.constant", "memref.alloca", "scf.yield"],
+        ["arith.constant", "memref.alloca", "scf.yield"]]
+    assert all(block.parent_op is branch for block in branch.regions)
+
+
 def test_gpu_module_captures_and_runs():
     import kernels
 

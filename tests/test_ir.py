@@ -38,9 +38,11 @@ from staircase.ir.core import (
     F64,
     I1,
     INDEX,
+    Attribute,
     Block,
     DialectDef,
     IRType,
+    Location,
     Operation,
     OpSchema,
     array_attr,
@@ -155,6 +157,51 @@ class TestAttributes:
         assert attr_from("s") == str_attr("s")
 
 
+class TestValueClasses:
+    """Attribute and Location are immutable values: equal and hashed by
+    their fields, with no field to assign, as copies and pickles."""
+
+    @pytest.mark.parametrize("make, fields, other", [
+        (Attribute, ("int", 3), ("int", 4)),
+        (Attribute, ("dict", (("a", Attribute("unit")),)), ("dict", ())),
+        (Location, ("<input>", 3, 5), ("<input>", 3, 6)),
+    ], ids=["attribute", "nested-attribute", "location"])
+    def test_equal_and_hashed_by_fields(self, make, fields, other):
+        value = make(*fields)
+        assert value == make(*fields) and value is not make(*fields)
+        assert hash(value) == hash(make(*fields))
+        assert {value: 1}[make(*fields)] == 1
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert value != make(*other) and value != fields
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert make(*fields) == value
+
+    def test_a_location_prints_as_file_and_line(self):
+        loc = Location("k.py", 4)
+        assert (loc.file, loc.line, loc.column) == ("k.py", 4, 0)
+        assert str(loc) == "k.py:4"
+        assert repr(loc) == "Location(file='k.py', line=4, column=0)"
+        assert repr(int_attr(3)) == "Attribute(kind='int', value=3)"
+        assert Location("k.py", 4) != Attribute("str", "k.py")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Location("k.py", 0), "location line must be >= 1 and column >= 0"),
+        (lambda: Location("k.py", 1, -1), "location line must be >= 1 and column >= 0"),
+        (lambda: Attribute("complex", 1j), "unknown attribute kind 'complex'"),
+    ], ids=["line", "column", "kind"])
+    def test_a_bad_field_is_refused(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 class TestSSA:
     def test_results_and_uses(self, ctx):
         _, _, body = _func(ctx)
@@ -166,6 +213,18 @@ class TestSSA:
         assert a.defining_op.name == "arith.constant"
         assert not a.is_block_arg
         assert [user for user, _ in a.uses] == [op]
+
+    def test_results_and_regions_are_tuples(self, ctx):
+        module, func, body = _func(ctx)
+        ret = body.ops[-1]  # func.return: no result, no region
+        assert ret.results == () and ret.regions == ()
+        assert type(ret.results) is tuple and type(ret.regions) is tuple
+        assert func.results == () and func.regions == (body,)
+        a = build_constant(body, 1.0)
+        assert a.defining_op.results == (a,) and a.defining_op.regions == ()
+        clone = clone_op(func)
+        assert clone.results == () and type(clone.regions) is tuple
+        assert len(clone.regions) == 1 and clone.regions[0] is not body
 
     def test_block_args(self, ctx):
         _, func, body = _func(ctx, [memref_type((4,), F64)])
@@ -601,6 +660,47 @@ class TestVerifier:
         assert all(d.op_name == "arith.addf" for d in verify(module))
         move_op(add, body, 1)
         assert verify(module) == []
+
+    def test_call_types_and_an_early_terminator_reported_in_walk_order(self):
+        module = parse_module("""\
+module {
+  func.func @g(%arg0: f64) -> (f64) {
+    return %arg0 : f64
+  }
+  func.func @f() {
+    %0 = arith.constant 1.0 : f32
+    %1 = func.call @g(%0) : (f32) -> (i32)
+    %2 = arith.constant 2.0 : f64
+    %3 = func.call @g(%2) : (f64) -> (f64)
+    return
+    return
+  }
+}
+""", create_context())
+        # the early return is the enclosing function's finding, so it comes
+        # before those of the ops nested in the function
+        assert [(d.op_name, d.location.line, d.message) for d in verify(module)] == [
+            ("func.return", 10, "terminator is not the last operation in its block"),
+            ("func.call", 7, "call operand types do not match @g parameters"),
+            ("func.call", 7, "call result types do not match @g results"),
+        ]
+
+    def test_every_early_terminator_reported_after_its_region_check(self, ctx):
+        module, func, body = _func(ctx)
+        loop = build_scf_for(body, *[build_index_constant(body, n) for n in (0, 4, 1)])
+        inner = loop.body()
+        create_op(inner, 0, "scf.yield")
+        create_op(inner, 0, "scf.yield")
+        create_op(body, 0, "func.return")
+        erase_op(inner.ops[-1])
+        create_op(inner, len(inner.ops), "arith.constant",
+                  attributes={"value": int_attr(1)}, result_types=[INDEX])
+        assert [(d.op_name, d.message) for d in verify(module)] == [
+            ("func.return", "terminator is not the last operation in its block"),
+            ("scf.for", "region must end with scf.yield"),
+            ("scf.yield", "terminator is not the last operation in its block"),
+            ("scf.yield", "terminator is not the last operation in its block"),
+        ]
 
     def test_missing_use_entry_reported(self, ctx):
         module, _, body = _func(ctx)

@@ -2,7 +2,9 @@
 ``requires-python >= 3.10`` admits.
 
 tests/every_python.py imports staircase, captures tests/kernels.py and
-prints each kernel's IR, each op's source line, and the ExecStats and
+prints each kernel's IR, whether that text parses back to itself (so the
+parser's line and token readers and the IR's slotted value classes run
+on each version), each op's source line, and the ExecStats and
 buffers of a gpu_emulated run after canonicalize and after
 lower-affine,loop-unroll{factor=2}, whose copies generated code rolls
 back into one loop, the run of a function of about 4,060 statements

@@ -3,14 +3,16 @@ print byte for byte, malformed input fails with its class and position,
 well-formed input that breaks an op's rules parses and is refused by
 verify at the op's line, and the line reader builds what the token
 reader builds."""
+import gc
 import glob
 import os
 import sys
+from collections import Counter
 
 import pytest
 
 from conftest import GOLDEN_DIR, context_with_test_ops, golden_text
-from irgen import literal_module, random_module
+from irgen import literal_module, long_block_module, random_module
 from staircase import cli
 from staircase.dialects.builders import build_func, build_scf_for
 from staircase.errors import ParseError, TypeMismatch, UnknownOperation
@@ -20,6 +22,7 @@ from staircase.ir.core import (
     DialectDef,
     Location,
     OpSchema,
+    count_ops,
     create_context,
     create_module,
     create_op,
@@ -283,6 +286,45 @@ def test_generic_form_rejects_what_it_cannot_print():
     op.body().add_arg(F64)
     with pytest.raises(ValueError, match="regions with arguments"):
         print_module(module)
+
+
+def test_generic_form_reads_every_region_of_a_variadic_op():
+    ctx = context_with_test_ops()
+    register_dialect(ctx, DialectDef("var", [OpSchema("var.op", variadic_regions=True)]))
+    module = parse_module("""\
+module {
+  var.op() : () -> () {
+    test.nop() : () -> ()
+  } {
+  } {
+    test.op() : () -> ()
+  }
+  var.op() : () -> ()
+}
+""", ctx)
+    three, none = module.body().ops
+    assert type(three.regions) is tuple and none.regions == ()
+    assert [[op.name for op in block.ops] for block in three.regions] == [
+        ["test.nop"], [], ["test.op"]]
+    assert all(block.parent_op is three for block in three.regions)
+    assert verify(module) == []
+
+
+def _tracked(kind):
+    gc.collect()
+    return Counter(type(obj) for obj in gc.get_objects())[kind]
+
+
+def test_parsing_a_long_block_builds_no_list_per_op():
+    """An op with no region or result holds no container of its own, so a
+    parsed straight-line block holds a few lists, not one or more per op."""
+    text = print_module(long_block_module())
+    ctx = create_context()
+    before = _tracked(list)
+    module = parse_module(text, ctx)
+    lists = _tracked(list) - before
+    assert count_ops(module) > 4000
+    assert lists < 20, f"{lists} lists for {count_ops(module)} ops"
 
 
 # -- the line reader -------------------------------------------------------------

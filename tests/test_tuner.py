@@ -4,11 +4,12 @@ import importlib
 import json
 import math
 import os
+import random
 
 import pytest
 
 from conftest import golden_text
-from staircase.errors import MalformedLine, StaircaseError
+from staircase.errors import EmptySpace, MalformedLine, MissingMain, StaircaseError
 from staircase.interp import Buffer
 from staircase.ir import verify
 from staircase.ir.core import create_context, float_attr, int_attr
@@ -235,3 +236,64 @@ def test_buffers_of_another_shape_or_kind_differ():
     assert Buffer((1, 2), "f64", [1.0, 2.0]) != want
     assert [1.0, 2.0] != want
 
+
+
+_SCALARS = """\
+module {
+  func.func @first(%arg0: f64) {
+    return
+  }
+  func.func @scalars(%arg0: f64, %arg1: i1, %arg2: index, %arg3: i32, %arg4: memref<3xi32>) {
+    return
+  }
+}
+"""
+
+
+def test_inputs_for_a_named_function_draw_each_parameter_in_its_range():
+    module = parse_module(_SCALARS, create_context())
+    f64, i1, index, i32, ints = search_module.make_inputs(module, "scalars", 5)
+    rng = random.Random(5)  # one draw per scalar, then one per element
+    assert (f64, i1, index, i32) == (rng.uniform(-2.0, 2.0), rng.randrange(2),
+                                     rng.randrange(0, 8), rng.randrange(-50, 50))
+    assert isinstance(f64, float) and -2.0 <= f64 <= 2.0
+    assert i1 in (0, 1) and 0 <= index < 8 and -50 <= i32 < 50
+    assert isinstance(ints, Buffer) and (ints.shape, ints.dtype) == ((3,), "i32")
+    assert ints.tolist() == [rng.randrange(-50, 50) for _ in range(3)]
+    first, = search_module.make_inputs(module, None, 5)
+    assert first == random.Random(5).uniform(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("text, name, message", [
+    (_SCALARS, "absent", "no function named @absent in module"),
+    ("module {\n  gpu.module @M {\n  }\n}\n", "M", "no function named @M in module"),
+    ("module {\n}\n", None, "module has no func.func to tune"),
+], ids=["absent", "not-a-function", "no-function"])
+def test_a_function_the_module_lacks_is_named(text, name, message):
+    module = parse_module(text, create_context())
+    with pytest.raises(MissingMain) as info:
+        search_module.make_inputs(module, name, 5)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("tiles, unroll, message", [
+    ((), (1,), "no tile-size dimensions given"),
+    (((1,),), (), "no unroll factors given"),
+    (((1, 2), ()), (1,), "tile dimension 1 has no candidates"),
+    (((1, 0),), (1,), "tile dimension 0 has bad candidate 0"),
+    (((2.0,),), (1,), "tile dimension 0 has bad candidate 2.0"),
+    (((True,),), (1,), "tile dimension 0 has bad candidate True"),
+    (((1,),), (1, -2), "bad unroll factor -2"),
+    (((1,),), (False,), "bad unroll factor False"),
+], ids=["no-dimension", "no-factor", "empty-dimension", "zero-tile", "float-tile",
+        "bool-tile", "negative-factor", "bool-factor"])
+def test_an_unusable_space_is_refused(tiles, unroll, message):
+    with pytest.raises(EmptySpace) as info:
+        ParamSpace(tile_sizes=tiles, unroll_factors=unroll)
+    assert str(info.value) == message
+
+
+def test_a_space_holds_its_candidates_as_tuples():
+    space = ParamSpace(tile_sizes=[[1, 2], [3]], unroll_factors=[1, 4])
+    assert space.tile_sizes == ((1, 2), (3,)) and space.unroll_factors == (1, 4)
+    assert space.rank == 2 and space.identity() == {"tiles": [1, 1], "unroll": 1}
