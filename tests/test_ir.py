@@ -159,7 +159,8 @@ class TestAttributes:
 
 class TestValueClasses:
     """Attribute and Location are immutable values: equal and hashed by
-    their fields, with no field to assign, as copies and pickles."""
+    their fields, with no field to assign or delete, and equal to their
+    copies and pickles."""
 
     @pytest.mark.parametrize("make, fields, other", [
         (Attribute, ("int", 3), ("int", 4)),
@@ -215,7 +216,7 @@ class TestSSA:
         assert [user for user, _ in a.uses] == [op]
 
     def test_results_and_regions_are_tuples(self, ctx):
-        module, func, body = _func(ctx)
+        _, func, body = _func(ctx)
         ret = body.ops[-1]  # func.return: no result, no region
         assert ret.results == () and ret.regions == ()
         assert type(ret.results) is tuple and type(ret.regions) is tuple
