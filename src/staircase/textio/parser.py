@@ -357,7 +357,7 @@ class Reader:
             op.attributes.update(p.attrs)
         else:
             if p.result_types is None:
-                p.result_types = p.schema.result(p.operands) if p.schema.result else []
+                p.result_types = p.schema.result(p.operands) if p.schema.result else ()
             op = Operation(self.ctx, p.schema.name, p.operands, p.attrs,
                            p.result_types, region_count, p.loc)
             p.block.insert(len(p.block.ops), op)
