@@ -108,37 +108,11 @@ def memref_type(shape: Iterable[int], element: IRType) -> IRType:
 # Attributes
 
 
-class _Frozen:
-    """A value equal and hashed by its __slots__, which are set once, each
-    through its descriptor: half the cost of a frozen dataclass."""
-
-    __slots__ = ()
-
-    def __reduce__(self):  # copies and pickles are built by __init__
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if not isinstance(other, _Frozen):
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
-
-    def __hash__(self) -> int:
-        return hash(self.__reduce__())
-
-    def __repr__(self) -> str:
-        fields = zip(self.__slots__, self.__reduce__()[1])
-        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
-
-
 _ATTR_KINDS = ("int", "float", "str", "type", "array", "dict", "symbol", "unit")
 
 
-class Attribute(_Frozen):
+@dataclass(frozen=True, slots=True)
+class Attribute:
     """Immutable tagged union attached to operations by name.
 
     kinds: int, float, str, type (IRType), array (tuple of Attribute),
@@ -146,8 +120,11 @@ class Attribute(_Frozen):
     components, e.g. ("Mod", "kern") prints @Mod::@kern), unit.
     """
 
-    __slots__ = ("kind", "value")
+    kind: str
+    value: object = None
 
+    # each __init__ here sets its fields through the slots, at half the
+    # cost of the generated one
     def __init__(self, kind: str, value: object = None):
         if kind not in _ATTR_KINDS:
             raise ValueError(f"unknown attribute kind {kind!r}")
@@ -218,10 +195,13 @@ def attr_from(obj) -> Attribute:
 # Locations
 
 
-class Location(_Frozen):
+@dataclass(frozen=True, slots=True)
+class Location:
     """A source position; it prints as file:line."""
 
-    __slots__ = ("file", "line", "column")
+    file: str
+    line: int = 1
+    column: int = 0
 
     def __init__(self, file: str, line: int = 1, column: int = 0):
         if line < 1 or column < 0:

@@ -126,18 +126,12 @@ def verify(root: Operation) -> list[Diagnostic]:
             for problem in schema.check_structure(op):
                 out.append(Diagnostic(problem, op.name, op.location))
 
-        parent = op.parent
         for i, operand in enumerate(op.operands):
             if (op, i) not in operand.uses:
                 out.append(Diagnostic(
                     f"operand {i} use-list does not record this use",
                     op.name, op.location))
-            owner = operand.owner
-            if owner.__class__ is Operation and owner.parent is parent is not None:
-                visible = parent.order_of(owner) < op._order  # defined in op's block
-            else:
-                visible = value_dominates_op(operand, op)
-            if not visible:
+            if not value_dominates_op(operand, op):
                 out.append(Diagnostic(
                     f"operand {i} is not visible at this point",
                     op.name, op.location))

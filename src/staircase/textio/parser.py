@@ -305,15 +305,11 @@ class Reader:
         except Decline:
             return False
         self.create(p, 0)
-        names, results = head[1], p.op.results
-        if names and "," not in names and len(results) == 1 and names not in self.values:
-            self.values[names] = results[0]  # one name, not yet defined
-        else:
-            names = names.split(", ") if names else ()
-            if len(names) != len(results) or len(set(names)) < len(names) \
-                    or not self.values.keys().isdisjoint(names):
-                return False  # the token reader raises for these names
-            self.values.update(zip(names, results))
+        names = head[1].split(", ") if head[1] else ()
+        if len(names) != len(p.op.results) or not self.values.keys().isdisjoint(names) \
+                or len(names) > 1 and len(set(names)) < len(names):
+            return False  # the token reader raises for these names
+        self.values.update(zip(names, p.op.results))
         self.at, self.tok = m.end(), None
         return True
 
