@@ -58,7 +58,6 @@ _FRONTEND = {
     "run_pipeline": ("staircase.passes", "run_pipeline"),
     "Buffer": ("staircase.interp", "Buffer"),
     "run": ("staircase.interp", "run"),
-    "check_races": ("staircase.interp", "check_races"),
     "cost": ("staircase.interp", "cost"),
     "ParamSpace": ("staircase.tuner", "ParamSpace"),
     "Trial": ("staircase.tuner", "Trial"),

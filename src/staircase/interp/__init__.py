@@ -1,5 +1,5 @@
 """Interpreter: buffers, one run entry point over sequential, worksharing
-and gpu_emulated modes, the static cost model, and the race check."""
+and gpu_emulated modes, and the static cost model."""
 from staircase.interp.buffer import Buffer, buffer_from_json, buffer_to_json
 from staircase.interp.stats import DEFAULT_WEIGHTS, ExecStats, cost
 
@@ -11,7 +11,6 @@ __all__ = [
     "DEFAULT_WEIGHTS",
     "cost",
     "run",
-    "check_races",
 ]
 
 
@@ -20,8 +19,4 @@ def __getattr__(name):
         from staircase.interp.machine import run
 
         return run
-    if name == "check_races":
-        from staircase.interp.races import check_races
-
-        return check_races
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

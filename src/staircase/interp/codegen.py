@@ -45,8 +45,7 @@ so the terms of the variables of the function around it are summed there.
 An index value used only in addresses, directly or through integer ops,
 is never bound.
 
-Elements live in locals where no one can tell (MLIR's ``affine-scalrep``),
-except in code that reports to a recorder:
+Elements live in locals where no one can tell (MLIR's ``affine-scalrep``):
 
 - a load whose indices are proven, whose address does not change in a
   loop and whose buffer is defined outside it is bound once just before
@@ -72,10 +71,6 @@ entry; a then-arm increments a counter and its else-arm runs the parent's
 count minus that (Ball & Larus' placement). The counts fold into the
 tally when the function returns. A run that raises discards its stats.
 
-Given a recorder (``races``), the generated code also reports each load
-and store, and the points of each parallel loop and each launch's
-threads; the code ``run`` executes has none of these calls.
-
 An innermost loop of SLICE_TRIPS or more literal trips, whose body is one
 store, loads and pure ops, and whose induction variable is used only in
 proven, linear addresses that move by a constant positive stride or not at
@@ -86,15 +81,14 @@ each pure op folds into its use or names only an address, the body becomes
 one slice assignment of a comprehension over the zipped slices; if it adds
 into an element kept in a local, a loop over them, adding in order
 (``sum`` rounds otherwise from 3.12). Slices cost set-up: on CPython 3.11
-the first form overtakes the loop at 16 to 20 trips, the second at 8 to
-12. Code for a recorder keeps every loop.
+the first form overtakes the loop at 16 to 20 trips, the second at 8 to 12.
 
 A loop over literal bounds that runs at most once, or heads a short nest,
 is written once per trip, its induction variable named by the trip's
-literal (MLIR's ``affine-loop-unroll``, ``unroll-full``). In code for no
-recorder, a nest is short if each loop in it has at most UNROLL_TRIPS trips
-and a body of constants, pure ops, loads, stores and such loops, nothing in
-it can raise (``raise_free``), and its copies write at most UNROLL_OPS ops.
+literal (MLIR's ``affine-loop-unroll``, ``unroll-full``). A nest is short
+if each loop in it has at most UNROLL_TRIPS trips and a body of constants,
+pure ops, loads, stores and such loops, nothing in it can raise
+(``raise_free``), and its copies write at most UNROLL_OPS ops.
 The copies open no level, so every open level's terms are in partial sums
 in the headers; an element read and written at one address is kept in a
 local around all copies, and a load no open loop moves is bound before
@@ -517,15 +511,13 @@ class _FuncGen:
     for its region ops past MAX_DEPTH."""
 
     def __init__(self, op: Operation, pyname: str, pynames: dict,
-                 extents, constants: list, recording: bool = False,
-                 guarded: bool = True):
+                 extents, constants: list, guarded: bool = True):
         self.op = op
         self.pyname = pyname
         self.pynames = pynames      # symbol key -> global function name
         self.is_kernel = op.name == "gpu.func"
         self.extents = extents      # a kernel's largest launch sizes, or None
         self.constants = constants  # the K table: objects without a literal
-        self.recording = recording  # call the race recorder R
         self.guarded = guarded      # may assume two parameters distinct arrays
         self.assumed: set = set()   # the pairs of parameters assumed distinct
         self.copying = False        # writing a nest per trip: no level innermost
@@ -712,8 +704,6 @@ class _FuncGen:
             params = sizes + params
             prologue.append("nt = " + " * ".join(f"len(range({s}))"
                                                   for s in sizes))
-            if self.recording:
-                self.emit(depth, "R.begin_parallel()")
             # a dimension every launch sizes 1 needs no loop, only nt > 0
             looped = [d for d in range(6)
                       if self.extents is None or self.extents[d] > 1]
@@ -723,17 +713,12 @@ class _FuncGen:
             for d in looped:
                 depth = self.loop(depth, _GPU_IDS[d], f"range({sizes[d]})",
                                   self.op)
-            if self.recording:  # each thread is a point
-                ids = (_GPU_IDS[d] if d in looped else "0" for d in range(6))
-                self.emit(depth, f"R.begin_point(({', '.join(ids)}))")
             count = (1, "nt")
             self.bookkeeping.append(count)
         self.body(body, count, depth, self.op)
         if self.lines[-1:] == ["    if nt:"]:     # no thread writes a statement
             self.lines.pop()
         self.close_loops(0)
-        if self.is_kernel and self.recording:
-            self.emit(1, "R.end_parallel()")
         # a parameter that no written load or store touches may be any array
         self.assumed = {(a, b) for a, b in self.assumed
                         if a in self.arrays and b in self.arrays}
@@ -1024,7 +1009,7 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not r.uses and not self.recording and self.in_bounds(op):
+        if not r.uses and self.in_bounds(op):
             return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
@@ -1036,9 +1021,7 @@ class _FuncGen:
             sliced = bool(at)
             if not sliced:  # an element: bound before a loop, or read where used
                 lines, at, level = self.address(op, buf, op.operands[1:])
-                if self.recording:
-                    lines.append(f"R.on_read({self.val(buf)}, {at[0]})")
-                elif level is not None and level + 1 < len(self.headers) and r.uses:
+                if level is not None and level + 1 < len(self.headers) and r.uses:
                     lv = self.invariant(buf, level + 1)
             if self.into is not None:
                 self.slots[op] = (at, sliced, lv)
@@ -1074,8 +1057,6 @@ class _FuncGen:
             return [f"{target} = {expr}"]
         lines, (off,), _ = self.address(op, buf, op.operands[2:])
         lines.append(f"{self.arrays[buf]}[{off}] = {expr}")
-        if self.recording:
-            lines.append(f"R.on_write({self.val(buf)}, {off})")
         return lines
 
     def address(self, op: Operation, buf: Value, indices) -> tuple:
@@ -1311,7 +1292,7 @@ class _FuncGen:
         nest variable, the stored buffer is read only at the stored offset,
         and no op needs a statement: each pure op, and each read of what a
         store before it wrote, folds or names only an address."""
-        if self.recording or not self.index_only(iv):
+        if not self.index_only(iv):
             return None
         block = self.bodies[loop]
         loads = [op for op in block.ops if op.name == "memref.load"]
@@ -1507,8 +1488,7 @@ class _FuncGen:
         if into in (None, op):
             level = len(self.headers)
             body = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
-            promoted = [] if self.recording else self.promote(
-                op, body, self.headers[-1].before)
+            promoted = self.promote(op, body, self.headers[-1].before)
             self.loop_body(op, (iv, trips), inner, body)
             self.close_loops(level)
         else:
@@ -1544,15 +1524,15 @@ class _FuncGen:
         return f"{self.stored[2]} {self.zip_clause()}])"
 
     def nest(self, loop: Operation, trips: range, depth: int):
-        """How ``loop``, of ``trips``, is written in code for no recorder:
-        True if it heads a short nest, written once per trip (MLIR's
-        ``affine-loop-unroll`` in full); the loop over slices its copies jam
-        into (MLIR's ``affine-loop-unroll-jam``); or None, as a loop.
+        """How ``loop``, of ``trips``, is written: True if it heads a short
+        nest, written once per trip (MLIR's ``affine-loop-unroll`` in full);
+        the loop over slices its copies jam into (MLIR's
+        ``affine-loop-unroll-jam``); or None, as a loop.
 
         Its loops are over literal bounds, of at most UNROLL_TRIPS trips
         but the one it jams into, which takes the map form (``sliceable``);
         nothing in it can raise, and its copies write at most UNROLL_OPS ops."""
-        if self.recording or len(trips) > UNROLL_TRIPS:
+        if len(trips) > UNROLL_TRIPS:
             return None
         size, into = self.written(loop, len(trips))
         if size is None or size > UNROLL_OPS \
@@ -1660,9 +1640,7 @@ class _FuncGen:
         dims = self.dims(op)
         if any(c and not range(*c) for c in dims):
             return      # no points: nothing to write, its counts are x0
-        if self.recording:
-            self.emit(depth, "R.begin_parallel()")
-        start, level, coef, sizes = depth, len(self.headers), 1, []
+        level, coef, sizes = len(self.headers), 1, []
         for k, c in enumerate(dims):
             if c:
                 coef *= len(range(*c))
@@ -1685,13 +1663,8 @@ class _FuncGen:
             else:
                 depth = self.loop(depth, self.bind(iv, "i"), _range(*c), op)
                 innermost = (iv, range(*c))
-        if self.recording:
-            point = "".join(self.val(iv) + ", " for iv in op.body().args)
-            self.emit(depth, f"R.begin_point(({point.rstrip()}))")
         self.loop_body(op, innermost, inner, depth)
         self.close_loops(level)
-        if self.recording:
-            self.emit(start, "R.end_parallel()")
 
     def scf_if(self, op: Operation, count: tuple, depth: int) -> None:
         taken = self.counter()
@@ -1718,28 +1691,24 @@ def module_functions(module: Operation):
                     yield f"{name}::{kernel_name}", kernel, True
 
 
-def lower_module(module: Operation, recorder=None) -> dict:
+def lower_module(module: Operation) -> dict:
     """Generate, compile and bind one Python function per func and kernel.
 
     The program returned is a dict of each ``Function`` by symbol, a
     kernel's keyed ``module::kernel``. It is valid while its module is
     unchanged: an aliased call generates code from the module then, so
-    compile after the last pipeline.
-
-    With a ``recorder`` (``races``), the code also reports every load and
-    store, and the points of each parallel loop and launch, to it. A
-    function whose entry guard can fail gets its alias-safe variant from
-    a stand-in that generates it on the first call that needs it.
+    compile after the last pipeline. A function whose entry guard can fail
+    gets its alias-safe variant from a stand-in that generates it on the
+    first call that needs it.
     """
     entries = list(module_functions(module))
     pynames = {key: f"f{i}" for i, (key, _, _) in enumerate(entries)}
     extents = _launch_extents(module) if any(e[2] for e in entries) else {}
     constants: list = []
-    namespace = dict(_RUNTIME, K=constants, R=recorder)
+    namespace = dict(_RUNTIME, K=constants)
     units = []
     for key, op, _ in entries:
-        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants,
-                       recorder is not None)
+        gen = _FuncGen(op, pynames[key], pynames, extents.get(key), constants)
         units.append(gen.generate())
         if gen.assumed:
             namespace[f"{gen.pyname}_aliased"] = functools.partial(
@@ -1761,7 +1730,7 @@ def _alias_safe(namespace: dict, op: Operation, pyname: str, pynames: dict,
     """Generate and compile the alias-safe variant of ``op``, which takes
     the place of this stand-in in ``namespace``, and call it."""
     gen = _FuncGen(op, f"{pyname}_aliased", pynames, extents, namespace["K"],
-                   namespace["R"] is not None, guarded=False)
+                   guarded=False)
     _define([gen.generate()], namespace)
     return namespace[gen.pyname](*args)
 

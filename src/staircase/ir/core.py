@@ -273,7 +273,7 @@ class Operation:
         self.ctx = ctx
         self.name = name
         self._operands: tuple[Value, ...] = tuple(operands)
-        self.attributes: dict[str, Attribute] = dict(attributes)
+        self.attributes: dict[str, Attribute] = attributes  # the op's own: not copied
         self.location = location
         self.parent: Block | None = None
         # position in the parent block, as Block numbers it
@@ -632,7 +632,7 @@ def create_op(
             )
     if result_types is None:
         result_types = schema.result(operands) if schema.result is not None else []
-    op = Operation(ctx, name, operands, attributes or {}, list(result_types),
+    op = Operation(ctx, name, operands, dict(attributes or {}), list(result_types),
                    region_count, location)
     if schema.check_creation is not None:
         problems = schema.check_creation(op)
@@ -777,7 +777,7 @@ def clone_op(
     """
     vmap = value_map if value_map is not None else {}
     new = Operation(op.ctx, op.name, [vmap.get(v, v) for v in op._operands],
-                    op.attributes, [r.type for r in op.results], len(op.regions),
+                    dict(op.attributes), [r.type for r in op.results], len(op.regions),
                     op.location)
     if block is not None:
         block.insert(index, new)

@@ -87,8 +87,6 @@ def _fresh_argument(ty, rng: random.Random):
         size = math.prod(ty.shape)
         if ty.element.is_float:
             data = [rng.uniform(-2.0, 2.0) for _ in range(size)]
-        elif kind == "i1":
-            data = [rng.randrange(2) for _ in range(size)]
         else:
             data = [rng.randrange(-50, 50) for _ in range(size)]
         return Buffer(ty.shape, kind, data)

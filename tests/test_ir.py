@@ -499,6 +499,23 @@ class TestMutation:
         assert twin.operands == (b, b)
         assert twin.results[0] is not add.results[0]
 
+    def test_create_op_keeps_its_own_attributes(self, ctx):
+        # the caller's dict is copied: changing it later leaves the op as built
+        _, _, body = _func(ctx)
+        attributes = {"value": float_attr(1.0)}
+        op = create_op(body, body.insertion_index(), "arith.constant",
+                       attributes=attributes, result_types=[F64])
+        attributes["value"] = float_attr(2.0)
+        attributes["extra"] = unit_attr()
+        assert op.attributes == {"value": float_attr(1.0)}
+
+    def test_clone_op_has_its_own_attributes(self, ctx):
+        _, _, body = _func(ctx)
+        const = build_constant(body, 1.0).defining_op
+        twin = clone_op(const, body, body.insertion_index())
+        assert twin.attributes == const.attributes
+        assert twin.attributes is not const.attributes
+
     def test_clone_module_is_independent(self, ctx):
         module, _, body = _func(ctx)
         a = build_constant(body, 1.0)

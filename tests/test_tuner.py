@@ -9,7 +9,8 @@ import random
 import pytest
 
 from conftest import golden_text
-from staircase.errors import EmptySpace, MalformedLine, MissingMain, StaircaseError
+from staircase.errors import (EmptySpace, MalformedLine, MissingMain, StaircaseError,
+                              TypeMismatch)
 from staircase.interp import Buffer
 from staircase.ir import verify
 from staircase.ir.core import create_context, float_attr, int_attr
@@ -262,6 +263,15 @@ def test_inputs_for_a_named_function_draw_each_parameter_in_its_range():
     assert ints.tolist() == [rng.randrange(-50, 50) for _ in range(3)]
     first, = search_module.make_inputs(module, None, 5)
     assert first == random.Random(5).uniform(-2.0, 2.0)
+
+
+def test_inputs_for_a_memref_of_i1_are_refused():
+    # a Buffer holds no i1 elements, so no argument can be made for one
+    module = parse_module(
+        "module {\n  func.func @f(%arg0: memref<3xi1>) {\n    return\n  }\n}\n",
+        create_context())
+    with pytest.raises(TypeMismatch, match="unknown buffer dtype 'i1'"):
+        search_module.make_inputs(module, "f", 5)
 
 
 @pytest.mark.parametrize("text, name, message", [
