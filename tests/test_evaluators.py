@@ -262,6 +262,24 @@ def test_captured_kernels_agree(name):
         assert want[0] == "returned"
 
 
+@pytest.mark.parametrize("name", sorted(os.listdir(golden_path("passes"))))
+def test_golden_pass_outputs_compute_what_their_kernels_do(name):
+    # each pinned output of a pipeline over a captured kernel agrees with
+    # the definitional interpreter in every mode, and in gpu_emulated
+    # returns and leaves what the kernel does untransformed
+    import kernels
+
+    with open(golden_path(os.path.join("passes", name)), encoding="utf-8") as fh:
+        module = parse_module(fh.read(), create_context())
+    func = _entry_name(module)
+    args = random_inputs(_param_types(module, func), 3)
+    _agree_in_every_mode(module, func, args)
+    kernel, _ = differ(getattr(kernels, func).module, func, args, "gpu_emulated")
+    want, problem = differ(module, func, args, "gpu_emulated")
+    assert problem is None, problem
+    assert kernel[0] == "returned" and want[:3] == kernel[:3]
+
+
 # -- directed cases ----------------------------------------------------------------
 
 def _module(body, params, results=""):
@@ -544,13 +562,19 @@ def test_f32_rounding():
         assert want[1] == (f32(a + b), f32(a * a), f32(quotient), f32(f32(0.1) - b))
 
 
-def test_launch_outside_gpu_mode():
-    with open(os.path.join(INPUTS, "saxpy.sir"), encoding="utf-8") as fh:
+@pytest.mark.parametrize("path", [p for p in _sources()
+                                  if not p.endswith("matmul.sir")],
+                         ids=os.path.basename)
+def test_launch_outside_gpu_mode(path):
+    # each file test_bench_inputs_agree runs but matmul, whose loops are
+    # not parallel, launches once outlined; no other mode runs the launch
+    with open(path, encoding="utf-8") as fh:
         module = parse_module(fh.read(), create_context())
     module, _ = run_pipeline(module, GPU)
-    args = random_inputs(_param_types(module, "saxpy"), 1)
+    func = _entry_name(module)
+    args = random_inputs(_param_types(module, func), 1)
     for mode in ("sequential", "worksharing"):
-        want, problem = differ(module, "saxpy", args, mode, 2)
+        want, problem = differ(module, func, args, mode, 2)
         assert problem is None, problem
         assert want[1].__name__ == "ModeUnsupported"
         assert want[2].startswith(
@@ -1367,6 +1391,118 @@ def test_call_result_may_be_an_alloc(case):
     module = parse_module(_CALL_RESULT.replace("BODY", body), create_context())
     want = _agree_in_every_mode(module, "f", [Buffer((4,), "f64", [9.0] * 4)])
     assert want[2][0].tolist() == expected
+
+
+# -- points of one parallel loop that touch one address ----------------------------
+
+_POINT_CONSTANTS = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 3 : index
+    %4 = arith.constant 4 : index
+    %5 = arith.constant 1.0 : f64
+"""
+
+_READ_FIRST_WRITE_OWN = """\
+    scf.parallel (%arg2) = (%0) to (%4) step (%1) {
+      %6 = memref.load %arg0[%0] : memref<4xf64>
+      %7 = arith.addf %6, %5 : f64
+      memref.store %7, %arg1[%arg2] : memref<4xf64>
+    }"""
+
+# Per case: the body after _POINT_CONSTANTS, the parameters, and each
+# memref argument's elements after a run over _counting buffers, which
+# visits the points in order, the last index fastest; "one-buffer-twice"
+# passes one Buffer as both of its arguments
+_SHARED_ADDRESSES = {
+    # four points store to a[0]
+    "stores-to-one-address": ("""\
+    %6 = arith.constant 9.0 : f64
+    scf.parallel (%arg1) = (%0) to (%4) step (%1) {
+      memref.store %6, %arg0[%0] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[9.0, 2.0, 3.0, 4.0]]),
+    # point i reads a[i] and writes a[i + 1]: it reads what point i - 1 wrote
+    "reads-the-previous-points-write": ("""\
+    scf.parallel (%arg1) = (%0) to (%3) step (%1) {
+      %6 = memref.load %arg0[%arg1] : memref<4xf64>
+      %7 = arith.addi %arg1, %1 : index
+      memref.store %6, %arg0[%7] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[1.0, 1.0, 1.0, 1.0]]),
+    # point i writes a[i] from a[i + 1], which no earlier point wrote
+    "reads-before-the-next-points-write": ("""\
+    scf.parallel (%arg1) = (%0) to (%3) step (%1) {
+      %6 = arith.addi %arg1, %1 : index
+      %7 = memref.load %arg0[%6] : memref<4xf64>
+      %8 = arith.addf %7, %5 : f64
+      memref.store %8, %arg0[%arg1] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[3.0, 4.0, 5.0, 4.0]]),
+    # every point adds a[i] into a[0]: 1 + 1, + 2, + 3, + 4
+    "accumulates-into-one-element": ("""\
+    scf.parallel (%arg1) = (%0) to (%4) step (%1) {
+      %6 = memref.load %arg0[%0] : memref<4xf64>
+      %7 = memref.load %arg0[%arg1] : memref<4xf64>
+      %8 = arith.addf %6, %7 : f64
+      memref.store %8, %arg0[%0] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[11.0, 2.0, 3.0, 4.0]]),
+    # points (i, j) and (i', j) add one into a[j], once per i
+    "two-dimensions-share-a-column": ("""\
+    scf.parallel (%arg1, %arg2) = (%0, %0) to (%2, %2) step (%1, %1) {
+      %6 = memref.load %arg0[%arg2] : memref<4xf64>
+      %7 = arith.addf %6, %5 : f64
+      memref.store %7, %arg0[%arg2] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[3.0, 4.0, 3.0, 4.0]]),
+    # the inner points of one outer point share b[i]; all of them share a[0]
+    "nested-loops-share-elements": ("""\
+    %6 = arith.constant 7.0 : f64
+    scf.parallel (%arg2) = (%0) to (%2) step (%1) {
+      scf.parallel (%arg3) = (%0) to (%2) step (%1) {
+        %7 = memref.load %arg1[%arg2] : memref<2xf64>
+        %8 = arith.addf %7, %5 : f64
+        memref.store %8, %arg1[%arg2] : memref<2xf64>
+        memref.store %6, %arg0[%0] : memref<2xf64>
+      }
+    }""", "%arg0: memref<2xf64>, %arg1: memref<2xf64>",
+        [[7.0, 2.0], [3.0, 4.0]]),
+    # each point stores to and loads from a buffer it allocates
+    "allocs-of-each-point": ("""\
+    scf.parallel (%arg1) = (%0) to (%4) step (%1) {
+      %6 = memref.alloc() : memref<2xf64>
+      %7 = memref.load %arg0[%arg1] : memref<4xf64>
+      %8 = arith.addf %7, %5 : f64
+      memref.store %8, %6[%0] : memref<2xf64>
+      %9 = memref.load %6[%0] : memref<2xf64>
+      memref.store %9, %arg0[%arg1] : memref<4xf64>
+    }""", "%arg0: memref<4xf64>", [[2.0, 3.0, 4.0, 5.0]]),
+    # every point reads a[0] and writes b[i]: under one Buffer, point 0's
+    # store changes what the later points read
+    "one-buffer-twice": (_READ_FIRST_WRITE_OWN, _TWO, [[2.0, 3.0, 3.0, 3.0]] * 2),
+    "two-buffers": (_READ_FIRST_WRITE_OWN, _TWO, [[1.0, 2.0, 3.0, 4.0], [2.0] * 4]),
+}
+
+
+@pytest.mark.parametrize("outlined", [False, True], ids=["loop", "outlined"])
+@pytest.mark.parametrize("case", sorted(_SHARED_ADDRESSES))
+def test_points_that_share_an_address_run_in_order(case, outlined):
+    # the loop runs in every mode, and its outlined kernel, one thread a
+    # point, in gpu_emulated; each leaves what the points leave in order
+    body, params, expected = _SHARED_ADDRESSES[case]
+    module = _module(_POINT_CONSTANTS + body + "\n    return", params)
+    if case == "one-buffer-twice":
+        shared = _counting()
+        args = [shared, shared]
+    else:
+        args = [_counting(int(p.split("<")[1].split("x")[0]))
+                for p in params.split(", ")]
+    if outlined:
+        module, _ = run_pipeline(module, GPU)
+        assert "scf.parallel" not in print_module(module)
+        want, problem = differ(module, "f", args, "gpu_emulated")
+        assert problem is None, problem
+    else:
+        want = _agree_in_every_mode(module, "f", args)
+    assert want[0] == "returned"
+    assert [b.tolist() for b in want[2]] == expected
 
 
 # -- raising inside a loop whose elements could live in locals -------------------
