@@ -83,12 +83,12 @@ def _binop(accepts, kind: str):
     def check(op: Operation) -> list:
         if len(op.operands) != 2 or len(op.results) != 1:
             return ["expects two operands and one result"]
-        a, b = (v.type for v in op.operands)
-        if a != b:
+        a, b = op.operands[0].type, op.operands[1].type
+        if a is not b:
             return [f"operand types differ: {a} vs {b}"]
         if not accepts(a):
             return [f"expects {kind} operands, got {a}"]
-        if op.results[0].type != a:
+        if op.results[0].type is not a:
             return [f"result type {op.results[0].type} must match operands {a}"]
         return []
     return check
@@ -100,8 +100,8 @@ def _cmp(accepts, kind: str, predicates: tuple):
         problems = []
         if len(op.operands) != 2 or len(op.results) != 1:
             return ["expects two operands and one result"]
-        a, b = (v.type for v in op.operands)
-        if a != b or not accepts(a):
+        a, b = op.operands[0].type, op.operands[1].type
+        if a is not b or not accepts(a):
             problems.append(f"expects two identical {kind} operands, got {a}, {b}")
         pred = _attr(op, "predicate", "str")
         if pred is None or pred.value not in predicates:

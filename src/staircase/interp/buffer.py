@@ -130,7 +130,8 @@ def row_major_strides(shape) -> tuple:
 
 
 class Buffer:
-    """One dense numeric array plus its logical shape."""
+    """One dense numeric array plus its logical shape, equal to another when
+    their shape, dtype and bytes are: a NaN equals itself, -0.0 is not 0.0."""
 
     __slots__ = ("shape", "dtype", "data")
 
@@ -167,7 +168,7 @@ class Buffer:
             isinstance(other, Buffer)
             and self.shape == other.shape
             and self.dtype == other.dtype
-            and self.data == other.data
+            and self.data.tobytes() == other.data.tobytes()
         )
 
     def __repr__(self) -> str:

@@ -425,14 +425,14 @@ def _rolled(loop: Operation, lb: int, ub: int, step: int):
                 for k, op in enumerate(ops[at::size], 1)):
             continue
         moved = {a for k in range(1, copies)
-                 for a, b in zip(ops[:at], ops[k * size:])
+                 for a, b in zip(ops[:at], ops[k * size:(k + 1) * size])
                  if a.location is not b.location and a.location != b.location}
         view = block.ops[:block.ops.index(head)] + block.ops[-1:]
         rest = [0] * BOOKKEEPING
         for part, n in ((block.ops, 1), (view, -copies)):
-            for op in part:
-                if OP_SLOT.get(op.name) is not None:
-                    rest[OP_SLOT[op.name]] += n
+            for slot in map(OP_SLOT.get, [op.name for op in part]):
+                if slot is not None:
+                    rest[slot] += n
         return _Rolled(view, copies, rest, moved)
     return None
 

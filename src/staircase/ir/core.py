@@ -279,8 +279,8 @@ class Operation:
         # position in the parent block, as Block numbers it
         self._order = 0
         self.erased = False
-        self.results = (tuple([Value(t, self, i) for i, t in enumerate(result_types)])
-                        if result_types else ())
+        self.results = ((Value(result_types[0], self, 0),) if len(result_types) == 1
+                        else tuple([Value(t, self, i) for i, t in enumerate(result_types)]))
         self.regions = (tuple([Block(self) for _ in range(region_count)])
                         if region_count else ())
         for i, v in enumerate(self._operands):
@@ -554,7 +554,7 @@ def _visible_before(value: Value, block: Block, before: Operation | None) -> boo
     holding the op that holds the last one, until reaching the value's own
     block; there the definition must come before the point reached."""
     owner = value.owner
-    if isinstance(owner, Block):
+    if owner.__class__ is Block:
         while block is not owner:
             block = block.parent_op.parent
             if block is None:
@@ -695,7 +695,7 @@ def ancestors(op: Operation) -> Iterator[Operation]:
 
 def count_ops(root: Operation) -> int:
     """The ops in the subtree rooted at `root`, root included."""
-    return 1 + sum(1 for _ in root.walk_nested())
+    return 1 + sum(count_ops(op) if op.regions else 1 for b in root.regions for op in b.ops)
 
 
 def replace_all_uses_with(old: Value, new: Value) -> int:
@@ -781,8 +781,9 @@ def clone_op(
                     op.location)
     if block is not None:
         block.insert(index, new)
-    for old_r, new_r in zip(op.results, new.results):
-        vmap[old_r] = new_r
+    vmap.update(zip(op.results, new.results))
+    if not op.regions:  # most ops: no blocks to walk
+        return new
     for old_block, new_block in zip(op.regions, new.regions):
         for arg in old_block.args:
             vmap[arg] = new_block.add_arg(arg.type)

@@ -85,17 +85,17 @@ def _check_launch(op: Operation, table: SymbolTable, out: list[Diagnostic]) -> N
 
 def verify(root: Operation) -> list[Diagnostic]:
     out: list[Diagnostic] = []
-    registry = root.ctx.registry
+    schemas = root.ctx.registry.ops
 
     table = SymbolTable(root)
     for op in table.duplicates:
         out.append(Diagnostic(f"duplicate symbol @{SymbolTable.name_of(op)}",
                               op.name, op.location))
 
-    terminators = {name for name, schema in registry.ops.items()
+    terminators = {name for name, schema in schemas.items()
                    if schema.is_terminator}
     for op in chain((root,), root.walk_nested()):
-        schema = registry.ops.get(op.name)
+        schema = schemas.get(op.name)
         if schema is None:
             out.append(Diagnostic("unknown operation", op.name, op.location))
             continue

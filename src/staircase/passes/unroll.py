@@ -51,7 +51,7 @@ def loop_unroll(root: Operation, factor: int) -> PassOutcome:
                                     [induction, *offset.results], {}, [INDEX], 0, loc)
                 copies += (offset, shifted)
                 remap[induction] = shifted.results[0]
-            copies += (clone_op(op, value_map=remap) for op in originals)
+            copies += [clone_op(op, value_map=remap) for op in originals]
         body.splice(len(body.ops) - 1, copies)
         out.rewrites += 1
     return out

@@ -16,11 +16,12 @@ A trial runs the pipeline on a clone of the kernel, which ``run_pipeline``
 verifies first and after each pass, then compiles and calls the clone as
 it is; the kernel itself is never rewritten.  A trial whose pipeline names
 no pass, as the identity point's does, runs the baseline's program.  Its
-results and buffers must equal the baseline's exactly: every registered
-pass preserves them bit for bit.
+results and buffers, compared by their bytes, must equal the baseline's:
+every registered pass preserves them bit for bit.
 """
 import math
 import random
+import struct
 
 from staircase.errors import (
     EmptySpace,
@@ -106,6 +107,11 @@ def make_inputs(module: Operation, func: str | None, seed: int) -> list:
     return [_fresh_argument(arg.type, rng) for arg in func_op.body().args]
 
 
+def _bits(results) -> list:
+    """The results with each float as its bytes."""
+    return [struct.pack("<d", v) if type(v) is float else v for v in results]
+
+
 def _digest(stats) -> dict:
     return {
         "total": stats.total,
@@ -129,8 +135,8 @@ class _Session:
         self.inputs = make_inputs(module, self.func, seed)
         self.want_args = copy_buffers(self.inputs)
         self.program = lower_module(module)
-        self.want_results, _ = call(self.program, self.func, self.want_args,
-                                    "sequential", 1)
+        self.want_results = _bits(call(self.program, self.func, self.want_args,
+                                       "sequential", 1)[0])
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}
@@ -148,7 +154,7 @@ class _Session:
                 self.module.ctx.modules.remove(work)
         args = copy_buffers(self.inputs)
         results, stats = call(program, self.func, args, "sequential", 1)
-        if results != self.want_results or args != self.want_args:
+        if _bits(results) != self.want_results or args != self.want_args:
             raise StaircaseError(
                 f"pipeline {spec!r} changed the results of @{self.func}; "
                 "transformed kernels must match the untransformed run"

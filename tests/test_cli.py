@@ -1,6 +1,7 @@
 """The command line end to end: emit | opt | run on the kernel corpus, and tune."""
 import json
 import os
+import re
 
 import pytest
 
@@ -69,6 +70,24 @@ RUN_ARGS = (
     "2.5",
     "-7",
 )
+
+
+def test_opt_prints_the_stats_of_each_pass(capsys):
+    # each line's pass, anchor, op counts, rewrites and skipped are pinned,
+    # so a change to how a pass's ops are counted cannot move them; the
+    # milliseconds vary
+    strip = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                         "inputs", "conv_rows_strip.sir")
+    pipeline = "builtin.module(func.func(lower-affine,loop-unroll{factor=62},canonicalize))"
+    assert cli.main(["opt", "--input", strip, "--pipeline", pipeline,
+                     "--print-stats"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(", ", 1)[0] for line in lines] == [
+        "lower-affine @ func.func @conv_rows_strip: ops 41->41, rewrites 0, skipped 0",
+        "loop-unroll @ func.func @conv_rows_strip: ops 41->835, rewrites 1, skipped 0",
+        "canonicalize @ func.func @conv_rows_strip: ops 835->645, rewrites 190, "
+        "skipped 0"]
+    assert all(re.fullmatch(r"\d+\.\d\d ms", line.rsplit(", ", 1)[1]) for line in lines)
 
 
 def test_run_writes_every_buffer_byte_for_byte(capsys, tmp_path):

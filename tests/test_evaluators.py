@@ -17,6 +17,7 @@ import itertools
 import math
 import os
 import re
+import struct
 import sys
 from array import array
 from unittest import mock
@@ -24,6 +25,7 @@ from unittest import mock
 import pytest
 
 import definterp
+from bench_digests import generated_source as _source  # what ``run`` executes
 from conftest import golden_path
 from irgen import (
     JAM_BREAKS,
@@ -67,6 +69,17 @@ STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
 IRGEN_SEEDS = range(240)
 
 
+class _Bits(float):
+    """A float result, equal to another float when their bits are: a NaN
+    equals a NaN of its bits, and -0.0 is not 0.0. Buffers compare so."""
+
+    def __eq__(self, other):
+        return struct.pack("<d", self) == struct.pack("<d", other)
+
+    def __hash__(self):
+        return hash(struct.pack("<d", self))
+
+
 def _outcome(runner, module, func, args, mode, workers):
     args = copy_buffers(args)
     try:
@@ -74,6 +87,7 @@ def _outcome(runner, module, func, args, mode, workers):
     except Exception as exc:  # compared by type, message and buffers
         return ("raised", type(exc), str(exc), args)
     fields = tuple(getattr(stats, f) for f in STAT_FIELDS)
+    results = tuple(_Bits(r) if type(r) is float else r for r in results)
     return ("returned", results, args, fields)
 
 
@@ -101,17 +115,6 @@ def _agree_in_modes(case, gpu_case):
         shared = want[:3] + (want[3][:-2] + ("worksharing", 2),)
     return [sequential, differ(*case, "worksharing", 2, shared),
             differ(*gpu_case, "gpu_emulated", 1)]
-
-
-def _source(module):
-    """The source ``lower_module`` compiles for the module: what ``run``
-    executes."""
-    units = []
-    define = codegen._define
-    with mock.patch.object(codegen, "_define", lambda batch, namespace: (
-            units.extend(batch), define(batch, namespace))):
-        lower_module(module)
-    return "".join(units)
 
 
 def _entry_name(module):
@@ -278,6 +281,21 @@ def test_golden_pass_outputs_compute_what_their_kernels_do(name):
     want, problem = differ(module, func, args, "gpu_emulated")
     assert problem is None, problem
     assert kernel[0] == "returned" and want[:3] == kernel[:3]
+
+
+def test_a_module_that_returns_nans_agrees_in_every_mode():
+    # buffers.sir returns a buffer holding 0/0, and %arg5 * inf, which is
+    # 0 * inf here: each evaluator's NaN agrees with the other's by its bits
+    with open(golden_path(os.path.join("run", "buffers.sir")), encoding="utf-8") as fh:
+        module = parse_module(fh.read(), create_context())
+    args = [Buffer((5,), "f32", [0.1, 3.0, -2.5e-3, 1e39, 0.0]),
+            Buffer((7,), "f64", [0.1, 3.0, -0.0, 5e-324, math.nan, -math.inf, 1e308]),
+            Buffer((4,), "i32", [2000000000, -2**31, 2**31 - 1, 0]),
+            Buffer((4,), "i64", [3037000500, -2**63, -7, 0]), 1, 0.0, -7]
+    want = _agree_in_every_mode(module, "f", args)
+    results = want[1]
+    assert want[0] == "returned" and math.isnan(results[1])
+    assert math.isnan(results[2].data[0]) and want[2][1].data[6] == math.inf
 
 
 # -- directed cases ----------------------------------------------------------------

@@ -215,10 +215,74 @@ def test_a_trial_one_ulp_off_raises(monkeypatch):
                  params={"tiles": [1, 1], "unroll": 1})
 
 
-# the tuner compares a trial's buffers with its baseline's by ``==``
+_NANS = """\
+module {
+  func.func @nanbuf(%arg0: memref<4xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 0.0 : f64
+    %4 = arith.divf %3, %3 : f64
+    scf.for %arg1 = %0 to %1 step %2 {
+      memref.store %4, %arg0[%arg1] : memref<4xf64>
+    }
+    return
+  }
+  func.func @nanret(%arg0: f64) -> (f64) {
+    %0 = arith.subf %arg0, %arg0 : f64
+    %1 = arith.constant 1.0 : f64
+    %2 = arith.divf %1, %0 : f64
+    %3 = arith.mulf %2, %0 : f64
+    return %3 : f64
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("func", ["nanbuf", "nanret"])
+def test_a_kernel_that_leaves_or_returns_a_nan_is_tuned(func):
+    # a NaN has the same bits as the baseline's NaN, so it agrees with it;
+    # @nanret's is inf * 0, a new float on each run
+    module = parse_module(_NANS, create_context())
+    best, log = search(module, space=ParamSpace(((1,),), (1,)), budget=1,
+                       func=func)
+    assert [t.status for t in log] == ["evaluated"] and best is log[0]
+    unrolled = evaluate(module, params={"tiles": [1], "unroll": 2}, func=func)
+    assert unrolled.status == "evaluated"
+
+
+def _negate_zero(root, **_):
+    """Make the constant 0.0 of ``_ZERO`` -0.0."""
+    for op in root.walk_nested():
+        if op.name == "arith.constant":
+            op.attributes["value"] = float_attr(-0.0)
+    return PassOutcome(rewrites=1)
+
+
+_ZERO = """\
+module {
+  func.func @zero() -> (f64) {
+    %0 = arith.constant 0.0 : f64
+    return %0 : f64
+  }
+}
+"""
+
+
+def test_a_trial_that_returns_the_other_zero_raises(monkeypatch):
+    # -0.0 == 0.0 as floats, but the two differ in their sign bit
+    monkeypatch.setitem(PASSES, "negate", _negate_zero)
+    with pytest.raises(StaircaseError, match="changed the results of @zero"):
+        evaluate(parse_module(_ZERO, create_context()), lambda tiles, unroll:
+                 "builtin.module(func.func(negate))",
+                 params={"tiles": [1, 1], "unroll": 1})
+
+
+# the tuner compares a trial's buffers with its baseline's by ``==``, which
+# compares their bytes
 @pytest.mark.parametrize("dtype, got, want, close", [
-    ("f64", [float("nan"), 1.0], [float("nan"), 1.0], False),
-    ("f64", [-0.0, 2.0], [0.0, 2.0], True),
+    ("f64", [float("nan"), 1.0], [float("nan"), 1.0], True),
+    ("f64", [-0.0, 2.0], [0.0, 2.0], False),
     ("f64", [1.0 + 1e-9, 2.0], [1.0, 2.0], False),
     ("f64", [1.001, 2.0], [1.0, 2.0], False),
     ("f32", [0.5, 2.0], [0.5, 2.0], True),
