@@ -765,6 +765,31 @@ def test_nested_functions_get_distinct_names():
     assert _agree(module, [Buffer((4,), "f64"), 5.0, 0])[0] == "returned"
 
 
+def test_element_kept_in_a_local_is_not_written_by_a_closure():
+    # the loop over %arg1 would keep A[0] in a local, but the loop inside
+    # it nests past MAX_DEPTH and runs in a closure, where an assignment
+    # to that local would make it the closure's own: the outer loop keeps
+    # A[0] in the array, and only the closure's loop keeps it in a local
+    module = _under_loops("""\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 5 : index
+    %2 = arith.constant 1 : index
+    %3 = arith.constant 1.0 : f64
+    scf.for %arg1 = %0 to %1 step %2 {
+      %4 = memref.load %arg0[%0] : memref<4xf64>
+      %5 = arith.addf %4, %3 : f64
+      memref.store %5, %arg0[%0] : memref<4xf64>
+      scf.for %arg2 = %0 to %1 step %2 {
+        %6 = memref.load %arg0[%0] : memref<4xf64>
+        %7 = arith.addf %6, %3 : f64
+        memref.store %7, %arg0[%0] : memref<4xf64>
+      }
+    }""", codegen.MAX_DEPTH - 1, "%arg0: memref<4xf64>")
+    assert _source(module).count("def ") == 2
+    want = _agree(module, [Buffer((4,), "f64"), 1])
+    assert want[2][0].tolist() == [30.0, 0.0, 0.0, 0.0]
+
+
 # -- addresses from partial sums bound in loop headers --------------------------
 
 def _addresses(line):
