@@ -17,7 +17,9 @@ Each digest is the first 16 hex digits of the SHA-256 of the modules' texts
 joined in that order: ``print_module`` of each for ``opt``, and the source
 ``lower_module`` compiles for each (not a lazily built alias-safe variant)
 for the generated code. A change that claims to keep both must print the
-same two lines as its parent.
+same two lines as its parent. After them comes one line per module: its
+label and the same two digests of that module alone, so a diff of two
+trees' output names the modules that moved.
 """
 import hashlib
 import itertools
@@ -43,21 +45,24 @@ def _parsed(path):
         return parse_module(fh.read(), create_context())
 
 
-def bench_modules():
-    """The 57 modules, in the order the module docstring gives."""
+def labelled_modules():
+    """(label, module) for the 57 modules, in the order the module
+    docstring gives."""
     kernels = workloads.Kernels(ROOT)
-    modules = [run_pipeline(_parsed(path), pipeline)[0]
-               for path in kernels.sources.values()
-               for pipeline in (workloads.CANON, workloads.GPU)]
+    modules = [(f"kernels/{name}/{tag}", run_pipeline(_parsed(path), pipeline)[0])
+               for name, path in kernels.sources.items()
+               for tag, pipeline in (("canon", workloads.CANON), ("gpu", workloads.GPU))]
     for seed in (1, 2):
         with tempfile.TemporaryDirectory() as work:
             blocks = workloads.Bigblocks(ROOT)
             blocks.setup(work, seed)
-            modules += [run_pipeline(_parsed(unit.sir), unit.pipeline)[0]
+            modules += [(f"bigblocks/seed{seed}/{unit.key}",
+                         run_pipeline(_parsed(unit.sir), unit.pipeline)[0])
                         for unit in blocks.units]
     conv_rows = kernels.sources["conv_rows"]
-    modules.append(_parsed(conv_rows))
-    modules += [run_pipeline(_parsed(conv_rows), default_pipeline(tiles, unroll))[0]
+    modules.append(("conv_rows/parsed", _parsed(conv_rows)))
+    modules += [(f"tune/tiles{'x'.join(map(str, tiles))}/unroll{unroll}",
+                 run_pipeline(_parsed(conv_rows), default_pipeline(tiles, unroll))[0])
                 for tiles in itertools.product(*workloads.TILES)
                 for unroll in workloads.UNROLLS]
     return modules
@@ -73,18 +78,32 @@ def generated_source(module) -> str:
     return "".join(units)
 
 
-def digests() -> tuple:
-    """(number of modules, opt digest, generated-source digest)."""
-    modules = bench_modules()
-    opt, source = hashlib.sha256(), hashlib.sha256()
-    for module in modules:
-        opt.update(print_module(module).encode())
-        source.update(generated_source(module).encode())
-    return len(modules), opt.hexdigest()[:16], source.hexdigest()[:16]
+def _digest(texts) -> str:
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode())
+    return digest.hexdigest()[:16]
+
+
+def per_module() -> list:
+    """(label, what ``opt`` prints, the source generated) per module."""
+    return [(label, print_module(module), generated_source(module))
+            for label, module in labelled_modules()]
+
+
+def digests(rows=None) -> tuple:
+    """(number of modules, opt digest, generated-source digest), of the
+    texts ``per_module`` gives."""
+    rows = per_module() if rows is None else rows
+    return (len(rows), _digest(opt for _, opt, _ in rows),
+            _digest(source for _, _, source in rows))
 
 
 if __name__ == "__main__":
-    count, opt, source = digests()
+    rows = per_module()
+    count, opt, source = digests(rows)
     print(f"modules {count}")
     print(f"opt {opt}")
     print(f"source {source}")
+    for label, opt, source in rows:
+        print(f"{label} opt {_digest([opt])} source {_digest([source])}")
