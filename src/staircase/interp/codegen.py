@@ -71,65 +71,54 @@ entry; a then-arm increments a counter and its else-arm runs the parent's
 count minus that (Ball & Larus' placement). The counts fold into the
 tally when the function returns. A run that raises discards its stats.
 
-An innermost loop of SLICE_TRIPS or more literal trips, whose body is one
-store, loads and pure ops, and whose induction variable is used only in
-proven, linear addresses that move by a constant positive stride or not at
-all, a load's among them, runs over slices of its arrays (MLIR's
-``affine-super-vectorize``). If the store moves, is to a buffer read only
-at the element it stores and ``separate`` from the others it reads, and
-each pure op folds into its use or names only an address, the body becomes
-one slice assignment of a comprehension over the zipped slices; if it adds
-into an element kept in a local, a loop over them, adding in order
-(``sum`` rounds otherwise from 3.12). Slices cost set-up: on CPython 3.11
-the first form overtakes the loop at 16 to 20 trips, the second at 8 to 12.
+Each loop takes one form, decided before any code of its function is
+written, as MLIR asks ``isVectorizableLoopBody`` before SuperVectorize
+rewrites, so a function is generated once and its writers only read the
+plan: ``scan`` walks each body once, keeps a ``_Plan`` per region op and
+``decide``s each loop as soon as it has walked the loop's body.
 
-A loop over literal bounds that runs at most once, or heads a short nest,
-is written once per trip, its induction variable named by the trip's
-literal (MLIR's ``affine-loop-unroll``, ``unroll-full``). A nest is short
-if each loop in it has at most UNROLL_TRIPS trips and a body of constants,
-pure ops, loads, stores and such loops, nothing in it can raise
-(``raise_free``), and its copies write at most UNROLL_OPS ops.
-The copies open no level, so every open level's terms are in partial sums
-in the headers; an element read and written at one address is kept in a
-local around all copies, and a load no open loop moves is bound before
-them. Each copy adds its block's counts, and drops what the copy before
-noted of the body's values (``forget``); offsets are a block's own. A
-perfect nest of such loops around one loop that takes the first slice
-form above, whose store's indices move with none of them, jams into it
-(MLIR's ``affine-loop-unroll-jam``, after Carr and Kennedy, TOPLAS 1994):
-its body is written once, with the nest's induction variables as terms of
-the linear forms; each other copy reads at its slices and elements, whose
-constant terms move by coefficient x trip, and writes again only the ops
-that read them (``jam``). One slice assignment zips every copy's slices
-and chains their terms in copy order, a copy's read of the stored slice
-reading what the copy before stored, so each element's ops keep their
-order, f32 rounding and integer wrapping. ``nest`` tells a short nest,
-one that jams and any other apart.
+- "loop": a ``for`` loop. An scf.for that ``loop-unroll`` made of copies
+  of one body is first rolled back into the loop it was made from, over
+  its first copy, with the counts of the unrolled block (``_rolled``;
+  LLVM's ``LoopRerollPass``, after Larsen and Amarasinghe's packing of
+  isomorphic statements).
+- "map" or "reduce": an innermost loop of SLICE_TRIPS or more literal
+  trips runs over slices of its arrays (MLIR's ``affine-super-vectorize``;
+  ``sliceable``): one slice assignment of a comprehension over the zipped
+  slices, or, adding into an element kept in a local, a loop over them,
+  adding in order (``sum`` rounds otherwise from 3.12). On CPython 3.11
+  the first overtakes the loop at 16 to 20 trips, the second at 8 to 12.
+- "trips": a loop over literal bounds that runs at most once, or is in a
+  short nest, is written once per trip, its induction variable the trip's
+  literal (MLIR's ``affine-loop-unroll``, ``unroll-full``). A nest is
+  short if each loop in it has at most UNROLL_TRIPS trips and a body of
+  constants, pure ops, loads, stores and such loops, nothing in it can
+  raise, and its copies write at most UNROLL_OPS ops. The copies open no
+  level, and each learns its body anew for its trip (``bind_trip``,
+  ``forget``); offsets are a block's own.
+- the loop L that a perfect short nest around it jams into (MLIR's
+  ``affine-loop-unroll-jam``, after Carr and Kennedy, TOPLAS 1994), if L
+  takes the map form and its store moves with none of the nest's loops:
+  L's body is written once, with the nest's induction variables as terms
+  of the linear forms, and one slice assignment zips every copy's slices
+  and chains their terms in copy order, a copy's read of the stored slice
+  reading what the copy before stored, so each element's ops keep their
+  order, f32 rounding and integer wrapping (``jam``).
 
-An scf.for over literal bounds whose body ``loop-unroll`` made of copies
-is rolled back into the loop it was made from (LLVM's ``LoopRerollPass``;
-Larsen and Amarasinghe's packing of isomorphic statements). Constants
-aside, its body must split into F >= 2 runs: run k >= 1 opens with
-``iv + k*s``, where F*s is the loop's step, and has run 0's value-numbered
-signature with that sum for iv (``_signature``), so it uses no value of
-another run. The loop is then written over run 0 alone, ``for iv in
-range(lb, lb + trips*F*s, s)``, so rolled iteration t*F + k does what copy
-k of trip t did, in order, and every rule above applies to it as to a loop
-never unrolled. Its counts are those of the unrolled block. Copies written
-by hand, not cloned, stay if an error in run 0 could name a location, as
-a copy's would name its own.
-
-Each loop's form is decided from the IR before any of its code is
-written (as MLIR's SuperVectorize asks ``isVectorizableLoopBody``), so a
-function is generated once. ``scan`` notes the interval and linear form of
-each integer value (``learn``): that one record is what every decision
-and every handler reads, as MLIR's rewrites query the ranges its dataflow
-solver found, each fact through one reader: ``dims`` for literal loop
-bounds, an affine.for's attributes too; ``within`` for a proven index; and
-``linearise`` for an address, so two proven accesses are at one element
-when their offsets are equal. Only a copy written once per trip learns
-again: it pins its induction variable to the trip (``bind_trip``), then
-learns its body anew.
+A loop inside a nest written per trip, or jammed, gets its head's form, as
+each condition of the head's holds for it. A plan reads only what ``scan``
+noted: the interval and linear form of each integer value (``learn``),
+each fact through one reader (``dims`` for literal loop bounds, an
+affine.for's attributes too; ``within`` for a proven index; ``linearise``
+for an address, so two proven accesses are at one element when their
+offsets are equal); what each body stores to and touches, and whether it
+can raise; and the depth each body is written at, each loop of two trips
+or more opening a level (a short nest's open none, and take their head's
+form), so that no element is kept in a local that a closure past
+MAX_DEPTH would assign, and so take for its own. An element is kept
+around a loop at indices defined outside it, and a loop inside it finds
+it in the outer loop's local (``promote``). Only ``invariant`` decides as
+it writes: where a load is bound depends on the levels open there.
 """
 from __future__ import annotations
 
@@ -373,10 +362,10 @@ def _render(count: tuple) -> str:
     return var if coef == 1 else f"{var}*{coef}"
 
 
-def _range(lb: int, ub: int, step: int) -> str:
-    if step != 1:
-        return f"range({lb}, {ub}, {step})"
-    return f"range({ub})" if lb == 0 else f"range({lb}, {ub})"
+def _range(r: range) -> str:
+    if r.step != 1:
+        return f"range({r.start}, {r.stop}, {r.step})"
+    return f"range({r.stop})" if r.start == 0 else f"range({r.start}, {r.stop})"
 
 
 @dataclass
@@ -480,6 +469,27 @@ class _Level:
         self.loads = {}         # element -> the local bound before its loop
 
 
+class _Plan:
+    """What ``scan`` found of a region op's body, and, for a loop, how it
+    is written, decided before any of its code is (``decide``). ``size``
+    is what one trip writes in a short nest, and ``into`` the loop such a
+    nest would jam into; ``touches`` and ``free`` are of the ops that run."""
+
+    __slots__ = ("body", "stores", "touches", "free", "height", "size",
+                 "into", "form", "keep")
+
+    def __init__(self, body):
+        self.body = body        # as written: a block, or a _Rolled
+        self.stores = {}        # buffer -> (indices, a store), _MANY; call: None
+        self.touches = {}       # buffer -> (indices,) of each access, or _MANY
+        self.free = True        # whether none of them can raise
+        self.height = 0         # how deep its region ops nest
+        self.size = 0           # ops, a nested loop's copies counted, or None
+        self.into = None
+        self.form = None        # a loop's: "loop", "map", "reduce", "trips",
+        self.keep = []          # or the loop it jams into; ``keep``'s
+
+
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
                    "arith.index_cast"})
 _TERMINATORS = frozenset({"scf.yield", "func.return", "gpu.return"})
@@ -488,7 +498,8 @@ _SLICEABLE = _PURE | {"arith.constant", "memref.load", "memref.store",
 _WRITES = frozenset({"memref.store", "func.call", "gpu.launch_func"})
 _INDEX_FROM = {"memref.load": 1, "memref.store": 2}  # first index operand
 _LINEAR_OPS = frozenset({*_IOPS, "arith.index_cast"})
-_LOOPS = frozenset({"scf.for", "affine.for", "scf.parallel"})
+_FORS = frozenset({"scf.for", "affine.for"})
+_LOOPS = _FORS | {"scf.parallel"}
 
 # The _FuncGen method that writes each op; the others (constants, dealloc
 # and the terminators) write no statement of their own.
@@ -524,16 +535,12 @@ class _FuncGen:
         # while a body is written over slices: (induction Value, trips,
         # {slice: the local each of its elements is read into})
         self.slicing = None
-        self.into = None            # the loop written as one slice statement,
         self.slots: dict = {}       # its loads -> (place per copy, sliced, level),
         self.moving: list = []      # a jammed nest's loops of 2 or more trips,
         self.points = [()]          # by induction Value, their trips per copy,
         self.copy = 0               # the copy being written
         self.stored = None          # the slice stored to, what is there, its line
-        # region op -> what it stores to: per buffer, the indices and one
-        # store of all its stores, or _MANY; a call's key is None
-        self.stores: dict = {}
-        self.bodies: dict = {}      # region op -> its body as written
+        self.plan: dict = {}        # region op, the function too -> its _Plan
         self.dead: set = set()      # pure ops only such ops read: no statement
         self.promoted: dict = {}    # buffer -> the local its element is in
         self.names: dict = {}       # Value -> Python expression
@@ -688,25 +695,24 @@ class _FuncGen:
     # -- functions ----------------------------------------------------------
 
     def generate(self) -> str:
-        body = self.op.body()
-        params = []
-        prologue = []
-        self.stores[self.op] = self.scan(body)  # a kernel's thread loops run it
+        body, params, prologue = self.op.body(), [], []
+        # a kernel's threads loop inside the function, but for a dimension
+        # every launch sizes 1, which needs no loop, only nt > 0
+        looped = [d for d in range(6) if self.is_kernel and (
+            self.extents is None or self.extents[d] > 1)]
+        self.plan[self.op] = _Plan(body)    # a kernel's thread loops run it
+        self.scan(body, self.plan[self.op], 1 + len(looped) + (
+            self.is_kernel and len(looped) < 6))
         for arg in body.args:
             params.append(self.bind(arg, "a"))
             if arg.type.kind == "memref":
                 prologue += self.bind_array(arg)
-        arrays = len(prologue)
-        depth = 1
-        count = (1, None)
-        if self.is_kernel:   # its threads loop inside the function
+        arrays, depth, count = len(prologue), 1, (1, None)
+        if self.is_kernel:
             sizes = [f"g{i}" for i in range(6)]
             params = sizes + params
             prologue.append("nt = " + " * ".join(f"len(range({s}))"
                                                   for s in sizes))
-            # a dimension every launch sizes 1 needs no loop, only nt > 0
-            looped = [d for d in range(6)
-                      if self.extents is None or self.extents[d] > 1]
             if len(looped) < 6:
                 self.emit(depth, "if nt:")
                 depth += 1
@@ -827,11 +833,11 @@ class _FuncGen:
                 for line in getattr(self, _HANDLERS[name])(op):
                     self.emit(depth, line)
 
-    def scan(self, block) -> dict:
-        """One pass over the ops of ``block``, and first of the blocks in
-        them, which rolls each loop that may roll (``rolled``) and notes
-        the facts the handlers read of each integer (``learn``); returns
-        what the block stores to (the form of ``stores``).
+    def scan(self, block, plan: _Plan, depth: int) -> None:
+        """One pass over the ops of ``block``, written at ``depth``, and
+        first of the blocks in them: it rolls each loop that may roll
+        (``rolled``), notes the facts of each integer (``learn``) and of
+        the block in ``plan``, its op's, and ``decide``s each loop in it.
 
         It finds the results used once, later in the same straight-line
         run. Such a result is written into its use as an expression, which
@@ -843,39 +849,73 @@ class _FuncGen:
         but dead ops is dead: it writes no statement. So is every op of
         a loop with a literal dimension of no trips, which stores nothing.
         """
-        stores: dict = {}
-        run, writes = 0, 0
+        run, writes, size, into, ops = 0, 0, 0, None, 0
         where = {}          # op -> (run, memory writes before it)
         for op in block.ops:
             name = op.name
             self.learn(op)
             if name == "arith.constant":    # neither folds nor takes a fold
                 continue
+            ops += name != "scf.yield"
             if op.regions:
                 run += 1
-                body = self.bodies[op] = self.rolled(op) or op.body()
-                inner = self.stores[op] = self.scan(body)
-                for arm in op.regions[1:]:      # an else-arm
-                    for buf, stored in self.scan(arm).items():
-                        _note(inner, buf, stored)
-                if name in _LOOPS and any(c and not range(*c) for c in self.dims(op)):
-                    self.dead.update(op.walk_nested())  # it never runs
-                    inner.clear()
-                for buf, stored in inner.items():
-                    _note(stores, buf, stored)
-            elif name == "memref.store":
-                _note(stores, op.operands[1], (op.operands[2:], op))
-            elif name in _CALLS:    # a call may store to any buffer
-                stores[None] = _MANY
+                inner = self.plan[op] = _Plan(self.rolled(op) or op.body())
+                dims = self.dims(op) if name in _LOOPS else ()
+                dead = any(c and not range(*c) for c in dims)
+                if dead:    # it never runs
+                    self.dead.update(op.walk_nested())
+                opens = sum(c is None or len(range(*c)) != 1 for c in dims) \
+                    if name == "scf.parallel" else 1
+                at = 1 if depth + opens > MAX_DEPTH + 1 else depth  # a closure
+                trips = self.trips(op) if name in _FORS else None
+                for body in (inner.body, *op.regions[1:]):  # an else-arm too
+                    self.scan(body, inner, at + (
+                        opens if trips is None or len(trips) > 1 else 0))
+                if name in _LOOPS and op not in self.dead:
+                    self.decide(op, at)
+                for buf, stored in () if dead else inner.stores.items():
+                    _note(plan.stores, buf, stored)
+                grown = None    # in a nest, per trip; in the loop it jams into, once
+                if name in _FORS and trips is not None and len(trips) <= UNROLL_TRIPS:
+                    grown, into = inner.size and len(trips) * inner.size, inner.into
+                elif name in _FORS and trips and len(trips) >= SLICE_TRIPS:
+                    grown, into = inner.size, op
+                size = None if size is None or grown is None else size + grown
+            else:
+                if name == "memref.store":
+                    _note(plan.stores, op.operands[1], (op.operands[2:], op))
+                elif name in _CALLS:    # a call may store to any buffer
+                    plan.stores[None] = _MANY
+                if name not in _SLICEABLE:
+                    size = None
+                elif size is not None:
+                    size += name != "scf.yield"
             where[op] = (run, writes)
             writes += name in _WRITES
+        plan.size = None if into is not None and ops != 1 else size
+        plan.into = into
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
-            if op.name in _PURE and all(u in self.dead
-                                        for u, _ in op.results[0].uses):
+            name = op.name
+            if name in _PURE and all(u in self.dead
+                                     for u, _ in op.results[0].uses):
                 self.dead.add(op)
                 continue
-            if op.name not in _PURE and op.name != "memref.load":
+            if op in self.dead:
+                continue
+            at = _INDEX_FROM.get(name)
+            if at:      # what the block touches, and whether it can raise
+                _note(plan.touches, op.operands[at - 1], (op.operands[at:],))
+                plan.free = plan.free and self.in_bounds(op)
+            elif op.regions:
+                inner = self.plan[op]
+                plan.free = plan.free and inner.free and (
+                    name in ("affine.for", "scf.if") or name == "scf.for"
+                    and self.step_proven(op.operands[2]))
+                plan.height = max(plan.height, inner.height + 1)
+                for buf, touched in inner.touches.items():
+                    _note(plan.touches, buf, touched)
+            if name not in _PURE and name != "memref.load":
                 continue
             uses = op.results[0].uses
             if len(uses) != 1:
@@ -889,7 +929,6 @@ class _FuncGen:
             if run == at_run and (op.name in _PURE or writes == at_writes):
                 point[op] = at
                 self.foldable.add(op.results[0])
-        return stores
 
     def rolled(self, loop: Operation):
         """``_rolled`` of an scf.for over literal bounds (``dims``), unless
@@ -1023,7 +1062,7 @@ class _FuncGen:
                 lines, at, level = self.address(op, buf, op.operands[1:])
                 if level is not None and level + 1 < len(self.headers) and r.uses:
                     lv = self.invariant(buf, level + 1)
-            if self.into is not None:
+            if self.slicing is not None:
                 self.slots[op] = (at, sliced, lv)
         text = at[self.copy]
         if sliced:  # by its local, or by what the copy before stored there
@@ -1188,7 +1227,7 @@ class _FuncGen:
         """The pairs under which nothing ``loop`` stores to may be ``buf``'s
         array, or None if something may."""
         pairs: set = set()
-        for other in self.stores[loop]:
+        for other in self.plan[loop].stores:
             pair = None if other is None else self.separate(buf, other, loop)
             if pair is None:
                 return None
@@ -1211,94 +1250,73 @@ class _FuncGen:
         self.assumed.update(pairs)
         return lv
 
-    def promote(self, loop: Operation, depth: int, reads: list) -> list:
-        """The elements ``loop`` reads and writes at one address it never
-        changes, each read into a local by a line added to ``reads``, which
-        go just before it: (buffer, local, element) for each.
-
-        The loop must touch no other array that may hold such an element,
-        and nothing in it may raise, so a run that raises leaves the
-        buffers as it found them: every index proven, every step proven
-        positive, no call and no function of its own.
-        """
-        stores = self.stores[loop]
-        if None in stores:
+    def keep(self, loop: Operation, depth: int) -> list:
+        """The elements ``loop``, whose body is written at ``depth``, reads
+        and writes at one address it never changes, at linear indices
+        defined outside it: (buffer, a store of it, the pairs of parameters
+        assumed distinct) for each. The loop must touch no other array that
+        may hold such an element, and nothing in it may raise (``free``),
+        so a run that raises leaves the buffers as it found them; nor may
+        it run a region op in a closure past MAX_DEPTH, which would take
+        the local for its own."""
+        plan = self.plan[loop]
+        if None in plan.stores or not plan.free \
+                or depth + plan.height > MAX_DEPTH + 1:
             return []
-        # a buffer or index named already is defined outside the loop, but
-        # for the loop's own induction variable; each index must be linear
-        iv = loop.body().args[0]
-        found = {buf: where for buf, where in stores.items()
-                 if where is not _MANY and buf not in self.promoted
-                 and buf in self.arrays and iv not in where[0] and all(
-                     v in self.names and self.forms.get(v) for v in where[0])}
-        touched: set = set()
-        if not found or not self.raise_free(self.bodies[loop], depth, found,
-                                            touched):
-            return []
-        promoted = []
-        for buf, (_, store) in found.items():
+        kept = []
+        for buf, where in plan.stores.items():
+            if where is _MANY or plan.touches[buf] is _MANY \
+                    or _defined_in(buf, loop) or not all(
+                        not _defined_in(v, loop) and self.forms.get(v)
+                        for v in where[0]):
+                continue
             pairs = set()
-            for other in touched - {buf}:
+            for other in plan.touches.keys() - {buf}:
                 pair = self.separate(buf, other, loop)
                 if pair is None:
                     break
                 pairs.update(pair)
             else:
-                _, (off,), _ = self.address(store, buf, store.operands[2:])
-                element = f"{self.arrays[buf]}[{off}]"
-                local = self.promoted[buf] = self.fresh("e")
-                reads.append(f"{local} = {element}")
-                self.assumed.update(pairs)
-                promoted.append((buf, local, element))
-        return promoted
+                kept.append((buf, where[1], pairs))
+        return kept
 
-    def raise_free(self, block, depth: int, found: dict, touched: set) -> bool:
-        """Whether no op of ``block`` can raise or runs in a function of
-        its own, past MAX_DEPTH (``depth`` is where its ops are written);
-        its region ops are scf.for, affine.for and scf.if.
-
-        Notes each buffer it touches, and drops from ``found`` each buffer
-        it reads at another address.
-        """
-        for op in block.ops:
-            at = _INDEX_FROM.get(op.name)
-            if op in self.dead:     # it never runs
+    def promote(self, loop: Operation, reads: list) -> list:
+        """Read each element the plan keeps in a local around ``loop``
+        into it, by a line added to ``reads``, which go just before the
+        loop: (buffer, local, element) for each. An element that a loop
+        around this one keeps is in that loop's local already."""
+        promoted = []
+        for buf, store, pairs in self.plan[loop].keep:
+            if buf in self.promoted:
                 continue
-            if at:
-                buf = op.operands[at - 1]
-                if not self.in_bounds(op):
-                    return False
-                touched.add(buf)
-                if buf in found and op.operands[at:] != found[buf][0]:
-                    del found[buf]
-            elif op.regions:
-                proven = op.name != "scf.for" or self.step_proven(op.operands[2])
-                if depth > MAX_DEPTH or not proven or op.name \
-                        not in ("scf.for", "affine.for", "scf.if") or not all(
-                            self.raise_free(body, depth + 1, found, touched)
-                            for body in (self.bodies[op], *op.regions[1:])):
-                    return False
-        return True
+            _, (off,), _ = self.address(store, buf, store.operands[2:])
+            element = f"{self.arrays[buf]}[{off}]"
+            local = self.promoted[buf] = self.fresh("e")
+            reads.append(f"{local} = {element}")
+            self.assumed.update(pairs)
+            promoted.append((buf, local, element))
+        return promoted
 
     # -- loops over slices ---------------------------------------------------
 
     def sliceable(self, loop: Operation, iv: Value, head=None):
         """The slice form the innermost loop ``loop`` over ``iv``, of
         SLICE_TRIPS or more trips, may take: "reduce", "map" or None; ``head``
-        heads the nest that jams into it, if one does. Decided from the IR
-        before its body is written: every address is linear (``linearise``)
-        and moves by a stride of at least 1 or not at all, a used load's
-        moves; in the map form the store's moves with ``iv`` and no other
-        nest variable, the stored buffer is read only at the stored offset,
-        and no op needs a statement: each pure op, and each read of what a
+        heads the nest that jams into it, if one does. Every address is
+        linear (``linearise``) and moves by a stride of at least 1 or not at
+        all, a used load's moves; in the reduce form the store's element is
+        kept in a local (``keep``, as it is if a loop around keeps it); in
+        the map form the store's moves with ``iv`` and no other nest
+        variable, the stored buffer is read only at the stored offset, and
+        no op needs a statement: each pure op, and each read of what a
         store before it wrote, folds or names only an address."""
         if not self.index_only(iv):
             return None
-        block = self.bodies[loop]
+        block = self.plan[loop].body
         loads = [op for op in block.ops if op.name == "memref.load"]
         stores = [op for op in block.ops if op.name == "memref.store"]
         if len(stores) != 1 or any(op.name not in _SLICEABLE for op in block.ops) \
-                or not self.raise_free(block, 0, {}, set()):
+                or not self.plan[loop].free:     # no regions: no height
             return None
         (store,) = stores
         buf, offsets = store.operands[1], {}
@@ -1308,11 +1326,10 @@ class _FuncGen:
                 op.operands[at - 1], op.operands[at:])
             if rest or coefs.get(iv, 0) < 0:
                 return None
-        if not any(offsets[op][0].get(iv) and op.results[0].uses
-                   and op.operands[0] not in self.promoted for op in loads):
+        if not any(offsets[op][0].get(iv) and op.results[0].uses for op in loads):
             return None
-        if buf in self.promoted:    # promote checked the buffers it reads
-            return "reduce"
+        if any(buf is kept for kept, _, _ in self.plan[loop].keep):
+            return "reduce"     # keep checked the buffers it reads
         if not offsets[store][0].get(iv) or head and any(
                 v is not iv and _defined_in(v, head) for v in offsets[store][0]):
             return None
@@ -1334,27 +1351,23 @@ class _FuncGen:
         self.assumed.update(pairs)
         return "map"
 
-    def loop_body(self, loop: Operation, innermost, count: tuple,
-                  depth: int) -> None:
-        """The body of ``loop``; ``innermost`` is (iv, trips) if the last
-        loop opened, ``for iv in trips``, runs it. Over slices of its
-        arrays where that loop takes a slice form, else as it is; the loop
-        a nest jams into takes the first form, its statement the copies'."""
-        form = "map" if self.into is loop else innermost and len(
-            innermost[1]) >= SLICE_TRIPS and self.sliceable(loop, innermost[0])
-        if not form:
-            self.body(self.bodies[loop], count, depth, loop)
+    def loop_body(self, loop: Operation, count: tuple, depth: int) -> None:
+        """The body of ``loop``, run by the last loop opened: over slices
+        of its arrays in a slice form, else as it is. In the map form, and
+        so as the loop a nest jams into, one statement is every copy's."""
+        form, block = self.plan[loop].form, self.plan[loop].body
+        if form not in ("map", "reduce"):
+            self.body(block, count, depth, loop)
             return
         at = len(self.lines)
-        self.slicing = (*innermost, {})
+        self.slicing = (*self.innermost(loop), {})
         if form == "map":   # its body once, then the statement (``jam``)
-            self.into = loop
-            self.block(self.bodies[loop], count, depth)
+            self.block(block, count, depth)
             self.lines[at - 1:] = ["    " * (depth - 1) + self.jam(loop)]
         else:
-            self.body(self.bodies[loop], count, depth, loop)
+            self.body(block, count, depth, loop)
             self.lines[at - 1] = "    " * (depth - 1) + self.zip_clause() + ":"
-        self.slicing = self.into = self.stored = None
+        self.slicing = self.stored = None
         self.moving, self.points, self.slots, self.copy = [], [()], {}, 0
 
     def slice_of(self, buf: Value, indices):
@@ -1456,48 +1469,35 @@ class _FuncGen:
 
     def counted(self, op: Operation, bounds: tuple, count: tuple,
                 depth: int) -> None:
-        """A loop over literal bounds, written once per trip if it runs at
-        most once or heads a short ``nest``, else as a ``for`` loop; the
-        elements it keeps in locals are stored back after it.
-
-        A rolled body runs over the trips of the loop it was unrolled from;
-        its block's other counts are added per trip of ``op``. A nest that
-        jams is written once, with the counts of all its copies (``jam``).
-        """
-        trips = range(*bounds)
-        inner = _times(count, len(trips))
+        """A loop over literal bounds, in its plan's form; the elements it
+        keeps in locals are stored back after it. A rolled body runs over
+        the trips of the loop it was unrolled from; its block's other counts
+        are added per trip of ``op``. A nest that jams is written once, with
+        the counts of all its copies (``jam``)."""
+        inner = _times(count, len(range(*bounds)))
         self.bookkeeping.append(inner)
-        iv, block = op.body().args[0], self.bodies[op]
+        iv, trips, plan = op.body().args[0], self.trips(op), self.plan[op]
+        block = plan.body
         if isinstance(block, _Rolled):
             self.blocks.append((inner, block.rest))
-            bounds = (bounds[0], bounds[0] + len(trips) * bounds[2],
-                      bounds[2] // block.copies)
-            trips = range(*bounds)
             inner = _times(count, len(trips))
-        into = self.into or len(trips) < 2 or self.nest(op, trips, depth)
-        if into not in (None, True, op):    # a loop of a nest that jams
-            self.into = into
-            if len(trips) > 1:  # a term of the linear forms ``jam`` moves
-                self.names[iv] = f"j{len(self.moving)}"     # no local's name
-                self.moving = self.moving + [iv]
-                self.points = [p + (t,) for p in self.points for t in trips]
-            else:
-                self.bind_trip(iv, trips[0])
+        if isinstance(plan.form, Operation):    # a term ``jam`` moves
+            self.names[iv] = f"j{len(self.moving)}"     # no local's name
+            self.moving = self.moving + [iv]
+            self.points = [p + (t,) for p in self.points for t in trips]
             self.block(block, inner, depth)
             return
-        if into in (None, op):
+        if plan.form != "trips":
             level = len(self.headers)
-            body = self.loop(depth, self.bind(iv, "i"), _range(*bounds), op)
-            promoted = self.promote(op, body, self.headers[-1].before)
-            self.loop_body(op, (iv, trips), inner, body)
+            body = self.loop(depth, self.bind(iv, "i"), _range(trips), op)
+            promoted = self.promote(op, self.headers[-1].before)
+            self.loop_body(op, inner, body)
             self.close_loops(level)
         else:
-            promoted, reads, copying = [], [], self.copying
-            if len(trips) > 1:
-                self.copying = True
-                promoted = self.promote(op, depth, reads)
-            for line in reads:
-                self.emit(depth, line)
+            reads, copying = [], self.copying
+            self.copying = copying or len(trips) > 1
+            promoted = self.promote(op, reads)
+            self.lines += ["    " * depth + line for line in reads]
             for trip in trips:
                 self.bind_trip(iv, trip)
                 self.forget(block)
@@ -1513,7 +1513,7 @@ class _FuncGen:
         writes again what it names anew: its loads, at their own places
         (``slots``), the ops that read them, and its store, whose value the
         next copy reads of the stored slice."""
-        ops = [op for op in self.bodies[loop].ops
+        ops = [op for op in self.plan[loop].body.ops
                if op.name in _HANDLERS and op not in self.dead]
         for copy in range(1, len(self.points)):
             self.copy, fresh = copy, set()  # fresh: the values named anew
@@ -1522,56 +1522,6 @@ class _FuncGen:
                     getattr(self, _HANDLERS[op.name])(op)   # writes none
                     fresh.update(op.results)
         return f"{self.stored[2]} {self.zip_clause()}])"
-
-    def nest(self, loop: Operation, trips: range, depth: int):
-        """How ``loop``, of ``trips``, is written: True if it heads a short
-        nest, written once per trip (MLIR's ``affine-loop-unroll`` in full);
-        the loop over slices its copies jam into (MLIR's
-        ``affine-loop-unroll-jam``); or None, as a loop.
-
-        Its loops are over literal bounds, of at most UNROLL_TRIPS trips
-        but the one it jams into, which takes the map form (``sliceable``);
-        nothing in it can raise, and its copies write at most UNROLL_OPS ops."""
-        if len(trips) > UNROLL_TRIPS:
-            return None
-        size, into = self.written(loop, len(trips))
-        if size is None or size > UNROLL_OPS \
-                or not self.raise_free(self.bodies[loop], depth, {}, set()):
-            return None
-        return True if into is None else self.sliceable(
-            into, into.body().args[0], loop) == "map" and into or None
-
-    def written(self, loop: Operation, trips: int) -> tuple:
-        """The ops but constants and yields that writing ``loop`` once per
-        trip writes, and the loop its copies jam into or None; (None, None)
-        if its nest holds an op no short nest may hold.
-
-        Its bodies hold constants, pure ops, loads, stores and loops over
-        literal bounds, each of at most UNROLL_TRIPS trips, but a perfect
-        nest's last one, which the copies jam into."""
-        ops = [op for op in self.bodies[loop].ops
-               if op.name not in ("arith.constant", "scf.yield")]
-        size, into = 0, None
-        for op in ops:
-            if op.name not in ("scf.for", "affine.for"):
-                if op.name not in _SLICEABLE:
-                    return None, None
-                size += 1
-                continue
-            # its trips as written, a rolled loop's copies included
-            (bounds,), body = self.dims(op), self.bodies[op]
-            n = bounds and _trips(*bounds) * (
-                body.copies if isinstance(body, _Rolled) else 1)
-            if n is not None and n <= UNROLL_TRIPS:
-                inner, into = self.written(op, n)
-            else:   # the loop its copies jam into
-                into = op
-                inner = sum(o.name != "arith.constant" for o in body.ops) - 1 \
-                    if n and n >= SLICE_TRIPS else None
-            if inner is None or into is not None and len(ops) != 1:
-                return None, None
-            size += inner
-        return trips * size, into
 
     def forget(self, block) -> None:
         """Before a copy of a loop written once per trip, whose induction
@@ -1588,7 +1538,8 @@ class _FuncGen:
                 self.bounds.pop(v, None)
                 self.forms.pop(v, None)
                 self.folded.discard(v)
-            body = self.bodies.get(op)  # a region op's, as scan found it
+            plan = self.plan.get(op)    # a region op's, as scan found it
+            body = plan and plan.body
             self.learn(op, body.copies if isinstance(body, _Rolled) else 1)
             if body is not None:
                 for inner in (body, *op.regions[1:]):
@@ -1626,6 +1577,56 @@ class _FuncGen:
         return [c if None not in c and c[2] > 0 else None for c in
                 (tuple(map(self.const, op.operands[k::n])) for k in range(n))]
 
+    def trips(self, loop: Operation):
+        """The trips of an scf.for or affine.for over literal bounds, as it
+        is written (a rolled one's: ``rolled``), or None."""
+        bounds, = self.dims(loop)
+        body = self.plan[loop].body
+        if bounds and isinstance(body, _Rolled):
+            lb, _, step = bounds
+            return range(lb, lb + len(range(*bounds)) * step, step // body.copies)
+        return bounds and range(*bounds)
+
+    def innermost(self, loop: Operation):
+        """(induction Value, trips) of the loop written last for ``loop``,
+        the one that runs its body, if it is over literal bounds."""
+        if loop.name != "scf.parallel":
+            trips = self.trips(loop)
+            return trips and (loop.body().args[0], trips)
+        innermost = None
+        for iv, c in zip(loop.body().args, self.dims(loop)):
+            if c is None:
+                innermost = None
+            elif len(range(*c)) != 1:
+                innermost = (iv, range(*c))
+        return innermost
+
+    def decide(self, loop: Operation, depth: int) -> None:
+        """The ``form`` of ``loop``, written at ``depth``, and the elements
+        it keeps in locals (``keep``), from what ``scan`` found of its body:
+        a short nest's head is written per trip, or jams into its innermost
+        loop if that may take the map form with the nest's variables in its
+        addresses; any other loop takes the slice form its body may take."""
+        plan = self.plan[loop]
+        trips = self.trips(loop) if loop.name in _FORS else None
+        form = "loop"
+        if trips is not None and len(trips) < 2 \
+                or any(c and not range(*c) for c in self.dims(loop)):
+            form = "trips"      # at most one trip, or a dimension of none
+        elif trips is not None and len(trips) <= UNROLL_TRIPS \
+                and plan.size is not None and plan.free \
+                and len(trips) * plan.size <= UNROLL_OPS \
+                and depth + plan.height <= MAX_DEPTH + 1:
+            into = plan.into
+            form = "trips" if into is None else into if self.sliceable(
+                into, into.body().args[0], loop) == "map" else "loop"
+        if trips and len(trips) > 1 and form in ("trips", "loop"):
+            plan.keep = self.keep(loop, depth + (form == "loop"))
+        innermost = form == "loop" and self.innermost(loop)
+        if innermost and len(innermost[1]) >= SLICE_TRIPS:
+            form = self.sliceable(loop, innermost[0]) or form
+        plan.form = form
+
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
         """Loops over the points, in the order ``itertools.product`` visits
         them, around the body: per dimension over literal bounds, over a
@@ -1654,16 +1655,14 @@ class _FuncGen:
             inner = (coef, self.counter())
             self.emit(depth, f"{inner[1]} += {' * '.join(sizes)}")
         self.bookkeeping.append(inner)
-        innermost = None
         for iv, c in zip(op.body().args, dims):
             if isinstance(c, str):
-                depth, innermost = self.loop(depth, self.bind(iv, "i"), c, op), None
+                depth = self.loop(depth, self.bind(iv, "i"), c, op)
             elif len(range(*c)) == 1:
                 self.bind_trip(iv, c[0])
             else:
-                depth = self.loop(depth, self.bind(iv, "i"), _range(*c), op)
-                innermost = (iv, range(*c))
-        self.loop_body(op, innermost, inner, depth)
+                depth = self.loop(depth, self.bind(iv, "i"), _range(range(*c)), op)
+        self.loop_body(op, inner, depth)
         self.close_loops(level)
 
     def scf_if(self, op: Operation, count: tuple, depth: int) -> None:

@@ -11,6 +11,7 @@ definitional interpreter reads the mode only in the stats and at
 gpu.launch_func, which both modes refuse with a message naming the mode.
 """
 import ast
+import collections
 import functools
 import hashlib
 import itertools
@@ -25,6 +26,7 @@ from unittest import mock
 import pytest
 
 import definterp
+import bench_digests
 from bench_digests import generated_source as _source  # what ``run`` executes
 from conftest import golden_path
 from irgen import (
@@ -49,7 +51,7 @@ from staircase.interp import Buffer, codegen
 from staircase.interp.buffer import copy_buffers, static_bounds, wrap_int
 from staircase.interp.codegen import lower_module, module_functions
 from staircase.interp.machine import call, run
-from staircase.ir.core import Location, clone_module, create_context
+from staircase.ir.core import Location, Operation, clone_module, create_context
 from staircase.passes import run_pipeline
 from staircase.textio import parse_module, print_module
 from staircase.tuner import default_pipeline
@@ -2018,20 +2020,28 @@ def test_conv2d_filter_loops_are_written_per_trip(pipeline):
     assert len(re.findall(r"^ +(e\d+) = \(\(\1\) \+ ", source, re.M)) == 9
 
 
+def _forms(module):
+    """(loop, its form, its trips as written or None) for each loop whose
+    form code generation decided for the module, in the order decided, in
+    the code ``run`` executes."""
+    decided = []
+    decide = codegen._FuncGen.decide
+
+    def spy(gen, loop, depth):
+        decide(gen, loop, depth)
+        decided.append((loop, gen.plan[loop].form,
+                        None if loop.name == "scf.parallel" else gen.trips(loop)))
+
+    with mock.patch.object(codegen._FuncGen, "decide", spy):
+        _source(module)
+    return decided
+
+
 def _writes_per_trip(module):
     """Whether the code ``run`` executes for the module writes some loop of
     more than one trip once per trip."""
-    found = []
-    nest = codegen._FuncGen.nest
-
-    def spy(gen, *args):
-        verdict = nest(gen, *args)
-        found.append(verdict is True)
-        return verdict
-
-    with mock.patch.object(codegen._FuncGen, "nest", spy):
-        _source(module)
-    return any(found)
+    return any(form == "trips" and trips and len(trips) > 1
+               for _, form, trips in _forms(module))
 
 
 def test_two_by_two_nest_with_colliding_addresses():
@@ -2163,28 +2173,10 @@ def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
 
 # -- short nests jammed into the slice statement they enclose -----------------------
 
-def _jam_verdicts(module):
-    """What ``nest`` said of each loop it was asked about while the code
-    for the module was generated, in order: (loop, the loop its nest jams
-    into or None). A jam refused while written regenerates its function,
-    which asks again."""
-    verdicts = []
-    nest = codegen._FuncGen.nest
-
-    def spy(gen, loop, *args):
-        verdict = nest(gen, loop, *args)
-        verdicts.append((loop, None if verdict is True else verdict))
-        return verdict
-
-    with mock.patch.object(codegen._FuncGen, "nest", spy):
-        _source(module)
-    return verdicts
-
-
 def _jammed(module):
     """Whether the code ``run`` executes writes some nest as one slice
-    statement: the last verdict on some loop is a loop."""
-    return any(dict(_jam_verdicts(module)).values())
+    statement: some loop's form is the loop its nest jams into."""
+    return any(isinstance(form, Operation) for _, form, _ in _forms(module))
 
 
 def test_jam_corpus_agrees():
@@ -2285,37 +2277,32 @@ def test_jammed_copies_read_their_own_repeated_load():
 _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%4]")
 
 
-@pytest.mark.parametrize("changes, refused_by_nest", [
-    ([_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
-     True),
-    ([("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
-       "        memref.store %8,")], True),
-    ([_READ_D_AT_I_PLUS_K], True),
-    ([("%4 = arith.addi %arg5, %arg4 : index",
-       "%9 = arith.muli %arg4, %2 : index\n        %4 = arith.addi %arg5, %9 : index")],
-     True),
-    ([("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
-     True),
-    ([("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
-       "%11 = arith.muli %arg4, %arg4 : index\n"
-       "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
-     True),
-    ([("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
-      ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")], True),
+@pytest.mark.parametrize("changes", [
+    [_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
+    [("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
+      "        memref.store %8,")],
+    [_READ_D_AT_I_PLUS_K],
+    [("%4 = arith.addi %arg5, %arg4 : index",
+      "%9 = arith.muli %arg4, %2 : index\n        %4 = arith.addi %arg5, %9 : index")],
+    [("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
+    [("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
+      "%11 = arith.muli %arg4, %arg4 : index\n"
+      "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
+    [("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
+     ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")],
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
         "access-can-raise", "stored-slice-read-twice", "read-at-k-squared",
         "store-at-one-element"])
-def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes, refused_by_nest):
+def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
     # its extent in the third copy; D[i] * D[i] reads what the copy before
     # stored twice, which would need a local; X is read at k*k, which no
     # copy's constant term can take, as the body is written once; or D[0]
-    # is a sum over i, which the loop over i cannot store as a slice. nest
-    # refuses each before any of its code is written
+    # is a sum over i, which the loop over i cannot store as a slice. The
+    # plan refuses each before any of its code is written
     module = _jam_nest(changes=changes)
-    verdicts = _jam_verdicts(module)
-    assert not _jammed(module) and any(into for _, into in verdicts) != refused_by_nest
+    assert not _jammed(module)
     assert "range(3)" in _for_ranges(_source(module))
     want = _agree_in_every_mode(module, "f", _jam_args())
     if changes[0][1].startswith("%9"):  # in the third copy, at i = 14
@@ -2341,7 +2328,7 @@ def test_read_at_the_stored_element_by_another_value_jams():
 def test_unroll_ops_pin_what_jams(products, jams):
     # four copies of 7 + products ops: 96 jam, 100 do not
     module = _jam_nest(short=4, products=products)
-    assert any(into for _, into in _jam_verdicts(module)) == _jammed(module) == jams
+    assert _jammed(module) == jams
     _agree(module, _jam_args(x=[1.0 + k / 64 for k in range(20)]))
 
 
@@ -2352,7 +2339,7 @@ def test_nest_with_a_loop_of_no_trips_writes_nothing():
     module = _jam_nest(changes=[
         ("scf.for %arg5", "scf.for %arg6 = %0 to %0 step %1 {\n      scf.for %arg5"),
         ("    }\n    return", "    }\n    }\n    return")])
-    assert not any(into for _, into in _jam_verdicts(module))
+    assert not _jammed(module)
     assert _for_ranges(_source(module)) == [] and not _slice_forms(_source(module))
     _agree_in_every_mode(module, "f", _jam_args())
 
@@ -2779,6 +2766,56 @@ def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
     assert counts == dict.fromkeys(counts, 0)
 
 
+# Per corpus, the loops of each form (``_Plan.form``; "jam" for a loop of a
+# nest that jams) and the loops rolled back, in the code ``lower_module``
+# writes for: each IRGEN_CORPUS module, plain and after the GPU pipeline,
+# and the 57 benchmark modules. Counted when each form was still chosen as
+# its loop was written, from what the writers did with each loop.
+LOOP_FORMS = {
+    "bench57": {"jam": 78, "loop": 72, "map": 40, "reduce": 2, "rolled": 26, "trips": 45},
+    "random": {"loop": 139, "trips": 448},
+    "index": {"loop": 295, "trips": 84},
+    "slice": {"jam": 14, "loop": 165, "map": 66, "reduce": 40, "trips": 32},
+    "jam": {"jam": 286, "loop": 687, "map": 302, "trips": 314},
+}
+
+
+def _loop_forms(modules):
+    """The count of each form over the loops of the modules, as LOOP_FORMS
+    gives one, and the number of loops whose form was decided twice in the
+    code generated for one function."""
+    counts, decided = collections.Counter(), []
+    decide = codegen._FuncGen.decide
+
+    def spy(gen, loop, depth):
+        decide(gen, loop, depth)
+        plan = gen.plan[loop]
+        counts["jam" if isinstance(plan.form, Operation) else plan.form] += 1
+        counts["rolled"] += isinstance(plan.body, codegen._Rolled)
+        decided.append((gen.plan, loop))
+
+    with mock.patch.object(codegen._FuncGen, "decide", spy):
+        for module in modules:
+            lower_module(module)
+    twice = len(decided) - len({(id(plans), loop) for plans, loop in decided})
+    return {form: n for form, n in sorted(counts.items()) if n}, twice
+
+
+def _outlined_too(family):
+    build, seeds = IRGEN_CORPUS[family]
+    for seed in seeds:
+        module = build(seed)
+        yield module
+        yield run_pipeline(module, GPU)[0]
+
+
+@pytest.mark.parametrize("corpus", sorted(LOOP_FORMS))
+def test_each_loop_takes_its_form_once(corpus):
+    modules = _outlined_too(corpus) if corpus in IRGEN_CORPUS else (
+        module for _, module in bench_digests.labelled_modules())
+    assert _loop_forms(modules) == (LOOP_FORMS[corpus], 0)
+
+
 # -- integer facts: branches no other test reaches -----------------------------------
 
 def test_codegen_reads_each_integer_fact_one_way():
@@ -2788,8 +2825,8 @@ def test_codegen_reads_each_integer_fact_one_way():
     loop-unroll gave its copies (``_rolled``); whether an index is proven
     (``within``) and whether two accesses are at one element (``linearise``)
     have no second reader. An interval is read through ``const``,
-    ``within`` and ``step_proven`` (a step by ``raise_free`` too, a point
-    by ``gpu_id``), but where ``learn``, ``note`` and ``forget`` keep the
+    ``within`` and ``step_proven`` (a step by ``scan`` too, a point by
+    ``gpu_id``), but where ``learn``, ``note`` and ``forget`` keep the
     record and where ``int_binop`` and ``cast`` ask whether their result
     has one. Code generation reads none of its own output to find names:
     it imports no ``re``."""
