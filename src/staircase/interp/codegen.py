@@ -7,19 +7,20 @@ defined at its function's entry and called with no arguments, and CPython
 resolves the locals it reads from the function around it. SSA values
 become locals, integer constants become literals, and a result used once,
 later in the same straight-line run, is written into that use as an
-expression; a pure op that only such dead ops read, or ops of a loop with
-a literal dimension of no trips, or none, is written nowhere. Loops become
-``for`` loops over ``range``, except short ones over literal bounds,
-written once per trip (below). An scf.parallel is a nest of them in place
-(as MLIR's SCF-to-ControlFlow lowering writes one of scf.for), over its
-points in the order ``itertools.product`` would visit them; worksharing
-mode runs it as sequential mode does and only records its worker count.
-A loop whose body writes no statement is not written, but for one whose
-step is checked at run time, which must iterate to raise. The ``array``
-of each buffer that a written load or store touches is bound to a local
-once; an alloc nothing reads is a bare ``Buffer(...)``, as making one
-can raise. A kernel takes its grid and block sizes and runs every thread
-in nested loops of its own, so a launch is one call.
+expression; a pure op or a proven load that only such dead ops read, or
+none, and the ops of a loop with a literal dimension of no trips, are
+written nowhere. Loops become ``for`` loops over ``range``, except short
+ones over literal bounds, written once per trip (below). An scf.parallel
+is a nest of them in place (as MLIR's SCF-to-ControlFlow lowering writes
+one of scf.for), over its points in the order ``itertools.product``
+would visit them; worksharing mode runs it as sequential mode does and
+only records its worker count. A loop whose body writes no statement is
+not written, but for one whose step is checked at run time, which must
+iterate to raise. The ``array`` of each buffer that a written load or
+store touches is bound to a local once; an alloc nothing reads is a bare
+``Buffer(...)``, as making one can raise. A kernel takes its grid and
+block sizes and runs every thread in nested loops of its own, so a
+launch is one call.
 
 Semantics are those of the definitional interpreter ``tests/definterp.py``
 (results, buffer contents, error types and messages, i32/i64 wrapping,
@@ -845,9 +846,10 @@ class _FuncGen:
         reads only SSA locals, which never change, and cannot raise, so
         computing it there is unobservable. So is a load's read when no op
         before that point writes memory; its bounds check stays where the
-        load is. For the same reason a pure op whose result nothing reads
-        but dead ops is dead: it writes no statement. So is every op of
-        a loop with a literal dimension of no trips, which stores nothing.
+        load is. For the same reason a pure op, or a load no index of which
+        needs a check, whose result nothing reads but dead ops is dead: it
+        writes no statement. So is every op of a loop with a literal
+        dimension of no trips, which stores nothing.
         """
         run, writes, size, into, ops = 0, 0, 0, None, 0
         where = {}          # op -> (run, memory writes before it)
@@ -897,8 +899,8 @@ class _FuncGen:
         point = {}      # folded op -> the op whose statement evaluates it
         for op in reversed(block.ops):
             name = op.name
-            if name in _PURE and all(u in self.dead
-                                     for u, _ in op.results[0].uses):
+            if (name in _PURE or name == "memref.load" and self.in_bounds(op)) \
+                    and all(u in self.dead for u, _ in op.results[0].uses):
                 self.dead.add(op)
                 continue
             if op in self.dead:
@@ -1048,8 +1050,6 @@ class _FuncGen:
 
     def load(self, op: Operation) -> list:
         buf, r = op.operands[0], op.results[0]
-        if not r.uses and self.in_bounds(op):
-            return []   # nothing reads it, and it cannot raise
         if buf in self.promoted:    # every access in the loop is to it
             return self.assign(r, self.promoted[buf])
         lines = []
