@@ -1241,9 +1241,10 @@ class _FuncGen:
         if there is no such loop."""
         if self.unaffected(buf, self.headers[-1].op) is None:
             return None     # nor can any loop around that one
-        for lv in self.headers[level:]:
+        for lv in self.headers[level:]:     # a parameter is outside them all
             pairs = self.unaffected(buf, lv.op)
-            if pairs is not None and not _defined_in(buf, lv.op):
+            if pairs is not None and (buf.owner is self.op.body()
+                                      or not _defined_in(buf, lv.op)):
                 break
         else:
             return None
@@ -1607,9 +1608,8 @@ class _FuncGen:
         a short nest's head is written per trip, or jams into its innermost
         loop if that may take the map form with the nest's variables in its
         addresses; any other loop takes the slice form its body may take."""
-        plan = self.plan[loop]
+        plan, form = self.plan[loop], "loop"
         trips = self.trips(loop) if loop.name in _FORS else None
-        form = "loop"
         if trips is not None and len(trips) < 2 \
                 or any(c and not range(*c) for c in self.dims(loop)):
             form = "trips"      # at most one trip, or a dimension of none
