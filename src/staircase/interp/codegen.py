@@ -76,13 +76,13 @@ Each loop takes one form, decided before any code of its function is
 written, as MLIR asks ``isVectorizableLoopBody`` before SuperVectorize
 rewrites, so a function is generated once and its writers only read the
 plan: ``scan`` walks each body once, keeps a ``_Plan`` per region op and
-``decide``s each loop as soon as it has walked the loop's body.
+``decide``s each loop as soon as it has walked the loop's body. An scf.for
+that ``loop-unroll`` made of copies of one body is first rolled back into
+the loop it was made from, over its first copy, with the counts of the
+unrolled block (``_rolled``; LLVM's ``LoopRerollPass``, after Larsen and
+Amarasinghe's packing of isomorphic statements). The forms:
 
-- "loop": a ``for`` loop. An scf.for that ``loop-unroll`` made of copies
-  of one body is first rolled back into the loop it was made from, over
-  its first copy, with the counts of the unrolled block (``_rolled``;
-  LLVM's ``LoopRerollPass``, after Larsen and Amarasinghe's packing of
-  isomorphic statements).
+- "loop": a ``for`` loop.
 - "map" or "reduce": an innermost loop of SLICE_TRIPS or more literal
   trips runs over slices of its arrays (MLIR's ``affine-super-vectorize``;
   ``sliceable``): one slice assignment of a comprehension over the zipped
@@ -109,17 +109,17 @@ plan: ``scan`` walks each body once, keeps a ``_Plan`` per region op and
 A loop inside a nest written per trip, or jammed, gets its head's form, as
 each condition of the head's holds for it. A plan reads only what ``scan``
 noted: the interval and linear form of each integer value (``learn``),
-each fact through one reader (``dims`` for literal loop bounds, an
-affine.for's attributes too; ``within`` for a proven index; ``linearise``
-for an address, so two proven accesses are at one element when their
-offsets are equal); what each body stores to and touches, and whether it
-can raise; and the depth each body is written at, each loop of two trips
-or more opening a level (a short nest's open none, and take their head's
-form), so that no element is kept in a local that a closure past
-MAX_DEPTH would assign, and so take for its own. An element is kept
-around a loop at indices defined outside it, and a loop inside it finds
-it in the outer loop's local (``promote``). Only ``invariant`` decides as
-it writes: where a load is bound depends on the levels open there.
+each through one reader (``dims`` for literal loop bounds, an affine.for's
+attributes too; ``within`` for a proven index; ``linearise`` for an
+address, so two proven accesses are at one element when their offsets are
+equal); what each body stores to and touches, and whether it can raise;
+and the depth it is written at, each loop of two trips or more taken to
+open a level (a short nest's open none, but take their head's form). A
+loop keeps no element in a local if a region op in it would run in a
+closure past MAX_DEPTH, which would make the local its own; it keeps one
+only at indices defined outside it, and a loop inside finds it in the
+outer loop's local (``promote``). Only ``invariant`` decides as it writes:
+where it binds a load depends on the levels open there.
 """
 from __future__ import annotations
 
@@ -471,10 +471,9 @@ class _Level:
 
 
 class _Plan:
-    """What ``scan`` found of a region op's body, and, for a loop, how it
-    is written, decided before any of its code is (``decide``). ``size``
-    is what one trip writes in a short nest, and ``into`` the loop such a
-    nest would jam into; ``touches`` and ``free`` are of the ops that run."""
+    """What ``scan`` found of the ops that run in a region op's body, and,
+    for a loop, how it is written (``decide``); ``size`` and ``into`` are
+    what a short nest of it writes per trip and the loop it jams into."""
 
     __slots__ = ("body", "stores", "touches", "free", "height", "size",
                  "into", "form", "keep")
@@ -897,6 +896,7 @@ class _FuncGen:
         plan.size = None if into is not None and ops != 1 else size
         plan.into = into
         point = {}      # folded op -> the op whose statement evaluates it
+        region = block is not self.op.body()    # not the function's
         for op in reversed(block.ops):
             name = op.name
             if (name in _PURE or name == "memref.load" and self.in_bounds(op)) \
@@ -905,11 +905,11 @@ class _FuncGen:
                 continue
             if op in self.dead:
                 continue
-            at = _INDEX_FROM.get(name)
+            at = region and _INDEX_FROM.get(name)
             if at:      # what the block touches, and whether it can raise
                 _note(plan.touches, op.operands[at - 1], (op.operands[at:],))
                 plan.free = plan.free and self.in_bounds(op)
-            elif op.regions:
+            elif op.regions and region:
                 inner = self.plan[op]
                 plan.free = plan.free and inner.free and (
                     name in ("affine.for", "scf.if") or name == "scf.for"
