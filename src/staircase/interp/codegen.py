@@ -52,9 +52,11 @@ Elements live in locals where no one can tell (MLIR's ``affine-scalrep``):
   loop and whose buffer is defined outside it is bound once just before
   the outermost such loop that stores to no buffer that may be its own;
 - a loop that reads and writes one element at indices defined outside
-  it, touches no buffer that may hold it in any other way, and cannot
-  raise (every index proven, no step checked at run time, no call) reads
-  the element into a local before it and stores it once after it.
+  it, touches no buffer that may hold it in any other way, cannot raise
+  (every index proven, no step checked at run time, no call) and runs no
+  region op in a closure, whose assignment would make the local its own,
+  reads the element into a local before it and stores it once after it;
+  a loop inside it finds the element in that local (``promote``).
 
 An alloc is a new array and a call's result may be any array, but two
 memref parameters may be one Buffer. So a function whose steps above
@@ -113,13 +115,11 @@ each through one reader (``dims`` for literal loop bounds, an affine.for's
 attributes too; ``within`` for a proven index; ``linearise`` for an
 address, so two proven accesses are at one element when their offsets are
 equal); what each body stores to and touches, and whether it can raise;
-and the depth it is written at, each loop of two trips or more taken to
-open a level (a short nest's open none, but take their head's form). A
-loop keeps no element in a local if a region op in it would run in a
-closure past MAX_DEPTH, which would make the local its own; it keeps one
-only at indices defined outside it, and a loop inside finds it in the
-outer loop's local (``promote``). Only ``invariant`` decides as it writes:
-where it binds a load depends on the levels open there.
+and the depth it is written at, and so whether it runs in a closure, each
+loop of two trips or more taken to open a level (though a short nest's
+open none). Only ``invariant`` decides as it writes, as the levels open
+where a load is written are known only then: a nest written per trip
+opens none, and a closure's entry is its outermost level.
 """
 from __future__ import annotations
 
@@ -375,12 +375,14 @@ class _Rolled:
     of one body, as its first run alone: ``ops`` are the block's ops before
     the second run, and its terminator. ``rest`` is the block's static
     counts less ``copies`` times those of ``ops``; ``moved`` holds the ops
-    of the first run with a copy at another location."""
+    of the first run with a copy at another location; ``trips`` are the
+    loop's, rolled: each runs one copy."""
 
     ops: list
     copies: int
     rest: list
     moved: set
+    trips: range
 
 
 def _rolled(loop: Operation, lb: int, ub: int, step: int):
@@ -423,7 +425,7 @@ def _rolled(loop: Operation, lb: int, ub: int, step: int):
             for slot in map(OP_SLOT.get, [op.name for op in part]):
                 if slot is not None:
                     rest[slot] += n
-        return _Rolled(view, copies, rest, moved)
+        return _Rolled(view, copies, rest, moved, range(lb, lb + trips * step, s))
     return None
 
 
@@ -475,19 +477,21 @@ class _Plan:
     for a loop, how it is written (``decide``); ``size`` and ``into`` are
     what a short nest of it writes per trip and the loop it jams into."""
 
-    __slots__ = ("body", "stores", "touches", "free", "height", "size",
-                 "into", "form", "keep")
+    __slots__ = ("body", "closure", "trips", "stores", "touches", "free",
+                 "height", "size", "into", "form", "keep")
 
     def __init__(self, body):
         self.body = body        # as written: a block, or a _Rolled
+        self.closure = False    # whether it runs in a closure past MAX_DEPTH
+        self.trips = None       # a loop's over literal bounds, as written
         self.stores = {}        # buffer -> (indices, a store), _MANY; call: None
         self.touches = {}       # buffer -> (indices,) of each access, or _MANY
         self.free = True        # whether none of them can raise
         self.height = 0         # how deep its region ops nest
         self.size = 0           # ops, a nested loop's copies counted, or None
-        self.into = None
-        self.form = None        # a loop's: "loop", "map", "reduce", "trips",
-        self.keep = []          # or the loop it jams into; ``keep``'s
+        self.into = None        # the loop a nest of it would jam into
+        self.form = None        # "loop", "map", "reduce", "trips" or that loop
+        self.keep = []          # what ``keep`` found
 
 
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
@@ -815,10 +819,7 @@ class _FuncGen:
                 if op.results[0] not in self.names:     # or an earlier copy's
                     self.names[op.results[0]] = self.literal(constant_value(op))
             elif op.regions:
-                loops = sum(c is None or len(range(*c)) != 1 for c in
-                            self.dims(op)) if name == "scf.parallel" else 1
-                if depth + loops > MAX_DEPTH + 1:
-                    # CPython compiles at most 20 nested loops per function
+                if self.plan[op].closure:
                     child = self.nested()
                     getattr(child, _HANDLERS[name])(op, (1, None), 1)
                     self.call_nested(child, depth)
@@ -867,8 +868,14 @@ class _FuncGen:
                     self.dead.update(op.walk_nested())
                 opens = sum(c is None or len(range(*c)) != 1 for c in dims) \
                     if name == "scf.parallel" else 1
-                at = 1 if depth + opens > MAX_DEPTH + 1 else depth  # a closure
-                trips = self.trips(op) if name in _FORS else None
+                # CPython compiles at most 20 nested loops per function
+                inner.closure = depth + opens > MAX_DEPTH + 1
+                at = 1 if inner.closure else depth
+                if isinstance(inner.body, _Rolled):
+                    inner.trips = inner.body.trips
+                elif name in _FORS and dims[0]:
+                    inner.trips = range(*dims[0])
+                trips = inner.trips
                 for body in (inner.body, *op.regions[1:]):  # an else-arm too
                     self.scan(body, inner, at + (
                         opens if trips is None or len(trips) > 1 else 0))
@@ -877,9 +884,9 @@ class _FuncGen:
                 for buf, stored in () if dead else inner.stores.items():
                     _note(plan.stores, buf, stored)
                 grown = None    # in a nest, per trip; in the loop it jams into, once
-                if name in _FORS and trips is not None and len(trips) <= UNROLL_TRIPS:
+                if trips is not None and len(trips) <= UNROLL_TRIPS:
                     grown, into = inner.size and len(trips) * inner.size, inner.into
-                elif name in _FORS and trips and len(trips) >= SLICE_TRIPS:
+                elif trips and len(trips) >= SLICE_TRIPS:
                     grown, into = inner.size, op
                 size = None if size is None or grown is None else size + grown
             else:
@@ -1196,7 +1203,7 @@ class _FuncGen:
 
     # -- elements in locals -------------------------------------------------
 
-    def separate(self, a: Value, b: Value, loop=None):
+    def separate(self, a: Value, b: Value, loop: Operation):
         """How buffers ``a`` and ``b`` are known to be two arrays: ``()``
         always, a pair of parameters under the entry guard, or None if
         they may be one.
@@ -1213,7 +1220,7 @@ class _FuncGen:
             if op is entry:     # a parameter
                 continue
             if op.__class__ is Operation and op.name in _ALLOCS \
-                    and (loop is None or not _defined_in(v, loop)):
+                    and not _defined_in(v, loop):
                 fresh = True
             else:
                 return None
@@ -1477,8 +1484,8 @@ class _FuncGen:
         the counts of all its copies (``jam``)."""
         inner = _times(count, len(range(*bounds)))
         self.bookkeeping.append(inner)
-        iv, trips, plan = op.body().args[0], self.trips(op), self.plan[op]
-        block = plan.body
+        plan = self.plan[op]
+        iv, trips, block = op.body().args[0], plan.trips, plan.body
         if isinstance(block, _Rolled):
             self.blocks.append((inner, block.rest))
             inner = _times(count, len(trips))
@@ -1578,22 +1585,11 @@ class _FuncGen:
         return [c if None not in c and c[2] > 0 else None for c in
                 (tuple(map(self.const, op.operands[k::n])) for k in range(n))]
 
-    def trips(self, loop: Operation):
-        """The trips of an scf.for or affine.for over literal bounds, as it
-        is written (a rolled one's: ``rolled``), or None."""
-        bounds, = self.dims(loop)
-        body = self.plan[loop].body
-        if bounds and isinstance(body, _Rolled):
-            lb, _, step = bounds
-            return range(lb, lb + len(range(*bounds)) * step, step // body.copies)
-        return bounds and range(*bounds)
-
     def innermost(self, loop: Operation):
         """(induction Value, trips) of the loop written last for ``loop``,
         the one that runs its body, if it is over literal bounds."""
-        if loop.name != "scf.parallel":
-            trips = self.trips(loop)
-            return trips and (loop.body().args[0], trips)
+        if self.plan[loop].trips:   # a rolled one's, over its rolled trips
+            return loop.body().args[0], self.plan[loop].trips
         innermost = None
         for iv, c in zip(loop.body().args, self.dims(loop)):
             if c is None:
@@ -1609,9 +1605,9 @@ class _FuncGen:
         loop if that may take the map form with the nest's variables in its
         addresses; any other loop takes the slice form its body may take."""
         plan, form = self.plan[loop], "loop"
-        trips = self.trips(loop) if loop.name in _FORS else None
-        if trips is not None and len(trips) < 2 \
-                or any(c and not range(*c) for c in self.dims(loop)):
+        trips = plan.trips
+        if trips is not None and len(trips) < 2 or trips is None \
+                and any(c and not range(*c) for c in self.dims(loop)):
             form = "trips"      # at most one trip, or a dimension of none
         elif trips is not None and len(trips) <= UNROLL_TRIPS \
                 and plan.size is not None and plan.free \
@@ -1638,9 +1634,9 @@ class _FuncGen:
         if unproven:
             self.emit(depth, "if " + " or ".join(f"{s} <= 0" for s in unproven)
                       + ": bad_parallel_step()")
-        dims = self.dims(op)
-        if any(c and not range(*c) for c in dims):
+        if self.plan[op].form == "trips":
             return      # no points: nothing to write, its counts are x0
+        dims = self.dims(op)
         level, coef, sizes = len(self.headers), 1, []
         for k, c in enumerate(dims):
             if c:

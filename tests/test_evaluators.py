@@ -2033,8 +2033,7 @@ def _forms(module):
 
     def spy(gen, loop, depth):
         decide(gen, loop, depth)
-        decided.append((loop, gen.plan[loop].form,
-                        None if loop.name == "scf.parallel" else gen.trips(loop)))
+        decided.append((loop, gen.plan[loop].form, gen.plan[loop].trips))
 
     with mock.patch.object(codegen._FuncGen, "decide", spy):
         _source(module)
