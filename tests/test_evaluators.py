@@ -912,10 +912,9 @@ def _unread(source):
 def test_locals_nothing_reads_over_irgen_seeds():
     # what is left: a load nothing reads whose bounds check is all it
     # needs, and the array of a buffer only such loads read; a proven load
-    # that nothing reads is dead, as is a pure op, and writes no statement
-    # (when only the load wrote none, 63 were left: 45 arrays and 18
-    # loads); an alloc nothing reads binds no local, but is still made, as
-    # making it can raise
+    # that nothing reads is dead, as is a pure op, and writes no statement;
+    # an alloc nothing reads binds no local, but is still made, as making
+    # it can raise
     sources = [_source(random_module(seed)) for seed in IRGEN_SEEDS]
     unread = [line for source in sources for line in _unread(source)]
     arrays = [line for line in unread if line.endswith(".data")]
@@ -2820,6 +2819,22 @@ def test_each_loop_takes_its_form_once(corpus):
     modules = _outlined_too(corpus) if corpus in IRGEN_CORPUS else (
         module for _, module in bench_digests.labelled_modules())
     assert _loop_forms(modules) == (LOOP_FORMS[corpus], 0)
+
+
+def test_only_scan_decides_a_loop_s_form():
+    # the writers read each loop's form from its plan: only scan calls
+    # decide, and only decide asks the slice and scalar-replacement rules
+    with open(codegen.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = collections.defaultdict(set)    # method name -> its callers
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    calls[node.func.attr].add(fn.name)
+    assert {name: calls[name] for name in ("decide", "sliceable", "keep")} == {
+        "decide": {"scan"}, "sliceable": {"decide"}, "keep": {"decide"}}
+    assert not calls.keys() & {"nest", "written", "raise_free"}
 
 
 # -- integer facts: branches no other test reaches -----------------------------------
