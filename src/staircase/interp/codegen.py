@@ -1312,16 +1312,17 @@ class _FuncGen:
         SLICE_TRIPS or more trips, may take: "reduce", "map" or None; ``head``
         heads the nest that jams into it, if one does. Every address is
         linear (``linearise``) and moves by a stride of at least 1 or not at
-        all, a used load's moves; in the reduce form the store's element is
-        kept in a local (``keep``, as it is if a loop around keeps it); in
-        the map form the store's moves with ``iv`` and no other nest
-        variable, the stored buffer is read only at the stored offset, and
+        all, a live load's moves (a dead one is written nowhere); in the
+        reduce form the store's element is kept in a local (``keep``, as it
+        is if a loop around keeps it); in the map form the store's moves
+        with ``iv`` and no other nest variable, the stored buffer is read only at the stored offset, and
         no op needs a statement: each pure op, and each read of what a
         store before it wrote, folds or names only an address."""
         if not self.index_only(iv):
             return None
         block = self.plan[loop].body
-        loads = [op for op in block.ops if op.name == "memref.load"]
+        loads = [op for op in block.ops
+                 if op.name == "memref.load" and op not in self.dead]
         stores = [op for op in block.ops if op.name == "memref.store"]
         if len(stores) != 1 or any(op.name not in _SLICEABLE for op in block.ops) \
                 or not self.plan[loop].free:     # no regions: no height
@@ -1334,7 +1335,7 @@ class _FuncGen:
                 op.operands[at - 1], op.operands[at:])
             if rest or coefs.get(iv, 0) < 0:
                 return None
-        if not any(offsets[op][0].get(iv) and op.results[0].uses for op in loads):
+        if not any(offsets[op][0].get(iv) for op in loads):
             return None
         if any(buf is kept for kept, _, _ in self.plan[loop].keep):
             return "reduce"     # keep checked the buffers it reads
@@ -1347,7 +1348,7 @@ class _FuncGen:
             pair = self.separate(other, buf, loop)
             if pair is None and (other is not buf
                                  or offsets[load] != offsets[store]) \
-                    or other is buf and r.uses and r not in self.foldable and (
+                    or other is buf and r not in self.foldable and (
                         head or block.ops.index(load) > block.ops.index(store)):
                 return None
             pairs.update(pair or ())

@@ -1810,8 +1810,9 @@ def test_read_of_another_trips_element_keeps_the_loop():
 # Innermost loops of 16 trips over X, of 256 elements, and D, of 16, that no
 # slice form fits: X is read backwards, or at i*i beside i; a product is
 # read twice, so it needs a local; D is stored at i*0, which does not move;
-# or D[0] sums X[0], the one read of X that moves being unused. Each is
-# refused from the IR, before any of its body is written
+# or D[0] sums X[0] or D[i] takes 2.0, the one read of X that moves being
+# unused, or read only by an op whose result is unused. Each is refused
+# from the IR, before any of its body is written
 _NO_SLICE_FORM = {
     "stride-below-one": """\
       %5 = arith.subi %3, %arg2 : index
@@ -1839,6 +1840,18 @@ _NO_SLICE_FORM = {
       %7 = memref.load %arg0[%arg2] : memref<256xf64>
       %8 = arith.addf %5, %6 : f64
       memref.store %8, %arg1[%0] : memref<16xf64>""",
+    "dead-read-moves": """\
+      %5 = memref.load %arg1[%0] : memref<16xf64>
+      %6 = memref.load %arg0[%arg2] : memref<256xf64>
+      %7 = arith.addf %6, %6 : f64
+      %8 = arith.muli %arg2, %0 : index
+      %9 = memref.load %arg0[%8] : memref<256xf64>
+      %10 = arith.addf %5, %9 : f64
+      memref.store %10, %arg1[%0] : memref<16xf64>""",
+    "dead-read-moves-by-a-store": """\
+      %5 = memref.load %arg0[%arg2] : memref<256xf64>
+      %6 = arith.addf %5, %5 : f64
+      memref.store %4, %arg1[%arg2] : memref<16xf64>""",
 }
 
 
@@ -2292,17 +2305,19 @@ _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[
       "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
     [("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
      ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")],
+    [("memref.store %8,", "memref.store %6,")],
 ], ids=["store-moves-with-k", "second-store", "read-at-another-element",
         "access-can-raise", "stored-slice-read-twice", "read-at-k-squared",
-        "store-at-one-element"])
+        "store-at-one-element", "no-live-read-moves"])
 def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
     # its extent in the third copy; D[i] * D[i] reads what the copy before
     # stored twice, which would need a local; X is read at k*k, which no
-    # copy's constant term can take, as the body is written once; or D[0]
-    # is a sum over i, which the loop over i cannot store as a slice. The
-    # plan refuses each before any of its code is written
+    # copy's constant term can take, as the body is written once; D[0]
+    # is a sum over i, which the loop over i cannot store as a slice; or
+    # D[i] takes W[k], so the reads that move are dead and no slice is zipped.
+    # The plan refuses each before any of its code is written
     module = _jam_nest(changes=changes)
     assert not _jammed(module)
     assert "range(3)" in _for_ranges(_source(module))
@@ -2790,16 +2805,22 @@ def _loop_forms(modules):
     gives one, and the number of loops whose form was decided twice in the
     code generated for one function."""
     counts, decided = collections.Counter(), []
-    decide = codegen._FuncGen.decide
+    decide, generate = codegen._FuncGen.decide, codegen._FuncGen.generate
 
     def spy(gen, loop, depth):
         decide(gen, loop, depth)
-        plan = gen.plan[loop]
-        counts["jam" if isinstance(plan.form, Operation) else plan.form] += 1
-        counts["rolled"] += isinstance(plan.body, codegen._Rolled)
         decided.append((gen.plan, loop))
 
-    with mock.patch.object(codegen._FuncGen, "decide", spy):
+    def count(gen):     # each loop outside a loop of no trips, by its plan
+        source = generate(gen)
+        for loop, plan in gen.plan.items():
+            if loop.name in codegen._LOOPS and loop not in gen.dead:
+                counts["jam" if isinstance(plan.form, Operation) else plan.form] += 1
+                counts["rolled"] += isinstance(plan.body, codegen._Rolled)
+        return source
+
+    with mock.patch.object(codegen._FuncGen, "decide", spy), \
+            mock.patch.object(codegen._FuncGen, "generate", count):
         for module in modules:
             lower_module(module)
     twice = len(decided) - len({(id(plans), loop) for plans, loop in decided})
