@@ -851,7 +851,9 @@ class _FuncGen:
         writes no statement. So is every op of a loop with a literal
         dimension of no trips, which stores nothing.
         """
-        run, writes, size, into, ops = 0, 0, 0, None, 0
+        region = block is not self.op.body()    # not the function's
+        run, writes, into, ops = 0, 0, None, 0
+        size = 0 if region else None    # only a region op's is read
         where = {}          # op -> (run, memory writes before it)
         for op in block.ops:
             name = op.name
@@ -903,11 +905,11 @@ class _FuncGen:
         plan.size = None if into is not None and ops != 1 else size
         plan.into = into
         point = {}      # folded op -> the op whose statement evaluates it
-        region = block is not self.op.body()    # not the function's
         for op in reversed(block.ops):
             name = op.name
-            if (name in _PURE or name == "memref.load" and self.in_bounds(op)) \
-                    and all(u in self.dead for u, _ in op.results[0].uses):
+            if (name in _PURE or name == "memref.load") \
+                    and all(u in self.dead for u, _ in op.results[0].uses) \
+                    and (name in _PURE or self.in_bounds(op)):
                 self.dead.add(op)
                 continue
             if op in self.dead:
@@ -1614,9 +1616,10 @@ class _FuncGen:
                 and plan.size is not None and plan.free \
                 and len(trips) * plan.size <= UNROLL_OPS \
                 and depth + plan.height <= MAX_DEPTH + 1:
-            into = plan.into
-            form = "trips" if into is None else into if self.sliceable(
-                into, into.body().args[0], loop) == "map" else "loop"
+            into = plan.into    # the nest's test is no looser than its own
+            jams = into and self.plan[into].form == "map" and self.sliceable(
+                into, into.body().args[0], loop) == "map"
+            form = "trips" if into is None else into if jams else "loop"
         if trips and len(trips) > 1 and form in ("trips", "loop"):
             plan.keep = self.keep(loop, depth + (form == "loop"))
         innermost = form == "loop" and self.innermost(loop)
