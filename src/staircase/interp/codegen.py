@@ -477,13 +477,15 @@ class _Plan:
     for a loop, how it is written (``decide``); ``size`` and ``into`` are
     what a short nest of it writes per trip and the loop it jams into."""
 
-    __slots__ = ("body", "closure", "trips", "stores", "touches", "free",
-                 "height", "size", "into", "form", "keep")
+    __slots__ = ("body", "closure", "trips", "innermost", "stores", "touches",
+                 "free", "height", "size", "into", "form", "keep")
 
     def __init__(self, body):
         self.body = body        # as written: a block, or a _Rolled
         self.closure = False    # whether it runs in a closure past MAX_DEPTH
         self.trips = None       # a loop's over literal bounds, as written
+        self.innermost = None   # (induction Value, trips) of the loop that
+                                # runs the body, if over literal bounds
         self.stores = {}        # buffer -> (indices, a store), _MANY; call: None
         self.touches = {}       # buffer -> (indices,) of each access, or _MANY
         self.free = True        # whether none of them can raise
@@ -699,7 +701,9 @@ class _FuncGen:
     # -- functions ----------------------------------------------------------
 
     def generate(self) -> str:
-        body, params, prologue = self.op.body(), [], []
+        body = self.op.body()
+        params = []
+        prologue = []
         # a kernel's threads loop inside the function, but for a dimension
         # every launch sizes 1, which needs no loop, only nt > 0
         looped = [d for d in range(6) if self.is_kernel and (
@@ -711,7 +715,9 @@ class _FuncGen:
             params.append(self.bind(arg, "a"))
             if arg.type.kind == "memref":
                 prologue += self.bind_array(arg)
-        arrays, depth, count = len(prologue), 1, (1, None)
+        arrays = len(prologue)
+        depth = 1
+        count = (1, None)
         if self.is_kernel:
             sizes = [f"g{i}" for i in range(6)]
             params = sizes + params
@@ -878,10 +884,17 @@ class _FuncGen:
                 elif name in _FORS and dims[0]:
                     inner.trips = range(*dims[0])
                 trips = inner.trips
+                if trips is not None:
+                    inner.innermost = (op.body().args[0], trips)
+                for iv, c in zip(op.body().args, dims) if trips is None else ():
+                    if c is None or len(range(*c)) != 1:    # a loop written
+                        inner.innermost = c and (iv, range(*c))
                 for body in (inner.body, *op.regions[1:]):  # an else-arm too
                     self.scan(body, inner, at + (
                         opens if trips is None or len(trips) > 1 else 0))
-                if name in _LOOPS and op not in self.dead:
+                if dead:    # no trip to write
+                    inner.form = "trips"
+                elif name in _LOOPS and op not in self.dead:
                     self.decide(op, at)
                 for buf, stored in () if dead else inner.stores.items():
                     _note(plan.stores, buf, stored)
@@ -1309,25 +1322,28 @@ class _FuncGen:
 
     # -- loops over slices ---------------------------------------------------
 
-    def sliceable(self, loop: Operation, iv: Value, head=None):
-        """The slice form the innermost loop ``loop`` over ``iv``, of
-        SLICE_TRIPS or more trips, may take: "reduce", "map" or None; ``head``
-        heads the nest that jams into it, if one does. Every address is
+    def sliceable(self, loop: Operation, head=None):
+        """The slice form ``loop`` may take: "reduce", "map" or None; ``head``
+        heads the nest that jams into it, if one does. The loop that runs its
+        body is over SLICE_TRIPS or more literal trips, and every address is
         linear (``linearise``) and moves by a stride of at least 1 or not at
         all, a live load's moves (a dead one is written nowhere); in the
         reduce form the store's element is kept in a local (``keep``, as it
         is if a loop around keeps it); in the map form the store's moves
-        with ``iv`` and no other nest variable, the stored buffer is read only at the stored offset, and
-        no op needs a statement: each pure op, and each read of what a
-        store before it wrote, folds or names only an address."""
-        if not self.index_only(iv):
+        with that loop and no other of the nest, the stored buffer is read
+        only at the stored offset, and no op needs a statement: each pure
+        op, and each read of what a store before it wrote, folds or names
+        only an address."""
+        plan = self.plan[loop]
+        iv, trips = plan.innermost or (None, ())
+        if len(trips) < SLICE_TRIPS or not self.index_only(iv):
             return None
-        block = self.plan[loop].body
+        block = plan.body
         loads = [op for op in block.ops
                  if op.name == "memref.load" and op not in self.dead]
         stores = [op for op in block.ops if op.name == "memref.store"]
         if len(stores) != 1 or any(op.name not in _SLICEABLE for op in block.ops) \
-                or not self.plan[loop].free:     # no regions: no height
+                or not plan.free:    # no regions: no height
             return None
         (store,) = stores
         buf, offsets = store.operands[1], {}
@@ -1339,7 +1355,7 @@ class _FuncGen:
                 return None
         if not any(offsets[op][0].get(iv) for op in loads):
             return None
-        if any(buf is kept for kept, _, _ in self.plan[loop].keep):
+        if any(buf is kept for kept, _, _ in plan.keep):
             return "reduce"     # keep checked the buffers it reads
         if not offsets[store][0].get(iv) or head and any(
                 v is not iv and _defined_in(v, head) for v in offsets[store][0]):
@@ -1371,7 +1387,7 @@ class _FuncGen:
             self.body(block, count, depth, loop)
             return
         at = len(self.lines)
-        self.slicing = (*self.innermost(loop), {})
+        self.slicing = (*self.plan[loop].innermost, {})
         if form == "map":   # its body once, then the statement (``jam``)
             self.block(block, count, depth)
             self.lines[at - 1:] = ["    " * (depth - 1) + self.jam(loop)]
@@ -1588,19 +1604,6 @@ class _FuncGen:
         return [c if None not in c and c[2] > 0 else None for c in
                 (tuple(map(self.const, op.operands[k::n])) for k in range(n))]
 
-    def innermost(self, loop: Operation):
-        """(induction Value, trips) of the loop written last for ``loop``,
-        the one that runs its body, if it is over literal bounds."""
-        if self.plan[loop].trips:   # a rolled one's, over its rolled trips
-            return loop.body().args[0], self.plan[loop].trips
-        innermost = None
-        for iv, c in zip(loop.body().args, self.dims(loop)):
-            if c is None:
-                innermost = None
-            elif len(range(*c)) != 1:
-                innermost = (iv, range(*c))
-        return innermost
-
     def decide(self, loop: Operation, depth: int) -> None:
         """The ``form`` of ``loop``, written at ``depth``, and the elements
         it keeps in locals (``keep``), from what ``scan`` found of its body:
@@ -1609,22 +1612,20 @@ class _FuncGen:
         addresses; any other loop takes the slice form its body may take."""
         plan, form = self.plan[loop], "loop"
         trips = plan.trips
-        if trips is not None and len(trips) < 2 or trips is None \
-                and any(c and not range(*c) for c in self.dims(loop)):
-            form = "trips"      # at most one trip, or a dimension of none
+        if trips is not None and len(trips) < 2:
+            form = "trips"      # at most one trip
         elif trips is not None and len(trips) <= UNROLL_TRIPS \
                 and plan.size is not None and plan.free \
                 and len(trips) * plan.size <= UNROLL_OPS \
                 and depth + plan.height <= MAX_DEPTH + 1:
             into = plan.into    # the nest's test is no looser than its own
-            jams = into and self.plan[into].form == "map" and self.sliceable(
-                into, into.body().args[0], loop) == "map"
+            jams = into and self.plan[into].form == "map" \
+                and self.sliceable(into, loop) == "map"
             form = "trips" if into is None else into if jams else "loop"
         if trips and len(trips) > 1 and form in ("trips", "loop"):
             plan.keep = self.keep(loop, depth + (form == "loop"))
-        innermost = form == "loop" and self.innermost(loop)
-        if innermost and len(innermost[1]) >= SLICE_TRIPS:
-            form = self.sliceable(loop, innermost[0]) or form
+        if form == "loop":
+            form = self.sliceable(loop) or form
         plan.form = form
 
     def scf_parallel(self, op: Operation, count: tuple, depth: int) -> None:
