@@ -478,7 +478,7 @@ class _Plan:
     what a short nest of it writes per trip and the loop it jams into."""
 
     __slots__ = ("body", "closure", "trips", "innermost", "stores", "touches",
-                 "free", "height", "size", "into", "form", "keep")
+                 "free", "height", "size", "into", "form", "keep", "jam")
 
     def __init__(self, body):
         self.body = body        # as written: a block, or a _Rolled
@@ -494,6 +494,8 @@ class _Plan:
         self.into = None        # the loop a nest of it would jam into
         self.form = None        # "loop", "map", "reduce", "trips" or that loop
         self.keep = []          # what ``keep`` found
+        self.jam = None         # in the map form, the Values but its own
+                                # variable its store moves with, if a nest may jam
 
 
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
@@ -1322,18 +1324,18 @@ class _FuncGen:
 
     # -- loops over slices ---------------------------------------------------
 
-    def sliceable(self, loop: Operation, head=None):
-        """The slice form ``loop`` may take: "reduce", "map" or None; ``head``
-        heads the nest that jams into it, if one does. The loop that runs its
-        body is over SLICE_TRIPS or more literal trips, and every address is
-        linear (``linearise``) and moves by a stride of at least 1 or not at
-        all, a live load's moves (a dead one is written nowhere); in the
-        reduce form the store's element is kept in a local (``keep``, as it
-        is if a loop around keeps it); in the map form the store's moves
-        with that loop and no other of the nest, the stored buffer is read
-        only at the stored offset, and no op needs a statement: each pure
-        op, and each read of what a store before it wrote, folds or names
-        only an address."""
+    def sliceable(self, loop: Operation):
+        """The slice form ``loop`` may take: "reduce", "map" or None. The
+        loop that runs its body is over SLICE_TRIPS or more literal trips,
+        and every address is linear (``linearise``) and moves by a stride of
+        at least 1 or not at all, a live load's moves (a dead one is written
+        nowhere); in the reduce form the store's element is kept in a local
+        (``keep``, as it is if a loop around keeps it); in the map form the
+        store's moves with that loop, the stored buffer is read only at the
+        stored offset, and no op needs a statement: each pure op, and each
+        read of what a store before it wrote, folds or names only an
+        address. A map-form loop notes in ``jam`` what a nest that jams
+        into it must not define."""
         plan = self.plan[loop]
         iv, trips = plan.innermost or (None, ())
         if len(trips) < SLICE_TRIPS or not self.index_only(iv):
@@ -1357,18 +1359,19 @@ class _FuncGen:
             return None
         if any(buf is kept for kept, _, _ in plan.keep):
             return "reduce"     # keep checked the buffers it reads
-        if not offsets[store][0].get(iv) or head and any(
-                v is not iv and _defined_in(v, head) for v in offsets[store][0]):
+        if not offsets[store][0].get(iv):
             return None
-        pairs = set()
+        pairs, jam = set(), [v for v in offsets[store][0] if v is not iv]
         for load in loads:    # proven, so one offset is one element
             other, r = load.operands[0], load.results[0]
             pair = self.separate(other, buf, loop)
             if pair is None and (other is not buf
-                                 or offsets[load] != offsets[store]) \
-                    or other is buf and r not in self.foldable and (
-                        head or block.ops.index(load) > block.ops.index(store)):
+                                 or offsets[load] != offsets[store]):
                 return None
+            if other is buf and r not in self.foldable:     # read by name
+                if block.ops.index(load) > block.ops.index(store):
+                    return None
+                jam = None      # where each copy reads what the last stored
             pairs.update(pair or ())
         if any(r not in self.foldable and not (self.index_only(r)
                                                 and self.forms.get(r))
@@ -1376,6 +1379,7 @@ class _FuncGen:
                          if op.name in _PURE and op not in self.dead)):
             return None
         self.assumed.update(pairs)
+        plan.jam = jam
         return "map"
 
     def loop_body(self, loop: Operation, count: tuple, depth: int) -> None:
@@ -1608,8 +1612,9 @@ class _FuncGen:
         """The ``form`` of ``loop``, written at ``depth``, and the elements
         it keeps in locals (``keep``), from what ``scan`` found of its body:
         a short nest's head is written per trip, or jams into its innermost
-        loop if that may take the map form with the nest's variables in its
-        addresses; any other loop takes the slice form its body may take."""
+        loop if that takes the map form and its store moves with none of
+        the nest's loops (``_Plan.jam``); any other loop takes the slice
+        form its body may take."""
         plan, form = self.plan[loop], "loop"
         trips = plan.trips
         if trips is not None and len(trips) < 2:
@@ -1618,10 +1623,10 @@ class _FuncGen:
                 and plan.size is not None and plan.free \
                 and len(trips) * plan.size <= UNROLL_OPS \
                 and depth + plan.height <= MAX_DEPTH + 1:
-            into = plan.into    # the nest's test is no looser than its own
-            jams = into and self.plan[into].form == "map" \
-                and self.sliceable(into, loop) == "map"
-            form = "trips" if into is None else into if jams else "loop"
+            into = plan.into    # its store moves with none of the nest's loops
+            jam = None if into is None else self.plan[into].jam
+            form = "trips" if into is None else "loop" if jam is None or any(
+                _defined_in(v, loop) for v in jam) else into
         if trips and len(trips) > 1 and form in ("trips", "loop"):
             plan.keep = self.keep(loop, depth + (form == "loop"))
         if form == "loop":
