@@ -1498,18 +1498,18 @@ class _FuncGen:
         self.names[iv] = self.literal(trip)
         self.note(iv, (trip, trip))
 
-    def counted(self, op: Operation, bounds: tuple, count: tuple,
-                depth: int) -> None:
+    def counted(self, op: Operation, count: tuple, depth: int) -> None:
         """A loop over literal bounds, in its plan's form; the elements it
         keeps in locals are stored back after it. A rolled body runs over
         the trips of the loop it was unrolled from; its block's other counts
         are added per trip of ``op``. A nest that jams is written once, with
         the counts of all its copies (``jam``)."""
-        inner = _times(count, len(range(*bounds)))
-        self.bookkeeping.append(inner)
         plan = self.plan[op]
         iv, trips, block = op.body().args[0], plan.trips, plan.body
-        if isinstance(block, _Rolled):
+        rolled = isinstance(block, _Rolled)     # each trip of op runs its copies
+        inner = _times(count, len(trips) // block.copies if rolled else len(trips))
+        self.bookkeeping.append(inner)
+        if rolled:
             self.blocks.append((inner, block.rest))
             inner = _times(count, len(trips))
         if isinstance(plan.form, Operation):    # a term ``jam`` moves
@@ -1577,9 +1577,8 @@ class _FuncGen:
                     self.forget(inner)
 
     def for_loop(self, op: Operation, count: tuple, depth: int) -> None:
-        bounds, = self.dims(op)
-        if bounds:
-            self.counted(op, bounds, count, depth)
+        if self.plan[op].trips is not None:     # over literal bounds
+            self.counted(op, count, depth)
             return
         iv = op.body().args[0]
         level = len(self.headers)
