@@ -1371,7 +1371,7 @@ class _FuncGen:
             if other is buf and r not in self.foldable:     # read by name
                 if block.ops.index(load) > block.ops.index(store):
                     return None
-                jam = None      # where each copy reads what the last stored
+                jam = None      # a name the jammed copies would share
             pairs.update(pair or ())
         if any(r not in self.foldable and not (self.index_only(r)
                                                 and self.forms.get(r))
