@@ -98,18 +98,21 @@ Amarasinghe's packing of isomorphic statements). The forms:
   constants, pure ops, loads, stores and such loops, nothing in it can
   raise, and its copies write at most UNROLL_OPS ops. The copies open no
   level, and each learns its body anew for its trip (``bind_trip``,
-  ``forget``); offsets are a block's own.
-- the loop L that a perfect short nest around it jams into (MLIR's
-  ``affine-loop-unroll-jam``, after Carr and Kennedy, TOPLAS 1994), if L
-  takes the map form and its store moves with none of the nest's loops:
-  L's body is written once, with the nest's induction variables as terms
-  of the linear forms, and one slice assignment zips every copy's slices
-  and chains their terms in copy order, a copy's read of the stored slice
-  reading what the copy before stored, so each element's ops keep their
-  order, f32 rounding and integer wrapping (``jam``).
+  ``forget``); offsets are a block's own, and a store no trip changes is
+  written in the first trip alone (``unchanged``).
+- the loop L that a perfect short nest around it, or one that is all of
+  its body, jams into (MLIR's ``affine-loop-unroll-jam``, after Carr and
+  Kennedy, TOPLAS 1994), if L takes the map form, its store moves with
+  none of the nest's loops and neither L nor they run in a closure: the
+  innermost body is written once, with the nest's induction variables as
+  terms of the linear forms, and one slice assignment zips every copy's
+  slices and chains their terms in copy order, a copy's read of the
+  stored slice reading what the copy before stored, so each element's
+  ops keep their order, f32 rounding and integer wrapping (``jam``).
 
 A loop inside a nest written per trip, or jammed, gets its head's form, as
-each condition of the head's holds for it. A plan reads only what ``scan``
+each condition of the head's holds for it; the loops of a nest inside L
+take L as their form when L is decided. A plan reads only what ``scan``
 noted: the interval and linear form of each integer value (``learn``),
 each through one reader (``dims`` for literal loop bounds, an affine.for's
 attributes too; ``within`` for a proven index; ``linearise`` for an
@@ -478,7 +481,7 @@ class _Plan:
     what a short nest of it writes per trip and the loop it jams into."""
 
     __slots__ = ("body", "closure", "trips", "innermost", "stores", "touches",
-                 "free", "height", "size", "into", "form", "keep", "jam")
+                 "free", "height", "size", "into", "form", "keep", "jam", "once")
 
     def __init__(self, body):
         self.body = body        # as written: a block, or a _Rolled
@@ -496,6 +499,7 @@ class _Plan:
         self.keep = []          # what ``keep`` found
         self.jam = None         # in the map form, the Values but its own
                                 # variable its store moves with, if a nest may jam
+        self.once = set()       # per trip: the stores no trip changes
 
 
 _PURE = frozenset({*_FOPS, "arith.divf", *_IOPS, "arith.cmpf", "arith.cmpi",
@@ -1305,6 +1309,28 @@ class _FuncGen:
                 kept.append((buf, where[1], pairs))
         return kept
 
+    def unchanged(self, loop: Operation) -> set:
+        """The stores in ``loop``, a nest written per trip, that its first trip
+        alone writes: of a constant or a value from outside it, at an address
+        that moves with none of its loops, to an array no other store may write."""
+        stores = [op for op in loop.walk_nested()
+                  if op.name == "memref.store" and op not in self.dead]
+        once = set()
+        for store in stores:
+            value, buf, *indices = store.operands
+            ends = [buf, *(iv for v in indices      # an index of no form by itself
+                           for iv in (self.forms.get(v) or ({v: 1},))[0])]
+            if getattr(value.defining_op, "name", "") != "arith.constant":
+                ends.append(value)
+            if any(_defined_in(v, loop) for v in ends):
+                continue
+            pairs = [self.separate(buf, other.operands[1], loop)
+                     for other in stores if other is not store]
+            if None not in pairs:
+                once.add(store)
+                self.assumed.update(*pairs)
+        return once
+
     def promote(self, loop: Operation, reads: list) -> list:
         """Read each element the plan keeps in a local around ``loop``
         into it, by a line added to ``reads``, which go just before the
@@ -1335,17 +1361,18 @@ class _FuncGen:
         stored offset, and no op needs a statement: each pure op, and each
         read of what a store before it wrote, folds or names only an
         address. A map-form loop notes in ``jam`` what a nest that jams
-        into it must not define."""
+        into it must not define, and a short nest that is all of its body
+        (``nest_of``) jams into it, its loops taking it as their form."""
         plan = self.plan[loop]
         iv, trips = plan.innermost or (None, ())
         if len(trips) < SLICE_TRIPS or not self.index_only(iv):
             return None
-        block = plan.body
+        nest, block = self.nest_of(loop)
         loads = [op for op in block.ops
                  if op.name == "memref.load" and op not in self.dead]
         stores = [op for op in block.ops if op.name == "memref.store"]
         if len(stores) != 1 or any(op.name not in _SLICEABLE for op in block.ops) \
-                or not plan.free:    # no regions: no height
+                or not plan.free or nest and (plan.closure or plan.size > UNROLL_OPS):
             return None
         (store,) = stores
         buf, offsets = store.operands[1], {}
@@ -1358,7 +1385,7 @@ class _FuncGen:
         if not any(offsets[op][0].get(iv) for op in loads):
             return None
         if any(buf is kept for kept, _, _ in plan.keep):
-            return "reduce"     # keep checked the buffers it reads
+            return None if nest else "reduce"   # keep checked the buffers it reads
         if not offsets[store][0].get(iv):
             return None
         pairs, jam = set(), [v for v in offsets[store][0] if v is not iv]
@@ -1378,9 +1405,27 @@ class _FuncGen:
                for r in (op.results[0] for op in block.ops
                          if op.name in _PURE and op not in self.dead)):
             return None
+        if nest and (jam is None or any(_defined_in(v, nest[0]) for v in jam)):
+            return None     # the copies would store to one name, or apart
         self.assumed.update(pairs)
         plan.jam = jam
+        for op in nest:
+            self.plan[op].form = loop
         return "map"
+
+    def nest_of(self, loop: Operation) -> tuple:
+        """The loops of the perfect nest that is all of the body of ``loop``,
+        each of 1 to UNROLL_TRIPS literal trips and in no closure, outermost
+        first, and the block the innermost one runs."""
+        nest, block = [], self.plan[loop].body
+        while True:
+            ops = [op for op in block.ops if op.name != "arith.constant"]
+            inner = len(ops) == 2 and ops[0].name in _FORS and self.plan[ops[0]]
+            if not inner or inner.closure or not inner.trips \
+                    or len(inner.trips) > UNROLL_TRIPS:
+                return nest, block
+            nest.append(ops[0])
+            block = inner.body
 
     def loop_body(self, loop: Operation, count: tuple, depth: int) -> None:
         """The body of ``loop``, run by the last loop opened: over slices
@@ -1503,7 +1548,7 @@ class _FuncGen:
         keeps in locals are stored back after it. A rolled body runs over
         the trips of the loop it was unrolled from; its block's other counts
         are added per trip of ``op``. A nest that jams is written once, with
-        the counts of all its copies (``jam``)."""
+        the counts of all its copies (``jam``); ``unchanged`` stores once."""
         plan = self.plan[op]
         iv, trips, block = op.body().args[0], plan.trips, plan.body
         rolled = isinstance(block, _Rolled)     # each trip of op runs its copies
@@ -1529,22 +1574,25 @@ class _FuncGen:
             self.copying = copying or len(trips) > 1
             promoted = self.promote(op, reads)
             self.lines += ["    " * depth + line for line in reads]
+            once = plan.once - self.dead    # after the first trip, dead
             for trip in trips:
                 self.bind_trip(iv, trip)
                 self.forget(block)
                 self.block(block, count, depth)
+                self.dead |= once
+            self.dead -= once
             self.copying = copying
         for buf, local, element in promoted:
             self.emit(depth, f"{element} = {local}")
             del self.promoted[buf]
 
     def jam(self, loop: Operation) -> str:
-        """The slice statement of the body of ``loop`` just written as the
-        first copy of a nest that jams into it. Each other copy, in order,
-        writes again what it names anew: its loads, at their own places
-        (``slots``), the ops that read them, and its store, whose value the
-        next copy reads of the stored slice."""
-        ops = [op for op in self.plan[loop].body.ops
+        """The slice statement of the body of ``loop``, or of the nest that
+        is all of it, just written as the first copy of a nest that jams
+        into it. Each other copy, in order, writes again what it names anew:
+        its loads, at their own places (``slots``), the ops that read them,
+        and its store, whose value the next copy reads of the stored slice."""
+        ops = [op for op in self.nest_of(loop)[1].ops
                if op.name in _HANDLERS and op not in self.dead]
         for copy in range(1, len(self.points)):
             self.copy, fresh = copy, set()  # fresh: the values named anew
@@ -1610,10 +1658,10 @@ class _FuncGen:
     def decide(self, loop: Operation, depth: int) -> None:
         """The ``form`` of ``loop``, written at ``depth``, and the elements
         it keeps in locals (``keep``), from what ``scan`` found of its body:
-        a short nest's head is written per trip, or jams into its innermost
-        loop if that takes the map form and its store moves with none of
-        the nest's loops (``_Plan.jam``); any other loop takes the slice
-        form its body may take."""
+        a short nest's head is written per trip (``unchanged``), or jams
+        into its innermost loop if that takes the map form and its store
+        moves with none of the nest's loops (``_Plan.jam``); any other loop
+        takes the slice form its body may take, a nest inside jamming in."""
         plan, form = self.plan[loop], "loop"
         trips = plan.trips
         if trips is not None and len(trips) < 2:
@@ -1628,6 +1676,7 @@ class _FuncGen:
                 _defined_in(v, loop) for v in jam) else into
         if trips and len(trips) > 1 and form in ("trips", "loop"):
             plan.keep = self.keep(loop, depth + (form == "loop"))
+            plan.once = self.unchanged(loop) if form == "trips" else set()
         if form == "loop":
             form = self.sliceable(loop) or form
         plan.form = form

@@ -86,8 +86,9 @@ def _fresh_argument(ty, rng: random.Random):
     if ty.kind == "memref":
         kind = ty.element.kind
         size = math.prod(ty.shape)
-        if ty.element.is_float:
-            data = [rng.uniform(-2.0, 2.0) for _ in range(size)]
+        if ty.element.is_float:     # rng.uniform(-2.0, 2.0)'s own formula
+            draw = rng.random
+            data = [-2.0 + 4.0 * draw() for _ in range(size)]
         else:
             data = [rng.randrange(-50, 50) for _ in range(size)]
         return Buffer(ty.shape, kind, data)

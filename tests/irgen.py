@@ -569,10 +569,11 @@ def slice_inputs(param_types, seed):
 JAM_BREAKS = ("store_dep", "second_store", "other_element", "raises", "budget")
 
 
-def jam_module(seed: int, ctx=None):
+def jam_module(seed: int, ctx=None, inside=False):
     """An outer scf.parallel or scf.for of 1 or 2 trips over r, around a
     perfect nest of one or two scf.for or affine.for loops of 1 to 4 trips
-    over k (and l), around an innermost loop of 16 to 40 trips over i, on
+    over k (and l), around an innermost loop of 16 to 40 trips over i (or,
+    ``inside``, that loop around the nest), on
     buffers of one element type (f64, f32, i32 or i64):
     D[r, i] = D[r, i] + X[r + k, i + l] * W[k, l], or without the read of
     D, D[r, i] = X[r + k, i + l] * W[k, l]. One level reads X[r + k, i + k]
@@ -598,12 +599,13 @@ def jam_module(seed: int, ctx=None):
             else "scf.for %arg9 = {} to {} step {} {{")
     body.lines.append(head.format(c0, body.index(rows), c1))
     ivs = ["%arg5", "%arg6"][:len(shorts)]
-    for iv, n in zip(ivs, shorts):
-        if rng.random() < 0.5:
+    loops = list(zip(ivs, shorts))
+    loops.insert(0 if inside else len(loops), ("%arg7", trips))
+    for iv, n in loops:
+        if iv != "%arg7" and rng.random() < 0.5:
             body.lines.append(f"affine.for {iv} = 0 to {n} step 1 {{")
         else:
             body.lines.append(f"scf.for {iv} = {c0} to {body.index(n)} step {c1} {{")
-    body.lines.append(f"scf.for %arg7 = {c0} to {body.index(trips)} step {c1} {{")
     k, l = ivs[0], ivs[-1]
     xt = (f"memref<{rows + shorts[0] - 1}x"
           f"{trips + shorts[-1] - (2 if broken == 'raises' else 1)}x{kind}>")

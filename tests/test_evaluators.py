@@ -1686,11 +1686,11 @@ INNERMOST_CASES = {
 @pytest.mark.parametrize("case", list(INNERMOST_CASES))
 def test_innermost_loops_read_no_invariant_element(case):
     # every element the innermost loop reads is at an address that moves
-    # with it: over slices, each is read from a slice; conv2d's 3-trip
-    # loops are written once per trip in its 62-trip loop, which reads at
-    # addresses with its induction variable, and a partial sum or offset
-    # bound in it is used again; both copies of conv_rows' body that are
-    # not rolled back read the filter element bound once before their loop
+    # with it: over slices, each is read from a slice, conv2d's nine filter
+    # elements, read by the nine chained copies of the nest jammed into its
+    # 62-trip loop, each bound once before it; both copies of conv_rows'
+    # body that are not rolled back read the filter element bound once
+    # before their loop
     module = INNERMOST_CASES[case]()
     source = _source(module)
     forms = _slice_forms(source)
@@ -1705,22 +1705,14 @@ def test_innermost_loops_read_no_invariant_element(case):
                                random_inputs(_param_types(module, func), 7))
         assert problem is None and want[0] == "returned", problem
         return
-    if case != "conv2d.sir":
-        reads = [a for form in forms for line in form
-                 for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
-        assert reads and all(":" in a for a in reads), forms
-        return
-    assert not forms
-    iv, body = _innermost_body(source)
-    varying = {iv}
-    for line in body:
-        bound = re.match(r"([ho]\d+) = (.*)", line)
-        if bound and set(re.findall(r"\w+", bound[2])) & varying:
-            varying.add(bound[1])
-            assert "\n".join(body).count(bound[1]) > 2, line
-    reads = [a for line in body for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
-    assert reads
-    assert all(set(re.findall(r"\w+", a)) & varying for a in reads), body
+    if case == "conv2d.sir":
+        (form,), = forms
+        assert form.count(" + (x") == 9
+        reads = re.findall(r"^ +v\d+ = d4\[", source[:source.index(form)], re.M)
+        assert len(reads) == 9 == source.count("d4[")
+    reads = [a for form in forms for line in form
+             for a in re.findall(r"\bd\d+\[([^\]]*)\]", line)]
+    assert reads and all(":" in a for a in reads), forms
 
 
 def test_read_modify_write_reads_its_offset_once():
@@ -2015,17 +2007,18 @@ def _for_ranges(source):
 
 
 @pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
-def test_conv2d_filter_loops_are_written_per_trip(pipeline):
-    # the two 3-trip loops over the filter are nine copies in the output
-    # loop: one element kept in a local around nine updates, and the nine
-    # filter reads bound before the outermost loop none of their addresses
-    # moves in: the output loop, or in the kernel the thread loop over bz
+def test_conv2d_filter_nest_jams_into_its_output_loop(pipeline):
+    # the filter nest inside the 62-trip output loop jams into the one
+    # slice statement that loop is written as: nine copies chained in
+    # order, and the nine filter reads bound before the outermost loop
+    # none of their addresses moves in: the loop over the output rows, or
+    # in the kernel the thread loop over bz
     with open(PRINTED_KERNELS["conv2d"], encoding="utf-8") as fh:
         module, _ = run_pipeline(parse_module(fh.read(), create_context()), pipeline)
     source = _source(module)
     loops = _for_ranges(source)
-    assert loops == (["range(3)", "range(62)", "range(62)"] if pipeline == CANON
-                     else ["range(g1)", "range(g2)", "range(62)"])
+    assert loops == (["range(3)", "range(62)"] if pipeline == CANON
+                     else ["range(g1)", "range(g2)"])
     kernel = re.search(r"^ +(d\d+) = a3\.data$", source, re.M)[1]
     reads = re.findall(rf"^( *)v\d+ = {kernel}\[[^\]]*\]$", source, re.M)
     assert len(reads) == 9 == source.count(f"{kernel}[")
@@ -2033,23 +2026,26 @@ def test_conv2d_filter_loops_are_written_per_trip(pipeline):
     loop = re.search(rf"^( *)for {header}:$", source, re.M)
     assert set(reads) == {loop[1]}
     assert source.rindex(f"= {kernel}[") < loop.start()
-    assert len(re.findall(r"^ +(e\d+) = \(\(\1\) \+ ", source, re.M)) == 9
+    (form,), = _slice_forms(source)
+    assert form.count(" + (x") == 9 and form.count("d2[") == 9 and form.count("d6[") == 2
 
 
 def _forms(module):
     """(loop, its form, its trips as written or None) for each loop whose
     form code generation decided for the module, in the order decided, in
-    the code ``run`` executes."""
+    the code ``run`` executes: the form its plan holds once the code is
+    written, as a loop of a nest inside a loop over slices takes that
+    loop's form when that loop is decided."""
     decided = []
     decide = codegen._FuncGen.decide
 
     def spy(gen, loop, depth):
         decide(gen, loop, depth)
-        decided.append((loop, gen.plan[loop].form, gen.plan[loop].trips))
+        decided.append((gen.plan, loop))
 
     with mock.patch.object(codegen._FuncGen, "decide", spy):
         _source(module)
-    return decided
+    return [(loop, plans[loop].form, plans[loop].trips) for plans, loop in decided]
 
 
 def _writes_per_trip(module):
@@ -2150,6 +2146,71 @@ def test_unroll_bounds_pin_what_stays_a_loop(trips, inner_trips, products, loops
         else 0.0 for k in range(25)]
 
 
+def test_store_no_trip_changes_is_written_once():
+    # each of its nest's three trips stores 1.495 to one element of an
+    # alloc, kept in a local: the first trip alone writes that store
+    for module in (random_module(14), run_pipeline(random_module(14), GPU)[0]):
+        source = _source(module)
+        assert len(re.findall(r"^ +e\d+ = 1\.495$", source, re.M)) == 1, source
+        assert _agree_in_every_mode(module, "gen14", [])[0] == "returned"
+
+
+# A[i * j] = 1.5 over i, j < 2: a product of two induction variables has
+# an interval but no linear form, so the address it gives may move
+_STORE_AT_A_PRODUCT = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 1.5 : f64
+    scf.for %arg1 = %0 to %2 step %1 {
+      scf.for %arg2 = %0 to %2 step %1 {
+        %4 = arith.muli %arg1, %arg2 : index
+        memref.store %3, %arg0[%4] : memref<2xf64>
+      }
+    }
+    return"""
+
+
+def test_store_at_an_index_of_no_linear_form_is_written_per_trip():
+    module = _module(_STORE_AT_A_PRODUCT, "%arg0: memref<2xf64>")
+    assert _source(module).count("d2[0] = 1.5") == 3
+    assert _agree_in_every_mode(module, "f", [Buffer((2,), "f64")])[2][0].tolist() == [1.5] * 2
+
+
+# D[1] = 1.5, then D[k] = E[k], over k < 3: the second trip's store to D
+# at k = 1 comes between the first and the third trip's store of 1.5
+_STORE_BETWEEN_TRIPS = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 3 : index
+    %3 = arith.constant 1.5 : f64
+    scf.for %arg2 = %0 to %2 step %1 {
+      memref.store %3, %arg0[%1] : memref<4xf64>
+      %4 = memref.load %arg1[%arg2] : memref<4xf64>
+      memref.store %4, %arg0[%arg2] : memref<4xf64>
+    }
+    return"""
+
+
+@pytest.mark.parametrize("stored, once", [("%arg0[%arg2]", 3), ("%arg1[%arg2]", 1)],
+                         ids=["same-buffer", "other-buffer"])
+def test_store_between_trips_keeps_each_trips_store(stored, once):
+    # every trip of the nest writes D[1] = 1.5 while another store to D
+    # sits between them; a store to E instead leaves the first trip's
+    # alone, under the entry guard: the alias-safe variant keeps all three
+    module = _module(_STORE_BETWEEN_TRIPS.replace("%arg0[%arg2]", stored),
+                     "%arg0: memref<4xf64>, %arg1: memref<4xf64>")
+    assert _writes_per_trip(module)
+    stores = re.compile(r"^ +(d2\[1\]|e\d+) = 1\.5$", re.M)
+    assert len(stores.findall(_source(module))) == once
+    assert len(stores.findall("".join(_variants(module)[False][0]))) == 3
+    want = _agree_in_every_mode(module, "f", [_counting(), _ramp(n=4)])
+    if once == 3:
+        assert want[2][0].tolist() == [-1.0, 1.5, 1.0, 4.0]
+    shared = _counting()
+    _agree_in_every_mode(module, "f", [shared, shared])
+
+
 def _conv2d_on_one_shape():
     """conv2d at 8x8, its image and output of one type: 1x3x8x8xf64."""
     with open(PRINTED_KERNELS["conv2d"], encoding="utf-8") as fh:
@@ -2216,20 +2277,55 @@ def test_jam_corpus_agrees():
     assert jammed["jam"] >= len(seeds) // 4 and kernels >= len(seeds) // 10
 
 
-def _jam_nest(kind="f64", short=3, products=0, changes=()):
-    """@f(X, W, D, E): D[i] = D[i] + X[i + k] * W[k] (times X[i + k]
-    ``products`` times more) over k < ``short`` and i < 16, a nest that
-    jams; ``changes`` are (text, its replacement) pairs."""
+def test_nest_inside_corpus_agrees():
+    """The same draws with the loop over i around the nest: a nest that
+    breaks no condition jams into the statement of the loop it is in, in
+    every mode, and each draw does what the definitional interpreter does."""
+    seeds, build = range(80), functools.partial(jam_module, inside=True)
+    mismatches, raised, runs = _irgen_runs(seeds, build)
+    print(f"nest-inside corpus: {raised} of {runs} runs raise")
+    assert not mismatches, "\n".join(mismatches[:5])
+    assert 0 < raised / runs < 0.3
+    jammed = dict.fromkeys(("jam",) + JAM_BREAKS, 0)
+    kernels = 0
+    for seed in seeds:
+        module = build(seed)
+        jammed[_entry_name(module).rstrip("0123456789")] += _jammed(module)
+        gpu = run_pipeline(module, GPU)[0]
+        kernels += "def f0(g0" in _source(gpu) and _jammed(gpu)
+    print(f"nest-inside corpus: nests jammed per condition broken: {jammed}; "
+          f"in kernels: {kernels}")
+    assert jammed["jam"] >= len(seeds) // 4 and kernels >= len(seeds) // 10
+    # a store at i + l still jams where l's loop has one trip, 0
+    assert not any(jammed[broken] for broken in JAM_BREAKS if broken != "store_dep")
+
+
+_JAM_PARAMS = ("%arg0: memref<20x{0}>, %arg1: memref<4x{0}>, "
+               "%arg2: memref<20x{0}>, %arg3: memref<20x{0}>")
+
+
+def _jam_nest(kind="f64", **how):
+    return _module(_jam_body(kind, **how), _JAM_PARAMS.format(kind))
+
+
+def _jam_body(kind="f64", short=3, products=0, changes=(), inside=False, trips=16):
+    """The body of @f(X, W, D, E): D[i] = D[i] + X[i + k] * W[k] (times
+    X[i + k] ``products`` times more) over k < ``short`` and i < ``trips``,
+    a nest that jams, around the loop over i or ``inside`` it; ``changes``
+    are (text, its replacement) pairs."""
     add, mul = ("arith.addf", "arith.mulf") if kind[0] == "f" else ("arith.addi", "arith.muli")
     chain = "".join(f"        %p{j + 1} = {mul} %p{j}, %5 : {kind}\n"
                     for j in range(products))
+    loops = ["scf.for %arg4 = %0 to %2 step %1 {", "scf.for %arg5 = %0 to %3 step %1 {"]
+    if inside:
+        loops.reverse()
     body = f"""\
     %0 = arith.constant 0 : index
     %1 = arith.constant 1 : index
     %2 = arith.constant {short} : index
-    %3 = arith.constant 16 : index
-    scf.for %arg4 = %0 to %2 step %1 {{
-      scf.for %arg5 = %0 to %3 step %1 {{
+    %3 = arith.constant {trips} : index
+    {loops[0]}
+      {loops[1]}
         %4 = arith.addi %arg5, %arg4 : index
         %5 = memref.load %arg0[%4] : memref<20x{kind}>
         %6 = memref.load %arg1[%arg4] : memref<4x{kind}>
@@ -2243,8 +2339,7 @@ def _jam_nest(kind="f64", short=3, products=0, changes=()):
     for text, replacement in changes:
         assert text in body
         body = body.replace(text, replacement)
-    return _module(body, ", ".join(
-        f"%arg{n}: memref<{4 if n == 1 else 20}x{kind}>" for n in range(4)))
+    return body
 
 
 def _jam_args(kind="f64", x=None, w=None, d=None):
@@ -2254,15 +2349,18 @@ def _jam_args(kind="f64", x=None, w=None, d=None):
             Buffer((20,), kind, d or ramp[::-1]), Buffer((20,), kind)]
 
 
+# what _jam_nest's default nest jams into, around the loop over i or inside it
+FILTER_STATEMENT = ("d6[0:16] = array(d6.typecode, [(((x12 + (x10 * v11)) + (x13 * v14)) "
+                    "+ (x15 * v16)) for x10, x12, x13, x15 in zip(d2[0:16], d6[0:16], "
+                    "d2[1:17], d2[2:18])])")
+
+
 def test_filter_nest_jams_into_one_statement():
     # the three copies of the loop over k chain their terms into one slice
     # assignment, in copy order, with W's three elements read before it
     module = _jam_nest()
     assert _jammed(module) and _for_ranges(_source(module)) == []
-    (form,), = _slice_forms(_source(module))
-    assert form == ("d6[0:16] = array(d6.typecode, [(((x12 + (x10 * v11)) + "
-                    "(x13 * v14)) + (x15 * v16)) for x10, x12, x13, x15 in "
-                    "zip(d2[0:16], d6[0:16], d2[1:17], d2[2:18])])")
+    assert _slice_forms(_source(module)) == [[FILTER_STATEMENT]]
     assert re.findall(r"^ +v\d+ = d4\[(\d)\]$", _source(module), re.M) == ["0", "1", "2"]
     want = _agree_in_every_mode(module, "f", _jam_args())
     assert want[2][2].tolist()[:3] == [2.0 + 9 + 4 + 1, 1.0 + 6 + 2 + 0, 0.0 + 3 + 0 - 1]
@@ -2292,23 +2390,28 @@ def test_jammed_copies_read_their_own_repeated_load():
 _READ_D_AT_I_PLUS_K = ("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%4]")
 
 
-@pytest.mark.parametrize("changes", [
-    [_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%4]")],
-    [("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
-      "        memref.store %8,")],
-    [_READ_D_AT_I_PLUS_K],
-    [("%4 = arith.addi %arg5, %arg4 : index",
-      "%9 = arith.muli %arg4, %2 : index\n        %4 = arith.addi %arg5, %9 : index")],
-    [("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n        %8 = arith.addf %10,")],
-    [("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
-      "%11 = arith.muli %arg4, %arg4 : index\n"
-      "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
-    [("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
-     ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")],
-    [("memref.store %8,", "memref.store %6,")],
-], ids=["store-moves-with-k", "second-store", "read-at-another-element",
-        "access-can-raise", "stored-slice-read-twice", "read-at-k-squared",
-        "store-at-one-element", "no-live-read-moves"])
+# the changes to _jam_body by which a nest breaks one condition of the jam
+JAM_REFUSALS = {
+    "store-moves-with-k": [_READ_D_AT_I_PLUS_K, ("memref.store %8, %arg2[%arg5]",
+                                                 "memref.store %8, %arg2[%4]")],
+    "second-store": [("memref.store %8,", "memref.store %5, %arg3[%arg5] : memref<20xf64>\n"
+                      "        memref.store %8,")],
+    "read-at-another-element": [_READ_D_AT_I_PLUS_K],
+    "access-can-raise": [("%4 = arith.addi %arg5, %arg4 : index",
+                          "%9 = arith.muli %arg4, %2 : index\n"
+                          "        %4 = arith.addi %arg5, %9 : index")],
+    "stored-slice-read-twice": [("%8 = arith.addf %7,", "%10 = arith.mulf %7, %7 : f64\n"
+                                 "        %8 = arith.addf %10,")],
+    "read-at-k-squared": [("%6 = memref.load %arg1[%arg4] : memref<4xf64>",
+                           "%11 = arith.muli %arg4, %arg4 : index\n"
+                           "        %6 = memref.load %arg0[%11] : memref<20xf64>")],
+    "store-at-one-element": [("%7 = memref.load %arg2[%arg5]", "%7 = memref.load %arg2[%0]"),
+                             ("memref.store %8, %arg2[%arg5]", "memref.store %8, %arg2[%0]")],
+    "no-live-read-moves": [("memref.store %8,", "memref.store %6,")],
+}
+
+
+@pytest.mark.parametrize("changes", list(JAM_REFUSALS.values()), ids=list(JAM_REFUSALS))
 def test_nest_that_breaks_a_jam_condition_keeps_its_loops(changes):
     # D[i + k] += ..., so each copy stores its own slice; another buffer is
     # stored to; D is read at the element k trips on; X is read 3k on, past
@@ -2377,6 +2480,115 @@ def test_jammed_chains_round_and_wrap_per_copy():
     assert want[2][2].tolist()[:17] == [1 - 2 ** 31] * 16 + [2 ** 31 - 2]
 
 
+# -- a short nest inside a loop over slices, jammed into its statement ---------------
+
+def _decided_once(module):
+    """Whether every function of ``module`` was generated once, guarded
+    and alias-safe: each loop's form was decided before its code."""
+    return not any(again for _, again in _variants(module).values())
+
+
+def test_nest_inside_a_loop_jams_into_its_statement():
+    # the loop over k inside the loop over i: its three copies chain their
+    # terms inside each element's expression of the one slice assignment
+    # the loop over i is written as, the statement of the nest around it
+    module = _jam_nest(inside=True)
+    assert _jammed(module) and _decided_once(module)
+    assert _for_ranges(_source(module)) == []
+    assert _slice_forms(_source(module)) == [[FILTER_STATEMENT]]
+    want = _agree_in_every_mode(module, "f", _jam_args())
+    assert want[2][2].tolist()[:3] == [2.0 + 9 + 4 + 1, 1.0 + 6 + 2 + 0, 0.0 + 3 + 0 - 1]
+    shared = _jam_args()
+    shared[2] = shared[0]   # X is D: the alias-safe variant keeps the loop
+    _agree_in_every_mode(module, "f", shared)
+    assert _for_ranges("".join(_variants(module)[False][0])) == ["range(16)"]
+
+
+@pytest.mark.parametrize("trips, jams", [(16, True), (15, False)],
+                         ids=["16-trips", "15-trips"])
+def test_slice_trips_pin_what_a_nest_inside_jams_into(trips, jams):
+    assert codegen.SLICE_TRIPS == 16
+    module = _jam_nest(inside=True, trips=trips)
+    assert _jammed(module) == jams and _writes_per_trip(module) != jams
+    assert _for_ranges(_source(module)) == ([] if jams else [f"range({trips})"])
+    _agree_in_every_mode(module, "f", _jam_args())
+
+
+def test_nest_inside_rounds_and_wraps_per_copy():
+    # as around the loop: each f32 copy rounds 1 + 2**-24 back to 1, and
+    # each i32 copy's product and sum wrap, 2**31 - 2 in the second copy
+    f32 = _jam_nest("f32", inside=True)
+    assert _jammed(f32)
+    want = _agree_in_every_mode(f32, "f", _jam_args("f32", [1.0] * 20, [2.0 ** -24] * 4,
+                                                    [1.0] * 20))
+    assert want[2][2].tolist()[:16] == [1.0] * 16
+    i32 = _jam_nest("i32", inside=True)
+    assert _jammed(i32)
+    (form,), = _slice_forms(_source(i32))
+    assert form.count("& 4294967295") == 6
+    want = _agree_in_every_mode(i32, "f", _jam_args("i32", [1] * 20, [1] * 4,
+                                                    [2 ** 31 - 2] * 20))
+    assert want[2][2].tolist()[:17] == [1 - 2 ** 31] * 16 + [2 ** 31 - 2]
+
+
+@pytest.mark.parametrize("changes", list(JAM_REFUSALS.values()), ids=list(JAM_REFUSALS))
+def test_nest_inside_that_breaks_a_jam_condition_keeps_its_form(changes):
+    # each change that keeps a nest around the loop from jamming keeps one
+    # inside it from jamming too, refused before any code is written; the
+    # nest is written per trip in the loop over i, but for X read past its
+    # extent (at i = 14 in the third copy), which can raise, so its loop stays
+    module = _jam_nest(inside=True, changes=changes)
+    assert not _jammed(module) and _decided_once(module)
+    raises = changes[0][1].startswith("%9")
+    assert _for_ranges(_source(module)) == ["range(16)"] + ["range(3)"] * raises
+    want = _agree_in_every_mode(module, "f", _jam_args())
+    if raises:
+        assert want[:2] == ("raised", OutOfBounds) and want[2].startswith(
+            "index 20 out of bounds for extent 20 of Buffer<20xf64> at ")
+
+
+@pytest.mark.parametrize("products, jams", [(17, True), (18, False)],
+                         ids=["at-budget", "over-budget"])
+def test_unroll_ops_pin_what_a_nest_inside_jams(products, jams):
+    # four copies of 7 + products ops: 96 jam, 100 are no short nest at all
+    module = _jam_nest(short=4, products=products, inside=True)
+    assert _jammed(module) == jams and _decided_once(module)
+    assert _for_ranges(_source(module)) == ([] if jams else ["range(16)", "range(4)"])
+    _agree(module, _jam_args(x=[1.0 + k / 64 for k in range(20)]))
+
+
+def test_loop_in_a_closure_keeps_its_nest_written_per_trip():
+    # the loop over i is past MAX_DEPTH: it runs in a closure of its own,
+    # where its nest is written per trip, not jammed
+    body = _jam_body(inside=True).removesuffix("\n    return")
+    module = _under_loops(body, codegen.MAX_DEPTH, _JAM_PARAMS.format("f64"))
+    assert not _jammed(module) and _writes_per_trip(module) and _decided_once(module)
+    assert _source(module).count("def ") == 2
+    for n in (0, 1):
+        _agree_in_every_mode(module, "f", _jam_args() + [n])
+
+
+def _conv2d_at(trips):
+    """conv2d with an output of 1x3x``trips``x``trips``."""
+    with open(PRINTED_KERNELS["conv2d"], encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (("1x1x64x64", f"1x1x{trips + 2}x{trips + 2}"),
+                     ("1x3x62x62", f"1x3x{trips}x{trips}"),
+                     ("62 : index", f"{trips} : index")):
+        text = text.replace(old, new)
+    return parse_module(text, create_context())
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
+def test_conv2d_filter_nest_jams_at_20_trips(pipeline):
+    module, _ = run_pipeline(_conv2d_at(20), pipeline)
+    assert _jammed(module) and _decided_once(module)
+    (form,), = _slice_forms(_source(module))
+    assert form.count(" + (x") == form.count("d2[") == 9 and " + 20]" in form
+    want = _agree_in_every_mode(module, "conv2d", make_inputs(module, "conv2d", 2))
+    assert want[0] == ("returned" if pipeline == CANON else "raised")
+
+
 # conv_rows's output on seed-1 inputs, as the code for each tune point, the
 # canonicalized kernel and the outlined one left it before the filter nest
 # jammed: the first 16 hex digits of the SHA-256 of its bytes
@@ -2415,6 +2627,36 @@ def test_conv_rows_filter_nest_jams(pipeline):
     args = make_inputs(module, "conv_rows", 1)
     run(module, "conv_rows", args, "gpu_emulated" if pipeline == GPU else "sequential")
     assert _digest(args[2]) == CONV_ROWS_OUT
+
+
+def _renamed(text):
+    """``text`` with each local named by the order it first appears in."""
+    names = {}
+    return re.sub(r"\b[a-z]\d+\b",
+                  lambda m: names.setdefault(m[0], f"n{len(names)}"), text)
+
+
+@pytest.mark.parametrize("pipeline", [CANON, GPU], ids=["canonicalized", "gpu"])
+def test_conv2d_runs_conv_rows_statement(pipeline):
+    # conv2d's filter nest inside the output loop and conv_rows' nest
+    # around it jam into one statement, up to its locals' names, and leave
+    # the same output bytes on the same inputs
+    modules = {}
+    for name in ("conv2d", "conv_rows"):
+        with open(PRINTED_KERNELS[name], encoding="utf-8") as fh:
+            modules[name] = run_pipeline(parse_module(fh.read(), create_context()),
+                                         pipeline)[0]
+    forms = {name: _slice_forms(_source(module)) for name, module in modules.items()}
+    assert len(forms["conv2d"]) == 1
+    assert _renamed(forms["conv2d"][0][0]) == _renamed(forms["conv_rows"][0][0])
+    args = make_inputs(modules["conv_rows"], "conv_rows", 1)
+    mode = "gpu_emulated" if pipeline == GPU else "sequential"
+    outputs = set()
+    for name, module in modules.items():
+        ran = copy_buffers(args)
+        run(module, name, ran, mode)
+        outputs.add(ran[2].data.tobytes())
+    assert len(outputs) == 1 and _digest(ran[2]) == CONV_ROWS_OUT
 
 
 # -- loop-unroll's copies rolled back into one loop ---------------------------------
@@ -2728,13 +2970,16 @@ def _bench_sources(group):
 # tree before, whose older digests also hashed the code for a recorder;
 # "random" again when a proven load that nothing reads became dead, and
 # "kernels", "index" and "jam" when a kernel's parameters were taken to
-# be defined outside its thread loops
-BENCH_SOURCE_DIGESTS = {"kernels": "7c8a99e60b774482", "strip": "60eb68b24a377314",
+# be defined outside its thread loops; "kernels" again when a short nest
+# inside a loop over slices jammed into its statement (conv2d's, in both
+# pipelines), and "random" when a store no trip of a nest changes was
+# written in its first trip alone
+BENCH_SOURCE_DIGESTS = {"kernels": "8894a856585421ff", "strip": "60eb68b24a377314",
                         "tune": "f4bedd9832a05e40"}
 ALIAS_SAFE_DIGESTS = {"kernels": "17a5cbe4ef215f41", "strip": "24b0f21054e52bb8",
                       "tune": "8d0e39da2c50e075"}
 IRGEN_DIGESTS = {"index": "d1879c63e7788876", "jam": "3077861fece471f5",
-                 "random": "8cc5f3ba8b8f65f1", "slice": "cf2ee13ca12c6bdd"}
+                 "random": "26aa6298ae8a2bc9", "slice": "cf2ee13ca12c6bdd"}
 IRGEN_CORPUS = {"random": (random_module, range(240)), "index": (index_module, range(80)),
                 "slice": (slice_module, range(90)), "jam": (jam_module, range(240))}
 
@@ -2790,9 +3035,10 @@ def test_nests_whose_copies_store_elsewhere_are_refused_up_front():
 # nest that jams) and the loops rolled back, in the code ``lower_module``
 # writes for: each IRGEN_CORPUS module, plain and after the GPU pipeline,
 # and the 57 benchmark modules. Counted when each form was still chosen as
-# its loop was written, from what the writers did with each loop.
+# its loop was written, from what the writers did with each loop;
+# "bench57" again when conv2d's filter nest jammed into its output loop.
 LOOP_FORMS = {
-    "bench57": {"jam": 78, "loop": 72, "map": 40, "reduce": 2, "rolled": 26, "trips": 45},
+    "bench57": {"jam": 84, "loop": 70, "map": 42, "reduce": 2, "rolled": 26, "trips": 39},
     "random": {"loop": 139, "trips": 448},
     "index": {"loop": 295, "trips": 84},
     "slice": {"jam": 14, "loop": 165, "map": 66, "reduce": 40, "trips": 32},
@@ -2845,6 +3091,7 @@ def test_each_loop_takes_its_form_once(corpus):
 def test_only_scan_decides_a_loop_s_form():
     # the writers read each loop's form from its plan: only scan calls
     # decide, and only decide asks the slice and scalar-replacement rules
+    # and which stores a nest written per trip writes once
     with open(codegen.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     calls = collections.defaultdict(set)    # method name -> its callers
@@ -2853,8 +3100,9 @@ def test_only_scan_decides_a_loop_s_form():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                     calls[node.func.attr].add(fn.name)
-    assert {name: calls[name] for name in ("decide", "sliceable", "keep")} == {
-        "decide": {"scan"}, "sliceable": {"decide"}, "keep": {"decide"}}
+    assert {name: calls[name] for name in ("decide", "sliceable", "keep", "unchanged")} == {
+        "decide": {"scan"}, "sliceable": {"decide"}, "keep": {"decide"},
+        "unchanged": {"decide"}}
     assert not calls.keys() & {"nest", "written", "raise_free"}
 
 

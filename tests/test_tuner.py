@@ -329,6 +329,40 @@ def test_inputs_for_a_named_function_draw_each_parameter_in_its_range():
     assert first == random.Random(5).uniform(-2.0, 2.0)
 
 
+_INTS = """\
+module {
+  func.func @ints(%arg0: memref<4x5xi32>, %arg1: memref<6xf32>, %arg2: memref<3xi64>) {
+    return
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("func", ["conv_rows", "matmul", "ints"])
+def test_buffer_inputs_are_the_draws_of_rng_uniform(func, seed):
+    # a float element is drawn by uniform's own formula, bit for bit
+    if func == "ints":
+        text = _INTS
+    else:
+        with open(os.path.join(os.path.dirname(CONV_ROWS), f"{func}.sir"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+    module = parse_module(text, create_context())
+    func_op = next(op for op in module.body().ops
+                   if op.attributes["sym_name"].value == func)
+    rng = random.Random(seed)
+    want = []
+    for arg in func_op.body().args:
+        ty, size = arg.type, math.prod(arg.type.shape)
+        want.append(Buffer(ty.shape, ty.element.kind, [
+            rng.uniform(-2.0, 2.0) if ty.element.is_float else rng.randrange(-50, 50)
+            for _ in range(size)]))
+    got = search_module.make_inputs(module, func, seed)
+    assert [b.data.tobytes() for b in got] == [b.data.tobytes() for b in want]
+    assert [(b.shape, b.dtype) for b in got] == [(b.shape, b.dtype) for b in want]
+
+
 def test_inputs_for_a_memref_of_i1_are_refused():
     # a Buffer holds no i1 elements, so no argument can be made for one
     module = parse_module(
