@@ -15,13 +15,14 @@ strict improvement.  Both are pure functions of the seed.
 A trial runs the pipeline on a clone of the kernel, which ``run_pipeline``
 verifies first and after each pass, then compiles and calls the clone as
 it is; the kernel itself is never rewritten.  A trial whose pipeline names
-no pass, as the identity point's does, runs the baseline's program.  Its
-results and buffers, compared by their bytes, must equal the baseline's:
-every registered pass preserves them bit for bit.
+no pass, as the identity point's does, runs the kernel's own program, and
+that run is the baseline.  Each trial's results and buffers, by their bytes,
+must equal the baseline's: every registered pass preserves them bit for bit.
 """
 import math
 import random
 import struct
+from dataclasses import replace
 
 from staircase.errors import (
     EmptySpace,
@@ -125,7 +126,8 @@ def _digest(stats) -> dict:
 
 
 class _Session:
-    """One kernel, one input set, one baseline; evaluates parameter points."""
+    """One kernel, one input set, one baseline run by the first trial that
+    needs it; a spec seen before runs nothing and has ``wall_time`` 0.0."""
 
     def __init__(self, module, func=None, seed=0, pipeline_template=None):
         verify_or_raise(module)
@@ -134,14 +136,16 @@ class _Session:
         self.seed = seed
         self.template = pipeline_template or default_pipeline
         self.inputs = make_inputs(module, self.func, seed)
-        self.want_args = copy_buffers(self.inputs)
         self.program = lower_module(module)
-        self.want_results = _bits(call(self.program, self.func, self.want_args,
-                                       "sequential", 1)[0])
+        self.want = None    # the baseline run's result bits and buffers
+        self.seen = {}      # spec -> the first trial that rendered it
 
     def trial(self, idx: int, tiles, unroll: int) -> Trial:
         params = {"tiles": [int(t) for t in tiles], "unroll": int(unroll)}
         spec = self.template(params["tiles"], params["unroll"])
+        if first := self.seen.get(spec):    # its first trial's outcome
+            return replace(first, idx=idx, params=params, stats=first.stats
+                           and dict(first.stats, wall_time=0.0))
         pipeline = pipeline_parse(spec)
         program = self.program
         if pipeline.names_a_pass():
@@ -149,19 +153,24 @@ class _Session:
             try:
                 run_pipeline(work, pipeline)
                 program = lower_module(work)
-            except (PassFailure, VerificationFailed):
-                return Trial(idx, params, None, "skipped", self.seed)
+            except (PassFailure, VerificationFailed) as exc:
+                return self.seen.setdefault(spec, Trial(
+                    idx, params, None, "skipped", self.seed, reason=str(exc)))
             finally:
                 self.module.ctx.modules.remove(work)
-        args = copy_buffers(self.inputs)
-        results, stats = call(program, self.func, args, "sequential", 1)
-        if _bits(results) != self.want_results or args != self.want_args:
+        baseline = self.want is None and program is not self.program
+        for run in [self.program, program] if baseline else [program]:
+            args = copy_buffers(self.inputs)
+            results, stats = call(run, self.func, args, "sequential", 1)
+            self.want = self.want or (_bits(results), args)
+        if (_bits(results), args) != self.want:
             raise StaircaseError(
                 f"pipeline {spec!r} changed the results of @{self.func}; "
                 "transformed kernels must match the untransformed run"
             )
-        return Trial(idx, params, model_cost(stats), "evaluated", self.seed,
-                     stats=_digest(stats))
+        return self.seen.setdefault(spec, Trial(
+            idx, params, model_cost(stats), "evaluated", self.seed,
+            stats=_digest(stats)))
 
 
 def evaluate(kernel, pipeline_template=None, params=None, *, func=None,
@@ -170,7 +179,8 @@ def evaluate(kernel, pipeline_template=None, params=None, *, func=None,
 
     ``params`` holds ``tiles`` (list of ints) and ``unroll``.  Points the
     pipeline rejects come back as skipped trials with no cost; points
-    whose transformed kernel disagrees with the baseline raise.
+    whose transformed kernel disagrees with the baseline raise.  Its new
+    session reuses no run; only a reused trial has a ``wall_time`` of 0.0.
     """
     if params is None:
         raise EmptySpace("evaluate needs a params dict with tiles and unroll")

@@ -61,8 +61,10 @@ class Trial:
 
     ``cost`` is present exactly when ``status`` is ``"evaluated"``; a trial
     whose pipeline instantiation or verification failed is recorded as
-    ``"skipped"`` with no cost.  ``stats`` is an informational digest of the
-    interpreter counters and is excluded from equality so that a log
+    ``"skipped"`` with no cost and the failure's message as ``reason``.
+    ``stats`` is an informational digest of the interpreter counters, with
+    a ``wall_time`` of 0.0 for a trial that reused an earlier one's run.
+    Both are excluded from equality and neither is logged, so that a log
     survives a round trip through its serialized form.
     """
 
@@ -72,6 +74,7 @@ class Trial:
     status: str
     seed: int
     stats: dict | None = field(default=None, compare=False)
+    reason: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.status not in ("evaluated", "skipped"):

@@ -1,5 +1,6 @@
 """Shared fixtures and paths for the test suite."""
 import os
+import struct
 import sys
 
 import pytest
@@ -7,6 +8,25 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class Bits(float):
+    """A float result, equal to another float when their bits are: a NaN
+    equals a NaN of its bits, and -0.0 is not 0.0. Buffers compare so."""
+
+    def __eq__(self, other):
+        return struct.pack("<d", self) == struct.pack("<d", other)
+
+    def __ne__(self, other):     # float's own __ne__ would compare values
+        return not self == other
+
+    def __hash__(self):
+        return hash(struct.pack("<d", self))
+
+
+def by_bits(results) -> tuple:
+    """A run's results with each float as a :class:`Bits`."""
+    return tuple(Bits(r) if type(r) is float else r for r in results)
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ import itertools
 import math
 import os
 import re
-import struct
 import sys
 from array import array
 from unittest import mock
@@ -28,7 +27,7 @@ import pytest
 import definterp
 import bench_digests
 from bench_digests import generated_source as _source  # what ``run`` executes
-from conftest import golden_path
+from conftest import by_bits, golden_path
 from irgen import (
     JAM_BREAKS,
     deep_parallel_module,
@@ -71,17 +70,6 @@ STAT_FIELDS = ("total", "per_prefix", "arith_ops", "loads", "stores",
 IRGEN_SEEDS = range(240)
 
 
-class _Bits(float):
-    """A float result, equal to another float when their bits are: a NaN
-    equals a NaN of its bits, and -0.0 is not 0.0. Buffers compare so."""
-
-    def __eq__(self, other):
-        return struct.pack("<d", self) == struct.pack("<d", other)
-
-    def __hash__(self):
-        return hash(struct.pack("<d", self))
-
-
 def _outcome(runner, module, func, args, mode, workers):
     args = copy_buffers(args)
     try:
@@ -89,8 +77,7 @@ def _outcome(runner, module, func, args, mode, workers):
     except Exception as exc:  # compared by type, message and buffers
         return ("raised", type(exc), str(exc), args)
     fields = tuple(getattr(stats, f) for f in STAT_FIELDS)
-    results = tuple(_Bits(r) if type(r) is float else r for r in results)
-    return ("returned", results, args, fields)
+    return ("returned", by_bits(results), args, fields)
 
 
 def differ(module, func, args, mode="sequential", workers=1, want=None):

@@ -21,7 +21,7 @@ from itertools import chain
 
 import pytest
 
-from conftest import golden_text, ir_layout, visible_by_definition
+from conftest import by_bits, golden_text, ir_layout, visible_by_definition
 from irgen import random_inputs, random_module
 from staircase.dialects.builders import build_constant, build_func
 from staircase.errors import InvalidBound, PassFailure, StaircaseError
@@ -100,10 +100,19 @@ def _order_problems(module):
 
 
 def _outcome(module, func, args):
-    """(returned values, buffers after the run) under gpu_emulated."""
+    """(returned values, buffers after the run) under gpu_emulated, which
+    compare by their bits: -0.0 is not 0.0, and a NaN agrees with itself."""
     args = [a.copy() if isinstance(a, Buffer) else a for a in args]
     results, _ = run(module, func, args, "gpu_emulated")
-    return results, [a.tolist() for a in args if isinstance(a, Buffer)]
+    return by_bits(results), [a for a in args if isinstance(a, Buffer)]
+
+
+def _shown(outcome):
+    """An outcome with its buffers' values, or the error its run raised."""
+    if isinstance(outcome, str):
+        return outcome
+    results, buffers = outcome
+    return repr((results, [b.tolist() for b in buffers]))
 
 
 def _check(module, func, seed, pipelines=PIPELINES):
@@ -138,7 +147,7 @@ def _check(module, func, seed, pipelines=PIPELINES):
             got = f"{type(exc).__name__}: {exc}"
         if got != want:
             mismatches.append(f"{func} (seed {seed}) after {pipeline}: "
-                              f"{got!r}, untransformed {want!r}")
+                              f"{_shown(got)}, untransformed {_shown(want)}")
     return mismatches, refused
 
 
@@ -233,7 +242,7 @@ def test_canonicalize_folds_f32_constants_as_a_run_reads_them():
                              "builtin.module(func.func(canonicalize))")
     assert "arith.addf" not in print_module(folded)
     want = _outcome(module, "f", [Buffer((1,), "f32")])
-    assert want == ((), [[-0.1456160545349121]])
+    assert want == ((), [Buffer((1,), "f32", [-0.1456160545349121])])
     assert _outcome(folded, "f", [Buffer((1,), "f32")]) == want
 
 
@@ -290,7 +299,7 @@ def test_tiling_reads_bounds_as_a_run_does():
         "builtin.module(func.func(scf-parallel-loop-tiling{sizes=[5]}))")
     ones = Buffer((8,), "f64", [1.0] * 8)
     want = _outcome(module, "f", [ones])
-    assert want == ((), [[2.0] * 4 + [1.0] * 4])
+    assert want == ((), [Buffer((8,), "f64", [2.0] * 4 + [1.0] * 4)])
     assert _outcome(tiled, "f", [ones]) == want
     assert (stats[0].rewrites, stats[0].skipped) == (0, 1)
 

@@ -100,6 +100,76 @@ def test_a_point_the_pipeline_rejects_is_skipped():
     # three tile sizes for conv_rows' two-dimensional scf.parallel
     trial = evaluate(_conv_rows(), params={"tiles": [2, 2, 2], "unroll": 1})
     assert (trial.status, trial.cost, trial.stats) == ("skipped", None, None)
+    assert trial.reason == (
+        "scf-parallel-loop-tiling on func.func @conv_rows: "
+        "3 tile sizes for a 2-dimensional parallel loop")
+
+
+def _spy(monkeypatch, *names):
+    """(name, first argument, result) of each call the search module makes
+    to ``names``, in order."""
+    calls = []
+
+    def spied(name, real):
+        def spy(first, *rest):
+            result = real(first, *rest)
+            calls.append((name, first, result))
+            return result
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(search_module, name,
+                            spied(name, getattr(search_module, name)))
+    return calls
+
+
+def test_a_new_session_runs_nothing(monkeypatch):
+    calls = _spy(monkeypatch, "call")
+    _Session(_conv_rows(), seed=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("strategy", ["random", "one_plus_one_es"])
+def test_a_search_runs_each_distinct_spec_once(monkeypatch, strategy):
+    """The identity trial's run is the baseline, and a repeated point
+    runs nothing: one run per distinct spec in the log."""
+    calls = _spy(monkeypatch, "call")
+    _, log = search(_conv_rows(), space=SPACE, budget=6, seed=3,
+                    strategy=strategy)
+    specs = {default_pipeline(t.params["tiles"], t.params["unroll"])
+             for t in log}
+    assert len(calls) == len(specs)
+
+
+@pytest.mark.parametrize("tiles, status", [
+    ([3, 2], "evaluated"), ([2, 2, 2], "skipped"),
+])
+def test_a_repeated_point_reuses_its_first_trial(monkeypatch, tiles, status):
+    session = _Session(_conv_rows(), seed=3)
+    first = session.trial(1, tiles, 2)
+    calls = _spy(monkeypatch, "call", "clone_module", "lower_module")
+    again = session.trial(4, list(tiles), 2)
+    assert calls == []
+    assert (again.idx, again.params) == (4, {"tiles": tiles, "unroll": 2})
+    assert (again.cost, again.status, again.reason) == (
+        first.cost, status, first.reason)
+    if status == "evaluated":
+        assert again.stats == {**first.stats, "wall_time": 0.0}
+        assert first.stats["wall_time"] > 0.0
+    else:
+        assert again.stats is None and again.reason is not None
+
+
+@pytest.mark.parametrize("unroll, runs", [(1, 1), (2, 2)])
+def test_evaluate_runs_the_baseline_then_the_trial(monkeypatch, unroll, runs):
+    """A pipeline that names a pass runs the kernel's own program, then its
+    clone's; the identity pipeline's one run is the baseline."""
+    calls = _spy(monkeypatch, "call", "lower_module")
+    trial = evaluate(_conv_rows(), params={"tiles": [1, 1], "unroll": unroll})
+    assert trial.status == "evaluated"
+    built = [program for name, _, program in calls if name == "lower_module"]
+    ran = [program for name, program, _ in calls if name == "call"]
+    assert len(built) == runs and ran == built
 
 
 @pytest.mark.parametrize("tiles, unroll, passes", [
@@ -128,20 +198,17 @@ def test_only_a_trial_that_runs_passes_clones_and_compiles(monkeypatch, tiles,
     """The identity trial runs the baseline program; it agrees with a
     trial that compiles a clone whose pipeline changes nothing."""
     session = _Session(_conv_rows(), seed=3)
-    calls = []
-    for name in ("clone_module", "lower_module"):
-        real = getattr(search_module, name)
-        monkeypatch.setattr(search_module, name, lambda m, name=name, real=real:
-                            calls.append(name) or real(m))
+    calls = _spy(monkeypatch, "clone_module", "lower_module")
     trial = session.trial(1, tiles, unroll)
     assert trial.status == "evaluated"
-    assert calls == ["clone_module", "lower_module"] * builds
+    built = ["clone_module", "lower_module"]
+    assert [name for name, _, _ in calls] == built * builds
     if not builds:
         monkeypatch.setitem(PASSES, "nothing", lambda root: PassOutcome())
         session.template = lambda tiles, unroll: \
             "builtin.module(func.func(nothing))"
         compiled = session.trial(1, tiles, unroll)
-        assert calls == ["clone_module", "lower_module"]
+        assert [name for name, _, _ in calls] == built
         assert (compiled.cost, compiled.stats["total"]) == (
             trial.cost, trial.stats["total"])
 
