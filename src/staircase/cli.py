@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--mode", default="sequential",
                       help="sequential, worksharing:N or gpu")
     runp.add_argument("--out", default=".",
-                      help="directory for mutated buffers and results")
+                      help="directory for every buffer argument, changed "
+                      "or not, and each result, as JSON files")
 
     tune = sub.add_parser("tune", help="search tile sizes and unroll factors")
     tune.add_argument("--input", required=True, help="Python file of kernels")

@@ -56,7 +56,13 @@ Elements live in locals where no one can tell (MLIR's ``affine-scalrep``):
   (every index proven, no step checked at run time, no call) and runs no
   region op in a closure, whose assignment would make the local its own,
   reads the element into a local before it and stores it once after it;
-  a loop inside it finds the element in that local (``promote``).
+  a loop inside it finds the element in that local (``promote``);
+- a memref parameter that nothing the function stores to may be, and that
+  its written loads read more often than it has elements (by their blocks'
+  literal counts, a kernel's threads at its largest launch sizes), is read
+  from a list made at entry, after the guard below, which tests it: each
+  element is boxed once, not per read, at about 4 times an f64 array's
+  memory while the call runs.
 
 An alloc is a new array and a call's result may be any array, but two
 memref parameters may be one Buffer. So a function whose steps above
@@ -557,6 +563,7 @@ class _FuncGen:
         self.promoted: dict = {}    # buffer -> the local its element is in
         self.names: dict = {}       # Value -> Python expression
         self.arrays: dict = {}      # memref Value -> local bound to .data
+        self.reads: dict = {}       # memref Value -> runs of its written loads
         self.strides: dict = {}     # memref shape -> its row-major strides
         self.n = 0
         self.lines: list = []
@@ -591,10 +598,11 @@ class _FuncGen:
         return name
 
     def bind_array(self, value: Value) -> list:
-        """A local for a memref's ``data`` array, assigned where it is made;
-        none if no load or store that is written touches the memref. Its
-        name is taken either way: later locals are named alike whichever
-        arrays are bound."""
+        """A local for a memref's ``data`` array, assigned where it is made
+        (a parameter's may be rebound to a list of it after the guard); none
+        if no load or store that is written touches the memref. Its name is
+        taken either way: later locals are named alike whichever arrays are
+        bound."""
         name = self.fresh("d")
         if all(op.name not in _INDEX_FROM or op in self.dead
                for op, _ in value.uses):
@@ -741,6 +749,15 @@ class _FuncGen:
         if self.lines[-1:] == ["    if nt:"]:     # no thread writes a statement
             self.lines.pop()
         self.close_loops(0)
+        # a parameter read more often than it has elements, and that nothing
+        # the function stores to may be, is read from a list made after the guard
+        snapshots = []
+        for arg in body.args:
+            if self.reads.get(arg, 0) > math.prod(arg.type.shape) and (
+                    pairs := self.unaffected(arg, self.op)) is not None:
+                self.assumed.update(pairs)
+                snapshots.append(f"{self.arrays[arg]} = {self.arrays[arg]}.tolist()")
+        prologue[arrays:arrays] = snapshots
         # a parameter that no written load or store touches may be any array
         self.assumed = {(a, b) for a, b in self.assumed
                         if a in self.arrays and b in self.arrays}
@@ -820,6 +837,9 @@ class _FuncGen:
         stat = [0] * BOOKKEEPING
         self.blocks.append((count, stat))
         self.offsets = {}
+        coef, var = count   # its runs, where known: a kernel's threads too
+        runs = coef if var is None else coef * math.prod(self.extents) \
+            if var == "nt" and self.extents else 0
         for op in block.ops:
             name = op.name
             if name not in OP_SLOT:
@@ -843,6 +863,9 @@ class _FuncGen:
             elif op in self.dead:
                 pass
             elif name in _HANDLERS:
+                if name == "memref.load":
+                    buf = op.operands[0]
+                    self.reads[buf] = self.reads.get(buf, 0) + runs
                 for line in getattr(self, _HANDLERS[name])(op):
                     self.emit(depth, line)
 
@@ -1335,7 +1358,8 @@ class _FuncGen:
         """Read each element the plan keeps in a local around ``loop``
         into it, by a line added to ``reads``, which go just before the
         loop: (buffer, local, element) for each. An element that a loop
-        around this one keeps is in that loop's local already."""
+        around this one keeps is in that loop's local already, and one
+        that its first trip stores before any read is read nowhere."""
         promoted = []
         for buf, store, pairs in self.plan[loop].keep:
             if buf in self.promoted:
@@ -1343,10 +1367,25 @@ class _FuncGen:
             _, (off,), _ = self.address(store, buf, store.operands[2:])
             element = f"{self.arrays[buf]}[{off}]"
             local = self.promoted[buf] = self.fresh("e")
-            reads.append(f"{local} = {element}")
+            if not self.stored_first(loop, buf, store):
+                reads.append(f"{local} = {element}")
             self.assumed.update(pairs)
             promoted.append((buf, local, element))
         return promoted
+
+    def stored_first(self, loop: Operation, buf: Value, store: Operation) -> bool:
+        """Whether ``store`` is the first access to ``buf`` in ``loop``, in
+        pre-order, and runs in its first trip: neither it nor a loop between
+        it and ``loop`` is in an scf.if, and each of those loops, ``loop``
+        too, has literal trips, at least one."""
+        first = next(op for op in loop.walk_nested() if op.name in _INDEX_FROM
+                     and op.operands[_INDEX_FROM[op.name] - 1] is buf)
+        for op in () if first is not store else ancestors(store):
+            if not self.plan[op].trips:     # an scf.if has none either
+                return False
+            if op is loop:
+                return True
+        return False
 
     # -- loops over slices ---------------------------------------------------
 

@@ -2194,8 +2194,48 @@ def test_store_between_trips_keeps_each_trips_store(stored, once):
     want = _agree_in_every_mode(module, "f", [_counting(), _ramp(n=4)])
     if once == 3:
         assert want[2][0].tolist() == [-1.0, 1.5, 1.0, 4.0]
+    else:   # D[1]'s local is stored before any read: nothing reads it first
+        assert not re.search(r"^ +e\d+ = d2\[1\]$", _source(module), re.M)
     shared = _counting()
     _agree_in_every_mode(module, "f", [shared, shared])
+
+
+# D[1] = 1.5 and then D[1] += 1.5, in each of 10 trips: D[1] is kept in a
+# local over the loop, and its first access is the store of 1.5
+_STORED_FIRST = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 10 : index
+    %3 = arith.constant 1.5 : f64
+    %4 = arith.cmpi slt, %1, %arg1 : index
+    scf.for %arg2 = %0 to %2 step %1 {
+      STORE
+      %5 = memref.load %arg0[%1] : memref<4xf64>
+      %6 = arith.addf %5, %3 : f64
+      memref.store %6, %arg0[%1] : memref<4xf64>
+    }
+    return"""
+_FIRST_STORE = "memref.store %3, %arg0[%1] : memref<4xf64>"
+
+
+@pytest.mark.parametrize("store, read, kept", [
+    (_FIRST_STORE, False, [3.0, 3.0]),
+    (f"scf.for %arg3 = %0 to %arg1 step %1 {{\n        {_FIRST_STORE}\n      }}",
+     True, [17.0, 3.0]),
+    (f"scf.if %4 {{\n        {_FIRST_STORE}\n      }}", True, [17.0, 3.0]),
+], ids=["first", "in-a-loop-of-runtime-trips", "in-an-if"])
+def test_a_kept_element_stored_first_is_read_where_a_run_may_skip_the_store(
+        store, read, kept):
+    # the element is read before the loop unless the loop's first trip
+    # surely stores it first: a loop of no trips, or an arm not taken,
+    # leaves what was there, which the store after the loop writes back
+    module = _module(_STORED_FIRST.replace("STORE", store),
+                     "%arg0: memref<4xf64>, %arg1: index")
+    source = _source(module)
+    assert re.search(r"^ +for i\d+ in r", source, re.M)    # a loop, not per trip
+    assert bool(re.search(r"^ +e\d+ = d2\[1\]$", source, re.M)) == read
+    assert [_agree_in_every_mode(module, "f", [_counting(), n])[2][0].tolist()[1]
+            for n in (0, 3)] == kept
 
 
 def _conv2d_on_one_shape():
@@ -2232,6 +2272,216 @@ def test_conv2d_of_one_buffer_as_image_and_output(pipeline):
     assert any(u.startswith("def f0_aliased(") for u in units)
     apart = agree([image, kernel, Buffer((1, 3, 8, 8), "f64", list(image.data))])
     assert shared[0].tolist() != apart[2].tolist()
+
+
+# -- read-only parameters read from a list -----------------------------------------
+
+def _snapshots(source):
+    """The array locals each function of ``source`` reads from a list."""
+    return re.findall(r"^    (d\d+) = \1\.tolist\(\)$", source, re.M)
+
+
+# A[i, j] = B[i, j] + B[j, i], per trip: B is read twice per element
+_TRANSPOSE_ADD = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 4 : index
+    %2 = arith.constant 1 : index
+    scf.for %arg2 = %0 to %1 step %2 {
+      scf.for %arg3 = %0 to %1 step %2 {
+        %3 = memref.load %arg1[%arg2, %arg3] : memref<4x4xf64>
+        %4 = memref.load %arg1[%arg3, %arg2] : memref<4x4xf64>
+        %5 = arith.addf %3, %4 : f64
+        memref.store %5, %arg0[%arg2, %arg3] : memref<4x4xf64>
+      }
+    }
+    return"""
+
+
+def test_a_parameter_read_from_a_list_and_stored_as_one_buffer():
+    # B is read from a list made after the guard, which tests it against A,
+    # the one parameter stored to; read once per element, B is not, and no
+    # other step assumes the two apart, so there is no guard
+    module = _module(_TRANSPOSE_ADD, "%arg0: memref<4x4xf64>, %arg1: memref<4x4xf64>")
+    source = _source(module)
+    guard = source.index("    if d2 is d4: return f0_aliased(")
+    assert _snapshots(source) == ["d4"] and source.index("d4 = d4.tolist()") > guard
+    assert not _snapshots("".join(_variants(module)[False][0]))
+    once = _module(_TRANSPOSE_ADD.replace("%3, %4 : f64", "%3, %3 : f64"),
+                   "%arg0: memref<4x4xf64>, %arg1: memref<4x4xf64>")
+    assert not _snapshots(_source(once)) and " is " not in _source(once)
+
+    def square():
+        return Buffer((4, 4), "f64", [float(k * k % 11) for k in range(16)])
+
+    units = []
+    define = codegen._define
+    with mock.patch.object(codegen, "_define", lambda batch, namespace: (
+            units.extend(batch), define(batch, namespace))):
+        shared = square()
+        want = _agree_in_every_mode(module, "f", [shared, shared])
+    assert any(u.startswith("def f0_aliased(") for u in units)
+    apart = _agree_in_every_mode(module, "f", [square(), square()])
+    assert want[2][0].tolist() != apart[2][0].tolist()
+
+
+# out[ROW, i] = sum of P over j, for each i: P is read 16 times per nest
+def _sums(row, i, j, v):
+    return f"""\
+    scf.for %arg{i} = %0 to %2 step %1 {{
+      scf.for %arg{j} = %0 to %2 step %1 {{
+        %{v} = memref.load %arg0[%arg{j}] : memref<4xf64>
+        %{v + 1} = memref.load %arg1[{row}, %arg{i}] : memref<2x4xf64>
+        %{v + 2} = arith.addf %{v + 1}, %{v} : f64
+        memref.store %{v + 2}, %arg1[{row}, %arg{i}] : memref<2x4xf64>
+      }}
+    }}"""
+
+
+_CALL_BETWEEN_READS = f"""\
+module {{
+  func.func @g(%arg0: memref<4xf64>) {{
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1.0 : f64
+    %2 = memref.load %arg0[%0] : memref<4xf64>
+    %3 = arith.addf %2, %1 : f64
+    memref.store %3, %arg0[%0] : memref<4xf64>
+    return
+  }}
+  func.func @f(%arg0: memref<4xf64>, %arg1: memref<2x4xf64>) {{
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+{_sums("%0", 2, 3, 3)}
+    CALL
+{_sums("%1", 4, 5, 6)}
+    return
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize("call", [True, False], ids=["call", "no-call"])
+def test_a_parameter_a_call_may_store_to_is_read_from_its_array(call):
+    # @f reads P, calls @g, which adds 1 to P[0], and reads P again: the
+    # second nest must see the call's store, so P is not read from a list
+    text = _CALL_BETWEEN_READS.replace(
+        "CALL", "func.call @g(%arg0) : (memref<4xf64>) -> ()" if call else "")
+    module = parse_module(text, create_context())
+    f = next(u for u in _source(module).split("def ")[1:] if u.startswith("f1("))
+    assert _snapshots("def " + f) == ([] if call else ["d2"])
+    want = _agree_in_every_mode(module, "f", [_counting(), Buffer((2, 4), "f64")])
+    assert want[2][1].tolist() == [10.0] * 4 + [11.0 if call else 10.0] * 4
+
+
+# Q[i] = Q[i] + P[j] over j for each i, then a return of P[0]
+_ADD_EACH = """\
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 4 : index
+    %3 = memref.load %arg1[%0] : memref<4xKIND>
+    scf.for %arg2 = %0 to %2 step %1 {
+      scf.for %arg3 = %0 to %2 step %1 {
+        %4 = memref.load %arg1[%arg3] : memref<4xKIND>
+        %5 = memref.load %arg0[%arg2] : memref<4xKIND>
+        %6 = arith.ADD %5, %4 : KIND
+        memref.store %6, %arg0[%arg2] : memref<4xKIND>
+      }
+    }
+    return %3 : KIND"""
+_NAN, _INF = float("nan"), float("inf")
+_EDGES = {
+    "f64": ([-0.0, _NAN, 1.0e308, -1.5], [-0.0, 1.0, -_INF, 2.0]),
+    "f32": ([-0.0, _NAN, 3.0e38, 1.0e-45], [-0.0, 1.0, 0.1, -_INF]),
+    "i32": ([-0, 2**31 - 1, -2**31, -1], [0, 1, -1, 2**31 - 1]),
+    "i64": ([2**63 - 1, -2**63, -1, 1], [0, 1, -1, -2**63]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGES))
+def test_a_parameter_read_from_a_list_keeps_each_value(kind):
+    # -0.0, NaN, f32 rounding and overflow, and integer wrapping all read
+    # from the list as from the array; results compare by their bits
+    body = _ADD_EACH.replace("KIND", kind).replace(
+        "ADD", "addf" if kind[0] == "f" else "addi")
+    module = _module(body, f"%arg0: memref<4x{kind}>, %arg1: memref<4x{kind}>",
+                     f" -> ({kind})")
+    assert _snapshots(_source(module)) == ["d4"]
+    read, stored = _EDGES[kind]
+    want = _agree_in_every_mode(module, "f", [Buffer((4,), kind, stored),
+                                              Buffer((4,), kind, read)])
+    assert want[0] == "returned" and want[1] == by_bits((read[0],))
+    assert want[2][1] == Buffer((4,), kind, read)
+
+
+def test_a_raise_after_stores_leaves_the_buffers_as_the_array_reads_do():
+    # the nest stores each Q[i], then Q[%arg4] is out of bounds
+    body = _ADD_EACH.replace("KIND", "f64").replace("ADD", "addf").replace(
+        "    return %3 : f64",
+        "    memref.store %3, %arg0[%arg4] : memref<4xf64>\n    return")
+    module = _module(body, "%arg0: memref<4xf64>, %arg1: memref<4xf64>, %arg4: index")
+    assert _snapshots(_source(module)) == ["d4"]
+    want = _agree_in_every_mode(module, "f", [_counting(), _counting(), 6])
+    assert want[:3] == ("raised", OutOfBounds,
+                        "index 6 out of bounds for extent 4 of Buffer<4xf64> at <input>:15")
+    assert want[3][0].tolist() == [11.0, 12.0, 13.0, 14.0]
+
+
+_LAUNCHED_TWICE = """\
+module attributes {gpu.container_module} {
+  gpu.module @g {
+    gpu.func @k(%arg0: memref<8xf64>, %arg1: memref<4xf64>) kernel {
+      %0 = gpu.block_id x
+      %1 = gpu.thread_id x
+      %2 = arith.constant 0 : index
+      %3 = arith.constant 1 : index
+      %4 = arith.constant 4 : index
+      %5 = arith.muli %0, %4 : index
+      %6 = arith.addi %5, %1 : index
+      scf.for %arg2 = %2 to %4 step %3 {
+        %7 = memref.load %arg1[%arg2] : memref<4xf64>
+        %8 = memref.load %arg0[%6] : memref<8xf64>
+        %9 = arith.addf %8, %7 : f64
+        memref.store %9, %arg0[%6] : memref<8xf64>
+      }
+      gpu.return
+    }
+  }
+  func.func @f(%arg0: memref<8xf64>, %arg1: memref<4xf64>) {
+    %0 = arith.constant 0 : index
+    %1 = arith.constant 1 : index
+    %2 = arith.constant 2 : index
+    %3 = arith.constant 4 : index
+    %4 = arith.constant 5.0 : f64
+    gpu.launch_func @g::@k blocks in (%2, %1, %1) threads in (%3, %1, %1) args(%arg0 : memref<8xf64>, %arg1 : memref<4xf64>)
+    memref.store %4, %arg1[%0] : memref<4xf64>
+    gpu.launch_func @g::@k blocks in (%1, %1, %1) threads in (%2, %1, %1) args(%arg0 : memref<8xf64>, %arg1 : memref<4xf64>)
+    return
+  }
+}
+"""
+
+
+def test_a_kernel_launched_twice_reads_a_list_made_at_each_launch():
+    # 8 threads, then 2, each add P's four elements: the second launch
+    # reads P[0] as the host function stored it between the two
+    module = parse_module(_LAUNCHED_TWICE, create_context())
+    kernel = _source(module).split("def f1(")[0]
+    assert _snapshots(kernel) == ["d4"]
+    want = _agree(module, [Buffer((8,), "f64"), _counting()], "gpu_emulated")
+    assert want[2][0].tolist() == [24.0] * 2 + [10.0] * 6
+
+
+def test_bench_kernels_read_only_inputs_read_more_than_once_from_lists():
+    # conv_rows reads each input element up to 9 times, and matmul 32
+    # times: both inputs are lists. saxpy reads each element once
+    modules = _bench_sources("kernels")     # conv_rows, conv2d, matmul, saxpy
+    for name, pair in zip(("conv_rows", "conv2d", "matmul", "saxpy"),
+                          zip(modules[::2], modules[1::2])):
+        for module in pair:
+            source = _source(module)
+            want = [] if name == "saxpy" else ["d2", "d4"]
+            assert _snapshots(source) == want, name
+            assert ("d2 = a1.data" in source) and ("d4 = a3.data" in source)
 
 
 # -- short nests jammed into the slice statement they enclose -----------------------
@@ -2960,13 +3210,16 @@ def _bench_sources(group):
 # be defined outside its thread loops; "kernels" again when a short nest
 # inside a loop over slices jammed into its statement (conv2d's, in both
 # pipelines), and "random" when a store no trip of a nest changes was
-# written in its first trip alone
-BENCH_SOURCE_DIGESTS = {"kernels": "8894a856585421ff", "strip": "60eb68b24a377314",
-                        "tune": "f4bedd9832a05e40"}
+# written in its first trip alone; every BENCH_SOURCE and IRGEN digest but
+# "random" when a parameter read more often than it has elements was read
+# from a list, and "random" and "index" when an element kept in a local
+# and stored first in its loop's first trip was no longer read before it
+BENCH_SOURCE_DIGESTS = {"kernels": "35ba75e079189fb3", "strip": "120a8e9afbbbe54f",
+                        "tune": "0793430e6b47aea9"}
 ALIAS_SAFE_DIGESTS = {"kernels": "17a5cbe4ef215f41", "strip": "24b0f21054e52bb8",
                       "tune": "8d0e39da2c50e075"}
-IRGEN_DIGESTS = {"index": "d1879c63e7788876", "jam": "3077861fece471f5",
-                 "random": "26aa6298ae8a2bc9", "slice": "cf2ee13ca12c6bdd"}
+IRGEN_DIGESTS = {"index": "d0074fccd4a285ef", "jam": "48df071e465b73bf",
+                 "random": "5fa28a6e3c46c947", "slice": "fb381721f98633de"}
 IRGEN_CORPUS = {"random": (random_module, range(240)), "index": (index_module, range(80)),
                 "slice": (slice_module, range(90)), "jam": (jam_module, range(240))}
 
